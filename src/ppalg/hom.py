@@ -8,6 +8,7 @@ The extension group of a pair (m, n) is the middle cohomology of
 
 with d1(f) = (n_a f_sa - f_ta m_a)_a and
 d2(phi) = (sum over arrows a out of v of eps(a) (n_{a*} phi_a + phi_{a*} m_a))_v.
+The matrix of d1 is ``rep.hom_system(m, n)``, whose kernel is Hom(m, n).
 Its dimension always satisfies the bilinear-form identity, which is asserted
 at runtime.
 """
@@ -20,7 +21,7 @@ from typing import Dict, Sequence
 from .errors import CocycleError, FieldMismatch, InternalInvariantError
 from .linalg import Matrix
 from .quiver import DimensionVector, DoubleQuiver
-from .rep import Representation, hom_basis, hom_dim
+from .rep import Representation, hom_basis, hom_dim, hom_system, unflatten
 
 
 def bilinear_form(dq: DoubleQuiver, alpha: Sequence[int], beta: Sequence[int]) -> int:
@@ -66,31 +67,6 @@ def _arrow_shapes(m: Representation, n: Representation):
     return [(a.aid, n.dims[a.dst], m.dims[a.src]) for a in m.dq.arrows]
 
 
-def _delta1(m: Representation, n: Representation) -> Matrix:
-    """Matrix of d1 from vertex maps to arrow maps (column = basis vertex map)."""
-    f = m.field
-    z = f.zero()
-    v_off, total_v = [], 0
-    for v in range(m.dq.vertex_count):
-        v_off.append(total_v)
-        total_v += n.dims[v] * m.dims[v]
-    rows = []
-    for a in m.dq.arrows:
-        s, t = a.src, a.dst
-        na, ma = n.mats[a.aid], m.mats[a.aid]
-        for r in range(n.dims[t]):
-            for c in range(m.dims[s]):
-                row = [z] * total_v
-                for k in range(n.dims[s]):
-                    idx = v_off[s] + k * m.dims[s] + c
-                    row[idx] = f.add(row[idx], na.data[r][k])
-                for k in range(m.dims[t]):
-                    idx = v_off[t] + r * m.dims[t] + k
-                    row[idx] = f.sub(row[idx], ma.data[k][c])
-                rows.append(row)
-    return Matrix(f, len(rows), total_v, rows)
-
-
 def _delta2(m: Representation, n: Representation) -> Matrix:
     """Matrix of d2 from arrow maps to vertex maps."""
     f = m.field
@@ -133,16 +109,6 @@ def _delta2(m: Representation, n: Representation) -> Matrix:
     return Matrix(f, len(rows), total_a, rows)
 
 
-def _unflatten_arrow_maps(m: Representation, n: Representation, vec: tuple) -> Dict[str, Matrix]:
-    out = {}
-    pos = 0
-    for aid, r, c in _arrow_shapes(m, n):
-        block = [[vec[pos + i * c + j] for j in range(c)] for i in range(r)]
-        out[aid] = Matrix(m.field, r, c, block)
-        pos += r * c
-    return out
-
-
 def ext1_space(m: Representation, n: Representation) -> Ext1Space:
     """First extension group computed as middle cohomology of the complex.
 
@@ -151,37 +117,32 @@ def ext1_space(m: Representation, n: Representation) -> Ext1Space:
     """
     if m.field != n.field:
         raise FieldMismatch("ext over different fields")
-    d1 = _delta1(m, n)
-    d2 = _delta2(m, n)
-    ker = d2.kernel_basis()
+    d1, _ = hom_system(m, n)
     img = d1.image_basis()
-    # pick the kernel columns that extend the image to a basis of ker d2
-    chosen = []
-    acc = img
-    for j in range(ker.cols):
-        col = Matrix.column(m.field, ker.column_vector(j))
-        grown = acc.hstack(col)
-        if grown.rank() > acc.rank():
-            chosen.append(ker.column_vector(j))
-            acc = grown
+    ker = _delta2(m, n).kernel_basis()
+    # the kernel columns that extend the image to a basis of ker d2 are the
+    # pivot columns of [img | ker] past img, since img is independent
+    _, pivots = img.hstack(ker).rref()
+    chosen = [ker.column_vector(j - img.cols) for j in pivots if j >= img.cols]
     dim = len(chosen)
-    expected = hom_dim(m, n) + hom_dim(n, m) - bilinear_form(m.dq, m.dims, n.dims)
+    expected = (d1.cols - img.cols) + hom_dim(n, m) - bilinear_form(m.dq, m.dims, n.dims)
     if dim != expected:
         raise InternalInvariantError(
             f"extension dimension {dim} violates the form identity (expected {expected})"
         )
-    basis = tuple(_unflatten_arrow_maps(m, n, vec) for vec in chosen)
+    shapes = _arrow_shapes(m, n)
+    basis = tuple(unflatten(m.field, vec, shapes) for vec in chosen)
     return Ext1Space(cocycle_basis=basis, dim=dim)
 
 
 def ext_complex_maps(m: Representation, n: Representation) -> tuple[Matrix, Matrix]:
     """The two differentials of the four-term complex, as plain matrices."""
-    return _delta1(m, n), _delta2(m, n)
+    return hom_system(m, n)[0], _delta2(m, n)
 
 
 def ext1_dim_via_complex(m: Representation, n: Representation) -> int:
     """Middle cohomology dimension computed with no appeal to the form identity."""
-    d1 = _delta1(m, n)
+    d1, _ = hom_system(m, n)
     d2 = _delta2(m, n)
     return (d2.cols - d2.rank()) - d1.rank()
 

@@ -309,11 +309,6 @@ def vstack_all(field: Field, cols: int, mats: Sequence[Matrix]) -> Matrix:
     return out
 
 
-def column_span_basis(m: Matrix) -> Matrix:
-    """Canonical column-space basis, kept as a convenience alias."""
-    return m.image_basis()
-
-
 def spans_subspace(big: Matrix, small: Matrix) -> bool:
     """Whether every column of ``small`` lies in the column span of ``big``."""
     return big.hstack(small).rank() == big.rank()

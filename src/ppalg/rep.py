@@ -231,11 +231,12 @@ class Representation:
         return Representation.build(dq, field, dims, mats)
 
 
-def _hom_system(m: "Representation", n: "Representation") -> tuple[Matrix, list[tuple[int, int, int]]]:
+def hom_system(m: "Representation", n: "Representation") -> tuple[Matrix, list[tuple[int, int, int]]]:
     """Matrix of the intertwining system for maps m -> n.
 
     Unknowns are the entries of one matrix per vertex (shape n.dims[v] x
     m.dims[v]) in vertex-major, row-major order; one equation block per arrow.
+    The returned shapes are the (vertex, rows, cols) triples of those blocks.
     """
     f = m.field
     z = f.zero()
@@ -266,12 +267,13 @@ def _hom_system(m: "Representation", n: "Representation") -> tuple[Matrix, list[
     return sys, shapes
 
 
-def _unflatten_vertex_maps(field: Field, vec: tuple, shapes) -> dict[int, Matrix]:
+def unflatten(field: Field, vec: tuple, shapes) -> dict:
+    """Cut a flat vector into matrices, one per (key, rows, cols) triple, row-major."""
     out = {}
     pos = 0
-    for v, r, c in shapes:
+    for key, r, c in shapes:
         block = [[vec[pos + i * c + j] for j in range(c)] for i in range(r)]
-        out[v] = Matrix(field, r, c, block)
+        out[key] = Matrix(field, r, c, block)
         pos += r * c
     return out
 
@@ -280,16 +282,13 @@ def hom_basis(m: Representation, n: Representation) -> list[dict[int, Matrix]]:
     """Canonical basis of the space of module maps m -> n."""
     if m.field != n.field:
         raise FieldMismatch("hom over different fields")
-    sys, shapes = _hom_system(m, n)
+    sys, shapes = hom_system(m, n)
     ker = sys.kernel_basis()
-    return [
-        _unflatten_vertex_maps(m.field, ker.column_vector(j), shapes)
-        for j in range(ker.cols)
-    ]
+    return [unflatten(m.field, ker.column_vector(j), shapes) for j in range(ker.cols)]
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
-    sys, _ = _hom_system(m, n)
+    sys, _ = hom_system(m, n)
     return sys.cols - sys.rank()
 
 
@@ -301,14 +300,15 @@ def morphism_is_surjective(phi: dict[int, Matrix]) -> bool:
     return all(mat.rank() == mat.rows for mat in phi.values())
 
 
-def _combination(field: Field, basis: list[dict[int, Matrix]], coeffs) -> dict[int, Matrix]:
+def combination(field: Field, basis: Sequence[dict], coeffs) -> dict:
+    """The linear combination sum_i coeffs[i] * basis[i] of same-keyed matrix families."""
     out = {}
-    for v in basis[0]:
-        acc = Matrix.zero(field, basis[0][v].rows, basis[0][v].cols)
+    for key in basis[0]:
+        acc = Matrix.zero(field, basis[0][key].rows, basis[0][key].cols)
         for c, phi in zip(coeffs, basis):
             if c != field.zero():
-                acc = acc.add(phi[v].scale(c))
-        out[v] = acc
+                acc = acc.add(phi[key].scale(c))
+        out[key] = acc
     return out
 
 
@@ -346,7 +346,7 @@ def is_isomorphic(
         for coeffs in itertools.product(list(f.elements()), repeat=d):
             if all(c == f.zero() for c in coeffs):
                 continue
-            if _is_invertible(_combination(f, basis, coeffs)):
+            if _is_invertible(combination(f, basis, coeffs)):
                 return True
         return False
     rng = random.Random(seed)
@@ -356,7 +356,7 @@ def is_isomorphic(
             coeffs = [pool[rng.randrange(len(pool))] for _ in range(d)]
         else:
             coeffs = [f.from_int(rng.randint(-20, 20)) for _ in range(d)]
-        if any(c != f.zero() for c in coeffs) and _is_invertible(_combination(f, basis, coeffs)):
+        if any(c != f.zero() for c in coeffs) and _is_invertible(combination(f, basis, coeffs)):
             return True
     if hom_dim(m, m) == d and hom_dim(n, n) == d:
         raise Inconclusive("random isomorphism search failed with matching hom data")
@@ -377,7 +377,7 @@ def is_indecomposable(m: Representation, budget: int = 10**5) -> bool:
         raise Inconclusive("endomorphism scan out of budget")
     size = m.dims.total()
     for coeffs in itertools.product(list(f.elements()), repeat=d):
-        phi = _combination(f, basis, coeffs)
+        phi = combination(f, basis, coeffs)
         if _is_invertible(phi):
             continue
         # non-invertible endomorphisms of an indecomposable must be nilpotent

@@ -25,10 +25,10 @@ from .hom import (
     extension_splits,
     retraction_exists,
 )
-from .linalg import Matrix
 from .quiver import DoubleQuiver, standard_extended_dynkin
 from .rep import (
     Representation,
+    combination,
     hom_basis,
     hom_dim,
     is_isomorphic,
@@ -95,10 +95,17 @@ class SuiteCase:
     def to_json(self) -> dict:
         return {
             "key": self.key,
-            "expected": repr(self.expected),
-            "got": repr(self.got),
+            "expected": _literal(self.expected),
+            "got": _literal(self.got),
             "pass": self.passed,
         }
+
+
+def _literal(value) -> str:
+    """repr(), with a set's members sorted so the text does not follow string hashing."""
+    if isinstance(value, set) and value:
+        return "{" + ", ".join(sorted(repr(x) for x in value)) + "}"
+    return repr(value)
 
 
 @dataclass
@@ -184,17 +191,6 @@ def _random_coeffs(field: Field, rng: random.Random, count: int) -> list:
     return coeffs
 
 
-def _combine_cocycles(field: Field, basis, coeffs) -> dict:
-    out = {}
-    for aid in basis[0]:
-        acc = Matrix.zero(field, basis[0][aid].rows, basis[0][aid].cols)
-        for c, phi in zip(coeffs, basis):
-            if c != field.zero():
-                acc = acc.add(phi[aid].scale(c))
-        out[aid] = acc
-    return out
-
-
 def random_nilpotent(
     dq: DoubleQuiver, field: Field, rng: random.Random, steps: int = 3
 ) -> Representation:
@@ -209,7 +205,7 @@ def random_nilpotent(
             m = m.direct_sum(s)
             continue
         coeffs = _random_coeffs(field, rng, ext.dim)
-        cocycle = _combine_cocycles(field, ext.cocycle_basis, coeffs)
+        cocycle = combination(field, ext.cocycle_basis, coeffs)
         m = extension_from_cocycle(top, bottom, cocycle)
     return m
 
@@ -226,17 +222,6 @@ def _nonzero_combinations(field: Field, basis, budget: int):
     for coeffs in itertools.product(list(field.elements()), repeat=d):
         if any(c != field.zero() for c in coeffs):
             yield coeffs
-
-
-def _combine_vertex_maps(field: Field, basis, coeffs) -> dict:
-    out = {}
-    for v in basis[0]:
-        acc = Matrix.zero(field, basis[0][v].rows, basis[0][v].cols)
-        for c, phi in zip(coeffs, basis):
-            if c != field.zero():
-                acc = acc.add(phi[v].scale(c))
-        out[v] = acc
-    return out
 
 
 def exceptional_membership(
@@ -269,14 +254,14 @@ def exceptional_membership(
         if not basis:
             return False
         for coeffs in _nonzero_combinations(m.field, basis, budget):
-            if morphism_is_injective(_combine_vertex_maps(m.field, basis, coeffs)):
+            if morphism_is_injective(combination(m.field, basis, coeffs)):
                 return True
         return False
     basis = hom_basis(m, siw.module)
     if not basis:
         return False
     for coeffs in _nonzero_combinations(m.field, basis, budget):
-        if morphism_is_surjective(_combine_vertex_maps(m.field, basis, coeffs)):
+        if morphism_is_surjective(combination(m.field, basis, coeffs)):
             return True
     return False
 
@@ -459,16 +444,15 @@ def cbform_suite(seed: int = 11, sample_size: int = 30) -> SuiteReport:
         field = GF(3)
         rng = random.Random(seed)
         mods = [random_nilpotent(dq, field, rng, steps=rng.randrange(1, 4)) for _ in range(sample_size)]
+        hom = [[hom_dim(m, n) for n in mods] for m in mods]
+        ext = [[ext1_dim_via_complex(m, n) for n in mods] for m in mods]
         bad = 0
         asym = 0
-        for m in mods:
-            for n in mods:
-                ext = ext1_dim_via_complex(m, n)
-                lhs = bilinear_form(dq, m.dims, n.dims)
-                rhs = hom_dim(m, n) - ext + hom_dim(n, m)
-                if lhs != rhs:
+        for i, m in enumerate(mods):
+            for j, n in enumerate(mods):
+                if bilinear_form(dq, m.dims, n.dims) != hom[i][j] - ext[i][j] + hom[j][i]:
                     bad += 1
-                if ext != ext1_dim_via_complex(n, m):
+                if ext[i][j] != ext[j][i]:
                     asym += 1
         report.add(f"{tag} identity failures over {sample_size * sample_size} pairs", 0, bad)
         report.add(f"{tag} extension-dimension asymmetries", 0, asym)
@@ -601,7 +585,6 @@ def run_suite(
     name: str,
     field_order: Optional[int] = None,
     seed: int = 0,
-    budget: Optional[int] = None,
 ) -> SuiteReport:
     """Dispatch a named verification suite; unknown names raise UsageError."""
     if name not in SUITE_NAMES:

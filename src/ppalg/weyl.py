@@ -240,8 +240,3 @@ def chamber_label(word: Sequence[int]) -> str:
     if not word:
         return "C(1)"
     return "C(" + "".join(f"s{letter}" for letter in word) + ")"
-
-
-def theta_in_chamber(wg: WeylGroup, word: Sequence[int], base: StabilityParameter) -> StabilityParameter:
-    """Transport a fundamental-chamber parameter into the chamber of the word."""
-    return apply_word_to_theta(wg.rs.dq, word, base)

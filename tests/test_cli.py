@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import ppalg
 from ppalg.cli import main
 from ppalg.fields import GF
 from ppalg.linalg import Matrix
@@ -160,6 +165,24 @@ def test_usage_errors_exit_two(capsys):
 def test_malformed_theta_exits_two(capsys):
     code, _, err = run(capsys, "chamber", "--type", "A2", "--theta", "bogus")
     assert code == 2
+
+
+def test_verify_json_bytes_do_not_follow_string_hashing():
+    # the walls suite reports sets; their text must not depend on PYTHONHASHSEED
+    src = str(Path(ppalg.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ppalg", "verify", "--suite", "walls", "--field", "2", "--emit", "json"],
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 GOLDEN_SCAN_F2 = """\

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppalg.errors import CocycleError
 from ppalg.fields import GF, QQ
@@ -207,3 +209,35 @@ def test_hom_and_ext_over_rationals():
     s2 = Representation.simple(dq, QQ, 2)
     assert hom_space(s1, s2).dim == 0
     assert ext1_space(s1, s2).dim == 1
+
+
+def greedy_cocycle_choice(m, n):
+    """Reference complement choice: keep each kernel column of d2 that grows the rank."""
+    d1, d2 = ext_complex_maps(m, n)
+    ker = d2.kernel_basis()
+    chosen = []
+    acc = d1.image_basis()
+    for j in range(ker.cols):
+        grown = acc.hstack(Matrix.column(m.field, ker.column_vector(j)))
+        if grown.rank() > acc.rank():
+            chosen.append(ker.column_vector(j))
+            acc = grown
+    return chosen
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    tag=st.sampled_from([("A", 2), ("D", 4)]),
+    field=st.sampled_from([GF(2), GF(3), GF(4), QQ]),
+    seed=st.integers(0, 2**16),
+    steps=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+)
+def test_cocycle_basis_matches_greedy_rank_growth(tag, field, seed, steps):
+    dq, _ = standard_extended_dynkin(*tag)
+    rng = random.Random(seed)
+    m, n = (random_nilpotent(dq, field, rng, steps=k) for k in steps)
+    flattened = [
+        tuple(x for a in dq.arrows for row in phi[a.aid].data for x in row)
+        for phi in ext1_space(m, n).cocycle_basis
+    ]
+    assert flattened == greedy_cocycle_choice(m, n)
