@@ -66,4 +66,4 @@ class UnsupportedShape(PpalgError):
 
 
 class UsageError(PpalgError):
-    """Malformed command-line or suite-dispatch input."""
+    """Malformed command-line, suite-dispatch or module JSON input."""

@@ -84,7 +84,11 @@ class Field:
         raise NotImplementedError
 
     def parse_scalar(self, s: str):
-        raise NotImplementedError
+        """Read a finite-field element code, which must lie in [0, order)."""
+        v = int(s)
+        if not 0 <= v < self.order:
+            raise ValueError(f"{v} is not an element code of {self!r}")
+        return v
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -199,9 +203,6 @@ class PrimeField(Field):
 
     def format_scalar(self, a) -> str:
         return str(a)
-
-    def parse_scalar(self, s: str):
-        return int(s) % self.p
 
     def to_json(self) -> dict:
         return {"kind": "prime", "p": self.p}
@@ -376,12 +377,6 @@ class GaloisField(Field):
 
     def format_scalar(self, a) -> str:
         return str(a)
-
-    def parse_scalar(self, s: str):
-        v = int(s)
-        if not 0 <= v < self.q:
-            raise ValueError(f"{v} is not an element code of GF({self.q})")
-        return v
 
     def to_json(self) -> dict:
         return {"kind": "prime-power", "p": self.p, "k": self.k}

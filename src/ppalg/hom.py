@@ -184,26 +184,15 @@ def extension_splits(m: Representation, n: Representation, e: Representation) ->
     """Whether the evident surjection e -> m admits a section.
 
     ``e`` must be in the block form produced by extension_from_cocycle.  The
-    section is found, when it exists, as a solution of the affine intertwining
-    system with the projection constraint appended.
+    dual of the kernel-side test: the projection e -> m has a section exactly
+    when its dual injection Dm -> De, with blocks [[0], [I]], has a retraction.
     """
     f = m.field
-    dq = m.dq
-    basis = hom_basis(m, e)
-    if not basis:
-        return all(d == 0 for d in m.dims)
-    # projection constraint: bottom block of each vertex map equals identity
-    cols = len(basis)
-    rows = []
-    rhs = []
-    for v in range(dq.vertex_count):
-        nv = n.dims[v]
-        for r in range(m.dims[v]):
-            for c in range(m.dims[v]):
-                rows.append([phi[v].data[nv + r][c] for phi in basis])
-                rhs.append(f.one() if r == c else f.zero())
-    sys = Matrix(f, len(rows), cols, rows)
-    return sys.solve(Matrix.column(f, rhs)) is not None
+    inj = {
+        v: Matrix.zero(f, n.dims[v], m.dims[v]).vstack(Matrix.identity(f, m.dims[v]))
+        for v in range(m.dq.vertex_count)
+    }
+    return retraction_exists(m.dual(), e.dual(), inj)
 
 
 def retraction_exists(s: Representation, n: Representation, inj: Dict[int, Matrix]) -> bool:

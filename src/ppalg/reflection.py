@@ -1,11 +1,12 @@
 """Reflection functors at a vertex, word composites, and shifted simples.
 
 The plus functor replaces the vertex space at i by the kernel of the map
-bundling the star matrices of the arrows leaving i; the minus functor uses
-the cokernel of the map bundling the star matrices of the arrows entering i.
-Both are total linear constructions; the torsion-pair semantics (zero
-defect) are enforced only by the word-application wrapper.  The tilting
-ideals themselves are never materialized.
+bundling the star matrices of the arrows leaving i.  The cokernel-side minus
+functor is the dual of the kernel-side construction: the plus functor on the
+vector-space dual, dualized back, so both share one body and its checks.
+Both are total linear constructions; the torsion-pair semantics (zero defect)
+are enforced only by the word-application wrapper.  The tilting ideals
+themselves are never materialized.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ def reflect_plus(i: int, m: Representation) -> ReflectResult:
     The new space at i is ker f_i where f_i sums eps(a) M_{a*} over the
     arrows a leaving i; the defect is the cokernel dimension of f_i.
     """
+    if not 0 <= i < m.dq.vertex_count:
+        raise RangeError(f"vertex {i} is not a vertex of the quiver")
     dq = m.dq
     f = m.field
     out_arrows = dq.arrows_out(i)
@@ -100,60 +103,19 @@ def reflect_plus(i: int, m: Representation) -> ReflectResult:
             mats[a.aid] = kernel.submatrix(list(rows), list(range(kernel.cols)))
     result = Representation.build(dq, f, new_dims, mats)
     if result.check_relations():
-        raise InternalInvariantError("plus reflection broke the preprojective relations")
+        raise InternalInvariantError("reflection broke the preprojective relations")
     return ReflectResult(module=result, defect=defect)
 
 
 def reflect_minus(i: int, m: Representation) -> ReflectResult:
-    """Cokernel-side reflection at vertex i.
+    """Cokernel-side reflection at vertex i: the dual of the kernel-side construction.
 
-    The new space at i is coker g_i where g_i collects eps(a*) M_{a*} over the
-    arrows a entering i; the defect is the kernel dimension of g_i.
+    D(I_i (x) M) = Hom(I_i, DM), so this is reflect_plus on the dual module,
+    dualized back.  The defect is the kernel dimension of the map g_i that
+    collects eps(a*) M_{a*} over the arrows a entering i.
     """
-    dq = m.dq
-    f = m.field
-    in_arrows = dq.arrows_in(i)
-    blocks = []
-    for a in in_arrows:
-        blk = m.mats[dq.star[a.aid]]
-        if dq.epsilon[dq.star[a.aid]] < 0:
-            blk = blk.neg()
-        blocks.append(blk)
-    g_i = vstack_all(f, m.dims[i], blocks)
-    proj = g_i.cokernel_projection()
-    defect = m.dims[i] - g_i.rank()
-    new_dims = list(m.dims)
-    new_dims[i] = proj.rows
-
-    offsets = {}
-    pos = 0
-    for a in in_arrows:
-        offsets[a.aid] = pos
-        pos += m.dims[a.src]
-
-    proj_rinv = proj.right_inverse() if proj.rows else None
-
-    mats = {}
-    for a in dq.arrows:
-        if a.src != i and a.dst != i:
-            mats[a.aid] = m.mats[a.aid]
-        elif a.dst == i:
-            # incoming arrow b: include into the b summand, then project to the cokernel
-            cols = range(offsets[a.aid], offsets[a.aid] + m.dims[a.src])
-            mats[a.aid] = proj.submatrix(list(range(proj.rows)), list(cols))
-        else:
-            # outgoing arrow c: sum of m_c . m_b over incoming b, factored through the cokernel
-            w = hstack_all(
-                f, m.dims[a.dst], [m.mats[a.aid].mul(m.mats[b.aid]) for b in in_arrows]
-            )
-            if proj.rows == 0:
-                mats[a.aid] = Matrix.zero(f, m.dims[a.dst], 0)
-            else:
-                mats[a.aid] = w.mul(proj_rinv)
-    result = Representation.build(dq, f, new_dims, mats)
-    if result.check_relations():
-        raise InternalInvariantError("minus reflection broke the preprojective relations")
-    return ReflectResult(module=result, defect=defect)
+    res = reflect_plus(i, m.dual())
+    return ReflectResult(module=res.module.dual(), defect=res.defect)
 
 
 def apply_word(

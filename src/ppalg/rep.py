@@ -15,9 +15,9 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .errors import FieldMismatch, Inconclusive, ShapeError
+from .errors import FieldMismatch, Inconclusive, ShapeError, UsageError
 from .fields import Field, field_from_json
-from .linalg import Matrix, hstack_all, spans_subspace, vstack_all
+from .linalg import Matrix, hstack_all, spans_subspace
 from .quiver import DimensionVector, DoubleQuiver
 
 ISO_EXHAUSTIVE_DIM = 4
@@ -122,6 +122,14 @@ class Representation:
             mats[a.aid] = top.vstack(bot)
         return Representation.build(self.dq, self.field, dims, mats)
 
+    def dual(self) -> "Representation":
+        """The vector-space dual: arrow a acts by the transpose of the matrix of a*.
+
+        Relation matrices transpose, and dualizing twice gives self back.
+        """
+        mats = {a.aid: self.mats[self.dq.star[a.aid]].transpose() for a in self.dq.arrows}
+        return Representation(self.dq, self.field, self.dims, mats)
+
     # -- preprojective relations --------------------------------------------
 
     def relation_matrix(self, v: int) -> Matrix:
@@ -151,13 +159,8 @@ class Representation:
         return DimensionVector(out)
 
     def socle_multiplicities(self) -> DimensionVector:
-        """Multiplicity of each vertex simple in the socle."""
-        out = []
-        for v in range(self.dq.vertex_count):
-            outgoing = [self.mats[a.aid] for a in self.dq.arrows_out(v)]
-            stacked = vstack_all(self.field, self.dims[v], outgoing)
-            out.append(self.dims[v] - stacked.rank())
-        return DimensionVector(out)
+        """Multiplicity of each vertex simple in the socle: the top of the dual."""
+        return self.dual().top_multiplicities()
 
     def radical_chain_step(self, spans: list[Matrix]) -> list[Matrix]:
         # next power of the arrow ideal, as canonical column spans per vertex
@@ -220,14 +223,21 @@ class Representation:
 
     @staticmethod
     def from_json(data: dict) -> "Representation":
-        dq = DoubleQuiver.from_json(data["quiver"])
-        field = field_from_json(data["field"])
-        dims = DimensionVector(data["dims"])
-        mats = {}
-        for a in dq.arrows:
-            raw = data["mats"].get(a.aid)
-            if raw is not None:
-                mats[a.aid] = Matrix.from_json(field, raw, dims[a.dst], dims[a.src])
+        """Parse a module payload; a malformed one raises UsageError."""
+        try:
+            dq = DoubleQuiver.from_json(data["quiver"])
+            field = field_from_json(data["field"])
+            dims = DimensionVector(data["dims"])
+            raw = dict(data["mats"])
+            if len(dims) != dq.vertex_count or not raw.keys() <= {a.aid for a in dq.arrows}:
+                raise UsageError("dims or mats do not match the vertices and arrows of the quiver")
+            mats = {
+                a.aid: Matrix.from_json(field, raw[a.aid], dims[a.dst], dims[a.src])
+                for a in dq.arrows
+                if raw.get(a.aid) is not None
+            }
+        except (LookupError, TypeError, ValueError, AttributeError, ArithmeticError) as exc:
+            raise UsageError(f"malformed module JSON: {exc!r}") from None
         return Representation.build(dq, field, dims, mats)
 
 

@@ -4,8 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 import ppalg
 from ppalg.cli import main
+from ppalg.errors import UsageError
 from ppalg.fields import GF
 from ppalg.linalg import Matrix
 from ppalg.quiver import standard_extended_dynkin
@@ -217,3 +222,97 @@ def test_quiver_json_golden_bytes(capsys):
         '{"dst": 1, "id": "a2s", "src": 2, "star_of": "a2"}, '
         '{"dst": 2, "id": "a3s", "src": 0, "star_of": "a3"}], "d": [1, 1, 1], "vertices": 3}'
     )
+
+
+def curve_member_payload():
+    dq, d = standard_extended_dynkin("A", 2)
+    f = GF(3)
+    mats = {"a1": Matrix(f, 1, 1, [[1]]), "a3s": Matrix(f, 1, 1, [[1]])}
+    return Representation.build(dq, f, d, mats).to_json()
+
+
+def malformed(mats=(), **fields):
+    """The curve-member payload with top-level fields and arrow matrices replaced."""
+    data = curve_member_payload()
+    data.update(fields)
+    data["mats"].update(mats)
+    return data
+
+
+MALFORMED_MODULES = {
+    "quiver-without-arrows": {"quiver": {"vertices": 3}},
+    "json-list": [curve_member_payload()],
+    "short-dims": malformed(dims=[1, 1]),
+    "unknown-arrow-id": malformed(mats={"b9": [["1"]]}),
+    "code-outside-field": malformed(mats={"a1": [["5"]]}),
+    "field-not-an-object": malformed(field=[]),
+    "null-entry": malformed(mats={"a1": [[None]]}),
+    "zero-denominator": malformed(field={"kind": "rationals"}, mats={"a1": [["1/0"]]}),
+}
+MODULE_COMMANDS = {
+    "rep-check": ["rep-check"],
+    "reflect": ["reflect", "--vertex", "1", "--dir", "minus"],
+    "apply": ["apply", "--word", "1", "--theta", "-2,1,1"],
+    "stability": ["stability", "--theta", "-2,1,1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MODULE_COMMANDS))
+@pytest.mark.parametrize("payload", sorted(MALFORMED_MODULES))
+def test_malformed_module_files_exit_two(capsys, tmp_path, command, payload):
+    with pytest.raises(UsageError):
+        Representation.from_json(MALFORMED_MODULES[payload])
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(MALFORMED_MODULES[payload]), encoding="utf-8")
+    code, out, err = run(capsys, *MODULE_COMMANDS[command], str(path))
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == ""
+
+
+def test_reflect_at_a_missing_vertex_exits_two(capsys, tmp_path):
+    path = write_curve_member(tmp_path)
+    for vertex in ("3", "-1"):
+        code, _, err = run(capsys, "reflect", "--vertex", vertex, "--dir", "plus", str(path))
+        assert code == 2 and err.startswith("error:")
+
+
+SCALARS = st.sampled_from(["", "0", "1", "2", "5", "-1", "1/0", "a1", "x"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["a1", "a1s", "b", "kind", "p"]), inner, max_size=3),
+    max_leaves=8,
+)
+FIELDS = st.sampled_from(["quiver", "field", "dims", "mats"])
+
+
+@st.composite
+def fuzzed_modules(draw):
+    """A valid module payload with some fields dropped, replaced or nested one level down."""
+    data = curve_member_payload()
+    for _ in range(draw(st.integers(1, 3))):
+        target = data
+        key = draw(FIELDS)
+        if key in ("quiver", "mats") and draw(st.booleans()):
+            target = data[key] if isinstance(data.get(key), dict) else data
+            key = draw(st.sampled_from(["vertices", "arrows", "a1", "a2s", "zz"]))
+        if draw(st.booleans()):
+            target.pop(key, None)
+        else:
+            target[key] = draw(JSON_VALUES)
+    return draw(st.sampled_from([data, [data], data.get("mats")]))
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(payload=fuzzed_modules())
+def test_rep_check_never_tracebacks_on_fuzzed_modules(capsys, tmp_path, payload):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, _, err = run(capsys, "rep-check", str(path))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error:")

@@ -66,3 +66,11 @@ def test_scalar_strings_round_trip():
     f5 = GF(5)
     assert f5.parse_scalar(f5.format_scalar(3)) == 3
     assert QQ.parse_scalar("-2") == Fraction(-2)
+
+
+@pytest.mark.parametrize("field", [GF(3), GF(4)])
+def test_parse_scalar_rejects_codes_outside_the_field(field):
+    assert field.parse_scalar(str(field.order - 1)) == field.order - 1
+    for code in (str(field.order), "5", "-1"):
+        with pytest.raises(ValueError):
+            field.parse_scalar(code)

@@ -21,7 +21,7 @@ from ppalg.hom import (
 )
 from ppalg.linalg import Matrix
 from ppalg.quiver import standard_extended_dynkin
-from ppalg.rep import Representation, hom_basis, hom_dim
+from ppalg.rep import Representation, combination, hom_basis, hom_dim
 from ppalg.stability import enumerate_thin_reps
 from ppalg.verify import random_nilpotent
 
@@ -241,3 +241,54 @@ def test_cocycle_basis_matches_greedy_rank_growth(tag, field, seed, steps):
         for phi in ext1_space(m, n).cocycle_basis
     ]
     assert flattened == greedy_cocycle_choice(m, n)
+
+
+def section_exists(m, n, e):
+    """Reference split test: the affine intertwining system for a section of e -> m.
+
+    A section is a map m -> e whose bottom block is the identity at every vertex.
+    """
+    f = m.field
+    dq = m.dq
+    basis = hom_basis(m, e)
+    if not basis:
+        return all(d == 0 for d in m.dims)
+    # projection constraint: bottom block of each vertex map equals identity
+    cols = len(basis)
+    rows = []
+    rhs = []
+    for v in range(dq.vertex_count):
+        nv = n.dims[v]
+        for r in range(m.dims[v]):
+            for c in range(m.dims[v]):
+                rows.append([phi[v].data[nv + r][c] for phi in basis])
+                rhs.append(f.one() if r == c else f.zero())
+    sys = Matrix(f, len(rows), cols, rows)
+    return sys.solve(Matrix.column(f, rhs)) is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tag=st.sampled_from([("A", 2), ("D", 4)]),
+    field=st.sampled_from([GF(2), GF(3), GF(4), QQ]),
+    seed=st.integers(0, 2**16),
+    steps=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    zero_cocycle=st.booleans(),
+)
+def test_extension_splits_agrees_with_the_section_system(tag, field, seed, steps, zero_cocycle):
+    dq, _ = standard_extended_dynkin(*tag)
+    rng = random.Random(seed)
+    m, n = (random_nilpotent(dq, field, rng, steps=k) for k in steps)
+    basis = ext1_space(m, n).cocycle_basis
+    pool = list(field.elements()) if field.is_finite else [field.from_int(k) for k in range(-3, 4)]
+    coeffs = [rng.choice(pool) for _ in basis]
+    if zero_cocycle or not any(c != field.zero() for c in coeffs):
+        cocycle = {}
+    else:
+        cocycle = combination(field, basis, coeffs)
+    e = extension_from_cocycle(m, n, cocycle)
+    verdict = extension_splits(m, n, e)
+    assert verdict == section_exists(m, n, e)
+    # the chosen cocycles are independent of the coboundaries, so only the
+    # zero class splits
+    assert verdict == (cocycle == {})

@@ -1,15 +1,16 @@
+import itertools
 import random
 
 import pytest
 
 from ppalg.errors import NotGenericStep, PreconditionViolated, RangeError
 from ppalg.fields import GF
-from ppalg.linalg import Matrix
+from ppalg.linalg import Matrix, hstack_all, vstack_all
 from ppalg.quiver import DimensionVector
 from ppalg.rep import Representation, hom_dim, is_isomorphic
 from ppalg.reflection import apply_word, compute_siw, reflect_minus, reflect_plus
 from ppalg.stability import enumerate_thin_reps, sequiv_class, stability_verdict
-from ppalg.verify import a2_setup, chamber_theta, random_nilpotent
+from ppalg.verify import a2_setup, chamber_theta, d4_setup, random_nilpotent
 from ppalg.weyl import StabilityParameter, apply_word_to_dimvec, reflect_dimvec
 
 
@@ -247,3 +248,114 @@ def test_sequiv_classes_preserved_across_a_wall():
             same_before = transported[a][0] == transported[b][0]
             same_after = transported[a][1] == transported[b][1]
             assert same_before == same_after
+
+
+def cokernel_reflection(i, m):
+    """Reference minus reflection: the cokernel of g_i, built directly.
+
+    The new space at i is coker g_i where g_i collects eps(a*) M_{a*} over the
+    arrows a entering i, in arrows_in order; the defect is the kernel
+    dimension of g_i.  Returns (module, defect).
+    """
+    dq = m.dq
+    f = m.field
+    in_arrows = dq.arrows_in(i)
+    blocks = []
+    for a in in_arrows:
+        blk = m.mats[dq.star[a.aid]]
+        if dq.epsilon[dq.star[a.aid]] < 0:
+            blk = blk.neg()
+        blocks.append(blk)
+    g_i = vstack_all(f, m.dims[i], blocks)
+    proj = g_i.cokernel_projection()
+    defect = m.dims[i] - g_i.rank()
+    new_dims = list(m.dims)
+    new_dims[i] = proj.rows
+    offsets = {}
+    pos = 0
+    for a in in_arrows:
+        offsets[a.aid] = pos
+        pos += m.dims[a.src]
+    proj_rinv = proj.right_inverse() if proj.rows else None
+    mats = {}
+    for a in dq.arrows:
+        if a.src != i and a.dst != i:
+            mats[a.aid] = m.mats[a.aid]
+        elif a.dst == i:
+            # incoming arrow b: include into the b summand, then project to the cokernel
+            cols = range(offsets[a.aid], offsets[a.aid] + m.dims[a.src])
+            mats[a.aid] = proj.submatrix(list(range(proj.rows)), list(cols))
+        else:
+            # outgoing arrow c: sum of m_c . m_b over incoming b, factored through the cokernel
+            w = hstack_all(
+                f, m.dims[a.dst], [m.mats[a.aid].mul(m.mats[b.aid]) for b in in_arrows]
+            )
+            if proj.rows == 0:
+                mats[a.aid] = Matrix.zero(f, m.dims[a.dst], 0)
+            else:
+                mats[a.aid] = w.mul(proj_rinv)
+    return Representation.build(dq, f, new_dims, mats), defect
+
+
+def assert_same_up_to_basis_at(i, new, old):
+    """new equals old after one invertible change of basis T at vertex i."""
+    dq = old.dq
+    assert new.dims == old.dims
+    for a in dq.arrows:
+        if i not in (a.src, a.dst):
+            assert new.mats[a.aid].data == old.mats[a.aid].data
+    # the incoming blocks of old are its cokernel projection, which is onto, so
+    # new_in = T old_in determines T
+    incoming = dq.arrows_in(i)
+    old_in = hstack_all(old.field, old.dims[i], [old.mats[a.aid] for a in incoming])
+    new_in = hstack_all(new.field, new.dims[i], [new.mats[a.aid] for a in incoming])
+    t_transposed = old_in.transpose().solve(new_in.transpose())
+    assert t_transposed is not None
+    t = t_transposed.transpose()
+    assert t.rows == t.cols == old.dims[i] and t.rank() == t.rows
+    for a in incoming:
+        assert new.mats[a.aid] == t.mul(old.mats[a.aid])
+    for a in dq.arrows_out(i):
+        assert new.mats[a.aid].mul(t) == old.mats[a.aid]
+
+
+def assert_minus_matches_cokernel_reference(i, m):
+    res = reflect_minus(i, m)
+    ref, ref_defect = cokernel_reflection(i, m)
+    assert res.defect == ref_defect
+    assert_same_up_to_basis_at(i, res.module, ref)
+
+
+@pytest.mark.parametrize("setup", [a2_setup, d4_setup])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_minus_reflection_is_the_cokernel_construction_on_nilpotents(setup, q):
+    dq, d, wg = setup()
+    f = GF(q)
+    rng = random.Random(31 * q + dq.vertex_count)
+    for _ in range(12):
+        m = random_nilpotent(dq, f, rng, steps=rng.randrange(1, 5))
+        for i in range(dq.vertex_count):
+            assert_minus_matches_cokernel_reference(i, m)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_minus_reflection_is_the_cokernel_construction_on_every_thin_module(q):
+    dq, d, wg = a2_setup()
+    f = GF(q)
+    count = 0
+    for support in itertools.product((0, 1), repeat=dq.vertex_count):
+        for m in enumerate_thin_reps(dq, DimensionVector(support), f):
+            count += 1
+            for i in range(dq.vertex_count):
+                assert_minus_matches_cokernel_reference(i, m)
+    assert count > 0
+
+
+def test_reflection_rejects_a_vertex_outside_the_quiver():
+    dq, d, wg = a2_setup()
+    m = Representation.simple(dq, GF(2), 1)
+    for i in (-1, 3):
+        with pytest.raises(RangeError):
+            reflect_plus(i, m)
+        with pytest.raises(RangeError):
+            reflect_minus(i, m)

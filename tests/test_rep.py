@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppalg.errors import Inconclusive, ShapeError
 from ppalg.fields import GF, QQ
-from ppalg.linalg import Matrix
+from ppalg.linalg import Matrix, vstack_all
 from ppalg.quiver import DimensionVector, standard_extended_dynkin
 from ppalg.rep import (
     Representation,
@@ -13,6 +15,7 @@ from ppalg.rep import (
     is_isomorphic,
 )
 from ppalg.stability import closed_supports, enumerate_thin_reps, thin_canonical_values
+from ppalg.verify import random_nilpotent
 
 
 def a2(field):
@@ -181,3 +184,50 @@ def test_isomorphism_raises_inconclusive_when_search_is_disabled():
     m = curve_member(dq, f, d, f.one(), f.zero())
     with pytest.raises(Inconclusive):
         is_isomorphic(m, m, exhaustive_dim=0, random_tries=0)
+
+
+def socle_by_outgoing_rank(m):
+    """Reference socle: dims[v] minus the rank of the stacked outgoing arrow maps."""
+    out = []
+    for v in range(m.dq.vertex_count):
+        outgoing = [m.mats[a.aid] for a in m.dq.arrows_out(v)]
+        out.append(m.dims[v] - vstack_all(m.field, m.dims[v], outgoing).rank())
+    return DimensionVector(out)
+
+
+def random_matrices(m, rng):
+    """Same quiver and dims as m, every arrow a random matrix: relations mostly fail."""
+    f = m.field
+    pool = list(f.elements()) if f.is_finite else [f.from_int(k) for k in range(-3, 4)]
+    mats = {
+        a.aid: Matrix(
+            f,
+            m.dims[a.dst],
+            m.dims[a.src],
+            [[rng.choice(pool) for _ in range(m.dims[a.src])] for _ in range(m.dims[a.dst])],
+        )
+        for a in m.dq.arrows
+    }
+    return Representation.build(m.dq, f, m.dims, mats)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    tag=st.sampled_from([("A", 2), ("D", 4)]),
+    field=st.sampled_from([GF(2), GF(3), GF(4), QQ]),
+    seed=st.integers(0, 2**16),
+    steps=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+)
+def test_dual_is_an_involution_that_transposes_relations_and_hom(tag, field, seed, steps):
+    dq, _ = standard_extended_dynkin(*tag)
+    rng = random.Random(seed)
+    m, n = (random_nilpotent(dq, field, rng, steps=k) for k in steps)
+    noise = random_matrices(m, rng)
+    for x in (m, n, noise):
+        assert x.dual().dual() == x
+        assert x.dual().check_relations() == x.check_relations()
+        for v in range(dq.vertex_count):
+            assert x.dual().relation_matrix(v) == x.relation_matrix(v).transpose()
+        assert x.socle_multiplicities() == socle_by_outgoing_rank(x)
+    assert hom_dim(m, n) == hom_dim(n.dual(), m.dual())
+
