@@ -33,9 +33,16 @@ def _load_rep(path: str) -> Representation:
         return Representation.from_json(json.load(fh))
 
 
+def _parse_theta(text: str, vertex_count: int) -> StabilityParameter:
+    theta = StabilityParameter.parse(text)
+    if len(theta) != vertex_count:
+        raise UsageError(f"theta has {len(theta)} entries, the quiver has {vertex_count} vertices")
+    return theta
+
+
 def _theta_from_args(args, d) -> StabilityParameter:
     if getattr(args, "theta", None):
-        return StabilityParameter.parse(args.theta)
+        return _parse_theta(args.theta, len(d))
     if getattr(args, "theta_tail", None):
         tail = [Fraction(x) for x in args.theta_tail.split(",")]
         if len(tail) != len(d) - 1:
@@ -88,7 +95,7 @@ def cmd_reflect(args) -> int:
 
 def cmd_apply(args) -> int:
     rep = _load_rep(args.file)
-    theta = StabilityParameter.parse(args.theta)
+    theta = _parse_theta(args.theta, rep.dq.vertex_count)
     word = _parse_word(args.word)
     module, final_theta = apply_word(word, rep, theta)
     print(
@@ -127,7 +134,7 @@ def cmd_siw(args) -> int:
 
 def cmd_stability(args) -> int:
     rep = _load_rep(args.file)
-    theta = StabilityParameter.parse(args.theta)
+    theta = _parse_theta(args.theta, rep.dq.vertex_count)
     verdict = stab.stability_verdict(rep, theta, budget=args.budget)
     if verdict.witness is not None:
         print(f"{verdict.status} witness={tuple(verdict.witness)}")
@@ -222,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.add_argument("--field", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--emit", choices=("table", "json"), default="table")
     p.set_defaults(func=cmd_verify)
 

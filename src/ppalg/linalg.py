@@ -296,17 +296,23 @@ def solve_linear(a: Matrix, b: Matrix) -> Optional[Matrix]:
 
 
 def hstack_all(field: Field, rows: int, mats: Sequence[Matrix]) -> Matrix:
-    out = Matrix.zero(field, rows, 0)
+    """The blocks side by side, built in one pass (rows x 0 when there are none)."""
     for m in mats:
-        out = out.hstack(m)
-    return out
+        check_same_field(field, m.field)
+        if m.rows != rows:
+            raise ShapeError("hstack row mismatch")
+    data = [tuple(x for m in mats for x in m.data[r]) for r in range(rows)]
+    return Matrix(field, rows, sum(m.cols for m in mats), data)
 
 
 def vstack_all(field: Field, cols: int, mats: Sequence[Matrix]) -> Matrix:
-    out = Matrix.zero(field, 0, cols)
+    """The blocks stacked top to bottom, built in one pass (0 x cols when there are none)."""
     for m in mats:
-        out = out.vstack(m)
-    return out
+        check_same_field(field, m.field)
+        if m.cols != cols:
+            raise ShapeError("vstack column mismatch")
+    data = [row for m in mats for row in m.data]
+    return Matrix(field, len(data), cols, data)
 
 
 def spans_subspace(big: Matrix, small: Matrix) -> bool:

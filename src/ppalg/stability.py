@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Optional
 
-from .errors import SearchBudgetExceeded, UnsupportedShape
+from .errors import InternalInvariantError, SearchBudgetExceeded, UnsupportedShape
 from .fields import Field
 from .linalg import Matrix
 from .quiver import DimensionVector, DoubleQuiver
@@ -344,7 +344,24 @@ def enumerate_thin_reps(
     field: Field,
     budget: int = DEFAULT_SCAN_BUDGET,
 ) -> Iterable[Representation]:
-    """All relation-satisfying thin representations with the given dimensions."""
+    """All relation-satisfying thin representations with the given dimensions.
+
+    The relation variety is solved, not filtered.  On a thin module the
+    relation at vertex v is linear in the products p_a = x_{a*} x_a of the
+    live base arrows: sum_a ((a.src == v) - (a.dst == v)) p_a = 0.  So the
+    product vectors are the kernel of that signed incidence matrix (q^k of
+    them; k = 0 on a tree, 1 on a cycle), and each p_a lifts to its arrow
+    pairs: (x, p_a / x) for x != 0 when p_a != 0, else (0, y) for any y and
+    (x, 0) for x != 0.
+
+    Modules come in lexicographic order of their values on the live arrows,
+    taken in ``dq.arrows`` order: the order in which a scan of all
+    q^|live| assignments would meet them.  The base-arrow values run in
+    lexicographic order and only the star values sharing one of them are
+    sorted, so memory stays bounded by the largest such group.  The budget
+    still bounds q^|live|.  Each module's relations are re-checked as scalar
+    sums before it is built.
+    """
     if any(x > 1 for x in d):
         raise UnsupportedShape("enumeration is implemented for thin dimension vectors")
     if not field.is_finite:
@@ -353,14 +370,54 @@ def enumerate_thin_reps(
     q = field.order
     if q ** len(live) > budget:
         raise SearchBudgetExceeded(f"{q}^{len(live)} assignments exceed budget {budget}")
+    z = field.zero()
     elements = list(field.elements())
-    for values in itertools.product(elements, repeat=len(live)):
-        mats = {
-            a.aid: Matrix(field, 1, 1, [[v]]) for a, v in zip(live, values)
-        }
-        rep = Representation.build(dq, field, d, mats)
-        if not rep.check_relations():
-            yield rep
+    # dq.arrows lists the base arrows, then their stars in the same order, so
+    # live is base + stars and a value tuple over live is xs + ys
+    base = [a for a in live if dq.epsilon[a.aid] > 0]
+    support = [v for v in range(dq.vertex_count) if d[v] == 1]
+    incidence = Matrix(
+        field,
+        len(support),
+        len(base),
+        [[field.from_int((a.src == v) - (a.dst == v)) for a in base] for v in support],
+    )
+    kernel = incidence.kernel_basis()
+    products = [
+        kernel.mul(Matrix.column(field, coeffs)).column_vector(0)
+        for coeffs in itertools.product(elements, repeat=kernel.cols)
+    ]
+    pos = {a.aid: i for i, a in enumerate(live)}
+    relations_at = [
+        [
+            (dq.epsilon[a.aid], pos[a.aid], pos[dq.star[a.aid]])
+            for a in dq.arrows_out(v)
+            if a.aid in pos
+        ]
+        for v in support
+    ]
+    for xs in itertools.product(elements, repeat=len(base)):
+        # lift every product vector through xs: x_a != 0 forces y_a = p_a / x_a,
+        # x_a = 0 needs p_a = 0 and leaves y_a free
+        ys = []
+        for p in products:
+            if all(x != z or pa == z for x, pa in zip(xs, p)):
+                ys.extend(
+                    itertools.product(
+                        *([field.div(pa, x)] if x != z else elements for x, pa in zip(xs, p))
+                    )
+                )
+        for y in sorted(ys):
+            values = xs + y
+            for terms in relations_at:
+                acc = z
+                for sign, i, j in terms:
+                    term = field.mul(values[j], values[i])
+                    acc = field.add(acc, term) if sign > 0 else field.sub(acc, term)
+                if acc != z:
+                    raise InternalInvariantError("solved thin module breaks a preprojective relation")
+            mats = {a.aid: Matrix(field, 1, 1, [[v]]) for a, v in zip(live, values)}
+            yield Representation.build(dq, field, d, mats)
 
 
 def moduli_scan(

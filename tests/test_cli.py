@@ -172,6 +172,42 @@ def test_malformed_theta_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("theta", ["-2,1", "-2,1,1,0"])
+def test_stability_theta_of_wrong_length_exits_two(capsys, tmp_path, theta):
+    path = write_curve_member(tmp_path)
+    code, out, err = run(capsys, "stability", "--theta", theta, str(path))
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("theta", ["-2,1", "-2,1,1,0"])
+def test_apply_theta_of_wrong_length_exits_two(capsys, tmp_path, theta):
+    path = write_curve_member(tmp_path)
+    code, out, err = run(capsys, "apply", "--word", "1", "--theta", theta, str(path))
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_scan_over_budget_exits_two(capsys):
+    code, out, err = run(
+        capsys, "scan", "--type", "A2", "--field", "5", "--theta", "-2,1,1", "--budget", "100"
+    )
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv,expected", [(["--seed", "0"], 0), (["--seed", "5"], 5), ([], 7)])
+def test_verify_seed_reaches_dimlaw(capsys, monkeypatch, argv, expected):
+    import ppalg.verify as verify
+
+    seen = []
+
+    def fake_dimlaw(seed):
+        seen.append(seed)
+        return verify.SuiteReport(suite="dimlaw")
+
+    monkeypatch.setattr(verify, "dimlaw_suite", fake_dimlaw)
+    code, _, _ = run(capsys, "verify", "--suite", "dimlaw", *argv)
+    assert code == 0 and seen == [expected]
+
+
 def test_verify_json_bytes_do_not_follow_string_hashing():
     # the walls suite reports sets; their text must not depend on PYTHONHASHSEED
     src = str(Path(ppalg.__file__).resolve().parents[1])

@@ -153,6 +153,48 @@ def test_sequiv_rejects_non_thin():
         sequiv_class(s1.direct_sum(s1), StabilityParameter((-1, 0, 1)))
 
 
+# -- thin enumeration against the generate-and-filter oracle -----------------
+
+ORACLE_CAP = 2 * 10**5
+
+
+def filtered_thin_reps(dq, d, field):
+    """Every arrow assignment on the live arrows, kept when the relations hold."""
+    live = [a for a in dq.arrows if d[a.src] == 1 and d[a.dst] == 1]
+    elements = list(field.elements())
+    for values in itertools.product(elements, repeat=len(live)):
+        mats = {a.aid: Matrix(field, 1, 1, [[v]]) for a, v in zip(live, values)}
+        rep = Representation.build(dq, field, d, mats)
+        if not rep.check_relations():
+            yield rep
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("tag,n", [("A", 1), ("A", 2), ("A", 3), ("D", 4)])
+def test_solved_enumeration_matches_the_filter(tag, n, q):
+    dq, _ = standard_extended_dynkin(tag, n)
+    f = GF(q)
+    for d in itertools.product((0, 1), repeat=dq.vertex_count):
+        live = [a for a in dq.arrows if d[a.src] == 1 and d[a.dst] == 1]
+        if q ** len(live) > ORACLE_CAP:
+            continue
+        solved = list(enumerate_thin_reps(dq, d, f))
+        assert [m.mats for m in solved] == [m.mats for m in filtered_thin_reps(dq, d, f)], d
+        assert all(m.check_relations() == [] for m in solved)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+def test_a2_variety_size(q):
+    dq, d, f = a2(GF(q))
+    assert sum(1 for _ in enumerate_thin_reps(dq, d, f)) == (q - 1) ** 4 + (2 * q - 1) ** 3
+
+
+def test_scan_budget_is_enforced():
+    dq, d, f = a2(GF(5))
+    with pytest.raises(SearchBudgetExceeded):
+        next(enumerate_thin_reps(dq, d, f, budget=100))
+
+
 def gauge_orbit_count(dq, d, field, theta):
     """Plain orbit partition under vertex rescalings, no canonical forms."""
     reps = [m for m in enumerate_thin_reps(dq, d, field) if stability_verdict(m, theta).semistable]
