@@ -3,8 +3,9 @@
 Every field here is exact, there is no rounding anywhere.  Elements are plain
 hashable Python values: ``Fraction`` for the rationals, ``int`` residues for
 prime fields, and ``int`` codes (base-p digit vectors of polynomial
-coefficients) for prime-power fields.  Field objects are immutable and safe to
-share between threads.
+coefficients) for prime-power fields.  In every field the zero is the only
+falsy element, so ``if x`` is a zero test that costs no field operation.
+Field objects are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -288,11 +289,13 @@ def _find_irreducible(p: int, k: int) -> tuple:
 
 
 class GaloisField(Field):
-    """GF(p^k) for small prime powers, with tabled arithmetic.
+    """GF(p^k) for small prime powers, with all arithmetic tabled.
 
     Elements are integer codes 0..p^k-1 whose base-p digits are polynomial
     coefficients modulo a fixed irreducible polynomial (the lexicographically
-    first one, so the tables are reproducible).
+    first one, so the tables are reproducible).  Addition, negation,
+    multiplication and inversion are each one table lookup (subtraction is
+    two); the tables are built once in the constructor.
     """
 
     kind = "prime-power"
@@ -310,18 +313,46 @@ class GaloisField(Field):
         self.k = k
         self.q = q
         self.modulus = _find_irreducible(p, k)
-        polys = [self._decode(c) for c in range(q)]
-        self._mul = [
-            [self._encode(_poly_mul_mod(polys[a], polys[b], self.modulus, p)) for b in range(q)]
-            for a in range(q)
-        ]
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    inv[a] = b
+        self._add, self._neg = self._additive_tables()
+        self._mul, self._inv = self._multiplicative_tables()
+
+    def _additive_tables(self) -> tuple[list, list]:
+        # codes add digit by digit mod p with no carry: XOR when p = 2, else
+        # row a of GF(p^j) is built from row a // p of GF(p^(j-1)) and the low digit
+        p, q = self.p, self.q
+        if p == 2:
+            add = [[a ^ b for b in range(q)] for a in range(q)]
+        else:
+            add = [[(a + b) % p for b in range(p)] for a in range(p)]
+            low = add
+            while len(add) < q:
+                add = [
+                    [low[a % p][b0] + p * x for x in add[a // p] for b0 in range(p)]
+                    for a in range(len(add) * p)
+                ]
+        neg = [row.index(0) for row in add]
+        return add, neg
+
+    def _multiplicative_tables(self) -> tuple[list, list]:
+        # log/antilog tables of the first primitive element g, whose powers
+        # come from the schoolbook product mod the modulus
+        q, n = self.q, self.q - 1
+        for g in range(2, q):
+            gp, exp = self._decode(g), [1]
+            while len(exp) < n:
+                power = self._encode(_poly_mul_mod(self._decode(exp[-1]), gp, self.modulus, self.p))
+                if power == 1:
                     break
-        self._inv = inv
+                exp.append(power)
+            if len(exp) == n:
+                break
+        log = [0] * q
+        for i, x in enumerate(exp):
+            log[x] = i
+        exp2 = exp + exp
+        mul = [[0] * q] + [[0] + [exp2[log[a] + log[b]] for b in range(1, q)] for a in range(1, q)]
+        inv = [0] + [exp[-log[a] % n] for a in range(1, q)]
+        return mul, inv
 
     def _decode(self, code: int) -> tuple:
         digits = []
@@ -343,11 +374,13 @@ class GaloisField(Field):
         return 1
 
     def add(self, a, b):
-        pa, pb = self._decode(a), self._decode(b)
-        return self._encode(tuple((x + y) % self.p for x, y in zip(pa, pb)))
+        return self._add[a][b]
 
     def neg(self, a):
-        return self._encode(tuple((-x) % self.p for x in self._decode(a)))
+        return self._neg[a]
+
+    def sub(self, a, b):
+        return self._add[a][self._neg[b]]
 
     def mul(self, a, b):
         return self._mul[a][b]

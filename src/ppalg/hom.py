@@ -106,7 +106,7 @@ def _delta2(m: Representation, n: Representation) -> Matrix:
                         idx = a_off[sid] + r * m.dims[a.dst] + k
                         row[idx] = f.add(row[idx], coeff)
                 rows.append(row)
-    return Matrix(f, len(rows), total_a, rows)
+    return Matrix._of(f, len(rows), total_a, rows)
 
 
 def ext1_space(m: Representation, n: Representation) -> Ext1Space:
@@ -213,7 +213,7 @@ def retraction_exists(s: Representation, n: Representation, inj: Dict[int, Matri
             for c in range(s.dims[v]):
                 rows.append([psi[v].mul(inj[v]).data[r][c] for psi in basis])
                 rhs.append(f.one() if r == c else f.zero())
-    sys = Matrix(f, len(rows), len(basis), rows)
+    sys = Matrix._of(f, len(rows), len(basis), rows)
     return sys.solve(Matrix.column(f, rhs)) is not None
 
 

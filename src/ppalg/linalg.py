@@ -4,6 +4,12 @@ All bases are the canonical reduced-row-echelon choice, so repeated calls
 produce bit-identical output.  Matrices are immutable after construction;
 every operation returns a fresh value and is safe to call concurrently.
 Empty matrices (zero rows or columns) are legal throughout.
+
+Entries are validated at the public constructors (``Matrix(...)``,
+``from_rows``, ``column``, ``from_ints``, ``from_json``) and ``scale`` checks
+its scalar.  Everything computed from already-valid matrices (products,
+stacks, echelon forms, bases, solutions) is trusted and built through the
+unchecked ``Matrix._of``, so no intermediate re-checks its entries.
 """
 
 from __future__ import annotations
@@ -35,17 +41,31 @@ class Matrix:
         self.cols = cols
         self.data = data
 
+    @staticmethod
+    def _of(field: Field, rows: int, cols: int, data: Sequence[Sequence]) -> "Matrix":
+        """A trusted result: entries already lie in ``field`` and fit the shape."""
+        m = object.__new__(Matrix)
+        m.field = field
+        m.rows = rows
+        m.cols = cols
+        m.data = tuple(map(tuple, data))
+        return m
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero()
-        return Matrix(field, rows, cols, [[z] * cols for _ in range(rows)])
+        if rows < 0 or cols < 0:
+            raise ShapeError("negative dimensions")
+        row = (field.zero(),) * cols
+        return Matrix._of(field, rows, cols, (row,) * rows)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
+        if n < 0:
+            raise ShapeError("negative dimensions")
         z, o = field.zero(), field.one()
-        return Matrix(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return Matrix._of(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
 
     @staticmethod
     def from_rows(field: Field, rows: Sequence[Sequence]) -> "Matrix":
@@ -88,38 +108,33 @@ class Matrix:
         return all(x == z for row in self.data for x in row)
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field,
-            self.cols,
-            self.rows,
-            [[self.data[r][c] for r in range(self.rows)] for c in range(self.cols)],
-        )
+        data = list(zip(*self.data)) if self.rows else [()] * self.cols
+        return Matrix._of(self.field, self.cols, self.rows, data)
 
     def add(self, other: "Matrix") -> "Matrix":
         check_same_field(self.field, other.field)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("addition shape mismatch")
         f = self.field
-        return Matrix(
-            self.field,
+        return Matrix._of(
+            f,
             self.rows,
             self.cols,
-            [
-                [f.add(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.data, other.data)
-            ],
+            [[f.add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
         )
 
     def neg(self) -> "Matrix":
         f = self.field
-        return Matrix(self.field, self.rows, self.cols, [[f.neg(x) for x in row] for row in self.data])
+        return Matrix._of(f, self.rows, self.cols, [[f.neg(x) for x in row] for row in self.data])
 
     def sub(self, other: "Matrix") -> "Matrix":
         return self.add(other.neg())
 
     def scale(self, c) -> "Matrix":
         f = self.field
-        return Matrix(self.field, self.rows, self.cols, [[f.mul(c, x) for x in row] for row in self.data])
+        if not f.is_element(c):
+            raise FieldMismatch(f"{c!r} is not an element of {f!r}")
+        return Matrix._of(f, self.rows, self.cols, [[f.mul(c, x) for x in row] for row in self.data])
 
     def mul(self, other: "Matrix") -> "Matrix":
         check_same_field(self.field, other.field)
@@ -138,13 +153,13 @@ class Matrix:
                         acc = f.add(acc, f.mul(a, other.data[k][j]))
                 row.append(acc)
             out.append(row)
-        return Matrix(self.field, self.rows, other.cols, out)
+        return Matrix._of(f, self.rows, other.cols, out)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         check_same_field(self.field, other.field)
         if self.rows != other.rows:
             raise ShapeError("hstack row mismatch")
-        return Matrix(
+        return Matrix._of(
             self.field,
             self.rows,
             self.cols + other.cols,
@@ -155,10 +170,10 @@ class Matrix:
         check_same_field(self.field, other.field)
         if self.cols != other.cols:
             raise ShapeError("vstack column mismatch")
-        return Matrix(self.field, self.rows + other.rows, self.cols, self.data + other.data)
+        return Matrix._of(self.field, self.rows + other.rows, self.cols, self.data + other.data)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        return Matrix(
+        return Matrix._of(
             self.field,
             len(row_idx),
             len(col_idx),
@@ -171,66 +186,52 @@ class Matrix:
     # -- echelon machinery -------------------------------------------------
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form together with the pivot column indices."""
+        """Reduced row echelon form together with the pivot column indices.
+
+        Zero tests are truth tests (the zero of every field is its only
+        falsy element), so a zero entry costs no field operation at all.
+        """
         f = self.field
-        z = f.zero()
+        sub, mul = f.sub, f.mul
         m = [list(row) for row in self.data]
         pivots = []
         pr = 0
         for pc in range(self.cols):
             pivot_row = None
             for r in range(pr, self.rows):
-                if m[r][pc] != z:
+                if m[r][pc]:
                     pivot_row = r
                     break
             if pivot_row is None:
                 continue
             m[pr], m[pivot_row] = m[pivot_row], m[pr]
             inv = f.inv(m[pr][pc])
-            m[pr] = [f.mul(inv, x) for x in m[pr]]
+            prow = m[pr] = [mul(inv, x) if x else x for x in m[pr]]
             for r in range(self.rows):
-                if r != pr and m[r][pc] != z:
+                if r != pr and m[r][pc]:
                     c0 = m[r][pc]
-                    m[r] = [f.sub(x, f.mul(c0, y)) for x, y in zip(m[r], m[pr])]
+                    # x - c0 * 0 = x, so zero entries of the pivot row cost nothing
+                    m[r] = [sub(x, mul(c0, y)) if y else x for x, y in zip(m[r], prow)]
             pivots.append(pc)
             pr += 1
             if pr == self.rows:
                 break
-        return Matrix(self.field, self.rows, self.cols, m), tuple(pivots)
+        return Matrix._of(f, self.rows, self.cols, m), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def kernel_basis(self) -> "Matrix":
         """Columns form the canonical RREF basis of {x : Ax = 0}."""
-        f = self.field
-        z, o = f.zero(), f.one()
-        R, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        cols = []
-        for fc in free:
-            v = [z] * self.cols
-            v[fc] = o
-            for r, pc in enumerate(pivots):
-                v[pc] = f.neg(R.data[r][fc])
-            cols.append(v)
-        return Matrix(
-            self.field,
-            self.cols,
-            len(cols),
-            [[cols[j][i] for j in range(len(cols))] for i in range(self.cols)],
-        )
+        return _kernel_of_rref(self.field, self.cols, *self.rref())
 
     def image_basis(self) -> "Matrix":
         """Columns form the canonical basis of the column space."""
-        R, pivots = self.transpose().rref()
-        rows = [R.data[i] for i in range(len(pivots))]
-        return Matrix(self.field, len(pivots), self.rows, rows).transpose()
+        return _image_of_transpose_rref(self.field, self.rows, *self.transpose().rref())
 
     def cokernel_projection(self) -> "Matrix":
         """A (rows - rank) x rows matrix whose kernel is exactly the column space."""
-        return self.transpose().kernel_basis().transpose()
+        return _cokernel_of_transpose_rref(self.field, self.rows, *self.transpose().rref())
 
     def solve(self, rhs: "Matrix") -> Optional["Matrix"]:
         """Canonical solution X of self . X = rhs, or None when inconsistent.
@@ -252,7 +253,7 @@ class Matrix:
         for r, pc in enumerate(pivots):
             for j in range(rhs.cols):
                 out[pc][j] = R.data[r][self.cols + j]
-        return Matrix(self.field, self.cols, rhs.cols, out)
+        return Matrix._of(f, self.cols, rhs.cols, out)
 
     def right_inverse(self) -> "Matrix":
         """Canonical X with self . X = identity (requires full row rank)."""
@@ -280,13 +281,55 @@ class MatrixDecomposition:
     cokernel_projection: Matrix
 
 
+def _null_vectors(field: Field, n: int, R: Matrix, pivots: tuple[int, ...]) -> list[list]:
+    """The canonical basis of {x : Rx = 0} for a reduced echelon R with n columns.
+
+    One vector per free column: one there, zero at the other free columns,
+    and minus that column of R at the pivots.
+    """
+    z, o = field.zero(), field.one()
+    pivot_set = set(pivots)
+    out = []
+    for fc in range(n):
+        if fc in pivot_set:
+            continue
+        v = [z] * n
+        v[fc] = o
+        for r, pc in enumerate(pivots):
+            v[pc] = field.neg(R.data[r][fc])
+        out.append(v)
+    return out
+
+
+def _kernel_of_rref(field: Field, n: int, R: Matrix, pivots: tuple[int, ...]) -> Matrix:
+    vectors = _null_vectors(field, n, R, pivots)
+    return Matrix._of(field, len(vectors), n, vectors).transpose()
+
+
+def _image_of_transpose_rref(field: Field, rows: int, RT: Matrix, pivots: tuple[int, ...]) -> Matrix:
+    # the nonzero rows of rref(A^T) are the canonical column-space basis of A
+    return Matrix._of(field, len(pivots), rows, RT.data[: len(pivots)]).transpose()
+
+
+def _cokernel_of_transpose_rref(field: Field, rows: int, RT: Matrix, pivots: tuple[int, ...]) -> Matrix:
+    # rows spanning ker(A^T), i.e. the kernel basis of A^T transposed
+    vectors = _null_vectors(field, rows, RT, pivots)
+    return Matrix._of(field, len(vectors), rows, vectors)
+
+
 def mat_decompose(a: Matrix) -> MatrixDecomposition:
-    """Rank, kernel, image and cokernel data of a matrix, all canonical."""
+    """Rank, kernel, image and cokernel data of a matrix, all canonical.
+
+    Two reductions serve all four: rank and kernel come from rref(A), image
+    and cokernel from rref(A^T).
+    """
+    R, pivots = a.rref()
+    RT, pivots_t = a.transpose().rref()
     return MatrixDecomposition(
-        rank=a.rank(),
-        kernel_basis=a.kernel_basis(),
-        image_basis=a.image_basis(),
-        cokernel_projection=a.cokernel_projection(),
+        rank=len(pivots),
+        kernel_basis=_kernel_of_rref(a.field, a.cols, R, pivots),
+        image_basis=_image_of_transpose_rref(a.field, a.rows, RT, pivots_t),
+        cokernel_projection=_cokernel_of_transpose_rref(a.field, a.rows, RT, pivots_t),
     )
 
 
@@ -297,22 +340,26 @@ def solve_linear(a: Matrix, b: Matrix) -> Optional[Matrix]:
 
 def hstack_all(field: Field, rows: int, mats: Sequence[Matrix]) -> Matrix:
     """The blocks side by side, built in one pass (rows x 0 when there are none)."""
+    if rows < 0:
+        raise ShapeError("negative dimensions")
     for m in mats:
         check_same_field(field, m.field)
         if m.rows != rows:
             raise ShapeError("hstack row mismatch")
     data = [tuple(x for m in mats for x in m.data[r]) for r in range(rows)]
-    return Matrix(field, rows, sum(m.cols for m in mats), data)
+    return Matrix._of(field, rows, sum(m.cols for m in mats), data)
 
 
 def vstack_all(field: Field, cols: int, mats: Sequence[Matrix]) -> Matrix:
     """The blocks stacked top to bottom, built in one pass (0 x cols when there are none)."""
+    if cols < 0:
+        raise ShapeError("negative dimensions")
     for m in mats:
         check_same_field(field, m.field)
         if m.cols != cols:
             raise ShapeError("vstack column mismatch")
     data = [row for m in mats for row in m.data]
-    return Matrix(field, len(data), cols, data)
+    return Matrix._of(field, len(data), cols, data)
 
 
 def spans_subspace(big: Matrix, small: Matrix) -> bool:

@@ -13,7 +13,7 @@ import unicodedata
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ConnectivityError, LoopError, RangeError
+from .errors import ConnectivityError, LoopError, RangeError, UsageError
 
 
 class DimensionVector(tuple):
@@ -62,6 +62,8 @@ class Quiver:
     """A finite connected quiver without loops."""
 
     def __init__(self, vertex_count: int, arrows: Sequence[Arrow]):
+        if vertex_count < 1:
+            raise RangeError(f"a quiver needs at least one vertex, got {vertex_count}")
         arrows = tuple(arrows)
         for a in arrows:
             if not (0 <= a.src < vertex_count and 0 <= a.dst < vertex_count):
@@ -164,11 +166,19 @@ class DoubleQuiver:
 
     @staticmethod
     def from_json(data: dict) -> "DoubleQuiver":
-        base_arrows = [
-            Arrow(a["id"], a["src"], a["dst"]) for a in data["arrows"] if "star_of" not in a
-        ]
-        dq = build_double(Quiver(data["vertices"], base_arrows))
-        declared = {(a["id"], a["src"], a["dst"]) for a in data["arrows"]}
+        """Parse a quiver payload; missing keys and wrong JSON types raise UsageError."""
+        try:
+            vertices = data["vertices"]
+            entries = [(a["id"], a["src"], a["dst"], "star_of" in a) for a in data["arrows"]]
+        except (LookupError, TypeError) as exc:
+            raise UsageError(f"malformed quiver JSON: {exc!r}") from None
+        if not _is_int(vertices) or not all(
+            isinstance(aid, str) and _is_int(src) and _is_int(dst) for aid, src, dst, _ in entries
+        ):
+            raise UsageError("malformed quiver JSON: vertices, src and dst must be integers, ids strings")
+        base_arrows = [Arrow(aid, src, dst) for aid, src, dst, starred in entries if not starred]
+        dq = build_double(Quiver(vertices, base_arrows))
+        declared = {(aid, src, dst) for aid, src, dst, _ in entries}
         rebuilt = {(a.aid, a.src, a.dst) for a in dq.arrows}
         if declared != rebuilt:
             raise RangeError("arrow list is not the double of its base arrows")
@@ -183,6 +193,10 @@ class DoubleQuiver:
             lines.append(f'  {a.src} -> {a.dst} [label="{a.aid} ({sign})"];')
         lines.append("}")
         return "\n".join(lines)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)

@@ -272,18 +272,21 @@ def hom_system(m: "Representation", n: "Representation") -> tuple[Matrix, list[t
                 for k in range(m.dims[t]):
                     row[var(t, r, k)] = f.sub(row[var(t, r, k)], ma.data[k][c])
                 rows.append(row)
-    sys = Matrix(f, len(rows), total, rows)
+    sys = Matrix._of(f, len(rows), total, rows)
     shapes = [(v, n.dims[v], m.dims[v]) for v in range(m.dq.vertex_count)]
     return sys, shapes
 
 
 def unflatten(field: Field, vec: tuple, shapes) -> dict:
-    """Cut a flat vector into matrices, one per (key, rows, cols) triple, row-major."""
+    """Cut a flat vector into matrices, one per (key, rows, cols) triple, row-major.
+
+    The entries are trusted: ``vec`` must come from a computed matrix over ``field``.
+    """
     out = {}
     pos = 0
     for key, r, c in shapes:
         block = [[vec[pos + i * c + j] for j in range(c)] for i in range(r)]
-        out[key] = Matrix(field, r, c, block)
+        out[key] = Matrix._of(field, r, c, block)
         pos += r * c
     return out
 

@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from ppalg.errors import RangeError
-from ppalg.fields import GF, QQ, GaloisField, PrimeField, field_from_json
+from ppalg.fields import GF, QQ, GaloisField, PrimeField, _poly_mul_mod, field_from_json
 
 
 def test_rationals_are_exact_and_reduced():
@@ -74,3 +75,54 @@ def test_parse_scalar_rejects_codes_outside_the_field(field):
     for code in (str(field.order), "5", "-1"):
         with pytest.raises(ValueError):
             field.parse_scalar(code)
+
+
+def digits(f: GaloisField, code: int) -> list[int]:
+    return [code // f.p**i % f.p for i in range(f.k)]
+
+
+def from_digits(f: GaloisField, ds) -> int:
+    return sum(d * f.p**i for i, d in enumerate(ds))
+
+
+def assert_additive_tables_match_digit_arithmetic(f: GaloisField, pairs) -> None:
+    p = f.p
+    for a in f.elements():
+        assert f.neg(a) == from_digits(f, [-x % p for x in digits(f, a)])
+    for a, b in pairs:
+        da, db = digits(f, a), digits(f, b)
+        assert f.add(a, b) == from_digits(f, [(x + y) % p for x, y in zip(da, db)])
+        assert f.sub(a, b) == from_digits(f, [(x - y) % p for x, y in zip(da, db)])
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27])
+def test_additive_tables_match_digit_arithmetic_on_every_pair(q):
+    f = GF(q)
+    assert_additive_tables_match_digit_arithmetic(f, [(a, b) for a in f.elements() for b in f.elements()])
+
+
+def test_additive_tables_match_digit_arithmetic_on_a_gf256_sample():
+    rng = random.Random(256)
+    f = GF(256)
+    assert_additive_tables_match_digit_arithmetic(f, [(rng.randrange(256), rng.randrange(256)) for _ in range(5000)])
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64])
+def test_mul_table_is_the_schoolbook_product_mod_the_modulus(q):
+    f = GF(q)
+    for a in f.elements():
+        for b in f.elements():
+            product = _poly_mul_mod(tuple(digits(f, a)), tuple(digits(f, b)), f.modulus, f.p)
+            assert f.mul(a, b) == from_digits(f, product)
+        if a:
+            assert f.mul(a, f.inv(a)) == 1
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(7), GF(4), GF(27), GF(256)])
+def test_zero_is_the_only_falsy_element_of_a_finite_field(field):
+    assert [x for x in field.elements() if not x] == [field.zero()]
+
+
+def test_zero_is_the_only_falsy_rational():
+    samples = [QQ.parse_scalar(s) for s in ("0", "-0", "0/5", "1", "-1", "1/3", "-7/2")]
+    assert [x for x in samples if not x] == [QQ.zero()] * 3

@@ -1,11 +1,16 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ppalg.errors import FieldMismatch, ShapeError
-from ppalg.fields import GF, QQ
-from ppalg.linalg import Matrix, mat_decompose, solve_linear
+from ppalg.errors import FieldMismatch, ShapeError, UsageError
+from ppalg.fields import GF, QQ, GaloisField, _poly_mul_mod
+from ppalg.linalg import Matrix, hstack_all, mat_decompose, solve_linear, vstack_all
+from ppalg.quiver import standard_extended_dynkin
+from ppalg.rep import Representation
 
 
 def minor_rank_oracle(a: Matrix) -> int:
@@ -160,3 +165,184 @@ def test_right_inverse():
     a = Matrix.from_ints(f, [[1, 2, 3], [0, 1, 4]])
     r = a.right_inverse()
     assert a.mul(r) == Matrix.identity(f, 2)
+
+
+# -- the fast echelon core against the plain one -----------------------------
+
+
+def untabled_ops(field):
+    """add, sub, mul and inv computed from first principles, not from tables."""
+    if not isinstance(field, GaloisField):
+        return field.add, field.sub, field.mul, field.inv
+    p, decode, encode = field.p, field._decode, field._encode
+
+    def add(a, b):
+        return encode(tuple((x + y) % p for x, y in zip(decode(a), decode(b))))
+
+    def sub(a, b):
+        return encode(tuple((x - y) % p for x, y in zip(decode(a), decode(b))))
+
+    def mul(a, b):
+        return encode(_poly_mul_mod(decode(a), decode(b), field.modulus, p))
+
+    def inv(a):
+        return next(b for b in range(1, field.q) if mul(a, b) == 1)
+
+    return add, sub, mul, inv
+
+
+def reference_rref(a: Matrix):
+    """Plain Gauss-Jordan: every row operation in full, every result validated."""
+    f = a.field
+    add, sub, mul, inv_of = untabled_ops(f)
+    z = f.zero()
+    m = [list(row) for row in a.data]
+    pivots = []
+    pr = 0
+    for pc in range(a.cols):
+        pivot_row = None
+        for r in range(pr, a.rows):
+            if m[r][pc] != z:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        m[pr], m[pivot_row] = m[pivot_row], m[pr]
+        inv = inv_of(m[pr][pc])
+        m[pr] = [mul(inv, x) for x in m[pr]]
+        for r in range(a.rows):
+            if r != pr and m[r][pc] != z:
+                c0 = m[r][pc]
+                m[r] = [sub(x, mul(c0, y)) for x, y in zip(m[r], m[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == a.rows:
+            break
+    return Matrix(f, a.rows, a.cols, m), tuple(pivots)
+
+
+def reference_kernel_columns(a: Matrix) -> list[tuple]:
+    f = a.field
+    sub = untabled_ops(f)[1]
+    R, pivots = reference_rref(a)
+    cols = []
+    for fc in (c for c in range(a.cols) if c not in pivots):
+        v = [f.zero()] * a.cols
+        v[fc] = f.one()
+        for r, pc in enumerate(pivots):
+            v[pc] = sub(f.zero(), R.data[r][fc])
+        cols.append(tuple(v))
+    return cols
+
+
+def reference_solve(a: Matrix, rhs: Matrix):
+    f = a.field
+    aug = Matrix(f, a.rows, a.cols + rhs.cols, [r1 + r2 for r1, r2 in zip(a.data, rhs.data)])
+    R, pivots = reference_rref(aug)
+    if any(pc >= a.cols for pc in pivots):
+        return None
+    out = [[f.zero()] * rhs.cols for _ in range(a.cols)]
+    for r, pc in enumerate(pivots):
+        out[pc] = list(R.data[r][a.cols :])
+    return tuple(map(tuple, out))
+
+
+ORACLE_FIELDS = [GF(2), GF(3), GF(4), GF(9), QQ]
+
+
+@st.composite
+def matrices(draw, fields=ORACLE_FIELDS, rows=None, max_side=6):
+    field = draw(st.sampled_from(fields))
+    rows = draw(st.integers(0, max_side)) if rows is None else rows
+    cols = draw(st.integers(0, max_side))
+    if field.is_finite:
+        entry = st.integers(0, field.order - 1)
+    else:
+        entry = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    # many zeros: sparse rows are where the zero-skip shortcut acts
+    entry = st.one_of(st.just(field.zero()), entry)
+    data = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    return Matrix(field, rows, cols, data)
+
+
+def all_entries_valid(m: Matrix) -> bool:
+    return len(m.data) == m.rows and all(
+        len(row) == m.cols and all(m.field.is_element(x) for x in row) for row in m.data
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_rref_kernel_and_solve_match_the_reference(data):
+    a = data.draw(matrices(), label="a")
+    rhs = data.draw(matrices(fields=[a.field], rows=a.rows, max_side=3), label="rhs")
+    R, pivots = a.rref()
+    ref_R, ref_pivots = reference_rref(a)
+    assert (R.rows, R.cols, R.data, pivots) == (a.rows, a.cols, ref_R.data, ref_pivots)
+    ker = a.kernel_basis()
+    assert (ker.rows, ker.cols) == (a.cols, a.cols - len(pivots))
+    assert [ker.column_vector(j) for j in range(ker.cols)] == reference_kernel_columns(a)
+    x = a.solve(rhs)
+    expected = reference_solve(a, rhs)
+    assert (x is None) == (expected is None)
+    results = [R, ker, a.transpose(), a.image_basis(), a.cokernel_projection()]
+    if x is not None:
+        assert (x.rows, x.cols, x.data) == (a.cols, rhs.cols, expected)
+        assert a.mul(x) == rhs
+        results.append(x)
+    assert all(all_entries_valid(m) for m in results)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=matrices(fields=[GF(2), GF(4), GF(5), QQ]))
+def test_mat_decompose_equals_the_four_separate_calls(a):
+    dec = mat_decompose(a)
+    assert dec.rank == a.rank()
+    assert dec.kernel_basis == a.kernel_basis()
+    assert dec.image_basis == a.image_basis()
+    assert dec.cokernel_projection == a.cokernel_projection()
+    assert dec.cokernel_projection == a.transpose().kernel_basis().transpose()
+
+
+# -- validation stays at the public boundary ------------------------------------
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Matrix.zero(GF(3), -1, 2),
+    lambda: Matrix.zero(GF(3), 2, -1),
+    lambda: Matrix.identity(GF(3), -1),
+    lambda: Matrix(GF(3), -1, 0, []),
+    lambda: Matrix.from_rows(GF(3), [[1, 2], [1]]),
+    lambda: hstack_all(GF(3), -1, []),
+    lambda: vstack_all(GF(3), -1, []),
+])
+def test_negative_or_ragged_shapes_raise_shape_error(make):
+    with pytest.raises(ShapeError):
+        make()
+
+
+@pytest.mark.parametrize("field, bad", [(GF(3), 3), (GF(3), -1), (GF(4), 4), (GF(3), True), (GF(5), Fraction(1)), (QQ, 1)])
+def test_scale_rejects_a_foreign_scalar(field, bad):
+    with pytest.raises(FieldMismatch):
+        Matrix.identity(field, 2).scale(bad)
+
+
+@pytest.mark.parametrize("field, bad", [(GF(3), 5), (GF(4), 7), (GF(2), 1.0), (QQ, 2), (GF(9), "1")])
+def test_public_constructors_reject_a_foreign_entry(field, bad):
+    with pytest.raises(FieldMismatch):
+        Matrix(field, 1, 2, [[field.zero(), bad]])
+    with pytest.raises(FieldMismatch):
+        Matrix.from_rows(field, [[bad]])
+    with pytest.raises(FieldMismatch):
+        Matrix.column(field, [bad])
+
+
+@pytest.mark.parametrize("field, payload", [(GF(3), [["5"]]), (GF(4), [["4"]]), (GF(3), [["x"]]), (QQ, [["1/0"]])])
+def test_from_json_rejects_a_foreign_entry(field, payload):
+    # the module boundary turns these into UsageError
+    with pytest.raises((FieldMismatch, ValueError, ZeroDivisionError)):
+        Matrix.from_json(field, payload, 1, 1)
+    quiver = standard_extended_dynkin("A", 1)[0].to_json()
+    bad = {"quiver": quiver, "field": field.to_json(), "dims": [1, 1], "mats": {"a1": payload}}
+    with pytest.raises(UsageError):
+        Representation.from_json(bad)

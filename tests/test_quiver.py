@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ppalg.errors import ConnectivityError, LoopError, RangeError
+from ppalg.errors import ConnectivityError, LoopError, RangeError, UsageError
 from ppalg.quiver import (
     Arrow,
     DimensionVector,
@@ -143,3 +143,41 @@ def test_from_json_rejects_inconsistent_star_data():
     data["arrows"][3]["dst"] = 2  # break the doubled copy of a1
     with pytest.raises(RangeError):
         DoubleQuiver.from_json(data)
+
+
+def _a2_with(edit):
+    data = standard_extended_dynkin("A", 2)[0].to_json()
+    edit(data)
+    return data
+
+
+MALFORMED_QUIVERS = {
+    "not an object": [],
+    "null": None,
+    "missing vertices": {"arrows": []},
+    "missing arrows": {"vertices": 3},
+    "vertices as string": {"vertices": "3", "arrows": []},
+    "vertices as bool": {"vertices": True, "arrows": []},
+    "vertices as float": {"vertices": 3.0, "arrows": []},
+    "arrows not a list": {"vertices": 3, "arrows": 7},
+    "arrow not an object": _a2_with(lambda d: d["arrows"].__setitem__(0, ["a0", 0, 1])),
+    "arrow without dst": _a2_with(lambda d: d["arrows"][0].pop("dst")),
+    "arrow without id": _a2_with(lambda d: d["arrows"][4].pop("id")),
+    "id not a string": _a2_with(lambda d: d["arrows"][0].__setitem__("id", 0)),
+    "src as string": _a2_with(lambda d: d["arrows"][1].__setitem__("src", "1")),
+    "dst as float": _a2_with(lambda d: d["arrows"][3].__setitem__("dst", 1.0)),
+    "src as list": _a2_with(lambda d: d["arrows"][2].__setitem__("src", [1])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_QUIVERS))
+def test_from_json_raises_usage_error_for_malformed_payloads(name):
+    with pytest.raises(UsageError):
+        DoubleQuiver.from_json(MALFORMED_QUIVERS[name])
+
+
+@pytest.mark.parametrize("vertices", [0, -2, 2])
+def test_from_json_keeps_range_errors_for_bad_values(vertices):
+    # well-typed but impossible: no vertex, or an endpoint past the last vertex
+    with pytest.raises(RangeError):
+        DoubleQuiver.from_json(_a2_with(lambda d: d.__setitem__("vertices", vertices)))
