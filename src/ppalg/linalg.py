@@ -223,15 +223,15 @@ class Matrix:
 
     def kernel_basis(self) -> "Matrix":
         """Columns form the canonical RREF basis of {x : Ax = 0}."""
-        return _kernel_of_rref(self.field, self.cols, *self.rref())
+        return _null_rows(*self.rref()).transpose()
 
     def image_basis(self) -> "Matrix":
         """Columns form the canonical basis of the column space."""
-        return _image_of_transpose_rref(self.field, self.rows, *self.transpose().rref())
+        return _pivot_rows(*self.transpose().rref()).transpose()
 
     def cokernel_projection(self) -> "Matrix":
         """A (rows - rank) x rows matrix whose kernel is exactly the column space."""
-        return _cokernel_of_transpose_rref(self.field, self.rows, *self.transpose().rref())
+        return _null_rows(*self.transpose().rref())
 
     def solve(self, rhs: "Matrix") -> Optional["Matrix"]:
         """Canonical solution X of self . X = rhs, or None when inconsistent.
@@ -281,40 +281,30 @@ class MatrixDecomposition:
     cokernel_projection: Matrix
 
 
-def _null_vectors(field: Field, n: int, R: Matrix, pivots: tuple[int, ...]) -> list[list]:
-    """The canonical basis of {x : Rx = 0} for a reduced echelon R with n columns.
+def _null_rows(R: Matrix, pivots: tuple[int, ...]) -> Matrix:
+    """Rows forming the canonical basis of {x : Rx = 0}, for R in reduced echelon form.
 
-    One vector per free column: one there, zero at the other free columns,
-    and minus that column of R at the pivots.
+    One row per free column: one there, zero at the other free columns, and
+    minus that column of R at the pivots.
     """
-    z, o = field.zero(), field.one()
+    f, n = R.field, R.cols
+    z, o = f.zero(), f.one()
     pivot_set = set(pivots)
-    out = []
+    rows = []
     for fc in range(n):
         if fc in pivot_set:
             continue
         v = [z] * n
         v[fc] = o
         for r, pc in enumerate(pivots):
-            v[pc] = field.neg(R.data[r][fc])
-        out.append(v)
-    return out
+            v[pc] = f.neg(R.data[r][fc])
+        rows.append(v)
+    return Matrix._of(f, len(rows), n, rows)
 
 
-def _kernel_of_rref(field: Field, n: int, R: Matrix, pivots: tuple[int, ...]) -> Matrix:
-    vectors = _null_vectors(field, n, R, pivots)
-    return Matrix._of(field, len(vectors), n, vectors).transpose()
-
-
-def _image_of_transpose_rref(field: Field, rows: int, RT: Matrix, pivots: tuple[int, ...]) -> Matrix:
-    # the nonzero rows of rref(A^T) are the canonical column-space basis of A
-    return Matrix._of(field, len(pivots), rows, RT.data[: len(pivots)]).transpose()
-
-
-def _cokernel_of_transpose_rref(field: Field, rows: int, RT: Matrix, pivots: tuple[int, ...]) -> Matrix:
-    # rows spanning ker(A^T), i.e. the kernel basis of A^T transposed
-    vectors = _null_vectors(field, rows, RT, pivots)
-    return Matrix._of(field, len(vectors), rows, vectors)
+def _pivot_rows(R: Matrix, pivots: tuple[int, ...]) -> Matrix:
+    """The nonzero rows of a reduced echelon form: the canonical basis of its row space."""
+    return Matrix._of(R.field, len(pivots), R.cols, R.data[: len(pivots)])
 
 
 def mat_decompose(a: Matrix) -> MatrixDecomposition:
@@ -327,9 +317,9 @@ def mat_decompose(a: Matrix) -> MatrixDecomposition:
     RT, pivots_t = a.transpose().rref()
     return MatrixDecomposition(
         rank=len(pivots),
-        kernel_basis=_kernel_of_rref(a.field, a.cols, R, pivots),
-        image_basis=_image_of_transpose_rref(a.field, a.rows, RT, pivots_t),
-        cokernel_projection=_cokernel_of_transpose_rref(a.field, a.rows, RT, pivots_t),
+        kernel_basis=_null_rows(R, pivots).transpose(),
+        image_basis=_pivot_rows(RT, pivots_t).transpose(),
+        cokernel_projection=_null_rows(RT, pivots_t),
     )
 
 

@@ -171,13 +171,10 @@ def test_right_inverse():
 
 
 def untabled_ops(field):
-    """add, sub, mul and inv computed from first principles, not from tables."""
+    """sub, mul and inv computed from first principles, not from tables."""
     if not isinstance(field, GaloisField):
-        return field.add, field.sub, field.mul, field.inv
+        return field.sub, field.mul, field.inv
     p, decode, encode = field.p, field._decode, field._encode
-
-    def add(a, b):
-        return encode(tuple((x + y) % p for x, y in zip(decode(a), decode(b))))
 
     def sub(a, b):
         return encode(tuple((x - y) % p for x, y in zip(decode(a), decode(b))))
@@ -188,13 +185,13 @@ def untabled_ops(field):
     def inv(a):
         return next(b for b in range(1, field.q) if mul(a, b) == 1)
 
-    return add, sub, mul, inv
+    return sub, mul, inv
 
 
 def reference_rref(a: Matrix):
     """Plain Gauss-Jordan: every row operation in full, every result validated."""
     f = a.field
-    add, sub, mul, inv_of = untabled_ops(f)
+    sub, mul, inv_of = untabled_ops(f)
     z = f.zero()
     m = [list(row) for row in a.data]
     pivots = []
@@ -223,7 +220,7 @@ def reference_rref(a: Matrix):
 
 def reference_kernel_columns(a: Matrix) -> list[tuple]:
     f = a.field
-    sub = untabled_ops(f)[1]
+    sub = untabled_ops(f)[0]
     R, pivots = reference_rref(a)
     cols = []
     for fc in (c for c in range(a.cols) if c not in pivots):
