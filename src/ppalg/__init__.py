@@ -35,7 +35,7 @@ from .hom import (
     hom_space,
     torsion_membership,
 )
-from .linalg import Matrix, MatrixDecomposition, mat_decompose, solve_linear
+from .linalg import Matrix, MatrixDecomposition, mat_decompose
 from .quiver import (
     Arrow,
     DimensionVector,
@@ -43,7 +43,6 @@ from .quiver import (
     PreprojectiveRelation,
     Quiver,
     build_double,
-    relations,
     standard_extended_dynkin,
 )
 from .rep import Representation, hom_dim, is_isomorphic

@@ -68,7 +68,7 @@ def _arrow_shapes(m: Representation, n: Representation):
 
 
 def _delta2(m: Representation, n: Representation) -> Matrix:
-    """Matrix of d2 from arrow maps to vertex maps."""
+    """Matrix of d2 from arrow maps to vertex maps, one row block per relation."""
     f = m.field
     z = f.zero()
     dq = m.dq
@@ -78,32 +78,31 @@ def _delta2(m: Representation, n: Representation) -> Matrix:
         a_off[a.aid] = total_a
         total_a += n.dims[a.dst] * m.dims[a.src]
     rows = []
-    for v in range(dq.vertex_count):
+    for rel in dq.relations:
+        v = rel.vertex
         for r in range(n.dims[v]):
             for c in range(m.dims[v]):
                 row = [z] * total_a
-                for a in dq.arrows_out(v):
-                    sid = dq.star[a.aid]
-                    eps = dq.epsilon[a.aid]
+                for sign, aid, sid in rel.terms:
                     na_star = n.mats[sid]
-                    ma = m.mats[a.aid]
+                    ma = m.mats[aid]
                     # term n_{a*} . phi_a : phi_a has shape n.dims[ta] x m.dims[v]
-                    for k in range(n.dims[a.dst]):
+                    for k in range(na_star.cols):
                         coeff = na_star.data[r][k]
                         if coeff == z:
                             continue
-                        if eps < 0:
+                        if sign < 0:
                             coeff = f.neg(coeff)
-                        idx = a_off[a.aid] + k * m.dims[v] + c
+                        idx = a_off[aid] + k * m.dims[v] + c
                         row[idx] = f.add(row[idx], coeff)
                     # term phi_{a*} . m_a : phi_{a*} has shape n.dims[v] x m.dims[ta]
-                    for k in range(m.dims[a.dst]):
+                    for k in range(ma.rows):
                         coeff = ma.data[k][c]
                         if coeff == z:
                             continue
-                        if eps < 0:
+                        if sign < 0:
                             coeff = f.neg(coeff)
-                        idx = a_off[sid] + r * m.dims[a.dst] + k
+                        idx = a_off[sid] + r * ma.rows + k
                         row[idx] = f.add(row[idx], coeff)
                 rows.append(row)
     return Matrix._of(f, len(rows), total_a, rows)
@@ -145,16 +144,6 @@ def ext1_dim_via_complex(m: Representation, n: Representation) -> int:
     d1, _ = hom_system(m, n)
     d2 = _delta2(m, n)
     return (d2.cols - d2.rank()) - d1.rank()
-
-
-def cocycle_in_kernel(m: Representation, n: Representation, cocycle: Dict[str, Matrix]) -> bool:
-    f = m.field
-    flat = []
-    for aid, r, c in _arrow_shapes(m, n):
-        mat = cocycle.get(aid) or Matrix.zero(f, r, c)
-        flat.extend(mat.data[i][j] for i in range(r) for j in range(c))
-    d2 = _delta2(m, n)
-    return d2.mul(Matrix.column(f, flat)).is_zero()
 
 
 def extension_from_cocycle(

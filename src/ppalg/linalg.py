@@ -323,11 +323,6 @@ def mat_decompose(a: Matrix) -> MatrixDecomposition:
     )
 
 
-def solve_linear(a: Matrix, b: Matrix) -> Optional[Matrix]:
-    """Canonical x with Ax = b, or None when the system is inconsistent."""
-    return a.solve(b)
-
-
 def hstack_all(field: Field, rows: int, mats: Sequence[Matrix]) -> Matrix:
     """The blocks side by side, built in one pass (rows x 0 when there are none)."""
     if rows < 0:

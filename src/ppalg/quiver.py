@@ -96,8 +96,21 @@ class Quiver:
             raise ConnectivityError("underlying graph is not connected")
 
 
+@dataclass(frozen=True)
+class PreprojectiveRelation:
+    """The cycle sum at one vertex: sum of epsilon(a) * (a then a*) over arrows out."""
+
+    vertex: int
+    terms: tuple[tuple[int, str, str], ...]  # (sign, first arrow id, then star id)
+
+
 class DoubleQuiver:
-    """The double of a quiver: each arrow a gains a reverse a* with sign -1."""
+    """The double of a quiver: each arrow a gains a reverse a* with sign -1.
+
+    ``relations[v]`` is the preprojective relation at v, its terms in the
+    order of ``arrows_out(v)``.  It is the one place that pairs arrows with
+    their stars and signs; every relation-side construction reads it.
+    """
 
     def __init__(self, base: Quiver):
         self.base = base
@@ -118,6 +131,10 @@ class DoubleQuiver:
         self._by_id = {a.aid: a for a in self.arrows}
         self._out = {v: tuple(a for a in self.arrows if a.src == v) for v in range(self.vertex_count)}
         self._in = {v: tuple(a for a in self.arrows if a.dst == v) for v in range(self.vertex_count)}
+        self.relations = tuple(
+            PreprojectiveRelation(v, tuple((epsilon[a.aid], a.aid, star[a.aid]) for a in out))
+            for v, out in self._out.items()
+        )
         # adjacency counts feed the symmetric bilinear form
         self._adj = [[0] * self.vertex_count for _ in range(self.vertex_count)]
         for a in self.arrows:
@@ -131,9 +148,6 @@ class DoubleQuiver:
 
     def arrows_in(self, v: int) -> tuple[Arrow, ...]:
         return self._in[v]
-
-    def star_arrow(self, a: Arrow) -> Arrow:
-        return self._by_id[self.star[a.aid]]
 
     def adjacency(self, i: int, j: int) -> int:
         """Number of arrows of the double from i to j."""
@@ -199,28 +213,9 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
-class PreprojectiveRelation:
-    """The cycle sum at one vertex: sum of epsilon(a) * (a then a*) over arrows out."""
-
-    vertex: int
-    terms: tuple[tuple[int, str, str], ...]  # (sign, first arrow id, then star id)
-
-
 def build_double(q: Quiver) -> DoubleQuiver:
     """Double a loop-free connected quiver."""
     return DoubleQuiver(q)
-
-
-def relations(dq: DoubleQuiver) -> list[PreprojectiveRelation]:
-    """One preprojective relation per vertex, terms listed in arrow order."""
-    out = []
-    for v in range(dq.vertex_count):
-        terms = tuple(
-            (dq.epsilon[a.aid], a.aid, dq.star[a.aid]) for a in dq.arrows_out(v)
-        )
-        out.append(PreprojectiveRelation(v, terms))
-    return out
 
 
 def _cycle_quiver(n: int) -> Quiver:

@@ -22,7 +22,6 @@ from .errors import (
     RangeError,
 )
 from .fields import Field
-from .linalg import Matrix, hstack_all, vstack_all
 from .quiver import DimensionVector
 from .rep import Representation
 from .weyl import StabilityParameter, WeylGroup, apply_word_to_dimvec, reflect_theta
@@ -52,55 +51,36 @@ class ShiftedModule:
 def reflect_plus(i: int, m: Representation) -> ReflectResult:
     """Kernel-side reflection at vertex i.
 
-    The new space at i is ker f_i where f_i sums eps(a) M_{a*} over the
-    arrows a leaving i; the defect is the cokernel dimension of f_i.
+    The new space at i is the kernel of ``m.in_map(i)``, which sums
+    eps(a) M_{a*} over the arrows a leaving i; the defect is its cokernel
+    dimension.  The arrows leaving i become the summand projections of the
+    kernel, and an incoming arrow b becomes ``m.out_map(i) . M_b`` lifted
+    through it.
     """
     if not 0 <= i < m.dq.vertex_count:
         raise RangeError(f"vertex {i} is not a vertex of the quiver")
     dq = m.dq
     f = m.field
-    out_arrows = dq.arrows_out(i)
-    blocks = []
-    for a in out_arrows:
-        blk = m.mats[dq.star[a.aid]]
-        if dq.epsilon[a.aid] < 0:
-            blk = blk.neg()
-        blocks.append(blk)
-    f_i = hstack_all(f, m.dims[i], blocks)
-    kernel = f_i.kernel_basis()
-    defect = m.dims[i] - f_i.rank()
+    in_map = m.in_map(i)
+    out_map = m.out_map(i)
+    kernel = in_map.kernel_basis()
+    # rank-nullity: rank in_map = in_map.cols - kernel.cols
+    defect = m.dims[i] - in_map.cols + kernel.cols
     new_dims = list(m.dims)
     new_dims[i] = kernel.cols
 
-    # row offsets of the summands inside ker f_i's ambient space
-    offsets = {}
+    mats = dict(m.mats)
     pos = 0
-    for a in out_arrows:
-        offsets[a.aid] = pos
-        pos += m.dims[a.dst]
-
-    mats = {}
-    for a in dq.arrows:
-        if a.src != i and a.dst != i:
-            mats[a.aid] = m.mats[a.aid]
-        elif a.dst == i:
-            # incoming arrow b: m_b followed by every outgoing arrow, lifted to the kernel
-            stacked = vstack_all(
-                f, m.dims[a.src], [m.mats[c.aid].mul(m.mats[a.aid]) for c in out_arrows]
-            )
-            if kernel.cols == 0:
-                if not stacked.is_zero():
-                    raise InternalInvariantError("incoming map does not land in the kernel")
-                lift = Matrix.zero(f, 0, m.dims[a.src])
-            else:
-                lift = kernel.solve(stacked)
-                if lift is None:
-                    raise InternalInvariantError("incoming map does not land in the kernel")
-            mats[a.aid] = lift
-        else:
-            # outgoing arrow c: project the kernel to the c summand
-            rows = range(offsets[a.aid], offsets[a.aid] + m.dims[a.dst])
-            mats[a.aid] = kernel.submatrix(list(rows), list(range(kernel.cols)))
+    for _, aid, _ in dq.relations[i].terms:
+        # outgoing arrow c: project the kernel to the c summand
+        rows = m.mats[aid].rows
+        mats[aid] = kernel.submatrix(list(range(pos, pos + rows)), list(range(kernel.cols)))
+        pos += rows
+    for b in dq.arrows_in(i):
+        lift = kernel.solve(out_map.mul(m.mats[b.aid]))
+        if lift is None:
+            raise InternalInvariantError("incoming map does not land in the kernel")
+        mats[b.aid] = lift
     result = Representation.build(dq, f, new_dims, mats)
     if result.check_relations():
         raise InternalInvariantError("reflection broke the preprojective relations")

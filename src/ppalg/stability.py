@@ -374,7 +374,7 @@ def enumerate_thin_reps(
     elements = list(field.elements())
     # dq.arrows lists the base arrows, then their stars in the same order, so
     # live is base + stars and a value tuple over live is xs + ys
-    base = [a for a in live if dq.epsilon[a.aid] > 0]
+    base = [a for a in live if a in dq.base.arrows]
     support = [v for v in range(dq.vertex_count) if d[v] == 1]
     incidence = Matrix(
         field,
@@ -389,11 +389,7 @@ def enumerate_thin_reps(
     ]
     pos = {a.aid: i for i, a in enumerate(live)}
     relations_at = [
-        [
-            (dq.epsilon[a.aid], pos[a.aid], pos[dq.star[a.aid]])
-            for a in dq.arrows_out(v)
-            if a.aid in pos
-        ]
+        [(sign, pos[aid], pos[sid]) for sign, aid, sid in dq.relations[v].terms if aid in pos]
         for v in support
     ]
     for xs in itertools.product(elements, repeat=len(base)):

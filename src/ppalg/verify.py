@@ -33,7 +33,6 @@ from .rep import (
     hom_dim,
     is_isomorphic,
     morphism_is_injective,
-    morphism_is_surjective,
     quotient_by_map,
 )
 from .reflection import apply_word, compute_siw, reflect_minus, reflect_plus
@@ -236,9 +235,10 @@ def exceptional_membership(
     """Whether a semistable module lies on the transported exceptional curve.
 
     For a positive transported root the test scans for an injective map from
-    the shifted simple, for a negative one for a surjection onto it.  Unless
-    disabled, membership of the module in the chamber category is verified
-    first, against the given parameter or the transported all-ones one.
+    the shifted simple S, for a negative one for a surjection m -> S, which is
+    an injection D(S) -> D(m) between the duals.  Unless disabled, membership
+    of the module in the chamber category is verified first, against the
+    given parameter or the transported all-ones one.
     """
     word = tuple(word)
     if check:
@@ -248,20 +248,14 @@ def exceptional_membership(
         if not verdict.semistable:
             raise PreconditionViolated(f"module not semistable: {verdict.status}")
     siw = compute_siw(wg, word, i, m.field)
-    root = wg.act_on_root(word, wg.rs.simple[i - 1])
-    if all(c >= 0 for c in root):
-        basis = hom_basis(siw.module, m)
-        if not basis:
-            return False
-        for coeffs in _nonzero_combinations(m.field, basis, budget):
-            if morphism_is_injective(combination(m.field, basis, coeffs)):
-                return True
-        return False
-    basis = hom_basis(m, siw.module)
+    source, target = siw.module, m
+    if any(c < 0 for c in wg.act_on_root(word, wg.rs.simple[i - 1])):
+        source, target = source.dual(), target.dual()
+    basis = hom_basis(source, target)
     if not basis:
         return False
     for coeffs in _nonzero_combinations(m.field, basis, budget):
-        if morphism_is_surjective(combination(m.field, basis, coeffs)):
+        if morphism_is_injective(combination(m.field, basis, coeffs)):
             return True
     return False
 

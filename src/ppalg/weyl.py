@@ -90,9 +90,6 @@ class RootSystem:
         c = self.form(x, self.simple[i - 1])
         return tuple(x[k] - c * self.simple[i - 1][k] for k in range(self.rank))
 
-    def is_positive(self, x: Sequence[int]) -> bool:
-        return tuple(x) in set(self.positive)
-
     def project(self, alpha: Sequence[int]) -> tuple:
         """Class of an affine vector in the quotient lattice, in Delta coordinates."""
         shift = alpha[0]
@@ -177,9 +174,6 @@ class WeylGroup:
 
     def equal(self, w1: Sequence[int], w2: Sequence[int]) -> bool:
         return self.matrix_of(w1) == self.matrix_of(w2)
-
-    def multiply(self, w1: Sequence[int], w2: Sequence[int]) -> tuple:
-        return tuple(w1) + tuple(w2)
 
     def all_elements(self) -> dict[tuple, tuple]:
         """Map from group matrices to one shortest (BFS-first) word each."""

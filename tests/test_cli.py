@@ -208,6 +208,40 @@ def test_verify_seed_reaches_dimlaw(capsys, monkeypatch, argv, expected):
     assert code == 0 and seen == [expected]
 
 
+class ClosedPipe:
+    """A stdout whose reader has gone away: the chosen operations raise BrokenPipeError."""
+
+    def __init__(self, fd, failing):
+        self.fd = fd
+        self.failing = failing
+
+    def write(self, text):
+        if "write" in self.failing:
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("failing", [("write", "flush"), ("flush",)])
+def test_closed_stdout_ends_quietly(capsys, monkeypatch, tmp_path, failing):
+    fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd, failing))
+        code = main(["quiver", "--type", "E8", "--emit", "json"])
+        monkeypatch.undo()
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        # what is left goes to devnull, so the flush at interpreter exit succeeds
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+
+
 def test_verify_json_bytes_do_not_follow_string_hashing():
     # the walls suite reports sets; their text must not depend on PYTHONHASHSEED
     src = str(Path(ppalg.__file__).resolve().parents[1])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ppalg.errors import FieldMismatch, ShapeError, UsageError
 from ppalg.fields import GF, QQ, GaloisField, _poly_mul_mod
-from ppalg.linalg import Matrix, hstack_all, mat_decompose, solve_linear, vstack_all
+from ppalg.linalg import Matrix, hstack_all, mat_decompose, vstack_all
 from ppalg.quiver import standard_extended_dynkin
 from ppalg.rep import Representation
 
@@ -81,7 +81,7 @@ def test_identity_solve():
     f = GF(7)
     a = Matrix.identity(f, 3)
     b = Matrix.column(f, [2, 5, 1])
-    assert solve_linear(a, b) == b
+    assert a.solve(b) == b
 
 
 def test_solve_returns_canonical_particular_solution_f2():
@@ -96,7 +96,7 @@ def test_solve_returns_canonical_particular_solution_f2():
         if f2.add(x0, x1) == 1
     ]
     assert set(solutions) == {(1, 0), (0, 1)}
-    got = solve_linear(a, b)
+    got = a.solve(b)
     # the echelon-canonical choice zeroes the free variable
     assert got.column_vector(0) == (1, 0)
 
@@ -105,7 +105,7 @@ def test_inconsistent_system_has_no_solution():
     f = QQ
     a = Matrix.from_ints(f, [[0]])
     b = Matrix.column(f, [f.from_int(1)])
-    assert solve_linear(a, b) is None
+    assert a.solve(b) is None
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(4)])

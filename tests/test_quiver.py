@@ -10,7 +10,6 @@ from ppalg.quiver import (
     Quiver,
     build_double,
     parse_type,
-    relations,
     standard_extended_dynkin,
 )
 
@@ -30,7 +29,7 @@ def test_star_is_involution_and_swaps_endpoints():
     dq, _ = standard_extended_dynkin("D", 4)
     for a in dq.arrows:
         assert dq.star[dq.star[a.aid]] == a.aid
-        s = dq.star_arrow(a)
+        s = dq.arrow(dq.star[a.aid])
         assert (s.src, s.dst) == (a.dst, a.src)
         assert dq.epsilon[s.aid] == -dq.epsilon[a.aid]
 
@@ -53,21 +52,21 @@ def test_loop_and_disconnected_are_rejected():
 
 def test_relation_terms_at_a2_vertex_zero():
     dq, _ = standard_extended_dynkin("A", 2)
-    rels = {r.vertex: r for r in relations(dq)}
+    rels = {r.vertex: r for r in dq.relations}
     # outgoing arrows at 0: the base arrow a1 and the reversed a3
     assert rels[0].terms == ((1, "a1", "a1s"), (-1, "a3s", "a3"))
 
 
 def test_single_edge_relation():
     dq = build_double(Quiver(2, [Arrow("a", 0, 1)]))
-    rels = relations(dq)
+    rels = dq.relations
     assert rels[0].terms == ((1, "a", "as"),)
     assert rels[1].terms == ((-1, "as", "a"),)
 
 
 def test_relation_count_matches_out_degree():
     dq, _ = standard_extended_dynkin("D", 4)
-    rels = {r.vertex: r for r in relations(dq)}
+    rels = {r.vertex: r for r in dq.relations}
     assert len(rels[2].terms) == 4  # center of the star
     for v, r in rels.items():
         assert len(r.terms) == len(dq.arrows_out(v))
@@ -77,7 +76,7 @@ def test_every_arrow_in_exactly_two_relations():
     dq, _ = standard_extended_dynkin("E", 6)
     leading = {}
     trailing = {}
-    for r in relations(dq):
+    for r in dq.relations:
         for _, first, then in r.terms:
             leading[first] = leading.get(first, 0) + 1
             trailing[then] = trailing.get(then, 0) + 1

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ppalg.rep as rep_module
 from ppalg.errors import Inconclusive, ShapeError
 from ppalg.fields import GF, QQ
 from ppalg.linalg import Matrix, vstack_all
@@ -144,7 +145,7 @@ def test_indecomposables_of_full_dims_are_nilpotent_or_simple():
 
 def test_zero_module_and_shape_errors():
     dq, d, f = a2(GF(2))
-    z = Representation.zero_module(dq, f)
+    z = Representation.build(dq, f, [0] * dq.vertex_count)
     assert z.is_zero_module()
     with pytest.raises(ShapeError):
         Representation.build(dq, f, [1, 1], {})
@@ -179,11 +180,13 @@ def test_non_nilpotent_thin_full_cycles_are_simple():
         assert m.dims == d  # dims are the minimal imaginary root
 
 
-def test_isomorphism_raises_inconclusive_when_search_is_disabled():
+def test_isomorphism_raises_inconclusive_when_search_is_disabled(monkeypatch):
     dq, d, f = a2(GF(2))
     m = curve_member(dq, f, d, f.one(), f.zero())
+    monkeypatch.setattr(rep_module, "ISO_EXHAUSTIVE_DIM", 0)
+    monkeypatch.setattr(rep_module, "ISO_RANDOM_TRIES", 0)
     with pytest.raises(Inconclusive):
-        is_isomorphic(m, m, exhaustive_dim=0, random_tries=0)
+        is_isomorphic(m, m)
 
 
 def socle_by_outgoing_rank(m):
@@ -231,3 +234,42 @@ def test_dual_is_an_involution_that_transposes_relations_and_hom(tag, field, see
         assert x.socle_multiplicities() == socle_by_outgoing_rank(x)
     assert hom_dim(m, n) == hom_dim(n.dual(), m.dual())
 
+
+
+def reference_relation_matrix(m, v):
+    """The term-by-term relation sum: a fresh zero, mul, neg and add per arrow out of v."""
+    acc = Matrix.zero(m.field, m.dims[v], m.dims[v])
+    for a in m.dq.arrows_out(v):
+        term = m.mats[m.dq.star[a.aid]].mul(m.mats[a.aid])
+        if m.dq.epsilon[a.aid] < 0:
+            term = term.neg()
+        acc = acc.add(term)
+    return acc
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    tag=st.sampled_from([("A", 1), ("A", 2), ("A", 3), ("D", 4)]),
+    field=st.sampled_from([GF(2), GF(4), GF(5), QQ]),
+    data=st.data(),
+)
+def test_relation_matrix_matches_the_term_by_term_sum(tag, field, data):
+    dq, _ = standard_extended_dynkin(*tag)
+    dims = data.draw(st.lists(st.integers(0, 2), min_size=dq.vertex_count, max_size=dq.vertex_count))
+    pool = list(field.elements()) if field.is_finite else [field.from_int(k) for k in range(-3, 4)]
+    entry = st.sampled_from(pool)
+    mats = {
+        a.aid: Matrix(
+            field,
+            dims[a.dst],
+            dims[a.src],
+            [[data.draw(entry) for _ in range(dims[a.src])] for _ in range(dims[a.dst])],
+        )
+        for a in dq.arrows
+    }
+    m = Representation.build(dq, field, dims, mats)
+    reference = [reference_relation_matrix(m, v) for v in range(dq.vertex_count)]
+    for v in range(dq.vertex_count):
+        assert m.relation_matrix(v) == reference[v]
+        assert m.in_map(v).cols == m.out_map(v).rows == sum(dims[a.dst] for a in dq.arrows_out(v))
+    assert m.check_relations() == [v for v, r in enumerate(reference) if not r.is_zero()]

@@ -184,7 +184,6 @@ def test_word_tools():
     assert wg.length((1, 1)) == 0
     assert wg.is_reduced((1, 2, 1))
     assert not wg.is_reduced((1, 1, 2))
-    assert wg.multiply((1,), (2, 1)) == (1, 2, 1)
     assert len(wg.all_elements()) == 6
 
 
