@@ -8,9 +8,11 @@ The extension group of a pair (m, n) is the middle cohomology of
 
 with d1(f) = (n_a f_sa - f_ta m_a)_a and
 d2(phi) = (sum over arrows a out of v of eps(a) (n_{a*} phi_a + phi_{a*} m_a))_v.
-The matrix of d1 is ``rep.hom_system(m, n)``, whose kernel is Hom(m, n).
-Its dimension always satisfies the bilinear-form identity, which is asserted
-at runtime.
+Both differentials come from the one builder ``rep.linear_system``, in the
+flat layout ``rep.unflatten`` reads back: d1 is ``rep.hom_system(m, n)``,
+whose kernel is Hom(m, n), and d2 is ``_delta2(m, n)``.  The extension
+dimension always satisfies the bilinear-form identity, which is asserted at
+runtime.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Dict, Sequence
 from .errors import CocycleError, FieldMismatch, InternalInvariantError
 from .linalg import Matrix
 from .quiver import DimensionVector, DoubleQuiver
-from .rep import Representation, hom_basis, hom_dim, hom_system, unflatten
+from .rep import Representation, hom_basis, hom_dim, hom_system, linear_system, unflatten
 
 
 def bilinear_form(dq: DoubleQuiver, alpha: Sequence[int], beta: Sequence[int]) -> int:
@@ -63,49 +65,20 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
     return HomSpace(basis=tuple(basis), dim=len(basis))
 
 
-def _arrow_shapes(m: Representation, n: Representation):
-    return [(a.aid, n.dims[a.dst], m.dims[a.src]) for a in m.dq.arrows]
+def _delta2(m: Representation, n: Representation) -> tuple[Matrix, list[tuple[str, int, int]]]:
+    """Matrix of d2 from arrow maps to vertex maps, one equation block per relation.
 
-
-def _delta2(m: Representation, n: Representation) -> Matrix:
-    """Matrix of d2 from arrow maps to vertex maps, one row block per relation."""
-    f = m.field
-    z = f.zero()
+    The returned shapes are the (arrow id, rows, cols) triples of the unknowns.
+    """
     dq = m.dq
-    a_off: Dict[str, int] = {}
-    total_a = 0
-    for a in dq.arrows:
-        a_off[a.aid] = total_a
-        total_a += n.dims[a.dst] * m.dims[a.src]
-    rows = []
+    shapes = [(a.aid, n.dims[a.dst], m.dims[a.src]) for a in dq.arrows]
+    eqs = [(v, n.dims[v], m.dims[v]) for v in range(dq.vertex_count)]
+    terms = []
     for rel in dq.relations:
-        v = rel.vertex
-        for r in range(n.dims[v]):
-            for c in range(m.dims[v]):
-                row = [z] * total_a
-                for sign, aid, sid in rel.terms:
-                    na_star = n.mats[sid]
-                    ma = m.mats[aid]
-                    # term n_{a*} . phi_a : phi_a has shape n.dims[ta] x m.dims[v]
-                    for k in range(na_star.cols):
-                        coeff = na_star.data[r][k]
-                        if coeff == z:
-                            continue
-                        if sign < 0:
-                            coeff = f.neg(coeff)
-                        idx = a_off[aid] + k * m.dims[v] + c
-                        row[idx] = f.add(row[idx], coeff)
-                    # term phi_{a*} . m_a : phi_{a*} has shape n.dims[v] x m.dims[ta]
-                    for k in range(ma.rows):
-                        coeff = ma.data[k][c]
-                        if coeff == z:
-                            continue
-                        if sign < 0:
-                            coeff = f.neg(coeff)
-                        idx = a_off[sid] + r * ma.rows + k
-                        row[idx] = f.add(row[idx], coeff)
-                rows.append(row)
-    return Matrix._of(f, len(rows), total_a, rows)
+        for sign, aid, sid in rel.terms:
+            terms.append((rel.vertex, sign, n.mats[sid], aid, None))
+            terms.append((rel.vertex, sign, None, sid, m.mats[aid]))
+    return linear_system(m.field, eqs, shapes, terms), shapes
 
 
 def ext1_space(m: Representation, n: Representation) -> Ext1Space:
@@ -118,7 +91,8 @@ def ext1_space(m: Representation, n: Representation) -> Ext1Space:
         raise FieldMismatch("ext over different fields")
     d1, _ = hom_system(m, n)
     img = d1.image_basis()
-    ker = _delta2(m, n).kernel_basis()
+    d2, shapes = _delta2(m, n)
+    ker = d2.kernel_basis()
     # the kernel columns that extend the image to a basis of ker d2 are the
     # pivot columns of [img | ker] past img, since img is independent
     _, pivots = img.hstack(ker).rref()
@@ -129,20 +103,19 @@ def ext1_space(m: Representation, n: Representation) -> Ext1Space:
         raise InternalInvariantError(
             f"extension dimension {dim} violates the form identity (expected {expected})"
         )
-    shapes = _arrow_shapes(m, n)
     basis = tuple(unflatten(m.field, vec, shapes) for vec in chosen)
     return Ext1Space(cocycle_basis=basis, dim=dim)
 
 
 def ext_complex_maps(m: Representation, n: Representation) -> tuple[Matrix, Matrix]:
     """The two differentials of the four-term complex, as plain matrices."""
-    return hom_system(m, n)[0], _delta2(m, n)
+    return hom_system(m, n)[0], _delta2(m, n)[0]
 
 
 def ext1_dim_via_complex(m: Representation, n: Representation) -> int:
     """Middle cohomology dimension computed with no appeal to the form identity."""
     d1, _ = hom_system(m, n)
-    d2 = _delta2(m, n)
+    d2, _ = _delta2(m, n)
     return (d2.cols - d2.rank()) - d1.rank()
 
 
@@ -187,23 +160,16 @@ def extension_splits(m: Representation, n: Representation, e: Representation) ->
 def retraction_exists(s: Representation, n: Representation, inj: Dict[int, Matrix]) -> bool:
     """Whether an injection s -> n admits a one-sided inverse n -> s.
 
-    Solved as an affine system over the canonical hom basis: find a
-    combination psi with psi composed with the injection equal to the
-    identity of s.
+    Solved as one affine system: the intertwining system for maps
+    psi: n -> s, stacked with psi_v . inj_v = identity at every vertex.
     """
     f = s.field
-    basis = hom_basis(n, s)
-    if not basis:
-        return all(d == 0 for d in s.dims)
-    rows = []
-    rhs = []
-    for v in range(s.dq.vertex_count):
-        for r in range(s.dims[v]):
-            for c in range(s.dims[v]):
-                rows.append([psi[v].mul(inj[v]).data[r][c] for psi in basis])
-                rhs.append(f.one() if r == c else f.zero())
-    sys = Matrix._of(f, len(rows), len(basis), rows)
-    return sys.solve(Matrix.column(f, rhs)) is not None
+    d1, shapes = hom_system(n, s)
+    eqs = [(v, s.dims[v], s.dims[v]) for v in range(s.dq.vertex_count)]
+    retract = linear_system(f, eqs, shapes, [(v, 1, None, v, inj[v]) for v, _, _ in eqs])
+    identity = [x for v, d, _ in eqs for row in Matrix.identity(f, d).data for x in row]
+    rhs = Matrix.column(f, [f.zero()] * d1.rows + identity)
+    return d1.vstack(retract).solve(rhs) is not None
 
 
 def in_add_simple(m: Representation, i: int) -> bool:

@@ -135,6 +135,9 @@ class DoubleQuiver:
             PreprojectiveRelation(v, tuple((epsilon[a.aid], a.aid, star[a.aid]) for a in out))
             for v, out in self._out.items()
         )
+        self._units = tuple(
+            DimensionVector.unit(self.vertex_count, i) for i in range(self.vertex_count)
+        )
         # adjacency counts feed the symmetric bilinear form
         self._adj = [[0] * self.vertex_count for _ in range(self.vertex_count)]
         for a in self.arrows:
@@ -162,7 +165,9 @@ class DoubleQuiver:
         return total
 
     def unit(self, i: int) -> DimensionVector:
-        return DimensionVector.unit(self.vertex_count, i)
+        if not 0 <= i < self.vertex_count:
+            raise RangeError(f"vertex {i} is not a vertex of the quiver")
+        return self._units[i]
 
     # -- serialization -----------------------------------------------------
 

@@ -102,7 +102,6 @@ def apply_word(
     word: Sequence[int],
     m: Representation,
     theta: StabilityParameter,
-    check_semistable: bool = True,
 ) -> tuple[Representation, StabilityParameter]:
     """Apply the composite reflection functor of a word to a semistable module.
 
@@ -112,10 +111,9 @@ def apply_word(
     """
     from .stability import stability_verdict  # local import to avoid a cycle
 
-    if check_semistable:
-        verdict = stability_verdict(m, theta)
-        if verdict.status not in ("Stable", "StrictlySemistable"):
-            raise PreconditionViolated(f"input module is not semistable: {verdict.status}")
+    verdict = stability_verdict(m, theta)
+    if verdict.status not in ("Stable", "StrictlySemistable"):
+        raise PreconditionViolated(f"input module is not semistable: {verdict.status}")
     cur = m
     th = StabilityParameter(theta)
     for letter in reversed(tuple(word)):

@@ -23,6 +23,7 @@ from .quiver import DimensionVector, DoubleQuiver
 ISO_EXHAUSTIVE_DIM = 4
 ISO_EXHAUSTIVE_COMBOS = 10**6
 ISO_RANDOM_TRIES = 64
+INDECOMPOSABLE_SCAN_BUDGET = 10**5
 
 
 @dataclass(frozen=True)
@@ -240,40 +241,13 @@ class Representation:
         return Representation.build(dq, field, dims, mats)
 
 
-def hom_system(m: "Representation", n: "Representation") -> tuple[Matrix, list[tuple[int, int, int]]]:
-    """Matrix of the intertwining system for maps m -> n.
-
-    Unknowns are the entries of one matrix per vertex (shape n.dims[v] x
-    m.dims[v]) in vertex-major, row-major order; one equation block per arrow.
-    The returned shapes are the (vertex, rows, cols) triples of those blocks.
-    """
-    f = m.field
-    z = f.zero()
-    offsets = []
-    total = 0
-    for v in range(m.dq.vertex_count):
-        offsets.append(total)
-        total += n.dims[v] * m.dims[v]
-
-    def var(v: int, r: int, c: int) -> int:
-        return offsets[v] + r * m.dims[v] + c
-
-    rows = []
-    for a in m.dq.arrows:
-        s, t = a.src, a.dst
-        na, ma = n.mats[a.aid], m.mats[a.aid]
-        # equation block: n_a . phi_s - phi_t . m_a = 0, entrywise
-        for r in range(n.dims[t]):
-            for c in range(m.dims[s]):
-                row = [z] * total
-                for k in range(n.dims[s]):
-                    row[var(s, k, c)] = f.add(row[var(s, k, c)], na.data[r][k])
-                for k in range(m.dims[t]):
-                    row[var(t, r, k)] = f.sub(row[var(t, r, k)], ma.data[k][c])
-                rows.append(row)
-    sys = Matrix._of(f, len(rows), total, rows)
-    shapes = [(v, n.dims[v], m.dims[v]) for v in range(m.dq.vertex_count)]
-    return sys, shapes
+def _layout(shapes) -> tuple[dict, int]:
+    """The offset of each (key, rows, cols) block when flattened in order, and the total length."""
+    at, pos = {}, 0
+    for key, r, c in shapes:
+        at[key] = (pos, r, c)
+        pos += r * c
+    return at, pos
 
 
 def unflatten(field: Field, vec: tuple, shapes) -> dict:
@@ -281,13 +255,66 @@ def unflatten(field: Field, vec: tuple, shapes) -> dict:
 
     The entries are trusted: ``vec`` must come from a computed matrix over ``field``.
     """
-    out = {}
-    pos = 0
-    for key, r, c in shapes:
-        block = [[vec[pos + i * c + j] for j in range(c)] for i in range(r)]
-        out[key] = Matrix._of(field, r, c, block)
-        pos += r * c
-    return out
+    at, _ = _layout(shapes)
+    return {
+        key: Matrix._of(field, r, c, [[vec[pos + i * c + j] for j in range(c)] for i in range(r)])
+        for key, (pos, r, c) in at.items()
+    }
+
+
+def linear_system(field: Field, eq_shapes, var_shapes, terms) -> Matrix:
+    """Matrix of a linear map between matrix families, in the layout ``unflatten`` reads.
+
+    Unknown blocks X_key and equation blocks are (key, rows, cols) triples,
+    flattened block by block in row-major order.  A term
+    ``(eq, sign, left, var, right)`` adds sign . left . X_var to equation block
+    ``eq`` when ``right`` is None, and sign . X_var . right when ``left`` is None.
+    No two terms may touch the same entry, which holds for the systems of a
+    loop-free double quiver, so each nonzero coefficient is placed once.
+    """
+    eq_at, n_rows = _layout(eq_shapes)
+    var_at, n_cols = _layout(var_shapes)
+    z = field.zero()
+    rows = [[z] * n_cols for _ in range(n_rows)]
+    for eq, sign, left, var, right in terms:
+        e0, _, ec = eq_at[eq]
+        x0, xr, xc = var_at[var]
+        if right is None:
+            # (L X)[r][c] = sum_k L[r][k] X[k][c]
+            for r, lrow in enumerate(left.data):
+                for k, coeff in enumerate(lrow):
+                    if coeff:
+                        if sign < 0:
+                            coeff = field.neg(coeff)
+                        for c in range(ec):
+                            rows[e0 + r * ec + c][x0 + k * xc + c] = coeff
+        else:
+            # (X R)[r][c] = sum_k X[r][k] R[k][c]
+            for k, rrow in enumerate(right.data):
+                for c, coeff in enumerate(rrow):
+                    if coeff:
+                        if sign < 0:
+                            coeff = field.neg(coeff)
+                        for r in range(xr):
+                            rows[e0 + r * ec + c][x0 + r * xc + k] = coeff
+    return Matrix._of(field, n_rows, n_cols, rows)
+
+
+def hom_system(m: "Representation", n: "Representation") -> tuple[Matrix, list[tuple[int, int, int]]]:
+    """Matrix of the intertwining system (d1) for maps m -> n.
+
+    Unknowns are one matrix phi_v per vertex (shape n.dims[v] x m.dims[v]);
+    the equation block of arrow a is n_a . phi_src - phi_dst . m_a.  The
+    returned shapes are the (vertex, rows, cols) triples of the unknowns.
+    """
+    dq = m.dq
+    shapes = [(v, n.dims[v], m.dims[v]) for v in range(dq.vertex_count)]
+    eqs = [(a.aid, n.dims[a.dst], m.dims[a.src]) for a in dq.arrows]
+    terms = []
+    for a in dq.arrows:
+        terms.append((a.aid, 1, n.mats[a.aid], a.src, None))
+        terms.append((a.aid, -1, None, a.dst, m.mats[a.aid]))
+    return linear_system(m.field, eqs, shapes, terms), shapes
 
 
 def hom_basis(m: Representation, n: Representation) -> list[dict[int, Matrix]]:
@@ -320,6 +347,22 @@ def combination(field: Field, basis: Sequence[dict], coeffs) -> dict:
     return out
 
 
+def nonzero_morphisms(field: Field, basis: Sequence[dict], budget: int):
+    """Every nonzero combination of a basis of maps, in coefficient-tuple order.
+
+    Raises Inconclusive over an infinite field, or when the q^d - 1 nonzero
+    combinations of a d-element basis exceed ``budget``.
+    """
+    d = len(basis)
+    if not field.is_finite:
+        raise Inconclusive("morphism scans need a finite field")
+    if field.order**d - 1 > budget:
+        raise Inconclusive(f"{field.order}^{d} combinations exceed the scan budget")
+    for coeffs in itertools.product(list(field.elements()), repeat=d):
+        if any(c != field.zero() for c in coeffs):
+            yield combination(field, basis, coeffs)
+
+
 def _is_invertible(phi: dict[int, Matrix]) -> bool:
     return all(mat.rows == mat.cols and mat.rank() == mat.rows for mat in phi.values())
 
@@ -347,12 +390,7 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
         return False
     f = m.field
     if f.is_finite and d <= ISO_EXHAUSTIVE_DIM and f.order**d <= ISO_EXHAUSTIVE_COMBOS:
-        for coeffs in itertools.product(list(f.elements()), repeat=d):
-            if all(c == f.zero() for c in coeffs):
-                continue
-            if _is_invertible(combination(f, basis, coeffs)):
-                return True
-        return False
+        return any(_is_invertible(phi) for phi in nonzero_morphisms(f, basis, ISO_EXHAUSTIVE_COMBOS))
     rng = random.Random(0)
     for _ in range(ISO_RANDOM_TRIES):
         if f.is_finite:
@@ -367,21 +405,16 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
     return False
 
 
-def is_indecomposable(m: Representation, budget: int = 10**5) -> bool:
+def is_indecomposable(m: Representation) -> bool:
     """End-ring locality by exhaustive scan over a finite field.
 
     Raises Inconclusive when the endomorphism space is too large to scan.
     """
     if m.is_zero_module():
         return False
-    basis = hom_basis(m, m)
-    d = len(basis)
-    f = m.field
-    if not f.is_finite or f.order**d > budget:
-        raise Inconclusive("endomorphism scan out of budget")
     size = m.dims.total()
-    for coeffs in itertools.product(list(f.elements()), repeat=d):
-        phi = combination(f, basis, coeffs)
+    # the zero map is skipped: it is not invertible and its powers vanish
+    for phi in nonzero_morphisms(m.field, hom_basis(m, m), INDECOMPOSABLE_SCAN_BUDGET):
         if _is_invertible(phi):
             continue
         # non-invertible endomorphisms of an indecomposable must be nilpotent

@@ -85,15 +85,13 @@ def subspace_count(q: int, dim: int) -> int:
     return total
 
 
-def submodule_dimvecs(
-    m: Representation, budget: int = DEFAULT_SUBSPACE_BUDGET, force_bruteforce: bool = False
-) -> set[DimensionVector]:
-    """Dimension vectors of all submodules, including zero and the whole module."""
-    if is_thin(m) and not force_bruteforce:
-        n = m.dq.vertex_count
-        return {
-            DimensionVector(1 if v in s else 0 for v in range(n)) for s in closed_supports(m)
-        }
+def _closed_subspace_tuples(
+    m: Representation, budget: int, beta: Optional[DimensionVector] = None
+):
+    """Brute-force search: every arrow-closed subspace tuple, in subspace-product order.
+
+    With ``beta`` only the tuples of that dimension vector are tried.
+    """
     if not m.field.is_finite:
         raise UnsupportedShape("brute-force submodule search needs a finite field")
     q = m.field.order
@@ -103,16 +101,28 @@ def submodule_dimvecs(
         if total > budget:
             raise SearchBudgetExceeded(f"subspace tuples exceed budget {budget}")
     per_vertex = [_subspaces(m.field, d) for d in m.dims]
-    found: set[DimensionVector] = set()
+    if beta is not None:
+        per_vertex = [[u for u in us if u.cols == k] for us, k in zip(per_vertex, beta)]
     for combo in itertools.product(*per_vertex):
         candidate = VertexSubspaces(module=m, spans=tuple(combo))
         if candidate.is_arrow_closed():
-            found.add(candidate.dims())
-    return found
+            yield candidate
+
+
+def submodule_dimvecs(
+    m: Representation, budget: int = DEFAULT_SUBSPACE_BUDGET
+) -> set[DimensionVector]:
+    """Dimension vectors of all submodules, including zero and the whole module."""
+    if is_thin(m):
+        n = m.dq.vertex_count
+        return {
+            DimensionVector(1 if v in s else 0 for v in range(n)) for s in closed_supports(m)
+        }
+    return {candidate.dims() for candidate in _closed_subspace_tuples(m, budget)}
 
 
 def realize_submodule(
-    m: Representation, beta: DimensionVector, budget: int = DEFAULT_SUBSPACE_BUDGET
+    m: Representation, beta: DimensionVector
 ) -> Optional[VertexSubspaces]:
     """An arrow-closed subspace tuple with the requested dimension vector.
 
@@ -130,23 +140,7 @@ def realize_submodule(
                 )
                 return VertexSubspaces(module=m, spans=spans)
         return None
-    if not m.field.is_finite:
-        raise UnsupportedShape("brute-force submodule search needs a finite field")
-    q = m.field.order
-    total = 1
-    for d in m.dims:
-        total *= subspace_count(q, d)
-        if total > budget:
-            raise SearchBudgetExceeded(f"subspace tuples exceed budget {budget}")
-    per_vertex = [
-        [u for u in _subspaces(m.field, dim) if u.cols == k]
-        for dim, k in zip(m.dims, beta)
-    ]
-    for combo in itertools.product(*per_vertex):
-        candidate = VertexSubspaces(module=m, spans=tuple(combo))
-        if candidate.is_arrow_closed():
-            return candidate
-    return None
+    return next(_closed_subspace_tuples(m, DEFAULT_SUBSPACE_BUDGET, beta), None)
 
 
 @dataclass(frozen=True)

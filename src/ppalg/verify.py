@@ -10,12 +10,11 @@ so reports are reproducible byte for byte.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
-from .errors import Inconclusive, PreconditionViolated, UsageError
+from .errors import PreconditionViolated, UsageError
 from .fields import GF, Field
 from .hom import (
     bilinear_form,
@@ -33,6 +32,7 @@ from .rep import (
     hom_dim,
     is_isomorphic,
     morphism_is_injective,
+    nonzero_morphisms,
     quotient_by_map,
 )
 from .reflection import apply_word, compute_siw, reflect_minus, reflect_plus
@@ -54,6 +54,7 @@ from .weyl import (
 
 A2_CHAMBER_WORDS = ((), (1,), (2,), (1, 2), (2, 1), (1, 2, 1))
 BASE_THETA = StabilityParameter((-2, 1, 1))
+MEMBERSHIP_SCAN_BUDGET = 10**4
 
 # Frozen six-chamber data: images of the two simple roots, in simple-root
 # coordinates, for every chamber word of the rank-two cycle case.
@@ -212,25 +213,12 @@ def random_nilpotent(
 # -- membership in exceptional curves ----------------------------------------
 
 
-def _nonzero_combinations(field: Field, basis, budget: int):
-    d = len(basis)
-    if not field.is_finite:
-        raise Inconclusive("membership scans need a finite field")
-    if field.order**d - 1 > budget:
-        raise Inconclusive(f"{field.order}^{d} combinations exceed the scan budget")
-    for coeffs in itertools.product(list(field.elements()), repeat=d):
-        if any(c != field.zero() for c in coeffs):
-            yield coeffs
-
-
 def exceptional_membership(
     m: Representation,
     wg: WeylGroup,
     word: Sequence[int],
     i: int,
-    theta: Optional[StabilityParameter] = None,
     check: bool = True,
-    budget: int = 10**4,
 ) -> bool:
     """Whether a semistable module lies on the transported exceptional curve.
 
@@ -238,12 +226,11 @@ def exceptional_membership(
     the shifted simple S, for a negative one for a surjection m -> S, which is
     an injection D(S) -> D(m) between the duals.  Unless disabled, membership
     of the module in the chamber category is verified first, against the
-    given parameter or the transported all-ones one.
+    transported all-ones parameter.
     """
     word = tuple(word)
     if check:
-        if theta is None:
-            theta = chamber_theta(m.dq, word, fundamental_theta(m.dq, m.dims))
+        theta = chamber_theta(m.dq, word, fundamental_theta(m.dq, m.dims))
         verdict = stability_verdict(m, theta)
         if not verdict.semistable:
             raise PreconditionViolated(f"module not semistable: {verdict.status}")
@@ -254,10 +241,8 @@ def exceptional_membership(
     basis = hom_basis(source, target)
     if not basis:
         return False
-    for coeffs in _nonzero_combinations(m.field, basis, budget):
-        if morphism_is_injective(combination(m.field, basis, coeffs)):
-            return True
-    return False
+    scan = nonzero_morphisms(m.field, basis, MEMBERSHIP_SCAN_BUDGET)
+    return any(morphism_is_injective(phi) for phi in scan)
 
 
 # -- suites -------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ppalg.errors import CocycleError
 from ppalg.fields import GF, QQ
 from ppalg.hom import (
+    _delta2,
     bilinear_form,
     ext1_dim_via_complex,
     ext1_space,
@@ -20,7 +21,14 @@ from ppalg.hom import (
 )
 from ppalg.linalg import Matrix
 from ppalg.quiver import standard_extended_dynkin
-from ppalg.rep import Representation, combination, hom_basis, hom_dim
+from ppalg.rep import (
+    Representation,
+    combination,
+    hom_basis,
+    hom_dim,
+    hom_system,
+    morphism_is_injective,
+)
 from ppalg.stability import enumerate_thin_reps
 from ppalg.verify import random_nilpotent
 
@@ -294,3 +302,143 @@ def test_extension_splits_agrees_with_the_section_system(tag, field, seed, steps
     # the chosen cocycles are independent of the coboundaries, so only the
     # zero class splits
     assert verdict == (cocycle == {})
+
+
+def reference_hom_system(m, n):
+    """The entry-by-entry d1 builder: one dense row per equation entry, accumulated."""
+    f = m.field
+    z = f.zero()
+    offsets = []
+    total = 0
+    for v in range(m.dq.vertex_count):
+        offsets.append(total)
+        total += n.dims[v] * m.dims[v]
+
+    def var(v, r, c):
+        return offsets[v] + r * m.dims[v] + c
+
+    rows = []
+    for a in m.dq.arrows:
+        s, t = a.src, a.dst
+        na, ma = n.mats[a.aid], m.mats[a.aid]
+        for r in range(n.dims[t]):
+            for c in range(m.dims[s]):
+                row = [z] * total
+                for k in range(n.dims[s]):
+                    row[var(s, k, c)] = f.add(row[var(s, k, c)], na.data[r][k])
+                for k in range(m.dims[t]):
+                    row[var(t, r, k)] = f.sub(row[var(t, r, k)], ma.data[k][c])
+                rows.append(row)
+    shapes = [(v, n.dims[v], m.dims[v]) for v in range(m.dq.vertex_count)]
+    return Matrix(f, len(rows), total, rows), shapes
+
+
+def reference_delta2(m, n):
+    """The entry-by-entry d2 builder: arrow offsets, one dense row per relation entry."""
+    f = m.field
+    z = f.zero()
+    dq = m.dq
+    a_off = {}
+    total_a = 0
+    for a in dq.arrows:
+        a_off[a.aid] = total_a
+        total_a += n.dims[a.dst] * m.dims[a.src]
+    rows = []
+    for rel in dq.relations:
+        v = rel.vertex
+        for r in range(n.dims[v]):
+            for c in range(m.dims[v]):
+                row = [z] * total_a
+                for sign, aid, sid in rel.terms:
+                    na_star = n.mats[sid]
+                    ma = m.mats[aid]
+                    for k in range(na_star.cols):
+                        coeff = na_star.data[r][k]
+                        if coeff == z:
+                            continue
+                        if sign < 0:
+                            coeff = f.neg(coeff)
+                        idx = a_off[aid] + k * m.dims[v] + c
+                        row[idx] = f.add(row[idx], coeff)
+                    for k in range(ma.rows):
+                        coeff = ma.data[k][c]
+                        if coeff == z:
+                            continue
+                        if sign < 0:
+                            coeff = f.neg(coeff)
+                        idx = a_off[sid] + r * ma.rows + k
+                        row[idx] = f.add(row[idx], coeff)
+                rows.append(row)
+    shapes = [(a.aid, n.dims[a.dst], m.dims[a.src]) for a in dq.arrows]
+    return Matrix(f, len(rows), total_a, rows), shapes
+
+
+def draw_random_matrices(data, dq, field):
+    """A quiver's worth of random arrow matrices: relations mostly fail, so no entry is forced to zero."""
+    dims = data.draw(st.lists(st.integers(0, 2), min_size=dq.vertex_count, max_size=dq.vertex_count))
+    pool = list(field.elements()) if field.is_finite else [field.from_int(k) for k in range(-3, 4)]
+    entry = st.sampled_from(pool)
+    mats = {
+        a.aid: Matrix(
+            field,
+            dims[a.dst],
+            dims[a.src],
+            [[data.draw(entry) for _ in range(dims[a.src])] for _ in range(dims[a.dst])],
+        )
+        for a in dq.arrows
+    }
+    return Representation.build(dq, field, dims, mats)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    tag=st.sampled_from([("A", 1), ("A", 2), ("A", 3), ("D", 4)]),
+    field=st.sampled_from([GF(2), GF(4), GF(5), QQ]),
+    data=st.data(),
+)
+def test_differentials_match_the_entrywise_builders(tag, field, data):
+    dq, _ = standard_extended_dynkin(*tag)
+    m, n = (draw_random_matrices(data, dq, field) for _ in range(2))
+    for (got, shapes), (want, want_shapes) in (
+        (hom_system(m, n), reference_hom_system(m, n)),
+        (_delta2(m, n), reference_delta2(m, n)),
+    ):
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+        assert got.data == want.data
+        assert [type(x) for row in got.data for x in row] == [type(x) for row in want.data for x in row]
+        assert shapes == want_shapes
+    assert ext_complex_maps(m, n) == (hom_system(m, n)[0], _delta2(m, n)[0])
+
+
+def basis_retraction_exists(s, n, inj):
+    """Reference retraction test: an affine system over the canonical basis of Hom(n, s)."""
+    f = s.field
+    basis = hom_basis(n, s)
+    if not basis:
+        return all(d == 0 for d in s.dims)
+    rows = []
+    rhs = []
+    for v in range(s.dq.vertex_count):
+        for r in range(s.dims[v]):
+            for c in range(s.dims[v]):
+                rows.append([psi[v].mul(inj[v]).data[r][c] for psi in basis])
+                rhs.append(f.one() if r == c else f.zero())
+    sys = Matrix(f, len(rows), len(basis), rows)
+    return sys.solve(Matrix.column(f, rhs)) is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tag=st.sampled_from([("A", 2), ("D", 4)]),
+    field=st.sampled_from([GF(2), GF(3), GF(4), QQ]),
+    seed=st.integers(0, 2**16),
+    steps=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+)
+def test_retraction_agrees_with_the_hom_basis_system(tag, field, seed, steps):
+    dq, _ = standard_extended_dynkin(*tag)
+    rng = random.Random(seed)
+    m, n = (random_nilpotent(dq, field, rng, steps=k) for k in steps)
+    for s, target in ((m, n), (n, m), (m, m.direct_sum(n)), (n, m.direct_sum(n))):
+        for inj in hom_basis(s, target):
+            if morphism_is_injective(inj):
+                assert retraction_exists(s, target, inj) == basis_retraction_exists(s, target, inj)

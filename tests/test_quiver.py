@@ -92,6 +92,16 @@ def test_imaginary_root_is_killed_by_the_form(tag, n):
         assert dq.bilinear(d, dq.unit(i)) == 0
 
 
+def test_unit_vectors_are_built_once_and_range_checked():
+    dq, _ = standard_extended_dynkin("D", 4)
+    for i in range(dq.vertex_count):
+        assert dq.unit(i) == DimensionVector.unit(dq.vertex_count, i)
+        assert dq.unit(i) is dq.unit(i)
+    for i in (-1, dq.vertex_count):
+        with pytest.raises(RangeError):
+            dq.unit(i)
+
+
 def test_standard_dimension_vectors():
     _, d = standard_extended_dynkin("D", 4)
     assert d == DimensionVector([1, 1, 2, 1, 1])

@@ -9,6 +9,8 @@ from ppalg.linalg import Matrix
 from ppalg.quiver import DimensionVector, standard_extended_dynkin
 from ppalg.rep import Representation, hom_dim
 from ppalg.stability import (
+    DEFAULT_SUBSPACE_BUDGET,
+    _closed_subspace_tuples,
     closed_supports,
     enumerate_thin_reps,
     moduli_scan,
@@ -52,7 +54,8 @@ def test_submodule_dimvecs_of_simple():
 def test_thin_and_bruteforce_backends_agree():
     dq, d, f = a2(GF(2))
     for m in enumerate_thin_reps(dq, d, f):
-        assert submodule_dimvecs(m) == submodule_dimvecs(m, force_bruteforce=True)
+        bruteforce = {c.dims() for c in _closed_subspace_tuples(m, DEFAULT_SUBSPACE_BUDGET)}
+        assert submodule_dimvecs(m) == bruteforce
 
 
 def test_bruteforce_backend_on_non_thin_module():
