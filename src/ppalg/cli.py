@@ -11,7 +11,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import stability as stab
 from .errors import PpalgError, UsageError
@@ -45,11 +44,10 @@ def _theta_from_args(args, d) -> StabilityParameter:
     if getattr(args, "theta", None):
         return _parse_theta(args.theta, len(d))
     if getattr(args, "theta_tail", None):
-        tail = [Fraction(x) for x in args.theta_tail.split(",")]
+        tail = StabilityParameter.parse(args.theta_tail)
         if len(tail) != len(d) - 1:
             raise UsageError("theta tail needs one entry per non-extending vertex")
-        head = -sum((t * di for t, di in zip(tail, d[1:])), Fraction(0)) / d[0]
-        return StabilityParameter([head] + tail)
+        return StabilityParameter([-tail(d[1:]) / d[0], *tail])
     raise UsageError("provide --theta or --theta-tail")
 
 

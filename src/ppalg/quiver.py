@@ -15,6 +15,10 @@ from typing import Iterable, Sequence
 
 from .errors import ConnectivityError, LoopError, RangeError, UsageError
 
+# The double builds a vertex x vertex Cartan matrix and vertex x arrow indexes,
+# so the vertex count is capped before anything is allocated.
+MAX_VERTICES = 64
+
 
 class DimensionVector(tuple):
     """Integer vector indexed by vertices, with componentwise arithmetic."""
@@ -62,8 +66,8 @@ class Quiver:
     """A finite connected quiver without loops."""
 
     def __init__(self, vertex_count: int, arrows: Sequence[Arrow]):
-        if vertex_count < 1:
-            raise RangeError(f"a quiver needs at least one vertex, got {vertex_count}")
+        if not 1 <= vertex_count <= MAX_VERTICES:
+            raise RangeError(f"a quiver needs 1 to {MAX_VERTICES} vertices, got {vertex_count}")
         arrows = tuple(arrows)
         for a in arrows:
             if not (0 <= a.src < vertex_count and 0 <= a.dst < vertex_count):
@@ -138,10 +142,11 @@ class DoubleQuiver:
         self._units = tuple(
             DimensionVector.unit(self.vertex_count, i) for i in range(self.vertex_count)
         )
-        # adjacency counts feed the symmetric bilinear form
-        self._adj = [[0] * self.vertex_count for _ in range(self.vertex_count)]
+        # the Cartan matrix 2I - A of the double: every form and reflection reads it
+        cartan = [[2 * (i == j) for j in range(self.vertex_count)] for i in range(self.vertex_count)]
         for a in self.arrows:
-            self._adj[a.src][a.dst] += 1
+            cartan[a.src][a.dst] -= 1
+        self.cartan = tuple(tuple(row) for row in cartan)
 
     def arrow(self, aid: str) -> Arrow:
         return self._by_id[aid]
@@ -152,22 +157,20 @@ class DoubleQuiver:
     def arrows_in(self, v: int) -> tuple[Arrow, ...]:
         return self._in[v]
 
-    def adjacency(self, i: int, j: int) -> int:
-        """Number of arrows of the double from i to j."""
-        return self._adj[i][j]
-
     def bilinear(self, alpha: Sequence[int], beta: Sequence[int]) -> int:
-        """Symmetric form 2 sum a_i b_i - sum over double arrows a_{src} b_{dst}."""
-        n = self.vertex_count
-        total = 2 * sum(alpha[i] * beta[i] for i in range(n))
-        for a in self.arrows:
-            total -= alpha[a.src] * beta[a.dst]
-        return total
+        """The symmetric form alpha^T C beta of the Cartan matrix C."""
+        return sum(a * c * b for a, row in zip(alpha, self.cartan) for c, b in zip(row, beta))
+
+    def cartan_row(self, i: int) -> tuple[int, ...]:
+        return self.cartan[self._vertex(i)]
 
     def unit(self, i: int) -> DimensionVector:
+        return self._units[self._vertex(i)]
+
+    def _vertex(self, i: int) -> int:
         if not 0 <= i < self.vertex_count:
             raise RangeError(f"vertex {i} is not a vertex of the quiver")
-        return self._units[i]
+        return i
 
     # -- serialization -----------------------------------------------------
 
@@ -244,13 +247,13 @@ def standard_extended_dynkin(type_tag: str, n: int) -> tuple[DoubleQuiver, Dimen
     """
     tag = type_tag.upper()
     if tag == "A":
-        if n < 1:
-            raise RangeError("type A needs n >= 1")
+        if not 1 <= n < MAX_VERTICES:
+            raise RangeError(f"type A needs 1 <= n < {MAX_VERTICES}")
         q = _cycle_quiver(n)
         d = DimensionVector([1] * (n + 1))
     elif tag == "D":
-        if n < 4:
-            raise RangeError("type D needs n >= 4")
+        if not 4 <= n < MAX_VERTICES:
+            raise RangeError(f"type D needs 4 <= n < {MAX_VERTICES}")
         # vertices: 0,1 tails at the left node 2; spine 2..n-2; tails n-1, n at n-2
         edges = [(0, 2), (1, 2)]
         edges += [(k, k + 1) for k in range(2, n - 2)]

@@ -24,6 +24,7 @@ ISO_EXHAUSTIVE_DIM = 4
 ISO_EXHAUSTIVE_COMBOS = 10**6
 ISO_RANDOM_TRIES = 64
 INDECOMPOSABLE_SCAN_BUDGET = 10**5
+MAX_MODULE_DIM = 64  # total dimension accepted from a module file
 
 
 @dataclass(frozen=True)
@@ -231,6 +232,8 @@ class Representation:
             raw = dict(data["mats"])
             if len(dims) != dq.vertex_count or not raw.keys() <= {a.aid for a in dq.arrows}:
                 raise UsageError("dims or mats do not match the vertices and arrows of the quiver")
+            if dims.total() > MAX_MODULE_DIM:
+                raise UsageError(f"total dimension {dims.total()} is above the cap {MAX_MODULE_DIM}")
             mats = {
                 a.aid: Matrix.from_json(field, raw[a.aid], dims[a.dst], dims[a.src])
                 for a in dq.arrows

@@ -180,7 +180,8 @@ def thin_canonical_values(m: Representation) -> tuple:
 
     A spanning forest of the nonzero-arrow graph is rescaled to ones (roots
     get gauge one, chosen as the smallest vertex per component); the remaining
-    cycle values are complete isomorphism invariants.
+    cycle values are complete isomorphism invariants.  A gauge depends only on
+    the forest path from its root, so the walk order does not matter.
     """
     if not is_thin(m):
         raise UnsupportedShape("canonical values are defined for thin modules")
@@ -202,17 +203,14 @@ def thin_canonical_values(m: Representation) -> tuple:
             adj[a.src].append((a.dst, a, True))
             adj[a.dst].append((a.src, a, False))
     gauge = {}
-    for root in sorted(parent):
+    for root in parent:  # ascending, so each tree is entered at its smallest vertex
         if root in gauge:
             continue
-        comp_root = min(v for v in parent if find(v) == find(root))
-        if comp_root in gauge:
-            continue
-        gauge[comp_root] = f.one()
-        stack = [comp_root]
+        gauge[root] = f.one()
+        stack = [root]
         while stack:
             v = stack.pop()
-            for w, a, forward in sorted(adj[v], key=lambda t: t[1].aid):
+            for w, a, forward in adj[v]:
                 if w in gauge:
                     continue
                 val = m.mats[a.aid].data[0][0]

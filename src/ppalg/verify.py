@@ -45,7 +45,6 @@ from .stability import (
 from .weyl import (
     StabilityParameter,
     WeylGroup,
-    apply_word_to_dimvec,
     apply_word_to_theta,
     chamber_label,
     finite_root_system,
@@ -66,21 +65,6 @@ EXPECTED_WDELTA = {
     (1, 2): ((0, 1), (-1, -1)),
     (1, 2, 1): ((0, -1), (-1, 0)),
 }
-
-SUITE_NAMES = (
-    "all",
-    "figure2",
-    "chs",
-    "coxeter",
-    "dimlaw",
-    "roundtrip",
-    "cbform",
-    "walls",
-    "zerogen",
-    "Lseq",
-    "rootlaw",
-)
-
 
 @dataclass
 class SuiteCase:
@@ -280,7 +264,7 @@ def figure2_report(field: Field) -> SuiteReport:
     """Per-chamber sign patterns, shift degrees, curve sizes and intersections."""
     dq, d, wg = a2_setup()
     report = SuiteReport(suite=f"figure2[q={field.order}]")
-    adjacent = dq.adjacency(1, 2) + dq.adjacency(2, 1) > 0
+    adjacent = dq.cartan[1][2] < 0
     for word in A2_CHAMBER_WORDS:
         label = chamber_label(word)
         theta = chamber_theta(dq, word)
@@ -340,9 +324,9 @@ def dimlaw_suite(seed: int = 7, samples: int = 200) -> SuiteReport:
         for _ in range(samples):
             m = random_nilpotent(dq, field, rng, steps=rng.randrange(2, 5))
             i = rng.randrange(dq.vertex_count)
-            for kind, func, hom_pair in (
-                ("plus", reflect_plus, lambda: hom_dim(m, Representation.simple(dq, field, i))),
-                ("minus", reflect_minus, lambda: hom_dim(Representation.simple(dq, field, i), m)),
+            for func, hom_pair in (
+                (reflect_plus, lambda: hom_dim(m, Representation.simple(dq, field, i))),
+                (reflect_minus, lambda: hom_dim(Representation.simple(dq, field, i), m)),
             ):
                 res = func(i, m)
                 if res.defect != hom_pair():
@@ -474,37 +458,22 @@ def rootlaw_suite(seed: int = 3) -> SuiteReport:
     """Shift degrees and signed dimension vectors of the shifted simples."""
     report = SuiteReport(suite="rootlaw")
     field = GF(2)
-    dq, d, wg = a2_setup()
-    rs = wg.rs
-    bad = 0
-    for word in A2_CHAMBER_WORDS:
-        for i in (1, 2):
-            siw = compute_siw(wg, word, i, field)
-            root = wg.act_on_root(word, rs.simple[i - 1])
-            positive = all(c >= 0 for c in root)
-            if (siw.degree == 0) != positive:
-                bad += 1
-            if rs.project(siw.signed_dims()) != root:
-                bad += 1
-            if siw.signed_dims() != apply_word_to_dimvec(dq, word, dq.unit(i)):
-                bad += 1
-    report.add("A2 degree/sign law violations (all 6 words)", 0, bad)
-    dq4, d4, wg4 = d4_setup()
-    rs4 = wg4.rs
-    rng = random.Random(seed)
-    words = sorted(wg4.all_elements().values(), key=lambda w: (len(w), w))
-    sampled = rng.sample(words, 20)
-    bad4 = 0
-    for word in sampled:
-        for i in range(1, 5):
-            siw = compute_siw(wg4, word, i, field)
-            root = wg4.act_on_root(word, rs4.simple[i - 1])
-            positive = all(c >= 0 for c in root)
-            if (siw.degree == 0) != positive:
-                bad4 += 1
-            if rs4.project(siw.signed_dims()) != root:
-                bad4 += 1
-    report.add("D4 degree/sign law violations (20 sampled words)", 0, bad4)
+    wg4 = d4_setup()[2]
+    cases = (
+        ("A2", a2_setup()[2], A2_CHAMBER_WORDS, "all 6 words"),
+        ("D4", wg4, random.Random(seed).sample(wg4.canonical_words(), 20), "20 sampled words"),
+    )
+    for tag, wg, words, label in cases:
+        bad = 0
+        for word in words:
+            for i in range(1, wg.rank + 1):
+                siw = compute_siw(wg, word, i, field)
+                root = wg.act_on_root(word, wg.rs.simple[i - 1])
+                if (siw.degree == 0) != all(c >= 0 for c in root):
+                    bad += 1
+                if wg.rs.project(siw.signed_dims()) != root:
+                    bad += 1
+        report.add(f"{tag} degree/sign law violations ({label})", 0, bad)
     return report
 
 
@@ -560,6 +529,32 @@ def check_L_sequences(field: Field) -> SuiteReport:
     return report
 
 
+def _gf(*orders) -> list:
+    return [GF(q) for q in orders]
+
+
+# Every suite in the order ``--suite all`` runs it.  An entry maps the
+# requested fields (None for the suite's own) and seed to its reports; it
+# looks the suite function up in this module when it runs.
+SUITES = {
+    "figure2": lambda fields, seed: [figure2_report(f) for f in fields or _gf(2, 3)],
+    "chs": lambda fields, seed: [
+        check_stability_characterization(f, word)
+        for f in fields or _gf(2, 3)
+        for word in A2_CHAMBER_WORDS
+    ],
+    "zerogen": lambda fields, seed: [zerogen_suite(f) for f in fields or _gf(2, 3)],
+    "roundtrip": lambda fields, seed: [roundtrip_suite(f) for f in fields or _gf(2, 3)],
+    "coxeter": lambda fields, seed: [coxeter_suite()],
+    "dimlaw": lambda fields, seed: [dimlaw_suite(seed=7 if seed is None else seed)],
+    "cbform": lambda fields, seed: [cbform_suite(seed=11 if seed is None else seed)],
+    "walls": lambda fields, seed: [walls_suite(f) for f in fields or _gf(2, 3, 4)],
+    "rootlaw": lambda fields, seed: [rootlaw_suite(seed=3 if seed is None else seed)],
+    "Lseq": lambda fields, seed: [check_L_sequences(f) for f in fields or _gf(2, 3)],
+}
+SUITE_NAMES = ("all", *SUITES)
+
+
 def run_suite(
     name: str,
     field_order: Optional[int] = None,
@@ -573,36 +568,9 @@ def run_suite(
     if name not in SUITE_NAMES:
         raise UsageError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     fields = [GF(field_order)] if field_order else None
-
-    def defaults(orders):
-        return fields or [GF(q) for q in orders]
-
     report = SuiteReport(suite=name)
-    if name in ("figure2", "all"):
-        for f in defaults((2, 3)):
-            report.extend(figure2_report(f))
-    if name in ("chs", "all"):
-        for f in defaults((2, 3)):
-            for word in A2_CHAMBER_WORDS:
-                report.extend(check_stability_characterization(f, word))
-    if name in ("zerogen", "all"):
-        for f in defaults((2, 3)):
-            report.extend(zerogen_suite(f))
-    if name in ("roundtrip", "all"):
-        for f in defaults((2, 3)):
-            report.extend(roundtrip_suite(f))
-    if name in ("coxeter", "all"):
-        report.extend(coxeter_suite())
-    if name in ("dimlaw", "all"):
-        report.extend(dimlaw_suite(seed=7 if seed is None else seed))
-    if name in ("cbform", "all"):
-        report.extend(cbform_suite(seed=11 if seed is None else seed))
-    if name in ("walls", "all"):
-        for f in defaults((2, 3, 4)):
-            report.extend(walls_suite(f))
-    if name in ("rootlaw", "all"):
-        report.extend(rootlaw_suite(seed=3 if seed is None else seed))
-    if name in ("Lseq", "all"):
-        for f in defaults((2, 3)):
-            report.extend(check_L_sequences(f))
+    for suite, reports in SUITES.items():
+        if name in (suite, "all"):
+            for part in reports(fields, seed):
+                report.extend(part)
     return report

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import NotGeneric, NotInThetaD, RangeError
+from .errors import NotGeneric, NotInThetaD, RangeError, UsageError
 from .quiver import DimensionVector, DoubleQuiver
 
 
@@ -35,22 +35,24 @@ class StabilityParameter(tuple):
 
     @staticmethod
     def parse(text: str) -> "StabilityParameter":
-        return StabilityParameter(Fraction(part.strip()) for part in text.split(","))
+        """Comma-separated rationals; an entry that is not one raises UsageError."""
+        try:
+            return StabilityParameter(part.strip() for part in text.split(","))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"theta entries must be rationals, got {text!r}: {exc}") from None
 
 
 def reflect_dimvec(dq: DoubleQuiver, i: int, alpha: Sequence[int]) -> DimensionVector:
-    """Simple reflection on dimension vectors: x - (x, e_i) e_i."""
-    alpha = DimensionVector(alpha)
-    pairing = dq.bilinear(alpha, dq.unit(i))
-    return alpha - pairing * dq.unit(i)
+    """Simple reflection on dimension vectors: x - (x, e_i) e_i, which moves entry i only."""
+    pairing = sum(c * a for c, a in zip(dq.cartan_row(i), alpha))
+    return DimensionVector(a - pairing if j == i else a for j, a in enumerate(alpha))
 
 
 def reflect_theta(dq: DoubleQuiver, i: int, theta: StabilityParameter) -> StabilityParameter:
-    """Dual simple reflection on parameters, compatible with the pairing."""
+    """Dual simple reflection on parameters, compatible with the pairing: theta - theta_i C_i."""
+    row = dq.cartan_row(i)
     ti = theta[i]
-    return StabilityParameter(
-        theta[j] - ti * dq.bilinear(dq.unit(i), dq.unit(j)) for j in range(dq.vertex_count)
-    )
+    return StabilityParameter(t - ti * c for t, c in zip(theta, row))
 
 
 def apply_word_to_dimvec(dq: DoubleQuiver, word: Sequence[int], alpha: Sequence[int]) -> DimensionVector:
@@ -70,25 +72,21 @@ def apply_word_to_theta(dq: DoubleQuiver, word: Sequence[int], theta: StabilityP
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Finite root data of the quotient lattice, in simple-root coordinates."""
+    """Finite root data of the quotient lattice; a coordinate vector x is the affine (0, *x)."""
 
     dq: DoubleQuiver
     d: DimensionVector
     rank: int
-    cartan: tuple  # rank x rank Gram matrix of the simple roots
     roots: tuple  # all roots, graded-lex order
     positive: tuple  # positive roots, graded-lex order
     simple: tuple  # unit coordinate vectors
 
     def form(self, x: Sequence[int], y: Sequence[int]) -> int:
-        return sum(
-            x[i] * y[j] * self.cartan[i][j] for i in range(self.rank) for j in range(self.rank)
-        )
+        return self.dq.bilinear((0, *x), (0, *y))
 
     def reflect(self, i: int, x: Sequence[int]) -> tuple:
         # i is a 1-based vertex letter; coordinates are 0-based
-        c = self.form(x, self.simple[i - 1])
-        return tuple(x[k] - c * self.simple[i - 1][k] for k in range(self.rank))
+        return reflect_dimvec(self.dq, i, (0, *x))[1:]
 
     def project(self, alpha: Sequence[int]) -> tuple:
         """Class of an affine vector in the quotient lattice, in Delta coordinates."""
@@ -96,24 +94,19 @@ class RootSystem:
         return tuple(alpha[i] - shift * self.d[i] for i in range(1, self.rank + 1))
 
     def theta_value(self, theta: StabilityParameter, x: Sequence[int]) -> Fraction:
-        return sum((Fraction(x[i]) * theta[i + 1] for i in range(self.rank)), Fraction(0))
+        return theta((0, *x))
 
 
 def finite_root_system(dq: DoubleQuiver, d: DimensionVector) -> RootSystem:
     """Reflection closure of the simple roots in the quotient lattice."""
     n = dq.vertex_count - 1
-    cartan = tuple(
-        tuple(dq.bilinear(dq.unit(i), dq.unit(j)) for j in range(1, n + 1))
-        for i in range(1, n + 1)
-    )
     simple = tuple(tuple(1 if k == i else 0 for k in range(n)) for i in range(n))
-    rs = RootSystem(dq, DimensionVector(d), n, cartan, (), (), simple)
     roots = set(simple)
     frontier = list(simple)
     while frontier:
-        x = frontier.pop()
+        x = (0, *frontier.pop())
         for i in range(1, n + 1):
-            y = rs.reflect(i, x)
+            y = reflect_dimvec(dq, i, x)[1:]
             if y not in roots:
                 roots.add(y)
                 frontier.append(y)
@@ -122,7 +115,7 @@ def finite_root_system(dq: DoubleQuiver, d: DimensionVector) -> RootSystem:
     negative = tuple(tuple(-c for c in r) for r in positive)
     if set(ordered) != set(positive) | set(negative):
         raise RangeError("root closure did not split into positive and negative parts")
-    return RootSystem(dq, DimensionVector(d), n, cartan, tuple(ordered), positive, simple)
+    return RootSystem(dq, DimensionVector(d), n, tuple(ordered), positive, simple)
 
 
 class WeylGroup:

@@ -14,7 +14,7 @@ from ppalg.errors import UsageError
 from ppalg.fields import GF
 from ppalg.linalg import Matrix
 from ppalg.quiver import standard_extended_dynkin
-from ppalg.rep import Representation
+from ppalg.rep import MAX_MODULE_DIM, Representation
 
 
 def run(capsys, *argv):
@@ -170,6 +170,25 @@ def test_usage_errors_exit_two(capsys):
 def test_malformed_theta_exits_two(capsys):
     code, _, err = run(capsys, "chamber", "--type", "A2", "--theta", "bogus")
     assert code == 2
+
+
+THETA_FLAGS = {
+    "chamber --theta": ["chamber", "--type", "A2", "--theta", "{},1,-1"],
+    "chamber --theta-tail": ["chamber", "--type", "A2", "--theta-tail", "1,{}"],
+    "scan --theta": ["scan", "--type", "A2", "--field", "2", "--theta", "{},1,-1"],
+    "scan --theta-tail": ["scan", "--type", "A2", "--field", "2", "--theta-tail", "1,{}"],
+    "stability --theta": ["stability", "--theta", "{},1,-1", "MODULE"],
+    "apply --theta": ["apply", "--word", "1", "--theta", "{},1,-1", "MODULE"],
+}
+
+
+@pytest.mark.parametrize("entry", ["1/0", "x"])
+@pytest.mark.parametrize("flag", sorted(THETA_FLAGS))
+def test_theta_entries_that_are_not_rationals_exit_two(capsys, tmp_path, flag, entry):
+    path = str(write_curve_member(tmp_path))
+    argv = [path if arg == "MODULE" else arg.format(entry) for arg in THETA_FLAGS[flag]]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 @pytest.mark.parametrize("theta", ["-2,1", "-2,1,1,0"])
@@ -338,6 +357,16 @@ def test_malformed_module_files_exit_two(capsys, tmp_path, command, payload):
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("extra,code", [(0, 0), (1, 2)])
+def test_module_total_dimension_is_capped(capsys, tmp_path, extra, code):
+    payload = curve_member_payload()
+    payload["dims"] = [MAX_MODULE_DIM - 42 + extra, 21, 21]
+    payload["mats"] = {}
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert run(capsys, "rep-check", str(path))[0] == code
 
 
 def test_reflect_at_a_missing_vertex_exits_two(capsys, tmp_path):

@@ -1,9 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppalg.errors import ConnectivityError, LoopError, RangeError, UsageError
 from ppalg.quiver import (
+    MAX_VERTICES,
     Arrow,
     DimensionVector,
     DoubleQuiver,
@@ -92,6 +95,39 @@ def test_imaginary_root_is_killed_by_the_form(tag, n):
         assert dq.bilinear(d, dq.unit(i)) == 0
 
 
+def reference_bilinear(dq, alpha, beta):
+    """The form summed over the arrows of the double, without the Cartan matrix."""
+    total = 2 * sum(alpha[i] * beta[i] for i in range(dq.vertex_count))
+    for a in dq.arrows:
+        total -= alpha[a.src] * beta[a.dst]
+    return total
+
+
+STANDARD_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4), ("D", 5), ("D", 6), ("E", 6), ("E", 7), ("E", 8)]
+
+
+@pytest.mark.parametrize("tag,n", STANDARD_TYPES)
+def test_cartan_matrix_is_symmetric_with_two_on_the_diagonal(tag, n):
+    dq, _ = standard_extended_dynkin(tag, n)
+    nv = dq.vertex_count
+    assert len(dq.cartan) == nv and all(len(row) == nv for row in dq.cartan)
+    for i in range(nv):
+        assert dq.cartan[i][i] == 2
+        assert dq.cartan_row(i) == dq.cartan[i]
+        for j in range(nv):
+            assert dq.cartan[i][j] == dq.cartan[j][i] == reference_bilinear(dq, dq.unit(i), dq.unit(j))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("tag,n", STANDARD_TYPES)
+def test_bilinear_matches_the_arrow_sum(tag, n, data):
+    dq, _ = standard_extended_dynkin(tag, n)
+    vectors = st.lists(st.integers(-6, 6), min_size=dq.vertex_count, max_size=dq.vertex_count)
+    alpha, beta = data.draw(vectors), data.draw(vectors)
+    assert dq.bilinear(alpha, beta) == reference_bilinear(dq, alpha, beta)
+
+
 def test_unit_vectors_are_built_once_and_range_checked():
     dq, _ = standard_extended_dynkin("D", 4)
     for i in range(dq.vertex_count):
@@ -100,6 +136,8 @@ def test_unit_vectors_are_built_once_and_range_checked():
     for i in (-1, dq.vertex_count):
         with pytest.raises(RangeError):
             dq.unit(i)
+        with pytest.raises(RangeError):
+            dq.cartan_row(i)
 
 
 def test_standard_dimension_vectors():
@@ -119,6 +157,17 @@ def test_illegal_ranks():
         standard_extended_dynkin("D", 3)
     with pytest.raises(RangeError):
         standard_extended_dynkin("E", 9)
+
+
+def test_vertex_count_is_capped_before_building():
+    with pytest.raises(RangeError):
+        Quiver(MAX_VERTICES + 1, [])
+    with pytest.raises(RangeError):
+        DoubleQuiver.from_json({"vertices": MAX_VERTICES + 1, "arrows": []})
+    for tag in "AD":
+        with pytest.raises(RangeError):
+            standard_extended_dynkin(tag, MAX_VERTICES)
+        assert standard_extended_dynkin(tag, MAX_VERTICES - 1)[0].vertex_count == MAX_VERTICES
 
 
 def test_doubling_preserves_base():

@@ -172,16 +172,67 @@ def filtered_thin_reps(dq, d, field):
             yield rep
 
 
+def reference_thin_canonical_values(m):
+    """The earlier gauge walk: explicit smallest-vertex roots and aid-sorted neighbours."""
+    f = m.field
+    support = [v for v in range(m.dq.vertex_count) if m.dims[v] == 1]
+    nonzero = [a for a in m.dq.arrows if m.dims[a.src] == 1 and m.dims[a.dst] == 1 and not m.mats[a.aid].is_zero()]
+    parent = {v: v for v in support}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    adj = {v: [] for v in parent}
+    for a in nonzero:
+        rs, rt = find(a.src), find(a.dst)
+        if rs != rt:
+            parent[rs] = rt
+            adj[a.src].append((a.dst, a, True))
+            adj[a.dst].append((a.src, a, False))
+    gauge = {}
+    for root in sorted(parent):
+        if root in gauge:
+            continue
+        comp_root = min(v for v in parent if find(v) == find(root))
+        if comp_root in gauge:
+            continue
+        gauge[comp_root] = f.one()
+        stack = [comp_root]
+        while stack:
+            v = stack.pop()
+            for w, a, forward in sorted(adj[v], key=lambda t: t[1].aid):
+                if w in gauge:
+                    continue
+                val = m.mats[a.aid].data[0][0]
+                gauge[w] = f.mul(gauge[v], f.inv(val)) if forward else f.mul(gauge[v], val)
+                stack.append(w)
+    values = []
+    for a in m.dq.arrows:
+        if m.dims[a.src] == 1 and m.dims[a.dst] == 1:
+            x = m.mats[a.aid].data[0][0]
+            if x != f.zero():
+                x = f.mul(gauge[a.dst], f.mul(x, f.inv(gauge[a.src])))
+            values.append((a.aid, f.format_scalar(x)))
+    return (tuple(m.dims), tuple(values))
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 @pytest.mark.parametrize("tag,n", [("A", 1), ("A", 2), ("A", 3), ("D", 4)])
 def test_solved_enumeration_matches_the_filter(tag, n, q):
     dq, _ = standard_extended_dynkin(tag, n)
     f = GF(q)
     for d in itertools.product((0, 1), repeat=dq.vertex_count):
+        solved = list(enumerate_thin_reps(dq, d, f))
+        # the gauge walk keeps the earlier canonical values on every thin module
+        assert [thin_canonical_values(m) for m in solved] == [
+            reference_thin_canonical_values(m) for m in solved
+        ], d
         live = [a for a in dq.arrows if d[a.src] == 1 and d[a.dst] == 1]
         if q ** len(live) > ORACLE_CAP:
             continue
-        solved = list(enumerate_thin_reps(dq, d, f))
         assert [m.mats for m in solved] == [m.mats for m in filtered_thin_reps(dq, d, f)], d
         assert all(m.check_relations() == [] for m in solved)
 

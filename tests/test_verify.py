@@ -180,3 +180,39 @@ def test_run_suite_with_field_override():
     rep = run_suite("zerogen", field_order=3)
     assert rep.all_pass
     assert "q=3" in rep.cases[0].key or rep.suite == "zerogen"
+
+
+SUITE_FUNCTIONS = {
+    "figure2": "figure2_report",
+    "chs": "check_stability_characterization",
+    "zerogen": "zerogen_suite",
+    "roundtrip": "roundtrip_suite",
+    "coxeter": "coxeter_suite",
+    "dimlaw": "dimlaw_suite",
+    "cbform": "cbform_suite",
+    "walls": "walls_suite",
+    "rootlaw": "rootlaw_suite",
+    "Lseq": "check_L_sequences",
+}
+
+
+def test_run_suite_all_calls_every_replaced_suite_function(monkeypatch):
+    import ppalg.verify as verify
+
+    calls = []
+    for suite, attr in SUITE_FUNCTIONS.items():
+
+        def fake(*args, suite=suite, **kwargs):
+            calls.append((suite, args, kwargs))
+            return verify.SuiteReport(suite=suite)
+
+        monkeypatch.setattr(verify, attr, fake)
+    verify.run_suite("all")
+    assert list(dict.fromkeys(suite for suite, _, _ in calls)) == list(SUITE_FUNCTIONS)
+    assert verify.SUITE_NAMES == ("all", *SUITE_FUNCTIONS)
+    orders = {}
+    for suite, args, kwargs in calls:
+        orders.setdefault(suite, []).append(args[0].order if args else kwargs)
+    assert orders["chs"] == [2] * 6 + [3] * 6
+    assert orders["walls"] == [2, 3, 4]
+    assert orders["dimlaw"] == [{"seed": 7}] and orders["rootlaw"] == [{"seed": 3}]

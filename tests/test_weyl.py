@@ -2,9 +2,13 @@ import itertools
 import random
 from fractions import Fraction
 
-import pytest
+import functools
 
-from ppalg.errors import NotGeneric, NotInThetaD
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ppalg.errors import NotGeneric, NotInThetaD, RangeError
 from ppalg.quiver import DimensionVector, standard_extended_dynkin
 from ppalg.weyl import (
     StabilityParameter,
@@ -213,3 +217,97 @@ def test_length_increase_matches_chamber_sign(tag, n, sample):
 def test_chamber_label_format():
     assert chamber_label(()) == "C(1)"
     assert chamber_label((1, 2, 1)) == "C(s1s2s1)"
+
+
+# -- the Cartan-matrix operations against the earlier unit-vector ones --------
+
+STANDARD_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4), ("D", 5), ("D", 6), ("E", 6), ("E", 7), ("E", 8)]
+
+
+@functools.lru_cache(maxsize=None)
+def cached_setup(tag, n):
+    return setup(tag, n)
+
+
+def reference_reflect_dimvec(dq, i, alpha):
+    alpha = DimensionVector(alpha)
+    return alpha - dq.bilinear(alpha, dq.unit(i)) * dq.unit(i)
+
+
+def reference_reflect_theta(dq, i, theta):
+    return StabilityParameter(
+        theta[j] - theta[i] * dq.bilinear(dq.unit(i), dq.unit(j)) for j in range(dq.vertex_count)
+    )
+
+
+def reference_cartan(dq):
+    """The rank x rank Gram matrix of the simple roots, one form call per entry."""
+    n = dq.vertex_count - 1
+    return [[dq.bilinear(dq.unit(i), dq.unit(j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
+
+
+def reference_form(cartan, x, y):
+    return sum(x[i] * y[j] * cartan[i][j] for i in range(len(cartan)) for j in range(len(cartan)))
+
+
+def reference_reflect(cartan, i, x):
+    simple = [1 if k == i - 1 else 0 for k in range(len(cartan))]
+    c = reference_form(cartan, x, simple)
+    return tuple(x[k] - c * simple[k] for k in range(len(cartan)))
+
+
+def reference_theta_value(theta, x):
+    return sum((Fraction(x[i]) * theta[i + 1] for i in range(len(x))), Fraction(0))
+
+
+RATIONALS = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("tag,n", STANDARD_TYPES)
+def test_reflections_match_the_unit_vector_formulas(tag, n, data):
+    dq, _ = standard_extended_dynkin(tag, n)
+    nv = dq.vertex_count
+    alpha = data.draw(st.lists(st.integers(-6, 6), min_size=nv, max_size=nv))
+    theta = StabilityParameter(data.draw(st.lists(RATIONALS, min_size=nv, max_size=nv)))
+    i = data.draw(st.integers(0, nv - 1))
+    assert reflect_dimvec(dq, i, alpha) == reference_reflect_dimvec(dq, i, alpha)
+    assert reflect_theta(dq, i, theta) == reference_reflect_theta(dq, i, theta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("tag,n", STANDARD_TYPES)
+def test_root_system_matches_the_quotient_cartan_formulas(tag, n, data):
+    dq, d, rs, wg = cached_setup(tag, n)
+    cartan = reference_cartan(dq)
+    vectors = st.lists(st.integers(-6, 6), min_size=rs.rank, max_size=rs.rank).map(tuple)
+    x, y = data.draw(vectors), data.draw(vectors | st.sampled_from(rs.roots))
+    theta = StabilityParameter(data.draw(st.lists(RATIONALS, min_size=rs.rank + 1, max_size=rs.rank + 1)))
+    i = data.draw(st.integers(1, rs.rank))
+    assert rs.form(x, y) == reference_form(cartan, x, y)
+    assert rs.reflect(i, x) == reference_reflect(cartan, i, x)
+    assert rs.theta_value(theta, y) == reference_theta_value(theta, y)
+
+
+@pytest.mark.parametrize("tag,n", STANDARD_TYPES)
+def test_roots_are_closed_under_the_reference_reflections(tag, n):
+    dq, d, rs, wg = cached_setup(tag, n)
+    cartan = reference_cartan(dq)
+    roots = set(rs.roots)
+    for r in rs.roots:
+        assert reference_form(cartan, r, r) == 2
+        for i in range(1, rs.rank + 1):
+            assert reference_reflect(cartan, i, r) in roots
+
+
+@pytest.mark.parametrize("tag,n", [("A", 2), ("D", 4), ("E", 8)])
+def test_reflections_reject_vertices_outside_the_quiver(tag, n):
+    dq, d = standard_extended_dynkin(tag, n)
+    theta = StabilityParameter([1] * dq.vertex_count)
+    for i in (-1, dq.vertex_count):
+        with pytest.raises(RangeError):
+            reflect_dimvec(dq, i, d)
+        with pytest.raises(RangeError):
+            reflect_theta(dq, i, theta)
