@@ -35,20 +35,49 @@ def _support(m: Representation) -> tuple[int, ...]:
     return tuple(v for v in range(m.dq.vertex_count) if m.dims[v] == 1)
 
 
+def _closed_masks(m: Representation) -> list[int]:
+    """Vertex supports of thin submodules as bitmasks, in ascending order.
+
+    Vertex v is bit n-1-v, so ascending masks are ascending 0/1 dimension
+    vectors.  A support is closed when it holds every vertex that a nonzero
+    arrow reaches from it: a down-set of the preorder "y is reached from x".
+    Those are exactly the unions of the sets reach(v), built up one vertex at
+    a time instead of filtering all 2^|support| subsets.
+    """
+    n = m.dq.vertex_count
+    reach = {v: 1 << (n - 1 - v) for v in _support(m)}
+    push = [
+        (a.src, a.dst)
+        for a in m.dq.arrows
+        if a.src in reach and a.dst in reach and not m.mats[a.aid].is_zero()
+    ]
+    changed = True
+    while changed:
+        changed = False
+        for x, y in push:
+            if reach[y] & ~reach[x]:
+                reach[x] |= reach[y]
+                changed = True
+    masks = {0}
+    for r in reach.values():
+        masks |= {s | r for s in masks}
+    return sorted(masks)
+
+
+def _mask_bits(mask: int, n: int) -> tuple:
+    return tuple(mask >> (n - 1 - v) & 1 for v in range(n))
+
+
 def closed_supports(m: Representation) -> list[frozenset]:
-    """Vertex supports of thin submodules: subsets closed under nonzero arrows."""
-    support = _support(m)
-    push = []
-    for a in m.dq.arrows:
-        if m.dims[a.src] == 1 and m.dims[a.dst] == 1 and not m.mats[a.aid].is_zero():
-            push.append((a.src, a.dst))
-    out = []
-    for r in range(len(support) + 1):
-        for subset in itertools.combinations(support, r):
-            s = frozenset(subset)
-            if all(not (x in s and y not in s) for x, y in push):
-                out.append(s)
-    return out
+    """Vertex supports of thin submodules: subsets closed under nonzero arrows.
+
+    Listed by size, then lexicographically.
+    """
+    n = m.dq.vertex_count
+    supports = [
+        frozenset(v for v, bit in enumerate(_mask_bits(s, n)) if bit) for s in _closed_masks(m)
+    ]
+    return sorted(supports, key=lambda s: (len(s), sorted(s)))
 
 
 def _subspaces(field: Field, dim: int) -> list[Matrix]:
@@ -115,9 +144,7 @@ def submodule_dimvecs(
     """Dimension vectors of all submodules, including zero and the whole module."""
     if is_thin(m):
         n = m.dq.vertex_count
-        return {
-            DimensionVector(1 if v in s else 0 for v in range(n)) for s in closed_supports(m)
-        }
+        return {DimensionVector(_mask_bits(s, n)) for s in _closed_masks(m)}
     return {candidate.dims() for candidate in _closed_subspace_tuples(m, budget)}
 
 
@@ -131,15 +158,13 @@ def realize_submodule(
     """
     beta = DimensionVector(beta)
     if is_thin(m):
-        n = m.dq.vertex_count
-        for s in closed_supports(m):
-            if DimensionVector(1 if v in s else 0 for v in range(n)) == beta:
-                spans = tuple(
-                    Matrix.identity(m.field, 1) if v in s else Matrix.zero(m.field, m.dims[v], 0)
-                    for v in range(n)
-                )
-                return VertexSubspaces(module=m, spans=spans)
-        return None
+        if beta not in submodule_dimvecs(m):
+            return None
+        spans = tuple(
+            Matrix.identity(m.field, 1) if b else Matrix.zero(m.field, d, 0)
+            for b, d in zip(beta, m.dims)
+        )
+        return VertexSubspaces(module=m, spans=spans)
     return next(_closed_subspace_tuples(m, DEFAULT_SUBSPACE_BUDGET, beta), None)
 
 
@@ -156,23 +181,105 @@ class StabilityVerdict:
 def stability_verdict(
     m: Representation, theta: StabilityParameter, budget: int = DEFAULT_SUBSPACE_BUDGET
 ) -> StabilityVerdict:
-    """King-style verdict with a witness dimension vector when one exists."""
-    if theta(m.dims) != 0:
+    """King-style verdict with a witness dimension vector when one exists.
+
+    The witness is the first proper submodule dimension vector, in sorted
+    order, of negative (else zero) parameter value.  Signs come from the
+    integer form ``theta.scaled``; a thin module's closed supports are read
+    as ascending bitmasks, which is already that order.
+    """
+    if theta.scaled(m.dims) != 0:
         return StabilityVerdict(status="NotInThetaKernel")
-    zero = DimensionVector.zero(m.dq.vertex_count)
-    proper = sorted(
-        b for b in submodule_dimvecs(m, budget=budget) if b != zero and b != m.dims
-    )
-    for beta in proper:
-        if theta(beta) < 0:
-            return StabilityVerdict(status="Unstable", witness=beta)
-    for beta in proper:
-        if theta(beta) == 0:
-            return StabilityVerdict(status="StrictlySemistable", witness=beta)
+    n = m.dq.vertex_count
+    if is_thin(m):
+        # the first and last masks are the zero support and the whole one
+        proper = [_mask_bits(s, n) for s in _closed_masks(m)[1:-1]]
+    else:
+        zero = DimensionVector.zero(n)
+        proper = sorted(
+            b for b in submodule_dimvecs(m, budget=budget) if b != zero and b != m.dims
+        )
+    values = [theta.scaled(beta) for beta in proper]
+    for beta, value in zip(proper, values):
+        if value < 0:
+            return StabilityVerdict(status="Unstable", witness=DimensionVector(beta))
+    for beta, value in zip(proper, values):
+        if value == 0:
+            return StabilityVerdict(status="StrictlySemistable", witness=DimensionVector(beta))
     return StabilityVerdict(status="Stable")
 
 
 # -- thin isomorphism canonicalization --------------------------------------
+
+
+def _live_arrows(dq: DoubleQuiver, d) -> list:
+    """The arrows between support vertices of a thin dimension vector, in ``dq.arrows`` order."""
+    return [a for a in dq.arrows if d[a.src] == 1 and d[a.dst] == 1]
+
+
+def _thin_rep(dq: DoubleQuiver, field: Field, d, live: list, values) -> Representation:
+    """The thin module with ``values`` on the live arrows and zero elsewhere."""
+    mats = {a.aid: Matrix._of(field, 1, 1, ((x,),)) for a, x in zip(live, values)}
+    return Representation.build(dq, field, d, mats)
+
+
+def _gauge_walk(support, live: list, nonzero) -> list:
+    """The steps of the gauge walk of one pattern of nonzero live arrows.
+
+    A spanning forest of the nonzero arrows is rescaled to ones.  Each tree
+    is entered at its smallest vertex, whose gauge stays one; a step
+    (w, v, i, forward) fixes the gauge of w from that of v and the value on
+    live arrow i.  The walk depends only on the pattern, not on the values.
+    """
+    parent = {v: v for v in support}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    adj: dict[int, list] = {v: [] for v in parent}
+    for i, (a, nz) in enumerate(zip(live, nonzero)):
+        if nz:
+            rs, rt = find(a.src), find(a.dst)
+            if rs != rt:
+                parent[rs] = rt
+                adj[a.src].append((a.dst, i, True))
+                adj[a.dst].append((a.src, i, False))
+    steps, reached = [], set()
+    for root in parent:  # ascending, so each tree is entered at its smallest vertex
+        if root in reached:
+            continue
+        reached.add(root)
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w, i, forward in adj[v]:
+                if w not in reached:
+                    reached.add(w)
+                    steps.append((w, v, i, forward))
+                    stack.append(w)
+    return steps
+
+
+def _canonical_values(field: Field, live: list, values, steps: list) -> tuple:
+    """Rescale ``values`` by the gauge that the walk of their pattern fixes."""
+    f = field
+    z, one = f.zero(), f.one()
+    gauge: dict = {}  # a tree root is absent: its gauge is one
+    for w, v, i, forward in steps:
+        # forward edge v -> w fixes g_w = g_v / val, reversed w -> v fixes g_w = g_v * val
+        g = gauge.get(v, one)
+        gauge[w] = f.mul(g, f.inv(values[i])) if forward else f.mul(g, values[i])
+    return tuple(
+        x if x == z else f.mul(gauge.get(a.dst, one), f.mul(x, f.inv(gauge.get(a.src, one))))
+        for a, x in zip(live, values)
+    )
+
+
+def _format_canonical(field: Field, dims, live: list, canonical) -> tuple:
+    return (tuple(dims), tuple((a.aid, field.format_scalar(x)) for a, x in zip(live, canonical)))
 
 
 def thin_canonical_values(m: Representation) -> tuple:
@@ -185,56 +292,11 @@ def thin_canonical_values(m: Representation) -> tuple:
     """
     if not is_thin(m):
         raise UnsupportedShape("canonical values are defined for thin modules")
-    f = m.field
-    nonzero = [a for a in m.dq.arrows if m.dims[a.src] == 1 and m.dims[a.dst] == 1 and not m.mats[a.aid].is_zero()]
-    parent = {v: v for v in _support(m)}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    adj: dict[int, list] = {v: [] for v in parent}
-    for a in nonzero:
-        rs, rt = find(a.src), find(a.dst)
-        if rs != rt:
-            parent[rs] = rt
-            adj[a.src].append((a.dst, a, True))
-            adj[a.dst].append((a.src, a, False))
-    gauge = {}
-    for root in parent:  # ascending, so each tree is entered at its smallest vertex
-        if root in gauge:
-            continue
-        gauge[root] = f.one()
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w, a, forward in adj[v]:
-                if w in gauge:
-                    continue
-                val = m.mats[a.aid].data[0][0]
-                # choose gauge so the tree arrow value becomes one:
-                # forward edge v -> w fixes g_w = g_v / val, reversed w -> v
-                # fixes g_w = g_v * val
-                gauge[w] = f.mul(gauge[v], f.inv(val)) if forward else f.mul(gauge[v], val)
-                stack.append(w)
-    values = []
-    for a in m.dq.arrows:
-        if m.dims[a.src] == 1 and m.dims[a.dst] == 1:
-            x = m.mats[a.aid].data[0][0]
-            if x != f.zero():
-                x = f.mul(gauge[a.dst], f.mul(x, f.inv(gauge[a.src])))
-            values.append((a.aid, f.format_scalar(x)))
-    return (tuple(m.dims), tuple(values))
-
-
-def thin_canonical_rep(m: Representation) -> Representation:
-    _, values = thin_canonical_values(m)
-    mats = {
-        aid: Matrix(m.field, 1, 1, [[m.field.parse_scalar(s)]]) for aid, s in values
-    }
-    return Representation.build(m.dq, m.field, m.dims, mats)
+    live = _live_arrows(m.dq, m.dims)
+    values = tuple(m.mats[a.aid].data[0][0] for a in live)
+    z = m.field.zero()
+    steps = _gauge_walk(_support(m), live, [x != z for x in values])
+    return _format_canonical(m.field, m.dims, live, _canonical_values(m.field, live, values, steps))
 
 
 def restrict_to_support(m: Representation, support: frozenset) -> Representation:
@@ -330,13 +392,8 @@ class ModuliScan:
         return buf.getvalue()
 
 
-def enumerate_thin_reps(
-    dq: DoubleQuiver,
-    d: DimensionVector,
-    field: Field,
-    budget: int = DEFAULT_SCAN_BUDGET,
-) -> Iterable[Representation]:
-    """All relation-satisfying thin representations with the given dimensions.
+def _thin_values(dq: DoubleQuiver, d, field: Field, budget: int):
+    """Every relation-satisfying value tuple on the live arrows of a thin d.
 
     The relation variety is solved, not filtered.  On a thin module the
     relation at vertex v is linear in the products p_a = x_{a*} x_a of the
@@ -346,19 +403,19 @@ def enumerate_thin_reps(
     pairs: (x, p_a / x) for x != 0 when p_a != 0, else (0, y) for any y and
     (x, 0) for x != 0.
 
-    Modules come in lexicographic order of their values on the live arrows,
-    taken in ``dq.arrows`` order: the order in which a scan of all
-    q^|live| assignments would meet them.  The base-arrow values run in
-    lexicographic order and only the star values sharing one of them are
-    sorted, so memory stays bounded by the largest such group.  The budget
-    still bounds q^|live|.  Each module's relations are re-checked as scalar
-    sums before it is built.
+    Tuples come in lexicographic order, with the live arrows taken in
+    ``dq.arrows`` order: the order in which a scan of all q^|live|
+    assignments would meet them.  The base-arrow values run in lexicographic
+    order and only the star values sharing one of them are sorted, so memory
+    stays bounded by the largest such group.  The budget still bounds
+    q^|live|.  Each tuple's relations are re-checked as scalar sums before
+    it is yielded.
     """
     if any(x > 1 for x in d):
         raise UnsupportedShape("enumeration is implemented for thin dimension vectors")
     if not field.is_finite:
         raise UnsupportedShape("enumeration needs a finite field")
-    live = [a for a in dq.arrows if d[a.src] == 1 and d[a.dst] == 1]
+    live = _live_arrows(dq, d)
     q = field.order
     if q ** len(live) > budget:
         raise SearchBudgetExceeded(f"{q}^{len(live)} assignments exceed budget {budget}")
@@ -404,8 +461,26 @@ def enumerate_thin_reps(
                     acc = field.add(acc, term) if sign > 0 else field.sub(acc, term)
                 if acc != z:
                     raise InternalInvariantError("solved thin module breaks a preprojective relation")
-            mats = {a.aid: Matrix(field, 1, 1, [[v]]) for a, v in zip(live, values)}
-            yield Representation.build(dq, field, d, mats)
+            yield values
+
+
+def enumerate_thin_reps(
+    dq: DoubleQuiver,
+    d: DimensionVector,
+    field: Field,
+    budget: int = DEFAULT_SCAN_BUDGET,
+) -> Iterable[Representation]:
+    """All relation-satisfying thin representations with the given dimensions.
+
+    One module is built per value tuple of ``_thin_values``, which solves the
+    relation variety and re-checks every solution; modules come in
+    lexicographic order of their values on the live arrows, taken in
+    ``dq.arrows`` order.  ``moduli_scan`` reads the value tuples directly and
+    builds modules only per arrow pattern and per class.
+    """
+    live = _live_arrows(dq, d)
+    for values in _thin_values(dq, d, field, budget):
+        yield _thin_rep(dq, field, d, live, values)
 
 
 def moduli_scan(
@@ -415,16 +490,36 @@ def moduli_scan(
     field: Field,
     budget: int = DEFAULT_SCAN_BUDGET,
 ) -> ModuliScan:
-    """Group the semistable thin representations into isomorphism classes."""
-    seen: dict[tuple, ScanRecord] = {}
-    for rep in enumerate_thin_reps(dq, d, field, budget=budget):
-        verdict = stability_verdict(rep, theta)
+    """Group the semistable thin representations into isomorphism classes.
+
+    Work is done per arrow pattern and per class, not per module.  With d
+    and theta fixed, a verdict depends only on which live arrows are
+    nonzero, so it is taken once per such pattern, on one module built for
+    it, and so is the gauge walk.  Canonical values come straight from each
+    value tuple of the enumeration, and a module is built only for the
+    first member of each class.  Nothing is kept beyond the call.
+    """
+    dims = DimensionVector(d)
+    live = _live_arrows(dq, dims)
+    support = [v for v in range(dq.vertex_count) if dims[v] == 1]
+    z = field.zero()
+    patterns: dict[tuple, tuple] = {}  # nonzero pattern -> (verdict, gauge walk steps)
+    seen: dict[tuple, ScanRecord] = {}  # canonical values -> record
+    for values in _thin_values(dq, dims, field, budget):
+        nonzero = tuple(x != z for x in values)
+        pattern = patterns.get(nonzero)
+        if pattern is None:
+            verdict = stability_verdict(_thin_rep(dq, field, dims, live, values), theta)
+            pattern = patterns[nonzero] = (verdict, _gauge_walk(support, live, nonzero))
+        verdict, steps = pattern
         if not verdict.semistable:
             continue
-        canonical = thin_canonical_values(rep)
+        canonical = _canonical_values(field, live, values, steps)
         if canonical not in seen:
             seen[canonical] = ScanRecord(
-                rep=thin_canonical_rep(rep), verdict=verdict, canonical=canonical
+                rep=_thin_rep(dq, field, dims, live, canonical),
+                verdict=verdict,
+                canonical=_format_canonical(field, dims, live, canonical),
             )
-    records = [seen[k] for k in sorted(seen)]
-    return ModuliScan(dq=dq, field=field, d=DimensionVector(d), theta=theta, records=records)
+    records = sorted(seen.values(), key=lambda rec: rec.canonical)
+    return ModuliScan(dq=dq, field=field, d=dims, theta=theta, records=records)

@@ -13,22 +13,35 @@ no chamber semantics and are rejected here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import NotGeneric, NotInThetaD, RangeError, UsageError
+from .errors import InternalInvariantError, NotGeneric, NotInThetaD, RangeError, UsageError
 from .quiver import DimensionVector, DoubleQuiver
 
 
 class StabilityParameter(tuple):
-    """A rational linear form on dimension vectors, one entry per vertex."""
+    """A rational linear form on dimension vectors, one entry per vertex.
+
+    The entries stay ``Fraction``s for ``format()`` and the reports; their
+    denominators are cleared once here, so values are integer dot products.
+    """
 
     def __new__(cls, entries: Iterable):
-        return super().__new__(cls, tuple(Fraction(x) for x in entries))
+        self = super().__new__(cls, (x if type(x) is Fraction else Fraction(x) for x in entries))
+        den = math.lcm(*[t.denominator for t in self])
+        self.denominator = den
+        self.numerators = tuple(t.numerator * (den // t.denominator) for t in self)
+        return self
 
     def __call__(self, alpha: Sequence[int]) -> Fraction:
-        return sum((t * a for t, a in zip(self, alpha)), Fraction(0))
+        return Fraction(self.scaled(alpha), self.denominator)
+
+    def scaled(self, alpha: Sequence[int]) -> int:
+        """The value on alpha times ``denominator``: an int with the sign of the value."""
+        return sum(t * a for t, a in zip(self.numerators, alpha))
 
     def format(self) -> str:
         return ",".join(str(x) for x in self)
@@ -98,8 +111,14 @@ class RootSystem:
 
 
 def finite_root_system(dq: DoubleQuiver, d: DimensionVector) -> RootSystem:
-    """Reflection closure of the simple roots in the quotient lattice."""
+    """Reflection closure of the simple roots in the quotient lattice.
+
+    No finite ADE root system of rank r has more than max(r(r+1), 2r(r-1),
+    240) roots (A_r, D_r, E8), so a closure past that count is a broken form
+    and raises ``InternalInvariantError`` instead of growing without end.
+    """
     n = dq.vertex_count - 1
+    limit = max(n * (n + 1), 2 * n * (n - 1), 240)
     simple = tuple(tuple(1 if k == i else 0 for k in range(n)) for i in range(n))
     roots = set(simple)
     frontier = list(simple)
@@ -110,6 +129,8 @@ def finite_root_system(dq: DoubleQuiver, d: DimensionVector) -> RootSystem:
             if y not in roots:
                 roots.add(y)
                 frontier.append(y)
+        if len(roots) > limit:
+            raise InternalInvariantError(f"root closure passed {limit} roots, more than any rank {n} root system has")
     ordered = sorted(roots, key=lambda r: (sum(r), r))
     positive = tuple(r for r in ordered if all(c >= 0 for c in r))
     negative = tuple(tuple(-c for c in r) for r in positive)

@@ -1,5 +1,6 @@
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,9 @@ from ppalg.quiver import DimensionVector, standard_extended_dynkin
 from ppalg.rep import Representation, hom_dim
 from ppalg.stability import (
     DEFAULT_SUBSPACE_BUDGET,
+    ModuliScan,
+    ScanRecord,
+    StabilityVerdict,
     _closed_subspace_tuples,
     closed_supports,
     enumerate_thin_reps,
@@ -18,7 +22,6 @@ from ppalg.stability import (
     sequiv_class,
     stability_verdict,
     submodule_dimvecs,
-    thin_canonical_rep,
     thin_canonical_values,
 )
 from ppalg.verify import chamber_theta
@@ -237,6 +240,106 @@ def test_solved_enumeration_matches_the_filter(tag, n, q):
         assert all(m.check_relations() == [] for m in solved)
 
 
+# -- moduli scans against the per-module reference ----------------------------
+
+
+def reference_closed_supports(m):
+    """Every subset of the support, by size then lexicographically, kept when arrow-closed."""
+    support = [v for v in range(m.dq.vertex_count) if m.dims[v] == 1]
+    push = [
+        (a.src, a.dst)
+        for a in m.dq.arrows
+        if m.dims[a.src] == 1 and m.dims[a.dst] == 1 and not m.mats[a.aid].is_zero()
+    ]
+    return [
+        frozenset(s)
+        for r in range(len(support) + 1)
+        for s in itertools.combinations(support, r)
+        if all(not (x in s and y not in s) for x, y in push)
+    ]
+
+
+def fraction_value(theta, alpha):
+    return sum((Fraction(t) * a for t, a in zip(theta, alpha)), Fraction(0))
+
+
+def reference_stability_verdict(m, theta):
+    """The Fraction-valued verdict of a thin module over its filtered supports."""
+    n = m.dq.vertex_count
+    if fraction_value(theta, m.dims) != 0:
+        return StabilityVerdict(status="NotInThetaKernel")
+    zero = DimensionVector.zero(n)
+    dimvecs = {DimensionVector(1 if v in s else 0 for v in range(n)) for s in reference_closed_supports(m)}
+    proper = sorted(b for b in dimvecs if b != zero and b != m.dims)
+    for beta in proper:
+        if fraction_value(theta, beta) < 0:
+            return StabilityVerdict(status="Unstable", witness=beta)
+    for beta in proper:
+        if fraction_value(theta, beta) == 0:
+            return StabilityVerdict(status="StrictlySemistable", witness=beta)
+    return StabilityVerdict(status="Stable")
+
+
+def reference_moduli_scan(dq, d, theta, field):
+    """The per-module scan: every module built, judged and canonicalized on its own."""
+    seen = {}
+    for rep in enumerate_thin_reps(dq, d, field):
+        verdict = reference_stability_verdict(rep, theta)
+        if not verdict.semistable:
+            continue
+        canonical = reference_thin_canonical_values(rep)
+        if canonical not in seen:
+            mats = {aid: Matrix(field, 1, 1, [[field.parse_scalar(x)]]) for aid, x in canonical[1]}
+            canon_rep = Representation.build(dq, field, rep.dims, mats)
+            seen[canonical] = ScanRecord(rep=canon_rep, verdict=verdict, canonical=canonical)
+    records = [seen[k] for k in sorted(seen)]
+    return ModuliScan(dq=dq, field=field, d=DimensionVector(d), theta=theta, records=records)
+
+
+def oracle_thetas(d):
+    """A generic parameter, one on a wall (from three support vertices on) and one off the kernel.
+
+    On the support the generic entries are (-2)^j / 3 and a last entry that
+    makes the sum zero; no proper subset sums to zero, since the largest
+    power of two outweighs all smaller ones.  The wall puts 1/2, -1/2 on the
+    first two support vertices.
+    """
+    support = [v for v in range(len(d)) if d[v]]
+    generic, wall = [Fraction(0)] * len(d), [Fraction(0)] * len(d)
+    for j, v in enumerate(support[:-1]):
+        generic[v] = Fraction((-2) ** j, 3)
+        wall[v] = Fraction((-1) ** j, 2) if j < 2 else Fraction((-2) ** j, 5)
+    if support:
+        generic[support[-1]] = -sum(generic)
+        wall[support[-1]] = -sum(wall)
+    off = [Fraction(1, v + 1) for v in range(len(d))]
+    return {"generic": StabilityParameter(generic), "wall": StabilityParameter(wall), "off": StabilityParameter(off)}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("tag,n", [("A", 1), ("A", 2), ("A", 3), ("D", 4)])
+def test_scan_matches_the_per_module_reference(tag, n, q):
+    dq, _ = standard_extended_dynkin(tag, n)
+    f = GF(q)
+    for d in itertools.product((0, 1), repeat=dq.vertex_count):
+        live = [a for a in dq.arrows if d[a.src] == 1 and d[a.dst] == 1]
+        if q ** len(live) > ORACLE_CAP:
+            continue
+        modules = list(enumerate_thin_reps(dq, d, f))
+        for m in modules:
+            assert closed_supports(m) == reference_closed_supports(m), d
+        for kind, theta in oracle_thetas(d).items():
+            for m in modules:
+                got, want = stability_verdict(m, theta), reference_stability_verdict(m, theta)
+                assert got == want and type(got.witness) is type(want.witness), (d, kind, m.mats)
+            got, want = moduli_scan(dq, d, theta, f), reference_moduli_scan(dq, d, theta, f)
+            assert got.to_csv() == want.to_csv(), (d, kind)
+            assert got.to_json() == want.to_json(), (d, kind)
+            assert [(r.verdict, r.rep.mats) for r in got.records] == [
+                (r.verdict, r.rep.mats) for r in want.records
+            ], (d, kind)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
 def test_a2_variety_size(q):
     dq, d, f = a2(GF(q))
@@ -322,8 +425,6 @@ def test_canonical_form_is_gauge_invariant():
         },
     )
     assert thin_canonical_values(m) == thin_canonical_values(moved)
-    canon = thin_canonical_rep(m)
-    assert canon.check_relations() == []
 
 
 def test_scan_serialization():

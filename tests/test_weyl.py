@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import functools
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppalg.errors import NotGeneric, NotInThetaD, RangeError
-from ppalg.quiver import DimensionVector, standard_extended_dynkin
+from ppalg.errors import InternalInvariantError, NotGeneric, NotInThetaD, RangeError
+from ppalg.quiver import DimensionVector, DoubleQuiver, standard_extended_dynkin
 from ppalg.weyl import (
     StabilityParameter,
     WeylGroup,
@@ -311,3 +312,29 @@ def test_reflections_reject_vertices_outside_the_quiver(tag, n):
             reflect_dimvec(dq, i, d)
         with pytest.raises(RangeError):
             reflect_theta(dq, i, theta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    entries=st.lists(RATIONALS, min_size=1, max_size=9),
+    alpha=st.lists(st.integers(-8, 8), min_size=9, max_size=9),
+)
+def test_integer_form_agrees_with_the_fraction_sum(entries, alpha):
+    theta = StabilityParameter(entries)
+    value = sum((t * a for t, a in zip(theta, alpha)), Fraction(0))
+    assert theta(alpha) == value
+    assert theta.scaled(alpha) == value * theta.denominator
+    assert all(t == Fraction(k, theta.denominator) for t, k in zip(theta, theta.numerators))
+
+
+@pytest.mark.parametrize("tag,n", [("A", 1), ("A", 2), ("D", 4), ("E", 8)])
+def test_broken_reflection_stops_the_root_closure(tag, n, monkeypatch):
+    """A form that reads Cartan row i - 1 has an infinite orbit; the closure must fail, not grow."""
+    dq, d = standard_extended_dynkin(tag, n)
+    cartan_row = DoubleQuiver.cartan_row
+    monkeypatch.setattr(DoubleQuiver, "cartan_row", lambda self, i: cartan_row(self, i - 1))
+    t0 = time.perf_counter()
+    with pytest.raises(InternalInvariantError):
+        finite_root_system(dq, d)
+    assert time.perf_counter() - t0 < 10
+
