@@ -138,14 +138,23 @@ def _closed_subspace_tuples(
             yield candidate
 
 
+def _sorted_submodule_dimvecs(m: Representation, budget: int) -> list[tuple]:
+    """Dimension vectors of all submodules, ascending: zero first, the whole module last.
+
+    Thin modules read their closed supports as ascending bitmasks, which is
+    already that order; others run the brute-force subspace search.
+    """
+    if is_thin(m):
+        n = m.dq.vertex_count
+        return [_mask_bits(s, n) for s in _closed_masks(m)]
+    return sorted({candidate.dims() for candidate in _closed_subspace_tuples(m, budget)})
+
+
 def submodule_dimvecs(
     m: Representation, budget: int = DEFAULT_SUBSPACE_BUDGET
 ) -> set[DimensionVector]:
     """Dimension vectors of all submodules, including zero and the whole module."""
-    if is_thin(m):
-        n = m.dq.vertex_count
-        return {DimensionVector(_mask_bits(s, n)) for s in _closed_masks(m)}
-    return {candidate.dims() for candidate in _closed_subspace_tuples(m, budget)}
+    return {DimensionVector(b) for b in _sorted_submodule_dimvecs(m, budget)}
 
 
 def realize_submodule(
@@ -185,20 +194,11 @@ def stability_verdict(
 
     The witness is the first proper submodule dimension vector, in sorted
     order, of negative (else zero) parameter value.  Signs come from the
-    integer form ``theta.scaled``; a thin module's closed supports are read
-    as ascending bitmasks, which is already that order.
+    integer form ``theta.scaled``.
     """
     if theta.scaled(m.dims) != 0:
         return StabilityVerdict(status="NotInThetaKernel")
-    n = m.dq.vertex_count
-    if is_thin(m):
-        # the first and last masks are the zero support and the whole one
-        proper = [_mask_bits(s, n) for s in _closed_masks(m)[1:-1]]
-    else:
-        zero = DimensionVector.zero(n)
-        proper = sorted(
-            b for b in submodule_dimvecs(m, budget=budget) if b != zero and b != m.dims
-        )
+    proper = _sorted_submodule_dimvecs(m, budget)[1:-1]
     values = [theta.scaled(beta) for beta in proper]
     for beta, value in zip(proper, values):
         if value < 0:

@@ -338,6 +338,7 @@ def test_scan_matches_the_per_module_reference(tag, n, q):
             assert [(r.verdict, r.rep.mats) for r in got.records] == [
                 (r.verdict, r.rep.mats) for r in want.records
             ], (d, kind)
+            assert all(r.rep.check_relations() == [] for r in got.records), (d, kind)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
@@ -425,6 +426,11 @@ def test_canonical_form_is_gauge_invariant():
         },
     )
     assert thin_canonical_values(m) == thin_canonical_values(moved)
+    # the scan builds the module of this class from its canonical values alone
+    scan = moduli_scan(dq, d, StabilityParameter([0, 0, 0]), f)
+    (canon,) = [r.rep for r in scan.records if r.canonical == thin_canonical_values(m)]
+    assert canon.check_relations() == []
+    assert thin_canonical_values(canon) == thin_canonical_values(m)
 
 
 def test_scan_serialization():
