@@ -68,6 +68,7 @@ from .weyl import (
     StabilityParameter,
     WeylGroup,
     chamber_of,
+    chamber_word,
     finite_root_system,
     is_generic,
     reflect_dimvec,

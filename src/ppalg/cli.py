@@ -23,7 +23,7 @@ from .weyl import (
     StabilityParameter,
     WeylGroup,
     chamber_label,
-    chamber_of,
+    chamber_word,
     finite_root_system,
 )
 
@@ -107,13 +107,12 @@ def cmd_apply(args) -> int:
 
 def cmd_chamber(args) -> int:
     dq, d = _setup(args.type)
-    rs = finite_root_system(dq, d)
     theta = _theta_from_args(args, d)
-    word = chamber_of(rs, theta)
+    word = chamber_word(dq, d, theta)
     # the descent word is a chamber invariant already; swap it for the
     # breadth-first canonical spelling only where the group is small
-    if rs.rank <= 4:
-        wg = WeylGroup(rs)
+    if dq.vertex_count - 1 <= 4:
+        wg = WeylGroup(finite_root_system(dq, d))
         word = wg.all_elements()[wg.matrix_of(word)]
     print(chamber_label(word))
     return 0

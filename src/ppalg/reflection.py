@@ -22,6 +22,7 @@ from .errors import (
     RangeError,
 )
 from .fields import Field
+from .linalg import _null_rows
 from .quiver import DimensionVector
 from .rep import Representation
 from .weyl import StabilityParameter, WeylGroup, apply_word_to_dimvec, reflect_theta
@@ -55,7 +56,9 @@ def reflect_plus(i: int, m: Representation) -> ReflectResult:
     eps(a) M_{a*} over the arrows a leaving i; the defect is its cokernel
     dimension.  The arrows leaving i become the summand projections of the
     kernel, and an incoming arrow b becomes ``m.out_map(i) . M_b`` lifted
-    through it.
+    through it.  The canonical kernel basis is the identity on the free
+    rows, so that lift is unique and is the product restricted to them; one
+    more product checks that it lifts.
     """
     if not 0 <= i < m.dq.vertex_count:
         raise RangeError(f"vertex {i} is not a vertex of the quiver")
@@ -63,9 +66,11 @@ def reflect_plus(i: int, m: Representation) -> ReflectResult:
     f = m.field
     in_map = m.in_map(i)
     out_map = m.out_map(i)
-    kernel = in_map.kernel_basis()
-    # rank-nullity: rank in_map = in_map.cols - kernel.cols
-    defect = m.dims[i] - in_map.cols + kernel.cols
+    R, pivots = in_map.rref()
+    kernel = _null_rows(R, pivots).transpose()
+    pivot_set = set(pivots)
+    free = [c for c in range(in_map.cols) if c not in pivot_set]
+    defect = m.dims[i] - len(pivots)
     new_dims = list(m.dims)
     new_dims[i] = kernel.cols
 
@@ -77,8 +82,9 @@ def reflect_plus(i: int, m: Representation) -> ReflectResult:
         mats[aid] = kernel.submatrix(list(range(pos, pos + rows)), list(range(kernel.cols)))
         pos += rows
     for b in dq.arrows_in(i):
-        lift = kernel.solve(out_map.mul(m.mats[b.aid]))
-        if lift is None:
+        w = out_map.mul(m.mats[b.aid])
+        lift = w.submatrix(free, list(range(w.cols)))
+        if kernel.mul(lift) != w:
             raise InternalInvariantError("incoming map does not land in the kernel")
         mats[b.aid] = lift
     result = Representation.build(dq, f, new_dims, mats)

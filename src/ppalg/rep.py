@@ -141,8 +141,26 @@ class Representation:
         return hstack_all(self.field, self.dims[v], blocks)
 
     def relation_matrix(self, v: int) -> Matrix:
-        """The relation sum at vertex v as a dims[v] x dims[v] matrix: in_map . out_map."""
-        return self.in_map(v).mul(self.out_map(v))
+        """The relation sum at vertex v as a dims[v] x dims[v] matrix: in_map . out_map.
+
+        Accumulated in one pass over the terms of ``dq.relations[v]``, straight
+        from the matrix entries; zero entries are skipped by truth value.
+        """
+        f = self.field
+        mul = f.mul
+        n = self.dims[v]
+        acc = [[f.zero()] * n for _ in range(n)]
+        for sign, aid, sid in self.dq.relations[v].terms:
+            # acc += eps(a) M_{a*} . M_a, the sign folded into add or sub
+            op = f.add if sign > 0 else f.sub
+            arrow = self.mats[aid].data
+            for row, star_row in zip(acc, self.mats[sid].data):
+                for s, arrow_row in zip(star_row, arrow):
+                    if s:
+                        for j, x in enumerate(arrow_row):
+                            if x:
+                                row[j] = op(row[j], mul(s, x))
+        return Matrix._of(f, n, n, acc)
 
     def check_relations(self) -> list[int]:
         """Vertices where the preprojective relation fails (empty list = valid)."""

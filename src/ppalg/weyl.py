@@ -64,8 +64,10 @@ def reflect_dimvec(dq: DoubleQuiver, i: int, alpha: Sequence[int]) -> DimensionV
 def reflect_theta(dq: DoubleQuiver, i: int, theta: StabilityParameter) -> StabilityParameter:
     """Dual simple reflection on parameters, compatible with the pairing: theta - theta_i C_i."""
     row = dq.cartan_row(i)
-    ti = theta[i]
-    return StabilityParameter(t - ti * c for t, c in zip(theta, row))
+    den = theta.denominator
+    ni = theta.numerators[i]
+    # one integer row operation on the cleared numerators, one Fraction per entry
+    return StabilityParameter(Fraction(n - ni * c, den) for n, c in zip(theta.numerators, row))
 
 
 def apply_word_to_dimvec(dq: DoubleQuiver, word: Sequence[int], alpha: Sequence[int]) -> DimensionVector:
@@ -222,19 +224,27 @@ def is_generic(rs: RootSystem, theta: StabilityParameter) -> bool:
 
 
 def chamber_of(rs: RootSystem, theta: StabilityParameter) -> tuple:
+    """The chamber word of theta, read from a root system: ``chamber_word(rs.dq, rs.d, theta)``."""
+    return chamber_word(rs.dq, rs.d, theta)
+
+
+def chamber_word(dq: DoubleQuiver, d: Sequence[int], theta: StabilityParameter) -> tuple:
     """The word w with theta positive on the w-image of the simple system.
 
     Descends by reflecting at any negative entry; the recorded letters, in
     the order applied, spell the chamber word as a left-to-right product.
+    The descent is bounded by the number of roots, rank . h, where the
+    Coxeter number h is the sum of the entries of the imaginary root d for
+    A_n, D_n and E6-E8, so no root system is built.
     """
-    if theta(rs.d) != 0:
+    if theta(d) != 0:
         raise NotInThetaD("parameter does not kill the imaginary root vector")
-    dq = rs.dq
+    rank = dq.vertex_count - 1
     cur = StabilityParameter(theta)
     letters: list[int] = []
-    for _ in range(len(rs.roots) + 1):
-        neg = [i for i in range(1, rs.rank + 1) if cur[i] < 0]
-        if any(cur[i] == 0 for i in range(1, rs.rank + 1)):
+    for _ in range(rank * sum(d) + 1):
+        neg = [i for i in range(1, rank + 1) if cur[i] < 0]
+        if any(cur[i] == 0 for i in range(1, rank + 1)):
             raise NotGeneric("parameter lies on a wall")
         if not neg:
             return tuple(letters)

@@ -69,6 +69,18 @@ def test_chamber_on_large_rank_types(capsys):
     assert code == 2  # lies on a wall
 
 
+def test_chamber_at_the_vertex_cap_builds_no_root_system(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("chamber built the root system")
+
+    monkeypatch.setattr(ppalg.cli, "finite_root_system", refuse)
+    code, out, _ = run(capsys, "chamber", "--type", "D63", "--theta-tail", ",".join(["1"] * 63))
+    assert code == 0 and out.strip() == "C(1)"
+    # theta negative on every simple root descends through all 63 . 62 positive roots
+    code, out, _ = run(capsys, "chamber", "--type", "D63", "--theta-tail", ",".join(["-1"] * 63))
+    assert code == 0 and out.strip().count("s") == 63 * 62
+
+
 def test_quiver_emits_json_and_dot(capsys):
     code, out, _ = run(capsys, "quiver", "--type", "A2")
     assert code == 0

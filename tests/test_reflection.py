@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from ppalg.errors import NotGenericStep, PreconditionViolated, RangeError
-from ppalg.fields import GF
+from ppalg.errors import InternalInvariantError, NotGenericStep, PreconditionViolated, RangeError
+from ppalg.fields import GF, QQ
 from ppalg.linalg import Matrix, hstack_all, vstack_all
 from ppalg.quiver import DimensionVector
 from ppalg.rep import Representation, hom_dim, is_isomorphic
@@ -359,3 +359,69 @@ def test_reflection_rejects_a_vertex_outside_the_quiver():
             reflect_plus(i, m)
         with pytest.raises(RangeError):
             reflect_minus(i, m)
+
+
+def kernel_solve_reflection(i, m):
+    """Reference plus reflection: the canonical kernel basis, one solve per incoming arrow.
+
+    Returns (module, defect).
+    """
+    dq = m.dq
+    in_map = m.in_map(i)
+    out_map = m.out_map(i)
+    kernel = in_map.kernel_basis()
+    defect = m.dims[i] - in_map.cols + kernel.cols
+    new_dims = list(m.dims)
+    new_dims[i] = kernel.cols
+    mats = dict(m.mats)
+    pos = 0
+    for _, aid, _ in dq.relations[i].terms:
+        rows = m.mats[aid].rows
+        mats[aid] = kernel.submatrix(list(range(pos, pos + rows)), list(range(kernel.cols)))
+        pos += rows
+    for b in dq.arrows_in(i):
+        lift = kernel.solve(out_map.mul(m.mats[b.aid]))
+        assert lift is not None
+        mats[b.aid] = lift
+    return Representation.build(dq, m.field, new_dims, mats), defect
+
+
+def kernel_solve_minus_reflection(i, m):
+    module, defect = kernel_solve_reflection(i, m.dual())
+    return module.dual(), defect
+
+
+@pytest.mark.parametrize("setup", [a2_setup, d4_setup])
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(4), QQ], ids=["GF2", "GF3", "GF4", "QQ"])
+def test_reflections_equal_the_kernel_and_solve_construction(setup, field):
+    dq, d, wg = setup()
+    rng = random.Random(17 * dq.vertex_count + (field.order if field.is_finite else 0))
+    for _ in range(8):
+        m = random_nilpotent(dq, field, rng, steps=rng.randrange(1, 5))
+        for i in range(dq.vertex_count):
+            for func, ref in (
+                (reflect_plus, kernel_solve_reflection),
+                (reflect_minus, kernel_solve_minus_reflection),
+            ):
+                res = func(i, m)
+                module, defect = ref(i, m)
+                assert res.defect == defect
+                assert res.module.dims == module.dims
+                assert {k: v.data for k, v in res.module.mats.items()} == {
+                    k: v.data for k, v in module.mats.items()
+                }
+                assert res.module.to_json_str() == module.to_json_str()
+
+
+def test_incoming_map_outside_the_kernel_raises():
+    # dims (1,1,0) with a1 = a1* = 1: the relation at 1 reads -1, and a1 enters 1
+    dq, d, wg = a2_setup()
+    f = GF(3)
+    one = Matrix(f, 1, 1, [[f.one()]])
+    m = Representation.build(dq, f, (1, 1, 0), {"a1": one, "a1s": one})
+    assert 1 in m.check_relations()
+    with pytest.raises(InternalInvariantError, match="does not land in the kernel"):
+        reflect_plus(1, m)
+    # the dual carries the same broken relation and the same nonzero arrow into 1
+    with pytest.raises(InternalInvariantError, match="does not land in the kernel"):
+        reflect_minus(1, m)

@@ -17,6 +17,7 @@ from ppalg.weyl import (
     apply_word_to_theta,
     chamber_label,
     chamber_of,
+    chamber_word,
     finite_root_system,
     is_generic,
     reflect_dimvec,
@@ -262,6 +263,7 @@ def reference_theta_value(theta, x):
 
 
 RATIONALS = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
 
 @settings(max_examples=40, deadline=None)
@@ -274,7 +276,17 @@ def test_reflections_match_the_unit_vector_formulas(tag, n, data):
     theta = StabilityParameter(data.draw(st.lists(RATIONALS, min_size=nv, max_size=nv)))
     i = data.draw(st.integers(0, nv - 1))
     assert reflect_dimvec(dq, i, alpha) == reference_reflect_dimvec(dq, i, alpha)
-    assert reflect_theta(dq, i, theta) == reference_reflect_theta(dq, i, theta)
+    # denominators from distinct primes, with numerators prime to them, do not cancel
+    coprime = StabilityParameter(
+        Fraction(data.draw(st.sampled_from((-1, 1))) * data.draw(st.integers(1, p - 1)), p)
+        for p in PRIMES[:nv]
+    )
+    for th in (theta, coprime):
+        got, want = reflect_theta(dq, i, th), reference_reflect_theta(dq, i, th)
+        assert got == want
+        assert got.format() == want.format()
+        assert got.numerators == want.numerators
+        assert got.denominator == want.denominator
 
 
 @settings(max_examples=40, deadline=None)
@@ -338,3 +350,46 @@ def test_broken_reflection_stops_the_root_closure(tag, n, monkeypatch):
         finite_root_system(dq, d)
     assert time.perf_counter() - t0 < 10
 
+
+
+def reference_chamber_of(rs, theta):
+    """The descent with the root count as its bound and the unit-vector reflection formula."""
+    if theta(rs.d) != 0:
+        raise NotInThetaD("parameter does not kill the imaginary root vector")
+    cur = StabilityParameter(theta)
+    letters = []
+    for _ in range(len(rs.roots) + 1):
+        neg = [i for i in range(1, rs.rank + 1) if cur[i] < 0]
+        if any(cur[i] == 0 for i in range(1, rs.rank + 1)):
+            raise NotGeneric("parameter lies on a wall")
+        if not neg:
+            return tuple(letters)
+        cur = reference_reflect_theta(rs.dq, neg[0], cur)
+        letters.append(neg[0])
+    raise NotGeneric("descent did not terminate; parameter is not generic")
+
+
+CHAMBER_TYPES = [("A", n) for n in range(1, 7)] + [("D", n) for n in range(4, 8)] + [("E", 6)]
+
+
+@pytest.mark.parametrize("tag,n", CHAMBER_TYPES)
+def test_chamber_word_matches_the_root_count_descent(tag, n):
+    dq, d, rs, wg = cached_setup(tag, n)
+    # the descent bound rank . sum(d) is the number of roots
+    assert len(rs.roots) == rs.rank * sum(d)
+    rng = random.Random(f"{tag}{n}")
+    generic = 0
+    for _ in range(40):
+        tail = [Fraction(rng.randint(-40, 40), rng.randint(1, 6)) for _ in range(rs.rank)]
+        theta = StabilityParameter([-sum(t * x for t, x in zip(tail, d[1:]))] + tail)
+        if not is_generic(rs, theta):
+            with pytest.raises(NotGeneric):
+                reference_chamber_of(rs, theta)
+            with pytest.raises(NotGeneric):
+                chamber_word(dq, d, theta)
+            continue
+        generic += 1
+        want = chamber_label(reference_chamber_of(rs, theta))
+        assert chamber_label(chamber_word(dq, d, theta)) == want
+        assert chamber_label(chamber_of(rs, theta)) == want
+    assert generic >= 25
