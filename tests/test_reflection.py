@@ -396,7 +396,7 @@ def kernel_solve_minus_reflection(i, m):
 def test_reflections_equal_the_kernel_and_solve_construction(setup, field):
     dq, d, wg = setup()
     rng = random.Random(17 * dq.vertex_count + (field.order if field.is_finite else 0))
-    for _ in range(8):
+    for _ in range(12):
         m = random_nilpotent(dq, field, rng, steps=rng.randrange(1, 5))
         for i in range(dq.vertex_count):
             for func, ref in (
