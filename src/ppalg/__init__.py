@@ -28,14 +28,12 @@ from .errors import (
 from .fields import GF, QQ, GaloisField, PrimeField, Rationals
 from .hom import (
     Ext1Space,
-    HomSpace,
     bilinear_form,
     ext1_space,
     extension_from_cocycle,
-    hom_space,
     torsion_membership,
 )
-from .linalg import Matrix, MatrixDecomposition, mat_decompose
+from .linalg import Matrix
 from .quiver import (
     Arrow,
     DimensionVector,

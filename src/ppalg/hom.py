@@ -1,5 +1,5 @@
-"""Hom spaces, first extension groups via an explicit four-term complex,
-the symmetric bilinear form, extension realization, and torsion-class tests.
+"""First extension groups via an explicit four-term complex, the symmetric
+bilinear form, extension realization, and torsion-class tests.
 
 The extension group of a pair (m, n) is the middle cohomology of
 
@@ -22,27 +22,13 @@ from typing import Dict, Sequence
 
 from .errors import CocycleError, FieldMismatch, InternalInvariantError
 from .linalg import Matrix
-from .quiver import DimensionVector, DoubleQuiver
-from .rep import Representation, hom_basis, hom_dim, hom_system, linear_system, unflatten
+from .quiver import DoubleQuiver
+from .rep import Representation, block_module, hom_dim, hom_system, linear_system, unflatten
 
 
 def bilinear_form(dq: DoubleQuiver, alpha: Sequence[int], beta: Sequence[int]) -> int:
     """The symmetric form on dimension vectors attached to the double quiver."""
     return dq.bilinear(alpha, beta)
-
-
-@dataclass(frozen=True)
-class HomSpace:
-    basis: tuple
-    dim: int
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "basis": [
-                {str(v): mat.to_json() for v, mat in sorted(phi.items())} for phi in self.basis
-            ],
-        }
 
 
 @dataclass(frozen=True)
@@ -57,12 +43,6 @@ class Ext1Space:
                 {aid: mat.to_json() for aid, mat in sorted(phi.items())} for phi in self.cocycle_basis
             ],
         }
-
-
-def hom_space(m: Representation, n: Representation) -> HomSpace:
-    """Canonical basis of the module maps m -> n."""
-    basis = hom_basis(m, n)
-    return HomSpace(basis=tuple(basis), dim=len(basis))
 
 
 def _delta2(m: Representation, n: Representation) -> tuple[Matrix, list[tuple[str, int, int]]]:
@@ -107,11 +87,6 @@ def ext1_space(m: Representation, n: Representation) -> Ext1Space:
     return Ext1Space(cocycle_basis=basis, dim=dim)
 
 
-def ext_complex_maps(m: Representation, n: Representation) -> tuple[Matrix, Matrix]:
-    """The two differentials of the four-term complex, as plain matrices."""
-    return hom_system(m, n)[0], _delta2(m, n)[0]
-
-
 def ext1_dim_via_complex(m: Representation, n: Representation) -> int:
     """Middle cohomology dimension computed with no appeal to the form identity."""
     d1, _ = hom_system(m, n)
@@ -124,19 +99,11 @@ def extension_from_cocycle(
 ) -> Representation:
     """The extension 0 -> n -> e -> m -> 0 classified by a closing cocycle.
 
-    Arrow matrices are the block forms [[n_a, phi_a], [0, m_a]]; the result is
-    relation-checked and a failure raises CocycleError.
+    Arrow matrices are the block forms [[n_a, phi_a], [0, m_a]] of
+    ``rep.block_module``; the result is relation-checked and a failure raises
+    CocycleError.
     """
-    f = m.field
-    dq = m.dq
-    dims = DimensionVector(n.dims) + DimensionVector(m.dims)
-    mats = {}
-    for a in dq.arrows:
-        phi = cocycle.get(a.aid) or Matrix.zero(f, n.dims[a.dst], m.dims[a.src])
-        top = n.mats[a.aid].hstack(phi)
-        bot = Matrix.zero(f, m.dims[a.dst], n.dims[a.src]).hstack(m.mats[a.aid])
-        mats[a.aid] = top.vstack(bot)
-    e = Representation.build(dq, f, dims, mats)
+    e = block_module(n, m, cocycle)
     if e.check_relations():
         raise CocycleError("cocycle does not close, extension violates the relations")
     return e

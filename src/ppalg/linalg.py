@@ -14,7 +14,6 @@ unchecked ``Matrix._of``, so no intermediate re-checks its entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import FieldMismatch, ShapeError
@@ -83,10 +82,6 @@ class Matrix:
 
     # -- basic algebra -----------------------------------------------------
 
-    def __getitem__(self, rc):
-        r, c = rc
-        return self.data[r][c]
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -126,9 +121,6 @@ class Matrix:
     def neg(self) -> "Matrix":
         f = self.field
         return Matrix._of(f, self.rows, self.cols, [[f.neg(x) for x in row] for row in self.data])
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        return self.add(other.neg())
 
     def scale(self, c) -> "Matrix":
         f = self.field
@@ -269,16 +261,14 @@ class Matrix:
 
     @staticmethod
     def from_json(field: Field, data: list, rows: int, cols: int) -> "Matrix":
-        parsed = [[field.parse_scalar(x) for x in row] for row in data]
-        return Matrix(field, rows, cols, parsed)
+        """Read decimal-string or integer entries; a float or boolean raises ValueError."""
 
+        def scalar(x):
+            if isinstance(x, (bool, float)):
+                raise ValueError(f"matrix entry {x!r} is neither a decimal string nor an integer")
+            return field.parse_scalar(x)
 
-@dataclass(frozen=True)
-class MatrixDecomposition:
-    rank: int
-    kernel_basis: Matrix
-    image_basis: Matrix
-    cokernel_projection: Matrix
+        return Matrix(field, rows, cols, [[scalar(x) for x in row] for row in data])
 
 
 def _null_rows(R: Matrix, pivots: tuple[int, ...]) -> Matrix:
@@ -305,22 +295,6 @@ def _null_rows(R: Matrix, pivots: tuple[int, ...]) -> Matrix:
 def _pivot_rows(R: Matrix, pivots: tuple[int, ...]) -> Matrix:
     """The nonzero rows of a reduced echelon form: the canonical basis of its row space."""
     return Matrix._of(R.field, len(pivots), R.cols, R.data[: len(pivots)])
-
-
-def mat_decompose(a: Matrix) -> MatrixDecomposition:
-    """Rank, kernel, image and cokernel data of a matrix, all canonical.
-
-    Two reductions serve all four: rank and kernel come from rref(A), image
-    and cokernel from rref(A^T).
-    """
-    R, pivots = a.rref()
-    RT, pivots_t = a.transpose().rref()
-    return MatrixDecomposition(
-        rank=len(pivots),
-        kernel_basis=_null_rows(R, pivots).transpose(),
-        image_basis=_pivot_rows(RT, pivots_t).transpose(),
-        cokernel_projection=_null_rows(RT, pivots_t),
-    )
 
 
 def hstack_all(field: Field, rows: int, mats: Sequence[Matrix]) -> Matrix:

@@ -18,12 +18,11 @@ from typing import Mapping, Optional, Sequence
 from .errors import FieldMismatch, Inconclusive, ShapeError, UsageError
 from .fields import Field, field_from_json
 from .linalg import Matrix, hstack_all, spans_subspace, vstack_all
-from .quiver import DimensionVector, DoubleQuiver
+from .quiver import DimensionVector, DoubleQuiver, _is_int
 
 ISO_EXHAUSTIVE_DIM = 4
 ISO_EXHAUSTIVE_COMBOS = 10**6
 ISO_RANDOM_TRIES = 64
-INDECOMPOSABLE_SCAN_BUDGET = 10**5
 MAX_MODULE_DIM = 64  # total dimension accepted from a module file
 
 
@@ -108,14 +107,7 @@ class Representation:
             raise ShapeError("direct sum over different quivers")
         if self.field != other.field:
             raise FieldMismatch("direct sum over different fields")
-        dims = self.dims + other.dims
-        mats = {}
-        for a in self.dq.arrows:
-            m1, m2 = self.mats[a.aid], other.mats[a.aid]
-            top = m1.hstack(Matrix.zero(self.field, m1.rows, m2.cols))
-            bot = Matrix.zero(self.field, m2.rows, m1.cols).hstack(m2)
-            mats[a.aid] = top.vstack(bot)
-        return Representation.build(self.dq, self.field, dims, mats)
+        return block_module(self, other, {})
 
     def dual(self) -> "Representation":
         """The vector-space dual: arrow a acts by the transpose of the matrix of a*.
@@ -181,22 +173,17 @@ class Representation:
         """Multiplicity of each vertex simple in the socle: the top of the dual."""
         return self.dual().top_multiplicities()
 
-    def radical_chain_step(self, spans: list[Matrix]) -> list[Matrix]:
-        # next power of the arrow ideal, as canonical column spans per vertex
-        nxt = []
-        for v in range(self.dq.vertex_count):
-            images = [self.mats[a.aid].mul(spans[a.src]) for a in self.dq.arrows_in(v)]
-            stacked = hstack_all(self.field, self.dims[v], images)
-            nxt.append(stacked.image_basis())
-        return nxt
-
     def is_nilpotent(self) -> bool:
         """Whether some power of the arrow ideal annihilates the module."""
         spans = [Matrix.identity(self.field, d) for d in self.dims]
         for _ in range(self.dims.total() + 1):
             if all(s.cols == 0 for s in spans):
                 return True
-            nxt = self.radical_chain_step(spans)
+            # next power of the arrow ideal, as canonical column spans per vertex
+            nxt = []
+            for v in range(self.dq.vertex_count):
+                images = [self.mats[a.aid].mul(spans[a.src]) for a in self.dq.arrows_in(v)]
+                nxt.append(hstack_all(self.field, self.dims[v], images).image_basis())
             if [m.cols for m in nxt] == [m.cols for m in spans]:
                 # dimensions stabilized at a nonzero chain
                 return all(s.cols == 0 for s in nxt)
@@ -246,6 +233,8 @@ class Representation:
         try:
             dq = DoubleQuiver.from_json(data["quiver"])
             field = field_from_json(data["field"])
+            if not isinstance(data["dims"], list) or not all(_is_int(x) for x in data["dims"]):
+                raise UsageError("dims must be a list of integers")
             dims = DimensionVector(data["dims"])
             raw = dict(data["mats"])
             if len(dims) != dq.vertex_count or not raw.keys() <= {a.aid for a in dq.arrows}:
@@ -260,6 +249,23 @@ class Representation:
         except (LookupError, TypeError, ValueError, AttributeError, ArithmeticError) as exc:
             raise UsageError(f"malformed module JSON: {exc!r}") from None
         return Representation.build(dq, field, dims, mats)
+
+
+def block_module(sub: Representation, quot: Representation, phi: Mapping[str, Matrix]) -> Representation:
+    """The module on sub (+) quot whose arrow a acts by [[sub_a, phi_a], [0, quot_a]].
+
+    ``sub`` is a submodule with quotient ``quot``; an arrow missing from
+    ``phi`` gets a zero corner, so ``phi = {}`` gives the direct sum.
+    """
+    f = sub.field
+    mats = {}
+    for a in sub.dq.arrows:
+        top, bottom = sub.mats[a.aid], quot.mats[a.aid]
+        corner = phi.get(a.aid) or Matrix.zero(f, top.rows, bottom.cols)
+        upper = top.hstack(corner)
+        lower = Matrix.zero(f, bottom.rows, top.cols).hstack(bottom)
+        mats[a.aid] = upper.vstack(lower)
+    return Representation.build(sub.dq, f, sub.dims + quot.dims, mats)
 
 
 def _layout(shapes) -> tuple[dict, int]:
@@ -424,27 +430,6 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
     if hom_dim(m, m) == d and hom_dim(n, n) == d:
         raise Inconclusive("random isomorphism search failed with matching hom data")
     return False
-
-
-def is_indecomposable(m: Representation) -> bool:
-    """End-ring locality by exhaustive scan over a finite field.
-
-    Raises Inconclusive when the endomorphism space is too large to scan.
-    """
-    if m.is_zero_module():
-        return False
-    size = m.dims.total()
-    # the zero map is skipped: it is not invertible and its powers vanish
-    for phi in nonzero_morphisms(m.field, hom_basis(m, m), INDECOMPOSABLE_SCAN_BUDGET):
-        if _is_invertible(phi):
-            continue
-        # non-invertible endomorphisms of an indecomposable must be nilpotent
-        power = phi
-        for _ in range(size):
-            power = {v: power[v].mul(phi[v]) for v in power}
-        if any(not mat.is_zero() for mat in power.values()):
-            return False
-    return True
 
 
 def quotient_by_map(n: Representation, phi: dict[int, Matrix]) -> Representation:

@@ -114,13 +114,8 @@ def subspace_count(q: int, dim: int) -> int:
     return total
 
 
-def _closed_subspace_tuples(
-    m: Representation, budget: int, beta: Optional[DimensionVector] = None
-):
-    """Brute-force search: every arrow-closed subspace tuple, in subspace-product order.
-
-    With ``beta`` only the tuples of that dimension vector are tried.
-    """
+def _closed_subspace_tuples(m: Representation, budget: int):
+    """Brute-force search: every arrow-closed subspace tuple, in subspace-product order."""
     if not m.field.is_finite:
         raise UnsupportedShape("brute-force submodule search needs a finite field")
     q = m.field.order
@@ -130,8 +125,6 @@ def _closed_subspace_tuples(
         if total > budget:
             raise SearchBudgetExceeded(f"subspace tuples exceed budget {budget}")
     per_vertex = [_subspaces(m.field, d) for d in m.dims]
-    if beta is not None:
-        per_vertex = [[u for u in us if u.cols == k] for us, k in zip(per_vertex, beta)]
     for combo in itertools.product(*per_vertex):
         candidate = VertexSubspaces(module=m, spans=tuple(combo))
         if candidate.is_arrow_closed():
@@ -155,26 +148,6 @@ def submodule_dimvecs(
 ) -> set[DimensionVector]:
     """Dimension vectors of all submodules, including zero and the whole module."""
     return {DimensionVector(b) for b in _sorted_submodule_dimvecs(m, budget)}
-
-
-def realize_submodule(
-    m: Representation, beta: DimensionVector
-) -> Optional[VertexSubspaces]:
-    """An arrow-closed subspace tuple with the requested dimension vector.
-
-    Thin modules are answered from their closed supports; otherwise the
-    brute-force subspace search runs, returning the first closed tuple found.
-    """
-    beta = DimensionVector(beta)
-    if is_thin(m):
-        if beta not in submodule_dimvecs(m):
-            return None
-        spans = tuple(
-            Matrix.identity(m.field, 1) if b else Matrix.zero(m.field, d, 0)
-            for b, d in zip(beta, m.dims)
-        )
-        return VertexSubspaces(module=m, spans=spans)
-    return next(_closed_subspace_tuples(m, DEFAULT_SUBSPACE_BUDGET, beta), None)
 
 
 @dataclass(frozen=True)

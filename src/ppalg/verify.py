@@ -54,6 +54,9 @@ from .weyl import (
 A2_CHAMBER_WORDS = ((), (1,), (2,), (1, 2), (2, 1), (1, 2, 1))
 BASE_THETA = StabilityParameter((-2, 1, 1))
 MEMBERSHIP_SCAN_BUDGET = 10**4
+DIMLAW_SAMPLES = 200  # random nilpotents per quiver in dimlaw
+CBFORM_SAMPLES = 30  # modules per quiver in cbform, checked on all ordered pairs
+COXETER_MIN_SAMPLES = 50  # semistable thin modules coxeter must find
 
 # Frozen six-chamber data: images of the two simple roots, in simple-root
 # coordinates, for every chamber word of the rank-two cycle case.
@@ -113,9 +116,6 @@ class SuiteReport:
     def counts(self) -> tuple[int, int]:
         passed = sum(1 for c in self.cases if c.passed)
         return passed, len(self.cases)
-
-    def failures(self) -> list:
-        return [c for c in self.cases if not c.passed]
 
     def to_json(self) -> dict:
         passed, total = self.counts
@@ -197,27 +197,20 @@ def random_nilpotent(
 # -- membership in exceptional curves ----------------------------------------
 
 
-def exceptional_membership(
-    m: Representation,
-    wg: WeylGroup,
-    word: Sequence[int],
-    i: int,
-    check: bool = True,
-) -> bool:
+def exceptional_membership(m: Representation, wg: WeylGroup, word: Sequence[int], i: int) -> bool:
     """Whether a semistable module lies on the transported exceptional curve.
 
     For a positive transported root the test scans for an injective map from
     the shifted simple S, for a negative one for a surjection m -> S, which is
-    an injection D(S) -> D(m) between the duals.  Unless disabled, membership
-    of the module in the chamber category is verified first, against the
-    transported all-ones parameter.
+    an injection D(S) -> D(m) between the duals.  Membership of the module in
+    the chamber category is verified first, against the transported all-ones
+    parameter.
     """
     word = tuple(word)
-    if check:
-        theta = chamber_theta(m.dq, word, fundamental_theta(m.dq, m.dims))
-        verdict = stability_verdict(m, theta)
-        if not verdict.semistable:
-            raise PreconditionViolated(f"module not semistable: {verdict.status}")
+    theta = chamber_theta(m.dq, word, fundamental_theta(m.dq, m.dims))
+    verdict = stability_verdict(m, theta)
+    if not verdict.semistable:
+        raise PreconditionViolated(f"module not semistable: {verdict.status}")
     siw = compute_siw(wg, word, i, m.field)
     source, target = siw.module, m
     if any(c < 0 for c in wg.act_on_root(word, wg.rs.simple[i - 1])):
@@ -279,10 +272,7 @@ def figure2_report(field: Field) -> SuiteReport:
         scan = moduli_scan(dq, d, theta, field)
         for rec in scan.records:
             for i in (1, 2):
-                # scan records are already verified semistable
-                rec.e_flags[f"E{i}"] = exceptional_membership(
-                    rec.rep, wg, word, i, check=False
-                )
+                rec.e_flags[f"E{i}"] = exceptional_membership(rec.rep, wg, word, i)
         e1 = [r for r in scan.records if r.e_flags["E1"]]
         e2 = [r for r in scan.records if r.e_flags["E2"]]
         both = [r for r in scan.records if r.e_flags["E1"] and r.e_flags["E2"]]
@@ -311,7 +301,7 @@ def zerogen_suite(field: Field) -> SuiteReport:
     return report
 
 
-def dimlaw_suite(seed: int = 7, samples: int = 200) -> SuiteReport:
+def dimlaw_suite(seed: int = 7) -> SuiteReport:
     """Reflected dimension vectors follow the simple reflection when defect is zero."""
     report = SuiteReport(suite="dimlaw")
     for tag, setup in (("A2", a2_setup), ("D4", d4_setup)):
@@ -321,7 +311,7 @@ def dimlaw_suite(seed: int = 7, samples: int = 200) -> SuiteReport:
         bad = 0
         zero_defect = 0
         defect_mismatch = 0
-        for _ in range(samples):
+        for _ in range(DIMLAW_SAMPLES):
             m = random_nilpotent(dq, field, rng, steps=rng.randrange(2, 5))
             i = rng.randrange(dq.vertex_count)
             for func, hom_pair in (
@@ -372,7 +362,7 @@ def roundtrip_suite(field: Field) -> SuiteReport:
     return report
 
 
-def coxeter_suite(min_samples: int = 50) -> SuiteReport:
+def coxeter_suite() -> SuiteReport:
     """Involution and braid relations of the functors on semistable samples."""
     dq, d, _ = a2_setup()
     report = SuiteReport(suite="coxeter")
@@ -383,7 +373,7 @@ def coxeter_suite(min_samples: int = 50) -> SuiteReport:
         for rep in enumerate_thin_reps(dq, d, field):
             if stability_verdict(rep, theta).semistable:
                 samples.append(rep)
-    report.add(f"sample count at least {min_samples}", True, len(samples) >= min_samples)
+    report.add(f"sample count at least {COXETER_MIN_SAMPLES}", True, len(samples) >= COXETER_MIN_SAMPLES)
     bad_invol = bad_braid = 0
     for rep in samples:
         for i in (1, 2):
@@ -399,14 +389,14 @@ def coxeter_suite(min_samples: int = 50) -> SuiteReport:
     return report
 
 
-def cbform_suite(seed: int = 11, sample_size: int = 30) -> SuiteReport:
+def cbform_suite(seed: int = 11) -> SuiteReport:
     """Exact form identity on all pairs from nilpotent samples of both types."""
     report = SuiteReport(suite="cbform")
     for tag, setup in (("A2", a2_setup), ("D4", d4_setup)):
         dq, d, _ = setup()
         field = GF(3)
         rng = random.Random(seed)
-        mods = [random_nilpotent(dq, field, rng, steps=rng.randrange(1, 4)) for _ in range(sample_size)]
+        mods = [random_nilpotent(dq, field, rng, steps=rng.randrange(1, 4)) for _ in range(CBFORM_SAMPLES)]
         hom = [[hom_dim(m, n) for n in mods] for m in mods]
         ext = [[ext1_dim_via_complex(m, n) for n in mods] for m in mods]
         bad = 0
@@ -417,7 +407,7 @@ def cbform_suite(seed: int = 11, sample_size: int = 30) -> SuiteReport:
                     bad += 1
                 if ext[i][j] != ext[j][i]:
                     asym += 1
-        report.add(f"{tag} identity failures over {sample_size * sample_size} pairs", 0, bad)
+        report.add(f"{tag} identity failures over {CBFORM_SAMPLES * CBFORM_SAMPLES} pairs", 0, bad)
         report.add(f"{tag} extension-dimension asymmetries", 0, asym)
     return report
 
@@ -567,7 +557,7 @@ def run_suite(
     """
     if name not in SUITE_NAMES:
         raise UsageError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    fields = [GF(field_order)] if field_order else None
+    fields = None if field_order is None else [GF(field_order)]
     report = SuiteReport(suite=name)
     for suite, reports in SUITES.items():
         if name in (suite, "all"):

@@ -9,6 +9,9 @@ import time
 
 from ppalg.fields import GF
 from ppalg.verify import (
+    CBFORM_SAMPLES,
+    COXETER_MIN_SAMPLES,
+    DIMLAW_SAMPLES,
     check_L_sequences,
     check_stability_characterization,
     cbform_suite,
@@ -73,7 +76,8 @@ def test_criterion_02_stability_characterization():
 
 
 def test_criterion_03_dimension_vector_law():
-    report = dimlaw_suite(samples=200)
+    assert DIMLAW_SAMPLES == 200
+    report = dimlaw_suite()
     assert _emit(3, "reflected dimension vectors follow the simple reflection", report)
     assert report.all_pass, report.to_table()
 
@@ -90,13 +94,15 @@ def test_criterion_04_round_trip_and_transport():
 
 
 def test_criterion_05_coxeter_relations():
-    report = coxeter_suite(min_samples=50)
+    assert COXETER_MIN_SAMPLES == 50
+    report = coxeter_suite()
     assert _emit(5, "involution and braid relations on 50+ semistable samples", report)
     assert report.all_pass, report.to_table()
 
 
 def test_criterion_06_form_identity():
-    report = cbform_suite(sample_size=30)
+    assert CBFORM_SAMPLES == 30
+    report = cbform_suite()
     assert _emit(6, "bilinear form identity on all pairs of 30-module samples", report)
     assert report.all_pass, report.to_table()
 

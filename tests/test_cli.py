@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -153,6 +154,11 @@ def test_scan_outputs(capsys):
 def test_verify_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "zerogen", "--field", "2")
     assert code == 0 and "checks passed" in out
+
+
+def test_verify_field_zero_exits_two(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "zerogen", "--field", "0")
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_verify_figure2_field3_passes(capsys):
@@ -314,6 +320,16 @@ def test_scan_csv_golden_bytes(capsys):
     assert out.replace("\r\n", "\n") == GOLDEN_SCAN_F2
 
 
+# sha256 of the raw stdout of `ppalg verify --suite all --emit json`
+GOLDEN_VERIFY_ALL_SHA256 = "ffab425bf008e87fcc079d1152ee78015419212bb25699fdd9ec946aae148128"
+
+
+def test_verify_all_json_golden_digest(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--emit", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_VERIFY_ALL_SHA256
+
+
 def test_quiver_json_golden_bytes(capsys):
     code, out, _ = run(capsys, "quiver", "--type", "A2")
     assert code == 0
@@ -349,6 +365,13 @@ MALFORMED_MODULES = {
     "field-not-an-object": malformed(field=[]),
     "null-entry": malformed(mats={"a1": [[None]]}),
     "zero-denominator": malformed(field={"kind": "rationals"}, mats={"a1": [["1/0"]]}),
+    # each of these once read as dims (1, 1, 1) or as the entry 1
+    "float-dims": malformed(dims=[1, 1.5, 1]),
+    "boolean-dims": malformed(dims=[1, True, 1]),
+    "string-dims": malformed(dims="111"),
+    "float-entry": malformed(mats={"a1": [[1.7]]}),
+    "boolean-entry": malformed(mats={"a1": [[True]]}),
+    "float-entry-over-QQ": malformed(field={"kind": "rationals"}, mats={"a1": [[0.1]]}),
 }
 MODULE_COMMANDS = {
     "rep-check": ["rep-check"],

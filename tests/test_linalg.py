@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ppalg.errors import FieldMismatch, ShapeError, UsageError
 from ppalg.fields import GF, QQ, GaloisField, _poly_mul_mod
-from ppalg.linalg import Matrix, hstack_all, mat_decompose, vstack_all
+from ppalg.linalg import Matrix, hstack_all, vstack_all
 from ppalg.quiver import standard_extended_dynkin
 from ppalg.rep import Representation
 
@@ -60,19 +60,17 @@ def test_rank_against_minor_oracle_f5():
 
 def test_zero_matrix_decomposition():
     a = Matrix.zero(GF(3), 2, 2)
-    dec = mat_decompose(a)
-    assert dec.rank == 0
-    assert dec.kernel_basis == Matrix.identity(GF(3), 2)
-    assert dec.image_basis.cols == 0
-    assert dec.cokernel_projection == Matrix.identity(GF(3), 2)
+    assert a.rank() == 0
+    assert a.kernel_basis() == Matrix.identity(GF(3), 2)
+    assert a.image_basis().cols == 0
+    assert a.cokernel_projection() == Matrix.identity(GF(3), 2)
 
 
 def test_rational_kernel_of_rank_one_matrix():
     a = Matrix.from_ints(QQ, [[1, 1], [0, 0]])
-    dec = mat_decompose(a)
-    assert dec.rank == 1
-    assert dec.kernel_basis.cols == 1
-    x = dec.kernel_basis.column_vector(0)
+    assert a.rank() == 1
+    assert a.kernel_basis().cols == 1
+    x = a.kernel_basis().column_vector(0)
     # forced by row reduction: free variable set to one
     assert x == (QQ.from_int(-1), QQ.from_int(1))
 
@@ -113,12 +111,12 @@ def test_kernel_and_cokernel_annihilate_exactly(field):
     rng = random.Random(11)
     for _ in range(30):
         a = random_matrix(field, rng.randrange(4), rng.randrange(4), rng)
-        dec = mat_decompose(a)
-        assert a.mul(dec.kernel_basis).is_zero()
-        assert dec.cokernel_projection.mul(a).is_zero()
-        assert dec.rank + dec.kernel_basis.cols == a.cols
-        assert dec.cokernel_projection.rows == a.rows - dec.rank
-        assert dec.image_basis.cols == dec.rank
+        rank, ker, coker = a.rank(), a.kernel_basis(), a.cokernel_projection()
+        assert a.mul(ker).is_zero()
+        assert coker.mul(a).is_zero()
+        assert rank + ker.cols == a.cols
+        assert coker.rows == a.rows - rank
+        assert a.image_basis().cols == rank
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3)])
@@ -132,11 +130,9 @@ def test_rank_equals_transpose_rank(field):
 def test_decomposition_deterministic():
     rng = random.Random(3)
     a = random_matrix(GF(5), 4, 6, rng)
-    d1 = mat_decompose(a)
-    d2 = mat_decompose(a)
-    assert d1.kernel_basis == d2.kernel_basis
-    assert d1.image_basis == d2.image_basis
-    assert d1.cokernel_projection == d2.cokernel_projection
+    assert a.kernel_basis() == a.kernel_basis()
+    assert a.image_basis() == a.image_basis()
+    assert a.cokernel_projection() == a.cokernel_projection()
 
 
 def test_field_mismatch_and_shape_errors():
@@ -279,6 +275,8 @@ def test_rref_kernel_and_solve_match_the_reference(data):
     ker = a.kernel_basis()
     assert (ker.rows, ker.cols) == (a.cols, a.cols - len(pivots))
     assert [ker.column_vector(j) for j in range(ker.cols)] == reference_kernel_columns(a)
+    assert a.rank() == len(pivots)
+    assert a.cokernel_projection() == a.transpose().kernel_basis().transpose()
     x = a.solve(rhs)
     expected = reference_solve(a, rhs)
     assert (x is None) == (expected is None)
@@ -288,17 +286,6 @@ def test_rref_kernel_and_solve_match_the_reference(data):
         assert a.mul(x) == rhs
         results.append(x)
     assert all(all_entries_valid(m) for m in results)
-
-
-@settings(max_examples=150, deadline=None)
-@given(a=matrices(fields=[GF(2), GF(4), GF(5), QQ]))
-def test_mat_decompose_equals_the_four_separate_calls(a):
-    dec = mat_decompose(a)
-    assert dec.rank == a.rank()
-    assert dec.kernel_basis == a.kernel_basis()
-    assert dec.image_basis == a.image_basis()
-    assert dec.cokernel_projection == a.cokernel_projection()
-    assert dec.cokernel_projection == a.transpose().kernel_basis().transpose()
 
 
 # -- validation stays at the public boundary ------------------------------------
@@ -334,7 +321,10 @@ def test_public_constructors_reject_a_foreign_entry(field, bad):
         Matrix.column(field, [bad])
 
 
-@pytest.mark.parametrize("field, payload", [(GF(3), [["5"]]), (GF(4), [["4"]]), (GF(3), [["x"]]), (QQ, [["1/0"]])])
+@pytest.mark.parametrize("field, payload", [
+    (GF(3), [["5"]]), (GF(4), [["4"]]), (GF(3), [["x"]]), (QQ, [["1/0"]]),
+    (GF(3), [[1.7]]), (GF(3), [[True]]), (QQ, [[0.1]]), (QQ, [[True]]), (QQ, [[1.0]]),
+])
 def test_from_json_rejects_a_foreign_entry(field, payload):
     # the module boundary turns these into UsageError
     with pytest.raises((FieldMismatch, ValueError, ZeroDivisionError)):
@@ -343,3 +333,8 @@ def test_from_json_rejects_a_foreign_entry(field, payload):
     bad = {"quiver": quiver, "field": field.to_json(), "dims": [1, 1], "mats": {"a1": payload}}
     with pytest.raises(UsageError):
         Representation.from_json(bad)
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ])
+def test_from_json_reads_decimal_strings_and_integers(field):
+    assert Matrix.from_json(field, [["2", 1], [0, "0"]], 2, 2) == Matrix.from_ints(field, [[2, 1], [0, 0]])

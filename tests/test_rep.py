@@ -12,7 +12,6 @@ from ppalg.quiver import DimensionVector, standard_extended_dynkin
 from ppalg.rep import (
     Representation,
     hom_dim,
-    is_indecomposable,
     is_isomorphic,
 )
 from ppalg.stability import closed_supports, enumerate_thin_reps, thin_canonical_values
@@ -126,21 +125,6 @@ def test_top_socle_agree_with_hom_dimensions():
             s = Representation.simple(dq, f, i)
             assert top[i] == hom_dim(m, s)
             assert soc[i] == hom_dim(s, m)
-
-
-def test_indecomposables_of_full_dims_are_nilpotent_or_simple():
-    dq, d, f = a2(GF(2))
-    for m in enumerate_thin_reps(dq, d, f):
-        try:
-            indec = is_indecomposable(m)
-        except Inconclusive:
-            continue
-        if not indec:
-            continue
-        zero = DimensionVector.zero(3)
-        proper = [s for s in closed_supports(m) if 0 < len(s) < 3]
-        simple = not proper
-        assert m.is_nilpotent() or simple
 
 
 def test_zero_module_and_shape_errors():

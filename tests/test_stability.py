@@ -18,7 +18,6 @@ from ppalg.stability import (
     closed_supports,
     enumerate_thin_reps,
     moduli_scan,
-    realize_submodule,
     sequiv_class,
     stability_verdict,
     submodule_dimvecs,
@@ -111,19 +110,8 @@ def test_unstable_witness_is_a_closed_support():
     assert theta(v.witness) < 0
     support = frozenset(i for i in range(3) if v.witness[i])
     assert support in set(closed_supports(m))
-    realized = realize_submodule(m, v.witness)
-    assert realized is not None and realized.is_arrow_closed()
-    assert realized.dims() == v.witness
-
-
-def test_realize_submodule_bruteforce_and_missing():
-    dq, d, f = a2(GF(2))
-    s1 = Representation.simple(dq, f, 1)
-    double = s1.direct_sum(s1)
-    got = realize_submodule(double, DimensionVector([0, 1, 0]))
-    assert got is not None and got.is_arrow_closed()
-    m = thin(dq, f, d, {"a1": 1, "a3s": 1})
-    assert realize_submodule(m, DimensionVector([1, 0, 0])) is None
+    # the brute-force search realizes the witness by an arrow-closed subspace tuple
+    assert v.witness in {c.dims() for c in _closed_subspace_tuples(m, DEFAULT_SUBSPACE_BUDGET)}
 
 
 def test_sequiv_of_stable_module_is_itself():
