@@ -44,10 +44,7 @@ def _theta_from_args(args, d) -> StabilityParameter:
     if getattr(args, "theta", None):
         return _parse_theta(args.theta, len(d))
     if getattr(args, "theta_tail", None):
-        tail = StabilityParameter.parse(args.theta_tail)
-        if len(tail) != len(d) - 1:
-            raise UsageError("theta tail needs one entry per non-extending vertex")
-        return StabilityParameter([-tail(d[1:]) / d[0], *tail])
+        return StabilityParameter.from_tail(d, StabilityParameter.parse(args.theta_tail))
     raise UsageError("provide --theta or --theta-tail")
 
 

@@ -85,11 +85,7 @@ class Field:
         raise NotImplementedError
 
     def parse_scalar(self, s: str):
-        """Read a finite-field element code, which must lie in [0, order)."""
-        v = int(s)
-        if not 0 <= v < self.order:
-            raise ValueError(f"{v} is not an element code of {self!r}")
-        return v
+        raise NotImplementedError
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -152,7 +148,51 @@ class Rationals(Field):
         return "QQ"
 
 
-class PrimeField(Field):
+class _FiniteField(Field):
+    """GF(q) with elements the codes 0..q-1; subclasses set ``p`` and ``q`` and do the arithmetic."""
+
+    p: int  # the characteristic
+    q: int  # the order
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+    def from_int(self, n: int):
+        # embed the prime subfield
+        return n % self.p
+
+    def is_element(self, a) -> bool:
+        return isinstance(a, int) and not isinstance(a, bool) and 0 <= a < self.q
+
+    def elements(self) -> Iterator[int]:
+        return iter(range(self.q))
+
+    @property
+    def is_finite(self) -> bool:
+        return True
+
+    @property
+    def order(self) -> int:
+        return self.q
+
+    def format_scalar(self, a) -> str:
+        return str(a)
+
+    def parse_scalar(self, s: str):
+        """Read a finite-field element code, which must lie in [0, order)."""
+        v = int(s)
+        if not 0 <= v < self.q:
+            raise ValueError(f"{v} is not an element code of {self!r}")
+        return v
+
+    def __repr__(self):
+        return f"GF({self.q})"
+
+
+class PrimeField(_FiniteField):
     """Integers modulo a prime p, with inverses by Fermat's little theorem."""
 
     kind = "prime"
@@ -160,13 +200,7 @@ class PrimeField(Field):
     def __init__(self, p: int):
         if not (2 <= p <= MAX_PRIME) or not _is_prime(p):
             raise RangeError(f"modulus {p} is not a prime in [2, 2^31-1]")
-        self.p = p
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
+        self.p = self.q = p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -185,26 +219,6 @@ class PrimeField(Field):
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.p - 2, self.p)
 
-    def from_int(self, n: int):
-        return n % self.p
-
-    def is_element(self, a) -> bool:
-        return isinstance(a, int) and not isinstance(a, bool) and 0 <= a < self.p
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.p))
-
-    @property
-    def is_finite(self) -> bool:
-        return True
-
-    @property
-    def order(self) -> int:
-        return self.p
-
-    def format_scalar(self, a) -> str:
-        return str(a)
-
     def to_json(self) -> dict:
         return {"kind": "prime", "p": self.p}
 
@@ -213,9 +227,6 @@ class PrimeField(Field):
 
     def __hash__(self):
         return hash(("prime", self.p))
-
-    def __repr__(self):
-        return f"GF({self.p})"
 
 
 def _poly_mul_mod(a: tuple, b: tuple, modulus: tuple, p: int) -> tuple:
@@ -288,7 +299,7 @@ def _find_irreducible(p: int, k: int) -> tuple:
     raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
 
 
-class GaloisField(Field):
+class GaloisField(_FiniteField):
     """GF(p^k) for small prime powers, with all arithmetic tabled.
 
     Elements are integer codes 0..p^k-1 whose base-p digits are polynomial
@@ -367,12 +378,6 @@ class GaloisField(Field):
             code = code * self.p + c
         return code
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
     def add(self, a, b):
         return self._add[a][b]
 
@@ -390,27 +395,6 @@ class GaloisField(Field):
             raise ZeroDivisionError("inverse of 0")
         return self._inv[a]
 
-    def from_int(self, n: int):
-        # embed the prime subfield
-        return n % self.p
-
-    def is_element(self, a) -> bool:
-        return isinstance(a, int) and not isinstance(a, bool) and 0 <= a < self.q
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.q))
-
-    @property
-    def is_finite(self) -> bool:
-        return True
-
-    @property
-    def order(self) -> int:
-        return self.q
-
-    def format_scalar(self, a) -> str:
-        return str(a)
-
     def to_json(self) -> dict:
         return {"kind": "prime-power", "p": self.p, "k": self.k}
 
@@ -419,9 +403,6 @@ class GaloisField(Field):
 
     def __hash__(self):
         return hash(("prime-power", self.p, self.k))
-
-    def __repr__(self):
-        return f"GF({self.q})"
 
 
 QQ = Rationals()

@@ -36,14 +36,6 @@ class Ext1Space:
     cocycle_basis: tuple
     dim: int
 
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "cocycle_basis": [
-                {aid: mat.to_json() for aid, mat in sorted(phi.items())} for phi in self.cocycle_basis
-            ],
-        }
-
 
 def _delta2(m: Representation, n: Representation) -> tuple[Matrix, list[tuple[str, int, int]]]:
     """Matrix of d2 from arrow maps to vertex maps, one equation block per relation.

@@ -6,7 +6,7 @@ every operation returns a fresh value and is safe to call concurrently.
 Empty matrices (zero rows or columns) are legal throughout.
 
 Entries are validated at the public constructors (``Matrix(...)``,
-``from_rows``, ``column``, ``from_ints``, ``from_json``) and ``scale`` checks
+``from_rows``, ``column``, ``from_json``) and ``scale`` checks
 its scalar.  Everything computed from already-valid matrices (products,
 stacks, echelon forms, bases, solutions) is trusted and built through the
 unchecked ``Matrix._of``, so no intermediate re-checks its entries.
@@ -75,10 +75,6 @@ class Matrix:
     @staticmethod
     def column(field: Field, entries: Sequence) -> "Matrix":
         return Matrix(field, len(entries), 1, [[x] for x in entries])
-
-    @staticmethod
-    def from_ints(field: Field, rows: Sequence[Sequence[int]]) -> "Matrix":
-        return Matrix.from_rows(field, [[field.from_int(x) for x in r] for r in rows])
 
     # -- basic algebra -----------------------------------------------------
 
@@ -261,13 +257,19 @@ class Matrix:
 
     @staticmethod
     def from_json(field: Field, data: list, rows: int, cols: int) -> "Matrix":
-        """Read decimal-string or integer entries; a float or boolean raises ValueError."""
+        """Read a list of rows, each a list of decimal-string or integer entries.
+
+        Anything else raises ValueError: a float or boolean entry, or a string
+        where a row or the whole matrix belongs (a string iterates as characters).
+        """
 
         def scalar(x):
             if isinstance(x, (bool, float)):
                 raise ValueError(f"matrix entry {x!r} is neither a decimal string nor an integer")
             return field.parse_scalar(x)
 
+        if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+            raise ValueError("a matrix must be a list of rows, each a list of entries")
         return Matrix(field, rows, cols, [[scalar(x) for x in row] for row in data])
 
 
@@ -319,8 +321,3 @@ def vstack_all(field: Field, cols: int, mats: Sequence[Matrix]) -> Matrix:
             raise ShapeError("vstack column mismatch")
     data = [row for m in mats for row in m.data]
     return Matrix._of(field, len(data), cols, data)
-
-
-def spans_subspace(big: Matrix, small: Matrix) -> bool:
-    """Whether every column of ``small`` lies in the column span of ``big``."""
-    return big.hstack(small).rank() == big.rank()

@@ -8,7 +8,6 @@ construction and freely shareable.
 
 from __future__ import annotations
 
-import json
 import unicodedata
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -39,10 +38,6 @@ class DimensionVector(tuple):
         return DimensionVector(c * a for a in self)
 
     __rmul__ = __mul__
-
-    @staticmethod
-    def zero(n: int) -> "DimensionVector":
-        return DimensionVector([0] * n)
 
     @staticmethod
     def unit(n: int, i: int) -> "DimensionVector":
@@ -132,7 +127,6 @@ class DoubleQuiver:
         self.arrows = tuple(arrows)
         self.star = star
         self.epsilon = epsilon
-        self._by_id = {a.aid: a for a in self.arrows}
         self._out = {v: tuple(a for a in self.arrows if a.src == v) for v in range(self.vertex_count)}
         self._in = {v: tuple(a for a in self.arrows if a.dst == v) for v in range(self.vertex_count)}
         self.relations = tuple(
@@ -147,9 +141,6 @@ class DoubleQuiver:
         for a in self.arrows:
             cartan[a.src][a.dst] -= 1
         self.cartan = tuple(tuple(row) for row in cartan)
-
-    def arrow(self, aid: str) -> Arrow:
-        return self._by_id[aid]
 
     def arrows_out(self, v: int) -> tuple[Arrow, ...]:
         return self._out[v]
@@ -182,9 +173,6 @@ class DoubleQuiver:
                 entry["star_of"] = self.star[a.aid]
             arrows.append(entry)
         return {"vertices": self.vertex_count, "arrows": arrows}
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
     @staticmethod
     def from_json(data: dict) -> "DoubleQuiver":

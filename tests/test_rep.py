@@ -1,3 +1,5 @@
+import itertools
+import json
 import random
 
 import pytest
@@ -14,7 +16,7 @@ from ppalg.rep import (
     hom_dim,
     is_isomorphic,
 )
-from ppalg.stability import closed_supports, enumerate_thin_reps, thin_canonical_values
+from ppalg.stability import enumerate_thin_reps, submodule_dimvecs, thin_canonical_values
 from ppalg.verify import random_nilpotent
 
 
@@ -26,6 +28,16 @@ def a2(field):
 def thin(dq, field, d, values):
     mats = {aid: Matrix(field, 1, 1, [[v]]) for aid, v in values.items()}
     return Representation.build(dq, field, d, mats)
+
+
+def rescaled(m, gauge):
+    """The thin module m with vertex v rescaled by gauge[v]: an isomorphic copy."""
+    f = m.field
+    mats = {}
+    for a in m.dq.arrows:
+        x = m.mats[a.aid].data[0][0]
+        mats[a.aid] = Matrix(f, 1, 1, [[f.mul(gauge[a.dst], f.mul(x, f.inv(gauge[a.src])))]])
+    return Representation.build(m.dq, f, m.dims, mats)
 
 
 def curve_member(dq, field, d, a, b):
@@ -96,22 +108,42 @@ def test_iso_reflexive_and_distinguishes_support_lattices():
     m01 = curve_member(dq, f, d, f.zero(), f.one())
     assert is_isomorphic(m10, m10)
     # oracle: the submodule support lattices already differ
-    assert len(closed_supports(m10)) != len(closed_supports(m01))
+    assert len(submodule_dimvecs(m10)) != len(submodule_dimvecs(m01))
     assert not is_isomorphic(m10, m01)
 
 
 def test_iso_invariant_under_vertex_rescaling():
     dq, d, f = a2(GF(5))
     m = curve_member(dq, f, d, 2, 3)
-    gauge = {0: 2, 1: 4, 2: 3}
-    mats = {}
-    for a in dq.arrows:
-        x = m.mats[a.aid].data[0][0]
-        mats[a.aid] = Matrix(f, 1, 1, [[f.mul(gauge[a.dst], f.mul(x, f.inv(gauge[a.src])))]])
-    rescaled = Representation.build(dq, f, d, mats)
-    assert is_isomorphic(m, rescaled)
+    copy = rescaled(m, {0: 2, 1: 4, 2: 3})
+    assert is_isomorphic(m, copy)
     # gauge-canonical values agree, the other half of the same oracle
-    assert thin_canonical_values(m) == thin_canonical_values(rescaled)
+    assert thin_canonical_values(m) == thin_canonical_values(copy)
+
+
+def test_thin_canonical_values_and_is_isomorphic_agree():
+    # the two deciders of thin isomorphism: every pair of the small sets, then
+    # each larger module against a seeded rescaled copy and seeded others
+    def agree(a, b):
+        same = thin_canonical_values(a) == thin_canonical_values(b)
+        assert same == is_isomorphic(a, b), (a.mats, b.mats)
+        return same
+
+    for tag, n, q in [("A", 1, 2), ("A", 1, 3), ("A", 1, 4), ("A", 1, 5), ("A", 2, 2)]:
+        dq, d = standard_extended_dynkin(tag, n)
+        mods = list(enumerate_thin_reps(dq, d, GF(q)))
+        for a, b in itertools.product(mods, repeat=2):
+            agree(a, b)
+    rng = random.Random(12)
+    dq, d = standard_extended_dynkin("A", 2)
+    for q in (3, 4, 5):
+        f = GF(q)
+        nonzero = list(f.nonzero_elements())
+        mods = list(enumerate_thin_reps(dq, d, f))
+        for m in mods:
+            assert agree(m, rescaled(m, [rng.choice(nonzero) for _ in range(3)]))
+            for other in rng.sample(mods, 3):
+                agree(m, other)
 
 
 def test_top_socle_agree_with_hom_dimensions():
@@ -141,16 +173,16 @@ def test_json_round_trip_is_bit_exact():
     dq, d, _ = a2(GF(3))
     f = GF(3)
     m = curve_member(dq, f, d, 2, 1)
-    s = m.to_json_str()
-    again = Representation.from_json(__import__("json").loads(s))
-    assert again.to_json_str() == s
+    s = json.dumps(m.to_json(), sort_keys=True)
+    again = Representation.from_json(json.loads(s))
+    assert json.dumps(again.to_json(), sort_keys=True) == s
     assert again == m
 
 
 def test_json_round_trip_over_rationals():
     dq, d, _ = a2(QQ)
     m = curve_member(dq, QQ, d, QQ.parse_scalar("3/7"), QQ.parse_scalar("-2"))
-    again = Representation.from_json(__import__("json").loads(m.to_json_str()))
+    again = Representation.from_json(json.loads(json.dumps(m.to_json(), sort_keys=True)))
     assert again == m
 
 
@@ -159,7 +191,7 @@ def test_non_nilpotent_thin_full_cycles_are_simple():
     for m in enumerate_thin_reps(dq, d, f):
         if m.is_nilpotent():
             continue
-        proper = [s for s in closed_supports(m) if 0 < len(s) < 3]
+        proper = [b for b in submodule_dimvecs(m) if 0 < sum(b) < 3]
         assert proper == []  # no proper nonzero submodule, so simple
         assert m.dims == d  # dims are the minimal imaginary root
 

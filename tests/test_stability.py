@@ -15,7 +15,7 @@ from ppalg.stability import (
     ScanRecord,
     StabilityVerdict,
     _closed_subspace_tuples,
-    closed_supports,
+    _sorted_submodule_dimvecs,
     enumerate_thin_reps,
     moduli_scan,
     sequiv_class,
@@ -43,20 +43,20 @@ def test_submodule_dimvecs_of_curve_member():
     got = submodule_dimvecs(m)
     e1, e2 = dq.unit(1), dq.unit(2)
     # worked out by hand: supports closed under both arrows out of vertex 0
-    expected = {DimensionVector.zero(3), e1, e2, e1 + e2, DimensionVector(d)}
+    expected = {DimensionVector([0, 0, 0]), e1, e2, e1 + e2, DimensionVector(d)}
     assert got == expected
 
 
 def test_submodule_dimvecs_of_simple():
     dq, d, f = a2(GF(5))
     s = Representation.simple(dq, f, 1)
-    assert submodule_dimvecs(s) == {DimensionVector.zero(3), dq.unit(1)}
+    assert submodule_dimvecs(s) == {DimensionVector([0, 0, 0]), dq.unit(1)}
 
 
 def test_thin_and_bruteforce_backends_agree():
     dq, d, f = a2(GF(2))
     for m in enumerate_thin_reps(dq, d, f):
-        bruteforce = {c.dims() for c in _closed_subspace_tuples(m, DEFAULT_SUBSPACE_BUDGET)}
+        bruteforce = set(_closed_subspace_tuples(m, DEFAULT_SUBSPACE_BUDGET))
         assert submodule_dimvecs(m) == bruteforce
 
 
@@ -108,10 +108,9 @@ def test_unstable_witness_is_a_closed_support():
     v = stability_verdict(m, theta)
     assert v.status == "Unstable"
     assert theta(v.witness) < 0
-    support = frozenset(i for i in range(3) if v.witness[i])
-    assert support in set(closed_supports(m))
+    assert v.witness in submodule_dimvecs(m)
     # the brute-force search realizes the witness by an arrow-closed subspace tuple
-    assert v.witness in {c.dims() for c in _closed_subspace_tuples(m, DEFAULT_SUBSPACE_BUDGET)}
+    assert v.witness in set(_closed_subspace_tuples(m, DEFAULT_SUBSPACE_BUDGET))
 
 
 def test_sequiv_of_stable_module_is_itself():
@@ -231,7 +230,7 @@ def test_solved_enumeration_matches_the_filter(tag, n, q):
 # -- moduli scans against the per-module reference ----------------------------
 
 
-def reference_closed_supports(m):
+def reference_submodule_supports(m):
     """Every subset of the support, by size then lexicographically, kept when arrow-closed."""
     support = [v for v in range(m.dq.vertex_count) if m.dims[v] == 1]
     push = [
@@ -256,8 +255,8 @@ def reference_stability_verdict(m, theta):
     n = m.dq.vertex_count
     if fraction_value(theta, m.dims) != 0:
         return StabilityVerdict(status="NotInThetaKernel")
-    zero = DimensionVector.zero(n)
-    dimvecs = {DimensionVector(1 if v in s else 0 for v in range(n)) for s in reference_closed_supports(m)}
+    zero = DimensionVector([0] * n)
+    dimvecs = {DimensionVector(1 if v in s else 0 for v in range(n)) for s in reference_submodule_supports(m)}
     proper = sorted(b for b in dimvecs if b != zero and b != m.dims)
     for beta in proper:
         if fraction_value(theta, beta) < 0:
@@ -315,7 +314,9 @@ def test_scan_matches_the_per_module_reference(tag, n, q):
             continue
         modules = list(enumerate_thin_reps(dq, d, f))
         for m in modules:
-            assert closed_supports(m) == reference_closed_supports(m), d
+            # ascending 0/1 vectors: zero first, the whole support last
+            want = sorted(tuple(int(v in s) for v in range(len(d))) for s in reference_submodule_supports(m))
+            assert _sorted_submodule_dimvecs(m, DEFAULT_SUBSPACE_BUDGET) == want, d
         for kind, theta in oracle_thetas(d).items():
             for m in modules:
                 got, want = stability_verdict(m, theta), reference_stability_verdict(m, theta)
@@ -441,8 +442,8 @@ def test_scan_serialization_carries_curve_flags():
     theta = chamber_theta(dq, ())
     scan = moduli_scan(dq, d, theta, f)
     for rec in scan.records:
-        for i in (1, 2):
-            rec.e_flags[f"E{i}"] = exceptional_membership(rec.rep, wg, (), i)
+        flags = exceptional_membership(rec.rep, wg, ())
+        rec.e_flags = {f"E{i}": flags[i] for i in (1, 2)}
     header = scan.to_csv().splitlines()[0]
     assert header.endswith("status,E1,E2")
     payload = scan.to_json()

@@ -66,10 +66,10 @@ def test_membership_at_identity_matches_socle_condition():
     theta = chamber_theta(dq, ())
     scan = moduli_scan(dq, d, theta, f)
     for rec in scan.records:
+        flags = exceptional_membership(rec.rep, wg, ())
         for i in (1, 2):
             s = Representation.simple(dq, f, i)
-            expected = hom_dim(s, rec.rep) > 0
-            assert exceptional_membership(rec.rep, wg, (), i) == expected
+            assert flags[i] == (hom_dim(s, rec.rep) > 0)
 
 
 @pytest.mark.parametrize("word", A2_CHAMBER_WORDS)
@@ -79,12 +79,10 @@ def test_membership_commutes_with_transport(word):
     base_theta = chamber_theta(dq, ())
     scan = moduli_scan(dq, d, base_theta, f)
     for rec in scan.stable_records():
-        flags = {
-            i: exceptional_membership(rec.rep, wg, (), i) for i in (1, 2)
-        }
+        flags = exceptional_membership(rec.rep, wg, ())
+        assert sorted(flags) == [1, 2]
         moved, _ = apply_word(word, rec.rep, base_theta)
-        for i in (1, 2):
-            assert exceptional_membership(moved, wg, word, i) == flags[i]
+        assert exceptional_membership(moved, wg, word) == flags
 
 
 def test_socle_bound_on_fundamental_chamber():
@@ -139,8 +137,8 @@ def test_transported_curves_off_diagonal_example():
     theta = chamber_theta(dq, word)
     scan = moduli_scan(dq, d, theta, f)
     for rec in scan.stable_records():
-        rec.e_flags["E1"] = exceptional_membership(rec.rep, wg, word, 1)
-        rec.e_flags["E2"] = exceptional_membership(rec.rep, wg, word, 2)
+        flags = exceptional_membership(rec.rep, wg, word)
+        rec.e_flags["E1"], rec.e_flags["E2"] = flags[1], flags[2]
     only_e2 = [r for r in scan.stable_records() if r.e_flags["E2"] and not r.e_flags["E1"]]
     assert len(only_e2) == f.order  # a projective line minus the meeting point
 
@@ -161,7 +159,7 @@ def test_membership_precondition_is_enforced():
     # vertex 0 spans a destabilizing submodule, so this is never semistable
     unstable = Representation.build(dq, f, d, {"a2": Matrix(f, 1, 1, [[1]])})
     with _pytest.raises(PreconditionViolated):
-        exceptional_membership(unstable, wg, (), 1)
+        exceptional_membership(unstable, wg, ())
 
 
 def test_random_nilpotent_is_nilpotent_and_valid():

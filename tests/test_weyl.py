@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppalg.errors import InternalInvariantError, NotGeneric, NotInThetaD, RangeError
+from ppalg.errors import InternalInvariantError, NotGeneric, NotInThetaD, RangeError, UsageError
 from ppalg.quiver import DimensionVector, DoubleQuiver, standard_extended_dynkin
 from ppalg.weyl import (
     StabilityParameter,
@@ -72,7 +72,7 @@ def test_rank_two_root_system():
     assert len(rs.roots) == 6
     assert set(rs.positive) == {(1, 0), (0, 1), (1, 1)}
     for r in rs.roots:
-        assert rs.form(r, r) == 2
+        assert dq.bilinear((0, *r), (0, *r)) == 2
 
 
 @pytest.mark.parametrize(
@@ -94,7 +94,7 @@ def test_d4_root_count_against_norm_enumeration_oracle():
     norm_two = [
         x
         for x in itertools.product(span, repeat=4)
-        if rs.form(x, x) == 2
+        if dq.bilinear((0, *x), (0, *x)) == 2
     ]
     assert len(norm_two) == 24
     assert set(rs.roots) == set(norm_two)
@@ -113,12 +113,23 @@ def test_chamber_of_fundamental_and_adjacent():
     dq, d, rs, wg = setup("A", 2)
     assert chamber_of(rs, StabilityParameter((-2, 1, 1))) == ()
     word = chamber_of(rs, StabilityParameter((-1, -1, 2)))
-    assert wg.equal(word, (1,))
+    assert wg.matrix_of(word) == wg.matrix_of((1,))
     # oracle: both defining inequalities of that chamber hold
     theta = StabilityParameter((-1, -1, 2))
     for i in (1, 2):
         image = wg.act_on_root((1,), rs.simple[i - 1])
         assert rs.theta_value(theta, image) > 0
+
+
+def test_parameter_from_tail():
+    # the head makes the value on d zero; a tail of the wrong length is a usage error
+    d4 = (1, 1, 2, 1, 1)
+    theta = StabilityParameter.from_tail(d4, (1, Fraction(1, 2), 1, 1))
+    assert theta == (-4, 1, Fraction(1, 2), 1, 1) and theta(d4) == 0
+    assert StabilityParameter.from_tail((2, 1, 1), (1, 1)) == (-1, 1, 1)
+    for tail in ((1,), (1, 1, 1)):
+        with pytest.raises(UsageError):
+            StabilityParameter.from_tail((1, 1, 1), tail)
 
 
 def test_chamber_of_rejects_walls():
@@ -185,8 +196,8 @@ def test_canonical_words_are_reduced():
 def test_word_tools():
     dq, d, rs, wg = setup("A", 2)
     assert wg.length((1, 2, 1)) == 3
-    assert wg.equal((1, 2, 1), (2, 1, 2))
-    assert wg.equal((1, 1), ())
+    assert wg.matrix_of((1, 2, 1)) == wg.matrix_of((2, 1, 2))
+    assert wg.matrix_of((1, 1)) == wg.matrix_of(())
     assert wg.length((1, 1)) == 0
     assert wg.is_reduced((1, 2, 1))
     assert not wg.is_reduced((1, 1, 2))
@@ -299,7 +310,7 @@ def test_root_system_matches_the_quotient_cartan_formulas(tag, n, data):
     x, y = data.draw(vectors), data.draw(vectors | st.sampled_from(rs.roots))
     theta = StabilityParameter(data.draw(st.lists(RATIONALS, min_size=rs.rank + 1, max_size=rs.rank + 1)))
     i = data.draw(st.integers(1, rs.rank))
-    assert rs.form(x, y) == reference_form(cartan, x, y)
+    assert dq.bilinear((0, *x), (0, *y)) == reference_form(cartan, x, y)
     assert rs.reflect(i, x) == reference_reflect(cartan, i, x)
     assert rs.theta_value(theta, y) == reference_theta_value(theta, y)
 
