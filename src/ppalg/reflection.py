@@ -22,7 +22,7 @@ from .errors import (
     RangeError,
 )
 from .fields import Field
-from .linalg import _null_rows
+from .linalg import Matrix, _null_rows
 from .quiver import DimensionVector
 from .rep import Representation
 from .stability import stability_verdict
@@ -56,10 +56,12 @@ def reflect_plus(i: int, m: Representation) -> ReflectResult:
     The new space at i is the kernel of ``m.in_map(i)``, which sums
     eps(a) M_{a*} over the arrows a leaving i; the defect is its cokernel
     dimension.  The arrows leaving i become the summand projections of the
-    kernel, and an incoming arrow b becomes ``m.out_map(i) . M_b`` lifted
-    through it.  The canonical kernel basis is the identity on the free
-    rows, so that lift is unique and is the product restricted to them; one
-    more product checks that it lifts.
+    kernel: row slices of its canonical basis, the null rows of one rref,
+    transposed.  An incoming arrow b becomes ``m.out_map(i) . M_b`` lifted
+    through the kernel.  That basis is the identity on the free rows, so the
+    lift is unique and is the free rows of the product; one more product
+    checks that it lifts.  The result is built from these trusted blocks
+    directly, and its relations are re-checked.
     """
     if not 0 <= i < m.dq.vertex_count:
         raise RangeError(f"vertex {i} is not a vertex of the quiver")
@@ -69,26 +71,26 @@ def reflect_plus(i: int, m: Representation) -> ReflectResult:
     out_map = m.out_map(i)
     R, pivots = in_map.rref()
     kernel = _null_rows(R, pivots).transpose()
+    k = kernel.cols
     pivot_set = set(pivots)
     free = [c for c in range(in_map.cols) if c not in pivot_set]
     defect = m.dims[i] - len(pivots)
-    new_dims = list(m.dims)
-    new_dims[i] = kernel.cols
 
     mats = dict(m.mats)
     pos = 0
     for _, aid, _ in dq.relations[i].terms:
         # outgoing arrow c: project the kernel to the c summand
         rows = m.mats[aid].rows
-        mats[aid] = kernel.submatrix(list(range(pos, pos + rows)), list(range(kernel.cols)))
+        mats[aid] = Matrix._of(f, rows, k, kernel.data[pos : pos + rows])
         pos += rows
     for b in dq.arrows_in(i):
         w = out_map.mul(m.mats[b.aid])
-        lift = w.submatrix(free, list(range(w.cols)))
+        lift = Matrix._of(f, k, w.cols, [w.data[r] for r in free])
         if kernel.mul(lift) != w:
             raise InternalInvariantError("incoming map does not land in the kernel")
         mats[b.aid] = lift
-    result = Representation.build(dq, f, new_dims, mats)
+    dims = DimensionVector(k if v == i else d for v, d in enumerate(m.dims))
+    result = Representation(dq, f, dims, mats)
     if result.check_relations():
         raise InternalInvariantError("reflection broke the preprojective relations")
     return ReflectResult(module=result, defect=defect)

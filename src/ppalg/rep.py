@@ -369,16 +369,103 @@ def _is_invertible(phi: dict[int, Matrix]) -> bool:
     return all(mat.rows == mat.cols and mat.rank() == mat.rows for mat in phi.values())
 
 
+# -- thin modules ------------------------------------------------------------
+
+
+def is_thin(m: Representation) -> bool:
+    return all(d <= 1 for d in m.dims)
+
+
+def _support(m: Representation) -> tuple[int, ...]:
+    return tuple(v for v in range(m.dq.vertex_count) if m.dims[v] == 1)
+
+
+def _live_arrows(dq: DoubleQuiver, d) -> list:
+    """The arrows between support vertices of a thin dimension vector, in ``dq.arrows`` order."""
+    return [a for a in dq.arrows if d[a.src] == 1 and d[a.dst] == 1]
+
+
+def _gauge_walk(support, live: list, nonzero) -> list:
+    """The steps of the gauge walk of one pattern of nonzero live arrows.
+
+    A spanning forest of the nonzero arrows is rescaled to ones.  Each tree
+    is entered at its smallest vertex, whose gauge stays one; a step
+    (w, v, i, forward) fixes the gauge of w from that of v and the value on
+    live arrow i.  The walk depends only on the pattern, not on the values.
+    """
+    parent = {v: v for v in support}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    adj: dict[int, list] = {v: [] for v in parent}
+    for i, (a, nz) in enumerate(zip(live, nonzero)):
+        if nz:
+            rs, rt = find(a.src), find(a.dst)
+            if rs != rt:
+                parent[rs] = rt
+                adj[a.src].append((a.dst, i, True))
+                adj[a.dst].append((a.src, i, False))
+    steps, reached = [], set()
+    for root in parent:  # ascending, so each tree is entered at its smallest vertex
+        if root in reached:
+            continue
+        reached.add(root)
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w, i, forward in adj[v]:
+                if w not in reached:
+                    reached.add(w)
+                    steps.append((w, v, i, forward))
+                    stack.append(w)
+    return steps
+
+
+def _canonical_values(field: Field, live: list, values, steps: list) -> tuple:
+    """Rescale ``values`` by the gauge that the walk of their pattern fixes."""
+    f = field
+    z, one = f.zero(), f.one()
+    gauge: dict = {}  # a tree root is absent: its gauge is one
+    for w, v, i, forward in steps:
+        # forward edge v -> w fixes g_w = g_v / val, reversed w -> v fixes g_w = g_v * val
+        g = gauge.get(v, one)
+        gauge[w] = f.mul(g, f.inv(values[i])) if forward else f.mul(g, values[i])
+    return tuple(
+        x if x == z else f.mul(gauge.get(a.dst, one), f.mul(x, f.inv(gauge.get(a.src, one))))
+        for a, x in zip(live, values)
+    )
+
+
+def _thin_canonical(m: Representation) -> tuple:
+    """The gauge-canonical values of a thin module on its live arrows."""
+    live = _live_arrows(m.dq, m.dims)
+    values = [m.mats[a.aid].data[0][0] for a in live]
+    steps = _gauge_walk(_support(m), live, [bool(x) for x in values])
+    return _canonical_values(m.field, live, values, steps)
+
+
 def is_isomorphic(m: Representation, n: Representation) -> bool:
     """Exact isomorphism test.
 
-    Over a finite field with a small hom space the search over coefficient
-    combinations is exhaustive and therefore definitive.  Otherwise a random
-    search with seed 0 runs first; a miss with matching hom dimensions raises
-    Inconclusive instead of claiming a negative.  The random branch stays
-    until a deterministic test replaces it: an exhaustive-only test, tried on
-    1,095 seeded A2/D4 pairs over GF(2), GF(3), GF(4) and QQ, turned 27
-    definitive True verdicts into Inconclusive and took 4.36 s instead of 0.41 s.
+    Two thin modules with equal dims are decided by their gauge-canonical
+    values, exactly over any field, QQ included: an isomorphism of thin
+    modules is one nonzero scalar per vertex, and the cycle values left once
+    a spanning forest of the nonzero arrows is rescaled to ones are complete
+    invariants of that action.
+
+    Other pairs go through the hom space.  Over a finite field with a small
+    hom space the search over coefficient combinations is exhaustive and
+    therefore definitive.  Otherwise a random search with seed 0 runs first;
+    a miss with matching hom dimensions raises Inconclusive instead of
+    claiming a negative.  The random branch stays until a deterministic test
+    replaces it: an exhaustive-only test, tried on 1,095 seeded A2/D4 pairs
+    over GF(2), GF(3), GF(4) and QQ (before thin pairs left this branch),
+    turned 27 definitive True verdicts into Inconclusive and took 4.36 s
+    instead of 0.41 s.
     """
     if m.field != n.field:
         raise FieldMismatch("isomorphism test over different fields")
@@ -386,6 +473,8 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
         return False
     if m.is_zero_module():
         return True
+    if is_thin(m):
+        return _thin_canonical(m) == _thin_canonical(n)
     basis = hom_basis(m, n)
     d = len(basis)
     if d == 0:

@@ -20,19 +20,19 @@ from .errors import InternalInvariantError, SearchBudgetExceeded, UnsupportedSha
 from .fields import Field
 from .linalg import Matrix
 from .quiver import DimensionVector, DoubleQuiver
-from .rep import Representation
+from .rep import (
+    Representation,
+    _canonical_values,
+    _gauge_walk,
+    _live_arrows,
+    _support,
+    _thin_canonical,
+    is_thin,
+)
 from .weyl import StabilityParameter
 
 DEFAULT_SUBSPACE_BUDGET = 10**7
 DEFAULT_SCAN_BUDGET = 10**7
-
-
-def is_thin(m: Representation) -> bool:
-    return all(d <= 1 for d in m.dims)
-
-
-def _support(m: Representation) -> tuple[int, ...]:
-    return tuple(v for v in range(m.dq.vertex_count) if m.dims[v] == 1)
 
 
 def _closed_masks(m: Representation) -> list[int]:
@@ -46,10 +46,11 @@ def _closed_masks(m: Representation) -> list[int]:
     """
     n = m.dq.vertex_count
     reach = {v: 1 << (n - 1 - v) for v in _support(m)}
+    # a live arrow is a 1x1 block, nonzero exactly when its entry is truthy
     push = [
         (a.src, a.dst)
         for a in m.dq.arrows
-        if a.src in reach and a.dst in reach and not m.mats[a.aid].is_zero()
+        if a.src in reach and a.dst in reach and m.mats[a.aid].data[0][0]
     ]
     changed = True
     while changed:
@@ -162,88 +163,38 @@ def stability_verdict(
 
     The witness is the first proper submodule dimension vector, in sorted
     order, of negative (else zero) parameter value.  Signs come from the
-    integer form ``theta.scaled``.
+    integer form ``theta.scaled``.  A thin module values its closed supports
+    as bitmasks, one integer weight per set bit, and builds a vector only
+    for its witness.
     """
     if theta.scaled(m.dims) != 0:
         return StabilityVerdict(status="NotInThetaKernel")
-    proper = _sorted_submodule_dimvecs(m, budget)[1:-1]
-    values = [theta.scaled(beta) for beta in proper]
-    for beta, value in zip(proper, values):
+    if is_thin(m):
+        n = m.dq.vertex_count
+        weights = [(1 << (n - 1 - v), t) for v, t in enumerate(theta.numerators) if t]
+        proper = _closed_masks(m)[1:-1]
+        values = [sum(t for bit, t in weights if s & bit) for s in proper]
+        witness = lambda s: DimensionVector(_mask_bits(s, n))
+    else:
+        proper = sorted(set(_closed_subspace_tuples(m, budget)))[1:-1]
+        values = [theta.scaled(beta) for beta in proper]
+        witness = DimensionVector
+    for s, value in zip(proper, values):
         if value < 0:
-            return StabilityVerdict(status="Unstable", witness=DimensionVector(beta))
-    for beta, value in zip(proper, values):
+            return StabilityVerdict(status="Unstable", witness=witness(s))
+    for s, value in zip(proper, values):
         if value == 0:
-            return StabilityVerdict(status="StrictlySemistable", witness=DimensionVector(beta))
+            return StabilityVerdict(status="StrictlySemistable", witness=witness(s))
     return StabilityVerdict(status="Stable")
 
 
 # -- thin isomorphism canonicalization --------------------------------------
 
 
-def _live_arrows(dq: DoubleQuiver, d) -> list:
-    """The arrows between support vertices of a thin dimension vector, in ``dq.arrows`` order."""
-    return [a for a in dq.arrows if d[a.src] == 1 and d[a.dst] == 1]
-
-
 def _thin_rep(dq: DoubleQuiver, field: Field, d, live: list, values) -> Representation:
     """The thin module with ``values`` on the live arrows and zero elsewhere."""
     mats = {a.aid: Matrix._of(field, 1, 1, ((x,),)) for a, x in zip(live, values)}
     return Representation.build(dq, field, d, mats)
-
-
-def _gauge_walk(support, live: list, nonzero) -> list:
-    """The steps of the gauge walk of one pattern of nonzero live arrows.
-
-    A spanning forest of the nonzero arrows is rescaled to ones.  Each tree
-    is entered at its smallest vertex, whose gauge stays one; a step
-    (w, v, i, forward) fixes the gauge of w from that of v and the value on
-    live arrow i.  The walk depends only on the pattern, not on the values.
-    """
-    parent = {v: v for v in support}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    adj: dict[int, list] = {v: [] for v in parent}
-    for i, (a, nz) in enumerate(zip(live, nonzero)):
-        if nz:
-            rs, rt = find(a.src), find(a.dst)
-            if rs != rt:
-                parent[rs] = rt
-                adj[a.src].append((a.dst, i, True))
-                adj[a.dst].append((a.src, i, False))
-    steps, reached = [], set()
-    for root in parent:  # ascending, so each tree is entered at its smallest vertex
-        if root in reached:
-            continue
-        reached.add(root)
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w, i, forward in adj[v]:
-                if w not in reached:
-                    reached.add(w)
-                    steps.append((w, v, i, forward))
-                    stack.append(w)
-    return steps
-
-
-def _canonical_values(field: Field, live: list, values, steps: list) -> tuple:
-    """Rescale ``values`` by the gauge that the walk of their pattern fixes."""
-    f = field
-    z, one = f.zero(), f.one()
-    gauge: dict = {}  # a tree root is absent: its gauge is one
-    for w, v, i, forward in steps:
-        # forward edge v -> w fixes g_w = g_v / val, reversed w -> v fixes g_w = g_v * val
-        g = gauge.get(v, one)
-        gauge[w] = f.mul(g, f.inv(values[i])) if forward else f.mul(g, values[i])
-    return tuple(
-        x if x == z else f.mul(gauge.get(a.dst, one), f.mul(x, f.inv(gauge.get(a.src, one))))
-        for a, x in zip(live, values)
-    )
 
 
 def _format_canonical(field: Field, dims, live: list, canonical) -> tuple:
@@ -260,11 +211,7 @@ def thin_canonical_values(m: Representation) -> tuple:
     """
     if not is_thin(m):
         raise UnsupportedShape("canonical values are defined for thin modules")
-    live = _live_arrows(m.dq, m.dims)
-    values = tuple(m.mats[a.aid].data[0][0] for a in live)
-    z = m.field.zero()
-    steps = _gauge_walk(_support(m), live, [x != z for x in values])
-    return _format_canonical(m.field, m.dims, live, _canonical_values(m.field, live, values, steps))
+    return _format_canonical(m.field, m.dims, _live_arrows(m.dq, m.dims), _thin_canonical(m))
 
 
 def restrict_to_support(m: Representation, support: tuple) -> Representation:

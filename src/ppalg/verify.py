@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import PreconditionViolated, UsageError
 from .fields import GF, Field
@@ -35,7 +35,7 @@ from .rep import (
     nonzero_morphisms,
     quotient_by_map,
 )
-from .reflection import apply_word, compute_siw, reflect_minus, reflect_plus
+from .reflection import ShiftedModule, apply_word, compute_siw, reflect_minus, reflect_plus
 from .stability import (
     enumerate_thin_reps,
     moduli_scan,
@@ -189,14 +189,18 @@ def random_nilpotent(
 # -- membership in exceptional curves ----------------------------------------
 
 
-def exceptional_membership(m: Representation, wg: WeylGroup, word: Sequence[int]) -> dict[int, bool]:
+def exceptional_membership(
+    m: Representation, wg: WeylGroup, word: Sequence[int], siws: Mapping[int, ShiftedModule]
+) -> dict[int, bool]:
     """Whether a semistable module lies on each transported exceptional curve.
 
-    One flag per finite vertex i.  For a positive transported root the test
-    scans for an injective map from the shifted simple S, for a negative one
-    for a surjection m -> S, which is an injection D(S) -> D(m) between the
-    duals.  Membership of the module in the chamber category is verified
-    once first, against the transported all-ones parameter.
+    One flag per finite vertex i, read against ``siws[i]``, the shifted
+    simple ``compute_siw(wg, word, i, m.field)``.  For a positive transported
+    root the test scans for an injective map from the shifted simple S, for
+    a negative one for a surjection m -> S, which is an injection
+    D(S) -> D(m) between the duals.  Membership of the module in the chamber
+    category is verified once first, against the transported all-ones
+    parameter.
     """
     word = tuple(word)
     ones = StabilityParameter.from_tail(m.dims, [1] * wg.rank)
@@ -205,7 +209,7 @@ def exceptional_membership(m: Representation, wg: WeylGroup, word: Sequence[int]
         raise PreconditionViolated(f"module not semistable: {verdict.status}")
     flags = {}
     for i in range(1, wg.rank + 1):
-        source, target = compute_siw(wg, word, i, m.field).module, m
+        source, target = siws[i].module, m
         if any(c < 0 for c in wg.act_on_root(word, wg.rs.simple[i - 1])):
             source, target = source.dual(), target.dual()
         basis = hom_basis(source, target)
@@ -257,13 +261,13 @@ def figure2_report(field: Field) -> SuiteReport:
         expected_roots = EXPECTED_WDELTA[word]
         got_roots = tuple(wg.act_on_root(word, wg.rs.simple[i - 1]) for i in (1, 2))
         report.add(f"{label} transported simple system", expected_roots, got_roots)
+        siws = {i: compute_siw(wg, word, i, field) for i in (1, 2)}
         for i in (1, 2):
-            siw = compute_siw(wg, word, i, field)
             expected_degree = 0 if all(c >= 0 for c in expected_roots[i - 1]) else 1
-            report.add(f"{label} degree of shifted simple {i}", expected_degree, siw.degree)
+            report.add(f"{label} degree of shifted simple {i}", expected_degree, siws[i].degree)
         scan = moduli_scan(dq, d, theta, field)
         for rec in scan.records:
-            flags = exceptional_membership(rec.rep, wg, word)
+            flags = exceptional_membership(rec.rep, wg, word, siws)
             rec.e_flags = {f"E{i}": flag for i, flag in flags.items()}
         e1 = [r for r in scan.records if r.e_flags["E1"]]
         e2 = [r for r in scan.records if r.e_flags["E2"]]

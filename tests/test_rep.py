@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,10 @@ from ppalg.linalg import Matrix, vstack_all
 from ppalg.quiver import DimensionVector, standard_extended_dynkin
 from ppalg.rep import (
     Representation,
+    hom_basis,
     hom_dim,
     is_isomorphic,
+    nonzero_morphisms,
 )
 from ppalg.stability import enumerate_thin_reps, submodule_dimvecs, thin_canonical_values
 from ppalg.verify import random_nilpotent
@@ -121,29 +124,85 @@ def test_iso_invariant_under_vertex_rescaling():
     assert thin_canonical_values(m) == thin_canonical_values(copy)
 
 
+def reference_is_isomorphic(a, b):
+    """The hom-basis search: some nonzero map a -> b is invertible at every vertex.
+
+    Over a finite field every nonzero combination of the basis is tried.
+    Over QQ it is only used where Hom has dimension at most one, so a basis
+    map is invertible exactly when some map is.
+    """
+    basis = hom_basis(a, b)
+    if a.field.is_finite:
+        maps = nonzero_morphisms(a.field, basis, 10**6)
+    else:
+        assert len(basis) <= 1
+        maps = basis
+    return any(all(x.rows == x.cols and x.rank() == x.rows for x in phi.values()) for phi in maps)
+
+
+def cycle_modules(dq, rng, count):
+    """Seeded thin modules over QQ at the all-ones vector of a cycle quiver.
+
+    Each edge of the cycle carries a random nonzero rational on its arrow or
+    on its star, and at most one edge carries neither, so the nonzero arrows
+    connect every vertex (Hom between two such modules has dimension at most
+    one) and no arrow meets its star (every relation term vanishes).  Each
+    module comes with a flag that is true when no edge was dropped.
+    """
+    d = [1] * dq.vertex_count
+    base = list(dq.base.arrows)
+    out = []
+    for _ in range(count):
+        dropped = rng.choice([None] + base)
+        mats = {}
+        for a in base:
+            if a is dropped:
+                continue
+            aid = a.aid if rng.random() < 0.5 else dq.star[a.aid]
+            value = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+            mats[aid] = Matrix(QQ, 1, 1, [[value]])
+        m = Representation.build(dq, QQ, d, mats)
+        assert m.check_relations() == []
+        out.append((m, dropped is None))
+    return out
+
+
 def test_thin_canonical_values_and_is_isomorphic_agree():
-    # the two deciders of thin isomorphism: every pair of the small sets, then
-    # each larger module against a seeded rescaled copy and seeded others
+    # is_isomorphic decides thin pairs by canonical values; the reference
+    # searches the hom space, so the two deciders are independent
     def agree(a, b):
-        same = thin_canonical_values(a) == thin_canonical_values(b)
+        same = reference_is_isomorphic(a, b)
         assert same == is_isomorphic(a, b), (a.mats, b.mats)
+        assert same == (thin_canonical_values(a) == thin_canonical_values(b)), (a.mats, b.mats)
         return same
 
-    for tag, n, q in [("A", 1, 2), ("A", 1, 3), ("A", 1, 4), ("A", 1, 5), ("A", 2, 2)]:
+    cases = [("A", 1, 2), ("A", 1, 3), ("A", 1, 4), ("A", 1, 5), ("A", 2, 2), ("A", 3, 2)]
+    for tag, n, q in cases:
         dq, d = standard_extended_dynkin(tag, n)
         mods = list(enumerate_thin_reps(dq, d, GF(q)))
         for a, b in itertools.product(mods, repeat=2):
             agree(a, b)
     rng = random.Random(12)
-    dq, d = standard_extended_dynkin("A", 2)
-    for q in (3, 4, 5):
+    for n, q in [(2, 3), (2, 4), (2, 5), (3, 3)]:
+        dq, d = standard_extended_dynkin("A", n)
         f = GF(q)
         nonzero = list(f.nonzero_elements())
         mods = list(enumerate_thin_reps(dq, d, f))
         for m in mods:
-            assert agree(m, rescaled(m, [rng.choice(nonzero) for _ in range(3)]))
+            assert agree(m, rescaled(m, [rng.choice(nonzero) for _ in range(n + 1)]))
             for other in rng.sample(mods, 3):
                 agree(m, other)
+    # over QQ: a rescaled copy is isomorphic; changing one value of a full
+    # cycle changes its cycle value, so the copy is not
+    for n in (2, 3):
+        dq, _ = standard_extended_dynkin("A", n)
+        for m, full_cycle in cycle_modules(dq, rng, 40):
+            gauge = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n + 1)]
+            assert agree(m, rescaled(m, gauge))
+            if full_cycle:
+                aid = rng.choice([aid for aid, x in m.mats.items() if not x.is_zero()])
+                changed = dict(m.mats, **{aid: m.mats[aid].scale(Fraction(2))})
+                assert not agree(m, Representation.build(dq, QQ, m.dims, changed))
 
 
 def test_top_socle_agree_with_hom_dimensions():
@@ -197,12 +256,25 @@ def test_non_nilpotent_thin_full_cycles_are_simple():
 
 
 def test_isomorphism_raises_inconclusive_when_search_is_disabled(monkeypatch):
+    # a non-thin pair: thin pairs are decided by canonical values and never
+    # reach the hom-space search
     dq, d, f = a2(GF(2))
-    m = curve_member(dq, f, d, f.one(), f.zero())
+    s1 = Representation.simple(dq, f, 1)
+    m = s1.direct_sum(s1)
     monkeypatch.setattr(rep_module, "ISO_EXHAUSTIVE_DIM", 0)
     monkeypatch.setattr(rep_module, "ISO_RANDOM_TRIES", 0)
     with pytest.raises(Inconclusive):
         is_isomorphic(m, m)
+
+
+def test_thin_pairs_are_decided_without_the_hom_space_search(monkeypatch):
+    dq, d, _ = a2(QQ)
+    m = curve_member(dq, QQ, d, Fraction(3, 7), Fraction(-2))
+    copy = rescaled(m, {0: Fraction(5), 1: Fraction(-1, 3), 2: Fraction(2, 9)})
+    monkeypatch.setattr(rep_module, "ISO_EXHAUSTIVE_DIM", 0)
+    monkeypatch.setattr(rep_module, "ISO_RANDOM_TRIES", 0)
+    assert is_isomorphic(m, copy)
+    assert not is_isomorphic(m, curve_member(dq, QQ, d, Fraction(3, 7), Fraction(0)))
 
 
 def socle_by_outgoing_rank(m):

@@ -23,7 +23,7 @@ from ppalg.stability import (
     submodule_dimvecs,
     thin_canonical_values,
 )
-from ppalg.verify import chamber_theta
+from ppalg.verify import A2_CHAMBER_WORDS, chamber_theta
 from ppalg.weyl import StabilityParameter
 
 
@@ -253,11 +253,16 @@ def fraction_value(theta, alpha):
 def reference_stability_verdict(m, theta):
     """The Fraction-valued verdict of a thin module over its filtered supports."""
     n = m.dq.vertex_count
-    if fraction_value(theta, m.dims) != 0:
-        return StabilityVerdict(status="NotInThetaKernel")
-    zero = DimensionVector([0] * n)
     dimvecs = {DimensionVector(1 if v in s else 0 for v in range(n)) for s in reference_submodule_supports(m)}
-    proper = sorted(b for b in dimvecs if b != zero and b != m.dims)
+    return verdict_from_dimvecs(m.dims, dimvecs, theta)
+
+
+def verdict_from_dimvecs(dims, dimvecs, theta):
+    """The Fraction-valued verdict read off a set of submodule dimension vectors."""
+    if fraction_value(theta, dims) != 0:
+        return StabilityVerdict(status="NotInThetaKernel")
+    zero = DimensionVector([0] * len(dims))
+    proper = sorted(b for b in dimvecs if b != zero and b != dims)
     for beta in proper:
         if fraction_value(theta, beta) < 0:
             return StabilityVerdict(status="Unstable", witness=beta)
@@ -328,6 +333,30 @@ def test_scan_matches_the_per_module_reference(tag, n, q):
                 (r.verdict, r.rep.mats) for r in want.records
             ], (d, kind)
             assert all(r.rep.check_relations() == [] for r in got.records), (d, kind)
+
+
+VERDICT_THETAS = {
+    1: [(-1, 1), (1, -1), (0, 0)],
+    2: [tuple(chamber_theta(standard_extended_dynkin("A", 2)[0], w)) for w in A2_CHAMBER_WORDS]
+    + [(0, 1, -1), (-1, 0, 1), (-1, 1, 0), (0, 0, 0)],
+    3: [(-3, 1, 1, 1), (2, -1, -3, 2), (0, 1, -1, 0), (-1, 0, 1, 0), (-1, 1, -1, 1), (0, 0, 0, 0)],
+}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_thin_verdict_matches_the_bruteforce_verdict(n, q):
+    # every thin module of the cycle quiver, at chamber and wall parameters:
+    # status and witness agree with the verdict read off the subspace search
+    dq, _ = standard_extended_dynkin("A", n)
+    f = GF(q)
+    thetas = [StabilityParameter(t) for t in VERDICT_THETAS[n]]
+    for d in itertools.product((0, 1), repeat=dq.vertex_count):
+        for m in enumerate_thin_reps(dq, d, f):
+            dimvecs = set(_closed_subspace_tuples(m, DEFAULT_SUBSPACE_BUDGET))
+            for theta in thetas:
+                got, want = stability_verdict(m, theta), verdict_from_dimvecs(m.dims, dimvecs, theta)
+                assert got == want and type(got.witness) is type(want.witness), (d, theta, m.mats)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
@@ -435,14 +464,16 @@ def test_scan_serialization():
 
 
 def test_scan_serialization_carries_curve_flags():
+    from ppalg.reflection import compute_siw
     from ppalg.verify import a2_setup, exceptional_membership
 
     dq, d, wg = a2_setup()
     f = GF(2)
     theta = chamber_theta(dq, ())
     scan = moduli_scan(dq, d, theta, f)
+    siws = {i: compute_siw(wg, (), i, f) for i in (1, 2)}
     for rec in scan.records:
-        flags = exceptional_membership(rec.rep, wg, ())
+        flags = exceptional_membership(rec.rep, wg, (), siws)
         rec.e_flags = {f"E{i}": flags[i] for i in (1, 2)}
     header = scan.to_csv().splitlines()[0]
     assert header.endswith("status,E1,E2")

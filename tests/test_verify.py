@@ -5,7 +5,7 @@ import pytest
 from ppalg.errors import UsageError
 from ppalg.fields import GF
 from ppalg.rep import hom_dim, Representation
-from ppalg.reflection import apply_word
+from ppalg.reflection import apply_word, compute_siw
 from ppalg.stability import moduli_scan
 from ppalg.verify import (
     A2_CHAMBER_WORDS,
@@ -19,6 +19,10 @@ from ppalg.verify import (
     run_suite,
     zerogen_suite,
 )
+
+
+def shifted_simples(wg, word, field):
+    return {i: compute_siw(wg, word, i, field) for i in range(1, wg.rank + 1)}
 
 
 def test_unknown_suite_raises():
@@ -65,8 +69,9 @@ def test_membership_at_identity_matches_socle_condition():
     f = GF(3)
     theta = chamber_theta(dq, ())
     scan = moduli_scan(dq, d, theta, f)
+    siws = shifted_simples(wg, (), f)
     for rec in scan.records:
-        flags = exceptional_membership(rec.rep, wg, ())
+        flags = exceptional_membership(rec.rep, wg, (), siws)
         for i in (1, 2):
             s = Representation.simple(dq, f, i)
             assert flags[i] == (hom_dim(s, rec.rep) > 0)
@@ -78,11 +83,12 @@ def test_membership_commutes_with_transport(word):
     f = GF(2)
     base_theta = chamber_theta(dq, ())
     scan = moduli_scan(dq, d, base_theta, f)
+    base_siws, word_siws = shifted_simples(wg, (), f), shifted_simples(wg, word, f)
     for rec in scan.stable_records():
-        flags = exceptional_membership(rec.rep, wg, ())
+        flags = exceptional_membership(rec.rep, wg, (), base_siws)
         assert sorted(flags) == [1, 2]
         moved, _ = apply_word(word, rec.rep, base_theta)
-        assert exceptional_membership(moved, wg, word) == flags
+        assert exceptional_membership(moved, wg, word, word_siws) == flags
 
 
 def test_socle_bound_on_fundamental_chamber():
@@ -136,8 +142,9 @@ def test_transported_curves_off_diagonal_example():
     word = (1,)
     theta = chamber_theta(dq, word)
     scan = moduli_scan(dq, d, theta, f)
+    siws = shifted_simples(wg, word, f)
     for rec in scan.stable_records():
-        flags = exceptional_membership(rec.rep, wg, word)
+        flags = exceptional_membership(rec.rep, wg, word, siws)
         rec.e_flags["E1"], rec.e_flags["E2"] = flags[1], flags[2]
     only_e2 = [r for r in scan.stable_records() if r.e_flags["E2"] and not r.e_flags["E1"]]
     assert len(only_e2) == f.order  # a projective line minus the meeting point
@@ -159,7 +166,7 @@ def test_membership_precondition_is_enforced():
     # vertex 0 spans a destabilizing submodule, so this is never semistable
     unstable = Representation.build(dq, f, d, {"a2": Matrix(f, 1, 1, [[1]])})
     with _pytest.raises(PreconditionViolated):
-        exceptional_membership(unstable, wg, ())
+        exceptional_membership(unstable, wg, (), shifted_simples(wg, (), f))
 
 
 def test_random_nilpotent_is_nilpotent_and_valid():
