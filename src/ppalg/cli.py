@@ -33,6 +33,15 @@ def _load_rep(path: str) -> Representation:
         return Representation.from_json(json.load(fh))
 
 
+def _load_module(path: str) -> Representation:
+    """A module file whose matrices satisfy the preprojective relations, else UsageError."""
+    rep = _load_rep(path)
+    violated = rep.check_relations()
+    if violated:
+        raise UsageError(f"not a module over the preprojective algebra: violated vertices: {violated}")
+    return rep
+
+
 def _parse_theta(text: str, vertex_count: int) -> StabilityParameter:
     theta = StabilityParameter.parse(text)
     if len(theta) != vertex_count:
@@ -72,17 +81,13 @@ def cmd_quiver(args) -> int:
 
 
 def cmd_rep_check(args) -> int:
-    rep = _load_rep(args.file)
-    violated = rep.check_relations()
-    if violated:
-        print(f"violated vertices: {violated}")
-        return 1
-    print("ok")
-    return 0
+    violated = _load_rep(args.file).check_relations()
+    print(f"violated vertices: {violated}" if violated else "ok")
+    return 1 if violated else 0
 
 
 def cmd_reflect(args) -> int:
-    rep = _load_rep(args.file)
+    rep = _load_module(args.file)
     func = reflect_plus if args.dir == "plus" else reflect_minus
     res = func(args.vertex, rep)
     print(json.dumps({"defect": res.defect, "module": res.module.to_json()}, sort_keys=True))
@@ -90,7 +95,7 @@ def cmd_reflect(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    rep = _load_rep(args.file)
+    rep = _load_module(args.file)
     theta = _parse_theta(args.theta, rep.dq.vertex_count)
     word = _parse_word(args.word)
     module, final_theta = apply_word(word, rep, theta)
@@ -105,13 +110,7 @@ def cmd_apply(args) -> int:
 def cmd_chamber(args) -> int:
     dq, d = _setup(args.type)
     theta = _theta_from_args(args, d)
-    word = chamber_word(dq, d, theta)
-    # the descent word is a chamber invariant already; swap it for the
-    # breadth-first canonical spelling only where the group is small
-    if dq.vertex_count - 1 <= 4:
-        wg = WeylGroup(finite_root_system(dq, d))
-        word = wg.all_elements()[wg.matrix_of(word)]
-    print(chamber_label(word))
+    print(chamber_label(chamber_word(dq, d, theta)))
     return 0
 
 
@@ -128,7 +127,7 @@ def cmd_siw(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    rep = _load_rep(args.file)
+    rep = _load_module(args.file)
     theta = _parse_theta(args.theta, rep.dq.vertex_count)
     verdict = stab.stability_verdict(rep, theta, budget=args.budget)
     if verdict.witness is not None:
@@ -248,10 +247,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PpalgError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (PpalgError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -436,12 +436,18 @@ def check_same_field(f1: Field, f2: Field) -> None:
         raise FieldMismatch(f"mixed fields {f1!r} and {f2!r}")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def field_from_json(data: dict) -> Field:
+    """Read a field payload; a parameter that is not an int (a float, a bool) raises ValueError."""
     kind = data.get("kind")
     if kind == "rationals":
         return QQ
-    if kind == "prime":
-        return PrimeField(data["p"])
-    if kind == "prime-power":
-        return GaloisField(data["p"], data["k"])
-    raise ValueError(f"unknown field kind {kind!r}")
+    if kind not in ("prime", "prime-power"):
+        raise ValueError(f"unknown field kind {kind!r}")
+    params = [data["p"]] if kind == "prime" else [data["p"], data["k"]]
+    if not all(map(_is_int, params)):
+        raise ValueError(f"field parameters {params!r} are not all integers")
+    return PrimeField(*params) if kind == "prime" else GaloisField(*params)

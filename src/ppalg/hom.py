@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 from .errors import CocycleError, FieldMismatch, InternalInvariantError
-from .linalg import Matrix
+from .linalg import Matrix, hstack_all, vstack_all
 from .quiver import DoubleQuiver
 from .rep import Representation, block_module, hom_dim, hom_system, linear_system, unflatten
 
@@ -67,7 +67,7 @@ def ext1_space(m: Representation, n: Representation) -> Ext1Space:
     ker = d2.kernel_basis()
     # the kernel columns that extend the image to a basis of ker d2 are the
     # pivot columns of [img | ker] past img, since img is independent
-    _, pivots = img.hstack(ker).rref()
+    _, pivots = hstack_all(m.field, img.rows, (img, ker)).rref()
     chosen = [ker.column_vector(j - img.cols) for j in pivots if j >= img.cols]
     dim = len(chosen)
     expected = (d1.cols - img.cols) + hom_dim(n, m) - bilinear_form(m.dq, m.dims, n.dims)
@@ -110,8 +110,8 @@ def extension_splits(m: Representation, n: Representation, e: Representation) ->
     """
     f = m.field
     inj = {
-        v: Matrix.zero(f, n.dims[v], m.dims[v]).vstack(Matrix.identity(f, m.dims[v]))
-        for v in range(m.dq.vertex_count)
+        v: vstack_all(f, d, (Matrix.zero(f, n.dims[v], d), Matrix.identity(f, d)))
+        for v, d in enumerate(m.dims)
     }
     return retraction_exists(m.dual(), e.dual(), inj)
 
@@ -128,7 +128,7 @@ def retraction_exists(s: Representation, n: Representation, inj: Dict[int, Matri
     retract = linear_system(f, eqs, shapes, [(v, 1, None, v, inj[v]) for v, _, _ in eqs])
     identity = [x for v, d, _ in eqs for row in Matrix.identity(f, d).data for x in row]
     rhs = Matrix.column(f, [f.zero()] * d1.rows + identity)
-    return d1.vstack(retract).solve(rhs) is not None
+    return vstack_all(f, d1.cols, (d1, retract)).solve(rhs) is not None
 
 
 def in_add_simple(m: Representation, i: int) -> bool:

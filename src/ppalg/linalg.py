@@ -143,23 +143,6 @@ class Matrix:
             out.append(row)
         return Matrix._of(f, self.rows, other.cols, out)
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        check_same_field(self.field, other.field)
-        if self.rows != other.rows:
-            raise ShapeError("hstack row mismatch")
-        return Matrix._of(
-            self.field,
-            self.rows,
-            self.cols + other.cols,
-            [r1 + r2 for r1, r2 in zip(self.data, other.data)],
-        )
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        check_same_field(self.field, other.field)
-        if self.cols != other.cols:
-            raise ShapeError("vstack column mismatch")
-        return Matrix._of(self.field, self.rows + other.rows, self.cols, self.data + other.data)
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         return Matrix._of(
             self.field,
@@ -227,13 +210,10 @@ class Matrix:
         Free variables are set to zero, so the answer is the particular
         solution read off the reduced echelon form.
         """
-        check_same_field(self.field, rhs.field)
-        if rhs.rows != self.rows:
-            raise ShapeError("right-hand side row mismatch")
         f = self.field
         z = f.zero()
-        aug = self.hstack(rhs)
-        R, pivots = aug.rref()
+        # hstack_all checks that rhs shares the field and the row count
+        R, pivots = hstack_all(f, self.rows, (self, rhs)).rref()
         for pc in pivots:
             if pc >= self.cols:
                 return None
@@ -307,7 +287,7 @@ def hstack_all(field: Field, rows: int, mats: Sequence[Matrix]) -> Matrix:
         check_same_field(field, m.field)
         if m.rows != rows:
             raise ShapeError("hstack row mismatch")
-    data = [tuple(x for m in mats for x in m.data[r]) for r in range(rows)]
+    data = [sum(row, ()) for row in zip(*(m.data for m in mats))] if mats else [()] * rows
     return Matrix._of(field, rows, sum(m.cols for m in mats), data)
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ConnectivityError, LoopError, RangeError, UsageError
+from .fields import _is_int
 
 # The double builds a vertex x vertex Cartan matrix and vertex x arrow indexes,
 # so the vertex count is capped before anything is allocated.
@@ -203,10 +204,6 @@ class DoubleQuiver:
             lines.append(f'  {a.src} -> {a.dst} [label="{a.aid} ({sign})"];')
         lines.append("}")
         return "\n".join(lines)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def build_double(q: Quiver) -> DoubleQuiver:

@@ -162,10 +162,7 @@ def compute_siw(wg: WeylGroup, word: Sequence[int], i: int, field: Field) -> Shi
         if res.defect == 0 and not module_zero:
             cur = res.module
         elif module_zero and res.defect > 0:
-            stack = Representation.simple(dq, field, letter)
-            for _ in range(res.defect - 1):
-                stack = stack.direct_sum(Representation.simple(dq, field, letter))
-            cur = stack
+            cur = Representation.build(dq, field, res.defect * dq.unit(letter))
             degree += 1
             if degree > 1:
                 raise DichotomyError("stalk left the degree 0..1 range")

@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 
 from .errors import InternalInvariantError, SearchBudgetExceeded, UnsupportedShape
 from .fields import Field
-from .linalg import Matrix
+from .linalg import Matrix, hstack_all
 from .quiver import DimensionVector, DoubleQuiver
 from .rep import (
     Representation,
@@ -40,18 +40,13 @@ def _closed_masks(m: Representation) -> list[int]:
 
     Vertex v is bit n-1-v, so ascending masks are ascending 0/1 dimension
     vectors.  A support is closed when it holds every vertex that a nonzero
-    arrow reaches from it: a down-set of the preorder "y is reached from x".
-    Those are exactly the unions of the sets reach(v), built up one vertex at
-    a time instead of filtering all 2^|support| subsets.
+    arrow reaches from it: a down-set of the preorder "y is reached from x",
+    so exactly a union of the sets reach(v).
     """
     n = m.dq.vertex_count
-    reach = {v: 1 << (n - 1 - v) for v in _support(m)}
+    reach = {v: 1 << (n - 1 - v) for v in _support(m.dims)}
     # a live arrow is a 1x1 block, nonzero exactly when its entry is truthy
-    push = [
-        (a.src, a.dst)
-        for a in m.dq.arrows
-        if a.src in reach and a.dst in reach and m.mats[a.aid].data[0][0]
-    ]
+    push = [(a.src, a.dst) for a in _live_arrows(m.dq, m.dims) if m.mats[a.aid].data[0][0]]
     changed = True
     while changed:
         changed = False
@@ -121,18 +116,15 @@ def _closed_subspace_tuples(m: Representation, budget: int):
     per_vertex = [_subspaces(m.field, d) for d in m.dims]
     for spans in itertools.product(*per_vertex):
         if all(
-            spans[a.dst].hstack(m.mats[a.aid].mul(spans[a.src])).rank() == spans[a.dst].cols
+            hstack_all(m.field, m.dims[a.dst], (spans[a.dst], m.mats[a.aid].mul(spans[a.src]))).rank()
+            == spans[a.dst].cols
             for a in m.dq.arrows
         ):
             yield DimensionVector(s.cols for s in spans)
 
 
 def _sorted_submodule_dimvecs(m: Representation, budget: int) -> list[tuple]:
-    """Dimension vectors of all submodules, ascending: zero first, the whole module last.
-
-    Thin modules read their closed supports as ascending bitmasks, which is
-    already that order; others run the brute-force subspace search.
-    """
+    """Dimension vectors of all submodules, ascending: zero first, the whole module last."""
     if is_thin(m):
         n = m.dq.vertex_count
         return [_mask_bits(s, n) for s in _closed_masks(m)]
@@ -163,9 +155,7 @@ def stability_verdict(
 
     The witness is the first proper submodule dimension vector, in sorted
     order, of negative (else zero) parameter value.  Signs come from the
-    integer form ``theta.scaled``.  A thin module values its closed supports
-    as bitmasks, one integer weight per set bit, and builds a vector only
-    for its witness.
+    integer form ``theta.scaled``.
     """
     if theta.scaled(m.dims) != 0:
         return StabilityVerdict(status="NotInThetaKernel")
@@ -176,7 +166,7 @@ def stability_verdict(
         values = [sum(t for bit, t in weights if s & bit) for s in proper]
         witness = lambda s: DimensionVector(_mask_bits(s, n))
     else:
-        proper = sorted(set(_closed_subspace_tuples(m, budget)))[1:-1]
+        proper = _sorted_submodule_dimvecs(m, budget)[1:-1]
         values = [theta.scaled(beta) for beta in proper]
         witness = DimensionVector
     for s, value in zip(proper, values):
@@ -202,12 +192,10 @@ def _format_canonical(field: Field, dims, live: list, canonical) -> tuple:
 
 
 def thin_canonical_values(m: Representation) -> tuple:
-    """Gauge-canonical arrow values of a thin module.
+    """Gauge-canonical arrow values of a thin module: complete isomorphism invariants.
 
-    A spanning forest of the nonzero-arrow graph is rescaled to ones (roots
-    get gauge one, chosen as the smallest vertex per component); the remaining
-    cycle values are complete isomorphism invariants.  A gauge depends only on
-    the forest path from its root, so the walk order does not matter.
+    A spanning forest of the nonzero arrows is rescaled to ones, each tree
+    rooted at its smallest vertex (``rep._gauge_walk``); the cycle values remain.
     """
     if not is_thin(m):
         raise UnsupportedShape("canonical values are defined for thin modules")
@@ -316,11 +304,9 @@ def _thin_values(dq: DoubleQuiver, d, field: Field, budget: int):
 
     Tuples come in lexicographic order, with the live arrows taken in
     ``dq.arrows`` order: the order in which a scan of all q^|live|
-    assignments would meet them.  The base-arrow values run in lexicographic
-    order and only the star values sharing one of them are sorted, so memory
-    stays bounded by the largest such group.  The budget still bounds
-    q^|live|.  Each tuple's relations are re-checked as scalar sums before
-    it is yielded.
+    assignments would meet them.  Only the star values sharing one base
+    tuple are sorted, so memory stays bounded by the largest such group.
+    The budget bounds q^|live|.
     """
     if any(x > 1 for x in d):
         raise UnsupportedShape("enumeration is implemented for thin dimension vectors")
@@ -335,7 +321,7 @@ def _thin_values(dq: DoubleQuiver, d, field: Field, budget: int):
     # dq.arrows lists the base arrows, then their stars in the same order, so
     # live is base + stars and a value tuple over live is xs + ys
     base = [a for a in live if a in dq.base.arrows]
-    support = [v for v in range(dq.vertex_count) if d[v] == 1]
+    support = _support(d)
     incidence = Matrix(
         field,
         len(support),
@@ -383,11 +369,7 @@ def enumerate_thin_reps(
 ) -> Iterable[Representation]:
     """All relation-satisfying thin representations with the given dimensions.
 
-    One module is built per value tuple of ``_thin_values``, which solves the
-    relation variety and re-checks every solution; modules come in
-    lexicographic order of their values on the live arrows, taken in
-    ``dq.arrows`` order.  ``moduli_scan`` reads the value tuples directly and
-    builds modules only per arrow pattern and per class.
+    One module per value tuple of ``_thin_values``, in the same order.
     """
     live = _live_arrows(dq, d)
     for values in _thin_values(dq, d, field, budget):
@@ -403,16 +385,13 @@ def moduli_scan(
 ) -> ModuliScan:
     """Group the semistable thin representations into isomorphism classes.
 
-    Work is done per arrow pattern and per class, not per module.  With d
-    and theta fixed, a verdict depends only on which live arrows are
-    nonzero, so it is taken once per such pattern, on one module built for
-    it, and so is the gauge walk.  Canonical values come straight from each
-    value tuple of the enumeration, and a module is built only for the
-    first member of each class.  Nothing is kept beyond the call.
+    With d and theta fixed, a verdict depends only on which live arrows are
+    nonzero, so it is taken once per such pattern, as is the gauge walk; a
+    module is built only for the first member of each class.
     """
     dims = DimensionVector(d)
     live = _live_arrows(dq, dims)
-    support = [v for v in range(dq.vertex_count) if dims[v] == 1]
+    support = _support(dims)
     z = field.zero()
     patterns: dict[tuple, tuple] = {}  # nonzero pattern -> (verdict, gauge walk steps)
     seen: dict[tuple, ScanRecord] = {}  # canonical values -> record

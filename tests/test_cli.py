@@ -57,7 +57,7 @@ def test_chamber_longest_element(capsys):
 
 
 def test_chamber_on_large_rank_types(capsys):
-    # big Weyl groups take the descent-word path instead of full enumeration
+    # chamber prints the descent word at every rank, with no Weyl group built
     code, out, _ = run(capsys, "chamber", "--type", "E6", "--theta-tail", "1,1,1,1,1,1")
     assert code == 0 and out.strip() == "C(1)"
     # digits-base-seven tail cannot vanish on any root with coordinates < 7
@@ -113,6 +113,21 @@ def test_rep_check_ok_and_violation(capsys, tmp_path):
     bad.write_text(json.dumps(data), encoding="utf-8")
     code, out, _ = run(capsys, "rep-check", str(bad))
     assert code == 1 and "violated" in out
+
+
+@pytest.mark.parametrize("command", ["reflect", "apply", "stability"])
+def test_module_commands_reject_files_that_break_the_relations(capsys, tmp_path, command):
+    data = json.loads(write_curve_member(tmp_path).read_text(encoding="utf-8"))
+    data["mats"]["a1s"] = [["1"]]
+    violated = Representation.from_json(data).check_relations()
+    assert violated
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, *MODULE_COMMANDS[command], str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"violated vertices: {violated}" in err
+    code, out, _ = run(capsys, "rep-check", str(bad))
+    assert code == 1 and out.strip() == f"violated vertices: {violated}"
 
 
 def test_reflect_round_trip_through_files(capsys, tmp_path):
@@ -374,6 +389,9 @@ MALFORMED_MODULES = {
     "float-entry-over-QQ": malformed(field={"kind": "rationals"}, mats={"a1": [[0.1]]}),
     "string-row": malformed(mats={"a1": ["1"]}),
     "string-matrix": malformed(mats={"a1": "1"}),
+    # a float field parameter once passed as the modulus until pow met it
+    "float-modulus": malformed(field={"kind": "prime", "p": 3.0}),
+    "float-degree": malformed(field={"kind": "prime-power", "p": 2, "k": 2.0}),
 }
 MODULE_COMMANDS = {
     "rep-check": ["rep-check"],
@@ -415,7 +433,7 @@ def test_reflect_at_a_missing_vertex_exits_two(capsys, tmp_path):
 
 SCALARS = st.sampled_from(["", "0", "1", "2", "5", "-1", "1/0", "a1", "x"])
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-2, 4) | SCALARS,
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats(-2, 4) | SCALARS,
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.sampled_from(["a1", "a1s", "b", "kind", "p"]), inner, max_size=3),
     max_leaves=8,
@@ -423,13 +441,32 @@ JSON_VALUES = st.recursive(
 FIELDS = st.sampled_from(["quiver", "field", "dims", "mats"])
 
 
+def int_paths(value, path=()):
+    """The key paths to the integer leaves of a JSON value."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return [p for k, v in items for p in int_paths(v, path + (k,))]
+    return [path] if type(value) is int else []
+
+
 @st.composite
 def fuzzed_modules(draw):
-    """A valid module payload with some fields dropped, replaced or nested one level down."""
+    """A valid module payload with some fields dropped, replaced, retyped or nested one level down.
+
+    Retyping turns one integer into the equal float (a modulus 3 into 3.0),
+    which reads as the same number wherever a float is not rejected.
+    """
     data = curve_member_payload()
     for _ in range(draw(st.integers(1, 3))):
         target = data
         key = draw(FIELDS)
+        paths = int_paths(data.get(key), (key,))
+        if paths and draw(st.booleans()):
+            *keys, key = draw(st.sampled_from(paths))
+            for k in keys:
+                target = target[k]
+            target[key] = float(target[key])
+            continue
         if key in ("quiver", "mats") and draw(st.booleans()):
             target = data[key] if isinstance(data.get(key), dict) else data
             key = draw(st.sampled_from(["vertices", "arrows", "a1", "a2s", "zz"]))
@@ -447,8 +484,15 @@ def fuzzed_modules(draw):
 def test_rep_check_never_tracebacks_on_fuzzed_modules(capsys, tmp_path, payload):
     path = tmp_path / "fuzz.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
-    code, _, err = run(capsys, "rep-check", str(path))
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err
-    if code == 2:
-        assert err.startswith("error:")
+    # a small subspace budget keeps the brute-force verdict on fuzzed dims quick
+    for argv in (
+        ["rep-check"],
+        ["reflect", "--vertex", "1", "--dir", "plus"],
+        ["reflect", "--vertex", "1", "--dir", "minus"],
+        ["stability", "--budget", "1000", "--theta", "-2,1,1"],
+    ):
+        code, _, err = run(capsys, *argv, str(path))
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error:")

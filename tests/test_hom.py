@@ -17,7 +17,7 @@ from ppalg.hom import (
     retraction_exists,
     torsion_membership,
 )
-from ppalg.linalg import Matrix
+from ppalg.linalg import Matrix, hstack_all
 from ppalg.quiver import standard_extended_dynkin
 from ppalg.rep import (
     Representation,
@@ -225,7 +225,7 @@ def greedy_cocycle_choice(m, n):
     chosen = []
     acc = d1.image_basis()
     for j in range(ker.cols):
-        grown = acc.hstack(Matrix.column(m.field, ker.column_vector(j)))
+        grown = hstack_all(m.field, acc.rows, (acc, Matrix.column(m.field, ker.column_vector(j))))
         if grown.rank() > acc.rank():
             chosen.append(ker.column_vector(j))
             acc = grown

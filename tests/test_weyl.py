@@ -168,6 +168,22 @@ def test_every_d4_chamber_is_identified():
         assert wg.matrix_of(got) == mat
 
 
+@pytest.mark.parametrize("tag,n", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4)])
+def test_descent_word_is_the_breadth_first_word(tag, n):
+    """The descent word is the lexicographically first reduced word of its element.
+
+    That is the word the breadth-first enumeration keeps, so ``chamber``
+    prints the same spelling as a lookup in the whole group would.
+    """
+    dq, d, rs, wg = cached_setup(tag, n)
+    base = StabilityParameter([-sum(d[1:])] + [1] * rs.rank)
+    elements = wg.all_elements()
+    for word in wg.canonical_words():
+        theta = apply_word_to_theta(dq, word, base)
+        assert chamber_word(dq, d, theta) == elements[wg.matrix_of(word)]
+    assert len(elements) == {("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("A", 4): 120, ("D", 4): 192}[tag, n]
+
+
 def test_random_d4_parameters_satisfy_their_chamber_inequalities():
     dq, d, rs, wg = setup("D", 4)
     rng = random.Random(41)
