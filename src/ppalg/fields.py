@@ -11,6 +11,7 @@ Field objects are immutable and safe to share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Iterator
 
 from .errors import FieldMismatch, RangeError
@@ -252,49 +253,16 @@ def _find_irreducible(p: int, k: int) -> tuple:
     """Lexicographically first monic irreducible polynomial of degree k over F_p.
 
     Coefficient tuples are (c0, ..., c_{k-1}, 1).  Irreducibility is decided by
-    trial division against every monic polynomial of degree up to k//2, which
-    is plenty for the small extension degrees supported here.
+    trial division: no monic polynomial of degree up to k//2 leaves remainder
+    zero, which is plenty for the small extension degrees supported here.
     """
-
-    def poly_divides(d: tuple, f: tuple) -> bool:
-        rem = list(f)
-        dd = len(d) - 1
-        while len(rem) - 1 >= dd and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            lead = rem[-1]
-            shift = len(rem) - 1 - dd
-            for j in range(dd + 1):
-                rem[shift + j] = (rem[shift + j] - lead * d[j]) % p
-        return not any(rem)
-
-    def monic_polys(deg: int):
-        def rec(i: int, cur: list):
-            if i == deg:
-                yield tuple(cur) + (1,)
-                return
-            for c in range(p):
-                cur.append(c)
-                yield from rec(i + 1, cur)
-                cur.pop()
-
-        yield from rec(0, [])
-
-    for f in monic_polys(k):
-        # skip polynomials divisible by x
-        if f[0] == 0:
-            continue
-        ok = True
-        for deg in range(1, k // 2 + 1):
-            for d in monic_polys(deg):
-                if poly_divides(d, f):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+    for low in product(range(p), repeat=k):
+        f = low + (1,)
+        if all(
+            any(_poly_mul_mod(f, (1,), d + (1,), p))
+            for deg in range(1, k // 2 + 1)
+            for d in product(range(p), repeat=deg)
+        ):
             return f
     raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
 

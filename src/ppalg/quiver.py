@@ -78,21 +78,10 @@ class Quiver:
         self._check_connected()
 
     def _check_connected(self) -> None:
-        if self.vertex_count <= 1:
-            return
-        seen = {0}
-        frontier = [0]
-        adj: dict[int, set[int]] = {v: set() for v in range(self.vertex_count)}
-        for a in self.arrows:
-            adj[a.src].add(a.dst)
-            adj[a.dst].add(a.src)
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        if len(seen) != self.vertex_count:
+        reached = {0}
+        while grown := {v for a in self.arrows if {a.src, a.dst} & reached for v in (a.src, a.dst)} - reached:
+            reached |= grown
+        if len(reached) != self.vertex_count:
             raise ConnectivityError("underlying graph is not connected")
 
 

@@ -195,19 +195,21 @@ class Representation:
         try:
             dq = DoubleQuiver.from_json(data["quiver"])
             field = field_from_json(data["field"])
-            if not isinstance(data["dims"], list) or not all(_is_int(x) for x in data["dims"]):
-                raise UsageError("dims must be a list of integers")
+            if not isinstance(data["dims"], list) or not all(_is_int(x) and x >= 0 for x in data["dims"]):
+                raise UsageError("dims must be a list of nonnegative integers")
             dims = DimensionVector(data["dims"])
             raw = dict(data["mats"])
             if len(dims) != dq.vertex_count or not raw.keys() <= {a.aid for a in dq.arrows}:
                 raise UsageError("dims or mats do not match the vertices and arrows of the quiver")
             if dims.total() > MAX_MODULE_DIM:
                 raise UsageError(f"total dimension {dims.total()} is above the cap {MAX_MODULE_DIM}")
-            mats = {
-                a.aid: Matrix.from_json(field, raw[a.aid], dims[a.dst], dims[a.src])
-                for a in dq.arrows
-                if raw.get(a.aid) is not None
-            }
+            mats = {}
+            for a in dq.arrows:
+                if raw.get(a.aid) is not None:
+                    try:
+                        mats[a.aid] = Matrix.from_json(field, raw[a.aid], dims[a.dst], dims[a.src])
+                    except (ShapeError, FieldMismatch, TypeError, ValueError, ArithmeticError) as exc:
+                        raise UsageError(f"mats.{a.aid}: {exc!r}") from None
         except (LookupError, TypeError, ValueError, AttributeError, ArithmeticError) as exc:
             raise UsageError(f"malformed module JSON: {exc!r}") from None
         return Representation.build(dq, field, dims, mats)
@@ -381,39 +383,26 @@ def _gauge_walk(support, live: list, nonzero) -> list:
     """The steps of the gauge walk of one pattern of nonzero live arrows.
 
     A spanning forest of the nonzero arrows is rescaled to ones.  Each tree
-    is entered at its smallest vertex, whose gauge stays one; a step
-    (w, v, i, forward) fixes the gauge of w from that of v and the value on
-    live arrow i.  The walk depends only on the pattern, not on the values.
+    grows from its smallest vertex, whose gauge stays one, by the first
+    nonzero arrow in ``live`` order with exactly one reached end (Prim's
+    rule with the live index as weight, so the forest is the minimum one);
+    a step (w, v, i, forward) fixes the gauge of w from that of v and the
+    value on live arrow i.  The walk depends only on the pattern, not on
+    the values.
     """
-    parent = {v: v for v in support}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    adj: dict[int, list] = {v: [] for v in parent}
-    for i, (a, nz) in enumerate(zip(live, nonzero)):
-        if nz:
-            rs, rt = find(a.src), find(a.dst)
-            if rs != rt:
-                parent[rs] = rt
-                adj[a.src].append((a.dst, i, True))
-                adj[a.dst].append((a.src, i, False))
     steps, reached = [], set()
-    for root in parent:  # ascending, so each tree is entered at its smallest vertex
+    edges = [(i, a.src, a.dst) for i, (a, nz) in enumerate(zip(live, nonzero)) if nz]
+    for root in support:  # ascending
         if root in reached:
             continue
         reached.add(root)
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w, i, forward in adj[v]:
-                if w not in reached:
-                    reached.add(w)
-                    steps.append((w, v, i, forward))
-                    stack.append(w)
+        while step := next(
+            ((t, s, i, True) if s in reached else (s, t, i, False)
+             for i, s, t in edges if (s in reached) != (t in reached)),
+            None,
+        ):
+            reached.add(step[0])
+            steps.append(step)
     return steps
 
 

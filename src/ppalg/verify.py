@@ -519,24 +519,21 @@ def _gf(*orders) -> list:
     return [GF(q) for q in orders]
 
 
-# Every suite in the order ``--suite all`` runs it.  An entry maps the
-# requested fields (None for the suite's own) and seed to its reports; it
-# looks the suite function up in this module when it runs.
+# Every suite in the order ``--suite all`` runs it.  An entry holds the orders
+# of the fields the suite runs over by default, empty for a suite with fixed
+# fields, and maps one field (None for a fixed-field suite) and the seed to its
+# reports; it looks the suite function up in this module when it runs.
 SUITES = {
-    "figure2": lambda fields, seed: [figure2_report(f) for f in fields or _gf(2, 3)],
-    "chs": lambda fields, seed: [
-        check_stability_characterization(f, word)
-        for f in fields or _gf(2, 3)
-        for word in A2_CHAMBER_WORDS
-    ],
-    "zerogen": lambda fields, seed: [zerogen_suite(f) for f in fields or _gf(2, 3)],
-    "roundtrip": lambda fields, seed: [roundtrip_suite(f) for f in fields or _gf(2, 3)],
-    "coxeter": lambda fields, seed: [coxeter_suite()],
-    "dimlaw": lambda fields, seed: [dimlaw_suite(seed=7 if seed is None else seed)],
-    "cbform": lambda fields, seed: [cbform_suite(seed=11 if seed is None else seed)],
-    "walls": lambda fields, seed: [walls_suite(f) for f in fields or _gf(2, 3, 4)],
-    "rootlaw": lambda fields, seed: [rootlaw_suite(seed=3 if seed is None else seed)],
-    "Lseq": lambda fields, seed: [check_L_sequences(f) for f in fields or _gf(2, 3)],
+    "figure2": ((2, 3), lambda f, seed: [figure2_report(f)]),
+    "chs": ((2, 3), lambda f, seed: [check_stability_characterization(f, w) for w in A2_CHAMBER_WORDS]),
+    "zerogen": ((2, 3), lambda f, seed: [zerogen_suite(f)]),
+    "roundtrip": ((2, 3), lambda f, seed: [roundtrip_suite(f)]),
+    "coxeter": ((), lambda f, seed: [coxeter_suite()]),
+    "dimlaw": ((), lambda f, seed: [dimlaw_suite(seed=7 if seed is None else seed)]),
+    "cbform": ((), lambda f, seed: [cbform_suite(seed=11 if seed is None else seed)]),
+    "walls": ((2, 3, 4), lambda f, seed: [walls_suite(f)]),
+    "rootlaw": ((), lambda f, seed: [rootlaw_suite(seed=3 if seed is None else seed)]),
+    "Lseq": ((2, 3), lambda f, seed: [check_L_sequences(f)]),
 }
 SUITE_NAMES = ("all", *SUITES)
 
@@ -548,15 +545,21 @@ def run_suite(
 ) -> SuiteReport:
     """Dispatch a named verification suite; unknown names raise UsageError.
 
-    ``seed`` reaches the sampling suites (dimlaw, cbform, rootlaw); each has
-    its own default when it is None.
+    ``field_order`` replaces the fields of the suites that take one; naming it
+    for a single suite with fixed fields raises UsageError.  ``seed`` reaches
+    the sampling suites (dimlaw, cbform, rootlaw); each has its own default
+    when it is None.
     """
     if name not in SUITE_NAMES:
         raise UsageError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     fields = None if field_order is None else [GF(field_order)]
+    if fields and name != "all" and not SUITES[name][0]:
+        takes = ", ".join(suite for suite, (orders, _) in SUITES.items() if orders)
+        raise UsageError(f"suite {name} has fixed fields; --field applies to all and to {takes}")
     report = SuiteReport(suite=name)
-    for suite, reports in SUITES.items():
+    for suite, (orders, reports) in SUITES.items():
         if name in (suite, "all"):
-            for part in reports(fields, seed):
-                report.extend(part)
+            for f in (fields or _gf(*orders)) if orders else [None]:
+                for part in reports(f, seed):
+                    report.extend(part)
     return report

@@ -176,6 +176,13 @@ def test_verify_field_zero_exits_two(capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("suite", ["coxeter", "dimlaw", "cbform", "rootlaw"])
+def test_verify_field_on_a_fixed_field_suite_exits_two(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--field", "7")
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert all(name in err for name in ("figure2", "chs", "zerogen", "roundtrip", "walls", "Lseq"))
+
+
 def test_verify_figure2_field3_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "figure2", "--field", "3")
     assert code == 0
@@ -326,13 +333,28 @@ a1,a2,a3,a1s,a2s,a3s,status
 
 
 def test_scan_csv_golden_bytes(capsys):
-    # frozen canonical output; any change to echelon or gauge conventions
-    # shows up here first
+    # frozen canonical output; over GF(2) every nonzero canonical value is 1,
+    # so the choice of gauge forest shows only in the digests below
     code, out, _ = run(
         capsys, "scan", "--type", "A2", "--field", "2", "--theta", "-2,1,1", "--emit", "csv"
     )
     assert code == 0
     assert out.replace("\r\n", "\n") == GOLDEN_SCAN_F2
+
+
+# sha256 of the scan CSV over fields with more than one nonzero value, where
+# the canonical values depend on which spanning forest the gauge walk fixes
+GOLDEN_SCAN_SHA256 = {
+    "A2 --field 5 --theta -2,1,1": "808d0a9f22ed0e11466e4d2fe1d49b9008d12857c764a4f6f9ba580d46d46a7f",
+    "A3 --field 3 --theta-tail 1,1,1": "567d35a8b84a9e761d165115bb26cc030110a2449ee4964678bd735b95edeac7",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_SCAN_SHA256))
+def test_scan_csv_golden_digests(capsys, args):
+    code, out, _ = run(capsys, "scan", "--type", *args.split(), "--emit", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_SCAN_SHA256[args]
 
 
 # sha256 of the raw stdout of `ppalg verify --suite all --emit json`
@@ -377,6 +399,8 @@ MALFORMED_MODULES = {
     "short-dims": malformed(dims=[1, 1]),
     "unknown-arrow-id": malformed(mats={"b9": [["1"]]}),
     "code-outside-field": malformed(mats={"a1": [["5"]]}),
+    "wrong-shape": malformed(mats={"a2s": [["1", "0"]]}),
+    "negative-dims": malformed(dims=[1, -1, 1]),
     "field-not-an-object": malformed(field=[]),
     "null-entry": malformed(mats={"a1": [[None]]}),
     "zero-denominator": malformed(field={"kind": "rationals"}, mats={"a1": [["1/0"]]}),
@@ -392,6 +416,18 @@ MALFORMED_MODULES = {
     # a float field parameter once passed as the modulus until pow met it
     "float-modulus": malformed(field={"kind": "prime", "p": 3.0}),
     "float-degree": malformed(field={"kind": "prime-power", "p": 2, "k": 2.0}),
+}
+# the rows with one bad matrix: the error names its JSON path
+BAD_MATRIX_PATHS = {
+    "code-outside-field": "mats.a1",
+    "wrong-shape": "mats.a2s",
+    "null-entry": "mats.a1",
+    "zero-denominator": "mats.a1",
+    "float-entry": "mats.a1",
+    "boolean-entry": "mats.a1",
+    "float-entry-over-QQ": "mats.a1",
+    "string-row": "mats.a1",
+    "string-matrix": "mats.a1",
 }
 MODULE_COMMANDS = {
     "rep-check": ["rep-check"],
@@ -412,6 +448,8 @@ def test_malformed_module_files_exit_two(capsys, tmp_path, command, payload):
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
     assert out == ""
+    if payload in BAD_MATRIX_PATHS:
+        assert err.startswith(f"error: {BAD_MATRIX_PATHS[payload]}: ")
 
 
 @pytest.mark.parametrize("extra,code", [(0, 0), (1, 2)])

@@ -118,6 +118,21 @@ def test_mul_table_is_the_schoolbook_product_mod_the_modulus(q):
             assert f.mul(a, f.inv(a)) == 1
 
 
+# the lexicographically first monic irreducible of each order, (c0, ..., 1);
+# the multiplication tables and every output over GF(q) depend on it
+MODULI = {
+    4: (1, 1, 1), 8: (1, 0, 1, 1), 9: (1, 0, 1), 16: (1, 0, 0, 1, 1),
+    25: (1, 1, 1), 27: (1, 0, 2, 1), 32: (1, 0, 0, 1, 0, 1), 49: (1, 0, 1),
+    64: (1, 0, 0, 0, 0, 1, 1), 81: (1, 0, 1, 1, 1), 121: (1, 0, 1), 125: (1, 0, 1, 1),
+    128: (1, 0, 0, 0, 0, 0, 1, 1), 169: (1, 3, 1), 243: (1, 0, 0, 0, 2, 1),
+    256: (1, 0, 0, 0, 1, 1, 0, 1, 1),
+}
+
+
+def test_every_prime_power_field_keeps_its_modulus():
+    assert {q: GF(q).modulus for q in MODULI} == MODULI
+
+
 @pytest.mark.parametrize("field", [GF(2), GF(7), GF(4), GF(27), GF(256)])
 def test_zero_is_the_only_falsy_element_of_a_finite_field(field):
     assert [x for x in field.elements() if not x] == [field.zero()]

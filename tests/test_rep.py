@@ -11,7 +11,7 @@ import ppalg.rep as rep_module
 from ppalg.errors import Inconclusive, ShapeError
 from ppalg.fields import GF, QQ
 from ppalg.linalg import Matrix, vstack_all
-from ppalg.quiver import DimensionVector, standard_extended_dynkin
+from ppalg.quiver import Arrow, DimensionVector, standard_extended_dynkin
 from ppalg.rep import (
     Representation,
     hom_basis,
@@ -203,6 +203,49 @@ def test_thin_canonical_values_and_is_isomorphic_agree():
                 aid = rng.choice([aid for aid, x in m.mats.items() if not x.is_zero()])
                 changed = dict(m.mats, **{aid: m.mats[aid].scale(Fraction(2))})
                 assert not agree(m, Representation.build(dq, QQ, m.dims, changed))
+
+
+@st.composite
+def gauge_patterns(draw):
+    """A thin support, live arrows between its vertices (parallel ones likely) and a nonzero pattern."""
+    support = sorted(draw(st.sets(st.integers(0, 9), min_size=1, max_size=6)))
+    live = []
+    if len(support) > 1:
+        ends = st.lists(st.sampled_from(support), min_size=2, max_size=2, unique=True)
+        live = [Arrow(f"a{i}", s, t) for i, (s, t) in enumerate(draw(st.lists(ends, max_size=12)))]
+    nonzero = draw(st.lists(st.booleans(), min_size=len(live), max_size=len(live)))
+    return support, live, nonzero
+
+
+@settings(max_examples=400, deadline=None)
+@given(gauge_patterns())
+def test_gauge_walk_is_the_minimum_spanning_forest_rooted_at_smallest_vertices(pattern):
+    support, live, nonzero = pattern
+    steps = rep_module._gauge_walk(support, live, nonzero)
+    parent = {}  # vertex -> (the vertex its step starts from, live index)
+    entered = {w for w, _, _, _ in steps}
+    for w, v, i, forward in steps:
+        a = live[i]
+        assert nonzero[i] and (a.src, a.dst) == ((v, w) if forward else (w, v))
+        assert {v, w} <= set(support) and w not in parent and (v in parent or v not in entered)
+        parent[w] = (v, i)
+
+    def climb(x):
+        """The forest arrows from x up to its tree root, and that root."""
+        used = set()
+        while x in parent:
+            x, i = parent[x]
+            used.add(i)
+        return used, x
+
+    root = {x: climb(x)[1] for x in support}
+    assert all(r == min(x for x in support if root[x] == r) for r in root.values())
+    forest = {i for _, i in parent.values()}
+    for j, a in enumerate(live):
+        if nonzero[j] and j not in forest:
+            (up_src, root_src), (up_dst, root_dst) = climb(a.src), climb(a.dst)
+            # the arrow closes a cycle, and each arrow of its forest path comes earlier
+            assert root_src == root_dst and all(i < j for i in up_src ^ up_dst)
 
 
 def test_top_socle_agree_with_hom_dimensions():

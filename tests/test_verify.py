@@ -184,7 +184,8 @@ def test_random_nilpotent_is_nilpotent_and_valid():
 def test_run_suite_with_field_override():
     rep = run_suite("zerogen", field_order=3)
     assert rep.all_pass
-    assert "q=3" in rep.cases[0].key or rep.suite == "zerogen"
+    # A2 at delta has 141 relation-satisfying thin modules over GF(3), 28 over GF(2)
+    assert [case.key for case in rep.cases] == ["three-way mismatches over 141 modules"]
 
 
 SUITE_FUNCTIONS = {
