@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
-from .errors import FieldMismatch, RangeError
+from .errors import FieldMismatch, RangeError, UsageError
 
 MAX_PRIME = 2**31 - 1
 
@@ -409,13 +409,17 @@ def _is_int(x) -> bool:
 
 
 def field_from_json(data: dict) -> Field:
-    """Read a field payload; a parameter that is not an int (a float, a bool) raises ValueError."""
+    """Read a field payload; a malformed one raises UsageError naming its JSON path."""
+    if not isinstance(data, dict):
+        raise UsageError("field: expected an object")
     kind = data.get("kind")
     if kind == "rationals":
         return QQ
     if kind not in ("prime", "prime-power"):
-        raise ValueError(f"unknown field kind {kind!r}")
-    params = [data["p"]] if kind == "prime" else [data["p"], data["k"]]
-    if not all(map(_is_int, params)):
-        raise ValueError(f"field parameters {params!r} are not all integers")
+        raise UsageError(f"field.kind: unknown field kind {kind!r}")
+    keys = "p" if kind == "prime" else "pk"
+    for key in keys:
+        if not _is_int(data.get(key)):  # a float or a bool is not a parameter
+            raise UsageError(f"field.{key}: expected an integer, got {data.get(key)!r}")
+    params = [data[key] for key in keys]
     return PrimeField(*params) if kind == "prime" else GaloisField(*params)

@@ -166,16 +166,18 @@ class DoubleQuiver:
 
     @staticmethod
     def from_json(data: dict) -> "DoubleQuiver":
-        """Parse a quiver payload; missing keys and wrong JSON types raise UsageError."""
-        try:
-            vertices = data["vertices"]
-            entries = [(a["id"], a["src"], a["dst"], "star_of" in a) for a in data["arrows"]]
-        except (LookupError, TypeError) as exc:
-            raise UsageError(f"malformed quiver JSON: {exc!r}") from None
-        if not _is_int(vertices) or not all(
-            isinstance(aid, str) and _is_int(src) and _is_int(dst) for aid, src, dst, _ in entries
+        """Parse a quiver payload; a malformed one raises UsageError naming its JSON path."""
+        if not isinstance(data, dict):
+            raise UsageError("quiver: expected an object")
+        vertices, arrows = data.get("vertices"), data.get("arrows")
+        if not _is_int(vertices):
+            raise UsageError(f"quiver.vertices: expected an integer, got {vertices!r}")
+        if not isinstance(arrows, list) or not all(
+            isinstance(a, dict) and isinstance(a.get("id"), str) and _is_int(a.get("src")) and _is_int(a.get("dst"))
+            for a in arrows
         ):
-            raise UsageError("malformed quiver JSON: vertices, src and dst must be integers, ids strings")
+            raise UsageError("quiver.arrows: expected a list of objects with a string id and integer src and dst")
+        entries = [(a["id"], a["src"], a["dst"], "star_of" in a) for a in arrows]
         base_arrows = [Arrow(aid, src, dst) for aid, src, dst, starred in entries if not starred]
         dq = build_double(Quiver(vertices, base_arrows))
         declared = {(aid, src, dst) for aid, src, dst, _ in entries}

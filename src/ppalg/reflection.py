@@ -121,8 +121,7 @@ def apply_word(
     verdict = stability_verdict(m, theta)
     if not verdict.semistable:
         raise PreconditionViolated(f"input module is not semistable: {verdict.status}")
-    cur = m
-    th = StabilityParameter(theta)
+    cur, th = m, theta
     for letter in reversed(tuple(word)):
         if not 0 <= letter < m.dq.vertex_count:
             raise RangeError(f"letter {letter} is not a vertex")

@@ -9,7 +9,6 @@ Representations are immutable; all operations are pure.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -19,9 +18,7 @@ from .fields import Field, _is_int, check_same_field, field_from_json
 from .linalg import Matrix, hstack_all, vstack_all
 from .quiver import DimensionVector, DoubleQuiver
 
-ISO_EXHAUSTIVE_DIM = 4
-ISO_EXHAUSTIVE_COMBOS = 10**6
-ISO_RANDOM_TRIES = 64
+MORPHISM_SCAN_BUDGET = 10**5  # combinations a morphism scan tries before it raises Inconclusive
 MAX_MODULE_DIM = 64  # total dimension accepted from a module file
 
 
@@ -191,27 +188,29 @@ class Representation:
 
     @staticmethod
     def from_json(data: dict) -> "Representation":
-        """Parse a module payload; a malformed one raises UsageError."""
-        try:
-            dq = DoubleQuiver.from_json(data["quiver"])
-            field = field_from_json(data["field"])
-            if not isinstance(data["dims"], list) or not all(_is_int(x) and x >= 0 for x in data["dims"]):
-                raise UsageError("dims must be a list of nonnegative integers")
-            dims = DimensionVector(data["dims"])
-            raw = dict(data["mats"])
-            if len(dims) != dq.vertex_count or not raw.keys() <= {a.aid for a in dq.arrows}:
-                raise UsageError("dims or mats do not match the vertices and arrows of the quiver")
-            if dims.total() > MAX_MODULE_DIM:
-                raise UsageError(f"total dimension {dims.total()} is above the cap {MAX_MODULE_DIM}")
-            mats = {}
-            for a in dq.arrows:
-                if raw.get(a.aid) is not None:
-                    try:
-                        mats[a.aid] = Matrix.from_json(field, raw[a.aid], dims[a.dst], dims[a.src])
-                    except (ShapeError, FieldMismatch, TypeError, ValueError, ArithmeticError) as exc:
-                        raise UsageError(f"mats.{a.aid}: {exc!r}") from None
-        except (LookupError, TypeError, ValueError, AttributeError, ArithmeticError) as exc:
-            raise UsageError(f"malformed module JSON: {exc!r}") from None
+        """Parse a module payload; a malformed one raises UsageError naming its JSON path."""
+        if not isinstance(data, dict):
+            raise UsageError(f"module: expected an object, got {type(data).__name__}")
+        dq = DoubleQuiver.from_json(data.get("quiver"))
+        field = field_from_json(data.get("field"))
+        dims, raw = data.get("dims"), data.get("mats")
+        if not (isinstance(dims, list) and len(dims) == dq.vertex_count and all(_is_int(x) and x >= 0 for x in dims)):
+            raise UsageError(f"dims: expected {dq.vertex_count} nonnegative integers, one per vertex")
+        dims = DimensionVector(dims)
+        if dims.total() > MAX_MODULE_DIM:
+            raise UsageError(f"dims: total dimension {dims.total()} is above the cap {MAX_MODULE_DIM}")
+        if not isinstance(raw, dict):
+            raise UsageError("mats: expected an object keyed by arrow id")
+        unknown = sorted(raw.keys() - {a.aid for a in dq.arrows})
+        if unknown:
+            raise UsageError(f"mats.{unknown[0]}: not an arrow of the quiver")
+        mats = {}
+        for a in dq.arrows:
+            if raw.get(a.aid) is not None:
+                try:
+                    mats[a.aid] = Matrix.from_json(field, raw[a.aid], dims[a.dst], dims[a.src])
+                except (ShapeError, FieldMismatch, TypeError, ValueError, ArithmeticError) as exc:
+                    raise UsageError(f"mats.{a.aid}: {exc!r}") from None
         return Representation.build(dq, field, dims, mats)
 
 
@@ -343,19 +342,36 @@ def combination(field: Field, basis: Sequence[dict], coeffs) -> dict:
 
 
 def nonzero_morphisms(field: Field, basis: Sequence[dict], budget: int):
-    """Every nonzero combination of a basis of maps, in coefficient-tuple order.
+    """Every nonzero combination of a basis of maps once, in a shuffled order seeded with 0.
 
-    Raises Inconclusive over an infinite field, or when the q^d - 1 nonzero
-    combinations of a d-element basis exceed ``budget``.
+    Over a finite field the coefficients are the field's elements.  Over QQ
+    they are 0..2n for a source of dimension n: injectivity and invertibility
+    fail only on the zeros of a product of minors, of degree at most n, and a
+    grid with more than n values per coordinate holds a non-root of every
+    nonzero such polynomial (Schwartz, J. ACM 27, 1980).  The order is a lazy
+    Fisher-Yates shuffle of the combination indices.  Raises Inconclusive when
+    ``budget`` tries end before the last combination.
     """
-    d = len(basis)
-    if not field.is_finite:
-        raise Inconclusive("morphism scans need a finite field")
-    if field.order**d - 1 > budget:
-        raise Inconclusive(f"{field.order}^{d} combinations exceed the scan budget")
-    for coeffs in itertools.product(list(field.elements()), repeat=d):
-        if any(c != field.zero() for c in coeffs):
-            yield combination(field, basis, coeffs)
+    if not basis:
+        return
+    if field.is_finite:
+        grid = list(field.elements())
+    else:
+        n = sum(mat.cols for mat in basis[0].values())
+        grid = [field.from_int(k) for k in range(2 * n + 1)]
+    size = len(grid) ** len(basis) - 1  # index 0 is the zero combination
+    rng, moved = random.Random(0), {}
+    for k in range(size):
+        if k == budget:
+            raise Inconclusive(f"{size} nonzero combinations exceed the morphism scan budget {budget}")
+        j = rng.randrange(k, size)
+        index = moved.get(j, j) + 1
+        moved[j] = moved.pop(k, k)
+        coeffs = []
+        for _ in basis:
+            index, digit = divmod(index, len(grid))
+            coeffs.append(grid[digit])
+        yield combination(field, basis, coeffs)
 
 
 def _is_invertible(phi: dict[int, Matrix]) -> bool:
@@ -438,11 +454,10 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
     a spanning forest of the nonzero arrows is rescaled to ones are complete
     invariants of that action.
 
-    Other pairs go through the hom space.  Over a finite field with a small
-    hom space the search over coefficient combinations is exhaustive and
-    therefore definitive.  Otherwise a random search with seed 0 runs first;
-    a miss with matching hom dimensions raises Inconclusive instead of
-    claiming a negative.
+    Other pairs are not isomorphic when dim Hom(m, n), dim End m and dim End n
+    differ.  A one-dimensional Hom(m, n) is decided by its basis map; a larger
+    one by ``nonzero_morphisms``, which meets an invertible map whenever one
+    exists and raises Inconclusive when ``MORPHISM_SCAN_BUDGET`` tries end first.
     """
     if m.field != n.field:
         raise FieldMismatch("isomorphism test over different fields")
@@ -453,43 +468,18 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
     if is_thin(m):
         return _thin_canonical(m) == _thin_canonical(n)
     basis = hom_basis(m, n)
-    d = len(basis)
-    if d == 0:
+    if not basis or hom_dim(m, m) != len(basis) or hom_dim(n, n) != len(basis):
         return False
-    f = m.field
-    if f.is_finite and d <= ISO_EXHAUSTIVE_DIM and f.order**d <= ISO_EXHAUSTIVE_COMBOS:
-        return any(_is_invertible(phi) for phi in nonzero_morphisms(f, basis, ISO_EXHAUSTIVE_COMBOS))
-    rng = random.Random(0)
-    for _ in range(ISO_RANDOM_TRIES):
-        if f.is_finite:
-            pool = list(f.elements())
-            coeffs = [pool[rng.randrange(len(pool))] for _ in range(d)]
-        else:
-            coeffs = [f.from_int(rng.randint(-20, 20)) for _ in range(d)]
-        if any(c != f.zero() for c in coeffs) and _is_invertible(combination(f, basis, coeffs)):
-            return True
-    if hom_dim(m, m) == d and hom_dim(n, n) == d:
-        raise Inconclusive("random isomorphism search failed with matching hom data")
-    return False
+    scan = basis if len(basis) == 1 else nonzero_morphisms(m.field, basis, MORPHISM_SCAN_BUDGET)
+    return any(_is_invertible(phi) for phi in scan)
 
 
 def quotient_by_map(n: Representation, phi: dict[int, Matrix]) -> Representation:
     """The quotient of n by the image of a module map phi: s -> n."""
-    f = n.field
-    projections = {}
-    dims = []
-    for v in range(n.dq.vertex_count):
-        img = phi[v]
-        proj = img.cokernel_projection()
-        projections[v] = proj
-        dims.append(proj.rows)
-    mats = {}
-    for a in n.dq.arrows:
-        s, t = a.src, a.dst
-        # induced map on quotients: Q_a . proj_s = proj_t . n_a
-        w = projections[t].mul(n.mats[a.aid])
-        if projections[s].rows == 0:
-            mats[a.aid] = Matrix.zero(f, dims[t], 0)
-        else:
-            mats[a.aid] = w.mul(projections[s].right_inverse())
-    return Representation.build(n.dq, f, dims, mats)
+    projections = [phi[v].cokernel_projection() for v in range(n.dq.vertex_count)]
+    # induced map on quotients: Q_a . proj_s = proj_t . n_a; a 0-row proj_s has the n x 0 right inverse
+    mats = {
+        a.aid: projections[a.dst].mul(n.mats[a.aid]).mul(projections[a.src].right_inverse())
+        for a in n.dq.arrows
+    }
+    return Representation.build(n.dq, n.field, [p.rows for p in projections], mats)

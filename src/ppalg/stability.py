@@ -102,8 +102,8 @@ def _closed_subspace_tuples(m: Representation, budget: int):
     """Brute-force search: the dimension vector of every submodule, in subspace-product order.
 
     A tuple of vertex subspaces (canonical column bases, so each has full
-    column rank) is a submodule when every arrow maps the subspace at its
-    source into the one at its target.
+    column rank) is a submodule when, at every vertex, the images of the
+    subspaces along the arrows in lie in the subspace there.
     """
     if not m.field.is_finite:
         raise UnsupportedShape("brute-force submodule search needs a finite field")
@@ -116,9 +116,8 @@ def _closed_subspace_tuples(m: Representation, budget: int):
     per_vertex = [_subspaces(m.field, d) for d in m.dims]
     for spans in itertools.product(*per_vertex):
         if all(
-            hstack_all(m.field, m.dims[a.dst], (spans[a.dst], m.mats[a.aid].mul(spans[a.src]))).rank()
-            == spans[a.dst].cols
-            for a in m.dq.arrows
+            hstack_all(m.field, d, (spans[v], m._image_into(v, spans))).rank() == spans[v].cols
+            for v, d in enumerate(m.dims)
         ):
             yield DimensionVector(s.cols for s in spans)
 

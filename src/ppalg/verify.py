@@ -26,6 +26,7 @@ from .hom import (
 )
 from .quiver import DoubleQuiver, standard_extended_dynkin
 from .rep import (
+    MORPHISM_SCAN_BUDGET,
     Representation,
     combination,
     hom_basis,
@@ -53,7 +54,6 @@ from .weyl import (
 
 A2_CHAMBER_WORDS = ((), (1,), (2,), (1, 2), (2, 1), (1, 2, 1))
 BASE_THETA = StabilityParameter((-2, 1, 1))
-MEMBERSHIP_SCAN_BUDGET = 10**4
 DIMLAW_SAMPLES = 200  # random nilpotents per quiver in dimlaw
 CBFORM_SAMPLES = 30  # modules per quiver in cbform, checked on all ordered pairs
 COXETER_MIN_SAMPLES = 50  # semistable thin modules coxeter must find
@@ -212,9 +212,8 @@ def exceptional_membership(
         source, target = siws[i].module, m
         if any(c < 0 for c in wg.act_on_root(word, wg.rs.simple[i - 1])):
             source, target = source.dual(), target.dual()
-        basis = hom_basis(source, target)
-        scan = nonzero_morphisms(m.field, basis, MEMBERSHIP_SCAN_BUDGET)
-        flags[i] = bool(basis) and any(morphism_is_injective(phi) for phi in scan)
+        scan = nonzero_morphisms(m.field, hom_basis(source, target), MORPHISM_SCAN_BUDGET)
+        flags[i] = any(morphism_is_injective(phi) for phi in scan)
     return flags
 
 

@@ -242,7 +242,7 @@ def chamber_word(dq: DoubleQuiver, d: Sequence[int], theta: StabilityParameter) 
     if theta(d) != 0:
         raise NotInThetaD("parameter does not kill the imaginary root vector")
     rank = dq.vertex_count - 1
-    cur = StabilityParameter(theta)
+    cur = theta
     letters: list[int] = []
     for _ in range(rank * sum(d) + 1):
         neg = [i for i in range(1, rank + 1) if cur[i] < 0]

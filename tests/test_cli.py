@@ -417,17 +417,28 @@ MALFORMED_MODULES = {
     "float-modulus": malformed(field={"kind": "prime", "p": 3.0}),
     "float-degree": malformed(field={"kind": "prime-power", "p": 2, "k": 2.0}),
 }
-# the rows with one bad matrix: the error names its JSON path
-BAD_MATRIX_PATHS = {
+# the JSON path each row's error names first; "module" is the payload itself
+MALFORMED_PATHS = {
+    "quiver-without-arrows": "quiver.arrows",
+    "json-list": "module",
+    "short-dims": "dims",
+    "unknown-arrow-id": "mats.b9",
     "code-outside-field": "mats.a1",
     "wrong-shape": "mats.a2s",
+    "negative-dims": "dims",
+    "field-not-an-object": "field",
     "null-entry": "mats.a1",
     "zero-denominator": "mats.a1",
+    "float-dims": "dims",
+    "boolean-dims": "dims",
+    "string-dims": "dims",
     "float-entry": "mats.a1",
     "boolean-entry": "mats.a1",
     "float-entry-over-QQ": "mats.a1",
     "string-row": "mats.a1",
     "string-matrix": "mats.a1",
+    "float-modulus": "field.p",
+    "float-degree": "field.k",
 }
 MODULE_COMMANDS = {
     "rep-check": ["rep-check"],
@@ -448,8 +459,7 @@ def test_malformed_module_files_exit_two(capsys, tmp_path, command, payload):
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
     assert out == ""
-    if payload in BAD_MATRIX_PATHS:
-        assert err.startswith(f"error: {BAD_MATRIX_PATHS[payload]}: ")
+    assert err.startswith(f"error: {MALFORMED_PATHS[payload]}: ")
 
 
 @pytest.mark.parametrize("extra,code", [(0, 0), (1, 2)])

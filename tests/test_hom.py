@@ -26,6 +26,7 @@ from ppalg.rep import (
     hom_dim,
     hom_system,
     morphism_is_injective,
+    quotient_by_map,
 )
 from ppalg.stability import enumerate_thin_reps
 from ppalg.verify import random_nilpotent
@@ -438,3 +439,8 @@ def test_retraction_agrees_with_the_hom_basis_system(tag, field, seed, steps):
         for inj in hom_basis(s, target):
             if morphism_is_injective(inj):
                 assert retraction_exists(s, target, inj) == basis_retraction_exists(s, target, inj)
+                quotient = quotient_by_map(target, inj)
+                assert quotient.dims == target.dims - s.dims and quotient.check_relations() == []
+    # the identity's cokernel projections have no rows, so the quotient is zero
+    identity = {v: Matrix.identity(field, k) for v, k in enumerate(m.dims)}
+    assert quotient_by_map(m, identity).is_zero_module()

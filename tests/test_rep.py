@@ -304,9 +304,8 @@ def test_isomorphism_raises_inconclusive_when_search_is_disabled(monkeypatch):
     dq, d, f = a2(GF(2))
     s1 = Representation.simple(dq, f, 1)
     m = s1.direct_sum(s1)
-    monkeypatch.setattr(rep_module, "ISO_EXHAUSTIVE_DIM", 0)
-    monkeypatch.setattr(rep_module, "ISO_RANDOM_TRIES", 0)
-    with pytest.raises(Inconclusive):
+    monkeypatch.setattr(rep_module, "MORPHISM_SCAN_BUDGET", 0)
+    with pytest.raises(Inconclusive, match="budget 0"):
         is_isomorphic(m, m)
 
 
@@ -314,10 +313,107 @@ def test_thin_pairs_are_decided_without_the_hom_space_search(monkeypatch):
     dq, d, _ = a2(QQ)
     m = curve_member(dq, QQ, d, Fraction(3, 7), Fraction(-2))
     copy = rescaled(m, {0: Fraction(5), 1: Fraction(-1, 3), 2: Fraction(2, 9)})
-    monkeypatch.setattr(rep_module, "ISO_EXHAUSTIVE_DIM", 0)
-    monkeypatch.setattr(rep_module, "ISO_RANDOM_TRIES", 0)
+    monkeypatch.setattr(rep_module, "MORPHISM_SCAN_BUDGET", 0)
     assert is_isomorphic(m, copy)
     assert not is_isomorphic(m, curve_member(dq, QQ, d, Fraction(3, 7), Fraction(0)))
+
+
+def semisimple(dq, field, multiplicities):
+    """The direct sum of multiplicities[v] copies of the vertex simple at each v."""
+    m = Representation.build(dq, field, [0] * dq.vertex_count)
+    for v, k in enumerate(multiplicities):
+        for _ in range(k):
+            m = m.direct_sum(Representation.simple(dq, field, v))
+    return m
+
+
+def test_isomorphism_is_reflexive_on_a_semisimple_star_module():
+    # End X has dimension 1 + 3 * 4 = 13: of the 8,191 nonzero maps in the
+    # GF(2) grid, 1 * 6^3 = 216 are invertible
+    dq, _ = standard_extended_dynkin("D", 4)
+    x = semisimple(dq, GF(2), [0, 1, 2, 2, 2])
+    assert hom_dim(x, x) == 13
+    assert is_isomorphic(x, x)
+
+
+def test_isomorphism_over_rationals_answers_false_on_equal_hom_data(monkeypatch):
+    dq, d, f = a2(QQ)
+    rng = random.Random(1)
+    mods = [random_nilpotent(dq, f, rng, steps=rng.randrange(1, 4)) for _ in range(120)]
+
+    def first_pair(hom_ok, unlike):
+        """The first pair with equal dims, some dim 2 or more, equal hom data, and both tests passed."""
+        for a, b in itertools.combinations(mods, 2):
+            if a.dims == b.dims and max(a.dims) >= 2 and hom_dim(a, a) == hom_dim(b, b) == hom_dim(a, b):
+                if hom_ok(hom_dim(a, b)) and unlike(a, b):
+                    return a, b
+
+    # a one-dimensional Hom: the reference is exact there
+    a, b = first_pair(lambda h: h == 1, lambda a, b: not reference_is_isomorphic(a, b))
+    assert tuple(a.dims) == (2, 1, 1)
+    assert not is_isomorphic(a, b)
+    # a two-dimensional Hom, certified non-isomorphic by unequal tops or socles:
+    # the grid 0..8 for a source of dimension 4 holds 80 nonzero maps, none invertible
+    ends = lambda m: (m.top_multiplicities(), m.socle_multiplicities())
+    a, b = first_pair(lambda h: h >= 2, lambda a, b: ends(a) != ends(b))
+    assert tuple(a.dims) == (1, 1, 2) and hom_dim(a, b) == 2
+    assert not is_isomorphic(a, b)
+    monkeypatch.setattr(rep_module, "MORPHISM_SCAN_BUDGET", 79)
+    with pytest.raises(Inconclusive):
+        is_isomorphic(a, b)
+    s1 = Representation.simple(dq, f, 1)
+    assert is_isomorphic(s1.direct_sum(s1), s1.direct_sum(s1))
+
+
+# (field, largest basis size): grids of at most about 2,000 points; over QQ
+# the grid also grows with the source dimension n, at most 2 here
+SCAN_GRIDS = [(GF(2), 8), (GF(3), 5), (GF(4), 4), (QQ, 3)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_morphism_scan_yields_each_nonzero_combination_once_within_its_budget(data):
+    field, largest = data.draw(st.sampled_from(SCAN_GRIDS))
+    d, n = data.draw(st.integers(1, largest)), data.draw(st.integers(1, 2))
+    # basis map i is the i-th matrix unit, so a map's entries spell its coefficients
+    rows = -(-d // n)
+    units = Matrix.identity(field, rows * n).data
+    basis = [{0: Matrix(field, rows, n, [units[i][r * n:(r + 1) * n] for r in range(rows)])} for i in range(d)]
+    grid = list(field.elements()) if field.is_finite else [Fraction(k) for k in range(2 * n + 1)]
+    expected = set(itertools.product(grid, repeat=d)) - {(field.zero(),) * d}
+    budget = data.draw(st.integers(0, len(expected) + 1))
+    scan = nonzero_morphisms(field, basis, budget)
+    seen = [tuple(x for row in phi[0].data for x in row)[:d] for phi in itertools.islice(scan, budget)]
+    assert len(set(seen)) == len(seen) == min(budget, len(expected))
+    if budget < len(expected):
+        assert set(seen) < expected
+        with pytest.raises(Inconclusive):
+            next(scan)
+    else:
+        assert set(seen) == expected
+        assert next(scan, None) is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_isomorphism_never_answers_false_when_the_scan_is_cut(data):
+    field, largest = data.draw(st.sampled_from(SCAN_GRIDS))
+    dq, _ = standard_extended_dynkin("D", 4)
+    # End X has dimension sum k^2 on a source of dimension sum k
+    small = [
+        ks
+        for ks in itertools.product(range(3), repeat=dq.vertex_count)
+        if 0 < sum(k * k for k in ks) <= largest and (field.is_finite or sum(ks) <= 2)
+    ]
+    x = semisimple(dq, field, data.draw(st.sampled_from(small)))
+    size = sum(1 for _ in nonzero_morphisms(field, hom_basis(x, x), 10**4))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rep_module, "MORPHISM_SCAN_BUDGET", data.draw(st.integers(0, size - 1)))
+        try:
+            assert is_isomorphic(x, x)
+        except Inconclusive:
+            pass
+    assert is_isomorphic(x, x)
 
 
 def socle_by_outgoing_rank(m):

@@ -1,12 +1,14 @@
+import itertools
 import json
 
 import pytest
 
 from ppalg.errors import UsageError
-from ppalg.fields import GF
+from ppalg.fields import GF, QQ
+from ppalg.linalg import Matrix
 from ppalg.rep import hom_dim, Representation
 from ppalg.reflection import apply_word, compute_siw
-from ppalg.stability import moduli_scan
+from ppalg.stability import moduli_scan, stability_verdict
 from ppalg.verify import (
     A2_CHAMBER_WORDS,
     a2_setup,
@@ -89,6 +91,28 @@ def test_membership_commutes_with_transport(word):
         assert sorted(flags) == [1, 2]
         moved, _ = apply_word(word, rec.rep, base_theta)
         assert exceptional_membership(moved, wg, word, word_siws) == flags
+
+
+def test_membership_over_rationals_matches_the_ternary_flags():
+    # the 0/1 thin modules read the same over QQ and GF(3): every relation
+    # sum lies in {-2, ..., 2}, so it vanishes in both fields or in neither
+    dq, d, wg = a2_setup()
+    theta = chamber_theta(dq, ())
+    siws = {f: shifted_simples(wg, (), f) for f in (QQ, GF(3))}
+    flags = []
+    for values in itertools.product((0, 1), repeat=len(dq.arrows)):
+        mods = []
+        for f in (QQ, GF(3)):
+            mats = {a.aid: Matrix(f, 1, 1, [[f.from_int(x)]]) for a, x in zip(dq.arrows, values)}
+            mods.append(Representation.build(dq, f, d, mats))
+        valid = [not m.check_relations() and stability_verdict(m, theta).semistable for m in mods]
+        assert valid[0] == valid[1], values
+        if valid[0]:
+            qq, ternary = (exceptional_membership(m, wg, (), siws[m.field]) for m in mods)
+            assert qq == ternary, values
+            flags.append(qq)
+    assert len(flags) == 8
+    assert {i for fl in flags for i, on in fl.items() if on} == {1, 2}
 
 
 def test_socle_bound_on_fundamental_chamber():
