@@ -342,36 +342,37 @@ def combination(field: Field, basis: Sequence[dict], coeffs) -> dict:
 
 
 def nonzero_morphisms(field: Field, basis: Sequence[dict], budget: int):
-    """Every nonzero combination of a basis of maps once, in a shuffled order seeded with 0.
+    """One nonzero combination of a basis of maps per line, in a shuffled order seeded with 0.
 
-    Over a finite field the coefficients are the field's elements.  Over QQ
-    they are 0..2n for a source of dimension n: injectivity and invertibility
-    fail only on the zeros of a product of minors, of degree at most n, and a
-    grid with more than n values per coordinate holds a non-root of every
-    nonzero such polynomial (Schwartz, J. ACM 27, 1980).  The order is a lazy
-    Fisher-Yates shuffle of the combination indices.  Raises Inconclusive when
-    ``budget`` tries end before the last combination.
+    The combinations whose last nonzero coefficient is one stand for all, as
+    injectivity and invertibility survive nonzero scalars.  The others are
+    the field's elements, or 0..n over QQ for a source of dimension n: there
+    both fail only on the zeros of a product of minors, homogeneous of degree
+    at most n and still nonzero with its last coordinate one, and n + 1
+    values per coordinate hold a non-root of it (Schwartz, J. ACM 27, 1980).
+    The order is a lazy Fisher-Yates shuffle of the combination indices.
+    Raises Inconclusive when ``budget`` tries end before the last combination.
     """
     if not basis:
         return
-    if field.is_finite:
-        grid = list(field.elements())
-    else:
-        n = sum(mat.cols for mat in basis[0].values())
-        grid = [field.from_int(k) for k in range(2 * n + 1)]
-    size = len(grid) ** len(basis) - 1  # index 0 is the zero combination
+    n = sum(mat.cols for mat in basis[0].values())
+    grid = list(field.elements()) if field.is_finite else [field.from_int(k) for k in range(n + 1)]
+    g = len(grid)
+    size = (g ** len(basis) - 1) // (g - 1)
     rng, moved = random.Random(0), {}
     for k in range(size):
         if k == budget:
             raise Inconclusive(f"{size} nonzero combinations exceed the morphism scan budget {budget}")
         j = rng.randrange(k, size)
-        index = moved.get(j, j) + 1
+        index, step = moved.get(j, j), 1
         moved[j] = moved.pop(k, k)
-        coeffs = []
-        for _ in basis:
-            index, digit = divmod(index, len(grid))
+        while index >= step:  # step = g^(L-1) combinations have their last nonzero coefficient at L
+            index, step = index - step, step * g
+        coeffs, x = [], step + index  # the base-g digits of x, the last one a one
+        while x:
+            x, digit = divmod(x, g)
             coeffs.append(grid[digit])
-        yield combination(field, basis, coeffs)
+        yield combination(field, basis, coeffs)  # zip leaves the later coefficients zero
 
 
 def _is_invertible(phi: dict[int, Matrix]) -> bool:
@@ -455,9 +456,9 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
     invariants of that action.
 
     Other pairs are not isomorphic when dim Hom(m, n), dim End m and dim End n
-    differ.  A one-dimensional Hom(m, n) is decided by its basis map; a larger
-    one by ``nonzero_morphisms``, which meets an invertible map whenever one
-    exists and raises Inconclusive when ``MORPHISM_SCAN_BUDGET`` tries end first.
+    differ.  Otherwise ``nonzero_morphisms`` meets an invertible map whenever
+    one exists and raises Inconclusive when ``MORPHISM_SCAN_BUDGET`` tries end
+    first.
     """
     if m.field != n.field:
         raise FieldMismatch("isomorphism test over different fields")
@@ -470,8 +471,7 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
     basis = hom_basis(m, n)
     if not basis or hom_dim(m, m) != len(basis) or hom_dim(n, n) != len(basis):
         return False
-    scan = basis if len(basis) == 1 else nonzero_morphisms(m.field, basis, MORPHISM_SCAN_BUDGET)
-    return any(_is_invertible(phi) for phi in scan)
+    return any(_is_invertible(phi) for phi in nonzero_morphisms(m.field, basis, MORPHISM_SCAN_BUDGET))
 
 
 def quotient_by_map(n: Representation, phi: dict[int, Matrix]) -> Representation:

@@ -127,9 +127,10 @@ def test_iso_invariant_under_vertex_rescaling():
 def reference_is_isomorphic(a, b):
     """The hom-basis search: some nonzero map a -> b is invertible at every vertex.
 
-    Over a finite field every nonzero combination of the basis is tried.
-    Over QQ it is only used where Hom has dimension at most one, so a basis
-    map is invertible exactly when some map is.
+    Over a finite field one nonzero combination of the basis per line is
+    tried, which meets every map up to a nonzero scalar.  Over QQ it is only
+    used where Hom has dimension at most one, so a basis map is invertible
+    exactly when some map is.
     """
     basis = hom_basis(a, b)
     if a.field.is_finite:
@@ -336,33 +337,43 @@ def test_isomorphism_is_reflexive_on_a_semisimple_star_module():
     assert is_isomorphic(x, x)
 
 
-def test_isomorphism_over_rationals_answers_false_on_equal_hom_data(monkeypatch):
-    dq, d, f = a2(QQ)
+def first_pair(field, hom_ok, unlike):
+    """The first pair of 120 seeded A2~ nilpotents with equal dims (one >= 2), equal hom data and both tests."""
+    dq, _, _ = a2(field)
     rng = random.Random(1)
-    mods = [random_nilpotent(dq, f, rng, steps=rng.randrange(1, 4)) for _ in range(120)]
+    mods = [random_nilpotent(dq, field, rng, steps=rng.randrange(1, 4)) for _ in range(120)]
+    for a, b in itertools.combinations(mods, 2):
+        if a.dims == b.dims and max(a.dims) >= 2 and hom_dim(a, a) == hom_dim(b, b) == hom_dim(a, b):
+            if hom_ok(hom_dim(a, b)) and unlike(a, b):
+                return a, b
 
-    def first_pair(hom_ok, unlike):
-        """The first pair with equal dims, some dim 2 or more, equal hom data, and both tests passed."""
-        for a, b in itertools.combinations(mods, 2):
-            if a.dims == b.dims and max(a.dims) >= 2 and hom_dim(a, a) == hom_dim(b, b) == hom_dim(a, b):
-                if hom_ok(hom_dim(a, b)) and unlike(a, b):
-                    return a, b
 
+def unlike_ends(a, b):
+    """Unequal tops or socles, which certify that a and b are not isomorphic."""
+    return (a.top_multiplicities(), a.socle_multiplicities()) != (b.top_multiplicities(), b.socle_multiplicities())
+
+
+def test_isomorphism_over_rationals_answers_false_on_equal_hom_data():
     # a one-dimensional Hom: the reference is exact there
-    a, b = first_pair(lambda h: h == 1, lambda a, b: not reference_is_isomorphic(a, b))
+    a, b = first_pair(QQ, lambda h: h == 1, lambda a, b: not reference_is_isomorphic(a, b))
     assert tuple(a.dims) == (2, 1, 1)
     assert not is_isomorphic(a, b)
-    # a two-dimensional Hom, certified non-isomorphic by unequal tops or socles:
-    # the grid 0..8 for a source of dimension 4 holds 80 nonzero maps, none invertible
-    ends = lambda m: (m.top_multiplicities(), m.socle_multiplicities())
-    a, b = first_pair(lambda h: h >= 2, lambda a, b: ends(a) != ends(b))
-    assert tuple(a.dims) == (1, 1, 2) and hom_dim(a, b) == 2
-    assert not is_isomorphic(a, b)
-    monkeypatch.setattr(rep_module, "MORPHISM_SCAN_BUDGET", 79)
-    with pytest.raises(Inconclusive):
-        is_isomorphic(a, b)
+    dq, _, f = a2(QQ)
     s1 = Representation.simple(dq, f, 1)
     assert is_isomorphic(s1.direct_sum(s1), s1.direct_sum(s1))
+
+
+# a source of dimension 4 gives QQ the grid 0..4, whose 6 lines hold no
+# invertible map; over GF(317) the 317^2 - 1 nonzero maps exceed the budget,
+# but their 318 lines do not
+@pytest.mark.parametrize("field,lines", [(QQ, 6), (GF(317), 318)], ids=["QQ", "GF317"])
+def test_isomorphism_answers_false_on_a_two_dimensional_hom(monkeypatch, field, lines):
+    a, b = first_pair(field, lambda h: h >= 2, unlike_ends)
+    assert tuple(a.dims) == (1, 1, 2) and hom_dim(a, b) == 2
+    assert not is_isomorphic(a, b)
+    monkeypatch.setattr(rep_module, "MORPHISM_SCAN_BUDGET", lines - 1)
+    with pytest.raises(Inconclusive, match=f"{lines} nonzero combinations"):
+        is_isomorphic(a, b)
 
 
 # (field, largest basis size): grids of at most about 2,000 points; over QQ
@@ -372,15 +383,16 @@ SCAN_GRIDS = [(GF(2), 8), (GF(3), 5), (GF(4), 4), (QQ, 3)]
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
-def test_morphism_scan_yields_each_nonzero_combination_once_within_its_budget(data):
+def test_morphism_scan_yields_each_line_once_within_its_budget(data):
     field, largest = data.draw(st.sampled_from(SCAN_GRIDS))
     d, n = data.draw(st.integers(1, largest)), data.draw(st.integers(1, 2))
     # basis map i is the i-th matrix unit, so a map's entries spell its coefficients
     rows = -(-d // n)
     units = Matrix.identity(field, rows * n).data
     basis = [{0: Matrix(field, rows, n, [units[i][r * n:(r + 1) * n] for r in range(rows)])} for i in range(d)]
-    grid = list(field.elements()) if field.is_finite else [Fraction(k) for k in range(2 * n + 1)]
-    expected = set(itertools.product(grid, repeat=d)) - {(field.zero(),) * d}
+    grid = list(field.elements()) if field.is_finite else [Fraction(k) for k in range(n + 1)]
+    last_nonzero = lambda coeffs: [x for x in coeffs if x != field.zero()][-1:]
+    expected = {c for c in itertools.product(grid, repeat=d) if last_nonzero(c) == [field.one()]}
     budget = data.draw(st.integers(0, len(expected) + 1))
     scan = nonzero_morphisms(field, basis, budget)
     seen = [tuple(x for row in phi[0].data for x in row)[:d] for phi in itertools.islice(scan, budget)]
