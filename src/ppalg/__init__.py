@@ -31,7 +31,6 @@ from .hom import (
     bilinear_form,
     ext1_space,
     extension_from_cocycle,
-    torsion_membership,
 )
 from .linalg import Matrix
 from .quiver import (

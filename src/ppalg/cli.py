@@ -29,8 +29,13 @@ from .weyl import (
 
 
 def _load_rep(path: str) -> Representation:
+    """A module file; one that is not UTF-8 JSON raises UsageError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return Representation.from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise UsageError(f"module: not a UTF-8 JSON file: {exc}") from None
+    return Representation.from_json(data)
 
 
 def _load_module(path: str) -> Representation:
@@ -61,7 +66,10 @@ def _parse_word(text: str) -> tuple:
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise UsageError(f"--word: letters must be integers, got {text!r}") from None
 
 
 def _setup(type_text: str):
@@ -207,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stability", help="stability verdict of a module file")
     p.add_argument("--theta", required=True)
-    p.add_argument("--budget", type=int, default=stab.DEFAULT_SUBSPACE_BUDGET)
+    p.add_argument("--budget", type=int, default=stab.SEARCH_BUDGET)
     p.add_argument("file")
     p.set_defaults(func=cmd_stability)
 
@@ -216,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", type=int, required=True)
     p.add_argument("--theta")
     p.add_argument("--theta-tail", dest="theta_tail")
-    p.add_argument("--budget", type=int, default=stab.DEFAULT_SCAN_BUDGET)
+    p.add_argument("--budget", type=int, default=stab.SEARCH_BUDGET)
     p.add_argument("--emit", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_scan)
 

@@ -51,9 +51,6 @@ class Field:
     def neg(self, a):
         raise NotImplementedError
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
         raise NotImplementedError
 

@@ -1,5 +1,5 @@
 """First extension groups via an explicit four-term complex, the symmetric
-bilinear form, extension realization, and torsion-class tests.
+bilinear form, and extension realization.
 
 The extension group of a pair (m, n) is the middle cohomology of
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
-from .errors import CocycleError, FieldMismatch, InternalInvariantError
+from .errors import CocycleError, InternalInvariantError
 from .linalg import Matrix, hstack_all, vstack_all
 from .quiver import DoubleQuiver
 from .rep import Representation, block_module, hom_dim, hom_system, linear_system, unflatten
@@ -59,8 +59,6 @@ def ext1_space(m: Representation, n: Representation) -> Ext1Space:
     Raises InternalInvariantError when the computed dimension disagrees with
     the bilinear-form identity; that always indicates an implementation bug.
     """
-    if m.field != n.field:
-        raise FieldMismatch("ext over different fields")
     d1, _ = hom_system(m, n)
     img = d1.image_basis()
     d2, shapes = _delta2(m, n)
@@ -130,22 +128,3 @@ def retraction_exists(s: Representation, n: Representation, inj: Dict[int, Matri
     rhs = Matrix.column(f, [f.zero()] * d1.rows + identity)
     return vstack_all(f, d1.cols, (d1, retract)).solve(rhs) is not None
 
-
-def in_add_simple(m: Representation, i: int) -> bool:
-    """Membership in add(S_i): support only at i and all maps zero."""
-    for v in range(m.dq.vertex_count):
-        if v != i and m.dims[v] != 0:
-            return False
-    return all(mat.is_zero() for mat in m.mats.values())
-
-
-def torsion_membership(m: Representation, i: int) -> dict:
-    """Membership flags for the four torsion classes of the vertex ideal at i.
-
-    T holds when the simple at i does not appear in the top, Y when it does
-    not appear in the socle, and F and X both mean membership in add(S_i).
-    """
-    top = m.top_multiplicities()
-    soc = m.socle_multiplicities()
-    add_si = in_add_simple(m, i)
-    return {"T": top[i] == 0, "F": add_si, "X": add_si, "Y": soc[i] == 0}

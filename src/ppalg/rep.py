@@ -78,8 +78,7 @@ class Representation:
         return Representation.build(dq, field, dq.unit(i))
 
     def direct_sum(self, other: "Representation") -> "Representation":
-        if self.dq is not other.dq and self.dq.to_json() != other.dq.to_json():
-            raise ShapeError("direct sum over different quivers")
+        _check_pair(self, other)
         return block_module(self, other, {})
 
     def dual(self) -> "Representation":
@@ -214,6 +213,16 @@ class Representation:
         return Representation.build(dq, field, dims, mats)
 
 
+def _check_pair(m: Representation, n: Representation) -> None:
+    """FieldMismatch unless m and n share one field, ShapeError unless one quiver.
+
+    One quiver means the same object, or equal JSON.
+    """
+    check_same_field(m.field, n.field)
+    if m.dq is not n.dq and m.dq.to_json() != n.dq.to_json():
+        raise ShapeError("modules over different quivers")
+
+
 def block_module(sub: Representation, quot: Representation, phi: Mapping[str, Matrix]) -> Representation:
     """The module on sub (+) quot whose arrow a acts by [[sub_a, phi_a], [0, quot_a]].
 
@@ -300,7 +309,9 @@ def hom_system(m: "Representation", n: "Representation") -> tuple[Matrix, list[t
     Unknowns are one matrix phi_v per vertex (shape n.dims[v] x m.dims[v]);
     the equation block of arrow a is n_a . phi_src - phi_dst . m_a.  The
     returned shapes are the (vertex, rows, cols) triples of the unknowns.
+    Every Hom and Ext entry point builds this first, so the pair is checked here.
     """
+    _check_pair(m, n)
     dq = m.dq
     shapes = [(v, n.dims[v], m.dims[v]) for v in range(dq.vertex_count)]
     eqs = [(a.aid, n.dims[a.dst], m.dims[a.src]) for a in dq.arrows]
@@ -313,8 +324,6 @@ def hom_system(m: "Representation", n: "Representation") -> tuple[Matrix, list[t
 
 def hom_basis(m: Representation, n: Representation) -> list[dict[int, Matrix]]:
     """Canonical basis of the space of module maps m -> n."""
-    if m.field != n.field:
-        raise FieldMismatch("hom over different fields")
     sys, shapes = hom_system(m, n)
     ker = sys.kernel_basis()
     return [unflatten(m.field, ker.column_vector(j), shapes) for j in range(ker.cols)]
@@ -458,10 +467,9 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
     Other pairs are not isomorphic when dim Hom(m, n), dim End m and dim End n
     differ.  Otherwise ``nonzero_morphisms`` meets an invertible map whenever
     one exists and raises Inconclusive when ``MORPHISM_SCAN_BUDGET`` tries end
-    first.
+    first.  A pair over different fields or quivers raises, as for Hom.
     """
-    if m.field != n.field:
-        raise FieldMismatch("isomorphism test over different fields")
+    _check_pair(m, n)  # the thin branch builds no hom system
     if m.dims != n.dims:
         return False
     if m.is_zero_module():

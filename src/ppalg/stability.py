@@ -31,8 +31,7 @@ from .rep import (
 )
 from .weyl import StabilityParameter
 
-DEFAULT_SUBSPACE_BUDGET = 10**7
-DEFAULT_SCAN_BUDGET = 10**7
+SEARCH_BUDGET = 10**7  # subspace tuples or thin arrow assignments a search may try, else SearchBudgetExceeded
 
 
 def _closed_masks(m: Representation) -> list[int]:
@@ -131,7 +130,7 @@ def _sorted_submodule_dimvecs(m: Representation, budget: int) -> list[tuple]:
 
 
 def submodule_dimvecs(
-    m: Representation, budget: int = DEFAULT_SUBSPACE_BUDGET
+    m: Representation, budget: int = SEARCH_BUDGET
 ) -> set[DimensionVector]:
     """Dimension vectors of all submodules, including zero and the whole module."""
     return {DimensionVector(b) for b in _sorted_submodule_dimvecs(m, budget)}
@@ -148,7 +147,7 @@ class StabilityVerdict:
 
 
 def stability_verdict(
-    m: Representation, theta: StabilityParameter, budget: int = DEFAULT_SUBSPACE_BUDGET
+    m: Representation, theta: StabilityParameter, budget: int = SEARCH_BUDGET
 ) -> StabilityVerdict:
     """King-style verdict with a witness dimension vector when one exists.
 
@@ -364,7 +363,7 @@ def enumerate_thin_reps(
     dq: DoubleQuiver,
     d: DimensionVector,
     field: Field,
-    budget: int = DEFAULT_SCAN_BUDGET,
+    budget: int = SEARCH_BUDGET,
 ) -> Iterable[Representation]:
     """All relation-satisfying thin representations with the given dimensions.
 
@@ -380,7 +379,7 @@ def moduli_scan(
     d: DimensionVector,
     theta: StabilityParameter,
     field: Field,
-    budget: int = DEFAULT_SCAN_BUDGET,
+    budget: int = SEARCH_BUDGET,
 ) -> ModuliScan:
     """Group the semistable thin representations into isomorphism classes.
 

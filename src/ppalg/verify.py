@@ -57,6 +57,7 @@ BASE_THETA = StabilityParameter((-2, 1, 1))
 DIMLAW_SAMPLES = 200  # random nilpotents per quiver in dimlaw
 CBFORM_SAMPLES = 30  # modules per quiver in cbform, checked on all ordered pairs
 COXETER_MIN_SAMPLES = 50  # semistable thin modules coxeter must find
+DEFAULT_SEEDS = {"dimlaw": 7, "cbform": 11, "rootlaw": 3}  # of the sampling suites, when no seed is given
 
 # Frozen six-chamber data: images of the two simple roots, in simple-root
 # coordinates, for every chamber word of the rank-two cycle case.
@@ -296,7 +297,7 @@ def zerogen_suite(field: Field) -> SuiteReport:
     return report
 
 
-def dimlaw_suite(seed: int = 7) -> SuiteReport:
+def dimlaw_suite(seed: int = DEFAULT_SEEDS["dimlaw"]) -> SuiteReport:
     """Reflected dimension vectors follow the simple reflection when defect is zero."""
     report = SuiteReport(suite="dimlaw")
     for tag, setup in (("A2", a2_setup), ("D4", d4_setup)):
@@ -384,7 +385,7 @@ def coxeter_suite() -> SuiteReport:
     return report
 
 
-def cbform_suite(seed: int = 11) -> SuiteReport:
+def cbform_suite(seed: int = DEFAULT_SEEDS["cbform"]) -> SuiteReport:
     """Exact form identity on all pairs from nilpotent samples of both types."""
     report = SuiteReport(suite="cbform")
     for tag, setup in (("A2", a2_setup), ("D4", d4_setup)):
@@ -439,7 +440,7 @@ def walls_suite(field: Field) -> SuiteReport:
     return report
 
 
-def rootlaw_suite(seed: int = 3) -> SuiteReport:
+def rootlaw_suite(seed: int = DEFAULT_SEEDS["rootlaw"]) -> SuiteReport:
     """Shift degrees and signed dimension vectors of the shifted simples."""
     report = SuiteReport(suite="rootlaw")
     field = GF(2)
@@ -520,18 +521,19 @@ def _gf(*orders) -> list:
 
 # Every suite in the order ``--suite all`` runs it.  An entry holds the orders
 # of the fields the suite runs over by default, empty for a suite with fixed
-# fields, and maps one field (None for a fixed-field suite) and the seed to its
-# reports; it looks the suite function up in this module when it runs.
+# fields, and maps one field (None for a fixed-field suite) and the seed (its
+# ``DEFAULT_SEEDS`` entry when none is given) to its reports; it looks the
+# suite function up in this module when it runs.
 SUITES = {
     "figure2": ((2, 3), lambda f, seed: [figure2_report(f)]),
     "chs": ((2, 3), lambda f, seed: [check_stability_characterization(f, w) for w in A2_CHAMBER_WORDS]),
     "zerogen": ((2, 3), lambda f, seed: [zerogen_suite(f)]),
     "roundtrip": ((2, 3), lambda f, seed: [roundtrip_suite(f)]),
     "coxeter": ((), lambda f, seed: [coxeter_suite()]),
-    "dimlaw": ((), lambda f, seed: [dimlaw_suite(seed=7 if seed is None else seed)]),
-    "cbform": ((), lambda f, seed: [cbform_suite(seed=11 if seed is None else seed)]),
+    "dimlaw": ((), lambda f, seed: [dimlaw_suite(seed=seed)]),
+    "cbform": ((), lambda f, seed: [cbform_suite(seed=seed)]),
     "walls": ((2, 3, 4), lambda f, seed: [walls_suite(f)]),
-    "rootlaw": ((), lambda f, seed: [rootlaw_suite(seed=3 if seed is None else seed)]),
+    "rootlaw": ((), lambda f, seed: [rootlaw_suite(seed=seed)]),
     "Lseq": ((2, 3), lambda f, seed: [check_L_sequences(f)]),
 }
 SUITE_NAMES = ("all", *SUITES)
@@ -547,7 +549,7 @@ def run_suite(
     ``field_order`` replaces the fields of the suites that take one; naming it
     for a single suite with fixed fields raises UsageError.  ``seed`` reaches
     the sampling suites (dimlaw, cbform, rootlaw); each has its own default
-    when it is None.
+    in ``DEFAULT_SEEDS`` when it is None.
     """
     if name not in SUITE_NAMES:
         raise UsageError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
@@ -559,6 +561,6 @@ def run_suite(
     for suite, (orders, reports) in SUITES.items():
         if name in (suite, "all"):
             for f in (fields or _gf(*orders)) if orders else [None]:
-                for part in reports(f, seed):
+                for part in reports(f, DEFAULT_SEEDS.get(suite) if seed is None else seed):
                     report.extend(part)
     return report

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import InternalInvariantError, NotGeneric, NotInThetaD, RangeError, UsageError
+from .errors import InternalInvariantError, NotGeneric, NotInThetaD, RangeError, ShapeError, UsageError
 from .quiver import DimensionVector, DoubleQuiver
 
 
@@ -40,7 +40,12 @@ class StabilityParameter(tuple):
         return Fraction(self.scaled(alpha), self.denominator)
 
     def scaled(self, alpha: Sequence[int]) -> int:
-        """The value on alpha times ``denominator``: an int with the sign of the value."""
+        """The value on alpha times ``denominator``: an int with the sign of the value.
+
+        A vector of another length raises ShapeError.
+        """
+        if len(alpha) != len(self):
+            raise ShapeError(f"theta has {len(self)} entries, the vector has {len(alpha)}")
         return sum(t * a for t, a in zip(self.numerators, alpha))
 
     def format(self) -> str:
@@ -72,6 +77,8 @@ def reflect_dimvec(dq: DoubleQuiver, i: int, alpha: Sequence[int]) -> DimensionV
 def reflect_theta(dq: DoubleQuiver, i: int, theta: StabilityParameter) -> StabilityParameter:
     """Dual simple reflection on parameters, compatible with the pairing: theta - theta_i C_i."""
     row = dq.cartan_row(i)
+    if len(theta) != len(row):
+        raise ShapeError(f"theta has {len(theta)} entries, the quiver has {len(row)} vertices")
     den = theta.denominator
     ni = theta.numerators[i]
     # one integer row operation on the cleared numerators, one Fraction per entry
@@ -104,17 +111,10 @@ class RootSystem:
     positive: tuple  # positive roots, graded-lex order
     simple: tuple  # unit coordinate vectors
 
-    def reflect(self, i: int, x: Sequence[int]) -> tuple:
-        # i is a 1-based vertex letter; coordinates are 0-based
-        return reflect_dimvec(self.dq, i, (0, *x))[1:]
-
     def project(self, alpha: Sequence[int]) -> tuple:
         """Class of an affine vector in the quotient lattice, in Delta coordinates."""
         shift = alpha[0]
         return tuple(alpha[i] - shift * self.d[i] for i in range(1, self.rank + 1))
-
-    def theta_value(self, theta: StabilityParameter, x: Sequence[int]) -> Fraction:
-        return theta((0, *x))
 
 
 def finite_root_system(dq: DoubleQuiver, d: DimensionVector) -> RootSystem:
@@ -153,8 +153,10 @@ class WeylGroup:
         self.rs = rs
         self.rank = rs.rank
         self._identity = tuple(rs.simple)
+        # i is a 1-based vertex letter; coordinates are 0-based
         self._gens = {
-            i: tuple(rs.reflect(i, e) for e in rs.simple) for i in range(1, self.rank + 1)
+            i: tuple(reflect_dimvec(rs.dq, i, (0, *e))[1:] for e in rs.simple)
+            for i in range(1, self.rank + 1)
         }
         self._elements: dict[tuple, tuple] | None = None
 
@@ -219,10 +221,10 @@ class WeylGroup:
 
 
 def is_generic(rs: RootSystem, theta: StabilityParameter) -> bool:
-    """Whether the parameter avoids every root hyperplane."""
-    if theta(rs.d) != 0:
+    """Whether the parameter avoids every root hyperplane; a root x is the affine (0, *x)."""
+    if theta.scaled(rs.d) != 0:
         raise NotInThetaD("parameter does not kill the imaginary root vector")
-    return all(rs.theta_value(theta, r) != 0 for r in rs.roots)
+    return all(theta.scaled((0, *r)) != 0 for r in rs.roots)
 
 
 def chamber_of(rs: RootSystem, theta: StabilityParameter) -> tuple:
@@ -239,7 +241,7 @@ def chamber_word(dq: DoubleQuiver, d: Sequence[int], theta: StabilityParameter) 
     Coxeter number h is the sum of the entries of the imaginary root d for
     A_n, D_n and E6-E8, so no root system is built.
     """
-    if theta(d) != 0:
+    if theta.scaled(d) != 0:
         raise NotInThetaD("parameter does not kill the imaginary root vector")
     rank = dq.vertex_count - 1
     cur = theta

@@ -357,6 +357,16 @@ def test_scan_csv_golden_digests(capsys, args):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_SCAN_SHA256[args]
 
 
+# sha256 of the scan JSON, the empty e_flags of each class included
+GOLDEN_SCAN_JSON_SHA256 = "e4fd8acd10eba7f2503763d27652a1f8d399773ab06a0c602bc56390af38e175"
+
+
+def test_scan_json_golden_digest(capsys):
+    code, out, _ = run(capsys, "scan", "--type", "A2", "--field", "3", "--theta", "-2,1,1", "--emit", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_SCAN_JSON_SHA256
+
+
 # sha256 of the raw stdout of `ppalg verify --suite all --emit json`
 GOLDEN_VERIFY_ALL_SHA256 = "ffab425bf008e87fcc079d1152ee78015419212bb25699fdd9ec946aae148128"
 
@@ -460,6 +470,35 @@ def test_malformed_module_files_exit_two(capsys, tmp_path, command, payload):
     assert err.startswith("error:") and "Traceback" not in err
     assert out == ""
     assert err.startswith(f"error: {MALFORMED_PATHS[payload]}: ")
+
+
+NOT_JSON = {"empty": b"", "text": b"not json", "latin-1": b'{"dims": "\xe9"}'}
+
+
+@pytest.mark.parametrize("command", sorted(MODULE_COMMANDS))
+@pytest.mark.parametrize("content", sorted(NOT_JSON))
+def test_module_files_that_are_not_utf8_json_exit_two(capsys, tmp_path, command, content):
+    path = tmp_path / "module.json"
+    path.write_bytes(NOT_JSON[content])
+    code, out, err = run(capsys, *MODULE_COMMANDS[command], str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: module: ")
+
+
+WORD_COMMANDS = {
+    "apply": ["apply", "--theta", "-2,1,1", "--word", "{}", "MODULE"],
+    "siw": ["siw", "--type", "A2", "--simple", "1", "--word", "{}"],
+}
+
+
+@pytest.mark.parametrize("word", ["1,x", ",", "1.5"])
+@pytest.mark.parametrize("command", sorted(WORD_COMMANDS))
+def test_word_letters_that_are_not_integers_exit_two(capsys, tmp_path, command, word):
+    path = str(write_curve_member(tmp_path))
+    argv = [path if arg == "MODULE" else arg.format(word) for arg in WORD_COMMANDS[command]]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --word: ")
 
 
 @pytest.mark.parametrize("extra,code", [(0, 0), (1, 2)])

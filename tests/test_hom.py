@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppalg.errors import CocycleError
+from ppalg.errors import CocycleError, FieldMismatch, ShapeError
 from ppalg.fields import GF, QQ
 from ppalg.hom import (
     _delta2,
@@ -15,7 +15,6 @@ from ppalg.hom import (
     extension_from_cocycle,
     extension_splits,
     retraction_exists,
-    torsion_membership,
 )
 from ppalg.linalg import Matrix, hstack_all
 from ppalg.quiver import standard_extended_dynkin
@@ -70,8 +69,34 @@ def test_hom_dimensions_of_simples():
     dq, d, f = a2(GF(3))
     s0 = Representation.simple(dq, f, 0)
     s1 = Representation.simple(dq, f, 1)
+    s2 = Representation.simple(dq, f, 2)
     assert hom_dim(s1, s1) == 1
     assert hom_dim(s0, s1) == 0
+    # vertex i's torsion classes hold M with no S_i in its top, or none in its socle:
+    # S1 lies in neither for vertex 1 and in both for vertex 2
+    assert hom_dim(s1, s2) == 0 and hom_dim(s2, s1) == 0
+
+
+def test_hom_and_ext_refuse_pairs_that_do_not_match():
+    dq, d, f = a2(GF(2))
+    s1 = Representation.simple(dq, f, 1)
+    others = {
+        FieldMismatch: Representation.simple(dq, GF(3), 1),
+        ShapeError: Representation.simple(standard_extended_dynkin("D", 4)[0], f, 1),
+    }
+    for error, other in others.items():
+        for pair in ((s1, other), (other, s1)):
+            for entry in (hom_dim, hom_basis, ext1_dim_via_complex, ext1_space):
+                with pytest.raises(error):
+                    entry(*pair)
+
+
+def test_hom_accepts_a_quiver_read_back_from_json():
+    dq, d, f = a2(GF(2))
+    m = curve_member(dq, f, d, f.one(), f.zero())
+    copy = Representation.from_json(m.to_json())
+    assert copy.dq is not m.dq
+    assert hom_dim(m, copy) == hom_dim(m, m) and ext1_space(copy, m).dim == ext1_space(m, m).dim
 
 
 def test_hom_from_vertex_simple_into_curve_members():
@@ -184,19 +209,12 @@ def test_bad_cocycle_is_rejected():
         extension_from_cocycle(m, m, bad)
 
 
-def test_torsion_membership_of_simples():
-    dq, d, f = a2(GF(2))
-    s1 = Representation.simple(dq, f, 1)
-    assert torsion_membership(s1, 1) == {"T": False, "F": True, "X": True, "Y": False}
-    assert torsion_membership(s1, 2) == {"T": True, "F": False, "X": False, "Y": True}
-
-
 def test_zero_generated_modules_lie_in_every_nonextending_torsion_class():
     dq, d, f = a2(GF(2))
     for m in enumerate_thin_reps(dq, d, f):
         if m.is_zero_generated():
             for i in (1, 2):
-                assert torsion_membership(m, i)["T"]
+                assert hom_dim(m, Representation.simple(dq, f, i)) == 0
 
 
 def test_retraction_detects_split_submodules():

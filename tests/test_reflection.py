@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ppalg.errors import InternalInvariantError, NotGenericStep, PreconditionViolated, RangeError
+from ppalg.errors import InternalInvariantError, NotGenericStep, PreconditionViolated, RangeError, ShapeError
 from ppalg.fields import GF, QQ
 from ppalg.linalg import Matrix, hstack_all, vstack_all
 from ppalg.quiver import DimensionVector
@@ -183,6 +183,14 @@ def test_apply_word_guards():
     ).direct_sum(Representation.simple(dq, f, 2))
     with pytest.raises(PreconditionViolated):
         apply_word((1,), unstable, chamber_theta(dq, ()))
+
+
+def test_apply_word_refuses_theta_of_the_wrong_length():
+    dq, d, wg = a2_setup()
+    f = GF(2)
+    m = curve_member(dq, f, d, f.one(), f.zero())
+    with pytest.raises(ShapeError):
+        apply_word((2,), m, StabilityParameter((-1, 1)))
 
 
 def test_compute_siw_examples_and_guards():

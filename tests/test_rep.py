@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ppalg.rep as rep_module
-from ppalg.errors import Inconclusive, ShapeError
+from ppalg.errors import FieldMismatch, Inconclusive, ShapeError
 from ppalg.fields import GF, QQ
 from ppalg.linalg import Matrix, vstack_all
-from ppalg.quiver import Arrow, DimensionVector, standard_extended_dynkin
+from ppalg.quiver import Arrow, DimensionVector, Quiver, build_double, standard_extended_dynkin
 from ppalg.rep import (
     Representation,
     hom_basis,
@@ -270,6 +270,18 @@ def test_zero_module_and_shape_errors():
         Representation.build(dq, f, [1, 1], {})
     with pytest.raises(ShapeError):
         Representation.build(dq, f, d, {"a1": Matrix.zero(f, 2, 2)})
+
+
+def test_isomorphism_refuses_pairs_that_do_not_match():
+    # S1 of the cycle against S1 of the path 0 - 1 - 2: the thin branch once answered True
+    dq, d, f = a2(GF(2))
+    path = build_double(Quiver(3, [Arrow("a1", 0, 1), Arrow("a2", 1, 2)]))
+    s1 = Representation.simple(dq, f, 1)
+    with pytest.raises(ShapeError):
+        is_isomorphic(s1, Representation.simple(path, f, 1))
+    with pytest.raises(FieldMismatch):
+        is_isomorphic(s1, Representation.simple(dq, GF(3), 1))
+    assert is_isomorphic(s1, Representation.from_json(s1.to_json()))
 
 
 def test_json_round_trip_is_bit_exact():

@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from ppalg.errors import SearchBudgetExceeded, UnsupportedShape
+from ppalg.errors import SearchBudgetExceeded, ShapeError, UnsupportedShape
 from ppalg.fields import GF, QQ
 from ppalg.linalg import Matrix
 from ppalg.quiver import DimensionVector, standard_extended_dynkin
 from ppalg.rep import Representation, hom_dim
 from ppalg.stability import (
-    DEFAULT_SUBSPACE_BUDGET,
+    SEARCH_BUDGET,
     ModuliScan,
     ScanRecord,
     StabilityVerdict,
@@ -56,7 +56,7 @@ def test_submodule_dimvecs_of_simple():
 def test_thin_and_bruteforce_backends_agree():
     dq, d, f = a2(GF(2))
     for m in enumerate_thin_reps(dq, d, f):
-        bruteforce = set(_closed_subspace_tuples(m, DEFAULT_SUBSPACE_BUDGET))
+        bruteforce = set(_closed_subspace_tuples(m, SEARCH_BUDGET))
         assert submodule_dimvecs(m) == bruteforce
 
 
@@ -110,7 +110,7 @@ def test_unstable_witness_is_a_closed_support():
     assert theta(v.witness) < 0
     assert v.witness in submodule_dimvecs(m)
     # the brute-force search realizes the witness by an arrow-closed subspace tuple
-    assert v.witness in set(_closed_subspace_tuples(m, DEFAULT_SUBSPACE_BUDGET))
+    assert v.witness in set(_closed_subspace_tuples(m, SEARCH_BUDGET))
 
 
 def test_sequiv_of_stable_module_is_itself():
@@ -321,7 +321,7 @@ def test_scan_matches_the_per_module_reference(tag, n, q):
         for m in modules:
             # ascending 0/1 vectors: zero first, the whole support last
             want = sorted(tuple(int(v in s) for v in range(len(d))) for s in reference_submodule_supports(m))
-            assert _sorted_submodule_dimvecs(m, DEFAULT_SUBSPACE_BUDGET) == want, d
+            assert _sorted_submodule_dimvecs(m, SEARCH_BUDGET) == want, d
         for kind, theta in oracle_thetas(d).items():
             for m in modules:
                 got, want = stability_verdict(m, theta), reference_stability_verdict(m, theta)
@@ -353,7 +353,7 @@ def test_thin_verdict_matches_the_bruteforce_verdict(n, q):
     thetas = [StabilityParameter(t) for t in VERDICT_THETAS[n]]
     for d in itertools.product((0, 1), repeat=dq.vertex_count):
         for m in enumerate_thin_reps(dq, d, f):
-            dimvecs = set(_closed_subspace_tuples(m, DEFAULT_SUBSPACE_BUDGET))
+            dimvecs = set(_closed_subspace_tuples(m, SEARCH_BUDGET))
             for theta in thetas:
                 got, want = stability_verdict(m, theta), verdict_from_dimvecs(m.dims, dimvecs, theta)
                 assert got == want and type(got.witness) is type(want.witness), (d, theta, m.mats)
@@ -493,3 +493,19 @@ def test_bruteforce_needs_finite_field():
     s1 = Representation.simple(dq, QQ, 1)
     with pytest.raises(UnsupportedShape):
         submodule_dimvecs(s1.direct_sum(s1))
+
+
+
+def test_moduli_scan_refuses_theta_of_the_wrong_length():
+    # it once zipped theta against the dimension vector and found 12 classes
+    dq, d, f = a2(GF(2))
+    with pytest.raises(ShapeError):
+        moduli_scan(dq, d, StabilityParameter((-1, 1)), f)
+
+
+@pytest.mark.parametrize("tag,n,theta", [("D", 4, (-2, 1, 1)), ("A", 2, (0, 0, 0, 5))])
+def test_stability_verdict_refuses_theta_of_the_wrong_length(tag, n, theta):
+    # once NotInThetaKernel for the short theta and a negative shift count for the long one
+    dq, _ = standard_extended_dynkin(tag, n)
+    with pytest.raises(ShapeError):
+        stability_verdict(Representation.simple(dq, GF(2), 1), StabilityParameter(theta))

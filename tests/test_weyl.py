@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppalg.errors import InternalInvariantError, NotGeneric, NotInThetaD, RangeError, UsageError
+from ppalg.errors import InternalInvariantError, NotGeneric, NotInThetaD, RangeError, ShapeError, UsageError
 from ppalg.quiver import DimensionVector, DoubleQuiver, standard_extended_dynkin
 from ppalg.weyl import (
     StabilityParameter,
@@ -118,7 +118,7 @@ def test_chamber_of_fundamental_and_adjacent():
     theta = StabilityParameter((-1, -1, 2))
     for i in (1, 2):
         image = wg.act_on_root((1,), rs.simple[i - 1])
-        assert rs.theta_value(theta, image) > 0
+        assert theta.scaled((0, *image)) > 0
 
 
 def test_parameter_from_tail():
@@ -130,6 +130,31 @@ def test_parameter_from_tail():
     for tail in ((1,), (1, 1, 1)):
         with pytest.raises(UsageError):
             StabilityParameter.from_tail((1, 1, 1), tail)
+
+
+WRONG_LENGTH_THETAS = [(-1, 1), (-2, 1, 1, 0)]
+
+
+def test_is_generic_refuses_theta_of_the_wrong_length():
+    dq, d, rs, wg = setup("A", 2)
+    with pytest.raises(ShapeError):
+        is_generic(rs, StabilityParameter((-1, 1)))
+
+
+@pytest.mark.parametrize("theta", WRONG_LENGTH_THETAS)
+def test_chamber_word_refuses_theta_of_the_wrong_length(theta):
+    dq, d = standard_extended_dynkin("A", 2)
+    with pytest.raises(ShapeError):
+        chamber_word(dq, d, StabilityParameter(theta))
+
+
+@pytest.mark.parametrize("theta", WRONG_LENGTH_THETAS)
+def test_reflect_theta_refuses_theta_of_the_wrong_length(theta):
+    dq, d = standard_extended_dynkin("A", 2)
+    with pytest.raises(ShapeError):
+        reflect_theta(dq, 1, StabilityParameter(theta))
+    with pytest.raises(RangeError):  # the vertex is checked first
+        reflect_theta(dq, 3, StabilityParameter(theta))
 
 
 def test_chamber_of_rejects_walls():
@@ -147,12 +172,12 @@ def test_all_six_chambers_realized_by_random_sampling():
         t1 = Fraction(rng.randint(-9, 9))
         t2 = Fraction(rng.randint(-9, 9))
         theta = StabilityParameter((-t1 - t2, t1, t2))
-        if not all(rs.theta_value(theta, r) != 0 for r in rs.roots):
+        if not all(theta.scaled((0, *r)) != 0 for r in rs.roots):
             continue
         checked += 1
         word = chamber_of(rs, theta)
         for i in range(1, 3):
-            assert rs.theta_value(theta, wg.act_on_root(word, rs.simple[i - 1])) > 0
+            assert theta.scaled((0, *wg.act_on_root(word, rs.simple[i - 1]))) > 0
         labels.add(wg.matrix_of(word))
     assert len(labels) == 6
 
@@ -193,13 +218,13 @@ def test_random_d4_parameters_satisfy_their_chamber_inequalities():
         tail = [Fraction(rng.randint(-9, 9)) for _ in range(4)]
         head = -sum(t * di for t, di in zip(tail, d[1:]))
         theta = StabilityParameter([head] + tail)
-        if not all(rs.theta_value(theta, r) != 0 for r in rs.roots):
+        if not all(theta.scaled((0, *r)) != 0 for r in rs.roots):
             continue
         checked += 1
         word = chamber_of(rs, theta)
         labels.add(wg.matrix_of(word))
         for i in range(1, 5):
-            assert rs.theta_value(theta, wg.act_on_root(word, rs.simple[i - 1])) > 0
+            assert theta.scaled((0, *wg.act_on_root(word, rs.simple[i - 1]))) > 0
     assert len(labels) > 50  # many distinct cells show up in 500 draws
 
 
@@ -285,7 +310,7 @@ def reference_reflect(cartan, i, x):
     return tuple(x[k] - c * simple[k] for k in range(len(cartan)))
 
 
-def reference_theta_value(theta, x):
+def reference_theta_at(theta, x):
     return sum((Fraction(x[i]) * theta[i + 1] for i in range(len(x))), Fraction(0))
 
 
@@ -327,8 +352,8 @@ def test_root_system_matches_the_quotient_cartan_formulas(tag, n, data):
     theta = StabilityParameter(data.draw(st.lists(RATIONALS, min_size=rs.rank + 1, max_size=rs.rank + 1)))
     i = data.draw(st.integers(1, rs.rank))
     assert dq.bilinear((0, *x), (0, *y)) == reference_form(cartan, x, y)
-    assert rs.reflect(i, x) == reference_reflect(cartan, i, x)
-    assert rs.theta_value(theta, y) == reference_theta_value(theta, y)
+    assert reflect_dimvec(dq, i, (0, *x))[1:] == reference_reflect(cartan, i, x)
+    assert theta.scaled((0, *y)) == reference_theta_at(theta, y) * theta.denominator
 
 
 @pytest.mark.parametrize("tag,n", STANDARD_TYPES)
@@ -354,16 +379,16 @@ def test_reflections_reject_vertices_outside_the_quiver(tag, n):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    entries=st.lists(RATIONALS, min_size=1, max_size=9),
-    alpha=st.lists(st.integers(-8, 8), min_size=9, max_size=9),
-)
-def test_integer_form_agrees_with_the_fraction_sum(entries, alpha):
+@given(data=st.data(), entries=st.lists(RATIONALS, min_size=1, max_size=9))
+def test_integer_form_agrees_with_the_fraction_sum(data, entries):
     theta = StabilityParameter(entries)
+    alpha = data.draw(st.lists(st.integers(-8, 8), min_size=len(theta), max_size=len(theta)))
     value = sum((t * a for t, a in zip(theta, alpha)), Fraction(0))
     assert theta(alpha) == value
     assert theta.scaled(alpha) == value * theta.denominator
     assert all(t == Fraction(k, theta.denominator) for t, k in zip(theta, theta.numerators))
+    with pytest.raises(ShapeError):
+        theta.scaled([*alpha, 1])
 
 
 @pytest.mark.parametrize("tag,n", [("A", 1), ("A", 2), ("D", 4), ("E", 8)])
