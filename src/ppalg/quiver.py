@@ -12,7 +12,7 @@ import unicodedata
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ConnectivityError, LoopError, RangeError, UsageError
+from .errors import ConnectivityError, LoopError, RangeError, ShapeError, UsageError
 from .fields import _is_int
 
 # The double builds a vertex x vertex Cartan matrix and vertex x arrow indexes,
@@ -132,6 +132,17 @@ class DoubleQuiver:
             cartan[a.src][a.dst] -= 1
         self.cartan = tuple(tuple(row) for row in cartan)
 
+    def __eq__(self, other):
+        """One quiver: the same vertex count and arrows, which is equal ``to_json()``."""
+        return self is other or (
+            isinstance(other, DoubleQuiver)
+            and self.vertex_count == other.vertex_count
+            and self.arrows == other.arrows
+        )
+
+    def __hash__(self):
+        return hash((self.vertex_count, self.arrows))
+
     def arrows_out(self, v: int) -> tuple[Arrow, ...]:
         return self._out[v]
 
@@ -139,7 +150,13 @@ class DoubleQuiver:
         return self._in[v]
 
     def bilinear(self, alpha: Sequence[int], beta: Sequence[int]) -> int:
-        """The symmetric form alpha^T C beta of the Cartan matrix C."""
+        """The symmetric form alpha^T C beta of the Cartan matrix C.
+
+        A vector whose length is not the vertex count raises ShapeError.
+        """
+        n = self.vertex_count
+        if len(alpha) != n or len(beta) != n:
+            raise ShapeError(f"vectors of {len(alpha)} and {len(beta)} entries, the quiver has {n} vertices")
         return sum(a * c * b for a, row in zip(alpha, self.cartan) for c, b in zip(row, beta))
 
     def cartan_row(self, i: int) -> tuple[int, ...]:

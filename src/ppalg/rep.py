@@ -35,13 +35,14 @@ class Representation:
     def __eq__(self, other):
         return (
             isinstance(other, Representation)
+            and self.dq == other.dq
             and self.field == other.field
             and self.dims == other.dims
             and dict(self.mats) == dict(other.mats)
         )
 
     def __hash__(self):
-        return hash((self.field, self.dims, tuple(sorted((k, v) for k, v in self.mats.items()))))
+        return hash((self.dq, self.field, self.dims, tuple(sorted((k, v) for k, v in self.mats.items()))))
 
     # -- constructors ------------------------------------------------------
 
@@ -78,7 +79,6 @@ class Representation:
         return Representation.build(dq, field, dq.unit(i))
 
     def direct_sum(self, other: "Representation") -> "Representation":
-        _check_pair(self, other)
         return block_module(self, other, {})
 
     def dual(self) -> "Representation":
@@ -214,12 +214,9 @@ class Representation:
 
 
 def _check_pair(m: Representation, n: Representation) -> None:
-    """FieldMismatch unless m and n share one field, ShapeError unless one quiver.
-
-    One quiver means the same object, or equal JSON.
-    """
+    """FieldMismatch unless m and n share one field, ShapeError unless one quiver (``DoubleQuiver.__eq__``)."""
     check_same_field(m.field, n.field)
-    if m.dq is not n.dq and m.dq.to_json() != n.dq.to_json():
+    if m.dq != n.dq:
         raise ShapeError("modules over different quivers")
 
 
@@ -227,10 +224,11 @@ def block_module(sub: Representation, quot: Representation, phi: Mapping[str, Ma
     """The module on sub (+) quot whose arrow a acts by [[sub_a, phi_a], [0, quot_a]].
 
     ``sub`` is a submodule with quotient ``quot``; an arrow missing from
-    ``phi`` gets a zero corner, so ``phi = {}`` gives the direct sum.
+    ``phi`` gets a zero corner, so ``phi = {}`` gives the direct sum.  The
+    pair must share one field and one quiver (``_check_pair``).
     """
+    _check_pair(sub, quot)
     f = sub.field
-    check_same_field(f, quot.field)
     mats = {}
     for a in sub.dq.arrows:
         top, bottom = sub.mats[a.aid], quot.mats[a.aid]

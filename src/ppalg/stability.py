@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import InternalInvariantError, SearchBudgetExceeded, UnsupportedShape
@@ -237,12 +237,11 @@ def sequiv_class(m: Representation, theta: StabilityParameter) -> tuple:
 # -- moduli scans ------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScanRecord:
     rep: Representation
     verdict: StabilityVerdict
     canonical: tuple
-    e_flags: dict = dc_field(default_factory=dict)
 
 
 @dataclass
@@ -268,7 +267,6 @@ class ModuliScan:
                 {
                     "values": {aid: val for aid, val in rec.canonical[1]},
                     "status": rec.verdict.status,
-                    "e_flags": dict(sorted(rec.e_flags.items())),
                 }
                 for rec in self.records
             ],
@@ -276,15 +274,13 @@ class ModuliScan:
 
     def to_csv(self) -> str:
         arrow_ids = [a.aid for a in self.dq.arrows]
-        flag_names = sorted({k for rec in self.records for k in rec.e_flags})
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(arrow_ids + ["status"] + flag_names)
+        writer.writerow(arrow_ids + ["status"])
         for rec in self.records:
             values = dict(rec.canonical[1])
             row = [values.get(aid, "0") for aid in arrow_ids]
             row.append(rec.verdict.status)
-            row += ["1" if rec.e_flags.get(k) else "0" for k in flag_names]
             writer.writerow(row)
         return buf.getvalue()
 

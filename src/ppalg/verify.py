@@ -168,9 +168,7 @@ def _random_coeffs(field: Field, rng: random.Random, count: int) -> list:
     return coeffs
 
 
-def random_nilpotent(
-    dq: DoubleQuiver, field: Field, rng: random.Random, steps: int = 3
-) -> Representation:
+def random_nilpotent(dq: DoubleQuiver, field: Field, rng: random.Random, steps: int) -> Representation:
     """A random nilpotent module, built as iterated extensions of simples."""
     m = Representation.simple(dq, field, rng.randrange(dq.vertex_count))
     for _ in range(steps):
@@ -266,16 +264,13 @@ def figure2_report(field: Field) -> SuiteReport:
             expected_degree = 0 if all(c >= 0 for c in expected_roots[i - 1]) else 1
             report.add(f"{label} degree of shifted simple {i}", expected_degree, siws[i].degree)
         scan = moduli_scan(dq, d, theta, field)
-        for rec in scan.records:
-            flags = exceptional_membership(rec.rep, wg, word, siws)
-            rec.e_flags = {f"E{i}": flag for i, flag in flags.items()}
-        e1 = [r for r in scan.records if r.e_flags["E1"]]
-        e2 = [r for r in scan.records if r.e_flags["E2"]]
-        both = [r for r in scan.records if r.e_flags["E1"] and r.e_flags["E2"]]
+        flags = [exceptional_membership(rec.rep, wg, word, siws) for rec in scan.records]
+        e1, e2 = (sum(f[i] for f in flags) for i in (1, 2))
+        both = sum(f[1] and f[2] for f in flags)
         q = field.order
-        report.add(f"{label} curve sizes (q+1 classes each)", (q + 1, q + 1), (len(e1), len(e2)))
-        report.add(f"{label} intersection class count", 1, len(both))
-        report.add(f"{label} curves meet iff vertices adjacent", adjacent, len(both) > 0)
+        report.add(f"{label} curve sizes (q+1 classes each)", (q + 1, q + 1), (e1, e2))
+        report.add(f"{label} intersection class count", 1, both)
+        report.add(f"{label} curves meet iff vertices adjacent", adjacent, both > 0)
     return report
 
 

@@ -70,7 +70,10 @@ class StabilityParameter(tuple):
 
 def reflect_dimvec(dq: DoubleQuiver, i: int, alpha: Sequence[int]) -> DimensionVector:
     """Simple reflection on dimension vectors: x - (x, e_i) e_i, which moves entry i only."""
-    pairing = sum(c * a for c, a in zip(dq.cartan_row(i), alpha))
+    row = dq.cartan_row(i)
+    if len(alpha) != len(row):
+        raise ShapeError(f"vector has {len(alpha)} entries, the quiver has {len(row)} vertices")
+    pairing = sum(c * a for c, a in zip(row, alpha))
     return DimensionVector(a - pairing if j == i else a for j, a in enumerate(alpha))
 
 

@@ -357,8 +357,8 @@ def test_scan_csv_golden_digests(capsys, args):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_SCAN_SHA256[args]
 
 
-# sha256 of the scan JSON, the empty e_flags of each class included
-GOLDEN_SCAN_JSON_SHA256 = "e4fd8acd10eba7f2503763d27652a1f8d399773ab06a0c602bc56390af38e175"
+# sha256 of the scan JSON: each class holds its canonical values and its status
+GOLDEN_SCAN_JSON_SHA256 = "0fc37b418ddc15bcf91b3ef20048f4610805d888d43afa296f8578e2272e7f08"
 
 
 def test_scan_json_golden_digest(capsys):

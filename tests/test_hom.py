@@ -17,7 +17,7 @@ from ppalg.hom import (
     retraction_exists,
 )
 from ppalg.linalg import Matrix, hstack_all
-from ppalg.quiver import standard_extended_dynkin
+from ppalg.quiver import Arrow, Quiver, build_double, standard_extended_dynkin
 from ppalg.rep import (
     Representation,
     combination,
@@ -79,15 +79,24 @@ def test_hom_dimensions_of_simples():
 
 def test_hom_and_ext_refuse_pairs_that_do_not_match():
     dq, d, f = a2(GF(2))
-    s1 = Representation.simple(dq, f, 1)
-    others = {
-        FieldMismatch: Representation.simple(dq, GF(3), 1),
-        ShapeError: Representation.simple(standard_extended_dynkin("D", 4)[0], f, 1),
-    }
-    for error, other in others.items():
-        for pair in ((s1, other), (other, s1)):
-            for entry in (hom_dim, hom_basis, ext1_dim_via_complex, ext1_space):
-                with pytest.raises(error):
+    # the same arrow ids with every base arrow reversed
+    reversed_cycle = build_double(Quiver(3, [Arrow("a1", 1, 0), Arrow("a2", 2, 1), Arrow("a3", 0, 2)]))
+    entries = (hom_dim, hom_basis, ext1_dim_via_complex, ext1_space, lambda m, n: extension_from_cocycle(m, n, {}))
+    cases = [
+        (FieldMismatch, "mixed fields", Representation.simple(dq, f, 1), Representation.simple(dq, GF(3), 1)),
+        (
+            ShapeError,
+            "different quivers",
+            Representation.simple(dq, f, 1),
+            Representation.simple(standard_extended_dynkin("D", 4)[0], f, 1),
+        ),
+        # equal dims and zero matrices: only the quiver check tells these apart
+        (ShapeError, "different quivers", Representation.build(dq, f, d), Representation.build(reversed_cycle, f, d)),
+    ]
+    for error, message, m, other in cases:
+        for pair in ((m, other), (other, m)):
+            for entry in entries:
+                with pytest.raises(error, match=message):
                     entry(*pair)
 
 

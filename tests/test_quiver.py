@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppalg.errors import ConnectivityError, LoopError, RangeError, UsageError
+from ppalg.errors import ConnectivityError, LoopError, RangeError, ShapeError, UsageError
 from ppalg.quiver import (
     MAX_VERTICES,
     Arrow,
@@ -94,6 +94,14 @@ def test_imaginary_root_is_killed_by_the_form(tag, n):
     dq, d = standard_extended_dynkin(tag, n)
     for i in range(dq.vertex_count):
         assert dq.bilinear(d, dq.unit(i)) == 0
+
+
+def test_bilinear_refuses_vectors_of_the_wrong_length():
+    # a zip against the Cartan rows would quietly drop entries or rows
+    dq, d = standard_extended_dynkin("A", 2)
+    for alpha, beta in (((1, 1), d), (d, (1, 1)), (d, (1, 1, 1, 5))):
+        with pytest.raises(ShapeError):
+            dq.bilinear(alpha, beta)
 
 
 def reference_bilinear(dq, alpha, beta):

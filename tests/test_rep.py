@@ -284,6 +284,16 @@ def test_isomorphism_refuses_pairs_that_do_not_match():
     assert is_isomorphic(s1, Representation.from_json(s1.to_json()))
 
 
+def test_module_equality_includes_the_quiver():
+    # equal field, dims and zero matrices over the cycle with every base arrow reversed
+    dq, d, f = a2(GF(2))
+    reversed_cycle = build_double(Quiver(3, [Arrow("a1", 1, 0), Arrow("a2", 2, 1), Arrow("a3", 0, 2)]))
+    m, n = Representation.build(dq, f, d), Representation.build(reversed_cycle, f, d)
+    assert m != n and len({m, n}) == 2
+    copy = Representation.from_json(m.to_json())
+    assert copy.dq is not m.dq and copy == m and hash(copy) == hash(m)
+
+
 def test_json_round_trip_is_bit_exact():
     dq, d, _ = a2(GF(3))
     f = GF(3)

@@ -167,10 +167,8 @@ def test_transported_curves_off_diagonal_example():
     theta = chamber_theta(dq, word)
     scan = moduli_scan(dq, d, theta, f)
     siws = shifted_simples(wg, word, f)
-    for rec in scan.stable_records():
-        flags = exceptional_membership(rec.rep, wg, word, siws)
-        rec.e_flags["E1"], rec.e_flags["E2"] = flags[1], flags[2]
-    only_e2 = [r for r in scan.stable_records() if r.e_flags["E2"] and not r.e_flags["E1"]]
+    flags = {rec.canonical: exceptional_membership(rec.rep, wg, word, siws) for rec in scan.stable_records()}
+    only_e2 = [c for c, flag in flags.items() if flag[2] and not flag[1]]
     assert len(only_e2) == f.order  # a projective line minus the meeting point
 
 

@@ -157,6 +157,14 @@ def test_reflect_theta_refuses_theta_of_the_wrong_length(theta):
         reflect_theta(dq, 3, StabilityParameter(theta))
 
 
+@pytest.mark.parametrize("i,alpha", [(0, (1, 1)), (1, (1, 1, 1, 5))])
+def test_reflect_dimvec_refuses_vectors_of_the_wrong_length(i, alpha):
+    # a zip against the Cartan row would quietly drop entries or ignore the extra one
+    dq, d = standard_extended_dynkin("A", 2)
+    with pytest.raises(ShapeError):
+        reflect_dimvec(dq, i, alpha)
+
+
 def test_chamber_of_rejects_walls():
     dq, d, rs, wg = setup("A", 2)
     with pytest.raises(NotGeneric):
