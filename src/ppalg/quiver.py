@@ -114,6 +114,8 @@ class DoubleQuiver:
             star[sid] = a.aid
             epsilon[a.aid] = 1
             epsilon[sid] = -1
+        if len({a.aid for a in arrows}) != len(arrows):
+            raise RangeError("duplicate arrow ids")  # a star id a + "s" that another arrow already has
         self.arrows = tuple(arrows)
         self.star = star
         self.epsilon = epsilon

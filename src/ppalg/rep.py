@@ -53,7 +53,10 @@ class Representation:
         dims: Sequence[int],
         mats: Optional[Mapping[str, Matrix]] = None,
     ) -> "Representation":
-        """Assemble a representation, filling unspecified arrows with zero maps."""
+        """Assemble a representation, filling unspecified arrows with zero maps.
+
+        A key of ``mats`` that is not an arrow of the quiver raises ShapeError.
+        """
         dims = DimensionVector(dims)
         if len(dims) != dq.vertex_count:
             raise ShapeError("dimension vector length mismatch")
@@ -61,6 +64,9 @@ class Representation:
             raise ShapeError("negative vertex dimension")
         full: dict[str, Matrix] = {}
         mats = mats or {}
+        if not mats.keys() <= dq.star.keys():  # star is keyed by every arrow id
+            unknown = sorted(mats.keys() - dq.star.keys())
+            raise ShapeError(f"{unknown[0]} is not an arrow of the quiver")
         for a in dq.arrows:
             want = (dims[a.dst], dims[a.src])
             m = mats.get(a.aid)

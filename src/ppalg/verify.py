@@ -26,14 +26,12 @@ from .hom import (
 )
 from .quiver import DoubleQuiver, standard_extended_dynkin
 from .rep import (
-    MORPHISM_SCAN_BUDGET,
     Representation,
     combination,
     hom_basis,
     hom_dim,
     is_isomorphic,
     morphism_is_injective,
-    nonzero_morphisms,
     quotient_by_map,
 )
 from .reflection import ShiftedModule, apply_word, compute_siw, reflect_minus, reflect_plus
@@ -193,13 +191,13 @@ def exceptional_membership(
 ) -> dict[int, bool]:
     """Whether a semistable module lies on each transported exceptional curve.
 
-    One flag per finite vertex i, read against ``siws[i]``, the shifted
-    simple ``compute_siw(wg, word, i, m.field)``.  For a positive transported
-    root the test scans for an injective map from the shifted simple S, for
-    a negative one for a surjection m -> S, which is an injection
-    D(S) -> D(m) between the duals.  Membership of the module in the chamber
-    category is verified once first, against the transported all-ones
-    parameter.
+    One flag per finite vertex i, read against S = ``siws[i].module``, the
+    shifted simple ``compute_siw(wg, word, i, m.field)``: Hom(S, m) != 0, or
+    Hom(m, S) != 0 when S sits in degree 1.  On the wall of the chamber where
+    S has value zero, S is stable and m semistable, so a nonzero map S -> m
+    is injective and one m -> S onto (King, Quart. J. Math. 45, 1994).  The
+    module's membership in the chamber category is verified once first,
+    against the transported all-ones parameter.
     """
     word = tuple(word)
     ones = StabilityParameter.from_tail(m.dims, [1] * wg.rank)
@@ -208,11 +206,8 @@ def exceptional_membership(
         raise PreconditionViolated(f"module not semistable: {verdict.status}")
     flags = {}
     for i in range(1, wg.rank + 1):
-        source, target = siws[i].module, m
-        if any(c < 0 for c in wg.act_on_root(word, wg.rs.simple[i - 1])):
-            source, target = source.dual(), target.dual()
-        scan = nonzero_morphisms(m.field, hom_basis(source, target), MORPHISM_SCAN_BUDGET)
-        flags[i] = any(morphism_is_injective(phi) for phi in scan)
+        s = siws[i].module
+        flags[i] = (hom_dim(m, s) if siws[i].degree else hom_dim(s, m)) != 0
     return flags
 
 
@@ -227,20 +222,12 @@ def check_stability_characterization(field: Field, word: Sequence[int]) -> Suite
     report = SuiteReport(suite=f"chs[{chamber_label(word)},q={field.order}]")
     report.meta[f"theta {chamber_label(word)}"] = theta.format()
     siws = {i: compute_siw(wg, word, i, field) for i in (1, 2)}
-    roots = {i: wg.act_on_root(word, wg.rs.simple[i - 1]) for i in (1, 2)}
     mismatches = 0
     total = 0
     for rep in enumerate_thin_reps(dq, d, field):
         total += 1
         lhs = stability_verdict(rep, theta).semistable
-        rhs = True
-        for i in (1, 2):
-            if all(c >= 0 for c in roots[i]):
-                if hom_dim(rep, siws[i].module) != 0:
-                    rhs = False
-            else:
-                if hom_dim(siws[i].module, rep) != 0:
-                    rhs = False
+        rhs = all((hom_dim(s.module, rep) if s.degree else hom_dim(rep, s.module)) == 0 for s in siws.values())
         if lhs != rhs:
             mismatches += 1
     report.add(f"mismatches over {total} modules", 0, mismatches)
@@ -470,15 +457,16 @@ def check_L_sequences(field: Field) -> SuiteReport:
         e_i = dq.unit(i)
         for rec in scan.stable_records():
             n = rec.rep
-            if hom_dim(simple_i, n) == 0:
+            maps = hom_basis(simple_i, n)
+            if not maps:
                 continue
             members += 1
             key = f"E{i} member {dict(rec.canonical[1])}"
-            report.add(f"{key}: dim Hom(S_i, N)", 1, hom_dim(simple_i, n))
+            report.add(f"{key}: dim Hom(S_i, N)", 1, len(maps))
             ext_n_si = ext1_space(n, simple_i)
             report.add(f"{key}: dim Ext1(N, S_i)", 1, ext_n_si.dim)
             # quotient side: 0 -> S_i -> N -> L- -> 0
-            embedding = hom_basis(simple_i, n)[0]
+            embedding = maps[0]
             if not morphism_is_injective(embedding):
                 report.add(f"{key}: embedding injective", True, False)
                 continue

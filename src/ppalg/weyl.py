@@ -53,10 +53,15 @@ class StabilityParameter(tuple):
 
     @staticmethod
     def from_tail(d: Sequence[int], tail: Iterable) -> "StabilityParameter":
-        """The parameter with ``tail`` off vertex 0 and the head that makes its value on d zero."""
+        """The parameter with ``tail`` off vertex 0 and the head that makes its value on d zero.
+
+        A d that is zero at vertex 0 has no such head and raises ShapeError.
+        """
         tail = StabilityParameter(tail)
         if len(tail) != len(d) - 1:
             raise UsageError("theta tail needs one entry per non-extending vertex")
+        if d[0] == 0:
+            raise ShapeError("d is zero at the extending vertex 0, so no head makes its value zero")
         return StabilityParameter([-tail(d[1:]) / d[0], *tail])
 
     @staticmethod

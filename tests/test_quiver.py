@@ -28,6 +28,12 @@ def test_double_of_single_arrow():
     assert (star.src, star.dst) == (1, 0)
 
 
+def test_double_refuses_a_star_id_that_is_taken():
+    with pytest.raises(RangeError, match="duplicate arrow ids"):
+        build_double(Quiver(2, [Arrow("a", 0, 1), Arrow("as", 0, 1)]))
+    assert [a.aid for a in build_double(Quiver(2, [Arrow("as", 0, 1)])).arrows] == ["as", "ass"]
+
+
 def test_star_is_involution_and_swaps_endpoints():
     dq, _ = standard_extended_dynkin("D", 4)
     by_id = {a.aid: a for a in dq.arrows}

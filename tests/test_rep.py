@@ -270,6 +270,8 @@ def test_zero_module_and_shape_errors():
         Representation.build(dq, f, [1, 1], {})
     with pytest.raises(ShapeError):
         Representation.build(dq, f, d, {"a1": Matrix.zero(f, 2, 2)})
+    with pytest.raises(ShapeError, match="zz"):
+        Representation.build(dq, f, d, {"zz": Matrix(f, 1, 1, [[1]])})
 
 
 def test_isomorphism_refuses_pairs_that_do_not_match():

@@ -3,14 +3,16 @@ import json
 
 import pytest
 
-from ppalg.errors import UsageError
+from ppalg.errors import ShapeError, UsageError
 from ppalg.fields import GF, QQ
 from ppalg.linalg import Matrix
-from ppalg.rep import hom_dim, Representation
+from ppalg.quiver import standard_extended_dynkin
+from ppalg.rep import MORPHISM_SCAN_BUDGET, hom_basis, hom_dim, nonzero_morphisms, Representation
 from ppalg.reflection import apply_word, compute_siw
 from ppalg.stability import moduli_scan, stability_verdict
 from ppalg.verify import (
     A2_CHAMBER_WORDS,
+    BASE_THETA,
     a2_setup,
     chamber_theta,
     check_L_sequences,
@@ -21,6 +23,7 @@ from ppalg.verify import (
     run_suite,
     zerogen_suite,
 )
+from ppalg.weyl import StabilityParameter, WeylGroup, finite_root_system
 
 
 def shifted_simples(wg, word, field):
@@ -91,6 +94,47 @@ def test_membership_commutes_with_transport(word):
         assert sorted(flags) == [1, 2]
         moved, _ = apply_word(word, rec.rep, base_theta)
         assert exceptional_membership(moved, wg, word, word_siws) == flags
+
+
+def scan_membership(m, wg, word, siws):
+    """The morphism-scan curve test the Hom test replaced, kept as its oracle.
+
+    Flag i looks for an injective map S -> m, or D(S) -> D(m) between the
+    duals when the transported simple root is negative.
+    """
+    flags = {}
+    for i in range(1, wg.rank + 1):
+        source, target = siws[i].module, m
+        if any(c < 0 for c in wg.act_on_root(word, wg.rs.simple[i - 1])):
+            source, target = source.dual(), target.dual()
+        scan = nonzero_morphisms(m.field, hom_basis(source, target), MORPHISM_SCAN_BUDGET)
+        flags[i] = any(all(mat.rank() == mat.cols for mat in phi.values()) for phi in scan)
+    return flags
+
+
+def assert_membership_matches_the_scan(dq, d, wg, words, base, field):
+    seen = set()
+    for word in words:
+        siws = shifted_simples(wg, word, field)
+        for rec in moduli_scan(dq, d, chamber_theta(dq, word, base), field).records:
+            flags = exceptional_membership(rec.rep, wg, word, siws)
+            assert flags == scan_membership(rec.rep, wg, word, siws), (word, rec.canonical)
+            seen.update(flags.values())
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_membership_matches_the_morphism_scan_in_every_a2_chamber(q):
+    dq, d, wg = a2_setup()
+    assert_membership_matches_the_scan(dq, d, wg, A2_CHAMBER_WORDS, BASE_THETA, GF(q))
+
+
+def test_membership_matches_the_morphism_scan_in_every_a3_chamber():
+    dq, d = standard_extended_dynkin("A", 3)
+    wg = WeylGroup(finite_root_system(dq, d))
+    words = wg.canonical_words()
+    assert len(words) == 24
+    assert_membership_matches_the_scan(dq, d, wg, words, StabilityParameter((-6, 1, 2, 3)), GF(2))
 
 
 def test_membership_over_rationals_matches_the_ternary_flags():
@@ -189,6 +233,9 @@ def test_membership_precondition_is_enforced():
     unstable = Representation.build(dq, f, d, {"a2": Matrix(f, 1, 1, [[1]])})
     with _pytest.raises(PreconditionViolated):
         exceptional_membership(unstable, wg, (), shifted_simples(wg, (), f))
+    # S1 is zero at vertex 0, so no all-ones parameter has value zero on it
+    with _pytest.raises(ShapeError, match="extending vertex"):
+        exceptional_membership(Representation.simple(dq, f, 1), wg, (), shifted_simples(wg, (), f))
 
 
 def test_random_nilpotent_is_nilpotent_and_valid():

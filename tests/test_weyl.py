@@ -130,6 +130,9 @@ def test_parameter_from_tail():
     for tail in ((1,), (1, 1, 1)):
         with pytest.raises(UsageError):
             StabilityParameter.from_tail((1, 1, 1), tail)
+    # no head makes the value zero on a d that is zero at vertex 0
+    with pytest.raises(ShapeError, match="extending vertex 0"):
+        StabilityParameter.from_tail((0, 1, 0), [1, 1])
 
 
 WRONG_LENGTH_THETAS = [(-1, 1), (-2, 1, 1, 0)]
