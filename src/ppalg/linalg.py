@@ -99,8 +99,7 @@ class Matrix:
         return all(x == z for row in self.data for x in row)
 
     def transpose(self) -> "Matrix":
-        data = list(zip(*self.data)) if self.rows else [()] * self.cols
-        return Matrix._of(self.field, self.cols, self.rows, data)
+        return Matrix._of(self.field, self.cols, self.rows, _transpose(self.data, self.cols))
 
     def add(self, other: "Matrix") -> "Matrix":
         check_same_field(self.field, other.field)
@@ -128,20 +127,7 @@ class Matrix:
         check_same_field(self.field, other.field)
         if self.cols != other.rows:
             raise ShapeError(f"product shape mismatch {self.rows}x{self.cols} . {other.rows}x{other.cols}")
-        f = self.field
-        z = f.zero()
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    a = self.data[i][k]
-                    if a != z:
-                        acc = f.add(acc, f.mul(a, other.data[k][j]))
-                row.append(acc)
-            out.append(row)
-        return Matrix._of(f, self.rows, other.cols, out)
+        return Matrix._of(self.field, self.rows, other.cols, _mul_rows(self.field, self.data, other.data, other.cols))
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         return Matrix._of(
@@ -251,6 +237,27 @@ class Matrix:
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise ValueError("a matrix must be a list of rows, each a list of entries")
         return Matrix(field, rows, cols, [[scalar(x) for x in row] for row in data])
+
+
+def _mul_rows(f: Field, left: Sequence[Sequence], right: Sequence[Sequence], cols: int) -> list[list]:
+    """The rows of the product of two blocks given by their rows; ``right`` has ``cols`` columns."""
+    z = f.zero()
+    out = []
+    for lrow in left:
+        row = []
+        for j in range(cols):
+            acc = z
+            for a, rrow in zip(lrow, right):
+                if a != z:
+                    acc = f.add(acc, f.mul(a, rrow[j]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _transpose(rows: Sequence[tuple], width: int) -> list:
+    """The rows of the transpose of a block given by its rows, each ``width`` long."""
+    return list(zip(*rows)) if rows else [()] * width
 
 
 def _null_rows(R: Matrix, pivots: tuple[int, ...]) -> Matrix:

@@ -2,11 +2,14 @@
 
 The plus functor replaces the vertex space at i by the kernel of the map
 bundling the star matrices of the arrows leaving i.  The cokernel-side minus
-functor is the dual of the kernel-side construction: the plus functor on the
-vector-space dual, dualized back, so both share one body and its checks.
-Both are total linear constructions; the torsion-pair semantics (zero defect)
-are enforced only by the word-application wrapper.  The tilting ideals
-themselves are never materialized.
+functor is the dual of that kernel-side construction.  Both run one body on
+the row data of the 2 deg(i) blocks at the arrows incident to i: the plus
+functor reads them as they are, the minus functor reads them transposed (the
+blocks of the dual module there) and transposes back only the blocks it
+changes, so no whole-module dual is formed and both share one rref, one lift
+and the same checks.  Both are total linear constructions; the torsion-pair
+semantics (zero defect) are enforced only by the word-application wrapper.
+The tilting ideals themselves are never materialized.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .errors import (
     RangeError,
 )
 from .fields import Field
-from .linalg import Matrix, _null_rows
+from .linalg import Matrix, _mul_rows, _null_rows, _transpose
 from .quiver import DimensionVector
 from .rep import Representation
 from .stability import stability_verdict
@@ -50,61 +53,84 @@ class ShiftedModule:
         return {"degree": self.degree, "module": self.module.to_json()}
 
 
+def _reflect(i: int, m: Representation, transposed: bool) -> ReflectResult:
+    """The kernel construction at i, on the row data of the 2 deg(i) blocks at i.
+
+    For each arrow a leaving i it reads the pair (N_a, N_{a*}^T): (M_a,
+    M_{a*}^T) for the plus functor, and the same pair swapped, (M_{a*}^T,
+    M_a), for the minus one, where N is the dual module.  The blocks
+    eps(a) N_{a*} side by side form the in-map; the null rows of its one rref
+    span the new space K, and the new N_a are row slices of K.  The one
+    product W = (N_a stacked) . (N_{a*} side by side) carries every incoming
+    block at once; K is the identity on the free rows, so the unique lift
+    through K is the free rows of W, and K times the lift must give W back.
+    The new pairs are written back the same way, swapped on the minus side;
+    every other block is the block of m.  The result's relations are
+    re-checked at every vertex.
+    """
+    dq = m.dq
+    if not 0 <= i < dq.vertex_count:
+        raise RangeError(f"vertex {i} is not a vertex of the quiver")
+    f = m.field
+    n = m.dims[i]
+    terms = dq.relations[i].terms
+    stack_out, stack_in, signed, widths = [], [], [], []  # N_a and N_{a*}^T over the terms, stacked
+    for sign, a, s in terms:
+        star = m.mats[s]
+        pair = (m.mats[a].data, _transpose(star.data, star.cols))
+        out_rows, in_rows = pair[::-1] if transposed else pair
+        stack_out += out_rows
+        stack_in += in_rows
+        signed += in_rows if sign > 0 else [tuple(map(f.neg, row)) for row in in_rows]
+        widths.append(len(in_rows))
+    cols = len(stack_in)
+    R, pivots = Matrix._of(f, n, cols, _transpose(signed, n)).rref()
+    null = _null_rows(R, pivots).data
+    k = len(null)
+    pivot_set = set(pivots)
+    w = _mul_rows(f, stack_out, _transpose(stack_in, n), cols)
+    lift = [row for c, row in enumerate(w) if c not in pivot_set]
+    if _mul_rows(f, _transpose(null, cols), lift, cols) != w:  # K . lift
+        raise InternalInvariantError("incoming map does not land in the kernel")
+
+    mats = dict(m.mats)
+    pos = 0
+    for (_, a, s), width in zip(terms, widths):
+        # the new N_a and N_{a*}^T, each the transpose of a k x width slice
+        proj = [row[pos : pos + width] for row in null]
+        part = [row[pos : pos + width] for row in lift]
+        to_a, to_s = (part, proj) if transposed else (proj, part)
+        mats[a] = Matrix._of(f, width, k, _transpose(to_a, width))
+        mats[s] = Matrix._of(f, k, width, to_s)
+        pos += width
+    dims = m.dims if k == n else DimensionVector(k if v == i else d for v, d in enumerate(m.dims))
+    result = Representation(dq, f, dims, mats)
+    if result.check_relations():
+        raise InternalInvariantError("reflection broke the preprojective relations")
+    return ReflectResult(module=result, defect=n - len(pivots))
+
+
 def reflect_plus(i: int, m: Representation) -> ReflectResult:
     """Kernel-side reflection at vertex i.
 
     The new space at i is the kernel of ``m.in_map(i)``, which sums
     eps(a) M_{a*} over the arrows a leaving i; the defect is its cokernel
     dimension.  The arrows leaving i become the summand projections of the
-    kernel: row slices of its canonical basis, the null rows of one rref,
-    transposed.  An incoming arrow b becomes ``m.out_map(i) . M_b`` lifted
-    through the kernel.  That basis is the identity on the free rows, so the
-    lift is unique and is the free rows of the product; one more product
-    checks that it lifts.  The result is built from these trusted blocks
-    directly, and its relations are re-checked.
+    kernel's canonical basis, and an incoming arrow b becomes
+    ``m.out_map(i) . M_b`` lifted through the kernel.
     """
-    if not 0 <= i < m.dq.vertex_count:
-        raise RangeError(f"vertex {i} is not a vertex of the quiver")
-    dq = m.dq
-    f = m.field
-    in_map = m.in_map(i)
-    out_map = m.out_map(i)
-    R, pivots = in_map.rref()
-    kernel = _null_rows(R, pivots).transpose()
-    k = kernel.cols
-    pivot_set = set(pivots)
-    free = [c for c in range(in_map.cols) if c not in pivot_set]
-    defect = m.dims[i] - len(pivots)
-
-    mats = dict(m.mats)
-    pos = 0
-    for _, aid, _ in dq.relations[i].terms:
-        # outgoing arrow c: project the kernel to the c summand
-        rows = m.mats[aid].rows
-        mats[aid] = Matrix._of(f, rows, k, kernel.data[pos : pos + rows])
-        pos += rows
-    for b in dq.arrows_in(i):
-        w = out_map.mul(m.mats[b.aid])
-        lift = Matrix._of(f, k, w.cols, [w.data[r] for r in free])
-        if kernel.mul(lift) != w:
-            raise InternalInvariantError("incoming map does not land in the kernel")
-        mats[b.aid] = lift
-    dims = DimensionVector(k if v == i else d for v, d in enumerate(m.dims))
-    result = Representation(dq, f, dims, mats)
-    if result.check_relations():
-        raise InternalInvariantError("reflection broke the preprojective relations")
-    return ReflectResult(module=result, defect=defect)
+    return _reflect(i, m, False)
 
 
 def reflect_minus(i: int, m: Representation) -> ReflectResult:
-    """Cokernel-side reflection at vertex i: the dual of the kernel-side construction.
+    """Cokernel-side reflection at vertex i.
 
-    D(I_i (x) M) = Hom(I_i, DM), so this is reflect_plus on the dual module,
-    dualized back.  The defect is the kernel dimension of the map g_i that
-    collects eps(a*) M_{a*} over the arrows a entering i.
+    D(I_i (x) M) = Hom(I_i, DM), so this is the kernel construction on the
+    transposed blocks of the arrows at i, with the changed blocks transposed
+    back; no whole-module dual is formed.  The defect is the kernel dimension
+    of the map g_i that collects eps(a*) M_{a*} over the arrows a entering i.
     """
-    res = reflect_plus(i, m.dual())
-    return ReflectResult(module=res.module.dual(), defect=res.defect)
+    return _reflect(i, m, True)
 
 
 def apply_word(
@@ -125,7 +151,7 @@ def apply_word(
     for letter in reversed(tuple(word)):
         if not 0 <= letter < m.dq.vertex_count:
             raise RangeError(f"letter {letter} is not a vertex")
-        sign = th[letter]
+        sign = th.numerators[letter]  # the sign of the entry: the denominator is positive
         if sign == 0:
             raise NotGenericStep(f"parameter entry at vertex {letter} is zero")
         res = reflect_plus(letter, cur) if sign > 0 else reflect_minus(letter, cur)

@@ -111,30 +111,39 @@ class Representation:
         return hstack_all(self.field, self.dims[v], blocks)
 
     def relation_matrix(self, v: int) -> Matrix:
-        """The relation sum at vertex v as a dims[v] x dims[v] matrix: in_map . out_map.
+        """The relation sum at vertex v as a dims[v] x dims[v] matrix: in_map . out_map."""
+        n = self.dims[v]
+        return Matrix._of(self.field, n, n, self._relation_rows(v))
 
-        Accumulated in one pass over the terms of ``dq.relations[v]``, straight
-        from the matrix entries; zero entries are skipped by truth value.
+    def _relation_rows(self, v: int) -> list[list]:
+        """The rows of the relation sum at v, accumulated in one pass over ``dq.relations[v]``.
+
+        Read straight from the matrix entries; zero entries are skipped by
+        truth value.
         """
         f = self.field
-        mul = f.mul
+        add, sub, mul = f.add, f.sub, f.mul
         n = self.dims[v]
-        acc = [[f.zero()] * n for _ in range(n)]
+        acc = [(f.zero(),) * n] * n
         for sign, aid, sid in self.dq.relations[v].terms:
             # acc += eps(a) M_{a*} . M_a, the sign folded into add or sub
-            op = f.add if sign > 0 else f.sub
+            op = add if sign > 0 else sub
             arrow = self.mats[aid].data
-            for row, star_row in zip(acc, self.mats[sid].data):
+            for r, star_row in enumerate(self.mats[sid].data):
+                row = acc[r]
                 for s, arrow_row in zip(star_row, arrow):
                     if s:
-                        for j, x in enumerate(arrow_row):
-                            if x:
-                                row[j] = op(row[j], mul(s, x))
-        return Matrix._of(f, n, n, acc)
+                        row = [op(y, mul(s, x)) if x else y for y, x in zip(row, arrow_row)]
+                acc[r] = row
+        return acc
 
     def check_relations(self) -> list[int]:
-        """Vertices where the preprojective relation fails (empty list = valid)."""
-        return [v for v in range(self.dq.vertex_count) if not self.relation_matrix(v).is_zero()]
+        """Vertices where the preprojective relation fails (empty list = valid).
+
+        Every vertex is tested, by truth value on the accumulated rows; a
+        vertex of dimension 0 holds trivially.
+        """
+        return [v for v, n in enumerate(self.dims) if n and any(map(any, self._relation_rows(v)))]
 
     # -- structure ---------------------------------------------------------
 

@@ -36,6 +36,14 @@ class StabilityParameter(tuple):
         self.numerators = tuple(t.numerator * (den // t.denominator) for t in self)
         return self
 
+    @staticmethod
+    def _of(entries: Iterable[Fraction], numerators: tuple, denominator: int) -> "StabilityParameter":
+        """A trusted result: ``numerators``/``denominator`` are the canonical cleared ``entries``."""
+        self = tuple.__new__(StabilityParameter, entries)
+        self.denominator = denominator
+        self.numerators = numerators
+        return self
+
     def __call__(self, alpha: Sequence[int]) -> Fraction:
         return Fraction(self.scaled(alpha), self.denominator)
 
@@ -87,10 +95,14 @@ def reflect_theta(dq: DoubleQuiver, i: int, theta: StabilityParameter) -> Stabil
     row = dq.cartan_row(i)
     if len(theta) != len(row):
         raise ShapeError(f"theta has {len(theta)} entries, the quiver has {len(row)} vertices")
-    den = theta.denominator
     ni = theta.numerators[i]
-    # one integer row operation on the cleared numerators, one Fraction per entry
-    return StabilityParameter(Fraction(n - ni * c, den) for n, c in zip(theta.numerators, row))
+    numerators = tuple(n - ni * c for n, c in zip(theta.numerators, row))
+    # one integer row operation; entries off the Cartan row keep their Fraction.
+    # The reflection is an involution with an integer row, so the lcm of the
+    # denominators, and with it the canonical denominator, does not change.
+    den = theta.denominator
+    entries = (Fraction(n, den) if c else t for n, c, t in zip(numerators, row, theta))
+    return StabilityParameter._of(entries, numerators, den)
 
 
 def apply_word_to_dimvec(dq: DoubleQuiver, word: Sequence[int], alpha: Sequence[int]) -> DimensionVector:

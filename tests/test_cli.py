@@ -377,6 +377,30 @@ def test_verify_all_json_golden_digest(capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_VERIFY_ALL_SHA256
 
 
+# the all-ones A2 module over GF(3), as a file, and the sha256 of the raw
+# stdout of one minus reflection and of one word applied to it
+ALL_ONES_A2_GF3 = (
+    '{"dims": [1, 1, 1], "field": {"kind": "prime", "p": 3}, "mats": {"a1": [["1"]], "a1s": [["1"]], '
+    '"a2": [["1"]], "a2s": [["1"]], "a3": [["1"]], "a3s": [["1"]]}, "quiver": {"arrows": '
+    '[{"dst": 1, "id": "a1", "src": 0}, {"dst": 2, "id": "a2", "src": 1}, {"dst": 0, "id": "a3", "src": 2}, '
+    '{"dst": 0, "id": "a1s", "src": 1, "star_of": "a1"}, {"dst": 1, "id": "a2s", "src": 2, "star_of": "a2"}, '
+    '{"dst": 2, "id": "a3s", "src": 0, "star_of": "a3"}], "vertices": 3}}'
+)
+GOLDEN_REFLECTION_SHA256 = {
+    "reflect --vertex 1 --dir minus": "db2dfba45981e0bc742aad181eeeae738722a5f93502c1d1591492910d9432f3",
+    "apply --word 1,2,1 --theta -2,1,1": "582e23808a9c3c0bfe7a41619ce08695497c055d016b106c698fc75f350e4295",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_REFLECTION_SHA256))
+def test_reflection_commands_golden_digests(capsys, tmp_path, args):
+    path = tmp_path / "module.json"
+    path.write_text(ALL_ONES_A2_GF3 + "\n", encoding="utf-8")
+    code, out, _ = run(capsys, *args.split(), str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_REFLECTION_SHA256[args]
+
+
 def test_quiver_json_golden_bytes(capsys):
     code, out, _ = run(capsys, "quiver", "--type", "A2")
     assert code == 0

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -436,3 +437,68 @@ def test_incoming_map_outside_the_kernel_raises():
     # the dual carries the same broken relation and the same nonzero arrow into 1
     with pytest.raises(InternalInvariantError, match="does not land in the kernel"):
         reflect_minus(1, m)
+
+
+def test_relation_recheck_covers_every_vertex():
+    # the relation fails at the leaves 0 and 3 only; reflecting at 1 or 4,
+    # adjacent to neither, must still fail the re-check of the result
+    dq, d, wg = d4_setup()
+    f = GF(3)
+    column = Matrix.from_rows(f, [[1], [0]])
+    mats = {
+        "a1": column,
+        "a3": column,
+        "a1s": Matrix.from_rows(f, [[1, 0]]),
+        "a3s": Matrix.from_rows(f, [[2, 0]]),
+    }
+    m = Representation.build(dq, f, (1, 0, 2, 1, 0), mats)
+    assert m.check_relations() == [0, 3]
+    for i in (1, 4):
+        for func in (reflect_plus, reflect_minus):
+            with pytest.raises(InternalInvariantError, match="broke the preprojective relations"):
+                func(i, m)
+
+
+def reflection_digest_modules():
+    """Every thin A2 module over GF(3), then 12 nilpotent D4 modules over GF(3) and over QQ."""
+    dq, d, wg = a2_setup()
+    for support in itertools.product((0, 1), repeat=dq.vertex_count):
+        yield from enumerate_thin_reps(dq, DimensionVector(support), GF(3))
+    dq, d, wg = d4_setup()
+    for field in (GF(3), QQ):
+        rng = random.Random(20)
+        for _ in range(12):
+            yield random_nilpotent(dq, field, rng, steps=rng.randrange(1, 5))
+
+
+def test_reflection_bytes_golden_digest():
+    # one sha256 over the reflect output of both functors at every vertex
+    digest = hashlib.sha256()
+    count = 0
+    for m in reflection_digest_modules():
+        for i in range(m.dq.vertex_count):
+            for func in (reflect_plus, reflect_minus):
+                res = func(i, m)
+                text = json.dumps({"defect": res.defect, "module": res.module.to_json()}, sort_keys=True)
+                digest.update(text.encode("utf-8"))
+                count += 1
+    assert count == 1200
+    assert digest.hexdigest() == "e381d998fde7a856bc354434ad841486d626b728543e19a27aabfcb0857c1894"
+
+
+def test_apply_word_bytes_golden_digest():
+    # apply_word((1, 2, 1)) on every semistable thin module of dims (1, 1, 1)
+    # over GF(3), in each of the six chambers, with the reflected parameter
+    dq, d, wg = a2_setup()
+    digest = hashlib.sha256()
+    count = 0
+    for word in wg.canonical_words():
+        theta = chamber_theta(dq, word)
+        for m in enumerate_thin_reps(dq, d, GF(3)):
+            if stability_verdict(m, theta).semistable:
+                out, th = apply_word((1, 2, 1), m, theta)
+                text = json.dumps({"module": out.to_json(), "theta": th.format()}, sort_keys=True)
+                digest.update(text.encode("utf-8"))
+                count += 1
+    assert count == 360
+    assert digest.hexdigest() == "94ec0962f07e0bdcd8b48eb7e106541b6a382c5ebc0b260483dbfce35386d5e7"

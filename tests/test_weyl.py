@@ -6,7 +6,7 @@ from fractions import Fraction
 import functools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppalg.errors import InternalInvariantError, NotGeneric, NotInThetaD, RangeError, ShapeError, UsageError
@@ -350,6 +350,30 @@ def test_reflections_match_the_unit_vector_formulas(tag, n, data):
         assert got.format() == want.format()
         assert got.numerators == want.numerators
         assert got.denominator == want.denominator
+
+
+def assert_same_parameter(got, want):
+    assert tuple(got) == tuple(want)
+    assert all(type(x) is Fraction for x in got)
+    assert got.numerators == want.numerators
+    assert got.denominator == want.denominator
+
+
+@settings(max_examples=60, deadline=None)
+@given(entries=st.lists(RATIONALS, min_size=5, max_size=5))
+@example(entries=[Fraction(-5, 6), Fraction(1, 2), Fraction(1, 3), Fraction(0), Fraction(0)])
+@example(entries=[Fraction(1, 6), Fraction(-1, 4), Fraction(3, 2), Fraction(-2, 3), Fraction(5)])
+@pytest.mark.parametrize("tag,n", [("A", 2), ("D", 4)])
+def test_reflect_theta_stays_canonical_and_is_an_involution(tag, n, entries):
+    # the result is built without the constructor's lcm; it must be the
+    # parameter the constructor makes from its entries, and reflecting twice
+    # must give theta back with the same cleared numerators
+    dq, _ = standard_extended_dynkin(tag, n)
+    theta = StabilityParameter(entries[: dq.vertex_count])
+    for i in range(dq.vertex_count):
+        once = reflect_theta(dq, i, theta)
+        assert_same_parameter(once, StabilityParameter(list(once)))
+        assert_same_parameter(reflect_theta(dq, i, once), theta)
 
 
 @settings(max_examples=40, deadline=None)
