@@ -113,11 +113,13 @@ def _reflect(i: int, m: Representation, transposed: bool) -> ReflectResult:
 def reflect_plus(i: int, m: Representation) -> ReflectResult:
     """Kernel-side reflection at vertex i.
 
-    The new space at i is the kernel of ``m.in_map(i)``, which sums
-    eps(a) M_{a*} over the arrows a leaving i; the defect is its cokernel
-    dimension.  The arrows leaving i become the summand projections of the
-    kernel's canonical basis, and an incoming arrow b becomes
-    ``m.out_map(i) . M_b`` lifted through the kernel.
+    ``_reflect`` reads the pairs (M_a, M_{a*}^T) of the arrows a leaving i
+    as row tuples.  The new space at i is the kernel of the blocks
+    eps(a) M_{a*} side by side, read off the null rows of one rref; the
+    defect is its cokernel dimension.  The arrows leaving i become the
+    slices of that canonical kernel basis, and the arrows entering i become
+    the free rows of the one product (M_a stacked) . (M_{a*} side by side),
+    its lift through the kernel.
     """
     return _reflect(i, m, False)
 

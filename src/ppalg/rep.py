@@ -9,6 +9,7 @@ Representations are immutable; all operations are pure.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -19,6 +20,8 @@ from .linalg import Matrix, hstack_all, vstack_all
 from .quiver import DimensionVector, DoubleQuiver
 
 MORPHISM_SCAN_BUDGET = 10**5  # combinations a morphism scan tries before it raises Inconclusive
+WALK_MEMO = 4096  # thin arrow patterns whose gauge walk stays memoized
+SIMPLE_MEMO = 256  # (quiver, field, vertex) simples kept built
 MAX_MODULE_DIM = 64  # total dimension accepted from a module file
 
 
@@ -80,8 +83,9 @@ class Representation:
         return Representation(dq, field, dims, full)
 
     @staticmethod
+    @functools.lru_cache(maxsize=SIMPLE_MEMO)
     def simple(dq: DoubleQuiver, field: Field, i: int) -> "Representation":
-        """The vertex simple: one dimensional at i, zero elsewhere."""
+        """The vertex simple: one dimensional at i, zero elsewhere; built once, as modules are immutable."""
         return Representation.build(dq, field, dq.unit(i))
 
     def direct_sum(self, other: "Representation") -> "Representation":
@@ -240,7 +244,8 @@ def block_module(sub: Representation, quot: Representation, phi: Mapping[str, Ma
 
     ``sub`` is a submodule with quotient ``quot``; an arrow missing from
     ``phi`` gets a zero corner, so ``phi = {}`` gives the direct sum.  The
-    pair must share one field and one quiver (``_check_pair``).
+    pair must share one field and one quiver (``_check_pair``), and each
+    corner is checked here, so the result skips ``build``.
     """
     _check_pair(sub, quot)
     f = sub.field
@@ -254,7 +259,7 @@ def block_module(sub: Representation, quot: Representation, phi: Mapping[str, Ma
         pad = (f.zero(),) * top.cols
         rows = [t + c for t, c in zip(top.data, corner.data)] + [pad + b for b in bottom.data]
         mats[a.aid] = Matrix._of(f, top.rows + bottom.rows, top.cols + bottom.cols, rows)
-    return Representation.build(sub.dq, f, sub.dims + quot.dims, mats)
+    return Representation(sub.dq, f, sub.dims + quot.dims, mats)
 
 
 def _layout(shapes) -> tuple[dict, int]:
@@ -418,8 +423,23 @@ def _live_arrows(dq: DoubleQuiver, d) -> list:
     return [a for a in dq.arrows if d[a.src] == 1 and d[a.dst] == 1]
 
 
-def _gauge_walk(support, live: list, nonzero) -> list:
-    """The steps of the gauge walk of one pattern of nonzero live arrows.
+def _pattern(live: list, values) -> tuple:
+    """The (live index, src, dst) of each live arrow whose value is nonzero (truthy).
+
+    With the dimension vector, this arrow pattern is all that a thin
+    module's closed supports, verdicts and gauge walk depend on: their memo key.
+    """
+    return tuple((i, a.src, a.dst) for i, (a, x) in enumerate(zip(live, values)) if x)
+
+
+def _gauge_walk(support, live: list, nonzero) -> tuple:
+    """The gauge walk of the live arrows whose ``nonzero`` entry is truthy (``_pattern_walk``)."""
+    return _pattern_walk(tuple(support), _pattern(live, nonzero))
+
+
+@functools.lru_cache(maxsize=WALK_MEMO)
+def _pattern_walk(support: tuple, pattern: tuple) -> tuple:
+    """The gauge walk of an arrow pattern (``_pattern``) on a thin support, memoized.
 
     A spanning forest of the nonzero arrows is rescaled to ones.  Each tree
     grows from its smallest vertex, whose gauge stays one, by the first
@@ -427,25 +447,24 @@ def _gauge_walk(support, live: list, nonzero) -> list:
     rule with the live index as weight, so the forest is the minimum one);
     a step (w, v, i, forward) fixes the gauge of w from that of v and the
     value on live arrow i.  The walk depends only on the pattern, not on
-    the values.
+    the values; it is a tuple, so the shared value cannot be changed.
     """
     steps, reached = [], set()
-    edges = [(i, a.src, a.dst) for i, (a, nz) in enumerate(zip(live, nonzero)) if nz]
     for root in support:  # ascending
         if root in reached:
             continue
         reached.add(root)
         while step := next(
             ((t, s, i, True) if s in reached else (s, t, i, False)
-             for i, s, t in edges if (s in reached) != (t in reached)),
+             for i, s, t in pattern if (s in reached) != (t in reached)),
             None,
         ):
             reached.add(step[0])
             steps.append(step)
-    return steps
+    return tuple(steps)
 
 
-def _canonical_values(field: Field, live: list, values, steps: list) -> tuple:
+def _canonical_values(field: Field, live: list, values, steps: tuple) -> tuple:
     """Rescale ``values`` by the gauge that the walk of their pattern fixes."""
     f = field
     z, one = f.zero(), f.one()
@@ -464,8 +483,7 @@ def _thin_canonical(m: Representation) -> tuple:
     """The gauge-canonical values of a thin module on its live arrows."""
     live = _live_arrows(m.dq, m.dims)
     values = [m.mats[a.aid].data[0][0] for a in live]
-    steps = _gauge_walk(_support(m.dims), live, [bool(x) for x in values])
-    return _canonical_values(m.field, live, values, steps)
+    return _canonical_values(m.field, live, values, _gauge_walk(_support(m.dims), live, values))
 
 
 def is_isomorphic(m: Representation, n: Representation) -> bool:

@@ -11,6 +11,7 @@ subspace backend, and the two agree on their common domain.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 from dataclasses import dataclass
@@ -23,8 +24,9 @@ from .quiver import DimensionVector, DoubleQuiver
 from .rep import (
     Representation,
     _canonical_values,
-    _gauge_walk,
     _live_arrows,
+    _pattern,
+    _pattern_walk,
     _support,
     _thin_canonical,
     is_thin,
@@ -32,24 +34,29 @@ from .rep import (
 from .weyl import StabilityParameter
 
 SEARCH_BUDGET = 10**7  # subspace tuples or thin arrow assignments a search may try, else SearchBudgetExceeded
+VERDICT_MEMO = 4096  # (thin dims, arrow pattern, theta) verdicts kept memoized
 
 
-def _closed_masks(m: Representation) -> list[int]:
-    """Vertex supports of thin submodules as bitmasks, in ascending order.
+def _module_pattern(m: Representation) -> tuple:
+    """The arrow pattern (``rep._pattern``) of a thin module: a live arrow is a 1x1 block, nonzero when its entry is truthy."""
+    live = _live_arrows(m.dq, m.dims)
+    return _pattern(live, [m.mats[a.aid].data[0][0] for a in live])
+
+
+def _closed_masks(dims, pattern: tuple) -> list[int]:
+    """Vertex supports of the thin submodules of one arrow pattern as bitmasks, in ascending order.
 
     Vertex v is bit n-1-v, so ascending masks are ascending 0/1 dimension
     vectors.  A support is closed when it holds every vertex that a nonzero
     arrow reaches from it: a down-set of the preorder "y is reached from x",
     so exactly a union of the sets reach(v).
     """
-    n = m.dq.vertex_count
-    reach = {v: 1 << (n - 1 - v) for v in _support(m.dims)}
-    # a live arrow is a 1x1 block, nonzero exactly when its entry is truthy
-    push = [(a.src, a.dst) for a in _live_arrows(m.dq, m.dims) if m.mats[a.aid].data[0][0]]
+    n = len(dims)
+    reach = {v: 1 << (n - 1 - v) for v in _support(dims)}
     changed = True
     while changed:
         changed = False
-        for x, y in push:
+        for _, x, y in pattern:
             if reach[y] & ~reach[x]:
                 reach[x] |= reach[y]
                 changed = True
@@ -125,7 +132,7 @@ def _sorted_submodule_dimvecs(m: Representation, budget: int) -> list[tuple]:
     """Dimension vectors of all submodules, ascending: zero first, the whole module last."""
     if is_thin(m):
         n = m.dq.vertex_count
-        return [_mask_bits(s, n) for s in _closed_masks(m)]
+        return [_mask_bits(s, n) for s in _closed_masks(m.dims, _module_pattern(m))]
     return sorted(set(_closed_subspace_tuples(m, budget)))
 
 
@@ -153,20 +160,47 @@ def stability_verdict(
 
     The witness is the first proper submodule dimension vector, in sorted
     order, of negative (else zero) parameter value.  Signs come from the
-    integer form ``theta.scaled``.
+    integer form ``theta.scaled``, which refuses a theta of another length.
+    A thin module is judged by its arrow pattern alone (``_pattern_verdict``).
     """
+    if is_thin(m):
+        return _pattern_verdict(m.dims, _module_pattern(m), theta)
     if theta.scaled(m.dims) != 0:
         return StabilityVerdict(status="NotInThetaKernel")
-    if is_thin(m):
-        n = m.dq.vertex_count
-        weights = [(1 << (n - 1 - v), t) for v, t in enumerate(theta.numerators) if t]
-        proper = _closed_masks(m)[1:-1]
-        values = [sum(t for bit, t in weights if s & bit) for s in proper]
-        witness = lambda s: DimensionVector(_mask_bits(s, n))
-    else:
-        proper = _sorted_submodule_dimvecs(m, budget)[1:-1]
-        values = [theta.scaled(beta) for beta in proper]
-        witness = DimensionVector
+    proper = _sorted_submodule_dimvecs(m, budget)[1:-1]
+    return _first_witness(proper, [theta.scaled(beta) for beta in proper], DimensionVector)
+
+
+def _pattern_verdict(dims, pattern: tuple, theta: StabilityParameter) -> StabilityVerdict:
+    """The verdict of every thin module of ``dims`` with one arrow pattern (``rep._pattern``).
+
+    theta is checked against ``dims`` here, ahead of the memo
+    ``_thin_verdict``: ShapeError for another length, NotInThetaKernel for a
+    nonzero value.
+    """
+    if theta.scaled(dims) != 0:
+        return StabilityVerdict(status="NotInThetaKernel")
+    return _thin_verdict(dims, pattern, theta.numerators)
+
+
+@functools.lru_cache(maxsize=VERDICT_MEMO)
+def _thin_verdict(dims, pattern: tuple, numerators: tuple) -> StabilityVerdict:
+    """The verdict of every thin module of ``dims`` with one arrow pattern, memoized.
+
+    ``numerators`` are those of a theta of the same length whose value on
+    ``dims`` is zero; ``_pattern_verdict`` and ``moduli_scan`` check both
+    first.  The closed-support bitmasks are valued with one integer weight
+    per vertex.
+    """
+    n = len(dims)
+    weights = [(1 << (n - 1 - v), t) for v, t in enumerate(numerators) if t]
+    proper = _closed_masks(dims, pattern)[1:-1]
+    values = [sum(t for bit, t in weights if s & bit) for s in proper]
+    return _first_witness(proper, values, lambda s: DimensionVector(_mask_bits(s, n)))
+
+
+def _first_witness(proper: list, values: list, witness) -> StabilityVerdict:
+    """Unstable at the first proper submodule of negative value, else StrictlySemistable at the first of value zero."""
     for s, value in zip(proper, values):
         if value < 0:
             return StabilityVerdict(status="Unstable", witness=witness(s))
@@ -180,8 +214,15 @@ def stability_verdict(
 
 
 def _thin_rep(dq: DoubleQuiver, field: Field, d, live: list, values) -> Representation:
-    """The thin module with ``values`` on the live arrows and zero elsewhere."""
+    """The thin module with ``values`` on the live arrows and zero elsewhere.
+
+    On a full support every arrow is live and its 1x1 block is checked by
+    construction, so only a smaller support goes through ``build`` for its
+    zero blocks.
+    """
     mats = {a.aid: Matrix._of(field, 1, 1, ((x,),)) for a, x in zip(live, values)}
+    if len(mats) == len(dq.arrows):
+        return Representation(dq, field, DimensionVector(d), mats)
     return Representation.build(dq, field, d, mats)
 
 
@@ -224,7 +265,7 @@ def sequiv_class(m: Representation, theta: StabilityParameter) -> tuple:
     cur = m
     while any(d != 0 for d in cur.dims):
         # a nonzero closed support of value zero: smallest first, then by its sorted vertex list
-        supports = [_mask_bits(s, n) for s in _closed_masks(cur) if s]
+        supports = [_mask_bits(s, n) for s in _closed_masks(cur.dims, _module_pattern(cur)) if s]
         best = min(
             (b for b in supports if theta.scaled(b) == 0),
             key=lambda b: (sum(b), [v for v in range(n) if b[v]]),
@@ -355,6 +396,18 @@ def _thin_values(dq: DoubleQuiver, d, field: Field, budget: int):
             yield values
 
 
+def _thin_points(dq: DoubleQuiver, d, field: Field, budget: int = SEARCH_BUDGET):
+    """Each relation-satisfying thin module of dims d as (arrow pattern, builder), in ``_thin_values`` order.
+
+    The pattern keys the module's verdict (``_pattern_verdict``) and gauge
+    walk; the builder takes no argument and builds the module, so a caller
+    builds one only where it uses it.
+    """
+    live = _live_arrows(dq, d)
+    for values in _thin_values(dq, d, field, budget):
+        yield _pattern(live, values), functools.partial(_thin_rep, dq, field, d, live, values)
+
+
 def enumerate_thin_reps(
     dq: DoubleQuiver,
     d: DimensionVector,
@@ -365,9 +418,8 @@ def enumerate_thin_reps(
 
     One module per value tuple of ``_thin_values``, in the same order.
     """
-    live = _live_arrows(dq, d)
-    for values in _thin_values(dq, d, field, budget):
-        yield _thin_rep(dq, field, d, live, values)
+    for _, build in _thin_points(dq, d, field, budget):
+        yield build()
 
 
 def moduli_scan(
@@ -380,25 +432,22 @@ def moduli_scan(
     """Group the semistable thin representations into isomorphism classes.
 
     With d and theta fixed, a verdict depends only on which live arrows are
-    nonzero, so it is taken once per such pattern, as is the gauge walk; a
-    module is built only for the first member of each class.
+    nonzero, so it is read from the pattern memo (``_thin_verdict``), as is
+    the gauge walk; a module is built only for the first member of each class.
     """
     dims = DimensionVector(d)
     live = _live_arrows(dq, dims)
-    support = _support(dims)
-    z = field.zero()
-    patterns: dict[tuple, tuple] = {}  # nonzero pattern -> (verdict, gauge walk steps)
+    support = tuple(_support(dims))
+    in_kernel = theta.scaled(dims) == 0
     seen: dict[tuple, ScanRecord] = {}  # canonical values -> record
     for values in _thin_values(dq, dims, field, budget):
-        nonzero = tuple(x != z for x in values)
-        pattern = patterns.get(nonzero)
-        if pattern is None:
-            verdict = stability_verdict(_thin_rep(dq, field, dims, live, values), theta)
-            pattern = patterns[nonzero] = (verdict, _gauge_walk(support, live, nonzero))
-        verdict, steps = pattern
+        if not in_kernel:
+            continue  # NotInThetaKernel: nothing is semistable
+        pattern = _pattern(live, values)
+        verdict = _thin_verdict(dims, pattern, theta.numerators)
         if not verdict.semistable:
             continue
-        canonical = _canonical_values(field, live, values, steps)
+        canonical = _canonical_values(field, live, values, _pattern_walk(support, pattern))
         if canonical not in seen:
             seen[canonical] = ScanRecord(
                 rep=_thin_rep(dq, field, dims, live, canonical),

@@ -36,7 +36,8 @@ from .rep import (
 )
 from .reflection import ShiftedModule, apply_word, compute_siw, reflect_minus, reflect_plus
 from .stability import (
-    enumerate_thin_reps,
+    _pattern_verdict,
+    _thin_points,
     moduli_scan,
     stability_verdict,
     thin_canonical_values,
@@ -224,9 +225,10 @@ def check_stability_characterization(field: Field, word: Sequence[int]) -> Suite
     siws = {i: compute_siw(wg, word, i, field) for i in (1, 2)}
     mismatches = 0
     total = 0
-    for rep in enumerate_thin_reps(dq, d, field):
+    for pattern, build in _thin_points(dq, d, field):
         total += 1
-        lhs = stability_verdict(rep, theta).semistable
+        lhs = _pattern_verdict(d, pattern, theta).semistable
+        rep = build()
         rhs = all((hom_dim(s.module, rep) if s.degree else hom_dim(rep, s.module)) == 0 for s in siws.values())
         if lhs != rhs:
             mismatches += 1
@@ -266,13 +268,15 @@ def zerogen_suite(field: Field) -> SuiteReport:
     dq, d, _ = a2_setup()
     theta = BASE_THETA
     report = SuiteReport(suite=f"zerogen[q={field.order}]")
+    simples = [Representation.simple(dq, field, i) for i in (1, 2)]
     mismatches = 0
     total = 0
-    for rep in enumerate_thin_reps(dq, d, field):
+    for pattern, build in _thin_points(dq, d, field):
         total += 1
-        in_s1 = stability_verdict(rep, theta).semistable
+        in_s1 = _pattern_verdict(d, pattern, theta).semistable
+        rep = build()
         zero_gen = rep.is_zero_generated()
-        hom_vanish = all(hom_dim(rep, Representation.simple(dq, field, i)) == 0 for i in (1, 2))
+        hom_vanish = all(hom_dim(rep, s) == 0 for s in simples)
         if not (in_s1 == zero_gen == hom_vanish):
             mismatches += 1
     report.add(f"three-way mismatches over {total} modules", 0, mismatches)
@@ -286,6 +290,7 @@ def dimlaw_suite(seed: int = DEFAULT_SEEDS["dimlaw"]) -> SuiteReport:
         dq, d, _ = setup()
         field = GF(3)
         rng = random.Random(seed)
+        simples = [Representation.simple(dq, field, v) for v in range(dq.vertex_count)]
         bad = 0
         zero_defect = 0
         defect_mismatch = 0
@@ -293,8 +298,8 @@ def dimlaw_suite(seed: int = DEFAULT_SEEDS["dimlaw"]) -> SuiteReport:
             m = random_nilpotent(dq, field, rng, steps=rng.randrange(2, 5))
             i = rng.randrange(dq.vertex_count)
             for func, hom_pair in (
-                (reflect_plus, lambda: hom_dim(m, Representation.simple(dq, field, i))),
-                (reflect_minus, lambda: hom_dim(Representation.simple(dq, field, i), m)),
+                (reflect_plus, lambda: hom_dim(m, simples[i])),
+                (reflect_minus, lambda: hom_dim(simples[i], m)),
             ):
                 res = func(i, m)
                 if res.defect != hom_pair():
@@ -317,11 +322,13 @@ def roundtrip_suite(field: Field) -> SuiteReport:
     thetas += [StabilityParameter((-1, 0, 1)), StabilityParameter((-1, 1, 0))]
     bad_iso = bad_status = 0
     checked = strictly = 0
-    for theta in thetas:
-        for rep in enumerate_thin_reps(dq, d, field):
-            verdict = stability_verdict(rep, theta)
+    for pattern, build in _thin_points(dq, d, field):
+        rep = None  # built at the first theta where it is semistable
+        for theta in thetas:
+            verdict = _pattern_verdict(d, pattern, theta)
             if not verdict.semistable:
                 continue
+            rep = rep or build()
             for i in (1, 2):
                 if theta[i] == 0:
                     continue
@@ -347,10 +354,10 @@ def coxeter_suite() -> SuiteReport:
     theta = BASE_THETA  # entries at 1, 2 and their sum are all nonzero
     samples = []
     for q in (2, 3, 5):
-        field = GF(q)
-        for rep in enumerate_thin_reps(dq, d, field):
-            if stability_verdict(rep, theta).semistable:
-                samples.append(rep)
+        samples += [
+            build() for pattern, build in _thin_points(dq, d, GF(q))
+            if _pattern_verdict(d, pattern, theta).semistable
+        ]
     report.add(f"sample count at least {COXETER_MIN_SAMPLES}", True, len(samples) >= COXETER_MIN_SAMPLES)
     bad_invol = bad_braid = 0
     for rep in samples:

@@ -216,7 +216,11 @@ class WeylGroup:
         return len(tuple(word)) == self.length(word)
 
     def all_elements(self) -> dict[tuple, tuple]:
-        """Map from group matrices to one shortest (BFS-first) word each."""
+        """Map from group matrices to one shortest (BFS-first) word each.
+
+        The matrix of word + (i,) is the generator of i composed onto that of
+        word: row k is ``_act(mat, gen_i[k])``, one step per BFS edge.
+        """
         if self._elements is None:
             start = self.matrix_of(())
             found = {start: ()}
@@ -227,7 +231,7 @@ class WeylGroup:
                     word = found[mat]
                     for i in range(1, self.rank + 1):
                         longer = word + (i,)
-                        m2 = self.matrix_of(longer)
+                        m2 = tuple(self._act(mat, g) for g in self._gens[i])
                         if m2 not in found:
                             found[m2] = longer
                             nxt.append(m2)

@@ -14,12 +14,13 @@ from ppalg.linalg import Matrix, vstack_all
 from ppalg.quiver import Arrow, DimensionVector, Quiver, build_double, standard_extended_dynkin
 from ppalg.rep import (
     Representation,
+    block_module,
     hom_basis,
     hom_dim,
     is_isomorphic,
     nonzero_morphisms,
 )
-from ppalg.stability import enumerate_thin_reps, submodule_dimvecs, thin_canonical_values
+from ppalg.stability import _thin_rep, enumerate_thin_reps, submodule_dimvecs, thin_canonical_values
 from ppalg.verify import random_nilpotent
 
 
@@ -54,6 +55,40 @@ def test_simples_satisfy_relations():
         s = Representation.simple(dq, f, i)
         assert s.check_relations() == []
         assert s.dims == dq.unit(i)
+
+
+@pytest.mark.parametrize("tag,n", [("A", 2), ("D", 4)])
+@pytest.mark.parametrize("field", [GF(2), GF(4), QQ], ids=["GF2", "GF4", "QQ"])
+def test_memoized_simple_equals_the_built_simple(tag, n, field):
+    dq, _ = standard_extended_dynkin(tag, n)
+    for i in range(dq.vertex_count):
+        s = Representation.simple(dq, field, i)
+        built = Representation.build(dq, field, dq.unit(i))
+        assert s == built and s.to_json() == built.to_json()
+        assert Representation.simple(dq, field, i) is s
+
+
+def test_block_module_refuses_a_corner_of_the_wrong_shape_or_field():
+    dq, d, f = a2(GF(3))
+    s1, s2 = Representation.simple(dq, f, 1), Representation.simple(dq, f, 2)
+    # a2 runs 1 -> 2, so its corner in the extension of s1 by s2 is 1x1
+    assert block_module(s2, s1, {"a2": Matrix.from_rows(f, [[1]])}).check_relations() == []
+    with pytest.raises(ShapeError, match="a2 corner"):
+        block_module(s2, s1, {"a2": Matrix.from_rows(f, [[1, 0]])})
+    with pytest.raises(FieldMismatch):
+        block_module(s2, s1, {"a2": Matrix.from_rows(GF(5), [[1]])})
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_full_support_thin_module_equals_the_built_module(q):
+    dq, d, f = a2(GF(q))
+    live = list(dq.arrows)
+    for m in enumerate_thin_reps(dq, d, f):
+        values = [m.mats[a.aid].data[0][0] for a in live]
+        built = Representation.build(dq, f, d, {a.aid: Matrix(f, 1, 1, [[x]]) for a, x in zip(live, values)})
+        trusted = _thin_rep(dq, f, d, live, values)
+        assert trusted == built and trusted.to_json() == built.to_json()
+        assert type(trusted.dims) is DimensionVector
 
 
 def test_curve_family_satisfies_relations_for_all_parameters():

@@ -16,6 +16,7 @@ from ppalg.stability import (
     StabilityVerdict,
     _closed_subspace_tuples,
     _sorted_submodule_dimvecs,
+    _thin_verdict,
     enumerate_thin_reps,
     moduli_scan,
     sequiv_class,
@@ -357,6 +358,46 @@ def test_thin_verdict_matches_the_bruteforce_verdict(n, q):
             for theta in thetas:
                 got, want = stability_verdict(m, theta), verdict_from_dimvecs(m.dims, dimvecs, theta)
                 assert got == want and type(got.witness) is type(want.witness), (d, theta, m.mats)
+
+
+def roundtrip_thetas():
+    """The eight parameters of the roundtrip suite: the six A2 chambers and two walls."""
+    dq = standard_extended_dynkin("A", 2)[0]
+    return [chamber_theta(dq, w) for w in A2_CHAMBER_WORDS] + [
+        StabilityParameter((-1, 0, 1)),
+        StabilityParameter((-1, 1, 0)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "n,q,thetas",
+    [
+        (2, 3, roundtrip_thetas()),
+        (3, 2, [StabilityParameter((-3, 1, 1, 1)), StabilityParameter((2, -1, -3, 2))]),
+    ],
+    ids=["A2-GF3", "A3-GF2"],
+)
+def test_pattern_memo_verdicts_match_the_subspace_search_in_any_order(n, q, thetas):
+    # every thin module: the memoized verdict equals the one read off the
+    # subspace search, and does not depend on the order modules are judged in
+    dq, _ = standard_extended_dynkin("A", n)
+    f = GF(q)
+    modules = [m for d in itertools.product((0, 1), repeat=dq.vertex_count) for m in enumerate_thin_reps(dq, d, f)]
+    verdicts = []
+    for order in (modules, modules[::-1]):
+        _thin_verdict.cache_clear()
+        got = {}
+        for m in order:
+            dimvecs = set(_closed_subspace_tuples(m, SEARCH_BUDGET))
+            for k, theta in enumerate(thetas):
+                v, want = stability_verdict(m, theta), verdict_from_dimvecs(m.dims, dimvecs, theta)
+                assert v == want and type(v.witness) is type(want.witness), (m.dims, theta, m.mats)
+                got[m, k] = v
+        verdicts.append(got)
+    assert verdicts[0] == verdicts[1]
+    # the memo is warm, and a theta of another length is still refused
+    with pytest.raises(ShapeError):
+        stability_verdict(modules[-1], StabilityParameter((-1, 1)))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])

@@ -261,6 +261,33 @@ def test_d4_group_order():
     assert len(wg.all_elements()) == 192
 
 
+def recomputed_elements(wg):
+    """The breadth-first search with each matrix recomputed from its whole word by ``matrix_of``."""
+    found = {wg.matrix_of(()): ()}
+    queue = [()]
+    while queue:
+        nxt = []
+        for word in queue:
+            for i in range(1, wg.rank + 1):
+                longer = word + (i,)
+                mat = wg.matrix_of(longer)
+                if mat not in found:
+                    found[mat] = longer
+                    nxt.append(longer)
+        queue = nxt
+    return found
+
+
+@pytest.mark.parametrize("tag,n", [("A", 3), ("D", 4)])
+def test_all_elements_match_the_recomputed_matrices_in_order(tag, n):
+    wg = setup(tag, n)[3]
+    assert list(wg.all_elements().items()) == list(recomputed_elements(wg).items())
+
+
+def test_d5_group_order():
+    assert len(setup("D", 5)[3].all_elements()) == 1920
+
+
 @pytest.mark.parametrize("tag,n,sample", [("A", 2, None), ("D", 4, 24)])
 def test_length_increase_matches_chamber_sign(tag, n, sample):
     dq, d, rs, wg = setup(tag, n)
