@@ -21,7 +21,6 @@ from .quiver import DimensionVector, DoubleQuiver
 
 MORPHISM_SCAN_BUDGET = 10**5  # combinations a morphism scan tries before it raises Inconclusive
 WALK_MEMO = 4096  # thin arrow patterns whose gauge walk stays memoized
-SIMPLE_MEMO = 256  # (quiver, field, vertex) simples kept built
 MAX_MODULE_DIM = 64  # total dimension accepted from a module file
 
 
@@ -83,9 +82,8 @@ class Representation:
         return Representation(dq, field, dims, full)
 
     @staticmethod
-    @functools.lru_cache(maxsize=SIMPLE_MEMO)
     def simple(dq: DoubleQuiver, field: Field, i: int) -> "Representation":
-        """The vertex simple: one dimensional at i, zero elsewhere; built once, as modules are immutable."""
+        """The vertex simple: one dimensional at i, zero elsewhere."""
         return Representation.build(dq, field, dq.unit(i))
 
     def direct_sum(self, other: "Representation") -> "Representation":

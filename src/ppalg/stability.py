@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import InternalInvariantError, SearchBudgetExceeded, UnsupportedShape
+from .errors import InternalInvariantError, SearchBudgetExceeded, ShapeError, UnsupportedShape
 from .fields import Field
 from .linalg import Matrix, hstack_all
 from .quiver import DimensionVector, DoubleQuiver
@@ -216,14 +216,16 @@ def _first_witness(proper: list, values: list, witness) -> StabilityVerdict:
 def _thin_rep(dq: DoubleQuiver, field: Field, d, live: list, values) -> Representation:
     """The thin module with ``values`` on the live arrows and zero elsewhere.
 
-    On a full support every arrow is live and its 1x1 block is checked by
-    construction, so only a smaller support goes through ``build`` for its
-    zero blocks.
+    Every block is a 1x1 value on a live arrow or a zero block of the right
+    shape, so the module skips the checks of ``build``.
     """
-    mats = {a.aid: Matrix._of(field, 1, 1, ((x,),)) for a, x in zip(live, values)}
-    if len(mats) == len(dq.arrows):
-        return Representation(dq, field, DimensionVector(d), mats)
-    return Representation.build(dq, field, d, mats)
+    d = DimensionVector(d)
+    value = {a.aid: x for a, x in zip(live, values)}
+    mats = {
+        a.aid: Matrix._of(field, 1, 1, ((value[a.aid],),)) if a.aid in value else Matrix.zero(field, d[a.dst], d[a.src])
+        for a in dq.arrows
+    }
+    return Representation(dq, field, d, mats)
 
 
 def _format_canonical(field: Field, dims, live: list, canonical) -> tuple:
@@ -343,6 +345,8 @@ def _thin_values(dq: DoubleQuiver, d, field: Field, budget: int):
     tuple are sorted, so memory stays bounded by the largest such group.
     The budget bounds q^|live|.
     """
+    if len(d) != dq.vertex_count or any(x < 0 for x in d):
+        raise ShapeError("thin enumeration needs one nonnegative dimension per vertex")
     if any(x > 1 for x in d):
         raise UnsupportedShape("enumeration is implemented for thin dimension vectors")
     if not field.is_finite:

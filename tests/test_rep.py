@@ -59,13 +59,12 @@ def test_simples_satisfy_relations():
 
 @pytest.mark.parametrize("tag,n", [("A", 2), ("D", 4)])
 @pytest.mark.parametrize("field", [GF(2), GF(4), QQ], ids=["GF2", "GF4", "QQ"])
-def test_memoized_simple_equals_the_built_simple(tag, n, field):
+def test_simple_equals_the_built_simple(tag, n, field):
     dq, _ = standard_extended_dynkin(tag, n)
     for i in range(dq.vertex_count):
         s = Representation.simple(dq, field, i)
         built = Representation.build(dq, field, dq.unit(i))
         assert s == built and s.to_json() == built.to_json()
-        assert Representation.simple(dq, field, i) is s
 
 
 def test_block_module_refuses_a_corner_of_the_wrong_shape_or_field():
@@ -80,15 +79,23 @@ def test_block_module_refuses_a_corner_of_the_wrong_shape_or_field():
 
 
 @pytest.mark.parametrize("q", [2, 3])
-def test_full_support_thin_module_equals_the_built_module(q):
-    dq, d, f = a2(GF(q))
-    live = list(dq.arrows)
-    for m in enumerate_thin_reps(dq, d, f):
-        values = [m.mats[a.aid].data[0][0] for a in live]
-        built = Representation.build(dq, f, d, {a.aid: Matrix(f, 1, 1, [[x]]) for a, x in zip(live, values)})
-        trusted = _thin_rep(dq, f, d, live, values)
-        assert trusted == built and trusted.to_json() == built.to_json()
-        assert type(trusted.dims) is DimensionVector
+def test_thin_module_equals_the_built_module_on_every_support(q):
+    dq, _, f = a2(GF(q))
+    for d in itertools.product((0, 1), repeat=dq.vertex_count):
+        live = [a for a in dq.arrows if d[a.src] == 1 and d[a.dst] == 1]
+        for m in enumerate_thin_reps(dq, DimensionVector(d), f):
+            values = [m.mats[a.aid].data[0][0] for a in live]
+            built = Representation.build(dq, f, d, {a.aid: Matrix(f, 1, 1, [[x]]) for a, x in zip(live, values)})
+            trusted = _thin_rep(dq, f, d, live, values)
+            assert trusted == built and trusted.to_json() == built.to_json()
+            assert type(trusted.dims) is DimensionVector
+
+
+def test_thin_enumeration_refuses_a_longer_or_negative_dimension_vector():
+    dq, d, f = a2(GF(2))
+    for bad in ((1, 1, 1, 0), (0, 1, 1, 1), (1, -1, 1)):
+        with pytest.raises(ShapeError):
+            next(enumerate_thin_reps(dq, bad, f))
 
 
 def test_curve_family_satisfies_relations_for_all_parameters():
