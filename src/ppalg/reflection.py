@@ -10,10 +10,18 @@ changes, so no whole-module dual is formed and both share one rref, one lift
 and the same checks.  Both are total linear constructions; the torsion-pair
 semantics (zero defect) are enforced only by the word-application wrapper.
 The tilting ideals themselves are never materialized.
+
+The body is split in two.  The step at i (the rref, the null rows, the two
+products and the lift check) depends only on the field, n = dims[i], the
+relation terms at i, the rows of the blocks at i and the side.  The functor
+at i discards the gauge at i, so words and the suites meet the same step
+again and again: it is memoized, bounded by ``REFLECT_MEMO``.  The range
+check, the new module and the re-check of its relations run on every call.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,7 +37,9 @@ from .linalg import Matrix, _mul_rows, _null_rows, _transpose
 from .quiver import DimensionVector
 from .rep import Representation
 from .stability import stability_verdict
-from .weyl import StabilityParameter, WeylGroup, apply_word_to_dimvec, reflect_theta
+from .weyl import StabilityParameter, WeylGroup, _reflect_numerators, apply_word_to_dimvec
+
+REFLECT_MEMO = 256  # reflection steps kept memoized; a verify run repeats 99% of its steps within 256 others
 
 
 @dataclass(frozen=True)
@@ -54,30 +64,53 @@ class ShiftedModule:
 
 
 def _reflect(i: int, m: Representation, transposed: bool) -> ReflectResult:
-    """The kernel construction at i, on the row data of the 2 deg(i) blocks at i.
+    """The kernel construction at i: the memoized ``_reflect_step`` on the blocks at i, then the module.
 
-    For each arrow a leaving i it reads the pair (N_a, N_{a*}^T): (M_a,
-    M_{a*}^T) for the plus functor, and the same pair swapped, (M_{a*}^T,
-    M_a), for the minus one, where N is the dual module.  The blocks
-    eps(a) N_{a*} side by side form the in-map; the null rows of its one rref
-    span the new space K, and the new N_a are row slices of K.  The one
-    product W = (N_a stacked) . (N_{a*} side by side) carries every incoming
-    block at once; K is the identity on the free rows, so the unique lift
-    through K is the free rows of W, and K times the lift must give W back.
-    The new pairs are written back the same way, swapped on the minus side;
-    every other block is the block of m.  The result's relations are
-    re-checked at every vertex.
+    Not memoized, so done on every call, hit or miss: the range check of i,
+    the new blocks written over a copy of the blocks of m, and the re-check
+    of the result's relations at every vertex.
     """
     dq = m.dq
     if not 0 <= i < dq.vertex_count:
         raise RangeError(f"vertex {i} is not a vertex of the quiver")
-    f = m.field
     n = m.dims[i]
     terms = dq.relations[i].terms
+    ids = [aid for _, a, s in terms for aid in (a, s)]
+    blocks, k, defect = _reflect_step(m.field, n, terms, tuple(m.mats[aid].data for aid in ids), transposed)
+    mats = dict(m.mats)
+    mats.update(zip(ids, blocks))
+    dims = m.dims if k == n else DimensionVector(k if v == i else d for v, d in enumerate(m.dims))
+    result = Representation(dq, m.field, dims, mats)
+    if result.check_relations():
+        raise InternalInvariantError("reflection broke the preprojective relations")
+    return ReflectResult(module=result, defect=defect)
+
+
+@functools.lru_cache(maxsize=REFLECT_MEMO)
+def _reflect_step(f: Field, n: int, terms: tuple, rows: tuple, transposed: bool) -> tuple[tuple, int, int]:
+    """The new blocks at i, k = the new dimension at i, and the defect; memoized.
+
+    ``terms`` are those of ``dq.relations[i]`` (signs and arrow ids), n is
+    dims[i], and ``rows`` holds the row data of M_a and of M_{a*} for each
+    term in turn; the new blocks come back in the same order.  M_a has one
+    row, n long, per dimension at its target, so n and the rows fix both
+    shapes, also where a block has no rows.  The key holds the field
+    because fields share entry codes (GF(2) and GF(4)).
+
+    For each arrow a leaving i the step reads the pair (N_a, N_{a*}^T):
+    (M_a, M_{a*}^T) for the plus functor, and the same pair swapped,
+    (M_{a*}^T, M_a), for the minus one, where N is the dual module.  The
+    blocks eps(a) N_{a*} side by side form the in-map; the null rows of its
+    one rref span the new space K, and the new N_a are row slices of K.  The
+    one product W = (N_a stacked) . (N_{a*} side by side) carries every
+    incoming block at once; K is the identity on the free rows, so the
+    unique lift through K is the free rows of W, and K times the lift must
+    give W back, else InternalInvariantError (a raise is not memoized).  The
+    new pairs are written back the same way, swapped on the minus side.
+    """
     stack_out, stack_in, signed, widths = [], [], [], []  # N_a and N_{a*}^T over the terms, stacked
-    for sign, a, s in terms:
-        star = m.mats[s]
-        pair = (m.mats[a].data, _transpose(star.data, star.cols))
+    for (sign, _, _), arrow, star in zip(terms, rows[::2], rows[1::2]):
+        pair = (arrow, _transpose(star, len(arrow)))
         out_rows, in_rows = pair[::-1] if transposed else pair
         stack_out += out_rows
         stack_in += in_rows
@@ -93,21 +126,16 @@ def _reflect(i: int, m: Representation, transposed: bool) -> ReflectResult:
     if _mul_rows(f, _transpose(null, cols), lift, cols) != w:  # K . lift
         raise InternalInvariantError("incoming map does not land in the kernel")
 
-    mats = dict(m.mats)
+    blocks = []
     pos = 0
-    for (_, a, s), width in zip(terms, widths):
+    for width in widths:
         # the new N_a and N_{a*}^T, each the transpose of a k x width slice
         proj = [row[pos : pos + width] for row in null]
         part = [row[pos : pos + width] for row in lift]
         to_a, to_s = (part, proj) if transposed else (proj, part)
-        mats[a] = Matrix._of(f, width, k, _transpose(to_a, width))
-        mats[s] = Matrix._of(f, k, width, to_s)
+        blocks += (Matrix._of(f, width, k, _transpose(to_a, width)), Matrix._of(f, k, width, to_s))
         pos += width
-    dims = m.dims if k == n else DimensionVector(k if v == i else d for v, d in enumerate(m.dims))
-    result = Representation(dq, f, dims, mats)
-    if result.check_relations():
-        raise InternalInvariantError("reflection broke the preprojective relations")
-    return ReflectResult(module=result, defect=n - len(pivots))
+    return tuple(blocks), k, n - len(pivots)
 
 
 def reflect_plus(i: int, m: Representation) -> ReflectResult:
@@ -145,15 +173,17 @@ def apply_word(
     Letters are consumed right to left.  At each letter the sign of the
     current parameter entry picks the plus or minus functor, the parameter is
     reflected, and a nonzero defect (a torsion precondition failure) aborts.
+    The parameter runs through the letters as its cleared numerators, whose
+    denominator a reflection keeps, and is built once, for the return.
     """
     verdict = stability_verdict(m, theta)
     if not verdict.semistable:
         raise PreconditionViolated(f"input module is not semistable: {verdict.status}")
-    cur, th = m, theta
+    cur, numerators = m, theta.numerators
     for letter in reversed(tuple(word)):
         if not 0 <= letter < m.dq.vertex_count:
             raise RangeError(f"letter {letter} is not a vertex")
-        sign = th.numerators[letter]  # the sign of the entry: the denominator is positive
+        sign = numerators[letter]  # the sign of the entry: the denominator is positive
         if sign == 0:
             raise NotGenericStep(f"parameter entry at vertex {letter} is zero")
         res = reflect_plus(letter, cur) if sign > 0 else reflect_minus(letter, cur)
@@ -162,8 +192,8 @@ def apply_word(
                 f"defect {res.defect} at letter {letter}; module left the torsion class"
             )
         cur = res.module
-        th = reflect_theta(m.dq, letter, th)
-    return cur, th
+        numerators = _reflect_numerators(m.dq, letter, numerators)
+    return cur, StabilityParameter._of(numerators, theta.denominator)
 
 
 def compute_siw(wg: WeylGroup, word: Sequence[int], i: int, field: Field) -> ShiftedModule:

@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import FieldMismatch, Inconclusive, ShapeError, UsageError
 from .fields import Field, _is_int, check_same_field, field_from_json
-from .linalg import Matrix, hstack_all, vstack_all
+from .linalg import Matrix, hstack_all
 from .quiver import DimensionVector, DoubleQuiver
 
 MORPHISM_SCAN_BUDGET = 10**5  # combinations a morphism scan tries before it raises Inconclusive
@@ -98,24 +98,6 @@ class Representation:
         return Representation(self.dq, self.field, self.dims, mats)
 
     # -- preprojective relations --------------------------------------------
-
-    def out_map(self, v: int) -> Matrix:
-        """M_v -> (+) M_{a.dst}: the arrows a of ``dq.relations[v]``, stacked."""
-        blocks = [self.mats[aid] for _, aid, _ in self.dq.relations[v].terms]
-        return vstack_all(self.field, self.dims[v], blocks)
-
-    def in_map(self, v: int) -> Matrix:
-        """(+) M_{a.dst} -> M_v: the blocks eps(a) M_{a*}, side by side in the same order."""
-        blocks = [
-            self.mats[sid] if sign > 0 else self.mats[sid].neg()
-            for sign, _, sid in self.dq.relations[v].terms
-        ]
-        return hstack_all(self.field, self.dims[v], blocks)
-
-    def relation_matrix(self, v: int) -> Matrix:
-        """The relation sum at vertex v as a dims[v] x dims[v] matrix: in_map . out_map."""
-        n = self.dims[v]
-        return Matrix._of(self.field, n, n, self._relation_rows(v))
 
     def _relation_rows(self, v: int) -> list[list]:
         """The rows of the relation sum at v, accumulated in one pass over ``dq.relations[v]``.

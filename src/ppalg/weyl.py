@@ -37,9 +37,9 @@ class StabilityParameter(tuple):
         return self
 
     @staticmethod
-    def _of(entries: Iterable[Fraction], numerators: tuple, denominator: int) -> "StabilityParameter":
-        """A trusted result: ``numerators``/``denominator`` are the canonical cleared ``entries``."""
-        self = tuple.__new__(StabilityParameter, entries)
+    def _of(numerators: tuple, denominator: int) -> "StabilityParameter":
+        """A trusted result: ``numerators``/``denominator`` are already the canonical cleared form."""
+        self = tuple.__new__(StabilityParameter, (Fraction(k, denominator) for k in numerators))
         self.denominator = denominator
         self.numerators = numerators
         return self
@@ -92,17 +92,21 @@ def reflect_dimvec(dq: DoubleQuiver, i: int, alpha: Sequence[int]) -> DimensionV
 
 def reflect_theta(dq: DoubleQuiver, i: int, theta: StabilityParameter) -> StabilityParameter:
     """Dual simple reflection on parameters, compatible with the pairing: theta - theta_i C_i."""
+    return StabilityParameter._of(_reflect_numerators(dq, i, theta.numerators), theta.denominator)
+
+
+def _reflect_numerators(dq: DoubleQuiver, i: int, numerators: tuple) -> tuple:
+    """The cleared numerators of theta - theta_i C_i: one integer row operation.
+
+    The reflection is an involution with an integer row, so the lcm of the
+    denominators, and with it the canonical denominator, does not change; a
+    word of reflections can run on numerators alone.
+    """
     row = dq.cartan_row(i)
-    if len(theta) != len(row):
-        raise ShapeError(f"theta has {len(theta)} entries, the quiver has {len(row)} vertices")
-    ni = theta.numerators[i]
-    numerators = tuple(n - ni * c for n, c in zip(theta.numerators, row))
-    # one integer row operation; entries off the Cartan row keep their Fraction.
-    # The reflection is an involution with an integer row, so the lcm of the
-    # denominators, and with it the canonical denominator, does not change.
-    den = theta.denominator
-    entries = (Fraction(n, den) if c else t for n, c, t in zip(numerators, row, theta))
-    return StabilityParameter._of(entries, numerators, den)
+    if len(numerators) != len(row):
+        raise ShapeError(f"theta has {len(numerators)} entries, the quiver has {len(row)} vertices")
+    ni = numerators[i]
+    return tuple(n - ni * c for n, c in zip(numerators, row))
 
 
 def apply_word_to_dimvec(dq: DoubleQuiver, word: Sequence[int], alpha: Sequence[int]) -> DimensionVector:
@@ -114,10 +118,11 @@ def apply_word_to_dimvec(dq: DoubleQuiver, word: Sequence[int], alpha: Sequence[
 
 
 def apply_word_to_theta(dq: DoubleQuiver, word: Sequence[int], theta: StabilityParameter) -> StabilityParameter:
-    out = StabilityParameter(theta)
+    theta = StabilityParameter(theta)
+    numerators = theta.numerators
     for letter in reversed(list(word)):
-        out = reflect_theta(dq, letter, out)
-    return out
+        numerators = _reflect_numerators(dq, letter, numerators)
+    return StabilityParameter._of(numerators, theta.denominator)
 
 
 @dataclass(frozen=True)

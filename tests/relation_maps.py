@@ -1,0 +1,26 @@
+"""The maps of the preprojective relation at a vertex, as matrices, for the tests.
+
+The library tests relations on row data (``Representation.check_relations``)
+and reflects on the row data of the blocks at a vertex, so it forms none of
+these matrices; the reference constructions of the tests read them.
+"""
+
+from ppalg.linalg import Matrix, hstack_all, vstack_all
+
+
+def out_map(m, v):
+    """M_v -> (+) M_{a.dst}: the arrows a of ``dq.relations[v]``, stacked."""
+    blocks = [m.mats[aid] for _, aid, _ in m.dq.relations[v].terms]
+    return vstack_all(m.field, m.dims[v], blocks)
+
+
+def in_map(m, v):
+    """(+) M_{a.dst} -> M_v: the blocks eps(a) M_{a*}, side by side in the same order."""
+    blocks = [m.mats[sid] if sign > 0 else m.mats[sid].neg() for sign, _, sid in m.dq.relations[v].terms]
+    return hstack_all(m.field, m.dims[v], blocks)
+
+
+def relation_matrix(m, v):
+    """The relation sum at vertex v as a dims[v] x dims[v] matrix, from the rows the library accumulates."""
+    n = m.dims[v]
+    return Matrix._of(m.field, n, n, m._relation_rows(v))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from ppalg.fields import GF
 from ppalg.linalg import Matrix
 from ppalg.quiver import standard_extended_dynkin
 from ppalg.rep import MAX_MODULE_DIM, Representation
+from ppalg.verify import random_nilpotent
 
 
 def run(capsys, *argv):
@@ -399,6 +401,40 @@ def test_reflection_commands_golden_digests(capsys, tmp_path, args):
     code, out, _ = run(capsys, *args.split(), str(path))
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_REFLECTION_SHA256[args]
+
+
+# a non-thin D4 module over GF(3), random_nilpotent(d4, GF(3), random.Random(20), 4)
+# with dims (1, 2, 2, 0, 0), as a file, and the sha256 of the raw stdout of
+# both reflections at its vertex 2
+NONTHIN_D4_GF3 = (
+    '{"dims": [1, 2, 2, 0, 0], "field": {"kind": "prime", "p": 3}, "mats": {"a1": [["0"], ["0"]], '
+    '"a1s": [["1", "1"]], "a2": [["0", "0"], ["0", "0"]], "a2s": [["0", "1"], ["1", "0"]], "a3": '
+    '[[], []], "a3s": [], "a4": [[], []], "a4s": []}, "quiver": {"arrows": [{"dst": 2, "id": "a1", '
+    '"src": 0}, {"dst": 2, "id": "a2", "src": 1}, {"dst": 2, "id": "a3", "src": 3}, {"dst": 2, "id": '
+    '"a4", "src": 4}, {"dst": 0, "id": "a1s", "src": 2, "star_of": "a1"}, {"dst": 1, "id": "a2s", '
+    '"src": 2, "star_of": "a2"}, {"dst": 3, "id": "a3s", "src": 2, "star_of": "a3"}, {"dst": 4, '
+    '"id": "a4s", "src": 2, "star_of": "a4"}], "vertices": 5}}'
+)
+GOLDEN_NONTHIN_REFLECTION_SHA256 = {
+    "reflect --vertex 2 --dir plus": "7c580cd64f186e4308d561188a4866e48bb1b6711d10abe07e1f74a30b1bef80",
+    "reflect --vertex 2 --dir minus": "b938d2ef2df552e83679a4186cc4375733e02aeeb97cf0d518834f7612f8e9c3",
+}
+
+
+def test_nonthin_module_file_is_the_seeded_sample():
+    dq, d = standard_extended_dynkin("D", 4)
+    m = random_nilpotent(dq, GF(3), random.Random(20), 4)
+    assert m.dims == (1, 2, 2, 0, 0)
+    assert json.loads(NONTHIN_D4_GF3) == m.to_json()
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_NONTHIN_REFLECTION_SHA256))
+def test_nonthin_reflection_commands_golden_digests(capsys, tmp_path, args):
+    path = tmp_path / "module.json"
+    path.write_text(NONTHIN_D4_GF3 + "\n", encoding="utf-8")
+    code, out, _ = run(capsys, *args.split(), str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_NONTHIN_REFLECTION_SHA256[args]
 
 
 def test_quiver_json_golden_bytes(capsys):

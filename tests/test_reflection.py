@@ -2,18 +2,22 @@ import hashlib
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppalg.errors import InternalInvariantError, NotGenericStep, PreconditionViolated, RangeError, ShapeError
 from ppalg.fields import GF, QQ
 from ppalg.linalg import Matrix, hstack_all, vstack_all
-from ppalg.quiver import DimensionVector
+from ppalg.quiver import DimensionVector, standard_extended_dynkin
 from ppalg.rep import Representation, hom_dim, is_isomorphic
-from ppalg.reflection import apply_word, compute_siw, reflect_minus, reflect_plus
+from ppalg.reflection import _reflect_step, apply_word, compute_siw, reflect_minus, reflect_plus
 from ppalg.stability import enumerate_thin_reps, sequiv_class, stability_verdict
 from ppalg.verify import a2_setup, chamber_theta, d4_setup, random_nilpotent
 from ppalg.weyl import StabilityParameter, apply_word_to_dimvec, reflect_dimvec
+from relation_maps import in_map, out_map
 
 
 def curve_member(dq, field, d, a, b):
@@ -136,6 +140,21 @@ def test_apply_word_involution_and_parameter_return():
         out, th = apply_word((i, i), m, theta)
         assert th == theta
         assert is_isomorphic(out, m)
+
+
+def test_apply_word_returns_the_canonical_reflected_parameter():
+    # the letters run on the cleared numerators; the parameter returned must
+    # be the one the constructor makes of the reflected Fraction entries
+    dq, d, wg = a2_setup()
+    theta = StabilityParameter([Fraction(-3, 2), Fraction(1, 2), Fraction(1)])
+    m = curve_member(dq, GF(3), d, 1, 1)
+    for word in [(), (1,), (2, 1), (1, 2, 1), (1, 1)]:
+        want = theta
+        for letter in reversed(word):
+            want = StabilityParameter(t - want[letter] * c for t, c in zip(want, dq.cartan_row(letter)))
+        _, th = apply_word(word, m, theta)
+        assert tuple(th) == tuple(want) and all(type(t) is Fraction for t in th)
+        assert (th.numerators, th.denominator) == (want.numerators, want.denominator)
 
 
 def test_apply_word_accepts_the_extending_vertex():
@@ -377,10 +396,10 @@ def kernel_solve_reflection(i, m):
     Returns (module, defect).
     """
     dq = m.dq
-    in_map = m.in_map(i)
-    out_map = m.out_map(i)
-    kernel = in_map.kernel_basis()
-    defect = m.dims[i] - in_map.cols + kernel.cols
+    into = in_map(m, i)
+    out = out_map(m, i)
+    kernel = into.kernel_basis()
+    defect = m.dims[i] - into.cols + kernel.cols
     new_dims = list(m.dims)
     new_dims[i] = kernel.cols
     mats = dict(m.mats)
@@ -390,7 +409,7 @@ def kernel_solve_reflection(i, m):
         mats[aid] = kernel.submatrix(list(range(pos, pos + rows)), list(range(kernel.cols)))
         pos += rows
     for b in dq.arrows_in(i):
-        lift = kernel.solve(out_map.mul(m.mats[b.aid]))
+        lift = kernel.solve(out.mul(m.mats[b.aid]))
         assert lift is not None
         mats[b.aid] = lift
     return Representation.build(dq, m.field, new_dims, mats), defect
@@ -399,6 +418,9 @@ def kernel_solve_reflection(i, m):
 def kernel_solve_minus_reflection(i, m):
     module, defect = kernel_solve_reflection(i, m.dual())
     return module.dual(), defect
+
+
+FUNCTORS_AND_REFERENCES = ((reflect_plus, kernel_solve_reflection), (reflect_minus, kernel_solve_minus_reflection))
 
 
 @pytest.mark.parametrize("setup", [a2_setup, d4_setup])
@@ -457,6 +479,81 @@ def test_relation_recheck_covers_every_vertex():
         for func in (reflect_plus, reflect_minus):
             with pytest.raises(InternalInvariantError, match="broke the preprojective relations"):
                 func(i, m)
+            # the second call reads the memoized step, and the re-check still runs
+            hits = _reflect_step.cache_info().hits
+            with pytest.raises(InternalInvariantError, match="broke the preprojective relations"):
+                func(i, m)
+            assert _reflect_step.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("fields", [(GF(2), GF(4)), (GF(3), GF(5))], ids=["GF2-GF4", "GF3-GF5"])
+def test_the_same_integer_data_reflects_over_its_own_field(fields):
+    # the all-ones A2 module has the same entry codes over every field; GF(2)
+    # and GF(4) give the same codes back, GF(3) and GF(5) different ones (-1)
+    dq, d, wg = a2_setup()
+    for i in range(dq.vertex_count):
+        for func, ref in FUNCTORS_AND_REFERENCES:
+            for f in fields:
+                one = Matrix(f, 1, 1, [[1]])
+                m = Representation.build(dq, f, d, {a.aid: one for a in dq.arrows})
+                res = func(i, m)
+                module, defect = ref(i, m)
+                assert res.defect == defect
+                assert res.module == module
+                assert all(block.field == f for block in res.module.mats.values())
+
+
+def test_a_vertex_of_dimension_zero_keeps_the_shapes_of_its_neighbours():
+    # with dims[1] = 0 the blocks out of 1 have no columns and the blocks into
+    # 1 no rows, so only the neighbour dimensions tell these modules apart
+    dq, d, wg = a2_setup()
+    f = GF(3)
+    for dims in [(1, 0, 2), (2, 0, 1), (0, 0, 3), (3, 0, 0), (1, 0, 1), (0, 0, 0)]:
+        m = Representation.build(dq, f, dims)
+        for func, ref in FUNCTORS_AND_REFERENCES:
+            res = func(1, m)
+            module, defect = ref(1, m)
+            assert res.module.dims == (dims[0], dims[0] + dims[2], dims[2]) == module.dims
+            assert res.defect == defect == 0
+            for a in dq.arrows:
+                block = res.module.mats[a.aid]
+                assert (block.rows, block.cols) == (res.module.dims[a.dst], res.module.dims[a.src])
+            assert res.module == module
+
+
+def test_the_step_reads_the_signs_of_its_relation_terms():
+    # the same blocks at a vertex of dimension 2 under two sign patterns: both
+    # relations hold (each M_a is zero), but the kernel of (eps1 e1 | eps2 e1)
+    # is spanned by (-eps2, eps1), so the new blocks move with the signs
+    f = GF(3)
+    zero, e1 = ((0, 0),), ((1,), (0,))
+    rows = (zero, e1, zero, e1)  # M_a (1 x 2) and M_{a*} (2 x 1) for each term
+    same = _reflect_step(f, 2, ((1, "a", "as"), (1, "b", "bs")), rows, False)
+    mixed = _reflect_step(f, 2, ((1, "a", "as"), (-1, "b", "bs")), rows, False)
+    assert same[1:] == mixed[1:] == (1, 1)
+    assert [b.data for b in same[0]] == [((2,),), ((0,),), ((1,),), ((0,),)]
+    assert [b.data for b in mixed[0]] == [((1,),), ((0,),), ((1,),), ((0,),)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tag=st.sampled_from([("A", 2), ("D", 4)]),
+    field=st.sampled_from([GF(2), GF(3), GF(4), GF(5), QQ]),
+    seed=st.integers(0, 2**16),
+    steps=st.integers(1, 4),
+)
+def test_memoized_reflections_equal_fresh_ones_and_the_reference(tag, field, seed, steps):
+    dq, _ = standard_extended_dynkin(*tag)
+    m = random_nilpotent(dq, field, random.Random(seed), steps=steps)
+    for i in range(dq.vertex_count):
+        for func, ref in FUNCTORS_AND_REFERENCES:
+            func(i, m)
+            warm = func(i, m)
+            _reflect_step.cache_clear()
+            assert warm == func(i, m)
+            module, defect = ref(i, m)
+            assert warm.defect == defect
+            assert warm.module == module
 
 
 def reflection_digest_modules():
