@@ -65,7 +65,7 @@ def ext1_space(m: Representation, n: Representation) -> Ext1Space:
     ker = d2.kernel_basis()
     # the kernel columns that extend the image to a basis of ker d2 are the
     # pivot columns of [img | ker] past img, since img is independent
-    _, pivots = hstack_all(m.field, img.rows, (img, ker)).rref()
+    pivots = hstack_all(m.field, img.rows, (img, ker))._echelon_pivots()
     chosen = [ker.column_vector(j - img.cols) for j in pivots if j >= img.cols]
     dim = len(chosen)
     expected = (d1.cols - img.cols) + hom_dim(n, m) - bilinear_form(m.dq, m.dims, n.dims)

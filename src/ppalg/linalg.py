@@ -5,6 +5,12 @@ produce bit-identical output.  Matrices are immutable after construction;
 every operation returns a fresh value and is safe to call concurrently.
 Empty matrices (zero rows or columns) are legal throughout.
 
+Elimination updates each row only at the nonzero columns of the pivot
+row, listed once per pivot.  Over QQ it runs on integers: every row is
+scaled by the lcm of its denominators and reduced fraction-free, and the
+``Fraction`` entries are built once at the end.  ``rank`` and the callers
+that need only the pivot columns clear below each pivot only.
+
 Entries are validated at the public constructors (``Matrix(...)``,
 ``from_rows``, ``column``, ``from_json``) and ``scale`` checks
 its scalar.  Everything computed from already-valid matrices (products,
@@ -14,6 +20,8 @@ unchecked ``Matrix._of``, so no intermediate re-checks its entries.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import FieldMismatch, ShapeError
@@ -145,38 +153,34 @@ class Matrix:
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form together with the pivot column indices.
 
-        Zero tests are truth tests (the zero of every field is its only
-        falsy element), so a zero entry costs no field operation at all.
+        Each pivot row lists its nonzero (column, value) pairs once, and a
+        row with a nonzero in the pivot column is updated at those columns
+        only.  Over QQ the rows are scaled to integers and eliminated
+        fraction-free; each entry becomes a ``Fraction`` once, at the end.
         """
         f = self.field
-        sub, mul = f.sub, f.mul
-        m = [list(row) for row in self.data]
-        pivots = []
-        pr = 0
-        for pc in range(self.cols):
-            pivot_row = None
-            for r in range(pr, self.rows):
-                if m[r][pc]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                continue
-            m[pr], m[pivot_row] = m[pivot_row], m[pr]
-            inv = f.inv(m[pr][pc])
-            prow = m[pr] = [mul(inv, x) if x else x for x in m[pr]]
-            for r in range(self.rows):
-                if r != pr and m[r][pc]:
-                    c0 = m[r][pc]
-                    # x - c0 * 0 = x, so zero entries of the pivot row cost nothing
-                    m[r] = [sub(x, mul(c0, y)) if y else x for x, y in zip(m[r], prow)]
-            pivots.append(pc)
-            pr += 1
-            if pr == self.rows:
-                break
-        return Matrix._of(f, self.rows, self.cols, m), tuple(pivots)
+        if f.kind == "rationals":
+            m = _integer_rows(self.data)
+            pivots = _integer_pivots(m, self.cols, True)
+            m = _fraction_rows(m, pivots)
+        else:
+            m = [list(row) for row in self.data]
+            pivots = _field_pivots(f, m, self.cols, True)
+        return Matrix._of(f, self.rows, self.cols, m), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        """The number of pivots, from an echelon form cleared below each pivot only."""
+        return len(self._echelon_pivots())
+
+    def _echelon_pivots(self) -> tuple[int, ...]:
+        """The pivot columns of ``rref()``, without clearing the rows above each pivot.
+
+        The pivot search never reads the rows above the pivot, so the
+        columns found are the same.
+        """
+        if self.field.kind == "rationals":
+            return _integer_pivots(_integer_rows(self.data), self.cols, False)
+        return _field_pivots(self.field, [list(row) for row in self.data], self.cols, False)
 
     def kernel_basis(self) -> "Matrix":
         """Columns form the canonical RREF basis of {x : Ax = 0}."""
@@ -237,6 +241,106 @@ class Matrix:
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise ValueError("a matrix must be a list of rows, each a list of entries")
         return Matrix(field, rows, cols, [[scalar(x) for x in row] for row in data])
+
+
+def _integer_rows(data: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    """Each row scaled by the lcm of its denominators: integers with the same reduced echelon form."""
+    m = []
+    for row in data:
+        pairs = [x.as_integer_ratio() for x in row]
+        d = lcm(*[q for _, q in pairs])
+        m.append([n * (d // q) for n, q in pairs])
+    return m
+
+
+def _field_pivots(f: Field, m: list[list], cols: int, reduced: bool) -> tuple[int, ...]:
+    """Gauss-Jordan over a finite field on the rows ``m`` in place: below each pivot only unless ``reduced``.
+
+    Elements are int codes with zero 0 and one 1.  Zero tests are truth
+    tests, so a zero entry costs no field operation at all.
+    """
+    sub, mul = f.sub, f.mul
+    n = len(m)
+    pivots = []
+    pr = 0
+    for pc in range(cols):
+        for r in range(pr, n):
+            if m[r][pc]:
+                break
+        else:
+            continue
+        prow = m[r]
+        if prow[pc] != 1:
+            inv = f.inv(prow[pc])
+            prow = [mul(inv, x) if x else x for x in prow]
+        m[r], m[pr] = m[pr], prow
+        nz = [(j, prow[j]) for j in range(pc + 1, cols) if prow[j]]
+        for row in m if reduced else m[pr + 1 :]:
+            c = row[pc]
+            if c and row is not prow:
+                row[pc] = 0
+                for j, y in nz:
+                    row[j] = sub(row[j], mul(c, y))
+        pivots.append(pc)
+        pr += 1
+        if pr == n:
+            break
+    return tuple(pivots)
+
+
+def _integer_pivots(m: list[list[int]], cols: int, reduced: bool) -> tuple[int, ...]:
+    """``_field_pivots`` over the integers, fraction-free, with every row kept primitive.
+
+    A row with c in the pivot column becomes (p/g) row - (c/g) pivot row for
+    g = gcd(p, c), a nonzero multiple of the row that Gauss-Jordan over QQ
+    would hold, so the zero pattern, the pivots and the reduced form agree.
+    Only when p/g > 1 is the whole row rescaled, and its content divided out.
+    """
+    n = len(m)
+    pivots = []
+    pr = 0
+    for pc in range(cols):
+        for r in range(pr, n):
+            if m[r][pc]:
+                break
+        else:
+            continue
+        prow = m[r]
+        m[r], m[pr] = m[pr], prow
+        g = gcd(*prow)
+        if prow[pc] < 0:
+            g = -g
+        if g != 1:
+            prow[:] = [x // g for x in prow]
+        p = prow[pc]
+        nz = [(j, prow[j]) for j in range(pc + 1, cols) if prow[j]]
+        for row in m if reduced else m[pr + 1 :]:
+            c = row[pc]
+            if c and row is not prow:
+                g = gcd(p, c)
+                a, b = p // g, c // g
+                if a != 1:
+                    row[:] = [a * x for x in row]
+                row[pc] = 0
+                for j, y in nz:
+                    row[j] -= b * y
+                if a != 1:
+                    g = gcd(*row)
+                    if g > 1:
+                        row[:] = [x // g for x in row]
+        pivots.append(pc)
+        pr += 1
+        if pr == n:
+            break
+    return tuple(pivots)
+
+
+def _fraction_rows(m: list[list[int]], pivots: tuple[int, ...]) -> list[list]:
+    """The reduced form over QQ of the integer rows of ``_integer_pivots``: each row over its pivot."""
+    zero = Fraction(0)
+    out = [[Fraction(x, row[pc]) if x else zero for x in row] for row, pc in zip(m, pivots)]
+    out += [[zero] * len(row) for row in m[len(pivots) :]]
+    return out
 
 
 def _mul_rows(f: Field, left: Sequence[Sequence], right: Sequence[Sequence], cols: int) -> list[list]:

@@ -141,10 +141,6 @@ class Representation:
         whole = [Matrix.identity(self.field, d) for d in self.dims]
         return DimensionVector(d - self._image_into(v, whole).rank() for v, d in enumerate(self.dims))
 
-    def socle_multiplicities(self) -> DimensionVector:
-        """Multiplicity of each vertex simple in the socle: the top of the dual."""
-        return self.dual().top_multiplicities()
-
     def is_nilpotent(self) -> bool:
         """Whether some power of the arrow ideal annihilates the module.
 

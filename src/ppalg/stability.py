@@ -328,6 +328,13 @@ class ModuliScan:
         return buf.getvalue()
 
 
+def _thin_live(dq: DoubleQuiver, d) -> list:
+    """The live arrows of d, once d is checked to hold one nonnegative dimension per vertex."""
+    if len(d) != dq.vertex_count or any(x < 0 for x in d):
+        raise ShapeError("thin enumeration needs one nonnegative dimension per vertex")
+    return _live_arrows(dq, d)
+
+
 def _thin_values(dq: DoubleQuiver, d, field: Field, budget: int):
     """Every relation-satisfying value tuple on the live arrows of a thin d.
 
@@ -345,13 +352,11 @@ def _thin_values(dq: DoubleQuiver, d, field: Field, budget: int):
     tuple are sorted, so memory stays bounded by the largest such group.
     The budget bounds q^|live|.
     """
-    if len(d) != dq.vertex_count or any(x < 0 for x in d):
-        raise ShapeError("thin enumeration needs one nonnegative dimension per vertex")
+    live = _thin_live(dq, d)
     if any(x > 1 for x in d):
         raise UnsupportedShape("enumeration is implemented for thin dimension vectors")
     if not field.is_finite:
         raise UnsupportedShape("enumeration needs a finite field")
-    live = _live_arrows(dq, d)
     q = field.order
     if q ** len(live) > budget:
         raise SearchBudgetExceeded(f"{q}^{len(live)} assignments exceed budget {budget}")
@@ -407,7 +412,7 @@ def _thin_points(dq: DoubleQuiver, d, field: Field, budget: int = SEARCH_BUDGET)
     walk; the builder takes no argument and builds the module, so a caller
     builds one only where it uses it.
     """
-    live = _live_arrows(dq, d)
+    live = _thin_live(dq, d)
     for values in _thin_values(dq, d, field, budget):
         yield _pattern(live, values), functools.partial(_thin_rep, dq, field, d, live, values)
 
@@ -440,7 +445,7 @@ def moduli_scan(
     the gauge walk; a module is built only for the first member of each class.
     """
     dims = DimensionVector(d)
-    live = _live_arrows(dq, dims)
+    live = _thin_live(dq, dims)
     support = tuple(_support(dims))
     in_kernel = theta.scaled(dims) == 0
     seen: dict[tuple, ScanRecord] = {}  # canonical values -> record

@@ -1,8 +1,9 @@
-"""The maps of the preprojective relation at a vertex, as matrices, for the tests.
+"""The maps of the preprojective relation at a vertex, as matrices, and the socle, for the tests.
 
 The library tests relations on row data (``Representation.check_relations``)
 and reflects on the row data of the blocks at a vertex, so it forms none of
-these matrices; the reference constructions of the tests read them.
+these matrices and never needs the socle; the reference constructions of the
+tests read them.
 """
 
 from ppalg.linalg import Matrix, hstack_all, vstack_all
@@ -24,3 +25,8 @@ def relation_matrix(m, v):
     """The relation sum at vertex v as a dims[v] x dims[v] matrix, from the rows the library accumulates."""
     n = m.dims[v]
     return Matrix._of(m.field, n, n, m._relation_rows(v))
+
+
+def socle_multiplicities(m):
+    """Multiplicity of each vertex simple in the socle of m: the top of the dual."""
+    return m.dual().top_multiplicities()

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -471,3 +473,36 @@ def test_retraction_agrees_with_the_hom_basis_system(tag, field, seed, steps):
     # the identity's cokernel projections have no rows, so the quotient is zero
     identity = {v: Matrix.identity(field, k) for v, k in enumerate(m.dims)}
     assert quotient_by_map(m, identity).is_zero_module()
+
+
+# -- golden digest of the canonical hom and ext bases ---------------------------
+
+
+def hom_ext_basis_bytes(m, n):
+    """The JSON of the canonical Ext^1 cocycle basis and Hom basis of a pair, as bytes."""
+    cocycles = [{aid: mat.to_json() for aid, mat in phi.items()} for phi in ext1_space(m, n).cocycle_basis]
+    maps = [{str(v): mat.to_json() for v, mat in phi.items()} for phi in hom_basis(m, n)]
+    return json.dumps({"cocycle_basis": cocycles, "hom_basis": maps}, sort_keys=True).encode()
+
+
+HOM_EXT_BASIS_DIGESTS = {
+    ("A", 2, "GF(2)"): "ea283db6ffed354ff288003f08209a7851bc75f726b31522b2d3cb89d0f3a1cb",
+    ("A", 2, "GF(3)"): "d8cc14b437b2f1909a8a04955fda5e8c6ea9510793c41f2f3e11edbeb33b982d",
+    ("A", 2, "GF(4)"): "712e99a900e1d52e5a6fbfe5dc816847598297237b54068254572512f9a55ef3",
+    ("A", 2, "QQ"): "b730edb9daf94172f5d31b936ca733788992c937d8c24fcd87fa29b7d21aa00f",
+    ("D", 4, "GF(2)"): "1634f208d9ada0ccaf4101778730add1d4ee753c3040a1759ba581c59560a08b",
+    ("D", 4, "GF(3)"): "7397e15e5c9538eb74bdd480322ced4cb96833d65b96582f1fd02c5719ee8e4a",
+    ("D", 4, "GF(4)"): "d19174e06c5c1216ae1cc61fdb37196b1ea9082b522c4d930f1b1be060d34cd2",
+    ("D", 4, "QQ"): "85e04ce395e9846c9fea12401fc3fede718bde95ae34ccd89bcafa162069555f",
+}
+
+
+@pytest.mark.parametrize("tag, n, field", [(t, n, f) for t, n in (("A", 2), ("D", 4)) for f in (GF(2), GF(3), GF(4), QQ)])
+def test_hom_and_ext_bases_match_their_golden_digest(tag, n, field):
+    dq, _ = standard_extended_dynkin(tag, n)
+    rng = random.Random(23)
+    mods = [random_nilpotent(dq, field, rng, steps=k) for k in (1, 3, 5, 7)]
+    h = hashlib.sha256()
+    for m, x in itertools.product(mods, mods):
+        h.update(hom_ext_basis_bytes(m, x))
+    assert h.hexdigest() == HOM_EXT_BASIS_DIGESTS[tag, n, repr(field)]

@@ -293,6 +293,52 @@ def test_rref_kernel_and_solve_match_the_reference(data):
     assert all(all_entries_valid(m) for m in results)
 
 
+@st.composite
+def sparse_systems(draw, field, max_side=24):
+    """A matrix shaped like a hom system: at least 85% zeros, and over QQ
+    numerators and denominators up to 10^6, so that coefficient growth shows."""
+    rows, cols = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    count = draw(st.integers(0, len(cells) * 15 // 100))
+    if field.is_finite:
+        value = st.integers(1, field.order - 1)
+    else:
+        value = st.builds(Fraction, st.integers(1, 10**6) | st.integers(-(10**6), -1), st.integers(1, 10**6))
+    data = [[field.zero()] * cols for _ in range(rows)]
+    for r, c in draw(st.lists(st.sampled_from(cells), min_size=count, max_size=count, unique=True)) if cells else ():
+        data[r][c] = draw(value)
+    return Matrix(field, rows, cols, data)
+
+
+def assert_decompositions_match_the_reference(a: Matrix):
+    R, pivots = a.rref()
+    ref_R, ref_pivots = reference_rref(a)
+    assert (R.rows, R.cols, R.data, pivots) == (ref_R.rows, ref_R.cols, ref_R.data, ref_pivots)
+    assert [type(x) for row in R.data for x in row] == [type(x) for row in ref_R.data for x in row]
+    assert a._echelon_pivots() == ref_pivots
+    assert a.rank() == len(ref_pivots)
+    ker = a.kernel_basis()
+    assert (ker.rows, ker.cols) == (a.cols, a.cols - len(ref_pivots))
+    assert [ker.column_vector(j) for j in range(ker.cols)] == reference_kernel_columns(a)
+    img = a.image_basis()
+    ref_T, ref_T_pivots = reference_rref(a.transpose())
+    assert (img.rows, img.cols) == (a.rows, len(ref_T_pivots))
+    assert [img.column_vector(j) for j in range(img.cols)] == list(ref_T.data[: len(ref_T_pivots)])
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sparse_systems_match_the_reference(field, data):
+    assert_decompositions_match_the_reference(data.draw(sparse_systems(field), label="a"))
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS)
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 5), (5, 0), (1, 7), (7, 1), (6, 9)])
+def test_empty_and_all_zero_matrices_match_the_reference(field, rows, cols):
+    assert_decompositions_match_the_reference(Matrix.zero(field, rows, cols))
+
+
 # -- validation stays at the public boundary ------------------------------------
 
 

@@ -22,7 +22,7 @@ from ppalg.rep import (
 )
 from ppalg.stability import _thin_rep, enumerate_thin_reps, submodule_dimvecs, thin_canonical_values
 from ppalg.verify import random_nilpotent
-from relation_maps import in_map, out_map, relation_matrix
+from relation_maps import in_map, out_map, relation_matrix, socle_multiplicities
 
 
 def a2(field):
@@ -129,14 +129,14 @@ def test_top_and_socle_of_intersection_member():
     dq, d, f = a2(GF(2))
     m = thin(dq, f, d, {"a1": 1, "a3s": 1})
     assert m.top_multiplicities() == DimensionVector([1, 0, 0])
-    assert m.socle_multiplicities() == DimensionVector([0, 1, 1])
+    assert socle_multiplicities(m) == DimensionVector([0, 1, 1])
     assert m.is_nilpotent()
 
 
 def test_simple_socle_and_nilpotency():
     dq, d, f = a2(GF(5))
     s = Representation.simple(dq, f, 1)
-    assert s.socle_multiplicities() == dq.unit(1)
+    assert socle_multiplicities(s) == dq.unit(1)
     assert s.is_nilpotent()
 
 
@@ -298,7 +298,7 @@ def test_top_socle_agree_with_hom_dimensions():
     reps = list(enumerate_thin_reps(dq, d, f))
     for m in rng.sample(reps, 20):
         top = m.top_multiplicities()
-        soc = m.socle_multiplicities()
+        soc = socle_multiplicities(m)
         for i in range(3):
             s = Representation.simple(dq, f, i)
             assert top[i] == hom_dim(m, s)
@@ -417,7 +417,7 @@ def first_pair(field, hom_ok, unlike):
 
 def unlike_ends(a, b):
     """Unequal tops or socles, which certify that a and b are not isomorphic."""
-    return (a.top_multiplicities(), a.socle_multiplicities()) != (b.top_multiplicities(), b.socle_multiplicities())
+    return (a.top_multiplicities(), socle_multiplicities(a)) != (b.top_multiplicities(), socle_multiplicities(b))
 
 
 def test_isomorphism_over_rationals_answers_false_on_equal_hom_data():
@@ -537,7 +537,7 @@ def test_dual_is_an_involution_that_transposes_relations_and_hom(tag, field, see
         assert x.dual().check_relations() == x.check_relations()
         for v in range(dq.vertex_count):
             assert relation_matrix(x.dual(), v) == relation_matrix(x, v).transpose()
-        assert x.socle_multiplicities() == socle_by_outgoing_rank(x)
+        assert socle_multiplicities(x) == socle_by_outgoing_rank(x)
     assert hom_dim(m, n) == hom_dim(n.dual(), m.dual())
 
 

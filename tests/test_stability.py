@@ -532,3 +532,13 @@ def test_stability_verdict_refuses_theta_of_the_wrong_length(tag, n, theta):
     dq, _ = standard_extended_dynkin(tag, n)
     with pytest.raises(ShapeError):
         stability_verdict(Representation.simple(dq, GF(2), 1), StabilityParameter(theta))
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (1,), (1, 1, 1, 1), (1, -1, 1)])
+def test_thin_enumeration_and_scan_refuse_a_dimension_vector_of_the_wrong_length(dims):
+    # a short one once raised a bare IndexError while reading the live arrows
+    dq, _, f = a2(GF(2))
+    with pytest.raises(ShapeError):
+        list(enumerate_thin_reps(dq, dims, f))
+    with pytest.raises(ShapeError):
+        moduli_scan(dq, dims, StabilityParameter((-2, 1, 1)), f)
