@@ -35,58 +35,25 @@ def _is_prime(p: int) -> bool:
 
 
 class Field:
-    """Common interface of the exact scalar fields."""
+    """Common interface of the exact scalar fields.
+
+    Every field defines ``zero``, ``one``, ``add``, ``sub``, ``neg``, ``mul``,
+    ``inv``, ``from_int``, ``is_element``, ``is_finite``, ``parse_scalar`` and
+    ``to_json``; a finite field also ``elements`` and ``order``.
+    """
 
     kind: str
 
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def from_int(self, n: int):
-        raise NotImplementedError
-
-    def is_element(self, a) -> bool:
-        raise NotImplementedError
-
-    def elements(self) -> Iterator:
-        """Iterate all elements (finite fields only)."""
-        raise NotImplementedError
 
     def nonzero_elements(self) -> Iterator:
         for x in self.elements():
             if x != self.zero():
                 yield x
 
-    @property
-    def is_finite(self) -> bool:
-        raise NotImplementedError
-
     def format_scalar(self, a) -> str:
-        raise NotImplementedError
-
-    def parse_scalar(self, s: str):
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
+        return str(a)
 
 
 class Rationals(Field):
@@ -126,9 +93,6 @@ class Rationals(Field):
     @property
     def is_finite(self) -> bool:
         return False
-
-    def format_scalar(self, a) -> str:
-        return str(a)
 
     def parse_scalar(self, s: str):
         return Fraction(s)
@@ -175,9 +139,6 @@ class _FiniteField(Field):
     @property
     def order(self) -> int:
         return self.q
-
-    def format_scalar(self, a) -> str:
-        return str(a)
 
     def parse_scalar(self, s: str):
         """Read a finite-field element code, which must lie in [0, order)."""

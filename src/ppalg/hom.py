@@ -60,15 +60,15 @@ def ext1_space(m: Representation, n: Representation) -> Ext1Space:
     the bilinear-form identity; that always indicates an implementation bug.
     """
     d1, _ = hom_system(m, n)
-    img = d1.image_basis()
     d2, shapes = _delta2(m, n)
     ker = d2.kernel_basis()
-    # the kernel columns that extend the image to a basis of ker d2 are the
-    # pivot columns of [img | ker] past img, since img is independent
-    pivots = hstack_all(m.field, img.rows, (img, ker))._echelon_pivots()
-    chosen = [ker.column_vector(j - img.cols) for j in pivots if j >= img.cols]
+    # one echelon of [d1 | ker]: the pivots inside d1 count its rank, and those
+    # past it are the kernel columns that extend the image of d1 to a basis of
+    # ker d2, since whether a column is a pivot depends on the span before it
+    pivots = hstack_all(m.field, d1.rows, (d1, ker))._echelon_pivots()
+    chosen = [ker.column_vector(j - d1.cols) for j in pivots if j >= d1.cols]
     dim = len(chosen)
-    expected = (d1.cols - img.cols) + hom_dim(n, m) - bilinear_form(m.dq, m.dims, n.dims)
+    expected = (d1.cols - (len(pivots) - dim)) + hom_dim(n, m) - bilinear_form(m.dq, m.dims, n.dims)
     if dim != expected:
         raise InternalInvariantError(
             f"extension dimension {dim} violates the form identity (expected {expected})"

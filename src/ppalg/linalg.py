@@ -12,10 +12,10 @@ scaled by the lcm of its denominators and reduced fraction-free, and the
 that need only the pivot columns clear below each pivot only.
 
 Entries are validated at the public constructors (``Matrix(...)``,
-``from_rows``, ``column``, ``from_json``) and ``scale`` checks
-its scalar.  Everything computed from already-valid matrices (products,
-stacks, echelon forms, bases, solutions) is trusted and built through the
-unchecked ``Matrix._of``, so no intermediate re-checks its entries.
+``column``, ``from_json``) and ``scale`` checks its scalar.  Everything
+computed from already-valid matrices (products, stacks, echelon forms,
+bases, solutions) is trusted and built through the unchecked
+``Matrix._of``, so no intermediate re-checks its entries.
 """
 
 from __future__ import annotations
@@ -75,12 +75,6 @@ class Matrix:
         return Matrix._of(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def from_rows(field: Field, rows: Sequence[Sequence]) -> "Matrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        return Matrix(field, len(rows), ncols, rows)
-
-    @staticmethod
     def column(field: Field, entries: Sequence) -> "Matrix":
         return Matrix(field, len(entries), 1, [[x] for x in entries])
 
@@ -102,10 +96,6 @@ class Matrix:
         body = "; ".join(" ".join(self.field.format_scalar(x) for x in row) for row in self.data)
         return f"Matrix({self.rows}x{self.cols} over {self.field!r}: [{body}])"
 
-    def is_zero(self) -> bool:
-        z = self.field.zero()
-        return all(x == z for row in self.data for x in row)
-
     def transpose(self) -> "Matrix":
         return Matrix._of(self.field, self.cols, self.rows, _transpose(self.data, self.cols))
 
@@ -121,10 +111,6 @@ class Matrix:
             [[f.add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
         )
 
-    def neg(self) -> "Matrix":
-        f = self.field
-        return Matrix._of(f, self.rows, self.cols, [[f.neg(x) for x in row] for row in self.data])
-
     def scale(self, c) -> "Matrix":
         f = self.field
         if not f.is_element(c):
@@ -136,14 +122,6 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeError(f"product shape mismatch {self.rows}x{self.cols} . {other.rows}x{other.cols}")
         return Matrix._of(self.field, self.rows, other.cols, _mul_rows(self.field, self.data, other.data, other.cols))
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        return Matrix._of(
-            self.field,
-            len(row_idx),
-            len(col_idx),
-            [[self.data[r][c] for c in col_idx] for r in row_idx],
-        )
 
     def column_vector(self, j: int) -> tuple:
         return tuple(self.data[r][j] for r in range(self.rows))

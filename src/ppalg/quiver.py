@@ -97,8 +97,9 @@ class DoubleQuiver:
     """The double of a quiver: each arrow a gains a reverse a* with sign -1.
 
     ``relations[v]`` is the preprojective relation at v, its terms in the
-    order of ``arrows_out(v)``.  It is the one place that pairs arrows with
-    their stars and signs; every relation-side construction reads it.
+    order of the arrows out of v in ``arrows``.  It is the one place that
+    pairs arrows with their stars and signs; every relation-side
+    construction reads it.
     """
 
     def __init__(self, base: Quiver):
@@ -119,11 +120,10 @@ class DoubleQuiver:
         self.arrows = tuple(arrows)
         self.star = star
         self.epsilon = epsilon
-        self._out = {v: tuple(a for a in self.arrows if a.src == v) for v in range(self.vertex_count)}
         self._in = {v: tuple(a for a in self.arrows if a.dst == v) for v in range(self.vertex_count)}
         self.relations = tuple(
-            PreprojectiveRelation(v, tuple((epsilon[a.aid], a.aid, star[a.aid]) for a in out))
-            for v, out in self._out.items()
+            PreprojectiveRelation(v, tuple((epsilon[a.aid], a.aid, star[a.aid]) for a in self.arrows if a.src == v))
+            for v in range(self.vertex_count)
         )
         self._units = tuple(
             DimensionVector.unit(self.vertex_count, i) for i in range(self.vertex_count)
@@ -144,9 +144,6 @@ class DoubleQuiver:
 
     def __hash__(self):
         return hash((self.vertex_count, self.arrows))
-
-    def arrows_out(self, v: int) -> tuple[Arrow, ...]:
-        return self._out[v]
 
     def arrows_in(self, v: int) -> tuple[Arrow, ...]:
         return self._in[v]

@@ -66,9 +66,7 @@ class Representation:
             raise ShapeError("negative vertex dimension")
         full: dict[str, Matrix] = {}
         mats = mats or {}
-        if not mats.keys() <= dq.star.keys():  # star is keyed by every arrow id
-            unknown = sorted(mats.keys() - dq.star.keys())
-            raise ShapeError(f"{unknown[0]} is not an arrow of the quiver")
+        _check_arrow_ids(dq, mats)
         for a in dq.arrows:
             want = (dims[a.dst], dims[a.src])
             m = mats.get(a.aid)
@@ -208,6 +206,13 @@ class Representation:
         return Representation.build(dq, field, dims, mats)
 
 
+def _check_arrow_ids(dq: DoubleQuiver, mats: Mapping[str, Matrix]) -> None:
+    """ShapeError naming the first key of ``mats`` that is not an arrow of the quiver."""
+    unknown = sorted(mats.keys() - dq.star.keys())  # star is keyed by every arrow id
+    if unknown:
+        raise ShapeError(f"{unknown[0]} is not an arrow of the quiver")
+
+
 def _check_pair(m: Representation, n: Representation) -> None:
     """FieldMismatch unless m and n share one field, ShapeError unless one quiver (``DoubleQuiver.__eq__``)."""
     check_same_field(m.field, n.field)
@@ -221,9 +226,11 @@ def block_module(sub: Representation, quot: Representation, phi: Mapping[str, Ma
     ``sub`` is a submodule with quotient ``quot``; an arrow missing from
     ``phi`` gets a zero corner, so ``phi = {}`` gives the direct sum.  The
     pair must share one field and one quiver (``_check_pair``), and each
-    corner is checked here, so the result skips ``build``.
+    key and corner of ``phi`` is checked here, as ``build`` checks its
+    ``mats``, so the result skips ``build``.
     """
     _check_pair(sub, quot)
+    _check_arrow_ids(sub.dq, phi)
     f = sub.field
     mats = {}
     for a in sub.dq.arrows:
@@ -399,6 +406,12 @@ def _live_arrows(dq: DoubleQuiver, d) -> list:
     return [a for a in dq.arrows if d[a.src] == 1 and d[a.dst] == 1]
 
 
+def _thin_read(m: Representation) -> tuple[list, list]:
+    """The live arrows of a thin module and their values, the entries of their 1x1 blocks."""
+    live = _live_arrows(m.dq, m.dims)
+    return live, [m.mats[a.aid].data[0][0] for a in live]
+
+
 def _pattern(live: list, values) -> tuple:
     """The (live index, src, dst) of each live arrow whose value is nonzero (truthy).
 
@@ -406,11 +419,6 @@ def _pattern(live: list, values) -> tuple:
     module's closed supports, verdicts and gauge walk depend on: their memo key.
     """
     return tuple((i, a.src, a.dst) for i, (a, x) in enumerate(zip(live, values)) if x)
-
-
-def _gauge_walk(support, live: list, nonzero) -> tuple:
-    """The gauge walk of the live arrows whose ``nonzero`` entry is truthy (``_pattern_walk``)."""
-    return _pattern_walk(tuple(support), _pattern(live, nonzero))
 
 
 @functools.lru_cache(maxsize=WALK_MEMO)
@@ -457,9 +465,8 @@ def _canonical_values(field: Field, live: list, values, steps: tuple) -> tuple:
 
 def _thin_canonical(m: Representation) -> tuple:
     """The gauge-canonical values of a thin module on its live arrows."""
-    live = _live_arrows(m.dq, m.dims)
-    values = [m.mats[a.aid].data[0][0] for a in live]
-    return _canonical_values(m.field, live, values, _gauge_walk(_support(m.dims), live, values))
+    live, values = _thin_read(m)
+    return _canonical_values(m.field, live, values, _pattern_walk(tuple(_support(m.dims)), _pattern(live, values)))
 
 
 def is_isomorphic(m: Representation, n: Representation) -> bool:

@@ -29,18 +29,13 @@ from .rep import (
     _pattern_walk,
     _support,
     _thin_canonical,
+    _thin_read,
     is_thin,
 )
 from .weyl import StabilityParameter
 
 SEARCH_BUDGET = 10**7  # subspace tuples or thin arrow assignments a search may try, else SearchBudgetExceeded
 VERDICT_MEMO = 4096  # (thin dims, arrow pattern, theta) verdicts kept memoized
-
-
-def _module_pattern(m: Representation) -> tuple:
-    """The arrow pattern (``rep._pattern``) of a thin module: a live arrow is a 1x1 block, nonzero when its entry is truthy."""
-    live = _live_arrows(m.dq, m.dims)
-    return _pattern(live, [m.mats[a.aid].data[0][0] for a in live])
 
 
 def _closed_masks(dims, pattern: tuple) -> list[int]:
@@ -132,7 +127,7 @@ def _sorted_submodule_dimvecs(m: Representation, budget: int) -> list[tuple]:
     """Dimension vectors of all submodules, ascending: zero first, the whole module last."""
     if is_thin(m):
         n = m.dq.vertex_count
-        return [_mask_bits(s, n) for s in _closed_masks(m.dims, _module_pattern(m))]
+        return [_mask_bits(s, n) for s in _closed_masks(m.dims, _pattern(*_thin_read(m)))]
     return sorted(set(_closed_subspace_tuples(m, budget)))
 
 
@@ -164,7 +159,7 @@ def stability_verdict(
     A thin module is judged by its arrow pattern alone (``_pattern_verdict``).
     """
     if is_thin(m):
-        return _pattern_verdict(m.dims, _module_pattern(m), theta)
+        return _pattern_verdict(m.dims, _pattern(*_thin_read(m)), theta)
     if theta.scaled(m.dims) != 0:
         return StabilityVerdict(status="NotInThetaKernel")
     proper = _sorted_submodule_dimvecs(m, budget)[1:-1]
@@ -236,7 +231,7 @@ def thin_canonical_values(m: Representation) -> tuple:
     """Gauge-canonical arrow values of a thin module: complete isomorphism invariants.
 
     A spanning forest of the nonzero arrows is rescaled to ones, each tree
-    rooted at its smallest vertex (``rep._gauge_walk``); the cycle values remain.
+    rooted at its smallest vertex (``rep._pattern_walk``); the cycle values remain.
     """
     if not is_thin(m):
         raise UnsupportedShape("canonical values are defined for thin modules")
@@ -267,7 +262,7 @@ def sequiv_class(m: Representation, theta: StabilityParameter) -> tuple:
     cur = m
     while any(d != 0 for d in cur.dims):
         # a nonzero closed support of value zero: smallest first, then by its sorted vertex list
-        supports = [_mask_bits(s, n) for s in _closed_masks(cur.dims, _module_pattern(cur)) if s]
+        supports = [_mask_bits(s, n) for s in _closed_masks(cur.dims, _pattern(*_thin_read(cur))) if s]
         best = min(
             (b for b in supports if theta.scaled(b) == 0),
             key=lambda b: (sum(b), [v for v in range(n) if b[v]]),

@@ -31,6 +31,7 @@ from ppalg.rep import (
 )
 from ppalg.stability import enumerate_thin_reps
 from ppalg.verify import random_nilpotent
+from relation_maps import is_zero
 
 
 def a2(field):
@@ -163,7 +164,7 @@ def test_complex_composes_to_zero():
     mods = [random_nilpotent(dq, f, rng, steps=2) for _ in range(6)]
     for m, n in itertools.product(mods, mods):
         d1, d2 = hom_system(m, n)[0], _delta2(m, n)[0]
-        assert d2.mul(d1).is_zero()
+        assert is_zero(d2.mul(d1))
 
 
 @pytest.mark.parametrize("tag,n,seed", [("A", 2, 5), ("D", 4, 6)])
@@ -212,12 +213,20 @@ def test_bad_cocycle_is_rejected():
         candidate = {aid: Matrix(f, r, c, [[f.one()] * c for _ in range(r)])}
         blocks = [candidate.get(k, Matrix.zero(f, *shape)) for k, shape in shapes.items()]
         flat = [x for blk in blocks for row in blk.data for x in row]
-        if not d2.mul(Matrix.column(f, flat)).is_zero():
+        if not is_zero(d2.mul(Matrix.column(f, flat))):
             bad = candidate
             break
     assert bad is not None
     with pytest.raises(CocycleError):
         extension_from_cocycle(m, m, bad)
+
+
+def test_a_cocycle_key_that_is_not_an_arrow_is_refused():
+    dq, d, f = a2(GF(3))
+    s1, s2 = Representation.simple(dq, f, 1), Representation.simple(dq, f, 2)
+    # the corner "zz" would fit every arrow between S1 and S2, and is no arrow at all
+    with pytest.raises(ShapeError, match="zz is not an arrow"):
+        extension_from_cocycle(s1, s2, {"zz": Matrix.identity(f, 1)})
 
 
 def test_zero_generated_modules_lie_in_every_nonextending_torsion_class():

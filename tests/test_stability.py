@@ -26,6 +26,7 @@ from ppalg.stability import (
 )
 from ppalg.verify import A2_CHAMBER_WORDS, chamber_theta
 from ppalg.weyl import StabilityParameter
+from relation_maps import is_zero
 
 
 def a2(field):
@@ -167,7 +168,7 @@ def reference_thin_canonical_values(m):
     """The earlier gauge walk: explicit smallest-vertex roots and aid-sorted neighbours."""
     f = m.field
     support = [v for v in range(m.dq.vertex_count) if m.dims[v] == 1]
-    nonzero = [a for a in m.dq.arrows if m.dims[a.src] == 1 and m.dims[a.dst] == 1 and not m.mats[a.aid].is_zero()]
+    nonzero = [a for a in m.dq.arrows if m.dims[a.src] == 1 and m.dims[a.dst] == 1 and not is_zero(m.mats[a.aid])]
     parent = {v: v for v in support}
 
     def find(v):
@@ -237,7 +238,7 @@ def reference_submodule_supports(m):
     push = [
         (a.src, a.dst)
         for a in m.dq.arrows
-        if m.dims[a.src] == 1 and m.dims[a.dst] == 1 and not m.mats[a.aid].is_zero()
+        if m.dims[a.src] == 1 and m.dims[a.dst] == 1 and not is_zero(m.mats[a.aid])
     ]
     return [
         frozenset(s)

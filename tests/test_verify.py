@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -292,3 +293,38 @@ def test_run_suite_all_calls_every_replaced_suite_function(monkeypatch):
     assert orders["chs"] == [2] * 6 + [3] * 6
     assert orders["walls"] == [2, 3, 4]
     assert orders["dimlaw"] == [{"seed": 7}] and orders["rootlaw"] == [{"seed": 3}]
+
+
+# -- golden digests of the nilpotent samples ------------------------------------
+
+
+def sampled_modules_digest(monkeypatch, suite, seed):
+    """The sha256 of the JSON of every module ``random_nilpotent`` returns while one sampling suite runs."""
+    import ppalg.verify as verify
+
+    h = hashlib.sha256()
+    draw = verify.random_nilpotent
+
+    def recording(*args, **kwargs):
+        m = draw(*args, **kwargs)
+        h.update(json.dumps(m.to_json(), sort_keys=True).encode())
+        return m
+
+    monkeypatch.setattr(verify, "random_nilpotent", recording)
+    run = getattr(verify, SUITE_FUNCTIONS[suite])
+    assert (run() if seed is None else run(seed=seed)).all_pass
+    return h.hexdigest()
+
+
+# pins which modules each seed draws: the verify report prints only counts
+SAMPLED_MODULES_SHA256 = {
+    ("dimlaw", None): "f37f43c9ddf98569597102503b517a1c046bc1cea611d675a71d7f51cf891c0a",
+    ("dimlaw", 8447): "bf389fd8d75e737b4a646cea3091d4fa40ca7b0cca95f86759f800946f878be6",
+    ("cbform", None): "154559edc8f58e662f2f41fb9a6432c4492d2855279a1bd92b5e99836b1ee799",
+    ("cbform", 8447): "1396f3c8a9017c022e943777c684e9c55dd58fac94c2867b3f32d0766b96439d",
+}
+
+
+@pytest.mark.parametrize("suite, seed", list(SAMPLED_MODULES_SHA256))
+def test_sampled_nilpotent_modules_match_their_golden_digest(monkeypatch, suite, seed):
+    assert sampled_modules_digest(monkeypatch, suite, seed) == SAMPLED_MODULES_SHA256[suite, seed]
