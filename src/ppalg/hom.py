@@ -8,11 +8,13 @@ The extension group of a pair (m, n) is the middle cohomology of
 
 with d1(f) = (n_a f_sa - f_ta m_a)_a and
 d2(phi) = (sum over arrows a out of v of eps(a) (n_{a*} phi_a + phi_{a*} m_a))_v.
-Both differentials come from the one builder ``rep.linear_system``, in the
-flat layout ``rep.unflatten`` reads back: d1 is ``rep.hom_system(m, n)``,
-whose kernel is Hom(m, n), and d2 is ``_delta2(m, n)``.  The extension
-dimension always satisfies the bilinear-form identity, which is asserted at
-runtime.
+Both differentials come from the one builder ``rep.linear_system`` as
+sparse rows, in the flat layout ``rep.unflatten`` reads back: d1 is
+``rep.hom_system(m, n)``, whose kernel is Hom(m, n), and d2 is
+``_delta2(m, n)``.  Every rank, pivot and null vector is read straight off
+``linalg.sparse_echelon`` of those rows; no dense system matrix is built.
+The extension dimension always satisfies the bilinear-form identity, which
+is asserted at runtime.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
-from .errors import CocycleError, InternalInvariantError
-from .linalg import Matrix, hstack_all, vstack_all
+from .errors import CocycleError, InternalInvariantError, ShapeError
+from .fields import check_same_field
+from .linalg import Matrix, null_space, sparse_echelon, vstack_all
 from .quiver import DoubleQuiver
-from .rep import Representation, block_module, hom_dim, hom_system, linear_system, unflatten
+from .rep import Representation, _check_pair, block_module, hom_dim, hom_system, linear_system, unflatten
 
 
 def bilinear_form(dq: DoubleQuiver, alpha: Sequence[int], beta: Sequence[int]) -> int:
@@ -37,8 +40,8 @@ class Ext1Space:
     dim: int
 
 
-def _delta2(m: Representation, n: Representation) -> tuple[Matrix, list[tuple[str, int, int]]]:
-    """Matrix of d2 from arrow maps to vertex maps, one equation block per relation.
+def _delta2(m: Representation, n: Representation) -> tuple[list[dict], int, list[tuple[str, int, int]]]:
+    """Sparse rows and column count of d2 from arrow maps to vertex maps, one equation block per relation.
 
     The returned shapes are the (arrow id, rows, cols) triples of the unknowns.
     """
@@ -50,7 +53,8 @@ def _delta2(m: Representation, n: Representation) -> tuple[Matrix, list[tuple[st
         for sign, aid, sid in rel.terms:
             terms.append((rel.vertex, sign, n.mats[sid], aid, None))
             terms.append((rel.vertex, sign, None, sid, m.mats[aid]))
-    return linear_system(m.field, eqs, shapes, terms), shapes
+    rows, cols = linear_system(m.field, eqs, shapes, terms)
+    return rows, cols, shapes
 
 
 def ext1_space(m: Representation, n: Representation) -> Ext1Space:
@@ -59,29 +63,34 @@ def ext1_space(m: Representation, n: Representation) -> Ext1Space:
     Raises InternalInvariantError when the computed dimension disagrees with
     the bilinear-form identity; that always indicates an implementation bug.
     """
-    d1, _ = hom_system(m, n)
-    d2, shapes = _delta2(m, n)
-    ker = d2.kernel_basis()
+    f = m.field
+    d1, cols, _ = hom_system(m, n)
+    d2, d2_cols, shapes = _delta2(m, n)
+    ker = null_space(f, *sparse_echelon(f, d2, d2_cols, True), d2_cols)
     # one echelon of [d1 | ker]: the pivots inside d1 count its rank, and those
     # past it are the kernel columns that extend the image of d1 to a basis of
     # ker d2, since whether a column is a pivot depends on the span before it
-    pivots = hstack_all(m.field, d1.rows, (d1, ker))._echelon_pivots()
-    chosen = [ker.column_vector(j - d1.cols) for j in pivots if j >= d1.cols]
+    for j, vec in enumerate(ker, cols):
+        for i, x in vec.items():
+            d1[i][j] = x
+    _, pivots = sparse_echelon(f, d1, cols + len(ker), False)
+    chosen = [ker[j - cols] for j in pivots if j >= cols]
     dim = len(chosen)
-    expected = (d1.cols - (len(pivots) - dim)) + hom_dim(n, m) - bilinear_form(m.dq, m.dims, n.dims)
+    expected = (cols - (len(pivots) - dim)) + hom_dim(n, m) - bilinear_form(m.dq, m.dims, n.dims)
     if dim != expected:
         raise InternalInvariantError(
             f"extension dimension {dim} violates the form identity (expected {expected})"
         )
-    basis = tuple(unflatten(m.field, vec, shapes) for vec in chosen)
+    basis = tuple(unflatten(f, vec, shapes) for vec in chosen)
     return Ext1Space(cocycle_basis=basis, dim=dim)
 
 
 def ext1_dim_via_complex(m: Representation, n: Representation) -> int:
     """Middle cohomology dimension computed with no appeal to the form identity."""
-    d1, _ = hom_system(m, n)
-    d2, _ = _delta2(m, n)
-    return (d2.cols - d2.rank()) - d1.rank()
+    f = m.field
+    d1, cols, _ = hom_system(m, n)
+    d2, d2_cols, _ = _delta2(m, n)
+    return (d2_cols - len(sparse_echelon(f, d2, d2_cols, False)[1])) - len(sparse_echelon(f, d1, cols, False)[1])
 
 
 def extension_from_cocycle(
@@ -102,10 +111,24 @@ def extension_from_cocycle(
 def extension_splits(m: Representation, n: Representation, e: Representation) -> bool:
     """Whether the evident surjection e -> m admits a section.
 
-    ``e`` must be in the block form produced by extension_from_cocycle.  The
+    ``e`` must be in the block form [[n_a, *], [0, m_a]] that
+    extension_from_cocycle produces, else FieldMismatch or ShapeError.  The
     dual of the kernel-side test: the projection e -> m has a section exactly
     when its dual injection Dm -> De, with blocks [[0], [I]], has a retraction.
     """
+    _check_pair(m, n)
+    _check_pair(m, e)
+    if e.dims != n.dims + m.dims:
+        raise ShapeError(f"dims {tuple(e.dims)} are not those of an extension of m by n")
+    for a in m.dq.arrows:
+        k, data = n.dims[a.src], e.mats[a.aid].data
+        top, bottom = data[: n.dims[a.dst]], data[n.dims[a.dst] :]
+        if (
+            tuple(row[:k] for row in top) != n.mats[a.aid].data
+            or tuple(row[k:] for row in bottom) != m.mats[a.aid].data
+            or any(any(row[:k]) for row in bottom)
+        ):
+            raise ShapeError(f"arrow {a.aid} of e is not in the block form [[n_a, *], [0, m_a]]")
     f = m.field
     inj = {
         v: vstack_all(f, d, (Matrix.zero(f, n.dims[v], d), Matrix.identity(f, d)))
@@ -117,14 +140,27 @@ def extension_splits(m: Representation, n: Representation, e: Representation) ->
 def retraction_exists(s: Representation, n: Representation, inj: Dict[int, Matrix]) -> bool:
     """Whether an injection s -> n admits a one-sided inverse n -> s.
 
-    Solved as one affine system: the intertwining system for maps
-    psi: n -> s, stacked with psi_v . inj_v = identity at every vertex.
+    ``inj`` must hold an n.dims[v] x s.dims[v] block over the field at every
+    vertex v, else FieldMismatch or ShapeError.  Solved as one affine system:
+    the intertwining system for maps psi: n -> s, stacked with
+    psi_v . inj_v = identity at every vertex, the identity in one more
+    column; the system is consistent when that column holds no pivot.
     """
+    _check_pair(s, n)
     f = s.field
-    d1, shapes = hom_system(n, s)
-    eqs = [(v, s.dims[v], s.dims[v]) for v in range(s.dq.vertex_count)]
-    retract = linear_system(f, eqs, shapes, [(v, 1, None, v, inj[v]) for v, _, _ in eqs])
-    identity = [x for v, d, _ in eqs for row in Matrix.identity(f, d).data for x in row]
-    rhs = Matrix.column(f, [f.zero()] * d1.rows + identity)
-    return vstack_all(f, d1.cols, (d1, retract)).solve(rhs) is not None
-
+    for v, d in enumerate(s.dims):
+        block = inj.get(v)
+        if block is None:
+            raise ShapeError(f"the injection has no block at vertex {v}")
+        check_same_field(f, block.field)
+        if (block.rows, block.cols) != (n.dims[v], d):
+            raise ShapeError(f"the injection block at vertex {v} must be {n.dims[v]}x{d}")
+    rows, cols, shapes = hom_system(n, s)
+    eqs = [(v, d, d) for v, d in enumerate(s.dims)]
+    retract, _ = linear_system(f, eqs, shapes, [(v, 1, None, v, inj[v]) for v, _, _ in eqs])
+    pos = 0
+    for d in s.dims:
+        for r in range(d):
+            retract[pos + r * d + r][cols] = f.one()
+        pos += d * d
+    return cols not in sparse_echelon(f, rows + retract, cols + 1, False)[1]

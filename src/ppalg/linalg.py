@@ -1,15 +1,20 @@
-"""Dense exact matrices and deterministic decompositions.
+"""Dense exact matrices, sparse row systems and deterministic decompositions.
 
 All bases are the canonical reduced-row-echelon choice, so repeated calls
 produce bit-identical output.  Matrices are immutable after construction;
 every operation returns a fresh value and is safe to call concurrently.
 Empty matrices (zero rows or columns) are legal throughout.
 
-Elimination updates each row only at the nonzero columns of the pivot
-row, listed once per pivot.  Over QQ it runs on integers: every row is
-scaled by the lcm of its denominators and reduced fraction-free, and the
-``Fraction`` entries are built once at the end.  ``rank`` and the callers
-that need only the pivot columns clear below each pivot only.
+There is one elimination, ``sparse_echelon``, on rows stored as
+``{column: coefficient}`` dicts of their nonzero entries: the hom and Ext
+systems of ``rep.linear_system`` are built that way, and ``Matrix.rref``
+and ``Matrix._echelon_pivots`` feed it the nonzero entries of their rows.
+A row is reduced only by the pivot rows of the columns where it is
+nonzero, at the nonzero columns of each.  Over a finite field it works on
+the int codes; over QQ on integers, every row scaled by the lcm of the
+denominators of its nonzero entries and reduced fraction-free, with the
+``Fraction`` entries built once at the end.  ``rank`` and the callers that
+need only the pivot columns skip the back substitution.
 
 Entries are validated at the public constructors (``Matrix(...)``,
 ``column``, ``from_json``) and ``scale`` checks its scalar.  Everything
@@ -131,34 +136,26 @@ class Matrix:
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form together with the pivot column indices.
 
-        Each pivot row lists its nonzero (column, value) pairs once, and a
-        row with a nonzero in the pivot column is updated at those columns
-        only.  Over QQ the rows are scaled to integers and eliminated
-        fraction-free; each entry becomes a ``Fraction`` once, at the end.
+        The nonzero entries of the rows go through ``sparse_echelon``, and
+        its tails are written back into dense rows.
         """
         f = self.field
-        if f.kind == "rationals":
-            m = _integer_rows(self.data)
-            pivots = _integer_pivots(m, self.cols, True)
-            m = _fraction_rows(m, pivots)
-        else:
-            m = [list(row) for row in self.data]
-            pivots = _field_pivots(f, m, self.cols, True)
+        tails, pivots = sparse_echelon(f, _sparse_rows(self.data), self.cols, True)
+        z, o = f.zero(), f.one()
+        m = [[z] * self.cols for _ in range(self.rows)]
+        for row, pc, tail in zip(m, pivots, tails):
+            row[pc] = o
+            for j, x in tail.items():
+                row[j] = x
         return Matrix._of(f, self.rows, self.cols, m), pivots
 
     def rank(self) -> int:
-        """The number of pivots, from an echelon form cleared below each pivot only."""
+        """The number of pivots, from an echelon form that is not reduced."""
         return len(self._echelon_pivots())
 
     def _echelon_pivots(self) -> tuple[int, ...]:
-        """The pivot columns of ``rref()``, without clearing the rows above each pivot.
-
-        The pivot search never reads the rows above the pivot, so the
-        columns found are the same.
-        """
-        if self.field.kind == "rationals":
-            return _integer_pivots(_integer_rows(self.data), self.cols, False)
-        return _field_pivots(self.field, [list(row) for row in self.data], self.cols, False)
+        """The pivot columns of ``rref()``, from ``sparse_echelon`` without clearing above the pivots."""
+        return sparse_echelon(self.field, _sparse_rows(self.data), self.cols, False)[1]
 
     def kernel_basis(self) -> "Matrix":
         """Columns form the canonical RREF basis of {x : Ax = 0}."""
@@ -166,7 +163,8 @@ class Matrix:
 
     def image_basis(self) -> "Matrix":
         """Columns form the canonical basis of the column space."""
-        return _pivot_rows(*self.transpose().rref()).transpose()
+        R, pivots = self.transpose().rref()
+        return Matrix._of(self.field, len(pivots), self.rows, R.data[: len(pivots)]).transpose()
 
     def cokernel_projection(self) -> "Matrix":
         """A (rows - rank) x rows matrix whose kernel is exactly the column space."""
@@ -221,104 +219,127 @@ class Matrix:
         return Matrix(field, rows, cols, [[scalar(x) for x in row] for row in data])
 
 
-def _integer_rows(data: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Each row scaled by the lcm of its denominators: integers with the same reduced echelon form."""
-    m = []
-    for row in data:
-        pairs = [x.as_integer_ratio() for x in row]
-        d = lcm(*[q for _, q in pairs])
-        m.append([n * (d // q) for n, q in pairs])
-    return m
+def sparse_echelon(field: Field, rows: list[dict], cols: int, reduced: bool) -> tuple[Optional[list], tuple]:
+    """The one elimination: the pivot columns of a system of sparse rows, and its reduced form if ``reduced``.
 
-
-def _field_pivots(f: Field, m: list[list], cols: int, reduced: bool) -> tuple[int, ...]:
-    """Gauss-Jordan over a finite field on the rows ``m`` in place: below each pivot only unless ``reduced``.
-
-    Elements are int codes with zero 0 and one 1.  Zero tests are truth
-    tests, so a zero entry costs no field operation at all.
+    Each row is a ``{column: coefficient}`` dict over ``cols`` columns that
+    stores no zero; the rows are consumed.  Row by row, a row is reduced by
+    the pivot row of its leading column until no pivot row leads there, and
+    then it becomes the pivot row of its leading column.  These are the
+    pivots of the reduced echelon form, which is unique.  With ``reduced``
+    each pivot row is cleared at the later pivot columns, from the last one
+    back, and the rows come back in pivot order as tails: the entries at the
+    free columns, the pivot entry one left out.  Otherwise the tails are
+    None.  A system with no rows or no columns does no work.
     """
+    if not rows or not cols:
+        return ([] if reduced else None), ()
+    rational = field.kind == "rationals"
+    if rational:
+        rows = [_integer_row(row) for row in rows]
+        reduce, normal = _integer_reduce, _integer_normal
+    else:
+        reduce, normal = _field_steps(field)
+    piv: dict = {}  # pivot column -> its row, normalised
+    for row in rows:
+        while row and (lead := min(row)) in piv:
+            reduce(row, piv[lead], lead)
+        if row:
+            piv[lead] = normal(row, lead)
+    pivots = tuple(sorted(piv))
+    if not reduced:
+        return None, pivots
+    for p in reversed(pivots):
+        row = piv[p]
+        for q in [q for q in row if q != p and q in piv]:
+            reduce(row, piv[q], q)
+    tails = [(piv[p], piv[p].pop(p)) for p in pivots]  # each row without its pivot entry d
+    return [{j: Fraction(x, d) for j, x in tail.items()} if rational else tail for tail, d in tails], pivots
+
+
+def _field_steps(f: Field):
+    """The row steps of ``sparse_echelon`` over a finite field, on int codes; zero tests are truth tests."""
     sub, mul = f.sub, f.mul
-    n = len(m)
-    pivots = []
-    pr = 0
-    for pc in range(cols):
-        for r in range(pr, n):
-            if m[r][pc]:
-                break
-        else:
-            continue
-        prow = m[r]
-        if prow[pc] != 1:
-            inv = f.inv(prow[pc])
-            prow = [mul(inv, x) if x else x for x in prow]
-        m[r], m[pr] = m[pr], prow
-        nz = [(j, prow[j]) for j in range(pc + 1, cols) if prow[j]]
-        for row in m if reduced else m[pr + 1 :]:
-            c = row[pc]
-            if c and row is not prow:
-                row[pc] = 0
-                for j, y in nz:
-                    row[j] = sub(row[j], mul(c, y))
-        pivots.append(pc)
-        pr += 1
-        if pr == n:
-            break
-    return tuple(pivots)
+
+    def reduce(row, prow, lead):  # row <- row - c . prow, for c the entry of row at lead and prow[lead] = 1
+        c = row[lead]
+        for j, y in prow.items():
+            x = sub(row.get(j, 0), mul(c, y))
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+
+    def normal(row, lead):  # the row scaled to one at lead
+        c = row[lead]
+        if c == 1:
+            return row
+        inv = f.inv(c)
+        return {j: mul(inv, x) for j, x in row.items()}
+
+    return reduce, normal
 
 
-def _integer_pivots(m: list[list[int]], cols: int, reduced: bool) -> tuple[int, ...]:
-    """``_field_pivots`` over the integers, fraction-free, with every row kept primitive.
+def _integer_row(row: dict) -> dict:
+    """A row over QQ scaled by the lcm of the denominators of its nonzero entries."""
+    d = lcm(*[x.denominator for x in row.values()])
+    return {j: x.numerator * (d // x.denominator) for j, x in row.items()}
 
-    A row with c in the pivot column becomes (p/g) row - (c/g) pivot row for
-    g = gcd(p, c), a nonzero multiple of the row that Gauss-Jordan over QQ
-    would hold, so the zero pattern, the pivots and the reduced form agree.
-    Only when p/g > 1 is the whole row rescaled, and its content divided out.
+
+def _integer_reduce(row: dict, prow: dict, lead: int) -> None:
+    """row <- (p/g) row - (c/g) prow, for p and c the entries at lead of prow and row and g = gcd(p, c).
+
+    This is a nonzero multiple of the row that elimination over QQ would
+    hold, so the pivots and the reduced form agree.  Only when p/g > 1 is
+    the row rescaled, and then its content divided out.
     """
-    n = len(m)
-    pivots = []
-    pr = 0
-    for pc in range(cols):
-        for r in range(pr, n):
-            if m[r][pc]:
-                break
+    p, c = prow[lead], row[lead]
+    g = gcd(p, c)
+    a, b = p // g, c // g
+    if a != 1:
+        for j in row:
+            row[j] *= a
+    for j, y in prow.items():
+        x = row.get(j, 0) - b * y
+        if x:
+            row[j] = x
         else:
-            continue
-        prow = m[r]
-        m[r], m[pr] = m[pr], prow
-        g = gcd(*prow)
-        if prow[pc] < 0:
-            g = -g
-        if g != 1:
-            prow[:] = [x // g for x in prow]
-        p = prow[pc]
-        nz = [(j, prow[j]) for j in range(pc + 1, cols) if prow[j]]
-        for row in m if reduced else m[pr + 1 :]:
-            c = row[pc]
-            if c and row is not prow:
-                g = gcd(p, c)
-                a, b = p // g, c // g
-                if a != 1:
-                    row[:] = [a * x for x in row]
-                row[pc] = 0
-                for j, y in nz:
-                    row[j] -= b * y
-                if a != 1:
-                    g = gcd(*row)
-                    if g > 1:
-                        row[:] = [x // g for x in row]
-        pivots.append(pc)
-        pr += 1
-        if pr == n:
-            break
-    return tuple(pivots)
+            del row[j]
+    if a != 1 and row:
+        _divide(row, gcd(*row.values()))
 
 
-def _fraction_rows(m: list[list[int]], pivots: tuple[int, ...]) -> list[list]:
-    """The reduced form over QQ of the integer rows of ``_integer_pivots``: each row over its pivot."""
-    zero = Fraction(0)
-    out = [[Fraction(x, row[pc]) if x else zero for x in row] for row, pc in zip(m, pivots)]
-    out += [[zero] * len(row) for row in m[len(pivots) :]]
-    return out
+def _integer_normal(row: dict, lead: int) -> dict:
+    """The primitive integer row with a positive entry at lead."""
+    g = gcd(*row.values())
+    return _divide(row, -g if row[lead] < 0 else g)
+
+
+def _divide(row: dict, g: int) -> dict:
+    if g != 1:
+        for j in row:
+            row[j] //= g
+    return row
+
+
+def _sparse_rows(data: Sequence[Sequence]) -> list[dict]:
+    """The nonzero entries of each dense row, as the ``{column: coefficient}`` rows of ``sparse_echelon``."""
+    return [{j: x for j, x in enumerate(row) if x} for row in data]
+
+
+def null_space(field: Field, tails: list[dict], pivots: tuple[int, ...], cols: int) -> list[dict]:
+    """The canonical basis of the kernel of a reduced echelon form given by its tails, as sparse vectors.
+
+    One vector per free column: one there, and minus that column of the
+    form at the pivots.
+    """
+    one, neg = field.one(), field.neg
+    pivot_set = set(pivots)
+    basis = {fc: {fc: one} for fc in range(cols) if fc not in pivot_set}
+    for pc, tail in zip(pivots, tails):
+        for fc, x in tail.items():
+            basis[fc][pc] = neg(x)
+    return list(basis.values())
 
 
 def _mul_rows(f: Field, left: Sequence[Sequence], right: Sequence[Sequence], cols: int) -> list[list]:
@@ -343,29 +364,12 @@ def _transpose(rows: Sequence[tuple], width: int) -> list:
 
 
 def _null_rows(R: Matrix, pivots: tuple[int, ...]) -> Matrix:
-    """Rows forming the canonical basis of {x : Rx = 0}, for R in reduced echelon form.
-
-    One row per free column: one there, zero at the other free columns, and
-    minus that column of R at the pivots.
-    """
+    """Rows forming the canonical basis of {x : Rx = 0}, for R in reduced echelon form (``null_space``)."""
     f, n = R.field, R.cols
-    z, o = f.zero(), f.one()
-    pivot_set = set(pivots)
-    rows = []
-    for fc in range(n):
-        if fc in pivot_set:
-            continue
-        v = [z] * n
-        v[fc] = o
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(R.data[r][fc])
-        rows.append(v)
+    z = f.zero()
+    tails = [{j: x for j, x in enumerate(row) if x and j != pc} for row, pc in zip(R.data, pivots)]
+    rows = [[v.get(j, z) for j in range(n)] for v in null_space(f, tails, pivots, n)]
     return Matrix._of(f, len(rows), n, rows)
-
-
-def _pivot_rows(R: Matrix, pivots: tuple[int, ...]) -> Matrix:
-    """The nonzero rows of a reduced echelon form: the canonical basis of its row space."""
-    return Matrix._of(R.field, len(pivots), R.cols, R.data[: len(pivots)])
 
 
 def hstack_all(field: Field, rows: int, mats: Sequence[Matrix]) -> Matrix:

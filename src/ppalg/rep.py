@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import FieldMismatch, Inconclusive, ShapeError, UsageError
 from .fields import Field, _is_int, check_same_field, field_from_json
-from .linalg import Matrix, hstack_all
+from .linalg import Matrix, hstack_all, null_space, sparse_echelon
 from .quiver import DimensionVector, DoubleQuiver
 
 MORPHISM_SCAN_BUDGET = 10**5  # combinations a morphism scan tries before it raises Inconclusive
@@ -254,20 +254,21 @@ def _layout(shapes) -> tuple[dict, int]:
     return at, pos
 
 
-def unflatten(field: Field, vec: tuple, shapes) -> dict:
-    """Cut a flat vector into matrices, one per (key, rows, cols) triple, row-major.
+def unflatten(field: Field, vec: dict, shapes) -> dict:
+    """Cut a sparse vector ``{position: entry}`` into matrices, one per (key, rows, cols) triple, row-major.
 
-    The entries are trusted: ``vec`` must come from a computed matrix over ``field``.
+    The entries are trusted: ``vec`` must come from a computation over ``field``.
     """
     at, _ = _layout(shapes)
+    z = field.zero()
     return {
-        key: Matrix._of(field, r, c, [[vec[pos + i * c + j] for j in range(c)] for i in range(r)])
+        key: Matrix._of(field, r, c, [[vec.get(pos + i * c + j, z) for j in range(c)] for i in range(r)])
         for key, (pos, r, c) in at.items()
     }
 
 
-def linear_system(field: Field, eq_shapes, var_shapes, terms) -> Matrix:
-    """Matrix of a linear map between matrix families, in the layout ``unflatten`` reads.
+def linear_system(field: Field, eq_shapes, var_shapes, terms) -> tuple[list[dict], int]:
+    """Sparse rows of a linear map between matrix families, in the layout ``unflatten`` reads.
 
     Unknown blocks X_key and equation blocks are (key, rows, cols) triples,
     flattened block by block in row-major order.  A term
@@ -275,11 +276,12 @@ def linear_system(field: Field, eq_shapes, var_shapes, terms) -> Matrix:
     ``eq`` when ``right`` is None, and sign . X_var . right when ``left`` is None.
     No two terms may touch the same entry, which holds for the systems of a
     loop-free double quiver, so each nonzero coefficient is placed once.
+    Returns one ``{column: coefficient}`` dict per equation entry, with no
+    zero stored (the rows ``linalg.sparse_echelon`` takes), and the column count.
     """
     eq_at, n_rows = _layout(eq_shapes)
     var_at, n_cols = _layout(var_shapes)
-    z = field.zero()
-    rows = [[z] * n_cols for _ in range(n_rows)]
+    rows: list[dict] = [{} for _ in range(n_rows)]
     for eq, sign, left, var, right in terms:
         e0, _, ec = eq_at[eq]
         x0, xr, xc = var_at[var]
@@ -301,11 +303,11 @@ def linear_system(field: Field, eq_shapes, var_shapes, terms) -> Matrix:
                             coeff = field.neg(coeff)
                         for r in range(xr):
                             rows[e0 + r * ec + c][x0 + r * xc + k] = coeff
-    return Matrix._of(field, n_rows, n_cols, rows)
+    return rows, n_cols
 
 
-def hom_system(m: "Representation", n: "Representation") -> tuple[Matrix, list[tuple[int, int, int]]]:
-    """Matrix of the intertwining system (d1) for maps m -> n.
+def hom_system(m: "Representation", n: "Representation") -> tuple[list[dict], int, list[tuple[int, int, int]]]:
+    """Sparse rows and column count of the intertwining system (d1) for maps m -> n.
 
     Unknowns are one matrix phi_v per vertex (shape n.dims[v] x m.dims[v]);
     the equation block of arrow a is n_a . phi_src - phi_dst . m_a.  The
@@ -320,19 +322,20 @@ def hom_system(m: "Representation", n: "Representation") -> tuple[Matrix, list[t
     for a in dq.arrows:
         terms.append((a.aid, 1, n.mats[a.aid], a.src, None))
         terms.append((a.aid, -1, None, a.dst, m.mats[a.aid]))
-    return linear_system(m.field, eqs, shapes, terms), shapes
+    rows, cols = linear_system(m.field, eqs, shapes, terms)
+    return rows, cols, shapes
 
 
 def hom_basis(m: Representation, n: Representation) -> list[dict[int, Matrix]]:
-    """Canonical basis of the space of module maps m -> n."""
-    sys, shapes = hom_system(m, n)
-    ker = sys.kernel_basis()
-    return [unflatten(m.field, ker.column_vector(j), shapes) for j in range(ker.cols)]
+    """Canonical basis of the space of module maps m -> n: the null vectors of the reduced d1."""
+    rows, cols, shapes = hom_system(m, n)
+    tails, pivots = sparse_echelon(m.field, rows, cols, True)
+    return [unflatten(m.field, vec, shapes) for vec in null_space(m.field, tails, pivots, cols)]
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
-    sys, _ = hom_system(m, n)
-    return sys.cols - sys.rank()
+    rows, cols, _ = hom_system(m, n)
+    return cols - len(sparse_echelon(m.field, rows, cols, False)[1])
 
 
 def morphism_is_injective(phi: dict[int, Matrix]) -> bool:

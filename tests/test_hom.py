@@ -18,7 +18,7 @@ from ppalg.hom import (
     extension_splits,
     retraction_exists,
 )
-from ppalg.linalg import Matrix, hstack_all
+from ppalg.linalg import Matrix, hstack_all, vstack_all
 from ppalg.quiver import Arrow, Quiver, build_double, standard_extended_dynkin
 from ppalg.rep import (
     Representation,
@@ -32,6 +32,7 @@ from ppalg.rep import (
 from ppalg.stability import enumerate_thin_reps
 from ppalg.verify import random_nilpotent
 from relation_maps import is_zero
+from test_linalg import reference_kernel_columns, reference_rref
 
 
 def a2(field):
@@ -158,12 +159,18 @@ def test_ext_from_curve_member_to_socle_simple():
     assert ext1_space(m, s1).dim == 1
 
 
+def dense(field, system):
+    """The Matrix of a sparse system: its ``{column: coefficient}`` rows and column count first."""
+    rows, cols = system[:2]
+    return Matrix(field, len(rows), cols, [[row.get(j, field.zero()) for j in range(cols)] for row in rows])
+
+
 def test_complex_composes_to_zero():
     dq, d, f = a2(GF(3))
     rng = random.Random(9)
     mods = [random_nilpotent(dq, f, rng, steps=2) for _ in range(6)]
     for m, n in itertools.product(mods, mods):
-        d1, d2 = hom_system(m, n)[0], _delta2(m, n)[0]
+        d1, d2 = dense(f, hom_system(m, n)), dense(f, _delta2(m, n))
         assert is_zero(d2.mul(d1))
 
 
@@ -207,7 +214,7 @@ def test_bad_cocycle_is_rejected():
     dq, d, f = a2(GF(2))
     m = curve_member(dq, f, d, f.one(), f.one())
     shapes = {a.aid: (m.dims[a.dst], m.dims[a.src]) for a in dq.arrows}
-    d2 = _delta2(m, m)[0]
+    d2 = dense(f, _delta2(m, m))
     bad = None
     for aid, (r, c) in shapes.items():
         candidate = {aid: Matrix(f, r, c, [[f.one()] * c for _ in range(r)])}
@@ -259,7 +266,7 @@ def test_hom_and_ext_over_rationals():
 
 def greedy_cocycle_choice(m, n):
     """Reference complement choice: keep each kernel column of d2 that grows the rank."""
-    d1, d2 = hom_system(m, n)[0], _delta2(m, n)[0]
+    d1, d2 = dense(m.field, hom_system(m, n)), dense(m.field, _delta2(m, n))
     ker = d2.kernel_basis()
     chosen = []
     acc = d1.image_basis()
@@ -435,14 +442,115 @@ def draw_random_matrices(data, dq, field):
 def test_differentials_match_the_entrywise_builders(tag, field, data):
     dq, _ = standard_extended_dynkin(*tag)
     m, n = (draw_random_matrices(data, dq, field) for _ in range(2))
-    for (got, shapes), (want, want_shapes) in (
+    for system, (want, want_shapes) in (
         (hom_system(m, n), reference_hom_system(m, n)),
         (_delta2(m, n), reference_delta2(m, n)),
     ):
+        rows, _, shapes = system
+        assert all(all(row.values()) for row in rows)  # no zero coefficient is stored
+        got = dense(field, system)
         assert (got.rows, got.cols) == (want.rows, want.cols)
         assert got.data == want.data
         assert [type(x) for row in got.data for x in row] == [type(x) for row in want.data for x in row]
         assert shapes == want_shapes
+
+
+def reference_rank(a):
+    return len(reference_rref(a)[1])
+
+
+def reference_retraction_exists(s, n, inj):
+    """The affine retraction system built entry by entry: the reference d1 for maps n -> s,
+    psi_v . inj_v = identity below it, the identity in a last column; solvable when it holds no pivot."""
+    f = s.field
+    d1, shapes = reference_hom_system(n, s)
+    offsets = {v: sum(r * c for _, r, c in shapes[:v]) for v, _, _ in shapes}
+    rows = [list(row) + [f.zero()] for row in d1.data]
+    for v, d in enumerate(s.dims):
+        for r in range(d):
+            for c in range(d):
+                row = [f.zero()] * (d1.cols + 1)
+                for k in range(n.dims[v]):
+                    row[offsets[v] + r * n.dims[v] + k] = inj[v].data[k][c]
+                row[-1] = f.one() if r == c else f.zero()
+                rows.append(row)
+    aug = Matrix(f, len(rows), d1.cols + 1, rows)
+    return d1.cols not in reference_rref(aug)[1]
+
+
+def flat(phi, shapes):
+    """A family of matrices laid out flat in the order of its (key, rows, cols) shapes."""
+    return tuple(x for key, _, _ in shapes for row in phi[key].data for x in row)
+
+
+def draw_module(data, dq, field):
+    """A nilpotent module, the zero module or a vertex simple: systems with no unknowns or no equations occur."""
+    kind = data.draw(st.sampled_from(["nilpotent", "zero", "simple"]))
+    if kind == "zero":
+        return Representation.build(dq, field, [0] * dq.vertex_count)
+    if kind == "simple":
+        return Representation.simple(dq, field, data.draw(st.integers(0, dq.vertex_count - 1)))
+    return random_nilpotent(dq, field, random.Random(data.draw(st.integers(0, 2**16))), steps=data.draw(st.integers(0, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tag=st.sampled_from([("A", 1), ("A", 2), ("D", 4)]),
+    field=st.sampled_from([GF(2), GF(3), GF(4), GF(5), QQ]),
+    data=st.data(),
+)
+def test_sparse_systems_answer_as_the_reference_rref(tag, field, data):
+    dq, _ = standard_extended_dynkin(*tag)
+    m, n = draw_module(data, dq, field), draw_module(data, dq, field)
+    d1, shapes = reference_hom_system(m, n)
+    d2, arrow_shapes = reference_delta2(m, n)
+    assert hom_dim(m, n) == d1.cols - reference_rank(d1)
+    assert [flat(phi, shapes) for phi in hom_basis(m, n)] == reference_kernel_columns(d1)
+    assert ext1_dim_via_complex(m, n) == (d2.cols - reference_rank(d2)) - reference_rank(d1)
+    # the cocycles are the kernel columns of d2 that are pivots of [d1 | ker d2]
+    ker = reference_kernel_columns(d2)
+    stacked = Matrix(field, d1.rows, d1.cols + len(ker), [row + tuple(v[i] for v in ker) for i, row in enumerate(d1.data)])
+    chosen = [ker[j - d1.cols] for j in reference_rref(stacked)[1] if j >= d1.cols]
+    space = ext1_space(m, n)
+    assert [flat(phi, arrow_shapes) for phi in space.cocycle_basis] == chosen and space.dim == len(chosen)
+    # the inclusion of m into m (+) n, and a block of the right shape that need not be a map
+    pool = list(field.elements()) if field.is_finite else [field.from_int(k) for k in range(-2, 3)]
+    target = m.direct_sum(n)
+    for inj in (
+        {v: vstack_all(field, d, (Matrix.identity(field, d), Matrix.zero(field, n.dims[v], d))) for v, d in enumerate(m.dims)},
+        {v: Matrix(field, t, d, [[data.draw(st.sampled_from(pool)) for _ in range(d)] for _ in range(t)])
+         for v, (d, t) in enumerate(zip(m.dims, target.dims))},
+    ):
+        assert retraction_exists(m, target, inj) == reference_retraction_exists(m, target, inj)
+
+
+def test_extension_splits_refuses_a_module_not_in_block_form():
+    dq, d, f = a2(GF(3))
+    s1, s2 = Representation.simple(dq, f, 1), Representation.simple(dq, f, 2)
+    # S1 is no extension of S1 by S2: its dims are not those of S2 (+) S1
+    with pytest.raises(ShapeError, match="not those of an extension"):
+        extension_splits(s1, s2, s1)
+    # right dims, wrong blocks: a2s: 2 -> 1 maps the S2 part onto the S1 part, a nonzero lower-left corner
+    flipped = Representation.build(dq, f, s1.dims + s2.dims, {"a2s": Matrix.identity(f, 1)})
+    with pytest.raises(ShapeError, match="arrow a2s of e is not in the block form"):
+        extension_splits(s1, s2, flipped)
+    assert not extension_splits(s1, s2, Representation.build(dq, f, s1.dims + s2.dims, {"a2": Matrix.identity(f, 1)}))
+    with pytest.raises(FieldMismatch):
+        extension_splits(s1, s2, Representation.simple(dq, GF(5), 1).direct_sum(Representation.simple(dq, GF(5), 2)))
+
+
+def test_retraction_exists_refuses_a_malformed_injection():
+    dq, d, f = a2(GF(3))
+    s1, s2 = Representation.simple(dq, f, 1), Representation.simple(dq, f, 2)
+    both = s1.direct_sum(s2)
+    with pytest.raises(ShapeError, match="no block at vertex 0"):
+        retraction_exists(s1, both, {})
+    good = hom_basis(s1, both)[0]
+    with pytest.raises(ShapeError, match="vertex 1 must be 1x1"):
+        retraction_exists(s1, both, {**good, 1: Matrix.zero(f, 2, 1)})
+    with pytest.raises(FieldMismatch):
+        retraction_exists(s1, both, {**good, 1: Matrix.identity(GF(5), 1)})
+    assert retraction_exists(s1, both, good)
 
 
 def basis_retraction_exists(s, n, inj):
