@@ -95,6 +95,9 @@ class Rationals(Field):
         return False
 
     def parse_scalar(self, s: str):
+        """Read ``n`` or ``n/d`` (or an int); an exponent, which ``Fraction`` would expand, raises ValueError."""
+        if isinstance(s, str) and ("e" in s or "E" in s):
+            raise ValueError(f"{s!r} has an exponent; write a rational as n or n/d")
         return Fraction(s)
 
     def to_json(self) -> dict:
@@ -239,13 +242,15 @@ class GaloisField(_FiniteField):
     MAX_ORDER = 256
 
     def __init__(self, p: int, k: int):
-        if not _is_prime(p):
-            raise RangeError(f"characteristic {p} is not prime")
         if k < 2:
             raise RangeError("use PrimeField for k = 1")
+        # the order is bounded before the trial division of p, which grows as sqrt(p);
+        # 2^k <= p^k bounds k before p^k is formed
+        if k >= self.MAX_ORDER.bit_length() or p**k > self.MAX_ORDER:
+            raise RangeError(f"prime power {p}^{k} exceeds supported order {self.MAX_ORDER}")
+        if not _is_prime(p):
+            raise RangeError(f"characteristic {p} is not prime")
         q = p**k
-        if q > self.MAX_ORDER:
-            raise RangeError(f"prime power {q} exceeds supported order {self.MAX_ORDER}")
         self.p = p
         self.k = k
         self.q = q
@@ -338,6 +343,9 @@ def GF(q: int) -> Field:
     """The finite field with q elements, q a prime or a small prime power."""
     if q < 2:
         raise RangeError(f"{q} is not a prime power")
+    # no supported order lies above MAX_PRIME, so refuse before the trial division, which grows as sqrt(q)
+    if q > MAX_PRIME:
+        raise RangeError(f"order {q} is above the largest supported order 2^31-1")
     p = None
     f = 2
     while f * f <= q:

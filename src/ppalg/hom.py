@@ -14,7 +14,8 @@ sparse rows, in the flat layout ``rep.unflatten`` reads back: d1 is
 ``_delta2(m, n)``.  Every rank, pivot and null vector is read straight off
 ``linalg.sparse_echelon`` of those rows; no dense system matrix is built.
 The extension dimension always satisfies the bilinear-form identity, which
-is asserted at runtime.
+is asserted at runtime.  An extension splits exactly when its kernel
+inclusion has a retraction, so the split test builds no dual module.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Dict, Sequence
 
 from .errors import CocycleError, InternalInvariantError, ShapeError
 from .fields import check_same_field
-from .linalg import Matrix, null_space, sparse_echelon, vstack_all
+from .linalg import Matrix, null_space, sparse_echelon
 from .quiver import DoubleQuiver
 from .rep import Representation, _check_pair, block_module, hom_dim, hom_system, linear_system, unflatten
 
@@ -112,9 +113,9 @@ def extension_splits(m: Representation, n: Representation, e: Representation) ->
     """Whether the evident surjection e -> m admits a section.
 
     ``e`` must be in the block form [[n_a, *], [0, m_a]] that
-    extension_from_cocycle produces, else FieldMismatch or ShapeError.  The
-    dual of the kernel-side test: the projection e -> m has a section exactly
-    when its dual injection Dm -> De, with blocks [[0], [I]], has a retraction.
+    extension_from_cocycle produces, else FieldMismatch or ShapeError.  A
+    short exact sequence splits exactly when its kernel inclusion n -> e,
+    with blocks [[I], [0]], has a retraction, so this is ``retraction_exists``.
     """
     _check_pair(m, n)
     _check_pair(m, e)
@@ -130,11 +131,9 @@ def extension_splits(m: Representation, n: Representation, e: Representation) ->
         ):
             raise ShapeError(f"arrow {a.aid} of e is not in the block form [[n_a, *], [0, m_a]]")
     f = m.field
-    inj = {
-        v: vstack_all(f, d, (Matrix.zero(f, n.dims[v], d), Matrix.identity(f, d)))
-        for v, d in enumerate(m.dims)
-    }
-    return retraction_exists(m.dual(), e.dual(), inj)
+    inj = {v: Matrix._of(f, t, d, [row[:d] for row in Matrix.identity(f, t).data])
+           for v, (d, t) in enumerate(zip(n.dims, e.dims))}
+    return retraction_exists(n, e, inj)
 
 
 def retraction_exists(s: Representation, n: Representation, inj: Dict[int, Matrix]) -> bool:

@@ -7,14 +7,16 @@ Empty matrices (zero rows or columns) are legal throughout.
 
 There is one elimination, ``sparse_echelon``, on rows stored as
 ``{column: coefficient}`` dicts of their nonzero entries: the hom and Ext
-systems of ``rep.linear_system`` are built that way, and ``Matrix.rref``
-and ``Matrix._echelon_pivots`` feed it the nonzero entries of their rows.
-A row is reduced only by the pivot rows of the columns where it is
-nonzero, at the nonzero columns of each.  Over a finite field it works on
-the int codes; over QQ on integers, every row scaled by the lcm of the
-denominators of its nonzero entries and reduced fraction-free, with the
-``Fraction`` entries built once at the end.  ``rank`` and the callers that
-need only the pivot columns skip the back substitution.
+systems of ``rep.linear_system`` are built that way, and a ``Matrix`` feeds
+it the nonzero entries of its rows.  A row is reduced only by the pivot
+rows of the columns where it is nonzero, at the nonzero columns of each.
+Over a finite field it works on the int codes; over QQ on integers, every
+row scaled by the lcm of the denominators of its nonzero entries and
+reduced fraction-free, with the ``Fraction`` entries built once at the end.
+``rank`` and the callers that need only the pivot columns skip the back
+substitution.  The decompositions of a ``Matrix`` (kernel, image,
+cokernel, solve) read the tails of its one reduced form, ``_reduced()``,
+the kernel through ``null_space``; only ``rref`` writes them into a dense R.
 
 Entries are validated at the public constructors (``Matrix(...)``,
 ``column``, ``from_json``) and ``scale`` checks its scalar.  Everything
@@ -133,42 +135,35 @@ class Matrix:
 
     # -- echelon machinery -------------------------------------------------
 
-    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form together with the pivot column indices.
+    def _reduced(self) -> tuple[list[dict], tuple[int, ...]]:
+        """The tails and pivot columns of the reduced echelon form, from ``sparse_echelon``."""
+        return sparse_echelon(self.field, _sparse_rows(self.data), self.cols, True)
 
-        The nonzero entries of the rows go through ``sparse_echelon``, and
-        its tails are written back into dense rows.
-        """
+    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
+        """Reduced row echelon form together with the pivot column indices, written out dense."""
         f = self.field
-        tails, pivots = sparse_echelon(f, _sparse_rows(self.data), self.cols, True)
-        z, o = f.zero(), f.one()
-        m = [[z] * self.cols for _ in range(self.rows)]
-        for row, pc, tail in zip(m, pivots, tails):
-            row[pc] = o
-            for j, x in tail.items():
-                row[j] = x
-        return Matrix._of(f, self.rows, self.cols, m), pivots
+        tails, pivots = self._reduced()
+        rows = _pivot_rows(f, tails, pivots) + [{}] * (self.rows - len(pivots))
+        return Matrix._of(f, self.rows, self.cols, _dense(f, rows, self.cols)), pivots
 
     def rank(self) -> int:
-        """The number of pivots, from an echelon form that is not reduced."""
-        return len(self._echelon_pivots())
-
-    def _echelon_pivots(self) -> tuple[int, ...]:
-        """The pivot columns of ``rref()``, from ``sparse_echelon`` without clearing above the pivots."""
-        return sparse_echelon(self.field, _sparse_rows(self.data), self.cols, False)[1]
+        """The number of pivots, from ``sparse_echelon`` without clearing above the pivots."""
+        return len(sparse_echelon(self.field, _sparse_rows(self.data), self.cols, False)[1])
 
     def kernel_basis(self) -> "Matrix":
-        """Columns form the canonical RREF basis of {x : Ax = 0}."""
-        return _null_rows(*self.rref()).transpose()
+        """Columns form the canonical RREF basis of {x : Ax = 0}, read off the tails through ``null_space``."""
+        null = _dense(self.field, null_space(self.field, *self._reduced(), self.cols), self.cols)
+        return Matrix._of(self.field, self.cols, len(null), _transpose(null, self.cols))
 
     def image_basis(self) -> "Matrix":
-        """Columns form the canonical basis of the column space."""
-        R, pivots = self.transpose().rref()
-        return Matrix._of(self.field, len(pivots), self.rows, R.data[: len(pivots)]).transpose()
+        """Columns form the canonical basis of the column space: the pivot rows of the transpose."""
+        f = self.field
+        pivot_rows = _dense(f, _pivot_rows(f, *self.transpose()._reduced()), self.rows)
+        return Matrix._of(f, self.rows, len(pivot_rows), _transpose(pivot_rows, self.rows))
 
     def cokernel_projection(self) -> "Matrix":
         """A (rows - rank) x rows matrix whose kernel is exactly the column space."""
-        return _null_rows(*self.transpose().rref())
+        return self.transpose().kernel_basis().transpose()
 
     def solve(self, rhs: "Matrix") -> Optional["Matrix"]:
         """Canonical solution X of self . X = rhs, or None when inconsistent.
@@ -179,22 +174,13 @@ class Matrix:
         f = self.field
         z = f.zero()
         # hstack_all checks that rhs shares the field and the row count
-        R, pivots = hstack_all(f, self.rows, (self, rhs)).rref()
-        for pc in pivots:
-            if pc >= self.cols:
-                return None
+        tails, pivots = hstack_all(f, self.rows, (self, rhs))._reduced()
+        if pivots and pivots[-1] >= self.cols:
+            return None
         out = [[z] * rhs.cols for _ in range(self.cols)]
-        for r, pc in enumerate(pivots):
-            for j in range(rhs.cols):
-                out[pc][j] = R.data[r][self.cols + j]
+        for pc, tail in zip(pivots, tails):
+            out[pc] = [tail.get(self.cols + j, z) for j in range(rhs.cols)]
         return Matrix._of(f, self.cols, rhs.cols, out)
-
-    def right_inverse(self) -> "Matrix":
-        """Canonical X with self . X = identity (requires full row rank)."""
-        x = self.solve(Matrix.identity(self.field, self.rows))
-        if x is None:
-            raise ShapeError("matrix has no right inverse")
-        return x
 
     # -- serialization -----------------------------------------------------
 
@@ -342,6 +328,18 @@ def null_space(field: Field, tails: list[dict], pivots: tuple[int, ...], cols: i
     return list(basis.values())
 
 
+def _pivot_rows(field: Field, tails: list[dict], pivots: tuple[int, ...]) -> list[dict]:
+    """The nonzero rows of a reduced echelon form given by its tails, as sparse vectors."""
+    one = field.one()
+    return [{pc: one, **tail} for pc, tail in zip(pivots, tails)]
+
+
+def _dense(field: Field, vectors: list[dict], cols: int) -> list[list]:
+    """Sparse ``{column: coefficient}`` vectors as dense rows, ``cols`` long."""
+    z = field.zero()
+    return [[v.get(j, z) for j in range(cols)] for v in vectors]
+
+
 def _mul_rows(f: Field, left: Sequence[Sequence], right: Sequence[Sequence], cols: int) -> list[list]:
     """The rows of the product of two blocks given by their rows; ``right`` has ``cols`` columns."""
     z = f.zero()
@@ -363,15 +361,6 @@ def _transpose(rows: Sequence[tuple], width: int) -> list:
     return list(zip(*rows)) if rows else [()] * width
 
 
-def _null_rows(R: Matrix, pivots: tuple[int, ...]) -> Matrix:
-    """Rows forming the canonical basis of {x : Rx = 0}, for R in reduced echelon form (``null_space``)."""
-    f, n = R.field, R.cols
-    z = f.zero()
-    tails = [{j: x for j, x in enumerate(row) if x and j != pc} for row, pc in zip(R.data, pivots)]
-    rows = [[v.get(j, z) for j in range(n)] for v in null_space(f, tails, pivots, n)]
-    return Matrix._of(f, len(rows), n, rows)
-
-
 def hstack_all(field: Field, rows: int, mats: Sequence[Matrix]) -> Matrix:
     """The blocks side by side, built in one pass (rows x 0 when there are none)."""
     if rows < 0:
@@ -382,15 +371,3 @@ def hstack_all(field: Field, rows: int, mats: Sequence[Matrix]) -> Matrix:
             raise ShapeError("hstack row mismatch")
     data = [sum(row, ()) for row in zip(*(m.data for m in mats))] if mats else [()] * rows
     return Matrix._of(field, rows, sum(m.cols for m in mats), data)
-
-
-def vstack_all(field: Field, cols: int, mats: Sequence[Matrix]) -> Matrix:
-    """The blocks stacked top to bottom, built in one pass (0 x cols when there are none)."""
-    if cols < 0:
-        raise ShapeError("negative dimensions")
-    for m in mats:
-        check_same_field(field, m.field)
-        if m.cols != cols:
-            raise ShapeError("vstack column mismatch")
-    data = [row for m in mats for row in m.data]
-    return Matrix._of(field, len(data), cols, data)

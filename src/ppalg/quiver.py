@@ -32,9 +32,6 @@ class DimensionVector(tuple):
     def __sub__(self, other):
         return DimensionVector(a - b for a, b in zip(self, other))
 
-    def __neg__(self):
-        return DimensionVector(-a for a in self)
-
     def __mul__(self, c):
         return DimensionVector(c * a for a in self)
 

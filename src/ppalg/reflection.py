@@ -6,13 +6,14 @@ functor is the dual of that kernel-side construction.  Both run one body on
 the row data of the 2 deg(i) blocks at the arrows incident to i: the plus
 functor reads them as they are, the minus functor reads them transposed (the
 blocks of the dual module there) and transposes back only the blocks it
-changes, so no whole-module dual is formed and both share one rref, one lift
-and the same checks.  Both are total linear constructions; the torsion-pair
-semantics (zero defect) are enforced only by the word-application wrapper.
-The tilting ideals themselves are never materialized.
+changes, so no whole-module dual is formed and both share one echelon, one
+lift and the same checks.  Both are total linear constructions; the
+torsion-pair semantics (zero defect) are enforced only by the
+word-application wrapper.  The tilting ideals themselves are never
+materialized.
 
-The body is split in two.  The step at i (the rref, the null rows, the two
-products and the lift check) depends only on the field, n = dims[i], the
+The body is split in two.  The step at i (the echelon, the null rows, the
+two products and the lift check) depends only on the field, n = dims[i], the
 relation terms at i, the rows of the blocks at i and the side.  The functor
 at i discards the gauge at i, so words and the suites meet the same step
 again and again: it is memoized, bounded by ``REFLECT_MEMO``.  The range
@@ -33,7 +34,7 @@ from .errors import (
     RangeError,
 )
 from .fields import Field
-from .linalg import Matrix, _mul_rows, _null_rows, _transpose
+from .linalg import Matrix, _dense, _mul_rows, _transpose, null_space
 from .quiver import DimensionVector
 from .rep import Representation
 from .stability import stability_verdict
@@ -100,8 +101,9 @@ def _reflect_step(f: Field, n: int, terms: tuple, rows: tuple, transposed: bool)
     For each arrow a leaving i the step reads the pair (N_a, N_{a*}^T):
     (M_a, M_{a*}^T) for the plus functor, and the same pair swapped,
     (M_{a*}^T, M_a), for the minus one, where N is the dual module.  The
-    blocks eps(a) N_{a*} side by side form the in-map; the null rows of its
-    one rref span the new space K, and the new N_a are row slices of K.  The
+    blocks eps(a) N_{a*} side by side form the in-map; the null rows that
+    ``linalg.null_space`` reads off the tails of its one reduced echelon form
+    span the new space K, and the new N_a are row slices of K.  The
     one product W = (N_a stacked) . (N_{a*} side by side) carries every
     incoming block at once; K is the identity on the free rows, so the
     unique lift through K is the free rows of W, and K times the lift must
@@ -117,8 +119,8 @@ def _reflect_step(f: Field, n: int, terms: tuple, rows: tuple, transposed: bool)
         signed += in_rows if sign > 0 else [tuple(map(f.neg, row)) for row in in_rows]
         widths.append(len(in_rows))
     cols = len(stack_in)
-    R, pivots = Matrix._of(f, n, cols, _transpose(signed, n)).rref()
-    null = _null_rows(R, pivots).data
+    tails, pivots = Matrix._of(f, n, cols, _transpose(signed, n))._reduced()
+    null = _dense(f, null_space(f, tails, pivots, cols), cols)
     k = len(null)
     pivot_set = set(pivots)
     w = _mul_rows(f, stack_out, _transpose(stack_in, n), cols)
@@ -143,7 +145,7 @@ def reflect_plus(i: int, m: Representation) -> ReflectResult:
 
     ``_reflect`` reads the pairs (M_a, M_{a*}^T) of the arrows a leaving i
     as row tuples.  The new space at i is the kernel of the blocks
-    eps(a) M_{a*} side by side, read off the null rows of one rref; the
+    eps(a) M_{a*} side by side, read off the null rows of one echelon; the
     defect is its cokernel dimension.  The arrows leaving i become the
     slices of that canonical kernel basis, and the arrows entering i become
     the free rows of the one product (M_a stacked) . (M_{a*} side by side),

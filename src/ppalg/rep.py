@@ -87,14 +87,6 @@ class Representation:
     def direct_sum(self, other: "Representation") -> "Representation":
         return block_module(self, other, {})
 
-    def dual(self) -> "Representation":
-        """The vector-space dual: arrow a acts by the transpose of the matrix of a*.
-
-        Relation matrices transpose, and dualizing twice gives self back.
-        """
-        mats = {a.aid: self.mats[self.dq.star[a.aid]].transpose() for a in self.dq.arrows}
-        return Representation(self.dq, self.field, self.dims, mats)
-
     # -- preprojective relations --------------------------------------------
 
     def _relation_rows(self, v: int) -> list[list]:
@@ -133,11 +125,6 @@ class Representation:
         """The column spans at the arrow sources carried along the arrows into v, side by side."""
         images = [self.mats[a.aid].mul(spans[a.src]) for a in self.dq.arrows_in(v)]
         return hstack_all(self.field, self.dims[v], images)
-
-    def top_multiplicities(self) -> DimensionVector:
-        """Multiplicity of each vertex simple in M / (M . arrow ideal)."""
-        whole = [Matrix.identity(self.field, d) for d in self.dims]
-        return DimensionVector(d - self._image_into(v, whole).rank() for v, d in enumerate(self.dims))
 
     def is_nilpotent(self) -> bool:
         """Whether some power of the arrow ideal annihilates the module.
@@ -502,9 +489,8 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
 def quotient_by_map(n: Representation, phi: dict[int, Matrix]) -> Representation:
     """The quotient of n by the image of a module map phi: s -> n."""
     projections = [phi[v].cokernel_projection() for v in range(n.dq.vertex_count)]
-    # induced map on quotients: Q_a . proj_s = proj_t . n_a; a 0-row proj_s has the n x 0 right inverse
-    mats = {
-        a.aid: projections[a.dst].mul(n.mats[a.aid]).mul(projections[a.src].right_inverse())
-        for a in n.dq.arrows
-    }
+    # each projection has full row rank, so solve gives a right inverse; a 0-row one has the n x 0 one
+    sections = [p.solve(Matrix.identity(n.field, p.rows)) for p in projections]
+    # induced map on quotients: Q_a . proj_s = proj_t . n_a
+    mats = {a.aid: projections[a.dst].mul(n.mats[a.aid]).mul(sections[a.src]) for a in n.dq.arrows}
     return Representation.build(n.dq, n.field, [p.rows for p in projections], mats)

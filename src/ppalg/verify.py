@@ -505,10 +505,6 @@ def check_L_sequences(field: Field) -> SuiteReport:
     return report
 
 
-def _gf(*orders) -> list:
-    return [GF(q) for q in orders]
-
-
 # Every suite in the order ``--suite all`` runs it.  An entry holds the orders
 # of the fields the suite runs over by default, empty for a suite with fixed
 # fields, and maps one field (None for a fixed-field suite) and the seed (its
@@ -550,7 +546,7 @@ def run_suite(
     report = SuiteReport(suite=name)
     for suite, (orders, reports) in SUITES.items():
         if name in (suite, "all"):
-            for f in (fields or _gf(*orders)) if orders else [None]:
+            for f in (fields or [GF(q) for q in orders]) if orders else [None]:
                 for part in reports(f, DEFAULT_SEEDS.get(suite) if seed is None else seed):
                     report.extend(part)
     return report

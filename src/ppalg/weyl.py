@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError, NotGeneric, NotInThetaD, RangeError, ShapeError, UsageError
+from .fields import QQ
 from .quiver import DimensionVector, DoubleQuiver
 
 
@@ -74,9 +75,9 @@ class StabilityParameter(tuple):
 
     @staticmethod
     def parse(text: str) -> "StabilityParameter":
-        """Comma-separated rationals; an entry that is not one raises UsageError."""
+        """Comma-separated rationals, each read by ``QQ.parse_scalar``; an entry that is not one raises UsageError."""
         try:
-            return StabilityParameter(part.strip() for part in text.split(","))
+            return StabilityParameter(QQ.parse_scalar(part.strip()) for part in text.split(","))
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"theta entries must be rationals, got {text!r}: {exc}") from None
 

@@ -1,14 +1,18 @@
-"""The maps of the preprojective relation at a vertex, as matrices, the socle,
-and the arrows out of a vertex, for the tests.
+"""The maps of the preprojective relation at a vertex, as matrices, the top,
+the socle, the dual, stacking and right inverses, for the tests.
 
 The library tests relations on row data (``Representation.check_relations``)
 and reflects on the row data of the blocks at a vertex, so it forms none of
-these matrices, never needs the socle and reads the arrows out of a vertex
-only through ``dq.relations[v]``; the reference constructions of the tests
-read them.
+these matrices, never needs the top, the socle or a whole dual module, and
+reads the arrows out of a vertex only through ``dq.relations[v]``; the
+reference constructions of the tests read them.
 """
 
-from ppalg.linalg import Matrix, hstack_all, vstack_all
+from ppalg.errors import ShapeError
+from ppalg.fields import check_same_field
+from ppalg.linalg import Matrix, hstack_all
+from ppalg.quiver import DimensionVector
+from ppalg.rep import Representation
 
 
 def arrows_out(dq, v):
@@ -25,6 +29,26 @@ def negated(mat):
     """The matrix times minus one."""
     f = mat.field
     return mat.scale(f.neg(f.one()))
+
+
+def vstack_all(field, cols, mats):
+    """The blocks stacked top to bottom (0 x cols when there are none)."""
+    if cols < 0:
+        raise ShapeError("negative dimensions")
+    for m in mats:
+        check_same_field(field, m.field)
+        if m.cols != cols:
+            raise ShapeError("vstack column mismatch")
+    data = [row for m in mats for row in m.data]
+    return Matrix._of(field, len(data), cols, data)
+
+
+def right_inverse(mat):
+    """Canonical X with mat . X = identity (requires full row rank)."""
+    x = mat.solve(Matrix.identity(mat.field, mat.rows))
+    if x is None:
+        raise ShapeError("matrix has no right inverse")
+    return x
 
 
 def out_map(m, v):
@@ -45,6 +69,21 @@ def relation_matrix(m, v):
     return Matrix._of(m.field, n, n, m._relation_rows(v))
 
 
+def dual(m):
+    """The vector-space dual: arrow a acts by the transpose of the matrix of a*.
+
+    Relation matrices transpose, and dualizing twice gives m back.
+    """
+    mats = {a.aid: m.mats[m.dq.star[a.aid]].transpose() for a in m.dq.arrows}
+    return Representation(m.dq, m.field, m.dims, mats)
+
+
+def top_multiplicities(m):
+    """Multiplicity of each vertex simple in M / (M . arrow ideal): dim Hom(M, S_i)."""
+    whole = [Matrix.identity(m.field, d) for d in m.dims]
+    return DimensionVector(d - m._image_into(v, whole).rank() for v, d in enumerate(m.dims))
+
+
 def socle_multiplicities(m):
     """Multiplicity of each vertex simple in the socle of m: the top of the dual."""
-    return m.dual().top_multiplicities()
+    return top_multiplicities(dual(m))

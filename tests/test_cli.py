@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -224,13 +225,16 @@ THETA_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("entry", ["1/0", "x"])
+# Fraction would expand 1e999999999 into a billion-digit integer
+@pytest.mark.parametrize("entry", ["1/0", "x", "1e999999999"])
 @pytest.mark.parametrize("flag", sorted(THETA_FLAGS))
 def test_theta_entries_that_are_not_rationals_exit_two(capsys, tmp_path, flag, entry):
     path = str(write_curve_member(tmp_path))
     argv = [path if arg == "MODULE" else arg.format(entry) for arg in THETA_FLAGS[flag]]
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error:")
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("theta", ["-2,1", "-2,1,1,0"])
@@ -474,6 +478,7 @@ MALFORMED_MODULES = {
     "field-not-an-object": malformed(field=[]),
     "null-entry": malformed(mats={"a1": [[None]]}),
     "zero-denominator": malformed(field={"kind": "rationals"}, mats={"a1": [["1/0"]]}),
+    "exponent-over-QQ": malformed(field={"kind": "rationals"}, mats={"a1": [["1e999999999"]]}),
     # each of these once read as dims (1, 1, 1) or as the entry 1
     "float-dims": malformed(dims=[1, 1.5, 1]),
     "boolean-dims": malformed(dims=[1, True, 1]),
@@ -499,6 +504,7 @@ MALFORMED_PATHS = {
     "field-not-an-object": "field",
     "null-entry": "mats.a1",
     "zero-denominator": "mats.a1",
+    "exponent-over-QQ": "mats.a1",
     "float-dims": "dims",
     "boolean-dims": "dims",
     "string-dims": "dims",
@@ -525,7 +531,9 @@ def test_malformed_module_files_exit_two(capsys, tmp_path, command, payload):
         Representation.from_json(MALFORMED_MODULES[payload])
     path = tmp_path / "module.json"
     path.write_text(json.dumps(MALFORMED_MODULES[payload]), encoding="utf-8")
+    start = time.perf_counter()
     code, out, err = run(capsys, *MODULE_COMMANDS[command], str(path))
+    assert time.perf_counter() - start < 1
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
     assert out == ""

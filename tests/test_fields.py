@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,30 @@ def test_scalar_strings_round_trip():
     f5 = GF(5)
     assert f5.parse_scalar(f5.format_scalar(3)) == 3
     assert QQ.parse_scalar("-2") == Fraction(-2)
+    assert QQ.parse_scalar("-5/10") == Fraction(-1, 2) and QQ.parse_scalar("2.5") == Fraction(5, 2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GF(10**14 + 31),  # a prime above 2^31-1
+    lambda: GF(2**61 - 1),
+    lambda: field_from_json({"kind": "prime-power", "p": 1000000000039, "k": 2}),  # a prime, p^2 far above 256
+    lambda: GaloisField(2, 10**9),
+])
+def test_an_order_out_of_range_is_refused_before_any_factoring(make):
+    # trial division up to sqrt(p) would take seconds here; the order bound comes first
+    start = time.perf_counter()
+    with pytest.raises(RangeError):
+        make()
+    assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize("text", ["1e999999999", "1E5", "2.5e-3", "-1e2/3"])
+def test_rationals_refuse_an_exponent(text):
+    # Fraction would expand 1e999999999 into a billion-digit integer
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exponent"):
+        QQ.parse_scalar(text)
+    assert time.perf_counter() - start < 0.05
 
 
 @pytest.mark.parametrize("field", [GF(3), GF(4)])

@@ -18,7 +18,7 @@ from ppalg.hom import (
     extension_splits,
     retraction_exists,
 )
-from ppalg.linalg import Matrix, hstack_all, vstack_all
+from ppalg.linalg import Matrix, hstack_all
 from ppalg.quiver import Arrow, Quiver, build_double, standard_extended_dynkin
 from ppalg.rep import (
     Representation,
@@ -31,7 +31,7 @@ from ppalg.rep import (
 )
 from ppalg.stability import enumerate_thin_reps
 from ppalg.verify import random_nilpotent
-from relation_maps import is_zero
+from relation_maps import is_zero, negated, vstack_all
 from test_linalg import reference_kernel_columns, reference_rref
 
 
@@ -345,6 +345,16 @@ def test_extension_splits_agrees_with_the_section_system(tag, field, seed, steps
     # the chosen cocycles are independent of the coboundaries, so only the
     # zero class splits
     assert verdict == (cocycle == {})
+    # the same class with a random coboundary added, phi_a + f_dst m_a - n_a f_src:
+    # the corner is nonzero in general, and the verdict must not move
+    f = {v: Matrix(field, n.dims[v], d, [[rng.choice(pool) for _ in range(d)] for _ in range(n.dims[v])])
+         for v, d in enumerate(m.dims)}
+    shifted = {}
+    for a in dq.arrows:
+        phi = cocycle.get(a.aid, Matrix.zero(field, n.dims[a.dst], m.dims[a.src]))
+        shifted[a.aid] = phi.add(f[a.dst].mul(m.mats[a.aid])).add(negated(n.mats[a.aid].mul(f[a.src])))
+    e = extension_from_cocycle(m, n, shifted)
+    assert extension_splits(m, n, e) == section_exists(m, n, e) == verdict
 
 
 def reference_hom_system(m, n):

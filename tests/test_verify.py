@@ -25,7 +25,7 @@ from ppalg.verify import (
     zerogen_suite,
 )
 from ppalg.weyl import StabilityParameter, WeylGroup, finite_root_system
-from relation_maps import socle_multiplicities
+from relation_maps import dual, socle_multiplicities
 
 
 def shifted_simples(wg, word, field):
@@ -108,7 +108,7 @@ def scan_membership(m, wg, word, siws):
     for i in range(1, wg.rank + 1):
         source, target = siws[i].module, m
         if any(c < 0 for c in wg.act_on_root(word, wg.rs.simple[i - 1])):
-            source, target = source.dual(), target.dual()
+            source, target = dual(source), dual(target)
         scan = nonzero_morphisms(m.field, hom_basis(source, target), MORPHISM_SCAN_BUDGET)
         flags[i] = any(all(mat.rank() == mat.cols for mat in phi.values()) for phi in scan)
     return flags
