@@ -29,11 +29,11 @@ from .weyl import (
 
 
 def _load_rep(path: str) -> Representation:
-    """A module file; one that is not UTF-8 JSON raises UsageError."""
+    """A module file; one that is not UTF-8 JSON, or nests deeper than the decoder recurses, raises UsageError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise UsageError(f"module: not a UTF-8 JSON file: {exc}") from None
     return Representation.from_json(data)
 

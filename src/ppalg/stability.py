@@ -5,7 +5,8 @@ Stability only ever needs the set of dimension vectors realized by
 submodules: the value of a parameter on a submodule depends on its dimension
 vector alone.  Thin modules admit a combinatorial backend (vertex supports
 closed under nonzero arrows); small finite fields admit a brute-force
-subspace backend, and the two agree on their common domain.
+subspace backend, and the two agree on their common domain.  Both give
+ascending dimension vectors, and one rule, ``_first_witness``, reads verdicts.
 """
 
 from __future__ import annotations
@@ -38,13 +39,13 @@ SEARCH_BUDGET = 10**7  # subspace tuples or thin arrow assignments a search may 
 VERDICT_MEMO = 4096  # (thin dims, arrow pattern, theta) verdicts kept memoized
 
 
-def _closed_masks(dims, pattern: tuple) -> list[int]:
-    """Vertex supports of the thin submodules of one arrow pattern as bitmasks, in ascending order.
+def _closed_supports(dims, pattern: tuple) -> list[tuple]:
+    """Vertex supports of the thin submodules of one arrow pattern as 0/1 dimension vectors, ascending.
 
-    Vertex v is bit n-1-v, so ascending masks are ascending 0/1 dimension
-    vectors.  A support is closed when it holds every vertex that a nonzero
-    arrow reaches from it: a down-set of the preorder "y is reached from x",
-    so exactly a union of the sets reach(v).
+    A support is closed when it holds every vertex that a nonzero arrow
+    reaches from it: a down-set of the preorder "y is reached from x", so
+    exactly a union of the sets reach(v).  Inside, vertex v is bit n-1-v of
+    an int, so ascending masks are ascending vectors.
     """
     n = len(dims)
     reach = {v: 1 << (n - 1 - v) for v in _support(dims)}
@@ -58,33 +59,19 @@ def _closed_masks(dims, pattern: tuple) -> list[int]:
     masks = {0}
     for r in reach.values():
         masks |= {s | r for s in masks}
-    return sorted(masks)
+    return [tuple(s >> (n - 1 - v) & 1 for v in range(n)) for s in sorted(masks)]
 
 
-def _mask_bits(mask: int, n: int) -> tuple:
-    return tuple(mask >> (n - 1 - v) & 1 for v in range(n))
-
-
-def _subspaces(field: Field, dim: int) -> list[Matrix]:
-    """All subspaces of field^dim as canonical column-basis matrices."""
-    if not field.is_finite:
-        raise UnsupportedShape("subspace enumeration needs a finite field")
+def _subspaces(field: Field, dim: int, k: int) -> list[Matrix]:
+    """The k-dimensional subspaces of field^dim as canonical column-basis matrices."""
     elements = list(field.elements())
-    out = [Matrix.zero(field, dim, 0)]
-    for k in range(1, dim + 1):
-        for pivots in itertools.combinations(range(dim), k):
-            free_pos = []
-            for r, p in enumerate(pivots):
-                for c in range(p + 1, dim):
-                    if c not in pivots:
-                        free_pos.append((r, c))
-            for values in itertools.product(elements, repeat=len(free_pos)):
-                rows = [[field.zero()] * dim for _ in range(k)]
-                for r, p in enumerate(pivots):
-                    rows[r][p] = field.one()
-                for (r, c), v in zip(free_pos, values):
-                    rows[r][c] = v
-                out.append(Matrix(field, k, dim, rows).transpose())
+    out = []
+    for pivots in itertools.combinations(range(dim), k):
+        free = [(c, r) for r, p in enumerate(pivots) for c in range(p + 1, dim) if c not in pivots]
+        for values in itertools.product(elements, repeat=len(free)):
+            entry = dict(zip(free, values)) | {(p, r): field.one() for r, p in enumerate(pivots)}
+            rows = [[entry.get((c, r), field.zero()) for r in range(k)] for c in range(dim)]
+            out.append(Matrix._of(field, dim, k, rows))
     return out
 
 
@@ -100,11 +87,12 @@ def subspace_count(q: int, dim: int) -> int:
 
 
 def _closed_subspace_tuples(m: Representation, budget: int):
-    """Brute-force search: the dimension vector of every submodule, in subspace-product order.
+    """Brute-force search: the dimension vector of every submodule, ascending, each decided once.
 
-    A tuple of vertex subspaces (canonical column bases, so each has full
-    column rank) is a submodule when, at every vertex, the images of the
-    subspaces along the arrows in lie in the subspace there.
+    For each dimension vector beta in ascending order, the tuples of vertex
+    subspaces of dimensions beta (canonical column bases, so each has full
+    column rank) are tried until one is a submodule: at every vertex, the
+    images of the subspaces along the arrows in lie in the subspace there.
     """
     if not m.field.is_finite:
         raise UnsupportedShape("brute-force submodule search needs a finite field")
@@ -114,21 +102,23 @@ def _closed_subspace_tuples(m: Representation, budget: int):
         total *= subspace_count(q, d)
         if total > budget:
             raise SearchBudgetExceeded(f"subspace tuples exceed budget {budget}")
-    per_vertex = [_subspaces(m.field, d) for d in m.dims]
-    for spans in itertools.product(*per_vertex):
-        if all(
-            hstack_all(m.field, d, (spans[v], m._image_into(v, spans))).rank() == spans[v].cols
-            for v, d in enumerate(m.dims)
+    subspaces = {(d, k): _subspaces(m.field, d, k) for d in set(m.dims) for k in range(d + 1)}
+    for beta in itertools.product(*(range(d + 1) for d in m.dims)):
+        if any(
+            all(
+                hstack_all(m.field, d, (spans[v], m._image_into(v, spans))).rank() == spans[v].cols
+                for v, d in enumerate(m.dims)
+            )
+            for spans in itertools.product(*(subspaces[d, k] for d, k in zip(m.dims, beta)))
         ):
-            yield DimensionVector(s.cols for s in spans)
+            yield DimensionVector(beta)
 
 
 def _sorted_submodule_dimvecs(m: Representation, budget: int) -> list[tuple]:
     """Dimension vectors of all submodules, ascending: zero first, the whole module last."""
     if is_thin(m):
-        n = m.dq.vertex_count
-        return [_mask_bits(s, n) for s in _closed_masks(m.dims, _pattern(*_thin_read(m)))]
-    return sorted(set(_closed_subspace_tuples(m, budget)))
+        return _closed_supports(m.dims, _pattern(*_thin_read(m)))
+    return list(_closed_subspace_tuples(m, budget))
 
 
 def submodule_dimvecs(
@@ -162,8 +152,8 @@ def stability_verdict(
         return _pattern_verdict(m.dims, _pattern(*_thin_read(m)), theta)
     if theta.scaled(m.dims) != 0:
         return StabilityVerdict(status="NotInThetaKernel")
-    proper = _sorted_submodule_dimvecs(m, budget)[1:-1]
-    return _first_witness(proper, [theta.scaled(beta) for beta in proper], DimensionVector)
+    proper = (beta for beta in _closed_subspace_tuples(m, budget) if any(beta) and beta != m.dims)
+    return _first_witness(proper, theta.numerators)
 
 
 def _pattern_verdict(dims, pattern: tuple, theta: StabilityParameter) -> StabilityVerdict:
@@ -184,25 +174,25 @@ def _thin_verdict(dims, pattern: tuple, numerators: tuple) -> StabilityVerdict:
 
     ``numerators`` are those of a theta of the same length whose value on
     ``dims`` is zero; ``_pattern_verdict`` and ``moduli_scan`` check both
-    first.  The closed-support bitmasks are valued with one integer weight
-    per vertex.
+    first.  The proper closed supports go to ``_first_witness`` as 0/1 vectors.
     """
-    n = len(dims)
-    weights = [(1 << (n - 1 - v), t) for v, t in enumerate(numerators) if t]
-    proper = _closed_masks(dims, pattern)[1:-1]
-    values = [sum(t for bit, t in weights if s & bit) for s in proper]
-    return _first_witness(proper, values, lambda s: DimensionVector(_mask_bits(s, n)))
+    return _first_witness(_closed_supports(dims, pattern)[1:-1], numerators)
 
 
-def _first_witness(proper: list, values: list, witness) -> StabilityVerdict:
-    """Unstable at the first proper submodule of negative value, else StrictlySemistable at the first of value zero."""
-    for s, value in zip(proper, values):
+def _first_witness(proper: Iterable, numerators: tuple) -> StabilityVerdict:
+    """Unstable at the first proper submodule of negative value, else StrictlySemistable at the first of value zero.
+
+    ``proper`` holds the proper submodule dimension vectors in ascending
+    order; it is read once, up to the first negative value.
+    """
+    balanced = None
+    for beta in proper:
+        value = sum(t * b for t, b in zip(numerators, beta))
         if value < 0:
-            return StabilityVerdict(status="Unstable", witness=witness(s))
-    for s, value in zip(proper, values):
-        if value == 0:
-            return StabilityVerdict(status="StrictlySemistable", witness=witness(s))
-    return StabilityVerdict(status="Stable")
+            return StabilityVerdict(status="Unstable", witness=DimensionVector(beta))
+        if value == 0 and balanced is None:
+            balanced = DimensionVector(beta)
+    return StabilityVerdict(status="Stable" if balanced is None else "StrictlySemistable", witness=balanced)
 
 
 # -- thin isomorphism canonicalization --------------------------------------
@@ -262,7 +252,7 @@ def sequiv_class(m: Representation, theta: StabilityParameter) -> tuple:
     cur = m
     while any(d != 0 for d in cur.dims):
         # a nonzero closed support of value zero: smallest first, then by its sorted vertex list
-        supports = [_mask_bits(s, n) for s in _closed_masks(cur.dims, _pattern(*_thin_read(cur))) if s]
+        supports = _closed_supports(cur.dims, _pattern(*_thin_read(cur)))[1:]
         best = min(
             (b for b in supports if theta.scaled(b) == 0),
             key=lambda b: (sum(b), [v for v in range(n) if b[v]]),

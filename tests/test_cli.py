@@ -157,6 +157,17 @@ def test_stability_verdict_output(capsys, tmp_path):
     assert code == 0 and out.strip() == "Stable"
 
 
+def test_stability_of_the_zero_module_433_is_prompt(capsys, tmp_path):
+    # a scan of every subspace tuple took 17 s; (1, 0, 0) is the first negative dimension vector
+    dq, _ = standard_extended_dynkin("A", 2)
+    path = tmp_path / "zero-433.json"
+    path.write_text(json.dumps(Representation.build(dq, GF(3), (4, 3, 3)).to_json()), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "stability", "--theta", "-3,2,2", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 0 and out == "Unstable witness=(1, 0, 0)\n"
+
+
 def test_scan_outputs(capsys):
     code, out, _ = run(capsys, "scan", "--type", "A2", "--field", "2", "--theta", "-2,1,1")
     assert code == 0
@@ -516,6 +527,9 @@ MALFORMED_PATHS = {
     "float-modulus": "field.p",
     "float-degree": "field.k",
 }
+# file texts the JSON decoder refuses before any payload exists, so the error names the module
+MALFORMED_TEXTS = {"nested-arrays": "[" * 200_000 + "]" * 200_000}
+MALFORMED_PATHS["nested-arrays"] = "module"
 MODULE_COMMANDS = {
     "rep-check": ["rep-check"],
     "reflect": ["reflect", "--vertex", "1", "--dir", "minus"],
@@ -525,12 +539,16 @@ MODULE_COMMANDS = {
 
 
 @pytest.mark.parametrize("command", sorted(MODULE_COMMANDS))
-@pytest.mark.parametrize("payload", sorted(MALFORMED_MODULES))
+@pytest.mark.parametrize("payload", sorted(MALFORMED_MODULES) + sorted(MALFORMED_TEXTS))
 def test_malformed_module_files_exit_two(capsys, tmp_path, command, payload):
-    with pytest.raises(UsageError):
-        Representation.from_json(MALFORMED_MODULES[payload])
+    if payload in MALFORMED_TEXTS:
+        text = MALFORMED_TEXTS[payload]
+    else:
+        with pytest.raises(UsageError):
+            Representation.from_json(MALFORMED_MODULES[payload])
+        text = json.dumps(MALFORMED_MODULES[payload])
     path = tmp_path / "module.json"
-    path.write_text(json.dumps(MALFORMED_MODULES[payload]), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     start = time.perf_counter()
     code, out, err = run(capsys, *MODULE_COMMANDS[command], str(path))
     assert time.perf_counter() - start < 1

@@ -1,14 +1,17 @@
 import itertools
 import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from ppalg.errors import SearchBudgetExceeded, ShapeError, UnsupportedShape
 from ppalg.fields import GF, QQ
-from ppalg.linalg import Matrix
+from ppalg.linalg import Matrix, hstack_all
 from ppalg.quiver import DimensionVector, standard_extended_dynkin
-from ppalg.rep import Representation, hom_dim
+from ppalg.reflection import compute_siw
+from ppalg.rep import Representation, hom_dim, is_thin
 from ppalg.stability import (
     SEARCH_BUDGET,
     ModuliScan,
@@ -24,8 +27,8 @@ from ppalg.stability import (
     submodule_dimvecs,
     thin_canonical_values,
 )
-from ppalg.verify import A2_CHAMBER_WORDS, chamber_theta
-from ppalg.weyl import StabilityParameter
+from ppalg.verify import A2_CHAMBER_WORDS, chamber_theta, random_nilpotent
+from ppalg.weyl import StabilityParameter, WeylGroup, finite_root_system
 from relation_maps import is_zero
 
 
@@ -399,6 +402,99 @@ def test_pattern_memo_verdicts_match_the_subspace_search_in_any_order(n, q, thet
     # the memo is warm, and a theta of another length is still refused
     with pytest.raises(ShapeError):
         stability_verdict(modules[-1], StabilityParameter((-1, 1)))
+
+
+# -- the per-dimension-vector search against the full subspace scan -----------
+
+
+def reference_subspaces(field, dim):
+    """Every subspace of field^dim, grown one vector at a time from zero, as canonical column bases."""
+    elements = list(field.elements())
+    vectors = [Matrix(field, dim, 1, [[x] for x in v]) for v in itertools.product(elements, repeat=dim)]
+    found = {Matrix.zero(field, dim, 0)}
+    frontier = set(found)
+    while frontier:
+        frontier = {hstack_all(field, dim, (s, v)).image_basis() for s in frontier for v in vectors} - found
+        found |= frontier
+    return found
+
+
+def reference_closed_dimvecs(m):
+    """The dims of every tuple of vertex subspaces that each arrow maps into place, as a sorted set."""
+    per_vertex = [reference_subspaces(m.field, d) for d in m.dims]
+    return sorted(
+        {
+            DimensionVector(s.cols for s in spans)
+            for spans in itertools.product(*per_vertex)
+            if all(
+                hstack_all(m.field, m.dims[a.dst], (spans[a.dst], m.mats[a.aid].mul(spans[a.src]))).rank()
+                == spans[a.dst].cols
+                for a in m.dq.arrows
+            )
+        }
+    )
+
+
+def grid_thetas(d):
+    """Every integer parameter with entries in -3..3 on the support of d, zero elsewhere, vanishing on d.
+
+    The grid holds chamber and wall parameters alike; one parameter off the
+    kernel follows.  An entry off the support values no submodule.
+    """
+    support = [v for v in range(len(d)) if d[v]]
+    thetas = []
+    for entries in itertools.product(range(-3, 4), repeat=len(support)):
+        theta = [0] * len(d)
+        for v, t in zip(support, entries):
+            theta[v] = t
+        if fraction_value(theta, d) == 0:
+            thetas.append(StabilityParameter(theta))
+    return thetas + [StabilityParameter([Fraction(1, v + 1) for v in range(len(d))])]
+
+
+def non_thin_modules():
+    """Seeded random non-thin nilpotents, two zero modules over GF(3) and S1+S1+S2."""
+    out = []
+    for tag, n, q, seed in [("A", 2, 2, 11), ("A", 2, 3, 12), ("D", 4, 2, 13)]:
+        dq, _ = standard_extended_dynkin(tag, n)
+        rng = random.Random(seed)
+        mods = (random_nilpotent(dq, GF(q), rng, steps=rng.randrange(2, 5)) for _ in range(40))
+        non_thin = [m for m in mods if not is_thin(m)][:6]
+        out += [pytest.param(m, id=f"{tag}{n}-GF{q}-{k}") for k, m in enumerate(non_thin)]
+    dq, _ = standard_extended_dynkin("A", 2)
+    for d in [(2, 2, 1), (2, 1, 1)]:
+        out.append(pytest.param(Representation.build(dq, GF(3), d), id="zero-{}{}{}".format(*d)))
+    s1, s2 = Representation.simple(dq, GF(3), 1), Representation.simple(dq, GF(3), 2)
+    out.append(pytest.param(s1.direct_sum(s1).direct_sum(s2), id="S1+S1+S2"))
+    # a shifted simple of dims (0, 1, 2, 1, 1), stable at some parameters of the grid
+    dq, d = standard_extended_dynkin("D", 4)
+    siw = compute_siw(WeylGroup(finite_root_system(dq, d)), (2, 1, 3, 2), 4, GF(3)).module
+    out.append(pytest.param(siw, id="siw-D4-GF3"))
+    return out
+
+
+@pytest.mark.parametrize("m", non_thin_modules())
+def test_per_dimension_vector_search_matches_the_full_subspace_scan(m):
+    # each dimension vector is searched once, in ascending order: the same
+    # sorted list as keeping the dims of every closed subspace tuple, and the
+    # same verdict and witness at chamber, wall and off-kernel parameters
+    want = reference_closed_dimvecs(m)
+    assert _sorted_submodule_dimvecs(m, SEARCH_BUDGET) == want
+    for theta in grid_thetas(m.dims):
+        got, ref = stability_verdict(m, theta), verdict_from_dimvecs(m.dims, set(want), theta)
+        assert got == ref and type(got.witness) is type(ref.witness), theta
+
+
+def test_zero_module_433_is_unstable_at_once():
+    # a scan of every subspace tuple of this module took 17 s: (1, 0, 0) is the
+    # first dimension vector of negative value in ascending order, and the
+    # verdict stops there
+    dq, _ = standard_extended_dynkin("A", 2)
+    m = Representation.build(dq, GF(3), (4, 3, 3))
+    start = time.perf_counter()
+    v = stability_verdict(m, StabilityParameter((-3, 2, 2)))
+    assert time.perf_counter() - start < 1
+    assert v == StabilityVerdict(status="Unstable", witness=DimensionVector((1, 0, 0)))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
