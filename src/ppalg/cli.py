@@ -215,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stability", help="stability verdict of a module file")
     p.add_argument("--theta", required=True)
-    p.add_argument("--budget", type=int, default=stab.SEARCH_BUDGET)
+    budget_help = "most subspace tuples in the dimension vectors a non-thin search reaches (default %(default)s)"
+    p.add_argument("--budget", type=int, default=stab.SEARCH_BUDGET, help=budget_help)
     p.add_argument("file")
     p.set_defaults(func=cmd_stability)
 
@@ -224,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", type=int, required=True)
     p.add_argument("--theta")
     p.add_argument("--theta-tail", dest="theta_tail")
-    p.add_argument("--budget", type=int, default=stab.SEARCH_BUDGET)
+    budget_help = "most value tuples the solved thin variety may yield (default %(default)s)"
+    p.add_argument("--budget", type=int, default=stab.SEARCH_BUDGET, help=budget_help)
     p.add_argument("--emit", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_scan)
 

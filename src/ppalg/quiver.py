@@ -27,10 +27,12 @@ class DimensionVector(tuple):
         return super().__new__(cls, tuple(int(x) for x in entries))
 
     def __add__(self, other):
+        if len(self) != len(other):
+            raise ShapeError(f"vectors of {len(self)} and {len(other)} entries")
         return DimensionVector(a + b for a, b in zip(self, other))
 
     def __sub__(self, other):
-        return DimensionVector(a - b for a, b in zip(self, other))
+        return self + DimensionVector(-b for b in other)
 
     def __mul__(self, c):
         return DimensionVector(c * a for a in self)

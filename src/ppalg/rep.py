@@ -57,8 +57,10 @@ class Representation:
     ) -> "Representation":
         """Assemble a representation, filling unspecified arrows with zero maps.
 
-        A key of ``mats`` that is not an arrow of the quiver raises ShapeError.
+        A key of ``mats`` that is not an arrow, or a dims entry that is not an int, raises ShapeError.
         """
+        if not all(_is_int(x) for x in dims):
+            raise ShapeError("dimension vector entries must be integers")
         dims = DimensionVector(dims)
         if len(dims) != dq.vertex_count:
             raise ShapeError("dimension vector length mismatch")

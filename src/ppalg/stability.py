@@ -15,12 +15,13 @@ import csv
 import functools
 import io
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import InternalInvariantError, SearchBudgetExceeded, ShapeError, UnsupportedShape
 from .fields import Field
-from .linalg import Matrix, hstack_all
+from .linalg import Matrix, _dense, _mul_rows, hstack_all, null_space, sparse_echelon
 from .quiver import DimensionVector, DoubleQuiver
 from .rep import (
     Representation,
@@ -35,7 +36,7 @@ from .rep import (
 )
 from .weyl import StabilityParameter
 
-SEARCH_BUDGET = 10**7  # subspace tuples or thin arrow assignments a search may try, else SearchBudgetExceeded
+SEARCH_BUDGET = 10**7  # value tuples a thin scan yields, or subspace tuples of the dimension vectors a search reaches
 VERDICT_MEMO = 4096  # (thin dims, arrow pattern, theta) verdicts kept memoized
 
 
@@ -75,15 +76,13 @@ def _subspaces(field: Field, dim: int, k: int) -> list[Matrix]:
     return out
 
 
-def subspace_count(q: int, dim: int) -> int:
-    total = 0
-    for k in range(dim + 1):
-        num, den = 1, 1
-        for i in range(k):
-            num *= q ** (dim - i) - 1
-            den *= q ** (i + 1) - 1
-        total += num // den
-    return total
+def subspace_count(q: int, dim: int, k: int) -> int:
+    """The number of k-dimensional subspaces of GF(q)^dim: the Gaussian binomial [dim, k]_q."""
+    num, den = 1, 1
+    for i in range(k):
+        num *= q ** (dim - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
 
 
 def _closed_subspace_tuples(m: Representation, budget: int):
@@ -93,23 +92,23 @@ def _closed_subspace_tuples(m: Representation, budget: int):
     subspaces of dimensions beta (canonical column bases, so each has full
     column rank) are tried until one is a submodule: at every vertex, the
     images of the subspaces along the arrows in lie in the subspace there.
+    First beta adds its number of tuples, prod_v [d_v, beta_v]_q, to a
+    running charge: SearchBudgetExceeded once the charge passes the budget.
     """
     if not m.field.is_finite:
         raise UnsupportedShape("brute-force submodule search needs a finite field")
-    q = m.field.order
-    total = 1
-    for d in m.dims:
-        total *= subspace_count(q, d)
-        if total > budget:
-            raise SearchBudgetExceeded(f"subspace tuples exceed budget {budget}")
-    subspaces = {(d, k): _subspaces(m.field, d, k) for d in set(m.dims) for k in range(d + 1)}
+    subspaces = functools.cache(functools.partial(_subspaces, m.field))
+    charge = 0
     for beta in itertools.product(*(range(d + 1) for d in m.dims)):
+        charge += math.prod(subspace_count(m.field.order, d, k) for d, k in zip(m.dims, beta))
+        if charge > budget:
+            raise SearchBudgetExceeded(f"subspace tuples exceed budget {budget}")
         if any(
             all(
                 hstack_all(m.field, d, (spans[v], m._image_into(v, spans))).rank() == spans[v].cols
                 for v, d in enumerate(m.dims)
             )
-            for spans in itertools.product(*(subspaces[d, k] for d, k in zip(m.dims, beta)))
+            for spans in itertools.product(*(subspaces(d, k) for d, k in zip(m.dims, beta)))
         ):
             yield DimensionVector(beta)
 
@@ -313,15 +312,8 @@ class ModuliScan:
         return buf.getvalue()
 
 
-def _thin_live(dq: DoubleQuiver, d) -> list:
-    """The live arrows of d, once d is checked to hold one nonnegative dimension per vertex."""
-    if len(d) != dq.vertex_count or any(x < 0 for x in d):
-        raise ShapeError("thin enumeration needs one nonnegative dimension per vertex")
-    return _live_arrows(dq, d)
-
-
-def _thin_values(dq: DoubleQuiver, d, field: Field, budget: int):
-    """Every relation-satisfying value tuple on the live arrows of a thin d.
+def _thin_values(dq: DoubleQuiver, d, field: Field, budget: int) -> tuple[list, Iterator[tuple]]:
+    """The live arrows of a thin d and an iterator over every relation-satisfying value tuple on them.
 
     The relation variety is solved, not filtered.  On a thin module the
     relation at vertex v is linear in the products p_a = x_{a*} x_a of the
@@ -335,59 +327,63 @@ def _thin_values(dq: DoubleQuiver, d, field: Field, budget: int):
     ``dq.arrows`` order: the order in which a scan of all q^|live|
     assignments would meet them.  Only the star values sharing one base
     tuple are sorted, so memory stays bounded by the largest such group.
-    The budget bounds q^|live|.
+    The checks, the kernel and the count run at the call: p lifts to
+    prod_a (q - 1 if p_a != 0 else 2q - 1) tuples, and SearchBudgetExceeded
+    comes when their sum, or first q^k alone, passes the budget.
     """
-    live = _thin_live(dq, d)
+    if len(d) != dq.vertex_count or any(x < 0 for x in d):
+        raise ShapeError("thin enumeration needs one nonnegative dimension per vertex")
     if any(x > 1 for x in d):
         raise UnsupportedShape("enumeration is implemented for thin dimension vectors")
     if not field.is_finite:
         raise UnsupportedShape("enumeration needs a finite field")
     q = field.order
-    if q ** len(live) > budget:
-        raise SearchBudgetExceeded(f"{q}^{len(live)} assignments exceed budget {budget}")
     z = field.zero()
     elements = list(field.elements())
     # dq.arrows lists the base arrows, then their stars in the same order, so
     # live is base + stars and a value tuple over live is xs + ys
+    live = _live_arrows(dq, d)
     base = [a for a in live if a in dq.base.arrows]
     support = _support(d)
-    incidence = Matrix(
-        field,
-        len(support),
-        len(base),
-        [[field.from_int((a.src == v) - (a.dst == v)) for a in base] for v in support],
-    )
-    kernel = incidence.kernel_basis()
-    products = [
-        kernel.mul(Matrix.column(field, coeffs)).column_vector(0)
-        for coeffs in itertools.product(elements, repeat=kernel.cols)
+    incidence = [
+        {i: field.from_int((a.src == v) - (a.dst == v)) for i, a in enumerate(base) if v in (a.src, a.dst)}
+        for v in support
     ]
+    null = null_space(field, *sparse_echelon(field, incidence, len(base), True), len(base))
+    if q ** len(null) > budget:
+        raise SearchBudgetExceeded(f"{q}^{len(null)} product vectors exceed budget {budget}")
+    coeffs = list(itertools.product(elements, repeat=len(null)))
+    products = _mul_rows(field, coeffs, _dense(field, null, len(base)), len(base))
+    count = sum(math.prod(q - 1 if pa != z else 2 * q - 1 for pa in p) for p in products)
+    if count > budget:
+        raise SearchBudgetExceeded(f"{count} value tuples exceed budget {budget}")
     pos = {a.aid: i for i, a in enumerate(live)}
     relations_at = [
         [(sign, pos[aid], pos[sid]) for sign, aid, sid in dq.relations[v].terms if aid in pos]
         for v in support
     ]
-    for xs in itertools.product(elements, repeat=len(base)):
-        # lift every product vector through xs: x_a != 0 forces y_a = p_a / x_a,
-        # x_a = 0 needs p_a = 0 and leaves y_a free
-        ys = []
-        for p in products:
-            if all(x != z or pa == z for x, pa in zip(xs, p)):
-                ys.extend(
-                    itertools.product(
-                        *([field.div(pa, x)] if x != z else elements for x, pa in zip(xs, p))
-                    )
-                )
-        for y in sorted(ys):
-            values = xs + y
-            for terms in relations_at:
-                acc = z
-                for sign, i, j in terms:
-                    term = field.mul(values[j], values[i])
-                    acc = field.add(acc, term) if sign > 0 else field.sub(acc, term)
-                if acc != z:
-                    raise InternalInvariantError("solved thin module breaks a preprojective relation")
-            yield values
+
+    def tuples():
+        for xs in itertools.product(elements, repeat=len(base)):
+            # lift every product vector through xs: x_a != 0 forces y_a = p_a / x_a,
+            # x_a = 0 needs p_a = 0 and leaves y_a free
+            ys = [
+                y
+                for p in products if all(x != z or pa == z for x, pa in zip(xs, p))
+                for y in itertools.product(*([field.div(pa, x)] if x != z else elements for x, pa in zip(xs, p)))
+            ]
+            for y in sorted(ys):
+                values = xs + y
+                for terms in relations_at:
+                    acc = z
+                    for sign, i, j in terms:
+                        term = field.mul(values[j], values[i])
+                        acc = field.add(acc, term) if sign > 0 else field.sub(acc, term)
+                    if acc != z:
+                        raise InternalInvariantError("solved thin module breaks a preprojective relation")
+                yield values
+
+    return live, tuples()
 
 
 def _thin_points(dq: DoubleQuiver, d, field: Field, budget: int = SEARCH_BUDGET):
@@ -397,8 +393,8 @@ def _thin_points(dq: DoubleQuiver, d, field: Field, budget: int = SEARCH_BUDGET)
     walk; the builder takes no argument and builds the module, so a caller
     builds one only where it uses it.
     """
-    live = _thin_live(dq, d)
-    for values in _thin_values(dq, d, field, budget):
+    live, tuples = _thin_values(dq, d, field, budget)
+    for values in tuples:
         yield _pattern(live, values), functools.partial(_thin_rep, dq, field, d, live, values)
 
 
@@ -430,13 +426,10 @@ def moduli_scan(
     the gauge walk; a module is built only for the first member of each class.
     """
     dims = DimensionVector(d)
-    live = _thin_live(dq, dims)
+    live, tuples = _thin_values(dq, dims, field, budget)
     support = tuple(_support(dims))
-    in_kernel = theta.scaled(dims) == 0
     seen: dict[tuple, ScanRecord] = {}  # canonical values -> record
-    for values in _thin_values(dq, dims, field, budget):
-        if not in_kernel:
-            continue  # NotInThetaKernel: nothing is semistable
+    for values in tuples if theta.scaled(dims) == 0 else ():  # off the theta-kernel nothing is semistable
         pattern = _pattern(live, values)
         verdict = _thin_verdict(dims, pattern, theta.numerators)
         if not verdict.semistable:

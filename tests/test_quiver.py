@@ -155,6 +155,18 @@ def test_unit_vectors_are_built_once_and_range_checked():
             dq.cartan_row(i)
 
 
+def test_dimension_vector_arithmetic_refuses_another_length():
+    # both once zipped the shorter length: (1, 2, 3) + (1, 1) gave (2, 3)
+    long, short = DimensionVector((1, 2, 3)), DimensionVector((1, 1))
+    for a, b in [(long, short), (short, long)]:
+        with pytest.raises(ShapeError):
+            a + b
+        with pytest.raises(ShapeError):
+            a - b
+    assert long + (1, 0, 1) == DimensionVector((2, 2, 4))
+    assert long - (1, 0, 1) == DimensionVector((0, 2, 2))
+
+
 def test_standard_dimension_vectors():
     _, d = standard_extended_dynkin("D", 4)
     assert d == DimensionVector([1, 1, 2, 1, 1])

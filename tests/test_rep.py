@@ -328,6 +328,14 @@ def test_zero_module_and_shape_errors():
         Representation.build(dq, f, d, {"zz": Matrix(f, 1, 1, [[1]])})
 
 
+@pytest.mark.parametrize("dims", [(1.9, True, "1"), (1, 1, 1.0), (True, 1, 1), (1, "1", 1)])
+def test_build_refuses_a_dims_entry_that_is_not_an_integer(dims):
+    # int() once read (1.9, True, "1") as the dims (1, 1, 1)
+    dq, _, f = a2(GF(2))
+    with pytest.raises(ShapeError):
+        Representation.build(dq, f, dims)
+
+
 def test_isomorphism_refuses_pairs_that_do_not_match():
     # S1 of the cycle against S1 of the path 0 - 1 - 2: the thin branch once answered True
     dq, d, f = a2(GF(2))

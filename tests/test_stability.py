@@ -1,5 +1,8 @@
+import collections
+import functools
 import itertools
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -230,6 +233,25 @@ def test_solved_enumeration_matches_the_filter(tag, n, q):
             continue
         assert [m.mats for m in solved] == [m.mats for m in filtered_thin_reps(dq, d, f)], d
         assert all(m.check_relations() == [] for m in solved)
+
+
+@pytest.mark.parametrize(
+    "tag,n,qs", [("A", 1, (2, 3, 4, 5)), ("A", 2, (2, 3, 4, 5)), ("A", 3, (2, 3)), ("D", 4, (2, 3))]
+)
+def test_thin_budget_is_the_number_of_tuples_yielded(tag, n, qs):
+    # the budget once bounded every q^|live| assignment: the A2 scan over GF(5)
+    # needed 5^6 = 15625 for its 985 tuples
+    dq, _ = standard_extended_dynkin(tag, n)
+    zero = StabilityParameter((0,) * dq.vertex_count)
+    for q, d in itertools.product(qs, itertools.product((0, 1), repeat=dq.vertex_count)):
+        f = GF(q)
+        count = sum(1 for _ in filtered_thin_reps(dq, d, f))
+        assert sum(1 for _ in enumerate_thin_reps(dq, d, f, budget=count)) == count, (q, d)
+        moduli_scan(dq, d, zero, f, budget=count)
+        with pytest.raises(SearchBudgetExceeded):
+            next(enumerate_thin_reps(dq, d, f, budget=count - 1))
+        with pytest.raises(SearchBudgetExceeded):
+            moduli_scan(dq, d, zero, f, budget=count - 1)
 
 
 # -- moduli scans against the per-module reference ----------------------------
@@ -485,6 +507,41 @@ def test_per_dimension_vector_search_matches_the_full_subspace_scan(m):
         assert got == ref and type(got.witness) is type(ref.witness), theta
 
 
+@functools.lru_cache(maxsize=None)
+def reference_subspace_counts(field, dim):
+    """The number of subspaces of field^dim of each dimension, counted off ``reference_subspaces``."""
+    counts = collections.Counter(s.cols for s in reference_subspaces(field, dim))
+    return tuple(counts[k] for k in range(dim + 1))
+
+
+@pytest.mark.parametrize("m", non_thin_modules())
+def test_subspace_search_charges_the_dimension_vectors_it_reaches(m):
+    # the budget once bounded the product over the vertices of every subspace
+    # count before the search began, however early a witness ended it
+    charges = list(
+        itertools.accumulate(
+            math.prod(reference_subspace_counts(m.field, d)[k] for d, k in zip(m.dims, beta))
+            for beta in itertools.product(*(range(d + 1) for d in m.dims))
+        )
+    )
+    total = math.prod(sum(reference_subspace_counts(m.field, d)) for d in m.dims)
+    assert charges[-1] == total
+    want = submodule_dimvecs(m, budget=total)
+    with pytest.raises(SearchBudgetExceeded):
+        submodule_dimvecs(m, budget=total - 1)
+    # an Unstable verdict pays for the dimension vectors up to its witness
+    ascending = list(itertools.product(*(range(d + 1) for d in m.dims)))
+    for theta in grid_thetas(m.dims):
+        v = stability_verdict(m, theta)
+        if v.status != "Unstable":
+            continue
+        assert v.witness in want
+        charge = charges[ascending.index(v.witness)]
+        assert stability_verdict(m, theta, budget=charge) == v, theta
+        with pytest.raises(SearchBudgetExceeded):
+            stability_verdict(m, theta, budget=charge - 1)
+
+
 def test_zero_module_433_is_unstable_at_once():
     # a scan of every subspace tuple of this module took 17 s: (1, 0, 0) is the
     # first dimension vector of negative value in ascending order, and the
@@ -494,6 +551,15 @@ def test_zero_module_433_is_unstable_at_once():
     start = time.perf_counter()
     v = stability_verdict(m, StabilityParameter((-3, 2, 2)))
     assert time.perf_counter() - start < 1
+    assert v == StabilityVerdict(status="Unstable", witness=DimensionVector((1, 0, 0)))
+
+
+def test_zero_module_544_is_unstable_within_the_default_budget():
+    # the search once refused it: its subspace tuples number about 1.2e8, but
+    # the witness (1, 0, 0) comes after the 212^2 tuples of the vectors (0, *, *)
+    dq, _ = standard_extended_dynkin("A", 2)
+    m = Representation.build(dq, GF(3), (5, 4, 4))
+    v = stability_verdict(m, StabilityParameter((-8, 5, 5)))
     assert v == StabilityVerdict(status="Unstable", witness=DimensionVector((1, 0, 0)))
 
 
@@ -527,6 +593,15 @@ def gauge_orbit_count(dq, d, field, theta):
             )
             seen.add(moved)
     return orbits
+
+
+def test_a3_scan_over_gf9_counts_q2_plus_3q_stable_classes():
+    # law (a) on the cycle of four vertices: the default budget once refused
+    # the 9^8 assignments of this scan, which has 116,289 solutions
+    dq, d = standard_extended_dynkin("A", 3)
+    scan = moduli_scan(dq, d, StabilityParameter.from_tail(d, (1, 1, 1)), GF(9))
+    assert scan.class_count() == 9**2 + 3 * 9
+    assert all(rec.verdict.status == "Stable" for rec in scan.records)
 
 
 @pytest.mark.parametrize("q", [2, 3])
