@@ -65,7 +65,7 @@ def _closed_supports(dims, pattern: tuple) -> list[tuple]:
 
 def _subspaces(field: Field, dim: int, k: int) -> list[Matrix]:
     """The k-dimensional subspaces of field^dim as canonical column-basis matrices."""
-    elements = list(field.elements())
+    elements = list(field.elements()) if 0 < k < dim else []  # none is read at k = 0 or dim
     out = []
     for pivots in itertools.combinations(range(dim), k):
         free = [(c, r) for r, p in enumerate(pivots) for c in range(p + 1, dim) if c not in pivots]
@@ -246,7 +246,6 @@ def sequiv_class(m: Representation, theta: StabilityParameter) -> tuple:
     verdict = stability_verdict(m, theta)
     if not verdict.semistable:
         raise UnsupportedShape(f"module is not semistable: {verdict.status}")
-    n = m.dq.vertex_count
     pieces = []
     cur = m
     while any(d != 0 for d in cur.dims):
@@ -254,7 +253,7 @@ def sequiv_class(m: Representation, theta: StabilityParameter) -> tuple:
         supports = _closed_supports(cur.dims, _pattern(*_thin_read(cur)))[1:]
         best = min(
             (b for b in supports if theta.scaled(b) == 0),
-            key=lambda b: (sum(b), [v for v in range(n) if b[v]]),
+            key=lambda b: (sum(b), [v for v, x in enumerate(b) if x]),
         )
         pieces.append(thin_canonical_values(restrict_to_support(cur, best)))
         cur = restrict_to_support(cur, cur.dims - best)
@@ -329,7 +328,7 @@ def _thin_values(dq: DoubleQuiver, d, field: Field, budget: int) -> tuple[list, 
     tuple are sorted, so memory stays bounded by the largest such group.
     The checks, the kernel and the count run at the call: p lifts to
     prod_a (q - 1 if p_a != 0 else 2q - 1) tuples, and SearchBudgetExceeded
-    comes when their sum, or first q^k alone, passes the budget.
+    comes when their sum, or first the p = 0 term alone, passes the budget.
     """
     if len(d) != dq.vertex_count or any(x < 0 for x in d):
         raise ShapeError("thin enumeration needs one nonnegative dimension per vertex")
@@ -339,7 +338,6 @@ def _thin_values(dq: DoubleQuiver, d, field: Field, budget: int) -> tuple[list, 
         raise UnsupportedShape("enumeration needs a finite field")
     q = field.order
     z = field.zero()
-    elements = list(field.elements())
     # dq.arrows lists the base arrows, then their stars in the same order, so
     # live is base + stars and a value tuple over live is xs + ys
     live = _live_arrows(dq, d)
@@ -350,8 +348,10 @@ def _thin_values(dq: DoubleQuiver, d, field: Field, budget: int) -> tuple[list, 
         for v in support
     ]
     null = null_space(field, *sparse_echelon(field, incidence, len(base), True), len(base))
-    if q ** len(null) > budget:
-        raise SearchBudgetExceeded(f"{q}^{len(null)} product vectors exceed budget {budget}")
+    # p = 0 alone lifts to (2q - 1)^|base| >= q^k tuples, a floor on the count checked before any element is listed
+    if (2 * q - 1) ** len(base) > budget:
+        raise SearchBudgetExceeded(f"{2 * q - 1}^{len(base)} value tuples exceed budget {budget}")
+    elements = list(field.elements()) if base else []
     coeffs = list(itertools.product(elements, repeat=len(null)))
     products = _mul_rows(field, coeffs, _dense(field, null, len(base)), len(base))
     count = sum(math.prod(q - 1 if pa != z else 2 * q - 1 for pa in p) for p in products)

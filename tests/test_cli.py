@@ -269,6 +269,46 @@ def test_scan_over_budget_exits_two(capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+def _ppalg_capped(*argv):
+    # a child with 1 GiB of address space: a search that lists a huge field fails there, not here
+    import resource
+
+    src = str(Path(ppalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    cap = 1 << 30
+    return subprocess.run(
+        [sys.executable, "-m", "ppalg", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+
+
+# p = 0 alone lifts to (2q - 1)^3 tuples; 9,999,991 passes q^1 <= budget but not that
+@pytest.mark.parametrize("q", ["2147483647", "9999991"])
+@pytest.mark.parametrize("command", [["scan", "--type", "A2", "--theta", "-2,1,1"], ["verify", "--suite", "chs"]])
+def test_thin_search_over_a_huge_prime_exits_two_at_once(command, q):
+    start = time.perf_counter()
+    proc = _ppalg_capped(*command, "--field", q)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2 and proc.stdout == "" and "exceed budget" in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 2  # one second for the search, one for the interpreter's start
+
+
+def test_subspace_search_over_a_huge_prime_lists_no_field(tmp_path):
+    # (0, 0, 1) costs one subspace tuple per vector before it; (1, 0, 0) costs q + 1
+    dq, _ = standard_extended_dynkin("A", 2)
+    path = tmp_path / "zero-211.json"
+    path.write_text(json.dumps(Representation.build(dq, GF(2147483647), (2, 1, 1)).to_json()), encoding="utf-8")
+    proc = _ppalg_capped("stability", "--theta", "1,-1,-1", str(path))
+    assert proc.returncode == 0 and proc.stdout == "Unstable witness=(0, 0, 1)\n", proc.stderr
+    proc = _ppalg_capped("stability", "--theta", "-1,1,1", str(path))
+    assert proc.returncode == 2 and proc.stdout == "" and "exceed budget" in proc.stderr, proc.stderr
+
+
 @pytest.mark.parametrize("argv,expected", [(["--seed", "0"], 0), (["--seed", "5"], 5), ([], 7)])
 def test_verify_seed_reaches_dimlaw(capsys, monkeypatch, argv, expected):
     import ppalg.verify as verify
