@@ -21,18 +21,29 @@ MAX_VERTICES = 64
 
 
 class DimensionVector(tuple):
-    """Integer vector indexed by vertices, with componentwise arithmetic."""
+    """Integer vector indexed by vertices, with componentwise arithmetic.
+
+    Entries must be ints, not bools, and both sides of + and - of one length, or ShapeError.
+    """
 
     def __new__(cls, entries: Iterable[int]):
-        return super().__new__(cls, tuple(int(x) for x in entries))
+        out = super().__new__(cls, entries)
+        if not all(_is_int(x) for x in out):
+            raise ShapeError("dimension vector entries must be integers")
+        return out
 
     def __add__(self, other):
         if len(self) != len(other):
             raise ShapeError(f"vectors of {len(self)} and {len(other)} entries")
         return DimensionVector(a + b for a, b in zip(self, other))
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         return self + DimensionVector(-b for b in other)
+
+    def __rsub__(self, other):
+        return DimensionVector(-a for a in self) + other
 
     def __mul__(self, c):
         return DimensionVector(c * a for a in self)

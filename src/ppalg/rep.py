@@ -59,8 +59,6 @@ class Representation:
 
         A key of ``mats`` that is not an arrow, or a dims entry that is not an int, raises ShapeError.
         """
-        if not all(_is_int(x) for x in dims):
-            raise ShapeError("dimension vector entries must be integers")
         dims = DimensionVector(dims)
         if len(dims) != dq.vertex_count:
             raise ShapeError("dimension vector length mismatch")
@@ -358,7 +356,7 @@ def nonzero_morphisms(field: Field, basis: Sequence[dict], budget: int):
     if not basis:
         return
     n = sum(mat.cols for mat in basis[0].values())
-    grid = list(field.elements()) if field.is_finite else [field.from_int(k) for k in range(n + 1)]
+    grid = range(field.order) if field.is_finite else [field.from_int(k) for k in range(n + 1)]
     g = len(grid)
     size = (g ** len(basis) - 1) // (g - 1)
     rng, moved = random.Random(0), {}

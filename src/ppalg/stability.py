@@ -143,28 +143,17 @@ def stability_verdict(
     """King-style verdict with a witness dimension vector when one exists.
 
     The witness is the first proper submodule dimension vector, in sorted
-    order, of negative (else zero) parameter value.  Signs come from the
-    integer form ``theta.scaled``, which refuses a theta of another length.
-    A thin module is judged by its arrow pattern alone (``_pattern_verdict``).
+    order, of negative (else zero) parameter value.  theta is checked once,
+    through the integer form ``theta.scaled``: ShapeError for another length,
+    NotInThetaKernel for a nonzero value.  A thin module is then judged by its
+    arrow pattern alone (``_thin_verdict``), any other by the subspace search.
     """
-    if is_thin(m):
-        return _pattern_verdict(m.dims, _pattern(*_thin_read(m)), theta)
     if theta.scaled(m.dims) != 0:
         return StabilityVerdict(status="NotInThetaKernel")
+    if is_thin(m):
+        return _thin_verdict(m.dims, _pattern(*_thin_read(m)), theta.numerators)
     proper = (beta for beta in _closed_subspace_tuples(m, budget) if any(beta) and beta != m.dims)
     return _first_witness(proper, theta.numerators)
-
-
-def _pattern_verdict(dims, pattern: tuple, theta: StabilityParameter) -> StabilityVerdict:
-    """The verdict of every thin module of ``dims`` with one arrow pattern (``rep._pattern``).
-
-    theta is checked against ``dims`` here, ahead of the memo
-    ``_thin_verdict``: ShapeError for another length, NotInThetaKernel for a
-    nonzero value.
-    """
-    if theta.scaled(dims) != 0:
-        return StabilityVerdict(status="NotInThetaKernel")
-    return _thin_verdict(dims, pattern, theta.numerators)
 
 
 @functools.lru_cache(maxsize=VERDICT_MEMO)
@@ -172,7 +161,7 @@ def _thin_verdict(dims, pattern: tuple, numerators: tuple) -> StabilityVerdict:
     """The verdict of every thin module of ``dims`` with one arrow pattern, memoized.
 
     ``numerators`` are those of a theta of the same length whose value on
-    ``dims`` is zero; ``_pattern_verdict`` and ``moduli_scan`` check both
+    ``dims`` is zero; ``stability_verdict`` and ``moduli_scan`` check both
     first.  The proper closed supports go to ``_first_witness`` as 0/1 vectors.
     """
     return _first_witness(_closed_supports(dims, pattern)[1:-1], numerators)
@@ -386,18 +375,6 @@ def _thin_values(dq: DoubleQuiver, d, field: Field, budget: int) -> tuple[list, 
     return live, tuples()
 
 
-def _thin_points(dq: DoubleQuiver, d, field: Field, budget: int = SEARCH_BUDGET):
-    """Each relation-satisfying thin module of dims d as (arrow pattern, builder), in ``_thin_values`` order.
-
-    The pattern keys the module's verdict (``_pattern_verdict``) and gauge
-    walk; the builder takes no argument and builds the module, so a caller
-    builds one only where it uses it.
-    """
-    live, tuples = _thin_values(dq, d, field, budget)
-    for values in tuples:
-        yield _pattern(live, values), functools.partial(_thin_rep, dq, field, d, live, values)
-
-
 def enumerate_thin_reps(
     dq: DoubleQuiver,
     d: DimensionVector,
@@ -406,10 +383,12 @@ def enumerate_thin_reps(
 ) -> Iterable[Representation]:
     """All relation-satisfying thin representations with the given dimensions.
 
-    One module per value tuple of ``_thin_values``, in the same order.
+    One module per value tuple of ``_thin_values``, in the same order, each
+    built by ``_thin_rep``; the verification suites read their thin modules here.
     """
-    for _, build in _thin_points(dq, d, field, budget):
-        yield build()
+    live, tuples = _thin_values(dq, d, field, budget)
+    for values in tuples:
+        yield _thin_rep(dq, field, d, live, values)
 
 
 def moduli_scan(

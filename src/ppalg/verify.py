@@ -35,13 +35,7 @@ from .rep import (
     quotient_by_map,
 )
 from .reflection import ShiftedModule, apply_word, compute_siw, reflect_minus, reflect_plus
-from .stability import (
-    _pattern_verdict,
-    _thin_points,
-    moduli_scan,
-    stability_verdict,
-    thin_canonical_values,
-)
+from .stability import enumerate_thin_reps, moduli_scan, stability_verdict, thin_canonical_values
 from .weyl import (
     StabilityParameter,
     WeylGroup,
@@ -158,8 +152,7 @@ def chamber_theta(dq: DoubleQuiver, word: Sequence[int], base: StabilityParamete
 
 def _random_coeffs(field: Field, rng: random.Random, count: int) -> list:
     if field.is_finite:
-        pool = list(field.elements())
-        coeffs = [pool[rng.randrange(len(pool))] for _ in range(count)]
+        coeffs = [rng.randrange(field.order) for _ in range(count)]
     else:
         coeffs = [field.from_int(rng.randint(-3, 3)) for _ in range(count)]
     if all(c == field.zero() for c in coeffs):
@@ -225,10 +218,9 @@ def check_stability_characterization(field: Field, word: Sequence[int]) -> Suite
     siws = {i: compute_siw(wg, word, i, field) for i in (1, 2)}
     mismatches = 0
     total = 0
-    for pattern, build in _thin_points(dq, d, field):
+    for rep in enumerate_thin_reps(dq, d, field):
         total += 1
-        lhs = _pattern_verdict(d, pattern, theta).semistable
-        rep = build()
+        lhs = stability_verdict(rep, theta).semistable
         rhs = all((hom_dim(s.module, rep) if s.degree else hom_dim(rep, s.module)) == 0 for s in siws.values())
         if lhs != rhs:
             mismatches += 1
@@ -271,10 +263,9 @@ def zerogen_suite(field: Field) -> SuiteReport:
     simples = [Representation.simple(dq, field, i) for i in (1, 2)]
     mismatches = 0
     total = 0
-    for pattern, build in _thin_points(dq, d, field):
+    for rep in enumerate_thin_reps(dq, d, field):
         total += 1
-        in_s1 = _pattern_verdict(d, pattern, theta).semistable
-        rep = build()
+        in_s1 = stability_verdict(rep, theta).semistable
         zero_gen = rep.is_zero_generated()
         hom_vanish = all(hom_dim(rep, s) == 0 for s in simples)
         if not (in_s1 == zero_gen == hom_vanish):
@@ -322,13 +313,11 @@ def roundtrip_suite(field: Field) -> SuiteReport:
     thetas += [StabilityParameter((-1, 0, 1)), StabilityParameter((-1, 1, 0))]
     bad_iso = bad_status = 0
     checked = strictly = 0
-    for pattern, build in _thin_points(dq, d, field):
-        rep = None  # built at the first theta where it is semistable
+    for rep in enumerate_thin_reps(dq, d, field):
         for theta in thetas:
-            verdict = _pattern_verdict(d, pattern, theta)
+            verdict = stability_verdict(rep, theta)
             if not verdict.semistable:
                 continue
-            rep = rep or build()
             for i in (1, 2):
                 if theta[i] == 0:
                     continue
@@ -354,10 +343,7 @@ def coxeter_suite() -> SuiteReport:
     theta = BASE_THETA  # entries at 1, 2 and their sum are all nonzero
     samples = []
     for q in (2, 3, 5):
-        samples += [
-            build() for pattern, build in _thin_points(dq, d, GF(q))
-            if _pattern_verdict(d, pattern, theta).semistable
-        ]
+        samples += [rep for rep in enumerate_thin_reps(dq, d, GF(q)) if stability_verdict(rep, theta).semistable]
     report.add(f"sample count at least {COXETER_MIN_SAMPLES}", True, len(samples) >= COXETER_MIN_SAMPLES)
     bad_invol = bad_braid = 0
     for rep in samples:

@@ -270,6 +270,10 @@ def test_scan_over_budget_exits_two(capsys):
 
 
 def _ppalg_capped(*argv):
+    return _python_capped("-m", "ppalg", *argv)
+
+
+def _python_capped(*argv):
     # a child with 1 GiB of address space: a search that lists a huge field fails there, not here
     import resource
 
@@ -277,7 +281,7 @@ def _ppalg_capped(*argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     cap = 1 << 30
     return subprocess.run(
-        [sys.executable, "-m", "ppalg", *argv],
+        [sys.executable, *argv],
         env=env,
         capture_output=True,
         text=True,
@@ -307,6 +311,24 @@ def test_subspace_search_over_a_huge_prime_lists_no_field(tmp_path):
     assert proc.returncode == 0 and proc.stdout == "Unstable witness=(0, 0, 1)\n", proc.stderr
     proc = _ppalg_capped("stability", "--theta", "-1,1,1", str(path))
     assert proc.returncode == 2 and proc.stdout == "" and "exceed budget" in proc.stderr, proc.stderr
+
+
+def test_morphism_scan_and_nilpotent_sampling_over_a_huge_prime_list_no_field():
+    # both once listed the 2^31-1 elements of the field: MemoryError under the cap
+    code = """
+import random
+from ppalg.fields import GF
+from ppalg.quiver import standard_extended_dynkin
+from ppalg.rep import Representation, is_isomorphic
+from ppalg.verify import random_nilpotent
+dq, _ = standard_extended_dynkin("A", 2)
+f = GF(2147483647)
+s1 = Representation.simple(dq, f, 1)
+print(is_isomorphic(s1.direct_sum(s1), s1.direct_sum(s1)))
+print(random_nilpotent(dq, f, random.Random(0), 3).dims.total())
+"""
+    proc = _python_capped("-c", code)
+    assert proc.returncode == 0 and proc.stdout == "True\n4\n", proc.stderr
 
 
 @pytest.mark.parametrize("argv,expected", [(["--seed", "0"], 0), (["--seed", "5"], 5), ([], 7)])

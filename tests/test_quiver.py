@@ -157,14 +157,32 @@ def test_unit_vectors_are_built_once_and_range_checked():
 
 def test_dimension_vector_arithmetic_refuses_another_length():
     # both once zipped the shorter length: (1, 2, 3) + (1, 1) gave (2, 3)
+    # with a tuple on the left, + once concatenated and - raised TypeError
     long, short = DimensionVector((1, 2, 3)), DimensionVector((1, 1))
-    for a, b in [(long, short), (short, long)]:
+    for a, b in [(long, short), (short, long), (tuple(short), long), (tuple(long), short)]:
         with pytest.raises(ShapeError):
             a + b
         with pytest.raises(ShapeError):
             a - b
     assert long + (1, 0, 1) == DimensionVector((2, 2, 4))
     assert long - (1, 0, 1) == DimensionVector((0, 2, 2))
+    for got, want in [((1, 0, 1) + long, (2, 2, 4)), ((1, 0, 1) - long, (0, -2, -2))]:
+        assert type(got) is DimensionVector and got == want
+
+
+@pytest.mark.parametrize("entries", [(1.9, 1, 1), (True, 1, 1), (1, "2", 1), (1, 1, None)])
+def test_dimension_vector_refuses_an_entry_that_is_not_an_integer(entries):
+    # int() once read (1.9, True, "2") as (1, 1, 2)
+    with pytest.raises(ShapeError):
+        DimensionVector(entries)
+
+
+@pytest.mark.parametrize("scalar", [1.5, 0.5, "2"])
+def test_dimension_vector_refuses_a_scalar_that_is_not_an_integer(scalar):
+    # (1, 2) * 1.5 was once truncated to (1, 3)
+    with pytest.raises(ShapeError):
+        DimensionVector((1, 2)) * scalar
+    assert DimensionVector((1, 2)) * 3 == 3 * DimensionVector((1, 2)) == DimensionVector((3, 6))
 
 
 def test_standard_dimension_vectors():

@@ -1,9 +1,12 @@
+import ast
 import hashlib
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
+import ppalg.verify as verify_module
 from ppalg.errors import ShapeError, UsageError
 from ppalg.fields import GF, QQ
 from ppalg.linalg import Matrix
@@ -328,3 +331,16 @@ SAMPLED_MODULES_SHA256 = {
 @pytest.mark.parametrize("suite, seed", list(SAMPLED_MODULES_SHA256))
 def test_sampled_nilpotent_modules_match_their_golden_digest(monkeypatch, suite, seed):
     assert sampled_modules_digest(monkeypatch, suite, seed) == SAMPLED_MODULES_SHA256[suite, seed]
+
+
+def test_verify_imports_no_private_name_of_the_library():
+    # the suites once read thin modules through stability._thin_points and _pattern_verdict
+    tree = ast.parse(Path(verify_module.__file__).read_text(encoding="utf-8"))
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("ppalg"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
