@@ -19,19 +19,20 @@ from .errors import FieldMismatch, RangeError, UsageError
 MAX_PRIME = 2**31 - 1
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
+def _smallest_factor(n: int) -> int:
+    """The smallest prime factor of n >= 2, by trial division up to sqrt(n)."""
+    if n % 2 == 0:
+        return 2
     d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
+    while d * d <= n:
+        if n % d == 0:
+            return d
         d += 2
-    return True
+    return n
+
+
+def _is_prime(p: int) -> bool:
+    return p >= 2 and _smallest_factor(p) == p
 
 
 class Field:
@@ -346,17 +347,8 @@ def GF(q: int) -> Field:
     # no supported order lies above MAX_PRIME, so refuse before the trial division, which grows as sqrt(q)
     if q > MAX_PRIME:
         raise RangeError(f"order {q} is above the largest supported order 2^31-1")
-    p = None
-    f = 2
-    while f * f <= q:
-        if q % f == 0:
-            p = f
-            break
-        f += 1
-    if p is None:
-        return PrimeField(q)
-    k = 0
-    m = q
+    p = _smallest_factor(q)
+    k, m = 1, q // p
     while m % p == 0:
         m //= p
         k += 1

@@ -8,6 +8,7 @@ construction and freely shareable.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -46,6 +47,8 @@ class DimensionVector(tuple):
         return DimensionVector(-a for a in self) + other
 
     def __mul__(self, c):
+        if not _is_int(c):
+            raise ShapeError(f"a dimension vector scales by an integer, not {c!r}")
         return DimensionVector(c * a for a in self)
 
     __rmul__ = __mul__
@@ -228,14 +231,8 @@ def build_double(q: Quiver) -> DoubleQuiver:
     return DoubleQuiver(q)
 
 
-def _cycle_quiver(n: int) -> Quiver:
-    # vertices 0..n around a cycle, arrows pointing away from 0
-    arrows = [Arrow(f"a{k}", k - 1, k) for k in range(1, n + 1)]
-    arrows.append(Arrow(f"a{n + 1}", n, 0))
-    return Quiver(n + 1, arrows)
-
-
-def _star_quiver(edges: list[tuple[int, int]], n: int) -> Quiver:
+def _edge_quiver(edges: list[tuple[int, int]], n: int) -> Quiver:
+    """The quiver on vertices 0..n with arrow a{k} along the k-th edge (source, target)."""
     arrows = [Arrow(f"a{k + 1}", s, t) for k, (s, t) in enumerate(edges)]
     return Quiver(n + 1, arrows)
 
@@ -251,7 +248,8 @@ def standard_extended_dynkin(type_tag: str, n: int) -> tuple[DoubleQuiver, Dimen
     if tag == "A":
         if not 1 <= n < MAX_VERTICES:
             raise RangeError(f"type A needs 1 <= n < {MAX_VERTICES}")
-        q = _cycle_quiver(n)
+        # vertices 0..n around a cycle, arrows pointing away from 0
+        q = _edge_quiver([(k - 1, k) for k in range(1, n + 1)] + [(n, 0)], n)
         d = DimensionVector([1] * (n + 1))
     elif tag == "D":
         if not 4 <= n < MAX_VERTICES:
@@ -260,19 +258,19 @@ def standard_extended_dynkin(type_tag: str, n: int) -> tuple[DoubleQuiver, Dimen
         edges = [(0, 2), (1, 2)]
         edges += [(k, k + 1) for k in range(2, n - 2)]
         edges += [(n - 1, n - 2), (n, n - 2)]
-        q = _star_quiver(edges, n)
+        q = _edge_quiver(edges, n)
         d = DimensionVector([1, 1] + [2] * (n - 3) + [1, 1])
     elif tag == "E" and n == 6:
         edges = [(0, 1), (1, 2), (4, 3), (3, 2), (6, 5), (5, 2)]
-        q = _star_quiver(edges, 6)
+        q = _edge_quiver(edges, 6)
         d = DimensionVector([1, 2, 3, 2, 1, 2, 1])
     elif tag == "E" and n == 7:
         edges = [(0, 1), (1, 2), (2, 3), (6, 5), (5, 4), (4, 3), (7, 3)]
-        q = _star_quiver(edges, 7)
+        q = _edge_quiver(edges, 7)
         d = DimensionVector([1, 2, 3, 4, 3, 2, 1, 2])
     elif tag == "E" and n == 8:
         edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (7, 6), (6, 5), (8, 5)]
-        q = _star_quiver(edges, 8)
+        q = _edge_quiver(edges, 8)
         d = DimensionVector([1, 2, 3, 4, 5, 6, 4, 2, 3])
     else:
         raise RangeError(f"unsupported extended Dynkin type {type_tag}{n}")
@@ -280,15 +278,19 @@ def standard_extended_dynkin(type_tag: str, n: int) -> tuple[DoubleQuiver, Dimen
 
 
 def parse_type(text: str) -> tuple[str, int]:
-    """Parse a type label like 'A2', 'Ã2', 'D4' or 'E8'."""
-    s = unicodedata.normalize("NFKD", text.strip())
-    # drop decoration: tildes, combining marks, underscores
-    s = "".join(ch for ch in s if ch.isascii() and ch.isalnum())
-    if not s or s[0].upper() not in "ADE":
-        raise RangeError(f"cannot parse quiver type {text!r}")
-    tag = s[0].upper()
+    """Parse a type label like 'A2', 'Ã2', 'D4' or 'E8'.
+
+    Only decoration is dropped: combining marks (the tilde of 'Ã2'), '~', '_'
+    and spaces around the letter and the number.  Any other character, a digit
+    group split by anything, or a letter other than an ASCII A, D or E raises
+    RangeError; only ASCII digits count, so 'A²' and 'A٢' are refused.
+    """
+    # each decoration character becomes a space, so it may sit between the parts but never split one
+    s = "".join(" " if unicodedata.combining(ch) or ch in "~_" else ch for ch in unicodedata.normalize("NFD", text))
+    match = re.fullmatch(r"\s*([ADEade])\s*([0-9]+)\s*", s)
     try:
-        n = int(s[1:])
-    except ValueError:
-        raise RangeError(f"cannot parse quiver type {text!r}") from None
-    return tag, n
+        if match is not None:
+            return match[1].upper(), int(match[2])
+    except ValueError:  # more digits than int() converts
+        pass
+    raise RangeError(f"cannot parse quiver type {text!r}")

@@ -201,14 +201,13 @@ def apply_word(
 def compute_siw(wg: WeylGroup, word: Sequence[int], i: int, field: Field) -> ShiftedModule:
     """The shifted simple obtained by deriving the simple at i across a word.
 
-    The word must be reduced and use only finite-Weyl letters.  Each step
+    The word must be reduced and use only finite-Weyl letters, 1..rank;
+    ``wg.is_reduced`` refuses any other letter with RangeError.  Each step
     either keeps degree (zero defect) or shifts once (kernel module vanished);
     any other outcome raises DichotomyError.
     """
     word = tuple(word)
     dq = wg.rs.dq
-    if any(not 1 <= letter <= wg.rank for letter in word):
-        raise RangeError("shifted simples need letters in the finite Weyl range")
     if not wg.is_reduced(word):
         raise RangeError(f"word {word} is not reduced")
     if not 1 <= i <= wg.rank:
@@ -230,8 +229,7 @@ def compute_siw(wg: WeylGroup, word: Sequence[int], i: int, field: Field) -> Shi
                 f"step at letter {letter} had defect {res.defect} and a "
                 f"{'zero' if module_zero else 'nonzero'} kernel module"
             )
-    expected = apply_word_to_dimvec(dq, word, dq.unit(i))
-    sign = -1 if degree else 1
-    if sign * cur.dims != expected:
+    out = ShiftedModule(module=cur, degree=degree)
+    if out.signed_dims() != apply_word_to_dimvec(dq, word, dq.unit(i)):
         raise InternalInvariantError("shifted simple dims disagree with the word action")
-    return ShiftedModule(module=cur, degree=degree)
+    return out

@@ -375,10 +375,6 @@ def nonzero_morphisms(field: Field, basis: Sequence[dict], budget: int):
         yield combination(field, basis, coeffs)  # zip leaves the later coefficients zero
 
 
-def _is_invertible(phi: dict[int, Matrix]) -> bool:
-    return all(mat.rows == mat.cols and mat.rank() == mat.rows for mat in phi.values())
-
-
 # -- thin modules ------------------------------------------------------------
 
 
@@ -462,28 +458,28 @@ def _thin_canonical(m: Representation) -> tuple:
 def is_isomorphic(m: Representation, n: Representation) -> bool:
     """Exact isomorphism test.
 
-    Two thin modules with equal dims are decided by their gauge-canonical
-    values, exactly over any field, QQ included: an isomorphism of thin
-    modules is one nonzero scalar per vertex, and the cycle values left once
-    a spanning forest of the nonzero arrows is rescaled to ones are complete
-    invariants of that action.
+    Two thin modules with equal dims, zero modules included, are decided by
+    their gauge-canonical values, exactly over any field, QQ included: an
+    isomorphism of thin modules is one nonzero scalar per vertex, and the
+    cycle values left once a spanning forest of the nonzero arrows is
+    rescaled to ones are complete invariants of that action.
 
     Other pairs are not isomorphic when dim Hom(m, n), dim End m and dim End n
-    differ.  Otherwise ``nonzero_morphisms`` meets an invertible map whenever
-    one exists and raises Inconclusive when ``MORPHISM_SCAN_BUDGET`` tries end
-    first.  A pair over different fields or quivers raises, as for Hom.
+    differ.  Otherwise ``nonzero_morphisms`` meets an injective map, which
+    equal dims make invertible, whenever one exists and raises Inconclusive
+    when ``MORPHISM_SCAN_BUDGET`` tries end first.  A pair over different
+    fields or quivers raises, as for Hom.
     """
     _check_pair(m, n)  # the thin branch builds no hom system
     if m.dims != n.dims:
         return False
-    if m.is_zero_module():
-        return True
     if is_thin(m):
         return _thin_canonical(m) == _thin_canonical(n)
     basis = hom_basis(m, n)
     if not basis or hom_dim(m, m) != len(basis) or hom_dim(n, n) != len(basis):
         return False
-    return any(_is_invertible(phi) for phi in nonzero_morphisms(m.field, basis, MORPHISM_SCAN_BUDGET))
+    # equal dims make every block of a map m -> n square, so an injective one is invertible
+    return any(morphism_is_injective(phi) for phi in nonzero_morphisms(m.field, basis, MORPHISM_SCAN_BUDGET))
 
 
 def quotient_by_map(n: Representation, phi: dict[int, Matrix]) -> Representation:

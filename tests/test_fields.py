@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ppalg.errors import RangeError
-from ppalg.fields import GF, QQ, GaloisField, PrimeField, _poly_mul_mod, field_from_json
+from ppalg.fields import GF, QQ, GaloisField, PrimeField, _is_prime, _poly_mul_mod, field_from_json
 
 
 def test_rationals_are_exact_and_reduced():
@@ -30,6 +30,38 @@ def test_prime_validation():
     with pytest.raises(RangeError):
         GF(6)
     assert isinstance(GF(2147483647), PrimeField)
+
+
+def _factors(q):
+    """The prime factors of q with multiplicity, by the test's own trial division."""
+    out, f = [], 2
+    while f * f <= q:
+        while q % f == 0:
+            out.append(f)
+            q //= f
+        f += 1
+    return out + [q] if q > 1 else out
+
+
+def test_gf_builds_exactly_the_supported_prime_powers():
+    for q in [*range(2, 1001), 2**30, 2**31 - 1, 2**31, 46337**2]:
+        factors = _factors(q)
+        if len(set(factors)) == 1 and (len(factors) == 1 or q <= GaloisField.MAX_ORDER):
+            f = GF(q)
+            assert (f.order, f.p) == (q, factors[0]), q
+        else:
+            with pytest.raises(RangeError):
+                GF(q)
+
+
+def test_is_prime_agrees_with_a_sieve():
+    n = 10**4
+    sieve = [False, False] + [True] * (n - 2)
+    for p in range(2, 100):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(range(p * p, n, p))
+    assert [_is_prime(x) for x in range(n)] == sieve
+    assert not any(_is_prime(x) for x in range(-5, 2))
 
 
 @pytest.mark.parametrize("q", [4, 8, 9])

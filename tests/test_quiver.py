@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -177,11 +178,13 @@ def test_dimension_vector_refuses_an_entry_that_is_not_an_integer(entries):
         DimensionVector(entries)
 
 
-@pytest.mark.parametrize("scalar", [1.5, 0.5, "2"])
+@pytest.mark.parametrize("scalar", [1.5, 0.5, "2", True])
 def test_dimension_vector_refuses_a_scalar_that_is_not_an_integer(scalar):
-    # (1, 2) * 1.5 was once truncated to (1, 3)
+    # (1, 2) * 1.5 was once truncated to (1, 3), and (1, 2) * True read as (1, 2)
     with pytest.raises(ShapeError):
         DimensionVector((1, 2)) * scalar
+    with pytest.raises(ShapeError):
+        scalar * DimensionVector((1, 2))
     assert DimensionVector((1, 2)) * 3 == 3 * DimensionVector((1, 2)) == DimensionVector((3, 6))
 
 
@@ -236,8 +239,23 @@ def test_parse_type_variants():
     assert parse_type("A2") == ("A", 2)
     assert parse_type("Ã2") == ("A", 2)  # A with tilde
     assert parse_type("d4") == ("D", 4)
-    with pytest.raises(RangeError):
-        parse_type("Z3")
+    # decoration around the letter and the number is dropped
+    assert parse_type("A 2") == parse_type("A_2") == parse_type(" ~A2 ") == ("A", 2)
+    assert parse_type("Ẽ6") == ("E", 6)
+    # anything but decoration is refused; the first five once read as other quivers, A2.5 as Ã25
+    for text in ["A2.5", "A1,2", "D4-5", "E(6)", "A1 2", "A1_2", "A٢", "A²", "Ａ2", "A", "", "Z3", "A" + "9" * 5000]:
+        with pytest.raises(RangeError):
+            parse_type(text)
+
+
+def test_standard_quivers_keep_their_bytes():
+    # vertex numbering, arrow ids and arrow order of every standard quiver, with its imaginary root
+    digest = hashlib.sha256()
+    for tag, ns in (("A", range(1, 9)), ("D", range(4, 10)), ("E", range(6, 9))):
+        for n in ns:
+            dq, d = standard_extended_dynkin(tag, n)
+            digest.update((json.dumps({**dq.to_json(), "d": list(d)}, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == "ca8d667744ad1453b8d160ed430c6ec6bae8b2eaf864ba4aede2c9e3ce84ef38"
 
 
 def test_from_json_rejects_inconsistent_star_data():

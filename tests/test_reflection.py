@@ -236,6 +236,9 @@ def test_compute_siw_examples_and_guards():
         compute_siw(wg, (1, 1), 1, f)
     with pytest.raises(RangeError):
         compute_siw(wg, (0,), 1, f)
+    for letter in (wg.rank + 1, -1):  # refused by the reducedness check, which reads every letter
+        with pytest.raises(RangeError):
+            compute_siw(wg, (letter,), 1, f)
 
 
 def test_shifted_simple_degree_matches_root_sign_everywhere():

@@ -320,6 +320,9 @@ def test_zero_module_and_shape_errors():
     dq, d, f = a2(GF(2))
     z = Representation.build(dq, f, [0] * dq.vertex_count)
     assert z.is_zero_module()
+    assert is_isomorphic(z, z)  # the thin branch compares two empty canonical tuples
+    dq4, _ = standard_extended_dynkin("D", 4)
+    assert is_isomorphic(Representation.build(dq4, QQ, [0] * 5), Representation.build(dq4, QQ, [0] * 5))
     with pytest.raises(ShapeError):
         Representation.build(dq, f, [1, 1], {})
     with pytest.raises(ShapeError):
