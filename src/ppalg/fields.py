@@ -165,6 +165,13 @@ class PrimeField(_FiniteField):
             raise RangeError(f"modulus {p} is not a prime in [2, 2^31-1]")
         self.p = self.q = p
 
+    @staticmethod
+    def _of(p: int) -> "PrimeField":
+        """A trusted modulus: a prime in [2, 2^31-1], found by the caller's trial division."""
+        field = object.__new__(PrimeField)
+        field.p = field.q = p
+        return field
+
     def add(self, a, b):
         return (a + b) % self.p
 
@@ -354,7 +361,7 @@ def GF(q: int) -> Field:
         k += 1
     if m != 1:
         raise RangeError(f"{q} is not a prime power")
-    return PrimeField(p) if k == 1 else GaloisField(p, k)
+    return PrimeField._of(p) if k == 1 else GaloisField(p, k)
 
 
 def check_same_field(f1: Field, f2: Field) -> None:

@@ -45,6 +45,7 @@ from .weyl import (
     reflect_dimvec,
 )
 
+# the words of a2_setup()[2].canonical_words(), in its order, for callers that hold no Weyl group
 A2_CHAMBER_WORDS = ((), (1,), (2,), (1, 2), (2, 1), (1, 2, 1))
 BASE_THETA = StabilityParameter((-2, 1, 1))
 DIMLAW_SAMPLES = 200  # random nilpotents per quiver in dimlaw
@@ -147,6 +148,12 @@ def chamber_theta(dq: DoubleQuiver, word: Sequence[int], base: StabilityParamete
     return apply_word_to_theta(dq, word, base)
 
 
+def chambers(wg: WeylGroup):
+    """(word, label, theta_w) for each chamber word of ``wg.canonical_words()``, theta_w from ``BASE_THETA``."""
+    for word in wg.canonical_words():
+        yield word, chamber_label(word), chamber_theta(wg.rs.dq, word)
+
+
 # -- random nilpotent modules -------------------------------------------------
 
 
@@ -180,28 +187,32 @@ def random_nilpotent(dq: DoubleQuiver, field: Field, rng: random.Random, steps: 
 # -- membership in exceptional curves ----------------------------------------
 
 
+def shifted_simples(wg: WeylGroup, word: Sequence[int], field: Field) -> dict[int, ShiftedModule]:
+    """The shifted simple ``compute_siw(wg, word, i, field)`` of every finite vertex i."""
+    return {i: compute_siw(wg, word, i, field) for i in range(1, wg.rank + 1)}
+
+
 def exceptional_membership(
     m: Representation, wg: WeylGroup, word: Sequence[int], siws: Mapping[int, ShiftedModule]
 ) -> dict[int, bool]:
     """Whether a semistable module lies on each transported exceptional curve.
 
-    One flag per finite vertex i, read against S = ``siws[i].module``, the
-    shifted simple ``compute_siw(wg, word, i, m.field)``: Hom(S, m) != 0, or
+    One flag per finite vertex i, read against S = ``siws[i].module``, from
+    ``shifted_simples(wg, word, m.field)``: Hom(S, m) != 0, or
     Hom(m, S) != 0 when S sits in degree 1.  On the wall of the chamber where
     S has value zero, S is stable and m semistable, so a nonzero map S -> m
     is injective and one m -> S onto (King, Quart. J. Math. 45, 1994).  The
     module's membership in the chamber category is verified once first,
     against the transported all-ones parameter.
     """
-    word = tuple(word)
     ones = StabilityParameter.from_tail(m.dims, [1] * wg.rank)
     verdict = stability_verdict(m, chamber_theta(m.dq, word, ones))
     if not verdict.semistable:
         raise PreconditionViolated(f"module not semistable: {verdict.status}")
     flags = {}
-    for i in range(1, wg.rank + 1):
-        s = siws[i].module
-        flags[i] = (hom_dim(m, s) if siws[i].degree else hom_dim(s, m)) != 0
+    for i, siw in siws.items():
+        s = siw.module
+        flags[i] = (hom_dim(m, s) if siw.degree else hom_dim(s, m)) != 0
     return flags
 
 
@@ -211,11 +222,10 @@ def exceptional_membership(
 def check_stability_characterization(field: Field, word: Sequence[int]) -> SuiteReport:
     """Semistability versus hom-vanishing against the shifted simples, exhaustively."""
     dq, d, wg = a2_setup()
-    word = tuple(word)
     theta = chamber_theta(dq, word)
     report = SuiteReport(suite=f"chs[{chamber_label(word)},q={field.order}]")
     report.meta[f"theta {chamber_label(word)}"] = theta.format()
-    siws = {i: compute_siw(wg, word, i, field) for i in (1, 2)}
+    siws = shifted_simples(wg, word, field)
     mismatches = 0
     total = 0
     for rep in enumerate_thin_reps(dq, d, field):
@@ -233,23 +243,20 @@ def figure2_report(field: Field) -> SuiteReport:
     dq, d, wg = a2_setup()
     report = SuiteReport(suite=f"figure2[q={field.order}]")
     adjacent = dq.cartan[1][2] < 0
-    for word in A2_CHAMBER_WORDS:
-        label = chamber_label(word)
-        theta = chamber_theta(dq, word)
+    for word, label, theta in chambers(wg):
         report.meta[f"theta {label}"] = theta.format()
         expected_roots = EXPECTED_WDELTA[word]
-        got_roots = tuple(wg.act_on_root(word, wg.rs.simple[i - 1]) for i in (1, 2))
+        got_roots = tuple(wg.act_on_root(word, root) for root in wg.rs.simple)
         report.add(f"{label} transported simple system", expected_roots, got_roots)
-        siws = {i: compute_siw(wg, word, i, field) for i in (1, 2)}
-        for i in (1, 2):
+        siws = shifted_simples(wg, word, field)
+        for i, siw in siws.items():
             expected_degree = 0 if all(c >= 0 for c in expected_roots[i - 1]) else 1
-            report.add(f"{label} degree of shifted simple {i}", expected_degree, siws[i].degree)
+            report.add(f"{label} degree of shifted simple {i}", expected_degree, siw.degree)
         scan = moduli_scan(dq, d, theta, field)
         flags = [exceptional_membership(rec.rep, wg, word, siws) for rec in scan.records]
-        e1, e2 = (sum(f[i] for f in flags) for i in (1, 2))
+        sizes = tuple(sum(f[i] for f in flags) for i in siws)
         both = sum(f[1] and f[2] for f in flags)
-        q = field.order
-        report.add(f"{label} curve sizes (q+1 classes each)", (q + 1, q + 1), (e1, e2))
+        report.add(f"{label} curve sizes (q+1 classes each)", (field.order + 1,) * wg.rank, sizes)
         report.add(f"{label} intersection class count", 1, both)
         report.add(f"{label} curves meet iff vertices adjacent", adjacent, both > 0)
     return report
@@ -258,14 +265,13 @@ def figure2_report(field: Field) -> SuiteReport:
 def zerogen_suite(field: Field) -> SuiteReport:
     """Fundamental-chamber membership, zero-generation and hom-vanishing agree."""
     dq, d, _ = a2_setup()
-    theta = BASE_THETA
     report = SuiteReport(suite=f"zerogen[q={field.order}]")
-    simples = [Representation.simple(dq, field, i) for i in (1, 2)]
+    simples = [Representation.simple(dq, field, i) for i in range(1, dq.vertex_count)]
     mismatches = 0
     total = 0
     for rep in enumerate_thin_reps(dq, d, field):
         total += 1
-        in_s1 = stability_verdict(rep, theta).semistable
+        in_s1 = stability_verdict(rep, BASE_THETA).semistable
         zero_gen = rep.is_zero_generated()
         hom_vanish = all(hom_dim(rep, s) == 0 for s in simples)
         if not (in_s1 == zero_gen == hom_vanish):
@@ -307,9 +313,9 @@ def dimlaw_suite(seed: int = DEFAULT_SEEDS["dimlaw"]) -> SuiteReport:
 
 def roundtrip_suite(field: Field) -> SuiteReport:
     """Opposite reflections invert each other and preserve the verdict class."""
-    dq, d, _ = a2_setup()
+    dq, d, wg = a2_setup()
     report = SuiteReport(suite=f"roundtrip[q={field.order}]")
-    thetas = [chamber_theta(dq, w) for w in A2_CHAMBER_WORDS]
+    thetas = [theta for _, _, theta in chambers(wg)]
     thetas += [StabilityParameter((-1, 0, 1)), StabilityParameter((-1, 1, 0))]
     bad_iso = bad_status = 0
     checked = strictly = 0
@@ -318,7 +324,7 @@ def roundtrip_suite(field: Field) -> SuiteReport:
             verdict = stability_verdict(rep, theta)
             if not verdict.semistable:
                 continue
-            for i in (1, 2):
+            for i in range(1, dq.vertex_count):
                 if theta[i] == 0:
                     continue
                 checked += 1
@@ -347,7 +353,7 @@ def coxeter_suite() -> SuiteReport:
     report.add(f"sample count at least {COXETER_MIN_SAMPLES}", True, len(samples) >= COXETER_MIN_SAMPLES)
     bad_invol = bad_braid = 0
     for rep in samples:
-        for i in (1, 2):
+        for i in range(1, dq.vertex_count):
             m2, th2 = apply_word((i, i), rep, theta)
             if th2 != theta or not is_isomorphic(m2, rep):
                 bad_invol += 1
@@ -387,29 +393,17 @@ def walls_suite(field: Field) -> SuiteReport:
     """Equal stable class counts across chambers, with an explicit bijection."""
     dq, d, wg = a2_setup()
     report = SuiteReport(suite=f"walls[q={field.order}]")
-    scans = {}
-    for word in A2_CHAMBER_WORDS:
-        scans[word] = moduli_scan(dq, d, chamber_theta(dq, word), field)
-    counts = {word: len(scans[word].stable_records()) for word in A2_CHAMBER_WORDS}
-    report.add("equal stable counts across chambers", 1, len(set(counts.values())))
-    base_theta = chamber_theta(dq, ())
-    base = scans[()].stable_records()
-    for word in A2_CHAMBER_WORDS:
-        if not word:
-            continue
-        target_theta = chamber_theta(dq, word)
-        tags = []
-        for rec in base:
-            moved, th = apply_word(word, rec.rep, base_theta)
-            if th != target_theta:
-                tags = None
-                break
-            tags.append(thin_canonical_values(moved))
+    stable = {word: (theta, moduli_scan(dq, d, theta, field).stable_records()) for word, _, theta in chambers(wg)}
+    report.add("equal stable counts across chambers", 1, len({len(records) for _, records in stable.values()}))
+    base_theta, base = stable.pop(())
+    for word, (target_theta, records) in stable.items():
         label = chamber_label(word)
-        if tags is None:
+        moved = [apply_word(word, rec.rep, base_theta) for rec in base]
+        if any(th != target_theta for _, th in moved):
             report.add(f"{label} parameter transport", True, False)
             continue
-        target_tags = {rec.canonical for rec in scans[word].stable_records()}
+        tags = [thin_canonical_values(n) for n, _ in moved]
+        target_tags = {rec.canonical for rec in records}
         report.add(f"{label} transport injective", len(base), len(set(tags)))
         report.add(f"{label} transport onto stable classes", target_tags, set(tags))
     return report
@@ -419,16 +413,15 @@ def rootlaw_suite(seed: int = DEFAULT_SEEDS["rootlaw"]) -> SuiteReport:
     """Shift degrees and signed dimension vectors of the shifted simples."""
     report = SuiteReport(suite="rootlaw")
     field = GF(2)
-    wg4 = d4_setup()[2]
+    wg2, wg4 = a2_setup()[2], d4_setup()[2]
     cases = (
-        ("A2", a2_setup()[2], A2_CHAMBER_WORDS, "all 6 words"),
+        ("A2", wg2, wg2.canonical_words(), "all 6 words"),
         ("D4", wg4, random.Random(seed).sample(wg4.canonical_words(), 20), "20 sampled words"),
     )
     for tag, wg, words, label in cases:
         bad = 0
         for word in words:
-            for i in range(1, wg.rank + 1):
-                siw = compute_siw(wg, word, i, field)
+            for i, siw in shifted_simples(wg, word, field).items():
                 root = wg.act_on_root(word, wg.rs.simple[i - 1])
                 if (siw.degree == 0) != all(c >= 0 for c in root):
                     bad += 1
@@ -442,10 +435,9 @@ def check_L_sequences(field: Field) -> SuiteReport:
     """Sub and quotient exceptional sequences through every curve member."""
     dq, d, _ = a2_setup()
     report = SuiteReport(suite=f"Lseq[q={field.order}]")
-    theta = BASE_THETA
-    scan = moduli_scan(dq, d, theta, field)
+    scan = moduli_scan(dq, d, BASE_THETA, field)
     members = 0
-    for i in (1, 2):
+    for i in range(1, dq.vertex_count):
         simple_i = Representation.simple(dq, field, i)
         e_i = dq.unit(i)
         for rec in scan.stable_records():
@@ -487,7 +479,7 @@ def check_L_sequences(field: Field) -> SuiteReport:
             report.add(
                 f"{key}: L+ sequence non-split", False, extension_splits(n, simple_i, l_plus)
             )
-    report.add("curve members found", 2 * (field.order + 1), members)
+    report.add("curve members found", (dq.vertex_count - 1) * (field.order + 1), members)
     return report
 
 
@@ -498,7 +490,7 @@ def check_L_sequences(field: Field) -> SuiteReport:
 # suite function up in this module when it runs.
 SUITES = {
     "figure2": ((2, 3), lambda f, seed: [figure2_report(f)]),
-    "chs": ((2, 3), lambda f, seed: [check_stability_characterization(f, w) for w in A2_CHAMBER_WORDS]),
+    "chs": ((2, 3), lambda f, seed: [check_stability_characterization(f, w) for w, _, _ in chambers(a2_setup()[2])]),
     "zerogen": ((2, 3), lambda f, seed: [zerogen_suite(f)]),
     "roundtrip": ((2, 3), lambda f, seed: [roundtrip_suite(f)]),
     "coxeter": ((), lambda f, seed: [coxeter_suite()]),

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ppalg import fields
 from ppalg.errors import RangeError
 from ppalg.fields import GF, QQ, GaloisField, PrimeField, _is_prime, _poly_mul_mod, field_from_json
 
@@ -52,6 +53,28 @@ def test_gf_builds_exactly_the_supported_prime_powers():
         else:
             with pytest.raises(RangeError):
                 GF(q)
+
+
+def test_gf_of_a_prime_trial_divides_it_once(monkeypatch):
+    calls = []
+    divide = fields._smallest_factor
+    monkeypatch.setattr(fields, "_smallest_factor", lambda n: calls.append(n) or divide(n))
+    f = GF(2147483647)
+    assert calls == [2147483647]
+    assert isinstance(f, PrimeField) and (f.p, f.order) == (2147483647, 2147483647)
+    assert f == PrimeField(2147483647) and hash(f) == hash(PrimeField(2147483647))
+    assert f.mul(f.inv(3), 3) == 1
+
+
+@pytest.mark.parametrize("payload", [
+    {"kind": "prime", "p": 9},
+    {"kind": "prime", "p": 65537 * 32749},  # no factor below 32749
+    {"kind": "prime-power", "p": 4, "k": 2},
+    {"kind": "prime-power", "p": 6, "k": 3},
+])
+def test_field_json_refuses_a_composite_characteristic(payload):
+    with pytest.raises(RangeError):
+        field_from_json(payload)
 
 
 def test_is_prime_agrees_with_a_sieve():

@@ -12,7 +12,7 @@ from ppalg.fields import GF, QQ
 from ppalg.linalg import Matrix
 from ppalg.quiver import standard_extended_dynkin
 from ppalg.rep import MORPHISM_SCAN_BUDGET, hom_basis, hom_dim, nonzero_morphisms, Representation
-from ppalg.reflection import apply_word, compute_siw
+from ppalg.reflection import apply_word
 from ppalg.stability import moduli_scan, stability_verdict
 from ppalg.verify import (
     A2_CHAMBER_WORDS,
@@ -25,14 +25,16 @@ from ppalg.verify import (
     figure2_report,
     random_nilpotent,
     run_suite,
+    shifted_simples,
     zerogen_suite,
 )
 from ppalg.weyl import StabilityParameter, WeylGroup, finite_root_system
 from relation_maps import dual, socle_multiplicities
 
 
-def shifted_simples(wg, word, field):
-    return {i: compute_siw(wg, word, i, field) for i in range(1, wg.rank + 1)}
+def test_a2_chamber_words_are_the_canonical_words_of_the_weyl_group():
+    # the suites read their chambers from canonical_words(); the constant keeps their order
+    assert a2_setup()[2].canonical_words() == list(A2_CHAMBER_WORDS)
 
 
 def test_unknown_suite_raises():
