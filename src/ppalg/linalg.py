@@ -130,9 +130,6 @@ class Matrix:
             raise ShapeError(f"product shape mismatch {self.rows}x{self.cols} . {other.rows}x{other.cols}")
         return Matrix._of(self.field, self.rows, other.cols, _mul_rows(self.field, self.data, other.data, other.cols))
 
-    def column_vector(self, j: int) -> tuple:
-        return tuple(self.data[r][j] for r in range(self.rows))
-
     # -- echelon machinery -------------------------------------------------
 
     def _reduced(self) -> tuple[list[dict], tuple[int, ...]]:

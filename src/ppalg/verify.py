@@ -3,9 +3,9 @@
 Most suites center on the three-vertex cycle, where every module of the
 imaginary-root dimension vector can be enumerated over a small finite field;
 the dimension-law, form-identity and root-law suites also sample the
-four-tail star shape.  Chamber parameters are always the six integer vectors
-obtained by acting with the chamber words on the base parameter (-2, 1, 1),
-so reports are reproducible byte for byte.
+four-tail star shape.  Chamber parameters are always the integer vectors
+obtained by acting with the chamber words on the all-ones tail, (-2,1,1) on
+Ã2, so reports are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .weyl import (
     WeylGroup,
     apply_word_to_theta,
     chamber_label,
+    chamber_word,
     finite_root_system,
     reflect_dimvec,
 )
@@ -149,9 +150,10 @@ def chamber_theta(dq: DoubleQuiver, word: Sequence[int], base: StabilityParamete
 
 
 def chambers(wg: WeylGroup):
-    """(word, label, theta_w) for each chamber word of ``wg.canonical_words()``, theta_w from ``BASE_THETA``."""
+    """(word, label, theta_w) for each chamber word of ``wg.canonical_words()``, theta_w from the all-ones tail."""
+    base = StabilityParameter.from_tail(wg.rs.d, [1] * wg.rank)
     for word in wg.canonical_words():
-        yield word, chamber_label(word), chamber_theta(wg.rs.dq, word)
+        yield word, chamber_label(word), chamber_theta(wg.rs.dq, word, base)
 
 
 # -- random nilpotent modules -------------------------------------------------
@@ -393,13 +395,14 @@ def walls_suite(field: Field) -> SuiteReport:
     """Equal stable class counts across chambers, with an explicit bijection."""
     dq, d, wg = a2_setup()
     report = SuiteReport(suite=f"walls[q={field.order}]")
-    stable = {word: (theta, moduli_scan(dq, d, theta, field).stable_records()) for word, _, theta in chambers(wg)}
-    report.add("equal stable counts across chambers", 1, len({len(records) for _, records in stable.values()}))
-    base_theta, base = stable.pop(())
-    for word, (target_theta, records) in stable.items():
+    stable = {word: moduli_scan(dq, d, theta, field).stable_records() for word, _, theta in chambers(wg)}
+    report.add("equal stable counts across chambers", 1, len({len(records) for records in stable.values()}))
+    _, _, base_theta = next(chambers(wg))
+    base = stable.pop(())
+    for word, records in stable.items():
         label = chamber_label(word)
         moved = [apply_word(word, rec.rep, base_theta) for rec in base]
-        if any(th != target_theta for _, th in moved):
+        if any(chamber_word(dq, d, theta) != word for theta in {th for _, th in moved}):
             report.add(f"{label} parameter transport", True, False)
             continue
         tags = [thin_canonical_values(n) for n, _ in moved]
@@ -450,35 +453,24 @@ def check_L_sequences(field: Field) -> SuiteReport:
             report.add(f"{key}: dim Hom(S_i, N)", 1, len(maps))
             ext_n_si = ext1_space(n, simple_i)
             report.add(f"{key}: dim Ext1(N, S_i)", 1, ext_n_si.dim)
-            # quotient side: 0 -> S_i -> N -> L- -> 0
             embedding = maps[0]
             if not morphism_is_injective(embedding):
                 report.add(f"{key}: embedding injective", True, False)
                 continue
+            # quotient side 0 -> S_i -> N -> L- -> 0, then extension side 0 -> S_i -> L+ -> N -> 0
             l_minus = quotient_by_map(n, embedding)
-            report.add(f"{key}: L- dims", tuple(d - e_i), tuple(l_minus.dims))
-            report.add(
-                f"{key}: L- zero-generated nilpotent",
-                (True, True),
-                (l_minus.is_zero_generated(), l_minus.is_nilpotent()),
-            )
-            report.add(
-                f"{key}: L- sequence non-split",
-                False,
-                retraction_exists(simple_i, n, embedding),
-            )
-            # extension side: 0 -> S_i -> L+ -> N -> 0
-            cocycle = ext_n_si.cocycle_basis[0]
-            l_plus = extension_from_cocycle(n, simple_i, cocycle)
-            report.add(f"{key}: L+ dims", tuple(d + e_i), tuple(l_plus.dims))
-            report.add(
-                f"{key}: L+ zero-generated nilpotent",
-                (True, True),
-                (l_plus.is_zero_generated(), l_plus.is_nilpotent()),
-            )
-            report.add(
-                f"{key}: L+ sequence non-split", False, extension_splits(n, simple_i, l_plus)
-            )
+            l_plus = extension_from_cocycle(n, simple_i, ext_n_si.cocycle_basis[0])
+            for side, module, dims, splits in (
+                ("L-", l_minus, d - e_i, retraction_exists(simple_i, n, embedding)),
+                ("L+", l_plus, d + e_i, extension_splits(n, simple_i, l_plus)),
+            ):
+                report.add(f"{key}: {side} dims", tuple(dims), tuple(module.dims))
+                report.add(
+                    f"{key}: {side} zero-generated nilpotent",
+                    (True, True),
+                    (module.is_zero_generated(), module.is_nilpotent()),
+                )
+                report.add(f"{key}: {side} sequence non-split", False, splits)
     report.add("curve members found", (dq.vertex_count - 1) * (field.order + 1), members)
     return report
 

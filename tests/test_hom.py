@@ -270,10 +270,10 @@ def greedy_cocycle_choice(m, n):
     ker = d2.kernel_basis()
     chosen = []
     acc = d1.image_basis()
-    for j in range(ker.cols):
-        grown = hstack_all(m.field, acc.rows, (acc, Matrix.column(m.field, ker.column_vector(j))))
+    for column in ker.transpose().data:
+        grown = hstack_all(m.field, acc.rows, (acc, Matrix.column(m.field, column)))
         if grown.rank() > acc.rank():
-            chosen.append(ker.column_vector(j))
+            chosen.append(column)
             acc = grown
     return chosen
 

@@ -76,7 +76,7 @@ def test_rational_kernel_of_rank_one_matrix():
     a = ints(QQ, [[1, 1], [0, 0]])
     assert a.rank() == 1
     assert a.kernel_basis().cols == 1
-    x = a.kernel_basis().column_vector(0)
+    x = a.kernel_basis().transpose().data[0]
     # forced by row reduction: free variable set to one
     assert x == (QQ.from_int(-1), QQ.from_int(1))
 
@@ -102,7 +102,7 @@ def test_solve_returns_canonical_particular_solution_f2():
     assert set(solutions) == {(1, 0), (0, 1)}
     got = a.solve(b)
     # the echelon-canonical choice zeroes the free variable
-    assert got.column_vector(0) == (1, 0)
+    assert got.transpose().data[0] == (1, 0)
 
 
 def test_inconsistent_system_has_no_solution():
@@ -280,7 +280,7 @@ def test_rref_kernel_and_solve_match_the_reference(data):
     assert (R.rows, R.cols, R.data, pivots) == (a.rows, a.cols, ref_R.data, ref_pivots)
     ker = a.kernel_basis()
     assert (ker.rows, ker.cols) == (a.cols, a.cols - len(pivots))
-    assert [ker.column_vector(j) for j in range(ker.cols)] == reference_kernel_columns(a)
+    assert list(ker.transpose().data) == reference_kernel_columns(a)
     assert a.rank() == len(pivots)
     assert a.cokernel_projection() == a.transpose().kernel_basis().transpose()
     x = a.solve(rhs)
@@ -321,11 +321,11 @@ def assert_decompositions_match_the_reference(a: Matrix):
     assert a.rank() == len(ref_pivots)
     ker = a.kernel_basis()
     assert (ker.rows, ker.cols) == (a.cols, a.cols - len(ref_pivots))
-    assert [ker.column_vector(j) for j in range(ker.cols)] == reference_kernel_columns(a)
+    assert list(ker.transpose().data) == reference_kernel_columns(a)
     img = a.image_basis()
     ref_T, ref_T_pivots = reference_rref(a.transpose())
     assert (img.rows, img.cols) == (a.rows, len(ref_T_pivots))
-    assert [img.column_vector(j) for j in range(img.cols)] == list(ref_T.data[: len(ref_T_pivots)])
+    assert list(img.transpose().data) == list(ref_T.data[: len(ref_T_pivots)])
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS)

@@ -28,13 +28,36 @@ from ppalg.verify import (
     shifted_simples,
     zerogen_suite,
 )
-from ppalg.weyl import StabilityParameter, WeylGroup, finite_root_system
+from ppalg.weyl import StabilityParameter, WeylGroup, chamber_label, chamber_word, finite_root_system
 from relation_maps import dual, socle_multiplicities
 
 
 def test_a2_chamber_words_are_the_canonical_words_of_the_weyl_group():
     # the suites read their chambers from canonical_words(); the constant keeps their order
     assert a2_setup()[2].canonical_words() == list(A2_CHAMBER_WORDS)
+
+
+@pytest.mark.parametrize("kind, n", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4)])
+def test_chambers_derive_their_parameters_from_the_weyl_group(kind, n):
+    dq, d = standard_extended_dynkin(kind, n)
+    wg = WeylGroup(finite_root_system(dq, d))
+    loop = list(verify_module.chambers(wg))
+    assert [word for word, _, _ in loop] == wg.canonical_words()
+    assert loop[0][2] == StabilityParameter.from_tail(d, [1] * wg.rank)
+    for word, label, theta in loop:
+        assert len(theta) == dq.vertex_count and theta(d) == 0
+        assert label == chamber_label(word)
+        # the breadth-first words against the descent of theta
+        assert chamber_word(dq, d, theta) == word
+
+
+def test_walls_fails_a_transport_that_leaves_the_chamber_of_its_word(monkeypatch):
+    assert not any(c.key.endswith("parameter transport") for c in verify_module.walls_suite(GF(2)).cases)
+    # modules that stay put keep the base parameter, which lies in C(1) and in no other chamber
+    monkeypatch.setattr(verify_module, "apply_word", lambda word, m, theta: (m, theta))
+    rep = verify_module.walls_suite(GF(2))
+    failed = [(c.key, c.expected, c.got) for c in rep.cases if not c.passed]
+    assert failed == [(f"{chamber_label(w)} parameter transport", True, False) for w in A2_CHAMBER_WORDS[1:]]
 
 
 def test_unknown_suite_raises():
