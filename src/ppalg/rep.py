@@ -81,8 +81,8 @@ class Representation:
 
     @staticmethod
     def simple(dq: DoubleQuiver, field: Field, i: int) -> "Representation":
-        """The vertex simple: one dimensional at i, zero elsewhere."""
-        return Representation.build(dq, field, dq.unit(i))
+        """The vertex simple: the thin module of ``dq.unit(i)``, which has no live arrow."""
+        return _thin_rep(dq, field, dq.unit(i), (), ())
 
     def direct_sum(self, other: "Representation") -> "Representation":
         return block_module(self, other, {})
@@ -392,10 +392,27 @@ def _live_arrows(dq: DoubleQuiver, d) -> list:
     return [a for a in dq.arrows if d[a.src] == 1 and d[a.dst] == 1]
 
 
-def _thin_read(m: Representation) -> tuple[list, list]:
-    """The live arrows of a thin module and their values, the entries of their 1x1 blocks."""
+def _thin_read(m: Representation) -> tuple[list, list, tuple]:
+    """The live arrows of a thin module, their values (the entries of their 1x1 blocks) and their pattern."""
     live = _live_arrows(m.dq, m.dims)
-    return live, [m.mats[a.aid].data[0][0] for a in live]
+    values = [m.mats[a.aid].data[0][0] for a in live]
+    return live, values, _pattern(live, values)
+
+
+def _thin_rep(dq: DoubleQuiver, field: Field, d, live: list, values) -> Representation:
+    """The thin module of ``d`` with the values of ``live`` on its live arrows, zero elsewhere.
+
+    A value on an arrow not live in ``d`` is dropped: the cut of a thin
+    module to a closed support is its submodule there, to the complement its
+    quotient.  Every block is 1x1 or zero, so ``build`` has nothing to check.
+    """
+    d = DimensionVector(d)
+    value = {a.aid: x for a, x in zip(live, values) if d[a.src] == 1 == d[a.dst]}
+    mats = {
+        a.aid: Matrix._of(field, 1, 1, ((value[a.aid],),)) if a.aid in value else Matrix.zero(field, d[a.dst], d[a.src])
+        for a in dq.arrows
+    }
+    return Representation(dq, field, d, mats)
 
 
 def _pattern(live: list, values) -> tuple:
@@ -434,12 +451,12 @@ def _pattern_walk(support: tuple, pattern: tuple) -> tuple:
     return tuple(steps)
 
 
-def _canonical_values(field: Field, live: list, values, steps: tuple) -> tuple:
-    """Rescale ``values`` by the gauge that the walk of their pattern fixes."""
+def _canonical_values(field: Field, support: tuple, live: list, values, pattern: tuple) -> tuple:
+    """Rescale ``values`` by the gauge that the walk of their pattern on ``support`` fixes."""
     f = field
     z, one = f.zero(), f.one()
     gauge: dict = {}  # a tree root is absent: its gauge is one
-    for w, v, i, forward in steps:
+    for w, v, i, forward in _pattern_walk(support, pattern):
         # forward edge v -> w fixes g_w = g_v / val, reversed w -> v fixes g_w = g_v * val
         g = gauge.get(v, one)
         gauge[w] = f.mul(g, f.inv(values[i])) if forward else f.mul(g, values[i])
@@ -449,10 +466,10 @@ def _canonical_values(field: Field, live: list, values, steps: tuple) -> tuple:
     )
 
 
-def _thin_canonical(m: Representation) -> tuple:
-    """The gauge-canonical values of a thin module on its live arrows."""
-    live, values = _thin_read(m)
-    return _canonical_values(m.field, live, values, _pattern_walk(tuple(_support(m.dims)), _pattern(live, values)))
+def _thin_canonical(m: Representation) -> tuple[list, tuple]:
+    """The live arrows of a thin module and its gauge-canonical values on them."""
+    live, values, pattern = _thin_read(m)
+    return live, _canonical_values(m.field, tuple(_support(m.dims)), live, values, pattern)
 
 
 def is_isomorphic(m: Representation, n: Representation) -> bool:
@@ -474,7 +491,7 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
     if m.dims != n.dims:
         return False
     if is_thin(m):
-        return _thin_canonical(m) == _thin_canonical(n)
+        return _thin_canonical(m)[1] == _thin_canonical(n)[1]
     basis = hom_basis(m, n)
     if not basis or hom_dim(m, m) != len(basis) or hom_dim(n, n) != len(basis):
         return False

@@ -28,10 +28,10 @@ from .rep import (
     _canonical_values,
     _live_arrows,
     _pattern,
-    _pattern_walk,
     _support,
     _thin_canonical,
     _thin_read,
+    _thin_rep,
     is_thin,
 )
 from .weyl import StabilityParameter
@@ -116,7 +116,7 @@ def _closed_subspace_tuples(m: Representation, budget: int):
 def _sorted_submodule_dimvecs(m: Representation, budget: int) -> list[tuple]:
     """Dimension vectors of all submodules, ascending: zero first, the whole module last."""
     if is_thin(m):
-        return _closed_supports(m.dims, _pattern(*_thin_read(m)))
+        return _closed_supports(m.dims, _thin_read(m)[2])
     return list(_closed_subspace_tuples(m, budget))
 
 
@@ -151,7 +151,7 @@ def stability_verdict(
     if theta.scaled(m.dims) != 0:
         return StabilityVerdict(status="NotInThetaKernel")
     if is_thin(m):
-        return _thin_verdict(m.dims, _pattern(*_thin_read(m)), theta.numerators)
+        return _thin_verdict(m.dims, _thin_read(m)[2], theta.numerators)
     proper = (beta for beta in _closed_subspace_tuples(m, budget) if any(beta) and beta != m.dims)
     return _first_witness(proper, theta.numerators)
 
@@ -186,49 +186,30 @@ def _first_witness(proper: Iterable, numerators: tuple) -> StabilityVerdict:
 # -- thin isomorphism canonicalization --------------------------------------
 
 
-def _thin_rep(dq: DoubleQuiver, field: Field, d, live: list, values) -> Representation:
-    """The thin module with ``values`` on the live arrows and zero elsewhere.
-
-    Every block is a 1x1 value on a live arrow or a zero block of the right
-    shape, so the module skips the checks of ``build``.
-    """
-    d = DimensionVector(d)
-    value = {a.aid: x for a, x in zip(live, values)}
-    mats = {
-        a.aid: Matrix._of(field, 1, 1, ((value[a.aid],),)) if a.aid in value else Matrix.zero(field, d[a.dst], d[a.src])
-        for a in dq.arrows
-    }
-    return Representation(dq, field, d, mats)
-
-
 def _format_canonical(field: Field, dims, live: list, canonical) -> tuple:
     return (tuple(dims), tuple((a.aid, field.format_scalar(x)) for a, x in zip(live, canonical)))
 
 
 def thin_canonical_values(m: Representation) -> tuple:
-    """Gauge-canonical arrow values of a thin module: complete isomorphism invariants.
+    """The dims and the (arrow id, formatted gauge-canonical value) of each live arrow of a thin module.
 
-    A spanning forest of the nonzero arrows is rescaled to ones, each tree
-    rooted at its smallest vertex (``rep._pattern_walk``); the cycle values remain.
+    These are complete isomorphism invariants: ``rep._thin_canonical`` reads
+    the module once and rescales a spanning forest of its nonzero arrows to
+    ones, each tree rooted at its smallest vertex; the cycle values remain.
     """
     if not is_thin(m):
         raise UnsupportedShape("canonical values are defined for thin modules")
-    return _format_canonical(m.field, m.dims, _live_arrows(m.dq, m.dims), _thin_canonical(m))
-
-
-def restrict_to_support(m: Representation, support: tuple) -> Representation:
-    """Thin submodule (or quotient) where the 0/1 vector ``support`` is one, arrows restricted."""
-    dims = [s * d for s, d in zip(support, m.dims)]
-    mats = {a.aid: m.mats[a.aid] for a in _live_arrows(m.dq, dims)}
-    return Representation.build(m.dq, m.field, dims, mats)
+    live, canonical = _thin_canonical(m)
+    return _format_canonical(m.field, m.dims, live, canonical)
 
 
 def sequiv_class(m: Representation, theta: StabilityParameter) -> tuple:
     """Multiset of stable graded pieces of a semistable thin module.
 
-    Greedy filtration: restrict to a minimal closed support of parameter
-    value zero (that piece is stable), pass to the complementary quotient,
-    and recurse.  The result is a sorted tuple of canonical piece tags.
+    Greedy filtration: cut the module to a minimal closed support of
+    parameter value zero (that piece is stable), pass to the complementary
+    quotient, and recurse; ``_thin_rep`` cuts both from the values that
+    ``_thin_read`` returns.  The result is a sorted tuple of canonical piece tags.
     """
     if not is_thin(m):
         raise UnsupportedShape("associated graded pieces implemented for thin modules")
@@ -238,14 +219,14 @@ def sequiv_class(m: Representation, theta: StabilityParameter) -> tuple:
     pieces = []
     cur = m
     while any(d != 0 for d in cur.dims):
+        live, values, pattern = _thin_read(cur)
         # a nonzero closed support of value zero: smallest first, then by its sorted vertex list
-        supports = _closed_supports(cur.dims, _pattern(*_thin_read(cur)))[1:]
         best = min(
-            (b for b in supports if theta.scaled(b) == 0),
+            (b for b in _closed_supports(cur.dims, pattern)[1:] if theta.scaled(b) == 0),
             key=lambda b: (sum(b), [v for v, x in enumerate(b) if x]),
         )
-        pieces.append(thin_canonical_values(restrict_to_support(cur, best)))
-        cur = restrict_to_support(cur, cur.dims - best)
+        pieces.append(thin_canonical_values(_thin_rep(m.dq, m.field, best, live, values)))
+        cur = _thin_rep(m.dq, m.field, cur.dims - best, live, values)
     return tuple(sorted(pieces))
 
 
@@ -413,7 +394,7 @@ def moduli_scan(
         verdict = _thin_verdict(dims, pattern, theta.numerators)
         if not verdict.semistable:
             continue
-        canonical = _canonical_values(field, live, values, _pattern_walk(support, pattern))
+        canonical = _canonical_values(field, support, live, values, pattern)
         if canonical not in seen:
             seen[canonical] = ScanRecord(
                 rep=_thin_rep(dq, field, dims, live, canonical),

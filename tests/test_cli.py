@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ppalg
+import ppalg.verify as verify
 from ppalg.cli import main
 from ppalg.errors import UsageError
 from ppalg.fields import GF
@@ -149,6 +150,10 @@ def test_apply_word_via_cli(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["theta"] == "2,-1,-1"
+    # the empty word returns the module and theta as they came
+    code, out, _ = run(capsys, "apply", "--word", "", "--theta", "-2,1,1", str(path))
+    assert code == 0
+    assert json.loads(out) == {"module": json.loads(path.read_text(encoding="utf-8")), "theta": "-2,1,1"}
 
 
 def test_stability_verdict_output(capsys, tmp_path):
@@ -185,6 +190,25 @@ def test_verify_exit_codes(capsys):
     assert code == 0 and "checks passed" in out
 
 
+def test_verify_prints_a_failing_case_and_exits_one(capsys, monkeypatch):
+    orders, reports = verify.SUITES["zerogen"]
+
+    def with_a_failing_case(f, seed):
+        parts = reports(f, seed)
+        parts[0].add("planted", 1, 2)
+        return parts
+
+    monkeypatch.setitem(verify.SUITES, "zerogen", (orders, with_a_failing_case))
+    code, out, _ = run(capsys, "verify", "--suite", "zerogen", "--field", "2")
+    assert code == 1
+    head, *fails = out.splitlines()
+    passed, total = map(int, head.split()[2].split("/"))
+    assert head == f"suite zerogen: {passed}/{total} checks passed" and total == passed + 1
+    assert fails == ["  FAIL planted: expected 1, got 2"]
+    code, out, _ = run(capsys, "verify", "--suite", "zerogen", "--field", "2", "--emit", "json")
+    assert code == 1 and json.loads(out)["all_pass"] is False
+
+
 def test_verify_field_zero_exits_two(capsys):
     code, out, err = run(capsys, "verify", "--suite", "zerogen", "--field", "0")
     assert code == 2 and out == "" and err.startswith("error:")
@@ -219,6 +243,11 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
     code, _, err = run(capsys, "rep-check", "/nonexistent/file.json")
     assert code == 2
+
+
+def test_chamber_off_the_theta_kernel_exits_two(capsys):
+    code, out, err = run(capsys, "chamber", "--type", "A2", "--theta", "1,1,1")
+    assert code == 2 and out == "" and err == "error: parameter does not kill the imaginary root vector\n"
 
 
 def test_malformed_theta_exits_two(capsys):

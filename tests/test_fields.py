@@ -23,6 +23,12 @@ def test_prime_field_fermat_inverse():
         assert f.mul(a, f.inv(a)) == 1
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(4)], ids=["QQ", "GF7", "GF4"])
+def test_zero_has_no_inverse(field):
+    with pytest.raises(ZeroDivisionError, match="inverse of 0"):
+        field.inv(field.zero())
+
+
 def test_prime_validation():
     with pytest.raises(RangeError):
         PrimeField(1)

@@ -150,6 +150,10 @@ def test_field_mismatch_and_shape_errors():
         a.mul(Matrix.identity(GF(3), 3))
     with pytest.raises(FieldMismatch):
         Matrix(GF(3), 1, 1, [[7]])
+    with pytest.raises(ShapeError, match="addition shape mismatch"):
+        a.add(Matrix.zero(GF(3), 2, 3))
+    with pytest.raises(ShapeError, match="hstack row mismatch"):
+        hstack_all(GF(3), 2, [a, Matrix.zero(GF(3), 3, 1)])
 
 
 def test_empty_matrix_edge_cases():

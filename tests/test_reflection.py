@@ -8,12 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppalg.errors import InternalInvariantError, NotGenericStep, PreconditionViolated, RangeError, ShapeError
+import ppalg.reflection as reflection
+from ppalg.errors import (
+    DichotomyError,
+    InternalInvariantError,
+    NotGenericStep,
+    PreconditionViolated,
+    RangeError,
+    ShapeError,
+)
 from ppalg.fields import GF, QQ
 from ppalg.linalg import Matrix, hstack_all
 from ppalg.quiver import DimensionVector, standard_extended_dynkin
 from ppalg.rep import Representation, hom_dim, is_isomorphic
-from ppalg.reflection import _reflect_step, apply_word, compute_siw, reflect_minus, reflect_plus
+from ppalg.reflection import ReflectResult, _reflect_step, apply_word, compute_siw, reflect_minus, reflect_plus
 from ppalg.stability import enumerate_thin_reps, sequiv_class, stability_verdict
 from ppalg.verify import a2_setup, chamber_theta, d4_setup, random_nilpotent
 from ppalg.weyl import StabilityParameter, apply_word_to_dimvec, reflect_dimvec
@@ -202,7 +210,7 @@ def test_apply_word_transports_stability():
         assert stability_verdict(out, th).status == v.status
 
 
-def test_apply_word_guards():
+def test_apply_word_guards(monkeypatch):
     dq, d, wg = a2_setup()
     f = GF(2)
     m = curve_member(dq, f, d, f.one(), f.zero())
@@ -213,6 +221,13 @@ def test_apply_word_guards():
     ).direct_sum(Representation.simple(dq, f, 2))
     with pytest.raises(PreconditionViolated):
         apply_word((1,), unstable, chamber_theta(dq, ()))
+    for letter in (3, -1):
+        with pytest.raises(RangeError, match=f"letter {letter} is not a vertex"):
+            apply_word((letter,), m, chamber_theta(dq, ()))
+    # a semistable module keeps zero defect at every letter, so the defect is planted
+    monkeypatch.setattr(reflection, "reflect_plus", lambda i, cur: ReflectResult(module=cur, defect=1))
+    with pytest.raises(PreconditionViolated, match="defect 1 at letter 1"):
+        apply_word((1,), m, chamber_theta(dq, ()))
 
 
 def test_apply_word_refuses_theta_of_the_wrong_length():
@@ -239,6 +254,31 @@ def test_compute_siw_examples_and_guards():
     for letter in (wg.rank + 1, -1):  # refused by the reducedness check, which reads every letter
         with pytest.raises(RangeError):
             compute_siw(wg, (letter,), 1, f)
+    for i in (0, wg.rank + 1):
+        with pytest.raises(RangeError, match="simple index"):
+            compute_siw(wg, (), i, f)
+
+
+def killed_with_defect_one(i, cur):
+    """A step that leaves the zero module and defect one, as the plus functor does on the simple at i."""
+    return ReflectResult(module=Representation.build(cur.dq, cur.field, [0] * cur.dq.vertex_count), defect=1)
+
+
+@pytest.mark.parametrize(
+    "word,step,error,match",
+    [
+        ((1, 2), killed_with_defect_one, DichotomyError, "degree 0..1"),
+        ((1,), lambda i, cur: ReflectResult(module=cur, defect=1), DichotomyError, "defect 1 and a nonzero kernel"),
+        ((1,), lambda i, cur: ReflectResult(module=cur, defect=0), InternalInvariantError, "disagree"),
+    ],
+    ids=["two-shifts", "kernel-and-defect", "identity-step"],
+)
+def test_compute_siw_checks_every_step_and_the_final_dims(monkeypatch, word, step, error, match):
+    # correct steps never reach these branches, so reflect_plus is replaced
+    dq, d, wg = a2_setup()
+    monkeypatch.setattr(reflection, "reflect_plus", step)
+    with pytest.raises(error, match=match):
+        compute_siw(wg, word, 1, GF(2))
 
 
 def test_shifted_simple_degree_matches_root_sign_everywhere():

@@ -159,6 +159,14 @@ def test_full_cycle_rep_is_not_nilpotent():
     assert m.is_zero_generated()
 
 
+def test_zero_generation_needs_a_one_dimensional_space_at_the_extending_vertex():
+    dq, d, f = a2(GF(2))
+    s0 = Representation.simple(dq, f, 0)
+    assert s0.is_zero_generated()
+    assert not Representation.simple(dq, f, 1).is_zero_generated()  # dims[0] = 0
+    assert not s0.direct_sum(s0).is_zero_generated()  # dims[0] = 2
+
+
 def test_iso_reflexive_and_distinguishes_support_lattices():
     dq, d, f = a2(GF(2))
     m10 = curve_member(dq, f, d, f.one(), f.zero())
@@ -406,6 +414,30 @@ def test_thin_pairs_are_decided_without_the_hom_space_search(monkeypatch):
     monkeypatch.setattr(rep_module, "MORPHISM_SCAN_BUDGET", 0)
     assert is_isomorphic(m, copy)
     assert not is_isomorphic(m, curve_member(dq, QQ, d, Fraction(3, 7), Fraction(0)))
+
+
+def blocks(dq, field, dims, rows):
+    """The module of ``dims`` whose arrows carry the integer matrices ``rows``, zero elsewhere."""
+    mats = {aid: Matrix(field, len(r), len(r[0]), r) for aid, r in rows.items()}
+    return Representation.build(dq, field, dims, mats)
+
+
+def test_isomorphism_answers_false_on_unequal_dims_or_hom_data_without_a_scan(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("the morphism scan ran")
+
+    monkeypatch.setattr(rep_module, "nonzero_morphisms", no_scan)
+    dq, d, f = a2(GF(2))
+    s1, s2 = Representation.simple(dq, f, 1), Representation.simple(dq, f, 2)
+    assert not is_isomorphic(s1, s2)
+    assert not is_isomorphic(s1.direct_sum(s1), s2.direct_sum(s2))
+    # three nilpotents of dims (1, 1, 2): x and z share no map, y and z have End and Hom of dimensions 3, 2, 2
+    x = blocks(dq, f, (1, 1, 2), {"a1": [[1]], "a3": [[1, 0]], "a2s": [[0, 1]]})
+    y = blocks(dq, f, (1, 1, 2), {"a2s": [[0, 1]], "a3s": [[1], [0]]})
+    z = blocks(dq, f, (1, 1, 2), {"a1": [[1]], "a2s": [[1, 0]], "a3s": [[1], [0]]})
+    assert x.check_relations() == y.check_relations() == z.check_relations() == []
+    assert hom_dim(z, x) == 0 and not is_isomorphic(z, x)
+    assert (hom_dim(y, y), hom_dim(y, z), hom_dim(z, z)) == (3, 2, 2) and not is_isomorphic(y, z)
 
 
 def semisimple(dq, field, multiplicities):

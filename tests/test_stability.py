@@ -6,9 +6,12 @@ import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ppalg.rep as rep_module
+import ppalg.stability as stability_module
 from ppalg.errors import SearchBudgetExceeded, ShapeError, UnsupportedShape
 from ppalg.fields import GF, QQ
 from ppalg.linalg import Matrix, hstack_all
@@ -152,6 +155,60 @@ def test_sequiv_rejects_non_thin():
     s1 = Representation.simple(dq, f, 1)
     with pytest.raises(UnsupportedShape):
         sequiv_class(s1.direct_sum(s1), StabilityParameter((-1, 0, 1)))
+
+
+def test_canonical_values_refuse_a_non_thin_module_and_sequiv_an_unstable_one():
+    dq, d, f = a2(GF(2))
+    s1 = Representation.simple(dq, f, 1)
+    with pytest.raises(UnsupportedShape, match="thin modules"):
+        thin_canonical_values(s1.direct_sum(s1))
+    unstable = thin(dq, f, d, {"a2": 1})  # vertex 0 spans a destabilizing submodule
+    with pytest.raises(UnsupportedShape, match="not semistable: Unstable"):
+        sequiv_class(unstable, chamber_theta(dq, ()))
+
+
+def reference_restrict_to_support(m, support):
+    """The restriction that sequiv_class once read: the live blocks of m kept, rebuilt through ``build``."""
+    dims = [s * x for s, x in zip(support, m.dims)]
+    mats = {a.aid: m.mats[a.aid] for a in m.dq.arrows if dims[a.src] == 1 and dims[a.dst] == 1}
+    return Representation.build(m.dq, m.field, dims, mats)
+
+
+def reference_sequiv_class(m, theta):
+    """The greedy filtration of sequiv_class on the brute-force supports, cut by the reference restriction."""
+    pieces, cur = [], m
+    while any(cur.dims):
+        best = min(
+            (b for b in list(_closed_subspace_tuples(cur, SEARCH_BUDGET))[1:] if theta.scaled(b) == 0),
+            key=lambda b: (sum(b), [v for v, x in enumerate(b) if x]),
+        )
+        pieces.append(thin_canonical_values(reference_restrict_to_support(cur, best)))
+        cur = reference_restrict_to_support(cur, cur.dims - best)
+    return tuple(sorted(pieces))
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2)])
+def test_sequiv_class_matches_the_restriction_through_build(n, q):
+    # every semistable thin module on every support, 735 (n = 2) and 168 (n = 3) of them of dims delta
+    dq, _ = standard_extended_dynkin("A", n)
+    f = GF(q)
+    thetas = [StabilityParameter(t) for t in VERDICT_THETAS[n]]
+    cases = 0
+    for d in itertools.product((0, 1), repeat=dq.vertex_count):
+        for m in enumerate_thin_reps(dq, d, f):
+            for theta in thetas:
+                if stability_verdict(m, theta).semistable:
+                    assert sequiv_class(m, theta) == reference_sequiv_class(m, theta), (m.mats, theta)
+                    cases += 1
+    assert cases == {2: 772, 3: 249}[n]
+
+
+def test_stability_reads_and_writes_thin_modules_only_through_rep():
+    source = Path(stability_module.__file__).read_text(encoding="utf-8")
+    assert "def restrict_to_support" not in source and not hasattr(stability_module, "restrict_to_support")
+    assert "_pattern_walk" not in source and "Representation.build" not in source
+    assert "def _thin_rep(" in Path(rep_module.__file__).read_text(encoding="utf-8")
+    assert stability_module._thin_rep is rep_module._thin_rep
 
 
 # -- thin enumeration against the generate-and-filter oracle -----------------
@@ -688,6 +745,14 @@ def test_bruteforce_needs_finite_field():
     s1 = Representation.simple(dq, QQ, 1)
     with pytest.raises(UnsupportedShape):
         submodule_dimvecs(s1.direct_sum(s1))
+
+
+def test_thin_enumeration_needs_a_finite_field():
+    dq, d, _ = a2(QQ)
+    with pytest.raises(UnsupportedShape, match="finite field"):
+        next(enumerate_thin_reps(dq, d, QQ))
+    with pytest.raises(UnsupportedShape, match="finite field"):
+        moduli_scan(dq, d, StabilityParameter((-2, 1, 1)), QQ)
 
 
 

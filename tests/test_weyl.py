@@ -107,6 +107,8 @@ def test_genericity_examples():
     assert not is_generic(rs, StabilityParameter((0, 0, 0)))
     with pytest.raises(NotInThetaD):
         is_generic(rs, StabilityParameter((1, 1, 1)))
+    with pytest.raises(NotInThetaD):
+        chamber_word(dq, d, StabilityParameter((1, 1, 1)))
 
 
 def test_chamber_of_fundamental_and_adjacent():
