@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", type=int, required=True)
     p.add_argument("--theta")
     p.add_argument("--theta-tail", dest="theta_tail")
-    budget_help = "most value tuples the solved thin variety may yield (default %(default)s)"
+    budget_help = "most value tuples the solved thin variety may hold, charged before the first class is listed (default %(default)s)"
     p.add_argument("--budget", type=int, default=stab.SEARCH_BUDGET, help=budget_help)
     p.add_argument("--emit", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_scan)

@@ -451,6 +451,11 @@ def _pattern_walk(support: tuple, pattern: tuple) -> tuple:
     return tuple(steps)
 
 
+def _gauge_ones(support: tuple, pattern: tuple) -> frozenset:
+    """The live indices that every canonical tuple of an arrow pattern holds at one: its gauge walk's arrows."""
+    return frozenset(i for _, _, i, _ in _pattern_walk(support, pattern))
+
+
 def _canonical_values(field: Field, support: tuple, live: list, values, pattern: tuple) -> tuple:
     """Rescale ``values`` by the gauge that the walk of their pattern on ``support`` fixes."""
     f = field

@@ -17,7 +17,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import InternalInvariantError, SearchBudgetExceeded, ShapeError, UnsupportedShape
 from .fields import Field
@@ -25,9 +25,8 @@ from .linalg import Matrix, _dense, _mul_rows, hstack_all, null_space, sparse_ec
 from .quiver import DimensionVector, DoubleQuiver
 from .rep import (
     Representation,
-    _canonical_values,
+    _gauge_ones,
     _live_arrows,
-    _pattern,
     _support,
     _thin_canonical,
     _thin_read,
@@ -36,7 +35,7 @@ from .rep import (
 )
 from .weyl import StabilityParameter
 
-SEARCH_BUDGET = 10**7  # value tuples a thin scan yields, or subspace tuples of the dimension vectors a search reaches
+SEARCH_BUDGET = 10**7  # value tuples of a solved thin variety, charged before its first tuple or scan class, or subspace tuples of the dimension vectors a search reaches
 VERDICT_MEMO = 4096  # (thin dims, arrow pattern, theta) verdicts kept memoized
 
 
@@ -281,8 +280,8 @@ class ModuliScan:
         return buf.getvalue()
 
 
-def _thin_values(dq: DoubleQuiver, d, field: Field, budget: int) -> tuple[list, Iterator[tuple]]:
-    """The live arrows of a thin d and an iterator over every relation-satisfying value tuple on them.
+def _thin_solved(dq: DoubleQuiver, d, field: Field, budget: int) -> tuple[list, list, list, Callable]:
+    """The live arrows of a thin d, the field's elements, the product vectors and the relation re-check.
 
     The relation variety is solved, not filtered.  On a thin module the
     relation at vertex v is linear in the products p_a = x_{a*} x_a of the
@@ -290,15 +289,15 @@ def _thin_values(dq: DoubleQuiver, d, field: Field, budget: int) -> tuple[list, 
     product vectors are the kernel of that signed incidence matrix (q^k of
     them; k = 0 on a tree, 1 on a cycle), and each p_a lifts to its arrow
     pairs: (x, p_a / x) for x != 0 when p_a != 0, else (0, y) for any y and
-    (x, 0) for x != 0.
+    (x, 0) for x != 0.  ``dq.arrows`` lists the base arrows, then their
+    stars in the same order, so live is base + stars and a value tuple over
+    live is xs + ys.
 
-    Tuples come in lexicographic order, with the live arrows taken in
-    ``dq.arrows`` order: the order in which a scan of all q^|live|
-    assignments would meet them.  Only the star values sharing one base
-    tuple are sorted, so memory stays bounded by the largest such group.
     The checks, the kernel and the count run at the call: p lifts to
     prod_a (q - 1 if p_a != 0 else 2q - 1) tuples, and SearchBudgetExceeded
     comes when their sum, or first the p = 0 term alone, passes the budget.
+    The re-check returns a tuple that holds every relation, and raises
+    InternalInvariantError on one that breaks one.
     """
     if len(d) != dq.vertex_count or any(x < 0 for x in d):
         raise ShapeError("thin enumeration needs one nonnegative dimension per vertex")
@@ -308,8 +307,6 @@ def _thin_values(dq: DoubleQuiver, d, field: Field, budget: int) -> tuple[list, 
         raise UnsupportedShape("enumeration needs a finite field")
     q = field.order
     z = field.zero()
-    # dq.arrows lists the base arrows, then their stars in the same order, so
-    # live is base + stars and a value tuple over live is xs + ys
     live = _live_arrows(dq, d)
     base = [a for a in live if a in dq.base.arrows]
     support = _support(d)
@@ -333,8 +330,33 @@ def _thin_values(dq: DoubleQuiver, d, field: Field, budget: int) -> tuple[list, 
         for v in support
     ]
 
+    def check(values: tuple) -> tuple:
+        for terms in relations_at:
+            acc = z
+            for sign, i, j in terms:
+                term = field.mul(values[j], values[i])
+                acc = field.add(acc, term) if sign > 0 else field.sub(acc, term)
+            if acc != z:
+                raise InternalInvariantError("solved thin module breaks a preprojective relation")
+        return values
+
+    return live, elements, products, check
+
+
+def _thin_values(dq: DoubleQuiver, d, field: Field, budget: int) -> tuple[list, Iterator[tuple]]:
+    """The live arrows of a thin d and an iterator over every relation-satisfying value tuple on them.
+
+    Tuples come in lexicographic order, with the live arrows taken in
+    ``dq.arrows`` order: the order in which a scan of all q^|live|
+    assignments would meet them.  Only the star values sharing one base
+    tuple are sorted, so memory stays bounded by the largest such group.
+    ``_thin_solved`` checks the input and charges the count at the call.
+    """
+    live, elements, products, check = _thin_solved(dq, d, field, budget)
+    z = field.zero()
+
     def tuples():
-        for xs in itertools.product(elements, repeat=len(base)):
+        for xs in itertools.product(elements, repeat=len(live) // 2):
             # lift every product vector through xs: x_a != 0 forces y_a = p_a / x_a,
             # x_a = 0 needs p_a = 0 and leaves y_a free
             ys = [
@@ -343,17 +365,60 @@ def _thin_values(dq: DoubleQuiver, d, field: Field, budget: int) -> tuple[list, 
                 for y in itertools.product(*([field.div(pa, x)] if x != z else elements for x, pa in zip(xs, p)))
             ]
             for y in sorted(ys):
-                values = xs + y
-                for terms in relations_at:
-                    acc = z
-                    for sign, i, j in terms:
-                        term = field.mul(values[j], values[i])
-                        acc = field.add(acc, term) if sign > 0 else field.sub(acc, term)
-                    if acc != z:
-                        raise InternalInvariantError("solved thin module breaks a preprojective relation")
-                yield values
+                yield check(xs + y)
 
     return live, tuples()
+
+
+def _thin_classes(dq: DoubleQuiver, d, field: Field, budget: int) -> tuple[list, Iterator[tuple]]:
+    """The live arrows of a thin d and an iterator over (arrow pattern, its class representatives).
+
+    A class is a gauge orbit, and its canonical tuple (``rep._thin_canonical``)
+    holds one on the walk arrows of its pattern; the products p_a and the
+    pattern are gauge invariants.  So the classes are listed on that slice:
+    for each product vector p and each choice, per zero product, of the
+    base arrow, its star or neither being nonzero, the pattern is named
+    first and its representatives lifted only when read.  A walk arrow is
+    one, each other nonzero pair is (x, p_a / x), (x, 0) or (0, y) with x, y
+    nonzero, and every other arrow is zero; each tuple is its own canonical
+    form, so each class comes out once.  ``_thin_solved`` checks the input
+    and charges the variety's point count at the call, as for ``_thin_values``.
+    """
+    live, elements, products, check = _thin_solved(dq, d, field, budget)
+    support = tuple(_support(d))
+    n = len(live) // 2  # base arrow i has its star at live index i + n
+    z, one = field.zero(), field.one()
+    units = [x for x in elements if x != z]
+
+    def lifts(p, pattern: tuple):
+        nonzero = {i for i, _, _ in pattern}
+        ones = _gauge_ones(support, pattern)
+        pairs = []  # the (x_a, y_a) of each base arrow on the slice
+        for i, pa in enumerate(p):
+            if i in ones:  # y_a = p_a / 1, zero when the star is zero
+                pairs.append([(one, pa)])
+            elif i + n in ones:
+                pairs.append([(pa, one)])
+            elif pa != z:
+                pairs.append([(x, field.div(pa, x)) for x in units])
+            elif i in nonzero:
+                pairs.append([(x, z) for x in units])
+            elif i + n in nonzero:
+                pairs.append([(z, y) for y in units])
+            else:
+                pairs.append([(z, z)])
+        for pair in itertools.product(*pairs):
+            yield check(tuple(x for x, _ in pair) + tuple(y for _, y in pair))
+
+    def patterns():
+        for p in products:
+            # a zero product leaves both arrows zero, or the base arrow or its star nonzero; another leaves both nonzero
+            choices = ([(), (i,), (i + n,)] if pa == z else [(i, i + n)] for i, pa in enumerate(p))
+            for picks in itertools.product(*choices):
+                pattern = tuple((i, live[i].src, live[i].dst) for i in sorted(itertools.chain.from_iterable(picks)))
+                yield pattern, lifts(p, pattern)
+
+    return live, patterns()
 
 
 def enumerate_thin_reps(
@@ -379,27 +444,28 @@ def moduli_scan(
     field: Field,
     budget: int = SEARCH_BUDGET,
 ) -> ModuliScan:
-    """Group the semistable thin representations into isomorphism classes.
+    """The isomorphism classes of the semistable thin representations, sorted by canonical value.
 
     With d and theta fixed, a verdict depends only on which live arrows are
-    nonzero, so it is read from the pattern memo (``_thin_verdict``), as is
-    the gauge walk; a module is built only for the first member of each class.
+    nonzero, so it is read once per arrow pattern from the pattern memo
+    (``_thin_verdict``), and an unstable pattern lifts no tuple.  The other
+    patterns list one canonical tuple per class on the gauge slice
+    (``_thin_classes``), and one module is built per class.  The variety's
+    point count is still charged to the budget before the first class.
     """
     dims = DimensionVector(d)
-    live, tuples = _thin_values(dq, dims, field, budget)
-    support = tuple(_support(dims))
-    seen: dict[tuple, ScanRecord] = {}  # canonical values -> record
-    for values in tuples if theta.scaled(dims) == 0 else ():  # off the theta-kernel nothing is semistable
-        pattern = _pattern(live, values)
+    live, patterns = _thin_classes(dq, dims, field, budget)
+    records = []
+    for pattern, lifts in patterns if theta.scaled(dims) == 0 else ():  # off the theta-kernel nothing is semistable
         verdict = _thin_verdict(dims, pattern, theta.numerators)
-        if not verdict.semistable:
-            continue
-        canonical = _canonical_values(field, support, live, values, pattern)
-        if canonical not in seen:
-            seen[canonical] = ScanRecord(
-                rep=_thin_rep(dq, field, dims, live, canonical),
-                verdict=verdict,
-                canonical=_format_canonical(field, dims, live, canonical),
+        if verdict.semistable:
+            records += (
+                ScanRecord(
+                    rep=_thin_rep(dq, field, dims, live, values),
+                    verdict=verdict,
+                    canonical=_format_canonical(field, dims, live, values),
+                )
+                for values in lifts
             )
-    records = sorted(seen.values(), key=lambda rec: rec.canonical)
+    records.sort(key=lambda rec: rec.canonical)
     return ModuliScan(dq=dq, field=field, d=dims, theta=theta, records=records)

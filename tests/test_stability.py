@@ -652,13 +652,55 @@ def gauge_orbit_count(dq, d, field, theta):
     return orbits
 
 
-def test_a3_scan_over_gf9_counts_q2_plus_3q_stable_classes():
-    # law (a) on the cycle of four vertices: the default budget once refused
-    # the 9^8 assignments of this scan, which has 116,289 solutions
-    dq, d = standard_extended_dynkin("A", 3)
-    scan = moduli_scan(dq, d, StabilityParameter.from_tail(d, (1, 1, 1)), GF(9))
-    assert scan.class_count() == 9**2 + 3 * 9
+@pytest.mark.parametrize("tag,r,q", [("A", 3, 9), ("A", 2, 25), ("A", 4, 3), ("A", 4, 4), ("A", 4, 5)])
+def test_scan_counts_q2_plus_rq_stable_classes(tag, r, q):
+    # law (a) on the cycle of r + 1 vertices: the default budget once refused
+    # the 9^8 assignments of the A3 scan over GF(9), which has 116,289 solutions
+    dq, d = standard_extended_dynkin(tag, r)
+    scan = moduli_scan(dq, d, StabilityParameter.from_tail(d, (1,) * r), GF(q))
+    assert scan.class_count() == q**2 + r * q
     assert all(rec.verdict.status == "Stable" for rec in scan.records)
+
+
+def orbit_size(record, q):
+    """(q - 1)^(|support| - components of the record's nonzero arrows), an isolated support vertex a component."""
+    m = record.rep
+    support = [v for v, x in enumerate(m.dims) if x]
+    root = {v: v for v in support}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for a in m.dq.arrows:
+        if m.dims[a.src] and m.dims[a.dst] and not is_zero(m.mats[a.aid]):
+            root[find(a.src)] = find(a.dst)
+    components = sum(1 for v in support if find(v) == v)
+    return (q - 1) ** (len(support) - components)
+
+
+@pytest.mark.parametrize(
+    "tag,n,q",
+    [("A", 1, q) for q in (2, 3, 4, 5, 7)]
+    + [("A", 2, q) for q in (2, 3, 4, 5, 7)]
+    + [("A", 3, q) for q in (2, 3, 4)]
+    + [("D", 4, q) for q in (2, 3)],
+)
+def test_scan_classes_cover_the_semistable_points_once(tag, n, q):
+    # each class is a torus orbit whose stabilizer is one scalar per component,
+    # so the orbit sizes of the listed classes add up to the semistable points
+    # only when the gauge slice misses no class and lists none twice
+    dq, _ = standard_extended_dynkin(tag, n)
+    f = GF(q)
+    for d in itertools.product((0, 1), repeat=dq.vertex_count):
+        modules = list(enumerate_thin_reps(dq, d, f))
+        thetas = oracle_thetas(d)
+        for kind in ("generic", "wall"):
+            theta = thetas[kind]
+            points = sum(1 for m in modules if stability_verdict(m, theta).semistable)
+            scan = moduli_scan(dq, d, theta, f)
+            assert sum(orbit_size(r, q) for r in scan.records) == points, (d, kind)
 
 
 @pytest.mark.parametrize("q", [2, 3])
