@@ -456,25 +456,20 @@ def _gauge_ones(support: tuple, pattern: tuple) -> frozenset:
     return frozenset(i for _, _, i, _ in _pattern_walk(support, pattern))
 
 
-def _canonical_values(field: Field, support: tuple, live: list, values, pattern: tuple) -> tuple:
-    """Rescale ``values`` by the gauge that the walk of their pattern on ``support`` fixes."""
-    f = field
+def _thin_canonical(m: Representation) -> tuple[list, tuple]:
+    """The live arrows of a thin module and its values rescaled by the gauge that the walk of their pattern fixes."""
+    live, values, pattern = _thin_read(m)
+    f = m.field
     z, one = f.zero(), f.one()
     gauge: dict = {}  # a tree root is absent: its gauge is one
-    for w, v, i, forward in _pattern_walk(support, pattern):
+    for w, v, i, forward in _pattern_walk(tuple(_support(m.dims)), pattern):
         # forward edge v -> w fixes g_w = g_v / val, reversed w -> v fixes g_w = g_v * val
         g = gauge.get(v, one)
         gauge[w] = f.mul(g, f.inv(values[i])) if forward else f.mul(g, values[i])
-    return tuple(
+    return live, tuple(
         x if x == z else f.mul(gauge.get(a.dst, one), f.mul(x, f.inv(gauge.get(a.src, one))))
         for a, x in zip(live, values)
     )
-
-
-def _thin_canonical(m: Representation) -> tuple[list, tuple]:
-    """The live arrows of a thin module and its gauge-canonical values on them."""
-    live, values, pattern = _thin_read(m)
-    return live, _canonical_values(m.field, tuple(_support(m.dims)), live, values, pattern)
 
 
 def is_isomorphic(m: Representation, n: Representation) -> bool:

@@ -17,7 +17,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import InternalInvariantError, SearchBudgetExceeded, ShapeError, UnsupportedShape
 from .fields import Field
@@ -343,98 +343,33 @@ def _thin_solved(dq: DoubleQuiver, d, field: Field, budget: int) -> tuple[list, 
     return live, elements, products, check
 
 
-def _thin_values(dq: DoubleQuiver, d, field: Field, budget: int) -> tuple[list, Iterator[tuple]]:
-    """The live arrows of a thin d and an iterator over every relation-satisfying value tuple on them.
-
-    Tuples come in lexicographic order, with the live arrows taken in
-    ``dq.arrows`` order: the order in which a scan of all q^|live|
-    assignments would meet them.  Only the star values sharing one base
-    tuple are sorted, so memory stays bounded by the largest such group.
-    ``_thin_solved`` checks the input and charges the count at the call.
-    """
-    live, elements, products, check = _thin_solved(dq, d, field, budget)
-    z = field.zero()
-
-    def tuples():
-        for xs in itertools.product(elements, repeat=len(live) // 2):
-            # lift every product vector through xs: x_a != 0 forces y_a = p_a / x_a,
-            # x_a = 0 needs p_a = 0 and leaves y_a free
-            ys = [
-                y
-                for p in products if all(x != z or pa == z for x, pa in zip(xs, p))
-                for y in itertools.product(*([field.div(pa, x)] if x != z else elements for x, pa in zip(xs, p)))
-            ]
-            for y in sorted(ys):
-                yield check(xs + y)
-
-    return live, tuples()
-
-
-def _thin_classes(dq: DoubleQuiver, d, field: Field, budget: int) -> tuple[list, Iterator[tuple]]:
-    """The live arrows of a thin d and an iterator over (arrow pattern, its class representatives).
-
-    A class is a gauge orbit, and its canonical tuple (``rep._thin_canonical``)
-    holds one on the walk arrows of its pattern; the products p_a and the
-    pattern are gauge invariants.  So the classes are listed on that slice:
-    for each product vector p and each choice, per zero product, of the
-    base arrow, its star or neither being nonzero, the pattern is named
-    first and its representatives lifted only when read.  A walk arrow is
-    one, each other nonzero pair is (x, p_a / x), (x, 0) or (0, y) with x, y
-    nonzero, and every other arrow is zero; each tuple is its own canonical
-    form, so each class comes out once.  ``_thin_solved`` checks the input
-    and charges the variety's point count at the call, as for ``_thin_values``.
-    """
-    live, elements, products, check = _thin_solved(dq, d, field, budget)
-    support = tuple(_support(d))
-    n = len(live) // 2  # base arrow i has its star at live index i + n
-    z, one = field.zero(), field.one()
-    units = [x for x in elements if x != z]
-
-    def lifts(p, pattern: tuple):
-        nonzero = {i for i, _, _ in pattern}
-        ones = _gauge_ones(support, pattern)
-        pairs = []  # the (x_a, y_a) of each base arrow on the slice
-        for i, pa in enumerate(p):
-            if i in ones:  # y_a = p_a / 1, zero when the star is zero
-                pairs.append([(one, pa)])
-            elif i + n in ones:
-                pairs.append([(pa, one)])
-            elif pa != z:
-                pairs.append([(x, field.div(pa, x)) for x in units])
-            elif i in nonzero:
-                pairs.append([(x, z) for x in units])
-            elif i + n in nonzero:
-                pairs.append([(z, y) for y in units])
-            else:
-                pairs.append([(z, z)])
-        for pair in itertools.product(*pairs):
-            yield check(tuple(x for x, _ in pair) + tuple(y for _, y in pair))
-
-    def patterns():
-        for p in products:
-            # a zero product leaves both arrows zero, or the base arrow or its star nonzero; another leaves both nonzero
-            choices = ([(), (i,), (i + n,)] if pa == z else [(i, i + n)] for i, pa in enumerate(p))
-            for picks in itertools.product(*choices):
-                pattern = tuple((i, live[i].src, live[i].dst) for i in sorted(itertools.chain.from_iterable(picks)))
-                yield pattern, lifts(p, pattern)
-
-    return live, patterns()
-
-
 def enumerate_thin_reps(
     dq: DoubleQuiver,
     d: DimensionVector,
     field: Field,
     budget: int = SEARCH_BUDGET,
 ) -> Iterable[Representation]:
-    """All relation-satisfying thin representations with the given dimensions.
+    """All relation-satisfying thin representations with the given dimensions, each built by ``_thin_rep``.
 
-    One module per value tuple of ``_thin_values``, in the same order, each
-    built by ``_thin_rep``; the verification suites read their thin modules here.
+    Value tuples come in lexicographic order, with the live arrows taken in
+    ``dq.arrows`` order: the order in which a scan of all q^|live|
+    assignments would meet them.  Only the star values sharing one base
+    tuple are sorted, so memory stays bounded by the largest such group.
+    ``_thin_solved`` checks the input and charges the count at the first
+    read; the verification suites read their thin modules here.
     """
-    live, tuples = _thin_values(dq, d, field, budget)
-    for values in tuples:
-        yield _thin_rep(dq, field, d, live, values)
+    live, elements, products, check = _thin_solved(dq, d, field, budget)
+    z = field.zero()
+    for xs in itertools.product(elements, repeat=len(live) // 2):
+        # lift every product vector through xs: x_a != 0 forces y_a = p_a / x_a,
+        # x_a = 0 needs p_a = 0 and leaves y_a free
+        ys = [
+            y
+            for p in products if all(x != z or pa == z for x, pa in zip(xs, p))
+            for y in itertools.product(*([field.div(pa, x)] if x != z else elements for x, pa in zip(xs, p)))
+        ]
+        for y in sorted(ys):
+            yield _thin_rep(dq, field, d, live, check(xs + y))
 
 
 def moduli_scan(
@@ -446,26 +381,58 @@ def moduli_scan(
 ) -> ModuliScan:
     """The isomorphism classes of the semistable thin representations, sorted by canonical value.
 
-    With d and theta fixed, a verdict depends only on which live arrows are
-    nonzero, so it is read once per arrow pattern from the pattern memo
-    (``_thin_verdict``), and an unstable pattern lifts no tuple.  The other
-    patterns list one canonical tuple per class on the gauge slice
-    (``_thin_classes``), and one module is built per class.  The variety's
-    point count is still charged to the budget before the first class.
+    A class is a gauge orbit; its product vector p and its arrow pattern are
+    gauge invariants, and its canonical tuple (``rep._thin_canonical``) holds
+    one on the pattern's gauge walk (``rep._gauge_ones``).  So the classes
+    are listed on that slice: for each product vector and each choice, per
+    zero product, of the base arrow, its star or neither being nonzero, the
+    pattern's verdict is read once from the pattern memo (``_thin_verdict``),
+    and an unstable pattern lifts no tuple.  A semistable pattern lifts with
+    its walk arrows one, each other nonzero pair (x, p_a / x), (x, 0) or
+    (0, y) with x, y nonzero, and every other arrow zero: each tuple is its
+    own canonical form, so each class comes out once and builds one module.
+    ``_thin_solved`` still charges the variety's point count to the budget
+    before the first class.
     """
     dims = DimensionVector(d)
-    live, patterns = _thin_classes(dq, dims, field, budget)
+    live, elements, products, check = _thin_solved(dq, dims, field, budget)
+    support = tuple(_support(dims))
+    n = len(live) // 2  # base arrow i has its star at live index i + n
+    z, one = field.zero(), field.one()
+    units = [x for x in elements if x != z]
     records = []
-    for pattern, lifts in patterns if theta.scaled(dims) == 0 else ():  # off the theta-kernel nothing is semistable
-        verdict = _thin_verdict(dims, pattern, theta.numerators)
-        if verdict.semistable:
-            records += (
-                ScanRecord(
-                    rep=_thin_rep(dq, field, dims, live, values),
-                    verdict=verdict,
-                    canonical=_format_canonical(field, dims, live, values),
+    for p in products if theta.scaled(dims) == 0 else ():  # off the theta-kernel nothing is semistable
+        # a zero product leaves both arrows zero, or the base arrow or its star nonzero; another leaves both nonzero
+        choices = ([(), (i,), (i + n,)] if pa == z else [(i, i + n)] for i, pa in enumerate(p))
+        for picks in itertools.product(*choices):
+            pattern = tuple((i, live[i].src, live[i].dst) for i in sorted(itertools.chain.from_iterable(picks)))
+            verdict = _thin_verdict(dims, pattern, theta.numerators)
+            if not verdict.semistable:
+                continue
+            nonzero = {i for i, _, _ in pattern}
+            ones = _gauge_ones(support, pattern)
+            pairs = []  # the (x_a, y_a) of each base arrow on the slice
+            for i, pa in enumerate(p):
+                if i in ones:  # y_a = p_a / 1, zero when the star is zero
+                    pairs.append([(one, pa)])
+                elif i + n in ones:
+                    pairs.append([(pa, one)])
+                elif pa != z:
+                    pairs.append([(x, field.div(pa, x)) for x in units])
+                elif i in nonzero:
+                    pairs.append([(x, z) for x in units])
+                elif i + n in nonzero:
+                    pairs.append([(z, y) for y in units])
+                else:
+                    pairs.append([(z, z)])
+            for pair in itertools.product(*pairs):
+                values = check(tuple(x for x, _ in pair) + tuple(y for _, y in pair))
+                records.append(
+                    ScanRecord(
+                        rep=_thin_rep(dq, field, dims, live, values),
+                        verdict=verdict,
+                        canonical=_format_canonical(field, dims, live, values),
+                    )
                 )
-                for values in lifts
-            )
     records.sort(key=lambda rec: rec.canonical)
     return ModuliScan(dq=dq, field=field, d=dims, theta=theta, records=records)

@@ -455,6 +455,9 @@ def test_scan_csv_golden_bytes(capsys):
 GOLDEN_SCAN_SHA256 = {
     "A2 --field 5 --theta -2,1,1": "808d0a9f22ed0e11466e4d2fe1d49b9008d12857c764a4f6f9ba580d46d46a7f",
     "A3 --field 3 --theta-tail 1,1,1": "567d35a8b84a9e761d165115bb26cc030110a2449ee4964678bd735b95edeac7",
+    # the gauge-slice lift beyond GF(2) and the fundamental chamber: 21 and 28 classes
+    "A4 --field 3 --theta-tail 1,1,1,1": "88047fa002363e70a6d4710ae1daa8057b9ec51bd03e0befb89ba3283920b4c7",
+    "A3 --field 4 --theta 2,-1,-3,2": "08a0bac4f9fbe4ba3ff7d1d646e9ff1672d8482a285c0c53b37c2771e026d568",
 }
 
 

@@ -1,3 +1,4 @@
+import ast
 import collections
 import functools
 import itertools
@@ -209,6 +210,17 @@ def test_stability_reads_and_writes_thin_modules_only_through_rep():
     assert "_pattern_walk" not in source and "Representation.build" not in source
     assert "def _thin_rep(" in Path(rep_module.__file__).read_text(encoding="utf-8")
     assert stability_module._thin_rep is rep_module._thin_rep
+    # one thin solver, read directly by its two public readers
+    solver_callers = {
+        f.name
+        for f in ast.parse(source).body
+        if isinstance(f, ast.FunctionDef)
+        and any(
+            isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and c.func.id == "_thin_solved"
+            for c in ast.walk(f)
+        )
+    }
+    assert solver_callers == {"enumerate_thin_reps", "moduli_scan"}
 
 
 # -- thin enumeration against the generate-and-filter oracle -----------------
