@@ -12,6 +12,7 @@ ascending dimension vectors, and one rule, ``_first_witness``, reads verdicts.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import io
 import itertools
@@ -36,16 +37,19 @@ from .rep import (
 from .weyl import StabilityParameter
 
 SEARCH_BUDGET = 10**7  # value tuples of a solved thin variety, charged before its first tuple or scan class, or subspace tuples of the dimension vectors a search reaches
-VERDICT_MEMO = 4096  # (thin dims, arrow pattern, theta) verdicts kept memoized
+VERDICT_MEMO = 4096  # entries kept by each thin memo: closed supports per (dims, arrow pattern), verdicts per (dims, arrow pattern, theta)
 
 
-def _closed_supports(dims, pattern: tuple) -> list[tuple]:
+@functools.lru_cache(maxsize=VERDICT_MEMO)
+def _closed_supports(dims, pattern: tuple) -> tuple[tuple, ...]:
     """Vertex supports of the thin submodules of one arrow pattern as 0/1 dimension vectors, ascending.
 
     A support is closed when it holds every vertex that a nonzero arrow
     reaches from it: a down-set of the preorder "y is reached from x", so
     exactly a union of the sets reach(v).  Inside, vertex v is bit n-1-v of
-    an int, so ascending masks are ascending vectors.
+    an int, so ascending masks are ascending vectors.  They depend on dims
+    and the pattern alone, not on theta, so one memoized tuple serves every
+    chamber of a sweep and no caller can change it.
     """
     n = len(dims)
     reach = {v: 1 << (n - 1 - v) for v in _support(dims)}
@@ -59,7 +63,7 @@ def _closed_supports(dims, pattern: tuple) -> list[tuple]:
     masks = {0}
     for r in reach.values():
         masks |= {s | r for s in masks}
-    return [tuple(s >> (n - 1 - v) & 1 for v in range(n)) for s in sorted(masks)]
+    return tuple(tuple(s >> (n - 1 - v) & 1 for v in range(n)) for s in sorted(masks))
 
 
 def _subspaces(field: Field, dim: int, k: int) -> list[Matrix]:
@@ -115,7 +119,7 @@ def _closed_subspace_tuples(m: Representation, budget: int):
 def _sorted_submodule_dimvecs(m: Representation, budget: int) -> list[tuple]:
     """Dimension vectors of all submodules, ascending: zero first, the whole module last."""
     if is_thin(m):
-        return _closed_supports(m.dims, _thin_read(m)[2])
+        return list(_closed_supports(m.dims, _thin_read(m)[2]))
     return list(_closed_subspace_tuples(m, budget))
 
 
@@ -234,9 +238,15 @@ def sequiv_class(m: Representation, theta: StabilityParameter) -> tuple:
 
 @dataclass(frozen=True)
 class ScanRecord:
-    rep: Representation
+    """One isomorphism class of a scan: its verdict, its canonical values, and its module, built on first read."""
+
     verdict: StabilityVerdict
     canonical: tuple
+    build_rep: Callable[[], Representation] = dataclasses.field(compare=False, repr=False)
+
+    @functools.cached_property
+    def rep(self) -> Representation:
+        return self.build_rep()
 
 
 @dataclass
@@ -390,9 +400,11 @@ def moduli_scan(
     and an unstable pattern lifts no tuple.  A semistable pattern lifts with
     its walk arrows one, each other nonzero pair (x, p_a / x), (x, 0) or
     (0, y) with x, y nonzero, and every other arrow zero: each tuple is its
-    own canonical form, so each class comes out once and builds one module.
-    ``_thin_solved`` still charges the variety's point count to the budget
-    before the first class.
+    own canonical form, so each class comes out once.  Its module is built
+    from that tuple on the first read of ``ScanRecord.rep``, so a scan that
+    only prints builds none.  ``_thin_solved`` still charges the variety's
+    point count to the budget before the first class, and every tuple passes
+    its relation re-check before it makes a record.
     """
     dims = DimensionVector(d)
     live, elements, products, check = _thin_solved(dq, dims, field, budget)
@@ -429,9 +441,9 @@ def moduli_scan(
                 values = check(tuple(x for x, _ in pair) + tuple(y for _, y in pair))
                 records.append(
                     ScanRecord(
-                        rep=_thin_rep(dq, field, dims, live, values),
                         verdict=verdict,
                         canonical=_format_canonical(field, dims, live, values),
+                        build_rep=functools.partial(_thin_rep, dq, field, dims, live, values),
                     )
                 )
     records.sort(key=lambda rec: rec.canonical)

@@ -21,10 +21,12 @@ from ppalg.reflection import compute_siw
 from ppalg.rep import Representation, hom_dim, is_thin
 from ppalg.stability import (
     SEARCH_BUDGET,
+    VERDICT_MEMO,
     ModuliScan,
     ScanRecord,
     StabilityVerdict,
     _closed_subspace_tuples,
+    _closed_supports,
     _sorted_submodule_dimvecs,
     _thin_verdict,
     enumerate_thin_reps,
@@ -34,7 +36,7 @@ from ppalg.stability import (
     submodule_dimvecs,
     thin_canonical_values,
 )
-from ppalg.verify import A2_CHAMBER_WORDS, chamber_theta, random_nilpotent
+from ppalg.verify import A2_CHAMBER_WORDS, chamber_theta, chambers, random_nilpotent
 from ppalg.weyl import StabilityParameter, WeylGroup, finite_root_system
 from relation_maps import is_zero
 
@@ -379,7 +381,7 @@ def reference_moduli_scan(dq, d, theta, field):
         if canonical not in seen:
             mats = {aid: Matrix(field, 1, 1, [[field.parse_scalar(x)]]) for aid, x in canonical[1]}
             canon_rep = Representation.build(dq, field, rep.dims, mats)
-            seen[canonical] = ScanRecord(rep=canon_rep, verdict=verdict, canonical=canonical)
+            seen[canonical] = ScanRecord(verdict=verdict, canonical=canonical, build_rep=lambda m=canon_rep: m)
     records = [seen[k] for k in sorted(seen)]
     return ModuliScan(dq=dq, field=field, d=DimensionVector(d), theta=theta, records=records)
 
@@ -773,6 +775,68 @@ def test_canonical_form_is_gauge_invariant():
     (canon,) = [r.rep for r in scan.records if r.canonical == thin_canonical_values(m)]
     assert canon.check_relations() == []
     assert thin_canonical_values(canon) == thin_canonical_values(m)
+
+
+@pytest.mark.parametrize(
+    "r,q", [(1, q) for q in (2, 3, 4, 5)] + [(2, q) for q in (2, 3, 4, 5)] + [(3, 2), (3, 3), (4, 2)]
+)
+def test_every_chamber_has_q2_plus_rq_stable_classes_and_r_plus_1_fixed_points(r, q):
+    # laws (a) and (d) of the moduli theorem, one scan per chamber of chambers(wg):
+    # q^2 + r q classes, all stable, and r + 1 torus-fixed classes, those with r nonzero arrows
+    dq, d = standard_extended_dynkin("A", r)
+    f = GF(q)
+    for _, label, theta in chambers(WeylGroup(finite_root_system(dq, d))):
+        scan = moduli_scan(dq, d, theta, f)
+        assert scan.class_count() == q**2 + r * q, label
+        assert all(rec.verdict.status == "Stable" for rec in scan.records), label
+        fixed = [rec for rec in scan.records if sum(val != "0" for _, val in rec.canonical[1]) == r]
+        assert len(fixed) == r + 1, label
+
+
+@pytest.fixture
+def thin_rep_calls(monkeypatch):
+    """The argument tuples of every module built through ``stability._thin_rep`` from here on."""
+    calls = []
+    real = stability_module._thin_rep
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(stability_module, "_thin_rep", counted)
+    return calls
+
+
+@pytest.mark.parametrize("r,q", [(2, 3), (3, 2), (4, 2)])
+def test_a_scan_that_only_prints_builds_no_module(thin_rep_calls, r, q):
+    dq, d = standard_extended_dynkin("A", r)
+    scan = moduli_scan(dq, d, StabilityParameter.from_tail(d, (1,) * r), GF(q))
+    scan.to_csv()
+    scan.to_json()
+    assert len(scan.stable_records()) == scan.class_count() == q**2 + r * q
+    assert thin_rep_calls == []
+
+
+def test_a_scan_record_builds_its_module_once_on_first_read(thin_rep_calls):
+    dq, d, f = a2(GF(3))
+    scan = moduli_scan(dq, d, chamber_theta(dq, (1,)), f)
+    for built, rec in enumerate(scan.records, start=1):
+        m = rec.rep
+        assert rec.rep is m
+        assert len(thin_rep_calls) == built
+        assert m.check_relations() == []
+        assert thin_canonical_values(m) == rec.canonical
+
+
+def test_closed_supports_are_a_shared_tuple_memoized_per_pattern():
+    dq, d, f = a2(GF(2))
+    m = thin(dq, f, d, {"a1": 1, "a2s": 1})
+    pattern = stability_module._thin_read(m)[2]
+    supports = _closed_supports(m.dims, pattern)
+    assert type(supports) is tuple
+    assert _closed_supports(m.dims, pattern) is supports
+    assert _sorted_submodule_dimvecs(m, SEARCH_BUDGET) == list(supports)
+    assert _closed_supports.cache_info().maxsize == VERDICT_MEMO
 
 
 def test_scan_serialization():
