@@ -20,11 +20,13 @@ inclusion has a retraction, so the split test builds no dual module.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Callable, Dict, Sequence
 
 from .errors import CocycleError, InternalInvariantError, ShapeError
-from .fields import check_same_field
+from .fields import Field, check_same_field
 from .linalg import Matrix, null_space, sparse_echelon
 from .quiver import DoubleQuiver
 from .rep import Representation, _check_pair, block_module, hom_dim, hom_system, linear_system, unflatten
@@ -37,8 +39,18 @@ def bilinear_form(dq: DoubleQuiver, alpha: Sequence[int], beta: Sequence[int]) -
 
 @dataclass(frozen=True)
 class Ext1Space:
-    cocycle_basis: tuple
+    """The dimension of Ext^1(m, n), and a basis of cocycles built on first read."""
+
     dim: int
+    build_basis: Callable[[], tuple] = dataclasses.field(compare=False, repr=False)
+
+    @functools.cached_property
+    def cocycle_basis(self) -> tuple:
+        return self.build_basis()
+
+
+def _unflatten_all(field: Field, vecs: Sequence[dict], shapes) -> tuple:
+    return tuple(unflatten(field, vec, shapes) for vec in vecs)
 
 
 def _delta2(m: Representation, n: Representation) -> tuple[list[dict], int, list[tuple[str, int, int]]]:
@@ -82,8 +94,7 @@ def ext1_space(m: Representation, n: Representation) -> Ext1Space:
         raise InternalInvariantError(
             f"extension dimension {dim} violates the form identity (expected {expected})"
         )
-    basis = tuple(unflatten(f, vec, shapes) for vec in chosen)
-    return Ext1Space(cocycle_basis=basis, dim=dim)
+    return Ext1Space(dim=dim, build_basis=functools.partial(_unflatten_all, f, chosen, shapes))
 
 
 def ext1_dim_via_complex(m: Representation, n: Representation) -> int:

@@ -16,8 +16,12 @@ The body is split in two.  The step at i (the echelon, the null rows, the
 two products and the lift check) depends only on the field, n = dims[i], the
 relation terms at i, the rows of the blocks at i and the side.  The functor
 at i discards the gauge at i, so words and the suites meet the same step
-again and again: it is memoized, bounded by ``REFLECT_MEMO``.  The range
-check, the new module and the re-check of its relations run on every call.
+again and again: it is memoized, bounded by ``REFLECT_MEMO``.  The step
+also proves, once per distinct step, that the blocks it returns satisfy the
+relation at i and keep every composite through i, which is all the relations
+of the new module can read of them.  The range check, the refusal of an input
+that fails its relations (a verdict summed once per module) and the new
+module run on every call; no vertex of the result is summed again.
 """
 
 from __future__ import annotations
@@ -68,8 +72,14 @@ def _reflect(i: int, m: Representation, transposed: bool) -> ReflectResult:
     """The kernel construction at i: the memoized ``_reflect_step`` on the blocks at i, then the module.
 
     Not memoized, so done on every call, hit or miss: the range check of i,
-    the new blocks written over a copy of the blocks of m, and the re-check
-    of the result's relations at every vertex.
+    the refusal of an input whose relation verdict (``Representation._violated``,
+    summed once per module) is not empty, and the new blocks written over a
+    copy of the blocks of m.  The result's verdict is then written as empty,
+    which is proved, not assumed: the step checked that the relation at i
+    holds on the blocks it returns and that every composite M_a . M_{a*}
+    through i is unchanged, and the relation at any other vertex reads only
+    blocks away from i and those composites, so it is the input's.  No
+    vertex of the result is summed again.
     """
     dq = m.dq
     if not 0 <= i < dq.vertex_count:
@@ -78,12 +88,13 @@ def _reflect(i: int, m: Representation, transposed: bool) -> ReflectResult:
     terms = dq.relations[i].terms
     ids = [aid for _, a, s in terms for aid in (a, s)]
     blocks, k, defect = _reflect_step(m.field, n, terms, tuple(m.mats[aid].data for aid in ids), transposed)
+    if m._violated:
+        raise InternalInvariantError("reflection broke the preprojective relations")
     mats = dict(m.mats)
     mats.update(zip(ids, blocks))
     dims = m.dims if k == n else DimensionVector(k if v == i else d for v, d in enumerate(m.dims))
     result = Representation(dq, m.field, dims, mats)
-    if result.check_relations():
-        raise InternalInvariantError("reflection broke the preprojective relations")
+    result.__dict__["_violated"] = ()  # the cached property's slot: proved by the step and the input's verdict
     return ReflectResult(module=result, defect=defect)
 
 
@@ -109,6 +120,12 @@ def _reflect_step(f: Field, n: int, terms: tuple, rows: tuple, transposed: bool)
     unique lift through K is the free rows of W, and K times the lift must
     give W back, else InternalInvariantError (a raise is not memoized).  The
     new pairs are written back the same way, swapped on the minus side.
+
+    The returned blocks are checked as ``_reflect`` writes them, so a
+    slicing, transposing or side-swap slip cannot pass: the relation at i,
+    sum eps(a) M'_{a*} . M'_a, must vanish, and each composite through i,
+    M'_a . M'_{a*}, must equal M_a . M_{a*} (a diagonal block of W, read
+    back through the lift), else InternalInvariantError.
     """
     stack_out, stack_in, signed, widths = [], [], [], []  # N_a and N_{a*}^T over the terms, stacked
     for (sign, _, _), arrow, star in zip(terms, rows[::2], rows[1::2]):
@@ -137,6 +154,17 @@ def _reflect_step(f: Field, n: int, terms: tuple, rows: tuple, transposed: bool)
         to_a, to_s = (part, proj) if transposed else (proj, part)
         blocks += (Matrix._of(f, width, k, _transpose(to_a, width)), Matrix._of(f, k, width, to_s))
         pos += width
+
+    relation = [[f.zero()] * k for _ in range(k)]
+    for (sign, _, _), arrow, star, new_arrow, new_star in zip(terms, rows[::2], rows[1::2], blocks[::2], blocks[1::2]):
+        width = len(arrow)
+        if _mul_rows(f, new_arrow.data, new_star.data, width) != _mul_rows(f, arrow, star, width):
+            raise InternalInvariantError("reflection broke the preprojective relations")
+        op = f.add if sign > 0 else f.sub
+        for acc, row in zip(relation, _mul_rows(f, new_star.data, new_arrow.data, k)):
+            acc[:] = map(op, acc, row)
+    if any(map(any, relation)):
+        raise InternalInvariantError("reflection broke the preprojective relations")
     return tuple(blocks), k, n - len(pivots)
 
 

@@ -111,13 +111,21 @@ class Representation:
                 acc[r] = row
         return acc
 
-    def check_relations(self) -> list[int]:
-        """Vertices where the preprojective relation fails (empty list = valid).
+    @functools.cached_property
+    def _violated(self) -> tuple[int, ...]:
+        """The vertices where the preprojective relation fails, summed once per module.
 
         Every vertex is tested, by truth value on the accumulated rows; a
-        vertex of dimension 0 holds trivially.
+        vertex of dimension 0 holds trivially.  The module is immutable, so
+        the verdict is kept in the instance ``__dict__``, which a cached
+        property may write on the frozen dataclass; ``reflection._reflect``
+        writes it for the modules it proves valid.
         """
-        return [v for v, n in enumerate(self.dims) if n and any(map(any, self._relation_rows(v)))]
+        return tuple(v for v, n in enumerate(self.dims) if n and any(map(any, self._relation_rows(v))))
+
+    def check_relations(self) -> list[int]:
+        """Vertices where the preprojective relation fails (empty list = valid)."""
+        return list(self._violated)
 
     # -- structure ---------------------------------------------------------
 
@@ -260,9 +268,11 @@ def linear_system(field: Field, eq_shapes, var_shapes, terms) -> tuple[list[dict
     Unknown blocks X_key and equation blocks are (key, rows, cols) triples,
     flattened block by block in row-major order.  A term
     ``(eq, sign, left, var, right)`` adds sign . left . X_var to equation block
-    ``eq`` when ``right`` is None, and sign . X_var . right when ``left`` is None.
-    No two terms may touch the same entry, which holds for the systems of a
-    loop-free double quiver, so each nonzero coefficient is placed once.
+    ``eq`` when ``right`` is None, and sign . X_var . right when ``left`` is None;
+    a term whose equation or unknown block is empty places nothing and is
+    skipped.  No two terms may touch the same entry, which holds for the
+    systems of a loop-free double quiver, so each nonzero coefficient is
+    placed once.
     Returns one ``{column: coefficient}`` dict per equation entry, with no
     zero stored (the rows ``linalg.sparse_echelon`` takes), and the column count.
     """
@@ -270,8 +280,10 @@ def linear_system(field: Field, eq_shapes, var_shapes, terms) -> tuple[list[dict
     var_at, n_cols = _layout(var_shapes)
     rows: list[dict] = [{} for _ in range(n_rows)]
     for eq, sign, left, var, right in terms:
-        e0, _, ec = eq_at[eq]
+        e0, er, ec = eq_at[eq]
         x0, xr, xc = var_at[var]
+        if not (er and ec and xr and xc):
+            continue
         if right is None:
             # (L X)[r][c] = sum_k L[r][k] X[k][c]
             for r, lrow in enumerate(left.data):

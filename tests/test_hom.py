@@ -452,6 +452,11 @@ def draw_random_matrices(data, dq, field):
 def test_differentials_match_the_entrywise_builders(tag, field, data):
     dq, _ = standard_extended_dynkin(*tag)
     m, n = (draw_random_matrices(data, dq, field) for _ in range(2))
+    assert_differentials_match_the_reference(m, n)
+
+
+def assert_differentials_match_the_reference(m, n):
+    field = m.field
     for system, (want, want_shapes) in (
         (hom_system(m, n), reference_hom_system(m, n)),
         (_delta2(m, n), reference_delta2(m, n)),
@@ -463,6 +468,18 @@ def test_differentials_match_the_entrywise_builders(tag, field, data):
         assert got.data == want.data
         assert [type(x) for row in got.data for x in row] == [type(x) for row in want.data for x in row]
         assert shapes == want_shapes
+
+
+@pytest.mark.parametrize("tag", [("A", 2), ("D", 4)])
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=["GF3", "QQ"])
+def test_differentials_on_empty_blocks_match_the_entrywise_builders(tag, field):
+    # between vertex simples and the zero module most equation and unknown
+    # blocks are empty, which linear_system skips
+    dq, _ = standard_extended_dynkin(*tag)
+    mods = [Representation.simple(dq, field, v) for v in range(dq.vertex_count)]
+    mods.append(Representation.build(dq, field, [0] * dq.vertex_count))
+    for m, n in itertools.product(mods, repeat=2):
+        assert_differentials_match_the_reference(m, n)
 
 
 def reference_rank(a):

@@ -609,6 +609,49 @@ def test_memoized_reflections_equal_fresh_ones_and_the_reference(tag, field, see
             assert warm.module == module
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    tag=st.sampled_from([("A", 1), ("A", 2), ("A", 3), ("D", 4)]),
+    field=st.sampled_from([GF(2), GF(3), GF(4), GF(5), QQ]),
+    seed=st.integers(0, 2**16),
+    steps=st.integers(1, 4),
+    tail=st.lists(st.tuples(st.integers(0, 4), st.booleans()), max_size=2),
+)
+def test_the_verdict_a_reflection_writes_agrees_with_the_full_check(tag, field, seed, steps, tail):
+    # a reflection's result carries an empty relation verdict that the step
+    # proved; the same blocks in a fresh module, with nothing cached, must sum
+    # to it at every vertex, also along chains of 1-3 letters
+    dq, _ = standard_extended_dynkin(*tag)
+    m = random_nilpotent(dq, field, random.Random(seed), steps=steps)
+    for i in range(dq.vertex_count):
+        for plus in (True, False):
+            cur = m
+            for letter, side in [(i, plus)] + [(v % dq.vertex_count, side) for v, side in tail]:
+                cur = (reflect_plus if side else reflect_minus)(letter, cur).module
+                assert cur.check_relations() == []
+                fresh = Representation(dq, field, cur.dims, dict(cur.mats))
+                assert fresh.check_relations() == []
+
+
+def test_a_word_sums_each_relation_of_its_input_once(monkeypatch):
+    # the relations of a fresh thin A2 module are summed once; the three
+    # results of the word are proved valid by their steps, not summed again
+    dq, d, wg = a2_setup()
+    theta = chamber_theta(dq, ())
+    m = next(m for m in enumerate_thin_reps(dq, d, GF(3)) if stability_verdict(m, theta).semistable)
+    summed = []
+    relation_rows = Representation._relation_rows
+
+    def counted(self, v):
+        summed.append(v)
+        return relation_rows(self, v)
+
+    monkeypatch.setattr(Representation, "_relation_rows", counted)
+    out, _ = apply_word((1, 2, 1), m, theta)
+    assert out.check_relations() == []
+    assert len(summed) <= dq.vertex_count
+
+
 def reflection_digest_modules():
     """Every thin A2 module over GF(3), then 12 nilpotent D4 modules over GF(3) and over QQ."""
     dq, d, wg = a2_setup()
