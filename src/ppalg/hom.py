@@ -12,7 +12,13 @@ Both differentials come from the one builder ``rep.linear_system`` as
 sparse rows, in the flat layout ``rep.unflatten`` reads back: d1 is
 ``rep.hom_system(m, n)``, whose kernel is Hom(m, n), and d2 is
 ``_delta2(m, n)``.  Every rank, pivot and null vector is read straight off
-``linalg.sparse_echelon`` of those rows; no dense system matrix is built.
+``linalg.sparse_echelon`` of those rows, or its two passes; no dense system
+matrix is built.  ``ext1_space`` needs both modules to satisfy the
+preprojective relations (else PreconditionViolated), so that im d1 lies in
+ker d2, and picks its cocycles in the free coordinates F of d2, where ker d2
+is the identity: d2 goes through the forward pass only, and one small
+echelon of d1's rows at F gives rank d1 and the chosen cocycles.  The
+cocycle basis is back-substituted and built only when it is first read.
 The extension dimension always satisfies the bilinear-form identity, which
 is asserted at runtime.  An extension splits exactly when its kernel
 inclusion has a retraction, so the split test builds no dual module.
@@ -27,9 +33,9 @@ from typing import Callable, Dict, Sequence
 
 from .errors import CocycleError, InternalInvariantError, ShapeError
 from .fields import Field, check_same_field
-from .linalg import Matrix, null_space, sparse_echelon
+from .linalg import Matrix, back_substitute, forward_pass, sparse_echelon
 from .quiver import DoubleQuiver
-from .rep import Representation, _check_pair, block_module, hom_dim, hom_system, linear_system, unflatten
+from .rep import Representation, _check_pair, _require_relations, block_module, hom_dim, hom_system, linear_system, unflatten
 
 
 def bilinear_form(dq: DoubleQuiver, alpha: Sequence[int], beta: Sequence[int]) -> int:
@@ -47,10 +53,6 @@ class Ext1Space:
     @functools.cached_property
     def cocycle_basis(self) -> tuple:
         return self.build_basis()
-
-
-def _unflatten_all(field: Field, vecs: Sequence[dict], shapes) -> tuple:
-    return tuple(unflatten(field, vec, shapes) for vec in vecs)
 
 
 def _delta2(m: Representation, n: Representation) -> tuple[list[dict], int, list[tuple[str, int, int]]]:
@@ -73,28 +75,60 @@ def _delta2(m: Representation, n: Representation) -> tuple[list[dict], int, list
 def ext1_space(m: Representation, n: Representation) -> Ext1Space:
     """First extension group computed as middle cohomology of the complex.
 
+    Both modules must satisfy the preprojective relations, so that
+    d2 . d1 = 0 and im d1 lies in ker d2; else PreconditionViolated, naming
+    the failing vertices.  d2 goes through the forward pass only, and its
+    free columns F fix ker d2: the canonical null vector k_f is one at f and
+    zero at the other free columns.  So im d1 is read on F alone, from one
+    echelon of the columns of d1 at F with F reversed, whose pivots are the
+    positions where the vectors of im d1 end.  Their count is rank d1, and
+    the cocycles k_f for the other f in F, in ascending order, extend im d1
+    to ker d2: k_f lies in the span of im d1 and the k_g with g < f exactly
+    when some vector of im d1 ends at f.  This is the choice of the pivots
+    past d1 of [d1 | ker d2], and dim = |F| - rank d1.  Reading only ``dim``
+    back-substitutes nothing: the first read of ``cocycle_basis`` reduces
+    the kept rows of d2 and builds just the chosen null vectors.
+
     Raises InternalInvariantError when the computed dimension disagrees with
     the bilinear-form identity; that always indicates an implementation bug.
     """
     f = m.field
     d1, cols, _ = hom_system(m, n)
+    _require_relations("m", m)
+    _require_relations("n", n)
     d2, d2_cols, shapes = _delta2(m, n)
-    ker = null_space(f, *sparse_echelon(f, d2, d2_cols, True), d2_cols)
-    # one echelon of [d1 | ker]: the pivots inside d1 count its rank, and those
-    # past it are the kernel columns that extend the image of d1 to a basis of
-    # ker d2, since whether a column is a pivot depends on the span before it
-    for j, vec in enumerate(ker, cols):
-        for i, x in vec.items():
-            d1[i][j] = x
-    _, pivots = sparse_echelon(f, d1, cols + len(ker), False)
-    chosen = [ker[j - cols] for j in pivots if j >= cols]
+    piv = forward_pass(f, d2, d2_cols)
+    free = [j for j in range(d2_cols) if j not in piv]
+    last = len(free) - 1
+    columns = [{} for _ in range(cols)]  # column c of d1 at F, position r for free[last - r]
+    for r, j in enumerate(reversed(free)):
+        for c, x in d1[j].items():
+            columns[c][r] = x
+    ends = {free[last - r] for r in sparse_echelon(f, columns, len(free), False)[1]}
+    chosen = [j for j in free if j not in ends]
     dim = len(chosen)
-    expected = (cols - (len(pivots) - dim)) + hom_dim(n, m) - bilinear_form(m.dq, m.dims, n.dims)
+    expected = (cols - len(ends)) + hom_dim(n, m) - bilinear_form(m.dq, m.dims, n.dims)
     if dim != expected:
         raise InternalInvariantError(
             f"extension dimension {dim} violates the form identity (expected {expected})"
         )
-    return Ext1Space(dim=dim, build_basis=functools.partial(_unflatten_all, f, chosen, shapes))
+    return Ext1Space(dim=dim, build_basis=functools.partial(_cocycle_basis, f, piv, chosen, shapes))
+
+
+def _cocycle_basis(f: Field, piv: dict, chosen: Sequence[int], shapes) -> tuple:
+    """The canonical null vectors of d2 at the chosen free columns, from its kept forward rows, unflattened.
+
+    The back substitution reduces copies of the rows, which stay as they are
+    for another call.
+    """
+    tails, pivots = back_substitute(f, {p: dict(row) for p, row in piv.items()})
+    one, neg = f.one(), f.neg
+    basis = {j: {j: one} for j in chosen}
+    for pc, tail in zip(pivots, tails):
+        for fc, x in tail.items():
+            if fc in basis:
+                basis[fc][pc] = neg(x)
+    return tuple(unflatten(f, vec, shapes) for vec in basis.values())
 
 
 def ext1_dim_via_complex(m: Representation, n: Representation) -> int:

@@ -13,10 +13,13 @@ rows of the columns where it is nonzero, at the nonzero columns of each.
 Over a finite field it works on the int codes; over QQ on integers, every
 row scaled by the lcm of the denominators of its nonzero entries and
 reduced fraction-free, with the ``Fraction`` entries built once at the end.
-``rank`` and the callers that need only the pivot columns skip the back
-substitution.  The decompositions of a ``Matrix`` (kernel, image,
-cokernel, solve) read the tails of its one reduced form, ``_reduced()``,
-the kernel through ``null_space``; only ``rref`` writes them into a dense R.
+It is two passes: ``forward_pass`` keeps the normalised pivot rows, and
+``back_substitute`` reduces them, so a caller may hold the forward rows and
+reduce them later, or never.  ``rank`` and the callers that need only the
+pivot columns skip the back substitution.  The decompositions of a
+``Matrix`` (kernel, image, cokernel, solve) read the tails of its one
+reduced form, ``_reduced()``, the kernel through ``null_space``; only
+``rref`` writes them into a dense R.
 
 Entries are validated at the public constructors (``Matrix(...)``,
 ``column``, ``from_json``) and ``scale`` checks its scalar.  Everything
@@ -205,39 +208,64 @@ class Matrix:
 def sparse_echelon(field: Field, rows: list[dict], cols: int, reduced: bool) -> tuple[Optional[list], tuple]:
     """The one elimination: the pivot columns of a system of sparse rows, and its reduced form if ``reduced``.
 
+    ``forward_pass`` then, with ``reduced``, ``back_substitute`` on the rows
+    it keeps; otherwise the tails are None.  The rows are consumed.
+    """
+    piv = forward_pass(field, rows, cols)
+    if not reduced:
+        return None, tuple(sorted(piv))
+    return back_substitute(field, piv)
+
+
+def forward_pass(field: Field, rows: list[dict], cols: int) -> dict:
+    """The normalised pivot rows of a system of sparse rows, keyed by their pivot columns.
+
     Each row is a ``{column: coefficient}`` dict over ``cols`` columns that
     stores no zero; the rows are consumed.  Row by row, a row is reduced by
     the pivot row of its leading column until no pivot row leads there, and
     then it becomes the pivot row of its leading column.  These are the
-    pivots of the reduced echelon form, which is unique.  With ``reduced``
-    each pivot row is cleared at the later pivot columns, from the last one
-    back, and the rows come back in pivot order as tails: the entries at the
-    free columns, the pivot entry one left out.  Otherwise the tails are
-    None.  A system with no rows or no columns does no work.
+    pivots of the reduced echelon form, which is unique.  A pivot row is one
+    at its pivot over a finite field, and over QQ the primitive integer row
+    with a positive entry there.  A system with no rows or no columns does
+    no work.
     """
     if not rows or not cols:
-        return ([] if reduced else None), ()
-    rational = field.kind == "rationals"
-    if rational:
+        return {}
+    if field.kind == "rationals":
         rows = [_integer_row(row) for row in rows]
-        reduce, normal = _integer_reduce, _integer_normal
-    else:
-        reduce, normal = _field_steps(field)
+    reduce, normal = _steps(field)
     piv: dict = {}  # pivot column -> its row, normalised
     for row in rows:
         while row and (lead := min(row)) in piv:
             reduce(row, piv[lead], lead)
         if row:
             piv[lead] = normal(row, lead)
+    return piv
+
+
+def back_substitute(field: Field, piv: dict) -> tuple[list, tuple]:
+    """The tails and pivot columns of the reduced echelon form of the pivot rows ``forward_pass`` keeps.
+
+    Each pivot row is cleared at the later pivot columns, from the last one
+    back; the rows are consumed, so a caller that reads them again passes
+    copies.  The rows come back in pivot order as tails: the entries at the
+    free columns, the pivot entry one left out.
+    """
+    reduce = _steps(field)[0]
     pivots = tuple(sorted(piv))
-    if not reduced:
-        return None, pivots
     for p in reversed(pivots):
         row = piv[p]
         for q in [q for q in row if q != p and q in piv]:
             reduce(row, piv[q], q)
     tails = [(piv[p], piv[p].pop(p)) for p in pivots]  # each row without its pivot entry d
-    return [{j: Fraction(x, d) for j, x in tail.items()} if rational else tail for tail, d in tails], pivots
+    if field.kind == "rationals":
+        return [{j: Fraction(x, d) for j, x in tail.items()} for tail, d in tails], pivots
+    return [tail for tail, _ in tails], pivots
+
+
+def _steps(field: Field):
+    """The row steps (reduce, normal) of the elimination: on int codes, or over QQ on integer rows."""
+    return (_integer_reduce, _integer_normal) if field.kind == "rationals" else _field_steps(field)
 
 
 def _field_steps(f: Field):

@@ -40,7 +40,7 @@ from .errors import (
 from .fields import Field
 from .linalg import Matrix, _dense, _mul_rows, _transpose, null_space
 from .quiver import DimensionVector
-from .rep import Representation
+from .rep import Representation, _require_relations
 from .stability import stability_verdict
 from .weyl import StabilityParameter, WeylGroup, _reflect_numerators, apply_word_to_dimvec
 
@@ -73,13 +73,14 @@ def _reflect(i: int, m: Representation, transposed: bool) -> ReflectResult:
 
     Not memoized, so done on every call, hit or miss: the range check of i,
     the refusal of an input whose relation verdict (``Representation._violated``,
-    summed once per module) is not empty, and the new blocks written over a
-    copy of the blocks of m.  The result's verdict is then written as empty,
-    which is proved, not assumed: the step checked that the relation at i
-    holds on the blocks it returns and that every composite M_a . M_{a*}
-    through i is unchanged, and the relation at any other vertex reads only
-    blocks away from i and those composites, so it is the input's.  No
-    vertex of the result is summed again.
+    summed once per module) is not empty, with PreconditionViolated naming
+    the failing vertices, since the fault is the caller's, and the new
+    blocks written over a copy of the blocks of m.  The result's verdict is
+    then written as empty, which is proved, not assumed: the step checked
+    that the relation at i holds on the blocks it returns and that every
+    composite M_a . M_{a*} through i is unchanged, and the relation at any
+    other vertex reads only blocks away from i and those composites, so it
+    is the input's.  No vertex of the result is summed again.
     """
     dq = m.dq
     if not 0 <= i < dq.vertex_count:
@@ -88,8 +89,7 @@ def _reflect(i: int, m: Representation, transposed: bool) -> ReflectResult:
     terms = dq.relations[i].terms
     ids = [aid for _, a, s in terms for aid in (a, s)]
     blocks, k, defect = _reflect_step(m.field, n, terms, tuple(m.mats[aid].data for aid in ids), transposed)
-    if m._violated:
-        raise InternalInvariantError("reflection broke the preprojective relations")
+    _require_relations("the input module", m)
     mats = dict(m.mats)
     mats.update(zip(ids, blocks))
     dims = m.dims if k == n else DimensionVector(k if v == i else d for v, d in enumerate(m.dims))

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .errors import FieldMismatch, Inconclusive, ShapeError, UsageError
+from .errors import FieldMismatch, Inconclusive, PreconditionViolated, ShapeError, UsageError
 from .fields import Field, _is_int, check_same_field, field_from_json
 from .linalg import Matrix, hstack_all, null_space, sparse_echelon
 from .quiver import DimensionVector, DoubleQuiver
@@ -81,11 +81,19 @@ class Representation:
 
     @staticmethod
     def simple(dq: DoubleQuiver, field: Field, i: int) -> "Representation":
-        """The vertex simple: the thin module of ``dq.unit(i)``, which has no live arrow."""
-        return _thin_rep(dq, field, dq.unit(i), (), ())
+        """The vertex simple: the thin module of ``dq.unit(i)``, which has no live arrow.
+
+        No arrow acts, so every relation sum is zero and its verdict is written as empty.
+        """
+        m = _thin_rep(dq, field, dq.unit(i), (), ())
+        m.__dict__["_violated"] = ()
+        return m
 
     def direct_sum(self, other: "Representation") -> "Representation":
-        return block_module(self, other, {})
+        """The block-diagonal module; each relation sum is block diagonal, so its verdict is the union of the summands'."""
+        out = block_module(self, other, {})
+        out.__dict__["_violated"] = tuple(sorted({*self._violated, *other._violated}))
+        return out
 
     # -- preprojective relations --------------------------------------------
 
@@ -213,6 +221,12 @@ def _check_pair(m: Representation, n: Representation) -> None:
     check_same_field(m.field, n.field)
     if m.dq != n.dq:
         raise ShapeError("modules over different quivers")
+
+
+def _require_relations(name: str, m: Representation) -> None:
+    """PreconditionViolated naming the vertices where ``m`` fails its relations, read off its cached verdict."""
+    if m._violated:
+        raise PreconditionViolated(f"{name} fails the preprojective relations at vertices {list(m._violated)}")
 
 
 def block_module(sub: Representation, quot: Representation, phi: Mapping[str, Matrix]) -> Representation:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppalg.errors import CocycleError, FieldMismatch, ShapeError
+from ppalg import hom, linalg
+from ppalg.errors import CocycleError, FieldMismatch, PreconditionViolated, ShapeError
 from ppalg.fields import GF, QQ
 from ppalg.hom import (
     _delta2,
@@ -294,6 +295,76 @@ def test_cocycle_basis_matches_greedy_rank_growth(tag, field, seed, steps):
         for phi in ext1_space(m, n).cocycle_basis
     ]
     assert flattened == greedy_cocycle_choice(m, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tag=st.sampled_from([("A", 1), ("A", 3)]),
+    field=st.sampled_from([GF(2), GF(3), GF(5), QQ]),
+    seed=st.integers(0, 2**16),
+    steps=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+)
+def test_cocycle_basis_matches_greedy_rank_growth_on_more_quivers_and_fields(tag, field, seed, steps):
+    # the cases the test above does not draw: A1 and A3, GF(5), and no steps
+    dq, _ = standard_extended_dynkin(*tag)
+    rng = random.Random(seed)
+    m, n = (random_nilpotent(dq, field, rng, steps=k) for k in steps)
+    space = ext1_space(m, n)
+    flattened = [tuple(x for a in dq.arrows for row in phi[a.aid].data for x in row) for phi in space.cocycle_basis]
+    assert flattened == greedy_cocycle_choice(m, n)
+    assert space.dim == len(flattened)
+
+
+def d4_broken_at_0_and_3():
+    dq, _ = standard_extended_dynkin("D", 4)
+    f = GF(3)
+    column = Matrix(f, 2, 1, [[1], [0]])
+    mats = {"a1": column, "a3": column, "a1s": Matrix(f, 1, 2, [[1, 0]]), "a3s": Matrix(f, 1, 2, [[2, 0]])}
+    return Representation.build(dq, f, (1, 0, 2, 1, 0), mats)
+
+
+def test_ext_refuses_a_module_that_fails_its_relations():
+    # the cocycle choice reads im d1 inside ker d2, which needs d2 . d1 = 0
+    broken = d4_broken_at_0_and_3()
+    assert broken.check_relations() == [0, 3]
+    simple = Representation.simple(broken.dq, broken.field, 2)
+    for m, n, name in ((broken, simple, "m"), (simple, broken, "n"), (broken, broken, "m")):
+        with pytest.raises(PreconditionViolated, match=rf"^{name} fails the preprojective relations at vertices \[0, 3\]$"):
+            ext1_space(m, n)
+
+
+def test_reading_the_ext_dimension_back_substitutes_nothing(monkeypatch):
+    calls = []
+    back = hom.back_substitute
+
+    def counted(*args):
+        calls.append(args)
+        return back(*args)
+
+    dq, _ = standard_extended_dynkin("D", 4)
+    rng = random.Random(3)
+    m, n = (random_nilpotent(dq, GF(3), rng, steps=k) for k in (3, 4))
+    # every back substitution, whether ext1_space's own or one inside sparse_echelon
+    monkeypatch.setattr(hom, "back_substitute", counted)
+    monkeypatch.setattr(linalg, "back_substitute", counted)
+    space = ext1_space(m, n)
+    assert space.dim > 0 and calls == []
+    basis = space.cocycle_basis
+    assert len(basis) == space.dim and len(calls) == 1
+    assert space.cocycle_basis is basis and len(calls) == 1
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(4), QQ], ids=repr)
+def test_building_the_cocycle_basis_twice_gives_equal_tuples(field):
+    # the kept forward rows of d2 are not consumed by the back substitution
+    dq, _ = standard_extended_dynkin("D", 4)
+    rng = random.Random(11)
+    mods = [random_nilpotent(dq, field, rng, steps=k) for k in (1, 3, 5)]
+    for m, n in itertools.product(mods, mods):
+        space = ext1_space(m, n)
+        first, second = space.build_basis(), space.build_basis()
+        assert first == second and len(first) == space.dim
+        assert first == space.cocycle_basis
 
 
 def section_exists(m, n, e):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ppalg.errors import FieldMismatch, ShapeError, UsageError
 from ppalg.fields import GF, QQ, GaloisField, _poly_mul_mod
-from ppalg.linalg import Matrix, hstack_all, sparse_echelon
+from ppalg.linalg import Matrix, back_substitute, forward_pass, hstack_all, sparse_echelon
 from ppalg.quiver import standard_extended_dynkin
 from ppalg.rep import Representation
 from relation_maps import is_zero, right_inverse, vstack_all
@@ -337,6 +337,22 @@ def assert_decompositions_match_the_reference(a: Matrix):
 @given(data=st.data())
 def test_sparse_systems_match_the_reference(field, data):
     assert_decompositions_match_the_reference(data.draw(sparse_systems(field), label="a"))
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(4), GF(5), QQ], ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_forward_pass_then_back_substitution_is_the_reference_rref(field, data):
+    a = data.draw(sparse_systems(field), label="a")
+    ref_R, ref_pivots = reference_rref(a)
+    piv = forward_pass(field, [{j: x for j, x in enumerate(row) if x} for row in a.data], a.cols)
+    assert tuple(sorted(piv)) == ref_pivots
+    tails, pivots = back_substitute(field, piv)
+    one = field.one()
+    got = [[{p: one, **tail}.get(j, field.zero()) for j in range(a.cols)] for p, tail in zip(pivots, tails)]
+    assert pivots == ref_pivots
+    assert got == [list(row) for row in ref_R.data[: len(ref_pivots)]]
+    assert [type(x) for row in got for x in row] == [type(x) for row in ref_R.data[: len(ref_pivots)] for x in row]
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS)

@@ -530,11 +530,11 @@ def test_relation_recheck_covers_every_vertex():
     assert m.check_relations() == [0, 3]
     for i in (1, 4):
         for func in (reflect_plus, reflect_minus):
-            with pytest.raises(InternalInvariantError, match="broke the preprojective relations"):
+            with pytest.raises(PreconditionViolated, match=r"fails the preprojective relations at vertices \[0, 3\]"):
                 func(i, m)
             # the second call reads the memoized step, and the re-check still runs
             hits = _reflect_step.cache_info().hits
-            with pytest.raises(InternalInvariantError, match="broke the preprojective relations"):
+            with pytest.raises(PreconditionViolated, match=r"fails the preprojective relations at vertices \[0, 3\]"):
                 func(i, m)
             assert _reflect_step.cache_info().hits == hits + 1
 

@@ -634,3 +634,28 @@ def test_relation_matrix_matches_the_term_by_term_sum(tag, field, data):
         assert in_map(m, v).cols == out_map(m, v).rows == sum(dims[a.dst] for a in arrows_out(dq, v))
         assert in_map(m, v).mul(out_map(m, v)) == reference[v]
     assert m.check_relations() == [v for v, r in enumerate(reference) if not is_zero(r)]
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=repr)
+def test_the_verdicts_written_for_simples_and_direct_sums_agree_with_the_full_check(field):
+    # a vertex simple has no acting arrow, and a direct sum's relation sums are
+    # block diagonal; the same blocks in a fresh module, with nothing cached, must agree
+    dq, _ = standard_extended_dynkin("D", 4)
+    column = Matrix(field, 2, 1, [[field.one()], [field.zero()]])
+    broken = Representation.build(
+        dq, field, (1, 0, 2, 1, 0),
+        {"a1": column, "a3": column, "a1s": Matrix(field, 1, 2, [[field.one(), field.zero()]]),
+         "a3s": Matrix(field, 1, 2, [[field.from_int(2), field.zero()]])},
+    )
+    rng = random.Random(5)
+    simples = [Representation.simple(dq, field, v) for v in range(dq.vertex_count)]
+    mods = [broken, *simples, *(random_nilpotent(dq, field, rng, steps=k) for k in (1, 3))]
+    for m in mods[1:]:
+        assert m.check_relations() == []
+    for a, b in itertools.product(mods, repeat=2):
+        out = a.direct_sum(b)
+        fresh = Representation(dq, field, out.dims, dict(out.mats))
+        assert out.check_relations() == fresh.check_relations()
+    assert broken.check_relations() and broken.direct_sum(broken).check_relations() == broken.check_relations()
+    for m in simples:
+        assert Representation(dq, field, m.dims, dict(m.mats)).check_relations() == []
