@@ -11,16 +11,16 @@ d2(phi) = (sum over arrows a out of v of eps(a) (n_{a*} phi_a + phi_{a*} m_a))_v
 Both differentials come from the one builder ``rep.linear_system`` as
 sparse rows, in the flat layout ``rep.unflatten`` reads back: d1 is
 ``rep.hom_system(m, n)``, whose kernel is Hom(m, n), and d2 is
-``_delta2(m, n)``.  Every rank, pivot and null vector is read straight off
-``linalg.sparse_echelon`` of those rows, or its two passes; no dense system
-matrix is built.  ``ext1_space`` needs both modules to satisfy the
-preprojective relations (else PreconditionViolated), so that im d1 lies in
-ker d2, and picks its cocycles in the free coordinates F of d2, where ker d2
-is the identity: d2 goes through the forward pass only, and one small
-echelon of d1's rows at F gives rank d1 and the chosen cocycles.  The
-cocycle basis is back-substituted and built only when it is first read.
-The extension dimension always satisfies the bilinear-form identity, which
-is asserted at runtime.  An extension splits exactly when its kernel
+``_delta2(m, n)``.  Every rank and pivot is read straight off the keys of
+``linalg.forward_pass`` of those rows, and every null vector off
+``linalg.null_space`` of their ``back_substitute``; no dense system matrix
+is built.  ``ext1_space`` needs both modules to satisfy the preprojective
+relations (else PreconditionViolated), so that im d1 lies in ker d2, and
+picks its cocycles in the free coordinates F of d2, where ker d2 is the
+identity: d2 goes through the forward pass only, and one small echelon of
+d1's rows at F gives rank d1 and the chosen cocycles, which are
+back-substituted only when first read.  The extension dimension always
+satisfies the bilinear-form identity, which is asserted at runtime.  An extension splits exactly when its kernel
 inclusion has a retraction, so the split test builds no dual module.
 """
 
@@ -33,7 +33,7 @@ from typing import Callable, Dict, Sequence
 
 from .errors import CocycleError, InternalInvariantError, ShapeError
 from .fields import Field, check_same_field
-from .linalg import Matrix, back_substitute, forward_pass, sparse_echelon
+from .linalg import Matrix, back_substitute, forward_pass, null_space
 from .quiver import DoubleQuiver
 from .rep import Representation, _check_pair, _require_relations, block_module, hom_dim, hom_system, linear_system, unflatten
 
@@ -87,7 +87,8 @@ def ext1_space(m: Representation, n: Representation) -> Ext1Space:
     when some vector of im d1 ends at f.  This is the choice of the pivots
     past d1 of [d1 | ker d2], and dim = |F| - rank d1.  Reading only ``dim``
     back-substitutes nothing: the first read of ``cocycle_basis`` reduces
-    the kept rows of d2 and builds just the chosen null vectors.
+    the kept rows of d2 and keeps the null vectors of ``linalg.null_space``
+    at the chosen free columns, those where no vector of im d1 ends.
 
     Raises InternalInvariantError when the computed dimension disagrees with
     the bilinear-form identity; that always indicates an implementation bug.
@@ -104,31 +105,24 @@ def ext1_space(m: Representation, n: Representation) -> Ext1Space:
     for r, j in enumerate(reversed(free)):
         for c, x in d1[j].items():
             columns[c][r] = x
-    ends = {free[last - r] for r in sparse_echelon(f, columns, len(free), False)[1]}
-    chosen = [j for j in free if j not in ends]
-    dim = len(chosen)
+    ends = {free[last - r] for r in forward_pass(f, columns, len(free))}
+    dim = len(free) - len(ends)
     expected = (cols - len(ends)) + hom_dim(n, m) - bilinear_form(m.dq, m.dims, n.dims)
     if dim != expected:
         raise InternalInvariantError(
             f"extension dimension {dim} violates the form identity (expected {expected})"
         )
-    return Ext1Space(dim=dim, build_basis=functools.partial(_cocycle_basis, f, piv, chosen, shapes))
+    return Ext1Space(dim=dim, build_basis=functools.partial(_cocycle_basis, f, piv, free, ends, shapes))
 
 
-def _cocycle_basis(f: Field, piv: dict, chosen: Sequence[int], shapes) -> tuple:
-    """The canonical null vectors of d2 at the chosen free columns, from its kept forward rows, unflattened.
+def _cocycle_basis(f: Field, piv: dict, free: Sequence[int], ends: set, shapes) -> tuple:
+    """The null vectors of d2 at its free columns not in ``ends``, from copies of its kept forward rows, unflattened.
 
-    The back substitution reduces copies of the rows, which stay as they are
-    for another call.
+    ``linalg.null_space`` gives one vector per free column, in ascending order.
     """
     tails, pivots = back_substitute(f, {p: dict(row) for p, row in piv.items()})
-    one, neg = f.one(), f.neg
-    basis = {j: {j: one} for j in chosen}
-    for pc, tail in zip(pivots, tails):
-        for fc, x in tail.items():
-            if fc in basis:
-                basis[fc][pc] = neg(x)
-    return tuple(unflatten(f, vec, shapes) for vec in basis.values())
+    null = null_space(f, tails, pivots, len(free) + len(pivots))
+    return tuple(unflatten(f, vec, shapes) for j, vec in zip(free, null) if j not in ends)
 
 
 def ext1_dim_via_complex(m: Representation, n: Representation) -> int:
@@ -136,7 +130,7 @@ def ext1_dim_via_complex(m: Representation, n: Representation) -> int:
     f = m.field
     d1, cols, _ = hom_system(m, n)
     d2, d2_cols, _ = _delta2(m, n)
-    return (d2_cols - len(sparse_echelon(f, d2, d2_cols, False)[1])) - len(sparse_echelon(f, d1, cols, False)[1])
+    return (d2_cols - len(forward_pass(f, d2, d2_cols))) - len(forward_pass(f, d1, cols))
 
 
 def extension_from_cocycle(
@@ -207,4 +201,4 @@ def retraction_exists(s: Representation, n: Representation, inj: Dict[int, Matri
         for r in range(d):
             retract[pos + r * d + r][cols] = f.one()
         pos += d * d
-    return cols not in sparse_echelon(f, rows + retract, cols + 1, False)[1]
+    return cols not in forward_pass(f, rows + retract, cols + 1)

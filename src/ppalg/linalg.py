@@ -5,19 +5,19 @@ produce bit-identical output.  Matrices are immutable after construction;
 every operation returns a fresh value and is safe to call concurrently.
 Empty matrices (zero rows or columns) are legal throughout.
 
-There is one elimination, ``sparse_echelon``, on rows stored as
-``{column: coefficient}`` dicts of their nonzero entries: the hom and Ext
-systems of ``rep.linear_system`` are built that way, and a ``Matrix`` feeds
-it the nonzero entries of its rows.  A row is reduced only by the pivot
-rows of the columns where it is nonzero, at the nonzero columns of each.
-Over a finite field it works on the int codes; over QQ on integers, every
-row scaled by the lcm of the denominators of its nonzero entries and
-reduced fraction-free, with the ``Fraction`` entries built once at the end.
-It is two passes: ``forward_pass`` keeps the normalised pivot rows, and
-``back_substitute`` reduces them, so a caller may hold the forward rows and
-reduce them later, or never.  ``rank`` and the callers that need only the
-pivot columns skip the back substitution.  The decompositions of a
-``Matrix`` (kernel, image, cokernel, solve) read the tails of its one
+There is one elimination, on rows stored as ``{column: coefficient}`` dicts
+of their nonzero entries: the hom and Ext systems of ``rep.linear_system``
+are built that way, and a ``Matrix`` feeds it the nonzero entries of its
+rows.  A row is reduced only by the pivot rows of the columns where it is
+nonzero, at the nonzero columns of each.  Over a finite field it works on
+the int codes; over QQ on integers, every row scaled by the lcm of the
+denominators of its nonzero entries and reduced fraction-free, with the
+``Fraction`` entries built once at the end.  It is two passes:
+``forward_pass`` keeps the normalised pivot rows, keyed by their pivot
+columns, and ``back_substitute`` reduces them, so a caller may hold the
+forward rows and reduce them later, or never: ``rank`` and the callers that
+need only the pivot columns read the keys of the first.  The decompositions
+of a ``Matrix`` (kernel, image, cokernel, solve) read the tails of its one
 reduced form, ``_reduced()``, the kernel through ``null_space``; only
 ``rref`` writes them into a dense R.
 
@@ -136,8 +136,8 @@ class Matrix:
     # -- echelon machinery -------------------------------------------------
 
     def _reduced(self) -> tuple[list[dict], tuple[int, ...]]:
-        """The tails and pivot columns of the reduced echelon form, from ``sparse_echelon``."""
-        return sparse_echelon(self.field, _sparse_rows(self.data), self.cols, True)
+        """The tails and pivot columns of the reduced echelon form: ``forward_pass`` then ``back_substitute``."""
+        return back_substitute(self.field, forward_pass(self.field, _sparse_rows(self.data), self.cols))
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form together with the pivot column indices, written out dense."""
@@ -147,8 +147,8 @@ class Matrix:
         return Matrix._of(f, self.rows, self.cols, _dense(f, rows, self.cols)), pivots
 
     def rank(self) -> int:
-        """The number of pivots, from ``sparse_echelon`` without clearing above the pivots."""
-        return len(sparse_echelon(self.field, _sparse_rows(self.data), self.cols, False)[1])
+        """The number of pivots, from ``forward_pass`` without clearing above the pivots."""
+        return len(forward_pass(self.field, _sparse_rows(self.data), self.cols))
 
     def kernel_basis(self) -> "Matrix":
         """Columns form the canonical RREF basis of {x : Ax = 0}, read off the tails through ``null_space``."""
@@ -205,18 +205,6 @@ class Matrix:
         return Matrix(field, rows, cols, [[scalar(x) for x in row] for row in data])
 
 
-def sparse_echelon(field: Field, rows: list[dict], cols: int, reduced: bool) -> tuple[Optional[list], tuple]:
-    """The one elimination: the pivot columns of a system of sparse rows, and its reduced form if ``reduced``.
-
-    ``forward_pass`` then, with ``reduced``, ``back_substitute`` on the rows
-    it keeps; otherwise the tails are None.  The rows are consumed.
-    """
-    piv = forward_pass(field, rows, cols)
-    if not reduced:
-        return None, tuple(sorted(piv))
-    return back_substitute(field, piv)
-
-
 def forward_pass(field: Field, rows: list[dict], cols: int) -> dict:
     """The normalised pivot rows of a system of sparse rows, keyed by their pivot columns.
 
@@ -269,7 +257,7 @@ def _steps(field: Field):
 
 
 def _field_steps(f: Field):
-    """The row steps of ``sparse_echelon`` over a finite field, on int codes; zero tests are truth tests."""
+    """The row steps of the elimination over a finite field, on int codes; zero tests are truth tests."""
     sub, mul = f.sub, f.mul
 
     def reduce(row, prow, lead):  # row <- row - c . prow, for c the entry of row at lead and prow[lead] = 1
@@ -334,7 +322,7 @@ def _divide(row: dict, g: int) -> dict:
 
 
 def _sparse_rows(data: Sequence[Sequence]) -> list[dict]:
-    """The nonzero entries of each dense row, as the ``{column: coefficient}`` rows of ``sparse_echelon``."""
+    """The nonzero entries of each dense row, as the ``{column: coefficient}`` rows of ``forward_pass``."""
     return [{j: x for j, x in enumerate(row) if x} for row in data]
 
 

@@ -20,8 +20,9 @@ again and again: it is memoized, bounded by ``REFLECT_MEMO``.  The step
 also proves, once per distinct step, that the blocks it returns satisfy the
 relation at i and keep every composite through i, which is all the relations
 of the new module can read of them.  The range check, the refusal of an input
-that fails its relations (a verdict summed once per module) and the new
-module run on every call; no vertex of the result is summed again.
+that fails its relations (a verdict summed once per module, read before the
+step, so a refused call reads none) and the new module run on every call;
+no vertex of the result is summed again.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
 from .fields import Field
 from .linalg import Matrix, _dense, _mul_rows, _transpose, null_space
 from .quiver import DimensionVector
-from .rep import Representation, _require_relations
+from .rep import Representation, _relation_sum, _require_relations
 from .stability import stability_verdict
 from .weyl import StabilityParameter, WeylGroup, _reflect_numerators, apply_word_to_dimvec
 
@@ -72,24 +73,25 @@ def _reflect(i: int, m: Representation, transposed: bool) -> ReflectResult:
     """The kernel construction at i: the memoized ``_reflect_step`` on the blocks at i, then the module.
 
     Not memoized, so done on every call, hit or miss: the range check of i,
-    the refusal of an input whose relation verdict (``Representation._violated``,
-    summed once per module) is not empty, with PreconditionViolated naming
-    the failing vertices, since the fault is the caller's, and the new
-    blocks written over a copy of the blocks of m.  The result's verdict is
-    then written as empty, which is proved, not assumed: the step checked
-    that the relation at i holds on the blocks it returns and that every
-    composite M_a . M_{a*} through i is unchanged, and the relation at any
-    other vertex reads only blocks away from i and those composites, so it
-    is the input's.  No vertex of the result is summed again.
+    then, so that a refused call reads no step, the refusal of an input whose
+    relation verdict (``Representation._violated``, summed once per module)
+    is not empty, with PreconditionViolated naming the failing vertices, since
+    the fault is the caller's, and the new blocks written over a copy of m's.
+    The result's verdict is then written as empty, which is proved, not
+    assumed: the step checked that the relation at i holds on the blocks it
+    returns and that every composite M_a . M_{a*} through i is unchanged,
+    and the relation at any other vertex reads only blocks away from i and
+    those composites, so it is the input's.  No vertex of the result is
+    summed again.
     """
     dq = m.dq
     if not 0 <= i < dq.vertex_count:
         raise RangeError(f"vertex {i} is not a vertex of the quiver")
+    _require_relations("the input module", m)
     n = m.dims[i]
     terms = dq.relations[i].terms
     ids = [aid for _, a, s in terms for aid in (a, s)]
     blocks, k, defect = _reflect_step(m.field, n, terms, tuple(m.mats[aid].data for aid in ids), transposed)
-    _require_relations("the input module", m)
     mats = dict(m.mats)
     mats.update(zip(ids, blocks))
     dims = m.dims if k == n else DimensionVector(k if v == i else d for v, d in enumerate(m.dims))
@@ -122,10 +124,11 @@ def _reflect_step(f: Field, n: int, terms: tuple, rows: tuple, transposed: bool)
     new pairs are written back the same way, swapped on the minus side.
 
     The returned blocks are checked as ``_reflect`` writes them, so a
-    slicing, transposing or side-swap slip cannot pass: the relation at i,
-    sum eps(a) M'_{a*} . M'_a, must vanish, and each composite through i,
-    M'_a . M'_{a*}, must equal M_a . M_{a*} (a diagonal block of W, read
-    back through the lift), else InternalInvariantError.
+    slicing, transposing or side-swap slip cannot pass: each composite
+    through i, M'_a . M'_{a*}, must equal M_a . M_{a*} (a diagonal block of
+    W, read back through the lift), and the relation at i,
+    sum eps(a) M'_{a*} . M'_a (``rep._relation_sum``), must vanish, else
+    InternalInvariantError.
     """
     stack_out, stack_in, signed, widths = [], [], [], []  # N_a and N_{a*}^T over the terms, stacked
     for (sign, _, _), arrow, star in zip(terms, rows[::2], rows[1::2]):
@@ -155,15 +158,12 @@ def _reflect_step(f: Field, n: int, terms: tuple, rows: tuple, transposed: bool)
         blocks += (Matrix._of(f, width, k, _transpose(to_a, width)), Matrix._of(f, k, width, to_s))
         pos += width
 
-    relation = [[f.zero()] * k for _ in range(k)]
-    for (sign, _, _), arrow, star, new_arrow, new_star in zip(terms, rows[::2], rows[1::2], blocks[::2], blocks[1::2]):
+    for arrow, star, new_arrow, new_star in zip(rows[::2], rows[1::2], blocks[::2], blocks[1::2]):
         width = len(arrow)
         if _mul_rows(f, new_arrow.data, new_star.data, width) != _mul_rows(f, arrow, star, width):
             raise InternalInvariantError("reflection broke the preprojective relations")
-        op = f.add if sign > 0 else f.sub
-        for acc, row in zip(relation, _mul_rows(f, new_star.data, new_arrow.data, k)):
-            acc[:] = map(op, acc, row)
-    if any(map(any, relation)):
+    new_terms = [(sign, a.data, s.data) for (sign, _, _), a, s in zip(terms, blocks[::2], blocks[1::2])]
+    if any(map(any, _relation_sum(f, k, new_terms))):
         raise InternalInvariantError("reflection broke the preprojective relations")
     return tuple(blocks), k, n - len(pivots)
 

@@ -16,11 +16,11 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import FieldMismatch, Inconclusive, PreconditionViolated, ShapeError, UsageError
 from .fields import Field, _is_int, check_same_field, field_from_json
-from .linalg import Matrix, hstack_all, null_space, sparse_echelon
+from .linalg import Matrix, back_substitute, forward_pass, hstack_all, null_space
 from .quiver import DimensionVector, DoubleQuiver
 
 MORPHISM_SCAN_BUDGET = 10**5  # combinations a morphism scan tries before it raises Inconclusive
-WALK_MEMO = 4096  # thin arrow patterns whose gauge walk stays memoized
+PATTERN_MEMO = 4096  # entries kept by each memo keyed by a thin arrow pattern: gauge walks, closed supports, verdicts
 MAX_MODULE_DIM = 64  # total dimension accepted from a module file
 
 
@@ -98,26 +98,10 @@ class Representation:
     # -- preprojective relations --------------------------------------------
 
     def _relation_rows(self, v: int) -> list[list]:
-        """The rows of the relation sum at v, accumulated in one pass over ``dq.relations[v]``.
-
-        Read straight from the matrix entries; zero entries are skipped by
-        truth value.
-        """
-        f = self.field
-        add, sub, mul = f.add, f.sub, f.mul
-        n = self.dims[v]
-        acc = [(f.zero(),) * n] * n
-        for sign, aid, sid in self.dq.relations[v].terms:
-            # acc += eps(a) M_{a*} . M_a, the sign folded into add or sub
-            op = add if sign > 0 else sub
-            arrow = self.mats[aid].data
-            for r, star_row in enumerate(self.mats[sid].data):
-                row = acc[r]
-                for s, arrow_row in zip(star_row, arrow):
-                    if s:
-                        row = [op(y, mul(s, x)) if x else y for y, x in zip(row, arrow_row)]
-                acc[r] = row
-        return acc
+        """The rows of the relation sum at v, ``_relation_sum`` over the blocks of ``dq.relations[v]``."""
+        mats = self.mats
+        terms = [(sign, mats[aid].data, mats[sid].data) for sign, aid, sid in self.dq.relations[v].terms]
+        return _relation_sum(self.field, self.dims[v], terms)
 
     @functools.cached_property
     def _violated(self) -> tuple[int, ...]:
@@ -223,6 +207,26 @@ def _check_pair(m: Representation, n: Representation) -> None:
         raise ShapeError("modules over different quivers")
 
 
+def _relation_sum(f: Field, n: int, terms) -> list:
+    """The rows of sum eps(a) M_{a*} . M_a, n x n, over (sign, rows of M_a, rows of M_{a*}) triples.
+
+    The one relation sum, of a module and of the blocks a reflection step
+    builds, accumulated in one pass; zero entries are skipped by truth value.
+    """
+    add, sub, mul = f.add, f.sub, f.mul
+    acc = [(f.zero(),) * n] * n
+    for sign, arrow, star in terms:
+        # acc += eps(a) M_{a*} . M_a, the sign folded into add or sub
+        op = add if sign > 0 else sub
+        for r, star_row in enumerate(star):
+            row = acc[r]
+            for s, arrow_row in zip(star_row, arrow):
+                if s:
+                    row = [op(y, mul(s, x)) if x else y for y, x in zip(row, arrow_row)]
+            acc[r] = row
+    return acc
+
+
 def _require_relations(name: str, m: Representation) -> None:
     """PreconditionViolated naming the vertices where ``m`` fails its relations, read off its cached verdict."""
     if m._violated:
@@ -288,7 +292,7 @@ def linear_system(field: Field, eq_shapes, var_shapes, terms) -> tuple[list[dict
     systems of a loop-free double quiver, so each nonzero coefficient is
     placed once.
     Returns one ``{column: coefficient}`` dict per equation entry, with no
-    zero stored (the rows ``linalg.sparse_echelon`` takes), and the column count.
+    zero stored (the rows ``linalg.forward_pass`` takes), and the column count.
     """
     eq_at, n_rows = _layout(eq_shapes)
     var_at, n_cols = _layout(var_shapes)
@@ -342,13 +346,13 @@ def hom_system(m: "Representation", n: "Representation") -> tuple[list[dict], in
 def hom_basis(m: Representation, n: Representation) -> list[dict[int, Matrix]]:
     """Canonical basis of the space of module maps m -> n: the null vectors of the reduced d1."""
     rows, cols, shapes = hom_system(m, n)
-    tails, pivots = sparse_echelon(m.field, rows, cols, True)
+    tails, pivots = back_substitute(m.field, forward_pass(m.field, rows, cols))
     return [unflatten(m.field, vec, shapes) for vec in null_space(m.field, tails, pivots, cols)]
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
     rows, cols, _ = hom_system(m, n)
-    return cols - len(sparse_echelon(m.field, rows, cols, False)[1])
+    return cols - len(forward_pass(m.field, rows, cols))
 
 
 def morphism_is_injective(phi: dict[int, Matrix]) -> bool:
@@ -450,7 +454,7 @@ def _pattern(live: list, values) -> tuple:
     return tuple((i, a.src, a.dst) for i, (a, x) in enumerate(zip(live, values)) if x)
 
 
-@functools.lru_cache(maxsize=WALK_MEMO)
+@functools.lru_cache(maxsize=PATTERN_MEMO)
 def _pattern_walk(support: tuple, pattern: tuple) -> tuple:
     """The gauge walk of an arrow pattern (``_pattern``) on a thin support, memoized.
 

@@ -22,9 +22,10 @@ from typing import Callable, Iterable, Optional
 
 from .errors import InternalInvariantError, SearchBudgetExceeded, ShapeError, UnsupportedShape
 from .fields import Field
-from .linalg import Matrix, _dense, _mul_rows, hstack_all, null_space, sparse_echelon
+from .linalg import Matrix, _dense, _mul_rows, back_substitute, forward_pass, hstack_all, null_space
 from .quiver import DimensionVector, DoubleQuiver
 from .rep import (
+    PATTERN_MEMO,
     Representation,
     _gauge_ones,
     _live_arrows,
@@ -37,10 +38,9 @@ from .rep import (
 from .weyl import StabilityParameter
 
 SEARCH_BUDGET = 10**7  # value tuples of a solved thin variety, charged before its first tuple or scan class, or subspace tuples of the dimension vectors a search reaches
-VERDICT_MEMO = 4096  # entries kept by each thin memo: closed supports per (dims, arrow pattern), verdicts per (dims, arrow pattern, theta)
 
 
-@functools.lru_cache(maxsize=VERDICT_MEMO)
+@functools.lru_cache(maxsize=PATTERN_MEMO)
 def _closed_supports(dims, pattern: tuple) -> tuple[tuple, ...]:
     """Vertex supports of the thin submodules of one arrow pattern as 0/1 dimension vectors, ascending.
 
@@ -159,7 +159,7 @@ def stability_verdict(
     return _first_witness(proper, theta.numerators)
 
 
-@functools.lru_cache(maxsize=VERDICT_MEMO)
+@functools.lru_cache(maxsize=PATTERN_MEMO)
 def _thin_verdict(dims, pattern: tuple, numerators: tuple) -> StabilityVerdict:
     """The verdict of every thin module of ``dims`` with one arrow pattern, memoized.
 
@@ -324,7 +324,7 @@ def _thin_solved(dq: DoubleQuiver, d, field: Field, budget: int) -> tuple[list, 
         {i: field.from_int((a.src == v) - (a.dst == v)) for i, a in enumerate(base) if v in (a.src, a.dst)}
         for v in support
     ]
-    null = null_space(field, *sparse_echelon(field, incidence, len(base), True), len(base))
+    null = null_space(field, *back_substitute(field, forward_pass(field, incidence, len(base))), len(base))
     # p = 0 alone lifts to (2q - 1)^|base| >= q^k tuples, a floor on the count checked before any element is listed
     if (2 * q - 1) ** len(base) > budget:
         raise SearchBudgetExceeded(f"{2 * q - 1}^{len(base)} value tuples exceed budget {budget}")

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ppalg.rep as rep_module
+import ppalg.stability as stability_module
 from ppalg import hom, linalg
 from ppalg.errors import CocycleError, FieldMismatch, PreconditionViolated, ShapeError
 from ppalg.fields import GF, QQ
@@ -344,7 +346,7 @@ def test_reading_the_ext_dimension_back_substitutes_nothing(monkeypatch):
     dq, _ = standard_extended_dynkin("D", 4)
     rng = random.Random(3)
     m, n = (random_nilpotent(dq, GF(3), rng, steps=k) for k in (3, 4))
-    # every back substitution, whether ext1_space's own or one inside sparse_echelon
+    # every back substitution, whether through hom's binding or linalg's
     monkeypatch.setattr(hom, "back_substitute", counted)
     monkeypatch.setattr(linalg, "back_substitute", counted)
     space = ext1_space(m, n)
@@ -352,6 +354,34 @@ def test_reading_the_ext_dimension_back_substitutes_nothing(monkeypatch):
     basis = space.cocycle_basis
     assert len(basis) == space.dim and len(calls) == 1
     assert space.cocycle_basis is basis and len(calls) == 1
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=repr)
+def test_pivot_only_readers_never_back_substitute(monkeypatch, field):
+    calls = []
+    back = linalg.back_substitute
+
+    def counted(*args):
+        calls.append(args)
+        return back(*args)
+
+    dq, _ = standard_extended_dynkin("D", 4)
+    rng = random.Random(5)
+    m, n = (random_nilpotent(dq, field, rng, steps=k) for k in (3, 4))
+    identity = {v: Matrix.identity(field, d) for v, d in enumerate(m.dims)}
+    for module in (linalg, rep_module, hom, stability_module):
+        monkeypatch.setattr(module, "back_substitute", counted)
+    readers = {
+        "Matrix.rank": lambda: m.mats["a1"].rank(),
+        "hom_dim": lambda: hom_dim(m, n),
+        "ext1_dim_via_complex": lambda: ext1_dim_via_complex(m, n),
+        "retraction_exists": lambda: retraction_exists(m, m, identity),
+        "ext1_space(...).dim": lambda: ext1_space(m, n).dim,
+    }
+    for name, read in readers.items():
+        read()
+        assert calls == [], name
+    assert len(hom_basis(m, n)) == hom_dim(m, n) and len(calls) == 1
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(3), GF(4), QQ], ids=repr)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ppalg.errors import FieldMismatch, ShapeError, UsageError
 from ppalg.fields import GF, QQ, GaloisField, _poly_mul_mod
-from ppalg.linalg import Matrix, back_substitute, forward_pass, hstack_all, sparse_echelon
+from ppalg.linalg import Matrix, back_substitute, forward_pass, hstack_all
 from ppalg.quiver import standard_extended_dynkin
 from ppalg.rep import Representation
 from relation_maps import is_zero, right_inverse, vstack_all
@@ -321,7 +321,7 @@ def assert_decompositions_match_the_reference(a: Matrix):
     assert (R.rows, R.cols, R.data, pivots) == (ref_R.rows, ref_R.cols, ref_R.data, ref_pivots)
     assert [type(x) for row in R.data for x in row] == [type(x) for row in ref_R.data for x in row]
     nonzero_rows = [{j: x for j, x in enumerate(row) if x} for row in a.data]
-    assert sparse_echelon(a.field, nonzero_rows, a.cols, False)[1] == ref_pivots
+    assert tuple(sorted(forward_pass(a.field, nonzero_rows, a.cols))) == ref_pivots
     assert a.rank() == len(ref_pivots)
     ker = a.kernel_basis()
     assert (ker.rows, ker.cols) == (a.cols, a.cols - len(ref_pivots))

@@ -500,18 +500,36 @@ def test_reflections_equal_the_kernel_and_solve_construction(setup, field):
                 )
 
 
-def test_incoming_map_outside_the_kernel_raises():
-    # dims (1,1,0) with a1 = a1* = 1: the relation at 1 reads -1, and a1 enters 1
+def broken_a2_module():
+    # dims (1,1,0) with a1 = a1* = 1: the relations at 0 and 1 read 1 and -1, and a1 enters 1
     dq, d, wg = a2_setup()
     f = GF(3)
     one = Matrix(f, 1, 1, [[f.one()]])
-    m = Representation.build(dq, f, (1, 1, 0), {"a1": one, "a1s": one})
+    return Representation.build(dq, f, (1, 1, 0), {"a1": one, "a1s": one})
+
+
+def test_incoming_map_outside_the_kernel_raises():
+    m = broken_a2_module()
     assert 1 in m.check_relations()
-    with pytest.raises(InternalInvariantError, match="does not land in the kernel"):
-        reflect_plus(1, m)
-    # the dual carries the same broken relation and the same nonzero arrow into 1
-    with pytest.raises(InternalInvariantError, match="does not land in the kernel"):
-        reflect_minus(1, m)
+    # the public functors refuse the input first; the step's own lift check
+    # still catches the blocks, on either side (the dual carries the same
+    # broken relation and the same nonzero arrow into 1)
+    terms = m.dq.relations[1].terms
+    rows = tuple(m.mats[aid].data for _, a, s in terms for aid in (a, s))
+    for func, transposed in ((reflect_plus, False), (reflect_minus, True)):
+        with pytest.raises(PreconditionViolated, match=r"fails the preprojective relations at vertices \[0, 1\]"):
+            func(1, m)
+        with pytest.raises(InternalInvariantError, match="does not land in the kernel"):
+            _reflect_step(m.field, m.dims[1], terms, rows, transposed)
+
+
+def test_an_input_that_fails_its_relations_is_refused_at_every_vertex():
+    m = broken_a2_module()
+    assert m.check_relations() == [0, 1]
+    for i in range(m.dq.vertex_count):
+        for func in (reflect_plus, reflect_minus):
+            with pytest.raises(PreconditionViolated, match=r"^the input module fails the preprojective relations at vertices \[0, 1\]$"):
+                func(i, m)
 
 
 def test_relation_recheck_covers_every_vertex():
@@ -530,13 +548,12 @@ def test_relation_recheck_covers_every_vertex():
     assert m.check_relations() == [0, 3]
     for i in (1, 4):
         for func in (reflect_plus, reflect_minus):
-            with pytest.raises(PreconditionViolated, match=r"fails the preprojective relations at vertices \[0, 3\]"):
-                func(i, m)
-            # the second call reads the memoized step, and the re-check still runs
-            hits = _reflect_step.cache_info().hits
-            with pytest.raises(PreconditionViolated, match=r"fails the preprojective relations at vertices \[0, 3\]"):
-                func(i, m)
-            assert _reflect_step.cache_info().hits == hits + 1
+            # a refused call reads no step: no hit and no miss, also on a second call
+            info = _reflect_step.cache_info()
+            for _ in range(2):
+                with pytest.raises(PreconditionViolated, match=r"fails the preprojective relations at vertices \[0, 3\]"):
+                    func(i, m)
+            assert _reflect_step.cache_info() == info
 
 
 @pytest.mark.parametrize("fields", [(GF(2), GF(4)), (GF(3), GF(5))], ids=["GF2-GF4", "GF3-GF5"])

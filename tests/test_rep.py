@@ -497,6 +497,32 @@ def test_isomorphism_answers_false_on_a_two_dimensional_hom(monkeypatch, field, 
         is_isomorphic(a, b)
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_relation_sum_matches_the_dense_products(data):
+    # sum eps(a) M_{a*} . M_a through Matrix.mul, Matrix.add and negated; n = 0 and width 0 are drawn too
+    field = data.draw(st.sampled_from([GF(2), GF(3), GF(4), GF(5), QQ]), label="field")
+    if field.is_finite:
+        entry = st.sampled_from(list(field.elements()))
+    else:
+        entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+    n = data.draw(st.integers(0, 3), label="n")
+
+    def block(rows, cols):
+        cells = data.draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+        return Matrix(field, rows, cols, [cells[r * cols : (r + 1) * cols] for r in range(rows)])
+
+    terms, ref = [], Matrix.zero(field, n, n)
+    for _ in range(data.draw(st.integers(0, 3), label="terms")):
+        sign, width = data.draw(st.sampled_from([1, -1])), data.draw(st.integers(0, 3))
+        arrow, star = block(width, n), block(n, width)
+        product = star.mul(arrow)
+        ref = ref.add(product if sign > 0 else negated(product))
+        terms.append((sign, arrow.data, star.data))
+    got = rep_module._relation_sum(field, n, terms)
+    assert [list(row) for row in got] == [list(row) for row in ref.data]
+
+
 # (field, largest basis size): grids of at most about 2,000 points; over QQ
 # the grid also grows with the source dimension n, at most 2 here
 SCAN_GRIDS = [(GF(2), 8), (GF(3), 5), (GF(4), 4), (QQ, 3)]

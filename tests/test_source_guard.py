@@ -1,0 +1,63 @@
+"""Dead-code guards on the package source, read with ``ast`` alone.
+
+Every name a module of ``src/ppalg`` imports must be read in that module,
+and every module-level function must have a reader somewhere in the
+package: a private one always, a public one unless the package exports it
+from ``__init__.py``.  A helper left behind after its last caller moved on,
+or an import its module stopped reading, fails here.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ppalg"
+TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+MODULES = sorted(name for name in TREES if name != "__init__.py")
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """The names an import statement binds, with its line; ``from __future__`` binds none."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            for alias in node.names:
+                out[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    return out
+
+
+def readers(name: str, skip: ast.AST) -> int:
+    """How many times the package reads ``name``, as a name or an attribute, outside the node ``skip``."""
+    inside = {id(node) for node in ast.walk(skip)}
+    return sum(
+        (isinstance(node, ast.Name) and node.id == name) or (isinstance(node, ast.Attribute) and node.attr == name)
+        for tree in TREES.values()
+        for node in ast.walk(tree)
+        if id(node) not in inside
+    )
+
+
+def exported() -> set[str]:
+    return {alias.name for node in ast.walk(TREES["__init__.py"]) if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_imported_name_is_read(module):
+    tree = TREES[module]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unread = sorted((line, name) for name, line in imported_names(tree).items() if name not in read)
+    assert unread == [], f"{module} imports names it never reads: {unread}"
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_module_level_function_has_a_reader(module):
+    public = exported()
+    dead = [
+        node.name
+        for node in TREES[module].body
+        if isinstance(node, ast.FunctionDef)
+        and (node.name.startswith("_") or node.name not in public)
+        and not readers(node.name, node)
+    ]
+    assert dead == [], f"{module} defines functions nothing in the package reads: {dead}"

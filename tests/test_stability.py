@@ -18,10 +18,9 @@ from ppalg.fields import GF, QQ
 from ppalg.linalg import Matrix, hstack_all
 from ppalg.quiver import DimensionVector, standard_extended_dynkin
 from ppalg.reflection import compute_siw
-from ppalg.rep import Representation, hom_dim, is_thin
+from ppalg.rep import PATTERN_MEMO, Representation, _pattern_walk, hom_dim, is_thin
 from ppalg.stability import (
     SEARCH_BUDGET,
-    VERDICT_MEMO,
     ModuliScan,
     ScanRecord,
     StabilityVerdict,
@@ -836,7 +835,8 @@ def test_closed_supports_are_a_shared_tuple_memoized_per_pattern():
     assert type(supports) is tuple
     assert _closed_supports(m.dims, pattern) is supports
     assert _sorted_submodule_dimvecs(m, SEARCH_BUDGET) == list(supports)
-    assert _closed_supports.cache_info().maxsize == VERDICT_MEMO
+    for memo in (_closed_supports, _thin_verdict, _pattern_walk):
+        assert memo.cache_info().maxsize == PATTERN_MEMO
 
 
 def test_scan_serialization():
