@@ -68,7 +68,7 @@ def _delta2(m: Representation, n: Representation) -> tuple[list[dict], int, list
         for sign, aid, sid in rel.terms:
             terms.append((rel.vertex, sign, n.mats[sid], aid, None))
             terms.append((rel.vertex, sign, None, sid, m.mats[aid]))
-    rows, cols = linear_system(m.field, eqs, shapes, terms)
+    rows, cols = linear_system(eqs, shapes, terms)
     return rows, cols, shapes
 
 
@@ -139,8 +139,10 @@ def extension_from_cocycle(
     """The extension 0 -> n -> e -> m -> 0 classified by a closing cocycle.
 
     Arrow matrices are the block forms [[n_a, phi_a], [0, m_a]] of
-    ``rep.block_module``; the result is relation-checked and a failure raises
-    CocycleError.
+    ``rep.block_module``, which writes the verdict of the result from its
+    blocks: the vertices where n or m fails its relations, and those where
+    the corner sum eps(a) (n_{a*} . phi_a + phi_{a*} . m_a) is nonzero.  A
+    nonempty verdict raises CocycleError.
     """
     e = block_module(n, m, cocycle)
     if e.check_relations():
@@ -195,7 +197,7 @@ def retraction_exists(s: Representation, n: Representation, inj: Dict[int, Matri
             raise ShapeError(f"the injection block at vertex {v} must be {n.dims[v]}x{d}")
     rows, cols, shapes = hom_system(n, s)
     eqs = [(v, d, d) for v, d in enumerate(s.dims)]
-    retract, _ = linear_system(f, eqs, shapes, [(v, 1, None, v, inj[v]) for v, _, _ in eqs])
+    retract, _ = linear_system(eqs, shapes, [(v, 1, None, v, inj[v]) for v, _, _ in eqs])
     pos = 0
     for d in s.dims:
         for r in range(d):

@@ -5,6 +5,13 @@ produce bit-identical output.  Matrices are immutable after construction;
 every operation returns a fresh value and is safe to call concurrently.
 Empty matrices (zero rows or columns) are legal throughout.
 
+A matrix keeps the (row, col, entry) triples of its nonzero entries,
+``entries``, and the same triples negated, ``negated_entries``: each is read
+off ``data`` on its first read into a slot that construction leaves None,
+and a second read returns the same tuple (two threads that race build equal
+ones).  ``rep.linear_system`` places these triples into the hom and Ext
+systems, so a block read by many systems is scanned and negated once.
+
 There is one elimination, on rows stored as ``{column: coefficient}`` dicts
 of their nonzero entries: the hom and Ext systems of ``rep.linear_system``
 are built that way, and a ``Matrix`` feeds it the nonzero entries of its
@@ -41,7 +48,7 @@ from .fields import Field, check_same_field
 class Matrix:
     """An immutable rows x cols matrix over a single exact field."""
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "data", "_entries", "_negated_entries")
 
     def __init__(self, field: Field, rows: int, cols: int, data: Sequence[Sequence]):
         if rows < 0 or cols < 0:
@@ -57,6 +64,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.data = data
+        self._entries = self._negated_entries = None
 
     @staticmethod
     def _of(field: Field, rows: int, cols: int, data: Sequence[Sequence]) -> "Matrix":
@@ -66,6 +74,7 @@ class Matrix:
         m.rows = rows
         m.cols = cols
         m.data = tuple(map(tuple, data))
+        m._entries = m._negated_entries = None
         return m
 
     # -- constructors ------------------------------------------------------
@@ -87,6 +96,23 @@ class Matrix:
     @staticmethod
     def column(field: Field, entries: Sequence) -> "Matrix":
         return Matrix(field, len(entries), 1, [[x] for x in entries])
+
+    # -- nonzero entries ---------------------------------------------------
+
+    @property
+    def entries(self) -> tuple:
+        """The (row, col, entry) triples of the nonzero entries, row-major, read off ``data`` on first read."""
+        if self._entries is None:
+            self._entries = tuple([(r, c, x) for r, row in enumerate(self.data) for c, x in enumerate(row) if x])
+        return self._entries
+
+    @property
+    def negated_entries(self) -> tuple:
+        """The triples of ``entries`` with each entry negated, built on first read."""
+        if self._negated_entries is None:
+            neg = self.field.neg
+            self._negated_entries = tuple([(r, c, neg(x)) for r, c, x in self.entries])
+        return self._negated_entries
 
     # -- basic algebra -----------------------------------------------------
 

@@ -90,10 +90,8 @@ class Representation:
         return m
 
     def direct_sum(self, other: "Representation") -> "Representation":
-        """The block-diagonal module; each relation sum is block diagonal, so its verdict is the union of the summands'."""
-        out = block_module(self, other, {})
-        out.__dict__["_violated"] = tuple(sorted({*self._violated, *other._violated}))
-        return out
+        """The block-diagonal module, ``block_module`` with no corner; its verdict is the union of the summands'."""
+        return block_module(self, other, {})
 
     # -- preprojective relations --------------------------------------------
 
@@ -111,7 +109,8 @@ class Representation:
         vertex of dimension 0 holds trivially.  The module is immutable, so
         the verdict is kept in the instance ``__dict__``, which a cached
         property may write on the frozen dataclass; ``reflection._reflect``
-        writes it for the modules it proves valid.
+        writes it for the modules it proves valid, and ``block_module`` for
+        every direct sum and extension, from the blocks.
         """
         return tuple(v for v, n in enumerate(self.dims) if n and any(map(any, self._relation_rows(v))))
 
@@ -207,14 +206,15 @@ def _check_pair(m: Representation, n: Representation) -> None:
         raise ShapeError("modules over different quivers")
 
 
-def _relation_sum(f: Field, n: int, terms) -> list:
-    """The rows of sum eps(a) M_{a*} . M_a, n x n, over (sign, rows of M_a, rows of M_{a*}) triples.
+def _relation_sum(f: Field, n: int, terms, width: Optional[int] = None) -> list:
+    """The rows of sum eps(a) M_{a*} . M_a, n x width, over (sign, rows of M_a, rows of M_{a*}) triples.
 
-    The one relation sum, of a module and of the blocks a reflection step
-    builds, accumulated in one pass; zero entries are skipped by truth value.
+    The one relation sum, of a module, of the blocks a reflection step
+    builds and of the corner of a ``block_module``, accumulated in one pass;
+    the width is n unless given.  Zero entries are skipped by truth value.
     """
     add, sub, mul = f.add, f.sub, f.mul
-    acc = [(f.zero(),) * n] * n
+    acc = [(f.zero(),) * (n if width is None else width)] * n
     for sign, arrow, star in terms:
         # acc += eps(a) M_{a*} . M_a, the sign folded into add or sub
         op = add if sign > 0 else sub
@@ -241,21 +241,45 @@ def block_module(sub: Representation, quot: Representation, phi: Mapping[str, Ma
     pair must share one field and one quiver (``_check_pair``), and each
     key and corner of ``phi`` is checked here, as ``build`` checks its
     ``mats``, so the result skips ``build``.
+
+    The relation sum at v is block upper-triangular, with the sums of
+    ``sub`` and ``quot`` on the diagonal and the corner
+    sum eps(a) (sub_{a*} . phi_a + phi_{a*} . quot_a).  So the verdict is
+    written as the union of the two verdicts and the vertices where that
+    corner is nonzero, with no sum over the full blocks.
     """
     _check_pair(sub, quot)
     _check_arrow_ids(sub.dq, phi)
     f = sub.field
+    z = f.zero()
     mats = {}
     for a in sub.dq.arrows:
         top, bottom = sub.mats[a.aid], quot.mats[a.aid]
-        corner = phi.get(a.aid) or Matrix.zero(f, top.rows, bottom.cols)
-        check_same_field(f, corner.field)
-        if (corner.rows, corner.cols) != (top.rows, bottom.cols):
-            raise ShapeError(f"arrow {a.aid} corner must be {top.rows}x{bottom.cols}")
-        pad = (f.zero(),) * top.cols
-        rows = [t + c for t, c in zip(top.data, corner.data)] + [pad + b for b in bottom.data]
+        corner = phi.get(a.aid)
+        if corner is None:
+            corner_rows = ((z,) * bottom.cols,) * top.rows
+        else:
+            check_same_field(f, corner.field)
+            if (corner.rows, corner.cols) != (top.rows, bottom.cols):
+                raise ShapeError(f"arrow {a.aid} corner must be {top.rows}x{bottom.cols}")
+            corner_rows = corner.data
+        pad = (z,) * top.cols
+        rows = [t + c for t, c in zip(top.data, corner_rows)] + [pad + b for b in bottom.data]
         mats[a.aid] = Matrix._of(f, top.rows + bottom.rows, top.cols + bottom.cols, rows)
-    return Representation(sub.dq, f, sub.dims + quot.dims, mats)
+    out = Representation(sub.dq, f, sub.dims + quot.dims, mats)
+    violated = {*sub._violated, *quot._violated}
+    corners = {aid: c.data for aid, c in phi.items()}  # a missing corner has no rows to sum
+    for v, rel in enumerate(sub.dq.relations):
+        n, width = sub.dims[v], quot.dims[v]
+        if corners and n and width and v not in violated:
+            terms = []
+            for sign, aid, sid in rel.terms:  # sub_{a*} . phi_a and phi_{a*} . quot_a
+                terms.append((sign, corners.get(aid, ()), sub.mats[sid].data))
+                terms.append((sign, quot.mats[aid].data, corners.get(sid, ())))
+            if any(map(any, _relation_sum(f, n, terms, width))):
+                violated.add(v)
+    out.__dict__["_violated"] = tuple(sorted(violated))
+    return out
 
 
 def _layout(shapes) -> tuple[dict, int]:
@@ -280,17 +304,19 @@ def unflatten(field: Field, vec: dict, shapes) -> dict:
     }
 
 
-def linear_system(field: Field, eq_shapes, var_shapes, terms) -> tuple[list[dict], int]:
+def linear_system(eq_shapes, var_shapes, terms) -> tuple[list[dict], int]:
     """Sparse rows of a linear map between matrix families, in the layout ``unflatten`` reads.
 
     Unknown blocks X_key and equation blocks are (key, rows, cols) triples,
     flattened block by block in row-major order.  A term
     ``(eq, sign, left, var, right)`` adds sign . left . X_var to equation block
-    ``eq`` when ``right`` is None, and sign . X_var . right when ``left`` is None;
-    a term whose equation or unknown block is empty places nothing and is
-    skipped.  No two terms may touch the same entry, which holds for the
-    systems of a loop-free double quiver, so each nonzero coefficient is
-    placed once.
+    ``eq`` when ``right`` is None, and sign . X_var . right when ``left`` is None.
+    Only the nonzero entries of the block are placed, read as the triples
+    ``Matrix.entries`` or, for sign -1, ``Matrix.negated_entries``, which
+    each matrix builds once; a term whose equation or unknown block is empty
+    is skipped before its block is read.  No two terms may touch the same
+    entry, which holds for the systems of a loop-free double quiver, so each
+    nonzero coefficient is placed once.
     Returns one ``{column: coefficient}`` dict per equation entry, with no
     zero stored (the rows ``linalg.forward_pass`` takes), and the column count.
     """
@@ -303,23 +329,16 @@ def linear_system(field: Field, eq_shapes, var_shapes, terms) -> tuple[list[dict
         if not (er and ec and xr and xc):
             continue
         if right is None:
-            # (L X)[r][c] = sum_k L[r][k] X[k][c]
-            for r, lrow in enumerate(left.data):
-                for k, coeff in enumerate(lrow):
-                    if coeff:
-                        if sign < 0:
-                            coeff = field.neg(coeff)
-                        for c in range(ec):
-                            rows[e0 + r * ec + c][x0 + k * xc + c] = coeff
+            # (L X)[r][c] = sum_k L[r][k] X[k][c], and ec = xc
+            for r, k, coeff in left.entries if sign > 0 else left.negated_entries:
+                e, x = e0 + r * ec, x0 + k * xc
+                for c in range(ec):
+                    rows[e + c][x + c] = coeff
         else:
             # (X R)[r][c] = sum_k X[r][k] R[k][c]
-            for k, rrow in enumerate(right.data):
-                for c, coeff in enumerate(rrow):
-                    if coeff:
-                        if sign < 0:
-                            coeff = field.neg(coeff)
-                        for r in range(xr):
-                            rows[e0 + r * ec + c][x0 + r * xc + k] = coeff
+            for k, c, coeff in right.entries if sign > 0 else right.negated_entries:
+                for r in range(xr):
+                    rows[e0 + r * ec + c][x0 + r * xc + k] = coeff
     return rows, n_cols
 
 
@@ -339,7 +358,7 @@ def hom_system(m: "Representation", n: "Representation") -> tuple[list[dict], in
     for a in dq.arrows:
         terms.append((a.aid, 1, n.mats[a.aid], a.src, None))
         terms.append((a.aid, -1, None, a.dst, m.mats[a.aid]))
-    rows, cols = linear_system(m.field, eqs, shapes, terms)
+    rows, cols = linear_system(eqs, shapes, terms)
     return rows, cols, shapes
 
 
@@ -361,13 +380,15 @@ def morphism_is_injective(phi: dict[int, Matrix]) -> bool:
 
 def combination(field: Field, basis: Sequence[dict], coeffs) -> dict:
     """The linear combination sum_i coeffs[i] * basis[i] of same-keyed matrix families."""
+    add, mul, z = field.add, field.mul, field.zero()
+    scaled = [(c, phi) for c, phi in zip(coeffs, basis) if c != z]
     out = {}
-    for key in basis[0]:
-        acc = Matrix.zero(field, basis[0][key].rows, basis[0][key].cols)
-        for c, phi in zip(coeffs, basis):
-            if c != field.zero():
-                acc = acc.add(phi[key].scale(c))
-        out[key] = acc
+    for key, first in basis[0].items():
+        rows = [[z] * first.cols for _ in range(first.rows)]
+        for c, phi in scaled:
+            for r, j, x in phi[key].entries:
+                rows[r][j] = add(rows[r][j], mul(c, x))
+        out[key] = Matrix._of(field, first.rows, first.cols, rows)
     return out
 
 

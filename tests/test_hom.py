@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -25,6 +26,7 @@ from ppalg.linalg import Matrix, hstack_all
 from ppalg.quiver import Arrow, Quiver, build_double, standard_extended_dynkin
 from ppalg.rep import (
     Representation,
+    block_module,
     combination,
     hom_basis,
     hom_dim,
@@ -751,3 +753,80 @@ def test_hom_and_ext_bases_match_their_golden_digest(tag, n, field):
     for m, x in itertools.product(mods, mods):
         h.update(hom_ext_basis_bytes(m, x))
     assert h.hexdigest() == HOM_EXT_BASIS_DIGESTS[tag, n, repr(field)]
+
+
+# -- the nonzero entries each block keeps, and the verdict an extension writes --
+
+
+def test_two_hom_dims_build_each_blocks_triples_once(monkeypatch):
+    # two fresh copies of one sampled module: no block has read its triples
+    # yet, and every nonempty block of n is read as is and of m negated
+    dq, _ = standard_extended_dynkin("D", 4)
+    f = GF(3)
+    x = random_nilpotent(dq, f, random.Random(5), steps=5)
+    m, n = (Representation(dq, f, x.dims, {aid: Matrix(f, b.rows, b.cols, b.data) for aid, b in x.mats.items()})
+            for _ in range(2))
+    builds, reads = collections.Counter(), collections.Counter()
+    for name in ("entries", "negated_entries"):
+        read = getattr(Matrix, name).fget
+
+        def counted(self, read=read, name=name):
+            reads[name, id(self)] += 1
+            builds[name, id(self)] += getattr(self, "_" + name) is None
+            return read(self)
+
+        monkeypatch.setattr(Matrix, name, property(counted))
+    first = hom_dim(m, n)
+    built, first_reads = dict(builds), reads.copy()
+    assert built and set(built.values()) == {1}
+    assert {name for name, _ in built} == {"entries", "negated_entries"}
+    assert hom_dim(m, n) == first
+    # the second call reads the triples the first one built, and builds none
+    second_reads = reads - first_reads
+    assert {name for name, _ in second_reads} == {"entries", "negated_entries"}
+    assert second_reads.keys() <= built.keys()
+    assert dict(builds) == built
+
+
+def random_corners(dq, m, n, pool, rng):
+    """A corner n.dims[dst] x m.dims[src] at every arrow, its entries drawn from ``pool``."""
+    f = m.field
+    out = {}
+    for a in dq.arrows:
+        rows, cols = n.dims[a.dst], m.dims[a.src]
+        out[a.aid] = Matrix(f, rows, cols, [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)])
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    tag=st.sampled_from([("A", 1), ("A", 2), ("A", 3), ("D", 4)]),
+    field=st.sampled_from([GF(2), GF(3), GF(4), GF(5), QQ]),
+    seed=st.integers(0, 2**16),
+    steps=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    kind=st.sampled_from(["closing", "random", "broken"]),
+)
+def test_the_verdict_an_extension_writes_agrees_with_the_full_check(tag, field, seed, steps, kind):
+    # closing cocycles, random corners, and random corners on a module that may fail its relations
+    dq, _ = standard_extended_dynkin(*tag)
+    rng = random.Random(seed)
+    m, n = (random_nilpotent(dq, field, rng, steps=k) for k in steps)
+    pool = list(field.elements()) if field.is_finite else [field.from_int(k) for k in range(-3, 4)]
+    if kind == "closing":
+        basis = ext1_space(m, n).cocycle_basis
+        cocycle = combination(field, basis, [rng.choice(pool) for _ in basis]) if basis else {}
+    else:
+        cocycle = random_corners(dq, m, n, pool, rng)
+    if kind == "broken":
+        aid = rng.choice(dq.arrows).aid
+        m = Representation.build(dq, field, m.dims, dict(m.mats, **{aid: random_corners(dq, m, m, pool, rng)[aid]}))
+    e = block_module(n, m, cocycle)
+    fresh = Representation(dq, field, e.dims, dict(e.mats))  # the same blocks, nothing cached
+    assert e.check_relations() == fresh.check_relations()
+    if kind == "closing":
+        assert fresh.check_relations() == []
+    if fresh.check_relations():
+        with pytest.raises(CocycleError):
+            extension_from_cocycle(m, n, cocycle)
+    else:
+        assert extension_from_cocycle(m, n, cocycle) == e

@@ -413,3 +413,35 @@ def test_from_json_rejects_a_foreign_entry(field, payload):
 @pytest.mark.parametrize("field", [GF(3), QQ])
 def test_from_json_reads_decimal_strings_and_integers(field):
     assert Matrix.from_json(field, [["2", 1], [0, "0"]], 2, 2) == ints(field, [[2, 1], [0, 0]])
+
+
+# -- the nonzero entries a matrix keeps for the hom and Ext systems -------------
+
+TRIPLE_FIELDS = [GF(2), GF(3), GF(4), GF(5), QQ]
+
+
+def assert_entries_are_the_dense_scan(a: Matrix):
+    f = a.field
+    dense = [(r, c, a.data[r][c]) for r in range(a.rows) for c in range(a.cols) if a.data[r][c] != f.zero()]
+    assert list(a.entries) == dense
+    assert list(a.negated_entries) == [(r, c, f.neg(x)) for r, c, x in dense]
+    assert a.negated_entries == a.scale(f.neg(f.one())).entries
+    # a second read returns the triples the first one built
+    assert a.entries is a.entries and a.negated_entries is a.negated_entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_entries_and_negated_entries_match_a_dense_scan(data):
+    a = data.draw(matrices(fields=TRIPLE_FIELDS, max_side=5), label="a")
+    assert_entries_are_the_dense_scan(a)
+    # a trusted result (Matrix._of) starts with no triples, as the checked constructor does
+    assert_entries_are_the_dense_scan(a.transpose())
+
+
+@pytest.mark.parametrize("field", TRIPLE_FIELDS, ids=repr)
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (2, 2)])
+def test_entries_of_empty_and_zero_matrices_are_empty(field, rows, cols):
+    for a in (Matrix.zero(field, rows, cols), Matrix(field, rows, cols, [[field.zero()] * cols] * rows)):
+        assert a.entries == () and a.negated_entries == ()
+        assert_entries_are_the_dense_scan(a)
