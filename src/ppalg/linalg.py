@@ -23,23 +23,23 @@ denominators of its nonzero entries and reduced fraction-free, with the
 ``forward_pass`` keeps the normalised pivot rows, keyed by their pivot
 columns, and ``back_substitute`` reduces them, so a caller may hold the
 forward rows and reduce them later, or never: ``rank`` and the callers that
-need only the pivot columns read the keys of the first.  The decompositions
-of a ``Matrix`` (kernel, image, cokernel, solve) read the tails of its one
-reduced form, ``_reduced()``, the kernel through ``null_space``; only
-``rref`` writes them into a dense R.
+need only the pivot columns read the keys of the first.  ``rref`` and
+``image_basis`` read the tails of one reduced form, ``_reduced()``, and a
+caller that needs a kernel, or a quotient and its section, reads it off
+the same tails through ``null_space``.
 
-Entries are validated at the public constructors (``Matrix(...)``,
-``column``, ``from_json``) and ``scale`` checks its scalar.  Everything
-computed from already-valid matrices (products, stacks, echelon forms,
-bases, solutions) is trusted and built through the unchecked
-``Matrix._of``, so no intermediate re-checks its entries.
+Entries are validated at the public constructors (``Matrix(...)`` and
+``from_json``) and ``scale`` checks its scalar.  Everything computed from
+already-valid matrices (products, stacks, echelon forms, bases) is trusted
+and built through the unchecked ``Matrix._of``, so no intermediate
+re-checks its entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import FieldMismatch, ShapeError
 from .fields import Field, check_same_field
@@ -92,10 +92,6 @@ class Matrix:
             raise ShapeError("negative dimensions")
         z, o = field.zero(), field.one()
         return Matrix._of(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def column(field: Field, entries: Sequence) -> "Matrix":
-        return Matrix(field, len(entries), 1, [[x] for x in entries])
 
     # -- nonzero entries ---------------------------------------------------
 
@@ -176,37 +172,11 @@ class Matrix:
         """The number of pivots, from ``forward_pass`` without clearing above the pivots."""
         return len(forward_pass(self.field, _sparse_rows(self.data), self.cols))
 
-    def kernel_basis(self) -> "Matrix":
-        """Columns form the canonical RREF basis of {x : Ax = 0}, read off the tails through ``null_space``."""
-        null = _dense(self.field, null_space(self.field, *self._reduced(), self.cols), self.cols)
-        return Matrix._of(self.field, self.cols, len(null), _transpose(null, self.cols))
-
     def image_basis(self) -> "Matrix":
         """Columns form the canonical basis of the column space: the pivot rows of the transpose."""
         f = self.field
         pivot_rows = _dense(f, _pivot_rows(f, *self.transpose()._reduced()), self.rows)
         return Matrix._of(f, self.rows, len(pivot_rows), _transpose(pivot_rows, self.rows))
-
-    def cokernel_projection(self) -> "Matrix":
-        """A (rows - rank) x rows matrix whose kernel is exactly the column space."""
-        return self.transpose().kernel_basis().transpose()
-
-    def solve(self, rhs: "Matrix") -> Optional["Matrix"]:
-        """Canonical solution X of self . X = rhs, or None when inconsistent.
-
-        Free variables are set to zero, so the answer is the particular
-        solution read off the reduced echelon form.
-        """
-        f = self.field
-        z = f.zero()
-        # hstack_all checks that rhs shares the field and the row count
-        tails, pivots = hstack_all(f, self.rows, (self, rhs))._reduced()
-        if pivots and pivots[-1] >= self.cols:
-            return None
-        out = [[z] * rhs.cols for _ in range(self.cols)]
-        for pc, tail in zip(pivots, tails):
-            out[pc] = [tail.get(self.cols + j, z) for j in range(rhs.cols)]
-        return Matrix._of(f, self.cols, rhs.cols, out)
 
     # -- serialization -----------------------------------------------------
 

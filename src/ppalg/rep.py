@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import FieldMismatch, Inconclusive, PreconditionViolated, ShapeError, UsageError
 from .fields import Field, _is_int, check_same_field, field_from_json
-from .linalg import Matrix, back_substitute, forward_pass, hstack_all, null_space
+from .linalg import Matrix, _dense, _mul_rows, back_substitute, forward_pass, hstack_all, null_space
 from .quiver import DimensionVector, DoubleQuiver
 
 MORPHISM_SCAN_BUDGET = 10**5  # combinations a morphism scan tries before it raises Inconclusive
@@ -551,10 +551,28 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
 
 
 def quotient_by_map(n: Representation, phi: dict[int, Matrix]) -> Representation:
-    """The quotient of n by the image of a module map phi: s -> n."""
-    projections = [phi[v].cokernel_projection() for v in range(n.dq.vertex_count)]
-    # each projection has full row rank, so solve gives a right inverse; a 0-row one has the n x 0 one
-    sections = [p.solve(Matrix.identity(n.field, p.rows)) for p in projections]
-    # induced map on quotients: Q_a . proj_s = proj_t . n_a
-    mats = {a.aid: projections[a.dst].mul(n.mats[a.aid]).mul(sections[a.src]) for a in n.dq.arrows}
-    return Representation.build(n.dq, n.field, [p.rows for p in projections], mats)
+    """The quotient of n by the image of a module map phi: s -> n.
+
+    Each vertex v reduces phi_v^T once.  The rows of the projection P_v are
+    the ``null_space`` vectors of that reduced form, so ker P_v = im phi_v;
+    each row is one at its free column and zero at the other free columns,
+    so the unit vectors at the free columns are a section S_v of P_v.  The
+    arrow a of the quotient is P_dst . n_a . S_src: P at a's target times
+    the columns of n_a at the free columns of a's source.  That phi is a
+    module map is the caller's promise, and it makes the block independent
+    of the section: two sections differ by a vector of im phi_src, which
+    n_a carries into im phi_dst = ker P_dst.
+    """
+    f = n.field
+    projections, free = [], []
+    for v, d in enumerate(n.dims):
+        tails, pivots = phi[v].transpose()._reduced()
+        projections.append(_dense(f, null_space(f, tails, pivots, d), d))
+        free.append([c for c in range(d) if c not in pivots])
+    mats = {}
+    for a in n.dq.arrows:
+        k = len(free[a.src])
+        section_image = [[row[c] for c in free[a.src]] for row in n.mats[a.aid].data]  # n_a . S_src
+        proj = projections[a.dst]
+        mats[a.aid] = Matrix._of(f, len(proj), k, _mul_rows(f, proj, section_image, k))
+    return Representation.build(n.dq, f, [len(c) for c in free], mats)

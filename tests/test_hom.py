@@ -36,8 +36,8 @@ from ppalg.rep import (
 )
 from ppalg.stability import enumerate_thin_reps
 from ppalg.verify import random_nilpotent
+from reference_linalg import reference_kernel, reference_kernel_columns, reference_rref, reference_solve
 from relation_maps import is_zero, negated, vstack_all
-from test_linalg import reference_kernel_columns, reference_rref
 
 
 def a2(field):
@@ -170,6 +170,11 @@ def dense(field, system):
     return Matrix(field, len(rows), cols, [[row.get(j, field.zero()) for j in range(cols)] for row in rows])
 
 
+def column(field, entries):
+    """The entries as a one-column matrix."""
+    return Matrix(field, len(entries), 1, [[x] for x in entries])
+
+
 def test_complex_composes_to_zero():
     dq, d, f = a2(GF(3))
     rng = random.Random(9)
@@ -225,7 +230,7 @@ def test_bad_cocycle_is_rejected():
         candidate = {aid: Matrix(f, r, c, [[f.one()] * c for _ in range(r)])}
         blocks = [candidate.get(k, Matrix.zero(f, *shape)) for k, shape in shapes.items()]
         flat = [x for blk in blocks for row in blk.data for x in row]
-        if not is_zero(d2.mul(Matrix.column(f, flat))):
+        if not is_zero(d2.mul(column(f, flat))):
             bad = candidate
             break
     assert bad is not None
@@ -270,15 +275,14 @@ def test_hom_and_ext_over_rationals():
 
 
 def greedy_cocycle_choice(m, n):
-    """Reference complement choice: keep each kernel column of d2 that grows the rank."""
+    """Reference complement choice: keep each reference kernel column of d2 that grows the rank."""
     d1, d2 = dense(m.field, hom_system(m, n)), dense(m.field, _delta2(m, n))
-    ker = d2.kernel_basis()
     chosen = []
     acc = d1.image_basis()
-    for column in ker.transpose().data:
-        grown = hstack_all(m.field, acc.rows, (acc, Matrix.column(m.field, column)))
+    for vector in reference_kernel_columns(d2):
+        grown = hstack_all(m.field, acc.rows, (acc, column(m.field, vector)))
         if grown.rank() > acc.rank():
-            chosen.append(column)
+            chosen.append(vector)
             acc = grown
     return chosen
 
@@ -420,7 +424,7 @@ def section_exists(m, n, e):
                 rows.append([phi[v].data[nv + r][c] for phi in basis])
                 rhs.append(f.one() if r == c else f.zero())
     sys = Matrix(f, len(rows), cols, rows)
-    return sys.solve(Matrix.column(f, rhs)) is not None
+    return reference_solve(sys, column(f, rhs)) is not None
 
 
 @settings(max_examples=40, deadline=None)
@@ -697,7 +701,7 @@ def basis_retraction_exists(s, n, inj):
                 rows.append([psi[v].mul(inj[v]).data[r][c] for psi in basis])
                 rhs.append(f.one() if r == c else f.zero())
     sys = Matrix(f, len(rows), len(basis), rows)
-    return sys.solve(Matrix.column(f, rhs)) is not None
+    return reference_solve(sys, column(f, rhs)) is not None
 
 
 @settings(max_examples=40, deadline=None)
@@ -720,6 +724,46 @@ def test_retraction_agrees_with_the_hom_basis_system(tag, field, seed, steps):
     # the identity's cokernel projections have no rows, so the quotient is zero
     identity = {v: Matrix.identity(field, k) for v, k in enumerate(m.dims)}
     assert quotient_by_map(m, identity).is_zero_module()
+
+
+def reference_quotient(n, phi):
+    """Reference quotient of n by the image of phi, by plain Gauss-Jordan: the dims and the blocks P_dst . n_a . S_src.
+
+    P_v has the reference kernel vectors of phi_v^T as its rows, and S_v is
+    the reference solution of P_v . S_v = identity.
+    """
+    f = n.field
+    projections = [reference_kernel(phi[v].transpose()).transpose() for v in range(n.dq.vertex_count)]
+    sections = [reference_solve(p, Matrix.identity(f, p.rows)) for p in projections]
+    mats = {a.aid: projections[a.dst].mul(n.mats[a.aid]).mul(sections[a.src]) for a in n.dq.arrows}
+    return tuple(p.rows for p in projections), mats
+
+
+@pytest.mark.parametrize("tag", [("A", 2), ("D", 4)], ids=["A2", "D4"])
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(4), QQ], ids=["GF2", "GF3", "GF4", "QQ"])
+def test_quotient_by_map_is_the_reference_cokernel(tag, field):
+    dq, _ = standard_extended_dynkin(*tag)
+    rng = random.Random(41 * dq.vertex_count + (field.order if field.is_finite else 0))
+    mods = [random_nilpotent(dq, field, rng, steps=rng.randrange(1, 5)) for _ in range(5)]
+    pairs = list(itertools.product(mods, repeat=2)) + [(m, m.direct_sum(n)) for m, n in zip(mods, mods[1:])]
+    injective = collections.Counter()
+    for s, t in pairs:
+        zero = {v: Matrix.zero(field, t.dims[v], s.dims[v]) for v in range(dq.vertex_count)}
+        maps = hom_basis(s, t) + [zero]
+        if s is t:
+            maps.append({v: Matrix.identity(field, k) for v, k in enumerate(s.dims)})
+        for phi in maps:
+            got = quotient_by_map(t, phi)
+            dims, mats = reference_quotient(t, phi)
+            assert tuple(got.dims) == dims
+            assert {k: v.data for k, v in got.mats.items()} == {k: v.data for k, v in mats.items()}
+            assert [type(x) for k in sorted(mats) for row in got.mats[k].data for x in row] == [
+                type(x) for k in sorted(mats) for row in mats[k].data for x in row
+            ]
+            assert got.check_relations() == []
+            injective[morphism_is_injective(phi)] += 1
+    # maps that are injective and maps that are not, zero maps included
+    assert injective[True] and injective[False] >= len(pairs)
 
 
 # -- golden digest of the canonical hom and ext bases ---------------------------

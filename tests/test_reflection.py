@@ -25,6 +25,7 @@ from ppalg.reflection import ReflectResult, _reflect_step, apply_word, compute_s
 from ppalg.stability import enumerate_thin_reps, sequiv_class, stability_verdict
 from ppalg.verify import a2_setup, chamber_theta, d4_setup, random_nilpotent
 from ppalg.weyl import StabilityParameter, apply_word_to_dimvec, reflect_dimvec
+from reference_linalg import reference_kernel, reference_solve
 from relation_maps import (
     arrows_out,
     dual,
@@ -349,7 +350,7 @@ def cokernel_reflection(i, m):
             blk = negated(blk)
         blocks.append(blk)
     g_i = vstack_all(f, m.dims[i], blocks)
-    proj = g_i.cokernel_projection()
+    proj = reference_kernel(g_i.transpose()).transpose()
     defect = m.dims[i] - g_i.rank()
     new_dims = list(m.dims)
     new_dims[i] = proj.rows
@@ -391,7 +392,7 @@ def assert_same_up_to_basis_at(i, new, old):
     incoming = dq.arrows_in(i)
     old_in = hstack_all(old.field, old.dims[i], [old.mats[a.aid] for a in incoming])
     new_in = hstack_all(new.field, new.dims[i], [new.mats[a.aid] for a in incoming])
-    t_transposed = old_in.transpose().solve(new_in.transpose())
+    t_transposed = reference_solve(old_in.transpose(), new_in.transpose())
     assert t_transposed is not None
     t = t_transposed.transpose()
     assert t.rows == t.cols == old.dims[i] and t.rank() == t.rows
@@ -451,7 +452,7 @@ def kernel_solve_reflection(i, m):
     dq = m.dq
     into = in_map(m, i)
     out = out_map(m, i)
-    kernel = into.kernel_basis()
+    kernel = reference_kernel(into)
     defect = m.dims[i] - into.cols + kernel.cols
     new_dims = list(m.dims)
     new_dims[i] = kernel.cols
@@ -462,7 +463,7 @@ def kernel_solve_reflection(i, m):
         mats[aid] = Matrix(m.field, rows, kernel.cols, kernel.data[pos : pos + rows])
         pos += rows
     for b in dq.arrows_in(i):
-        lift = kernel.solve(out.mul(m.mats[b.aid]))
+        lift = reference_solve(kernel, out.mul(m.mats[b.aid]))
         assert lift is not None
         mats[b.aid] = lift
     return Representation.build(dq, m.field, new_dims, mats), defect

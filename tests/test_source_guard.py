@@ -21,9 +21,8 @@ MODULES = sorted(name for name in TREES if name != "__init__.py")
 METHODS_WITHOUT_READERS = {
     ("Field", "nonzero_elements"),  # read only by the benchmark, until its next change points it at elements()
     ("ModuliScan", "class_count"),  # public; the moduli law suite is to read it
-    ("Matrix", "rref"),  # public, read by the tests: the dense echelon form
-    ("Matrix", "column"),  # public, read by the tests: a checked column constructor
-    ("Matrix", "scale"),  # public, read by the tests: combination builds its rows with field ops
+    ("Matrix", "rref"),  # public, read by the benchmark (bench/layers.py) and the tests: the dense echelon form
+    ("Matrix", "scale"),  # public, read by the benchmark (bench/workloads.py) and the tests: combination builds its rows with field ops
 }
 
 
