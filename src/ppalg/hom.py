@@ -139,10 +139,10 @@ def extension_from_cocycle(
     """The extension 0 -> n -> e -> m -> 0 classified by a closing cocycle.
 
     Arrow matrices are the block forms [[n_a, phi_a], [0, m_a]] of
-    ``rep.block_module``, which writes the verdict of the result from its
-    blocks: the vertices where n or m fails its relations, and those where
-    the corner sum eps(a) (n_{a*} . phi_a + phi_{a*} . m_a) is nonzero.  A
-    nonempty verdict raises CocycleError.
+    ``rep.block_module``, which builds the result with the verdict it reads
+    off the blocks: the vertices where n or m fails its relations, and
+    those where the corner sum eps(a) (n_{a*} . phi_a + phi_{a*} . m_a) is
+    nonzero.  A nonempty verdict raises CocycleError.
     """
     e = block_module(n, m, cocycle)
     if e.check_relations():

@@ -20,9 +20,9 @@ again and again: it is memoized, bounded by ``REFLECT_MEMO``.  The step
 also proves, once per distinct step, that the blocks it returns satisfy the
 relation at i and keep every composite through i, which is all the relations
 of the new module can read of them.  The range check, the refusal of an input
-that fails its relations (a verdict summed once per module, read before the
-step, so a refused call reads none) and the new module run on every call;
-no vertex of the result is summed again.
+that fails its relations (the verdict it was built with, read before the
+step, so a refused call reads none) and the new module, built with the
+empty verdict the step proved, run on every call.
 """
 
 from __future__ import annotations
@@ -74,15 +74,15 @@ def _reflect(i: int, m: Representation, transposed: bool) -> ReflectResult:
 
     Not memoized, so done on every call, hit or miss: the range check of i,
     then, so that a refused call reads no step, the refusal of an input whose
-    relation verdict (``Representation._violated``, summed once per module)
-    is not empty, with PreconditionViolated naming the failing vertices, since
-    the fault is the caller's, and the new blocks written over a copy of m's.
-    The result's verdict is then written as empty, which is proved, not
-    assumed: the step checked that the relation at i holds on the blocks it
-    returns and that every composite M_a . M_{a*} through i is unchanged,
-    and the relation at any other vertex reads only blocks away from i and
-    those composites, so it is the input's.  No vertex of the result is
-    summed again.
+    relation verdict (``Representation._violated``, decided when it was
+    built) is not empty, with PreconditionViolated naming the failing
+    vertices, since the fault is the caller's, and the new blocks written
+    over a copy of m's.  The result is built with the empty verdict, which
+    is proved, not assumed: the step checked that the relation at i holds on
+    the blocks it returns and that every composite M_a . M_{a*} through i is
+    unchanged, and the relation at any other vertex reads only blocks away
+    from i and those composites, so it is the input's.  No vertex of the
+    result is summed.
     """
     dq = m.dq
     if not 0 <= i < dq.vertex_count:
@@ -95,9 +95,7 @@ def _reflect(i: int, m: Representation, transposed: bool) -> ReflectResult:
     mats = dict(m.mats)
     mats.update(zip(ids, blocks))
     dims = m.dims if k == n else DimensionVector(k if v == i else d for v, d in enumerate(m.dims))
-    result = Representation(dq, m.field, dims, mats)
-    result.__dict__["_violated"] = ()  # the cached property's slot: proved by the step and the input's verdict
-    return ReflectResult(module=result, defect=defect)
+    return ReflectResult(module=Representation(dq, m.field, dims, mats, _violated=()), defect=defect)
 
 
 @functools.lru_cache(maxsize=REFLECT_MEMO)

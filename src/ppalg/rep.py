@@ -4,14 +4,15 @@ A representation assigns a vector space to each vertex and a matrix to each
 arrow of the double quiver, subject to the preprojective relations.  The
 column-vector convention is used throughout: the matrix of arrow ``a`` has
 shape dims[target] x dims[source], and the path "a then b" acts as M_b . M_a.
-Representations are immutable; all operations are pure.
+Representations are immutable; all operations are pure.  Each one carries
+its relation verdict, decided when it is built.
 """
 
 from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Optional, Sequence
 
 from .errors import FieldMismatch, Inconclusive, PreconditionViolated, ShapeError, UsageError
@@ -26,10 +27,23 @@ MAX_MODULE_DIM = 64  # total dimension accepted from a module file
 
 @dataclass(frozen=True, eq=False)
 class Representation:
+    """One block per arrow, and ``_violated``: the vertices where the preprojective relation fails.
+
+    A builder that proved the verdict (``_thin_rep``, ``block_module``,
+    ``reflection._reflect``) passes it; any other construction sums every
+    vertex once, in ``__post_init__``.  Equality and hashing ignore it.
+    """
+
     dq: DoubleQuiver
     field: Field
     dims: DimensionVector
     mats: Mapping[str, Matrix]
+    _violated: Optional[tuple] = dc_field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self._violated is None:
+            violated = tuple(v for v, n in enumerate(self.dims) if n and any(map(any, self._relation_rows(v))))
+            object.__setattr__(self, "_violated", violated)
 
     def is_zero_module(self) -> bool:
         return all(d == 0 for d in self.dims)
@@ -81,13 +95,8 @@ class Representation:
 
     @staticmethod
     def simple(dq: DoubleQuiver, field: Field, i: int) -> "Representation":
-        """The vertex simple: the thin module of ``dq.unit(i)``, which has no live arrow.
-
-        No arrow acts, so every relation sum is zero and its verdict is written as empty.
-        """
-        m = _thin_rep(dq, field, dq.unit(i), (), ())
-        m.__dict__["_violated"] = ()
-        return m
+        """The vertex simple: the thin module of ``dq.unit(i)``, which has no live arrow, so no relation sum."""
+        return _thin_rep(dq, field, dq.unit(i), (), ())
 
     def direct_sum(self, other: "Representation") -> "Representation":
         """The block-diagonal module, ``block_module`` with no corner; its verdict is the union of the summands'."""
@@ -100,19 +109,6 @@ class Representation:
         mats = self.mats
         terms = [(sign, mats[aid].data, mats[sid].data) for sign, aid, sid in self.dq.relations[v].terms]
         return _relation_sum(self.field, self.dims[v], terms)
-
-    @functools.cached_property
-    def _violated(self) -> tuple[int, ...]:
-        """The vertices where the preprojective relation fails, summed once per module.
-
-        Every vertex is tested, by truth value on the accumulated rows; a
-        vertex of dimension 0 holds trivially.  The module is immutable, so
-        the verdict is kept in the instance ``__dict__``, which a cached
-        property may write on the frozen dataclass; ``reflection._reflect``
-        writes it for the modules it proves valid, and ``block_module`` for
-        every direct sum and extension, from the blocks.
-        """
-        return tuple(v for v, n in enumerate(self.dims) if n and any(map(any, self._relation_rows(v))))
 
     def check_relations(self) -> list[int]:
         """Vertices where the preprojective relation fails (empty list = valid)."""
@@ -228,7 +224,7 @@ def _relation_sum(f: Field, n: int, terms, width: Optional[int] = None) -> list:
 
 
 def _require_relations(name: str, m: Representation) -> None:
-    """PreconditionViolated naming the vertices where ``m`` fails its relations, read off its cached verdict."""
+    """PreconditionViolated naming the vertices where ``m`` fails its relations, read off its verdict."""
     if m._violated:
         raise PreconditionViolated(f"{name} fails the preprojective relations at vertices {list(m._violated)}")
 
@@ -244,9 +240,9 @@ def block_module(sub: Representation, quot: Representation, phi: Mapping[str, Ma
 
     The relation sum at v is block upper-triangular, with the sums of
     ``sub`` and ``quot`` on the diagonal and the corner
-    sum eps(a) (sub_{a*} . phi_a + phi_{a*} . quot_a).  So the verdict is
-    written as the union of the two verdicts and the vertices where that
-    corner is nonzero, with no sum over the full blocks.
+    sum eps(a) (sub_{a*} . phi_a + phi_{a*} . quot_a).  So the result is
+    built with the union of the two verdicts and the vertices where that
+    corner is nonzero as its verdict, with no sum over the full blocks.
     """
     _check_pair(sub, quot)
     _check_arrow_ids(sub.dq, phi)
@@ -266,7 +262,6 @@ def block_module(sub: Representation, quot: Representation, phi: Mapping[str, Ma
         pad = (z,) * top.cols
         rows = [t + c for t, c in zip(top.data, corner_rows)] + [pad + b for b in bottom.data]
         mats[a.aid] = Matrix._of(f, top.rows + bottom.rows, top.cols + bottom.cols, rows)
-    out = Representation(sub.dq, f, sub.dims + quot.dims, mats)
     violated = {*sub._violated, *quot._violated}
     corners = {aid: c.data for aid, c in phi.items()}  # a missing corner has no rows to sum
     for v, rel in enumerate(sub.dq.relations):
@@ -278,8 +273,7 @@ def block_module(sub: Representation, quot: Representation, phi: Mapping[str, Ma
                 terms.append((sign, quot.mats[aid].data, corners.get(sid, ())))
             if any(map(any, _relation_sum(f, n, terms, width))):
                 violated.add(v)
-    out.__dict__["_violated"] = tuple(sorted(violated))
-    return out
+    return Representation(sub.dq, f, sub.dims + quot.dims, mats, _violated=tuple(sorted(violated)))
 
 
 def _layout(shapes) -> tuple[dict, int]:
@@ -456,6 +450,10 @@ def _thin_rep(dq: DoubleQuiver, field: Field, d, live: list, values) -> Represen
     A value on an arrow not live in ``d`` is dropped: the cut of a thin
     module to a closed support is its submodule there, to the complement its
     quotient.  Every block is 1x1 or zero, so ``build`` has nothing to check.
+    The verdict is passed as empty, so the values must satisfy the relations:
+    solver tuples, none (the simple), or a module's cut to a closed support or
+    its complement.  A cut's relation sum at a kept vertex is the module's: a
+    term through a dropped vertex has an arrow leaving the support, so is zero.
     """
     d = DimensionVector(d)
     value = {a.aid: x for a, x in zip(live, values) if d[a.src] == 1 == d[a.dst]}
@@ -463,7 +461,7 @@ def _thin_rep(dq: DoubleQuiver, field: Field, d, live: list, values) -> Represen
         a.aid: Matrix._of(field, 1, 1, ((value[a.aid],),)) if a.aid in value else Matrix.zero(field, d[a.dst], d[a.src])
         for a in dq.arrows
     }
-    return Representation(dq, field, d, mats)
+    return Representation(dq, field, d, mats, _violated=())
 
 
 def _pattern(live: list, values) -> tuple:
@@ -561,7 +559,8 @@ def quotient_by_map(n: Representation, phi: dict[int, Matrix]) -> Representation
     the columns of n_a at the free columns of a's source.  That phi is a
     module map is the caller's promise, and it makes the block independent
     of the section: two sections differ by a vector of im phi_src, which
-    n_a carries into im phi_dst = ker P_dst.
+    n_a carries into im phi_dst = ker P_dst.  The blocks skip ``build``'s
+    checks; the verdict, which rests on that promise, is summed.
     """
     f = n.field
     projections, free = [], []
@@ -575,4 +574,4 @@ def quotient_by_map(n: Representation, phi: dict[int, Matrix]) -> Representation
         section_image = [[row[c] for c in free[a.src]] for row in n.mats[a.aid].data]  # n_a . S_src
         proj = projections[a.dst]
         mats[a.aid] = Matrix._of(f, len(proj), k, _mul_rows(f, proj, section_image, k))
-    return Representation.build(n.dq, f, [len(c) for c in free], mats)
+    return Representation(n.dq, f, DimensionVector(len(c) for c in free), mats)

@@ -29,6 +29,7 @@ from .rep import (
     Representation,
     _gauge_ones,
     _live_arrows,
+    _require_relations,
     _support,
     _thin_canonical,
     _thin_read,
@@ -116,18 +117,10 @@ def _closed_subspace_tuples(m: Representation, budget: int):
             yield DimensionVector(beta)
 
 
-def _sorted_submodule_dimvecs(m: Representation, budget: int) -> list[tuple]:
-    """Dimension vectors of all submodules, ascending: zero first, the whole module last."""
-    if is_thin(m):
-        return list(_closed_supports(m.dims, _thin_read(m)[2]))
-    return list(_closed_subspace_tuples(m, budget))
-
-
-def submodule_dimvecs(
-    m: Representation, budget: int = SEARCH_BUDGET
-) -> set[DimensionVector]:
-    """Dimension vectors of all submodules, including zero and the whole module."""
-    return {DimensionVector(b) for b in _sorted_submodule_dimvecs(m, budget)}
+def submodule_dimvecs(m: Representation, budget: int = SEARCH_BUDGET) -> set[DimensionVector]:
+    """Dimension vectors of all submodules, including zero and the whole module: closed supports if thin."""
+    found = _closed_supports(m.dims, _thin_read(m)[2]) if is_thin(m) else _closed_subspace_tuples(m, budget)
+    return {DimensionVector(b) for b in found}
 
 
 @dataclass(frozen=True)
@@ -212,10 +205,12 @@ def sequiv_class(m: Representation, theta: StabilityParameter) -> tuple:
     Greedy filtration: cut the module to a minimal closed support of
     parameter value zero (that piece is stable), pass to the complementary
     quotient, and recurse; ``_thin_rep`` cuts both from the values that
-    ``_thin_read`` returns.  The result is a sorted tuple of canonical piece tags.
+    ``_thin_read`` returns, once the module passes its relations.  The result
+    is a sorted tuple of canonical piece tags.
     """
     if not is_thin(m):
         raise UnsupportedShape("associated graded pieces implemented for thin modules")
+    _require_relations("the module", m)
     verdict = stability_verdict(m, theta)
     if not verdict.semistable:
         raise UnsupportedShape(f"module is not semistable: {verdict.status}")
@@ -318,7 +313,7 @@ def _thin_solved(dq: DoubleQuiver, d, field: Field, budget: int) -> tuple[list, 
     q = field.order
     z = field.zero()
     live = _live_arrows(dq, d)
-    base = [a for a in live if a in dq.base.arrows]
+    base = live[: len(live) // 2]
     support = _support(d)
     incidence = [
         {i: field.from_int((a.src == v) - (a.dst == v)) for i, a in enumerate(base) if v in (a.src, a.dst)}

@@ -267,14 +267,16 @@ def chamber_word(dq: DoubleQuiver, d: Sequence[int], theta: StabilityParameter) 
 
     Descends by reflecting at any negative entry; the recorded letters, in
     the order applied, spell the chamber word as a left-to-right product.
-    The descent is bounded by the number of roots, rank . h, where the
+    The descent runs on the cleared numerators, as ``apply_word_to_theta``
+    does: a reflection keeps the positive denominator, so their signs are
+    the entries'.  It is bounded by the number of roots, rank . h, where the
     Coxeter number h is the sum of the entries of the imaginary root d for
     A_n, D_n and E6-E8, so no root system is built.
     """
     if theta.scaled(d) != 0:
         raise NotInThetaD("parameter does not kill the imaginary root vector")
     rank = dq.vertex_count - 1
-    cur = theta
+    cur = theta.numerators
     letters: list[int] = []
     for _ in range(rank * sum(d) + 1):
         neg = [i for i in range(1, rank + 1) if cur[i] < 0]
@@ -283,7 +285,7 @@ def chamber_word(dq: DoubleQuiver, d: Sequence[int], theta: StabilityParameter) 
         if not neg:
             return tuple(letters)
         i = neg[0]
-        cur = reflect_theta(dq, i, cur)
+        cur = _reflect_numerators(dq, i, cur)
         letters.append(i)
     raise NotGeneric("descent did not terminate; parameter is not generic")
 

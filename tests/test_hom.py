@@ -865,7 +865,7 @@ def test_the_verdict_an_extension_writes_agrees_with_the_full_check(tag, field, 
         aid = rng.choice(dq.arrows).aid
         m = Representation.build(dq, field, m.dims, dict(m.mats, **{aid: random_corners(dq, m, m, pool, rng)[aid]}))
     e = block_module(n, m, cocycle)
-    fresh = Representation(dq, field, e.dims, dict(e.mats))  # the same blocks, nothing cached
+    fresh = Representation(dq, field, e.dims, dict(e.mats))  # the same blocks, with the verdict summed
     assert e.check_relations() == fresh.check_relations()
     if kind == "closing":
         assert fresh.check_relations() == []

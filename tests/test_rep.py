@@ -665,7 +665,7 @@ def test_relation_matrix_matches_the_term_by_term_sum(tag, field, data):
 @pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=repr)
 def test_the_verdicts_written_for_simples_and_direct_sums_agree_with_the_full_check(field):
     # a vertex simple has no acting arrow, and a direct sum's relation sums are
-    # block diagonal; the same blocks in a fresh module, with nothing cached, must agree
+    # block diagonal; the same blocks in a fresh module, built with no verdict, must agree
     dq, _ = standard_extended_dynkin("D", 4)
     column = Matrix(field, 2, 1, [[field.one()], [field.zero()]])
     broken = Representation.build(

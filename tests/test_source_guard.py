@@ -95,6 +95,28 @@ def test_every_method_has_a_reader(module):
     assert dead == [], f"{module} defines methods nothing in the package reads: {dead}"
 
 
+def test_no_module_touches_an_instance_dict_and_representation_caches_no_property():
+    # a module's relation verdict is a dataclass field, decided when the module is built
+    touched = [
+        (module, node.lineno)
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "__dict__"
+    ]
+    assert touched == [], f"modules reach into an instance __dict__: {touched}"
+    rep = next(node for node in TREES["rep.py"].body if isinstance(node, ast.ClassDef) and node.name == "Representation")
+    cached = [
+        item.name
+        for item in rep.body
+        if isinstance(item, ast.FunctionDef)
+        for deco in item.decorator_list
+        for node in ast.walk(deco)
+        if (isinstance(node, ast.Name) and node.id == "cached_property")
+        or (isinstance(node, ast.Attribute) and node.attr == "cached_property")
+    ]
+    assert cached == [], f"Representation caches {cached}"
+
+
 def test_every_exempt_method_exists_and_has_no_reader():
     found = {(cls, node.name): node for tree in TREES.values() for cls, node in methods(tree)}
     assert METHODS_WITHOUT_READERS <= found.keys()

@@ -13,7 +13,7 @@ import pytest
 
 import ppalg.rep as rep_module
 import ppalg.stability as stability_module
-from ppalg.errors import SearchBudgetExceeded, ShapeError, UnsupportedShape
+from ppalg.errors import PreconditionViolated, SearchBudgetExceeded, ShapeError, UnsupportedShape
 from ppalg.fields import GF, QQ
 from ppalg.linalg import Matrix, hstack_all
 from ppalg.quiver import DimensionVector, standard_extended_dynkin
@@ -26,7 +26,6 @@ from ppalg.stability import (
     StabilityVerdict,
     _closed_subspace_tuples,
     _closed_supports,
-    _sorted_submodule_dimvecs,
     _thin_verdict,
     enumerate_thin_reps,
     moduli_scan,
@@ -167,6 +166,15 @@ def test_canonical_values_refuse_a_non_thin_module_and_sequiv_an_unstable_one():
     unstable = thin(dq, f, d, {"a2": 1})  # vertex 0 spans a destabilizing submodule
     with pytest.raises(UnsupportedShape, match="not semistable: Unstable"):
         sequiv_class(unstable, chamber_theta(dq, ()))
+
+
+def test_sequiv_refuses_a_thin_module_that_breaks_its_relations():
+    # a1s . a1 is one at vertex 0 and no term cancels it: semistable at theta = 0, but its cuts are not modules
+    dq, d, f = a2(GF(3))
+    m = thin(dq, f, d, {"a1": 1, "a1s": 1})
+    assert m.check_relations() != []
+    with pytest.raises(PreconditionViolated, match="fails the preprojective relations"):
+        sequiv_class(m, StabilityParameter((0, 0, 0)))
 
 
 def reference_restrict_to_support(m, support):
@@ -418,7 +426,7 @@ def test_scan_matches_the_per_module_reference(tag, n, q):
         for m in modules:
             # ascending 0/1 vectors: zero first, the whole support last
             want = sorted(tuple(int(v in s) for v in range(len(d))) for s in reference_submodule_supports(m))
-            assert _sorted_submodule_dimvecs(m, SEARCH_BUDGET) == want, d
+            assert list(_closed_supports(m.dims, stability_module._thin_read(m)[2])) == want, d
         for kind, theta in oracle_thetas(d).items():
             for m in modules:
                 got, want = stability_verdict(m, theta), reference_stability_verdict(m, theta)
@@ -571,7 +579,7 @@ def test_per_dimension_vector_search_matches_the_full_subspace_scan(m):
     # sorted list as keeping the dims of every closed subspace tuple, and the
     # same verdict and witness at chamber, wall and off-kernel parameters
     want = reference_closed_dimvecs(m)
-    assert _sorted_submodule_dimvecs(m, SEARCH_BUDGET) == want
+    assert list(_closed_subspace_tuples(m, SEARCH_BUDGET)) == want
     for theta in grid_thetas(m.dims):
         got, ref = stability_verdict(m, theta), verdict_from_dimvecs(m.dims, set(want), theta)
         assert got == ref and type(got.witness) is type(ref.witness), theta
@@ -793,6 +801,43 @@ def test_every_chamber_has_q2_plus_rq_stable_classes_and_r_plus_1_fixed_points(r
 
 
 @pytest.fixture
+def relation_sums(monkeypatch):
+    """The vertex of every relation sum a module runs from here on."""
+    summed = []
+    real = Representation._relation_rows
+
+    def counted(self, v):
+        summed.append(v)
+        return real(self, v)
+
+    monkeypatch.setattr(Representation, "_relation_rows", counted)
+    return summed
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("tag,n", [("A", 1), ("A", 2), ("A", 3), ("D", 4)])
+def test_solver_scan_and_simple_modules_are_built_with_their_verdict(relation_sums, tag, n, q):
+    # the solver's modules, a theta = 0 scan's (every class), and the simples
+    # carry the verdict their builder proved: none is summed to be built or
+    # read, and a module built fresh on the same blocks sums the same verdict
+    dq, _ = standard_extended_dynkin(tag, n)
+    f = GF(q)
+    zero = StabilityParameter((0,) * dq.vertex_count)
+    for d in itertools.product((0, 1), repeat=dq.vertex_count):
+        live = [a for a in dq.arrows if d[a.src] == 1 and d[a.dst] == 1]
+        if q ** len(live) > ORACLE_CAP:
+            continue
+        modules = [*enumerate_thin_reps(dq, d, f), *(rec.rep for rec in moduli_scan(dq, d, zero, f).records)]
+        if sum(d) == 1:
+            modules.append(Representation.simple(dq, f, d.index(1)))
+        verdicts = [m.check_relations() for m in modules]
+        assert relation_sums == [], d
+        for m, verdict in zip(modules, verdicts):
+            assert Representation(dq, f, m.dims, dict(m.mats)).check_relations() == verdict, (d, m.mats)
+        relation_sums.clear()
+
+
+@pytest.fixture
 def thin_rep_calls(monkeypatch):
     """The argument tuples of every module built through ``stability._thin_rep`` from here on."""
     calls = []
@@ -834,7 +879,7 @@ def test_closed_supports_are_a_shared_tuple_memoized_per_pattern():
     supports = _closed_supports(m.dims, pattern)
     assert type(supports) is tuple
     assert _closed_supports(m.dims, pattern) is supports
-    assert _sorted_submodule_dimvecs(m, SEARCH_BUDGET) == list(supports)
+    assert submodule_dimvecs(m) == set(map(DimensionVector, supports))
     for memo in (_closed_supports, _thin_verdict, _pattern_walk):
         assert memo.cache_info().maxsize == PATTERN_MEMO
 
