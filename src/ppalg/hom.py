@@ -11,10 +11,12 @@ d2(phi) = (sum over arrows a out of v of eps(a) (n_{a*} phi_a + phi_{a*} m_a))_v
 Both differentials come from the one builder ``rep.linear_system`` as
 sparse rows, in the flat layout ``rep.unflatten`` reads back: d1 is
 ``rep.hom_system(m, n)``, whose kernel is Hom(m, n), and d2 is
-``_delta2(m, n)``.  Every rank and pivot is read straight off the keys of
-``linalg.forward_pass`` of those rows, and every null vector off
-``linalg.null_space`` of their ``back_substitute``; no dense system matrix
-is built.  ``ext1_space`` needs both modules to satisfy the preprojective
+``_delta2(m, n)``.  Their layouts, and the retraction system's, are
+compiled by ``rep.system_plan`` once per pair of dimension vectors and kept
+on the quiver, so a call only places the nonzero entries of its blocks.
+Every rank and pivot is read straight off the keys of ``linalg.forward_pass``
+of those rows, and every null vector off ``linalg.null_space`` of their
+``back_substitute``; no dense system matrix is built.  ``ext1_space`` needs both modules to satisfy the preprojective
 relations (else PreconditionViolated), so that im d1 lies in ker d2, and
 picks its cocycles in the free coordinates F of d2, where ker d2 is the
 identity: d2 goes through the forward pass only, and one small echelon of
@@ -35,7 +37,8 @@ from .errors import CocycleError, InternalInvariantError, ShapeError
 from .fields import Field, check_same_field
 from .linalg import Matrix, back_substitute, forward_pass, null_space
 from .quiver import DoubleQuiver
-from .rep import Representation, _check_pair, _require_relations, block_module, hom_dim, hom_system, linear_system, unflatten
+from .rep import Representation, _arrow_blocks, _check_pair, _require_relations, _vertex_blocks, block_module
+from .rep import hom_dim, hom_system, linear_system, system_plan, unflatten
 
 
 def bilinear_form(dq: DoubleQuiver, alpha: Sequence[int], beta: Sequence[int]) -> int:
@@ -55,21 +58,16 @@ class Ext1Space:
         return self.build_basis()
 
 
-def _delta2(m: Representation, n: Representation) -> tuple[list[dict], int, list[tuple[str, int, int]]]:
-    """Sparse rows and column count of d2 from arrow maps to vertex maps, one equation block per relation.
+def _delta2_layout(dq: DoubleQuiver, m_dims, n_dims) -> tuple:
+    """d2, read with the families (n.mats, m.mats): the block of relation v sums eps(a) (n_{a*} . phi_a + phi_{a*} . m_a)."""
+    terms = [t for rel in dq.relations for sign, aid, sid in rel.terms
+             for t in ((rel.vertex, sign, aid, False, sid), (rel.vertex, sign, sid, True, aid))]
+    return _vertex_blocks(dq, m_dims, n_dims), _arrow_blocks(dq, m_dims, n_dims), terms
 
-    The returned shapes are the (arrow id, rows, cols) triples of the unknowns.
-    """
-    dq = m.dq
-    shapes = [(a.aid, n.dims[a.dst], m.dims[a.src]) for a in dq.arrows]
-    eqs = [(v, n.dims[v], m.dims[v]) for v in range(dq.vertex_count)]
-    terms = []
-    for rel in dq.relations:
-        for sign, aid, sid in rel.terms:
-            terms.append((rel.vertex, sign, n.mats[sid], aid, None))
-            terms.append((rel.vertex, sign, None, sid, m.mats[aid]))
-    rows, cols = linear_system(eqs, shapes, terms)
-    return rows, cols, shapes
+
+def _delta2(m: Representation, n: Representation) -> tuple[list[dict], int]:
+    """Sparse rows and column count of d2 from arrow maps to vertex maps; the unknowns are ``_arrow_blocks``."""
+    return linear_system(system_plan(m.dq, _delta2_layout, m.dims, n.dims), (n.mats, m.mats))
 
 
 def ext1_space(m: Representation, n: Representation) -> Ext1Space:
@@ -94,10 +92,10 @@ def ext1_space(m: Representation, n: Representation) -> Ext1Space:
     the bilinear-form identity; that always indicates an implementation bug.
     """
     f = m.field
-    d1, cols, _ = hom_system(m, n)
+    d1, cols = hom_system(m, n)
     _require_relations("m", m)
     _require_relations("n", n)
-    d2, d2_cols, shapes = _delta2(m, n)
+    d2, d2_cols = _delta2(m, n)
     piv = forward_pass(f, d2, d2_cols)
     free = [j for j in range(d2_cols) if j not in piv]
     last = len(free) - 1
@@ -112,7 +110,7 @@ def ext1_space(m: Representation, n: Representation) -> Ext1Space:
         raise InternalInvariantError(
             f"extension dimension {dim} violates the form identity (expected {expected})"
         )
-    return Ext1Space(dim=dim, build_basis=functools.partial(_cocycle_basis, f, piv, free, ends, shapes))
+    return Ext1Space(dim=dim, build_basis=functools.partial(_cocycle_basis, f, piv, free, ends, _arrow_blocks(m.dq, m.dims, n.dims)))
 
 
 def _cocycle_basis(f: Field, piv: dict, free: Sequence[int], ends: set, shapes) -> tuple:
@@ -128,8 +126,8 @@ def _cocycle_basis(f: Field, piv: dict, free: Sequence[int], ends: set, shapes) 
 def ext1_dim_via_complex(m: Representation, n: Representation) -> int:
     """Middle cohomology dimension computed with no appeal to the form identity."""
     f = m.field
-    d1, cols, _ = hom_system(m, n)
-    d2, d2_cols, _ = _delta2(m, n)
+    d1, cols = hom_system(m, n)
+    d2, d2_cols = _delta2(m, n)
     return (d2_cols - len(forward_pass(f, d2, d2_cols))) - len(forward_pass(f, d1, cols))
 
 
@@ -195,12 +193,17 @@ def retraction_exists(s: Representation, n: Representation, inj: Dict[int, Matri
         check_same_field(f, block.field)
         if (block.rows, block.cols) != (n.dims[v], d):
             raise ShapeError(f"the injection block at vertex {v} must be {n.dims[v]}x{d}")
-    rows, cols, shapes = hom_system(n, s)
-    eqs = [(v, d, d) for v, d in enumerate(s.dims)]
-    retract, _ = linear_system(eqs, shapes, [(v, 1, None, v, inj[v]) for v, _, _ in eqs])
+    rows, cols = hom_system(n, s)
+    retract, _ = linear_system(system_plan(s.dq, _retraction_layout, s.dims, n.dims), ({}, inj))
     pos = 0
     for d in s.dims:
         for r in range(d):
             retract[pos + r * d + r][cols] = f.one()
         pos += d * d
     return cols not in forward_pass(f, rows + retract, cols + 1)
+
+
+def _retraction_layout(dq: DoubleQuiver, s_dims, n_dims) -> tuple:
+    """psi_v . inj_v at every vertex, for the unknowns psi_v of d1(n, s), read with the families ({}, inj)."""
+    terms = [(v, 1, v, True, v) for v in range(dq.vertex_count)]
+    return _vertex_blocks(dq, s_dims, s_dims), _vertex_blocks(dq, n_dims, s_dims), terms

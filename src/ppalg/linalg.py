@@ -10,7 +10,8 @@ A matrix keeps the (row, col, entry) triples of its nonzero entries,
 off ``data`` on its first read into a slot that construction leaves None,
 and a second read returns the same tuple (two threads that race build equal
 ones).  ``rep.linear_system`` places these triples into the hom and Ext
-systems, so a block read by many systems is scanned and negated once.
+systems, at offsets that ``rep.system_plan`` compiles once per pair of
+dimension vectors, so a block read by many systems is scanned and negated once.
 
 There is one elimination, on rows stored as ``{column: coefficient}`` dicts
 of their nonzero entries: the hom and Ext systems of ``rep.linear_system``

@@ -3,7 +3,7 @@
 The constructors for the standard extended Dynkin shapes fix one orientation
 once and for all (the algebra does not depend on it) and record it through the
 stable arrow ids in the JSON output.  All objects are immutable after
-construction and freely shareable.
+construction and freely shareable; a double quiver's ``plans`` is a memo.
 """
 
 from __future__ import annotations
@@ -146,6 +146,7 @@ class DoubleQuiver:
         for a in self.arrows:
             cartan[a.src][a.dst] -= 1
         self.cartan = tuple(tuple(row) for row in cartan)
+        self.plans: dict = {}  # the hom and Ext system layouts of rep.system_plan: they live and die with the quiver
 
     def __eq__(self, other):
         """One quiver: the same vertex count and arrows, which is equal ``to_json()``."""

@@ -22,6 +22,7 @@ from .quiver import DimensionVector, DoubleQuiver
 
 MORPHISM_SCAN_BUDGET = 10**5  # combinations a morphism scan tries before it raises Inconclusive
 PATTERN_MEMO = 4096  # entries kept by each memo keyed by a thin arrow pattern: gauge walks, closed supports, verdicts
+PLAN_MEMO = 4096  # keys of compiled hom and Ext system layouts kept per quiver
 MAX_MODULE_DIM = 64  # total dimension accepted from a module file
 
 
@@ -91,7 +92,7 @@ class Representation:
             if (m.rows, m.cols) != want:
                 raise ShapeError(f"arrow {a.aid} expects shape {want}, got {(m.rows, m.cols)}")
             full[a.aid] = m
-        return Representation(dq, field, dims, full)
+        return Representation(dq, field, dims, full, _violated=None if mats else ())  # zero maps satisfy the relations
 
     @staticmethod
     def simple(dq: DoubleQuiver, field: Field, i: int) -> "Representation":
@@ -285,6 +286,16 @@ def _layout(shapes) -> tuple[dict, int]:
     return at, pos
 
 
+def _vertex_blocks(dq: DoubleQuiver, m_dims, n_dims) -> list:
+    """The (vertex, rows, cols) blocks of a family of maps m_v -> n_v: the unknowns of d1, the equations of d2."""
+    return [(v, n_dims[v], m_dims[v]) for v in range(dq.vertex_count)]
+
+
+def _arrow_blocks(dq: DoubleQuiver, m_dims, n_dims) -> list:
+    """The (arrow id, rows, cols) blocks of a family of maps m_src -> n_dst: the equations of d1, the unknowns of d2."""
+    return [(a.aid, n_dims[a.dst], m_dims[a.src]) for a in dq.arrows]
+
+
 def unflatten(field: Field, vec: dict, shapes) -> dict:
     """Cut a sparse vector ``{position: entry}`` into matrices, one per (key, rows, cols) triple, row-major.
 
@@ -298,73 +309,99 @@ def unflatten(field: Field, vec: dict, shapes) -> dict:
     }
 
 
-def linear_system(eq_shapes, var_shapes, terms) -> tuple[list[dict], int]:
+def system_plan(dq: DoubleQuiver, layout, m_dims, n_dims) -> tuple:
+    """The compiled layout of one system on a pair of dimension vectors, kept on the quiver.
+
+    ``layout(dq, m_dims, n_dims)`` gives the equation and the unknown blocks,
+    (key, rows, cols) triples flattened in order, row-major, and the terms
+    ``(eq, sign, var, right, key)``: sign . L . X_var into block ``eq``, or
+    sign . X_var . R when ``right``, with L = ``matrices[0][key]`` and
+    R = ``matrices[1][key]`` of ``linear_system``.  The plan is the row and
+    column counts and ``(right, negate, key, e0, ec, x0, xc, xr)`` per term
+    whose blocks are both nonempty: the offset and width of the equation
+    block, the offset and shape of the unknown block.  ``dq.plans`` keeps it
+    from its second request on and is emptied when it holds ``PLAN_MEMO`` keys.
+    """
+    key = (layout, m_dims, n_dims)
+    kept = dq.plans.get(key)  # None on a first request, False on a second, then the plan
+    if kept:
+        return kept
+    eqs, unknowns, terms = layout(dq, m_dims, n_dims)
+    eq_at, n_rows = _layout(eqs)
+    var_at, n_cols = _layout(unknowns)
+    live = []
+    for eq, sign, var, right, block in terms:
+        e0, er, ec = eq_at[eq]
+        x0, xr, xc = var_at[var]
+        if er and ec and xr and xc:
+            live.append((right, sign < 0, block, e0, ec, x0, xc, xr))
+    plan = (n_rows, n_cols, tuple(live))
+    if len(dq.plans) >= PLAN_MEMO:
+        dq.plans.clear()
+    dq.plans[key] = False if kept is None else plan  # a plan read once is not kept
+    return plan
+
+
+def linear_system(plan: tuple, matrices: Sequence[Mapping]) -> tuple[list[dict], int]:
     """Sparse rows of a linear map between matrix families, in the layout ``unflatten`` reads.
 
-    Unknown blocks X_key and equation blocks are (key, rows, cols) triples,
-    flattened block by block in row-major order.  A term
-    ``(eq, sign, left, var, right)`` adds sign . left . X_var to equation block
-    ``eq`` when ``right`` is None, and sign . X_var . right when ``left`` is None.
-    Only the nonzero entries of the block are placed, read as the triples
-    ``Matrix.entries`` or, for sign -1, ``Matrix.negated_entries``, which
-    each matrix builds once; a term whose equation or unknown block is empty
-    is skipped before its block is read.  No two terms may touch the same
-    entry, which holds for the systems of a loop-free double quiver, so each
-    nonzero coefficient is placed once.
+    ``plan`` comes from ``system_plan``, and ``matrices`` holds the families
+    its left and its right factors are read from.  Only the nonzero entries
+    of a block are placed, read as the triples ``Matrix.entries`` or, for
+    sign -1, ``Matrix.negated_entries``, which each matrix builds once; the
+    plan holds no term with an empty block, so such a block is never read.
+    No two terms may touch the same entry, which holds for the systems of a
+    loop-free double quiver, so each nonzero coefficient is placed once.
     Returns one ``{column: coefficient}`` dict per equation entry, with no
     zero stored (the rows ``linalg.forward_pass`` takes), and the column count.
     """
-    eq_at, n_rows = _layout(eq_shapes)
-    var_at, n_cols = _layout(var_shapes)
+    n_rows, n_cols, terms = plan
     rows: list[dict] = [{} for _ in range(n_rows)]
-    for eq, sign, left, var, right in terms:
-        e0, er, ec = eq_at[eq]
-        x0, xr, xc = var_at[var]
-        if not (er and ec and xr and xc):
-            continue
-        if right is None:
+    for right, negate, key, e0, ec, x0, xc, xr in terms:
+        block = matrices[right][key]
+        entries = block.negated_entries if negate else block.entries
+        if right:
+            # (X R)[r][c] = sum_k X[r][k] R[k][c]
+            for k, c, coeff in entries:
+                for r in range(xr):
+                    rows[e0 + r * ec + c][x0 + r * xc + k] = coeff
+        else:
             # (L X)[r][c] = sum_k L[r][k] X[k][c], and ec = xc
-            for r, k, coeff in left.entries if sign > 0 else left.negated_entries:
+            for r, k, coeff in entries:
                 e, x = e0 + r * ec, x0 + k * xc
                 for c in range(ec):
                     rows[e + c][x + c] = coeff
-        else:
-            # (X R)[r][c] = sum_k X[r][k] R[k][c]
-            for k, c, coeff in right.entries if sign > 0 else right.negated_entries:
-                for r in range(xr):
-                    rows[e0 + r * ec + c][x0 + r * xc + k] = coeff
     return rows, n_cols
 
 
-def hom_system(m: "Representation", n: "Representation") -> tuple[list[dict], int, list[tuple[int, int, int]]]:
+def _hom_layout(dq: DoubleQuiver, m_dims, n_dims) -> tuple:
+    """d1 for maps m -> n, read with the families (n.mats, m.mats): the block of arrow a is n_a . phi_src - phi_dst . m_a."""
+    terms = [t for a in dq.arrows for t in ((a.aid, 1, a.src, False, a.aid), (a.aid, -1, a.dst, True, a.aid))]
+    return _arrow_blocks(dq, m_dims, n_dims), _vertex_blocks(dq, m_dims, n_dims), terms
+
+
+def hom_system(m: "Representation", n: "Representation") -> tuple[list[dict], int]:
     """Sparse rows and column count of the intertwining system (d1) for maps m -> n.
 
-    Unknowns are one matrix phi_v per vertex (shape n.dims[v] x m.dims[v]);
-    the equation block of arrow a is n_a . phi_src - phi_dst . m_a.  The
-    returned shapes are the (vertex, rows, cols) triples of the unknowns.
-    Every Hom and Ext entry point builds this first, so the pair is checked here.
+    Unknowns are one matrix phi_v per vertex (shape n.dims[v] x m.dims[v],
+    the blocks of ``_vertex_blocks``); the equation block of arrow a is
+    n_a . phi_src - phi_dst . m_a.  Every Hom and Ext entry point builds
+    this first, so the pair is checked here.
     """
     _check_pair(m, n)
-    dq = m.dq
-    shapes = [(v, n.dims[v], m.dims[v]) for v in range(dq.vertex_count)]
-    eqs = [(a.aid, n.dims[a.dst], m.dims[a.src]) for a in dq.arrows]
-    terms = []
-    for a in dq.arrows:
-        terms.append((a.aid, 1, n.mats[a.aid], a.src, None))
-        terms.append((a.aid, -1, None, a.dst, m.mats[a.aid]))
-    rows, cols = linear_system(eqs, shapes, terms)
-    return rows, cols, shapes
+    return linear_system(system_plan(m.dq, _hom_layout, m.dims, n.dims), (n.mats, m.mats))
 
 
 def hom_basis(m: Representation, n: Representation) -> list[dict[int, Matrix]]:
     """Canonical basis of the space of module maps m -> n: the null vectors of the reduced d1."""
-    rows, cols, shapes = hom_system(m, n)
+    rows, cols = hom_system(m, n)
     tails, pivots = back_substitute(m.field, forward_pass(m.field, rows, cols))
+    shapes = _vertex_blocks(m.dq, m.dims, n.dims)
     return [unflatten(m.field, vec, shapes) for vec in null_space(m.field, tails, pivots, cols)]
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
-    rows, cols, _ = hom_system(m, n)
+    rows, cols = hom_system(m, n)
     return cols - len(forward_pass(m.field, rows, cols))
 
 

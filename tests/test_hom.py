@@ -533,9 +533,13 @@ def reference_delta2(m, n):
     return Matrix(f, len(rows), total_a, rows), shapes
 
 
-def draw_random_matrices(data, dq, field):
-    """A quiver's worth of random arrow matrices: relations mostly fail, so no entry is forced to zero."""
-    dims = data.draw(st.lists(st.integers(0, 2), min_size=dq.vertex_count, max_size=dq.vertex_count))
+def draw_dims(data, dq):
+    return data.draw(st.lists(st.integers(0, 2), min_size=dq.vertex_count, max_size=dq.vertex_count))
+
+
+def draw_random_matrices(data, dq, field, dims=None):
+    """A quiver's worth of random arrow matrices, on drawn dims unless given: relations mostly fail, so no entry is forced to zero."""
+    dims = draw_dims(data, dq) if dims is None else dims
     pool = list(field.elements()) if field.is_finite else [field.from_int(k) for k in range(-3, 4)]
     entry = st.sampled_from(pool)
     mats = {
@@ -564,11 +568,11 @@ def test_differentials_match_the_entrywise_builders(tag, field, data):
 
 def assert_differentials_match_the_reference(m, n):
     field = m.field
-    for system, (want, want_shapes) in (
-        (hom_system(m, n), reference_hom_system(m, n)),
-        (_delta2(m, n), reference_delta2(m, n)),
+    for system, shapes, (want, want_shapes) in (
+        (hom_system(m, n), rep_module._vertex_blocks(m.dq, m.dims, n.dims), reference_hom_system(m, n)),
+        (_delta2(m, n), rep_module._arrow_blocks(m.dq, m.dims, n.dims), reference_delta2(m, n)),
     ):
-        rows, _, shapes = system
+        rows, _ = system
         assert all(all(row.values()) for row in rows)  # no zero coefficient is stored
         got = dense(field, system)
         assert (got.rows, got.cols) == (want.rows, want.cols)
@@ -581,12 +585,87 @@ def assert_differentials_match_the_reference(m, n):
 @pytest.mark.parametrize("field", [GF(3), QQ], ids=["GF3", "QQ"])
 def test_differentials_on_empty_blocks_match_the_entrywise_builders(tag, field):
     # between vertex simples and the zero module most equation and unknown
-    # blocks are empty, which linear_system skips
+    # blocks are empty, and system_plan leaves their terms out of the plan
     dq, _ = standard_extended_dynkin(*tag)
     mods = [Representation.simple(dq, field, v) for v in range(dq.vertex_count)]
     mods.append(Representation.build(dq, field, [0] * dq.vertex_count))
     for m, n in itertools.product(mods, repeat=2):
         assert_differentials_match_the_reference(m, n)
+
+
+def plan_keys(dq):
+    """The keys of a quiver's plan memo that hold a compiled plan, not only the mark of a first request."""
+    return {key for key, plan in dq.plans.items() if plan}
+
+
+@settings(max_examples=40, deadline=None)
+@given(tag=st.sampled_from([("A", 2), ("D", 4)]), data=st.data())
+def test_plans_on_one_dims_pair_answer_as_the_reference(tag, data):
+    # many modules on one dims pair, over GF(2) and GF(4), whose entry codes
+    # coincide, and QQ, on two equal quivers built apart: each keeps its own
+    # plans, and from the third system on every plan is read from the memo
+    quivers = [standard_extended_dynkin(*tag)[0] for _ in range(2)]
+    m_dims, n_dims = draw_dims(data, quivers[0]), draw_dims(data, quivers[0])
+    for _ in range(4):
+        dq = data.draw(st.sampled_from(quivers))
+        field = data.draw(st.sampled_from([GF(2), GF(4), QQ]))
+        m, n = draw_random_matrices(data, dq, field, m_dims), draw_random_matrices(data, dq, field, n_dims)
+        assert_differentials_match_the_reference(m, n)
+        target = m.direct_sum(n)
+        pool = list(field.elements()) if field.is_finite else [field.from_int(k) for k in range(-2, 3)]
+        for inj in (
+            {v: vstack_all(field, d, (Matrix.identity(field, d), Matrix.zero(field, n.dims[v], d))) for v, d in enumerate(m.dims)},
+            {v: Matrix(field, t, d, [[data.draw(st.sampled_from(pool)) for _ in range(d)] for _ in range(t)])
+             for v, (d, t) in enumerate(zip(m.dims, target.dims))},
+        ):
+            assert retraction_exists(m, target, inj) == reference_retraction_exists(m, target, inj)
+    assert all(len(dq.plans) <= rep_module.PLAN_MEMO for dq in quivers)
+
+
+def random_module(dq, field, dims, rng):
+    """A module on the given dims with random arrow blocks; its relations may fail."""
+    pool = list(field.elements())
+    mats = {
+        a.aid: Matrix(field, dims[a.dst], dims[a.src], [[rng.choice(pool) for _ in range(dims[a.src])] for _ in range(dims[a.dst])])
+        for a in dq.arrows
+    }
+    return Representation.build(dq, field, dims, mats)
+
+
+def test_a_dims_pair_compiles_its_plans_on_its_first_two_systems_only(monkeypatch):
+    # the first request for a plan marks its key and the second keeps the
+    # plan, so a third system on the same dims pair compiles nothing
+    compiled = collections.Counter()
+    for module, name in ((rep_module, "_hom_layout"), (hom, "_delta2_layout"), (hom, "_retraction_layout")):
+        def counted(dq, m_dims, n_dims, layout=getattr(module, name), name=name):
+            compiled[name] += 1
+            return layout(dq, m_dims, n_dims)
+
+        monkeypatch.setattr(module, name, counted)
+    dq, _ = standard_extended_dynkin("D", 4)
+    f, rng = GF(3), random.Random(43)
+    dims_m, dims_n = (1, 0, 2, 1, 0), (0, 1, 1, 1, 1)
+    for round_ in range(1, 6):
+        m, n = random_module(dq, f, dims_m, rng), random_module(dq, f, dims_n, rng)
+        hom_dim(m, n)
+        _delta2(m, n)
+        target = m.direct_sum(n)
+        retraction_exists(m, target, {v: Matrix.zero(f, t, d) for v, (d, t) in enumerate(zip(m.dims, target.dims))})
+        calls = min(round_, 2)
+        # d1 on (m, n) and on (m + n, m), d2 on (m, n), the retraction block on (m, m + n)
+        assert compiled == {"_hom_layout": 2 * calls, "_delta2_layout": calls, "_retraction_layout": calls}
+    assert len(plan_keys(dq)) == 4
+
+
+def test_the_plan_memo_of_a_quiver_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(rep_module, "PLAN_MEMO", 5)
+    dq, _ = standard_extended_dynkin("A", 2)
+    f, rng = GF(5), random.Random(4)
+    for dims in itertools.product(range(3), repeat=3):
+        m, n = random_module(dq, f, dims, rng), random_module(dq, f, (1, 2, 1), rng)
+        for _ in range(2):
+            assert_differentials_match_the_reference(m, n)
+            assert len(dq.plans) <= 5
 
 
 def reference_rank(a):

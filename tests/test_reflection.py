@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -668,6 +669,30 @@ def test_a_word_sums_each_relation_of_its_input_once(monkeypatch):
     m = next(m for m in enumerate_thin_reps(dq, d, GF(3)) if stability_verdict(m, theta).semistable)
     out, _ = apply_word((1, 2, 1), m, theta)
     assert out.check_relations() == []
+    assert summed == []
+
+
+@pytest.mark.parametrize("setup", [a2_setup, d4_setup], ids=["A2", "D4"])
+def test_shifted_simples_sum_no_relation(monkeypatch, setup):
+    # the simple, the reflection steps and the degree-1 stalk, a module of
+    # zero maps built with no mats, are all built with their verdict: one
+    # reduced word per element of the Weyl group, at every simple
+    dq, d, wg = setup()
+    summed = []
+    relation_rows = Representation._relation_rows
+
+    def counted(self, v):
+        summed.append(v)
+        return relation_rows(self, v)
+
+    monkeypatch.setattr(Representation, "_relation_rows", counted)
+    degrees = collections.Counter()
+    for word in wg.canonical_words():
+        for i in range(1, wg.rank + 1):
+            siw = compute_siw(wg, word, i, GF(3))
+            assert siw.module.check_relations() == []
+            degrees[siw.degree] += 1
+    assert degrees[0] and degrees[1]  # both kinds of shifted simple occur
     assert summed == []
 
 
