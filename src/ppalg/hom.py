@@ -12,8 +12,9 @@ Both differentials come from the one builder ``rep.linear_system`` as
 sparse rows, in the flat layout ``rep.unflatten`` reads back: d1 is
 ``rep.hom_system(m, n)``, whose kernel is Hom(m, n), and d2 is
 ``_delta2(m, n)``.  Their layouts, and the retraction system's, are
-compiled by ``rep.system_plan`` once per pair of dimension vectors and kept
-on the quiver, so a call only places the nonzero entries of its blocks.
+compiled by ``rep.system_plan`` once per quiver and pair of dimension
+vectors, in one bounded memo that equal quivers share, so a call only
+places the nonzero entries of its blocks.
 Every rank and pivot is read straight off the keys of ``linalg.forward_pass``
 of those rows, and every null vector off ``linalg.null_space`` of their
 ``back_substitute``; no dense system matrix is built.  ``ext1_space`` needs both modules to satisfy the preprojective
@@ -37,7 +38,7 @@ from .errors import CocycleError, InternalInvariantError, ShapeError
 from .fields import Field, check_same_field
 from .linalg import Matrix, back_substitute, forward_pass, null_space
 from .quiver import DoubleQuiver
-from .rep import Representation, _arrow_blocks, _check_pair, _require_relations, _vertex_blocks, block_module
+from .rep import Representation, _arrow_blocks, _check_pair, _layout, _require_relations, _vertex_blocks, block_module
 from .rep import hom_dim, hom_system, linear_system, system_plan, unflatten
 
 
@@ -195,11 +196,9 @@ def retraction_exists(s: Representation, n: Representation, inj: Dict[int, Matri
             raise ShapeError(f"the injection block at vertex {v} must be {n.dims[v]}x{d}")
     rows, cols = hom_system(n, s)
     retract, _ = linear_system(system_plan(s.dq, _retraction_layout, s.dims, n.dims), ({}, inj))
-    pos = 0
-    for d in s.dims:
+    for pos, d, _ in _layout(_vertex_blocks(s.dq, s.dims, s.dims))[0].values():  # the d x d blocks psi_v . inj_v
         for r in range(d):
             retract[pos + r * d + r][cols] = f.one()
-        pos += d * d
     return cols not in forward_pass(f, rows + retract, cols + 1)
 
 

@@ -3,7 +3,7 @@
 The constructors for the standard extended Dynkin shapes fix one orientation
 once and for all (the algebra does not depend on it) and record it through the
 stable arrow ids in the JSON output.  All objects are immutable after
-construction and freely shareable; a double quiver's ``plans`` is a memo.
+construction and freely shareable.
 """
 
 from __future__ import annotations
@@ -146,18 +146,16 @@ class DoubleQuiver:
         for a in self.arrows:
             cartan[a.src][a.dst] -= 1
         self.cartan = tuple(tuple(row) for row in cartan)
-        self.plans: dict = {}  # the hom and Ext system layouts of rep.system_plan: they live and die with the quiver
+        # equality and hashing read this key and its hash, built once: every memo keyed on a quiver hashes it
+        self._key = (self.vertex_count, tuple((a.aid, a.src, a.dst) for a in self.arrows))
+        self._hash = hash(self._key)
 
     def __eq__(self, other):
         """One quiver: the same vertex count and arrows, which is equal ``to_json()``."""
-        return self is other or (
-            isinstance(other, DoubleQuiver)
-            and self.vertex_count == other.vertex_count
-            and self.arrows == other.arrows
-        )
+        return self is other or (isinstance(other, DoubleQuiver) and self._key == other._key)
 
     def __hash__(self):
-        return hash((self.vertex_count, self.arrows))
+        return self._hash
 
     def arrows_in(self, v: int) -> tuple[Arrow, ...]:
         return self._in[v]

@@ -22,7 +22,7 @@ from .quiver import DimensionVector, DoubleQuiver
 
 MORPHISM_SCAN_BUDGET = 10**5  # combinations a morphism scan tries before it raises Inconclusive
 PATTERN_MEMO = 4096  # entries kept by each memo keyed by a thin arrow pattern: gauge walks, closed supports, verdicts
-PLAN_MEMO = 4096  # keys of compiled hom and Ext system layouts kept per quiver
+PLAN_MEMO = 1024  # compiled hom and Ext system layouts kept, over every quiver
 MAX_MODULE_DIM = 64  # total dimension accepted from a module file
 
 
@@ -309,8 +309,9 @@ def unflatten(field: Field, vec: dict, shapes) -> dict:
     }
 
 
+@functools.lru_cache(maxsize=PLAN_MEMO)
 def system_plan(dq: DoubleQuiver, layout, m_dims, n_dims) -> tuple:
-    """The compiled layout of one system on a pair of dimension vectors, kept on the quiver.
+    """The compiled layout of one system on a pair of dimension vectors, memoized.
 
     ``layout(dq, m_dims, n_dims)`` gives the equation and the unknown blocks,
     (key, rows, cols) triples flattened in order, row-major, and the terms
@@ -319,13 +320,10 @@ def system_plan(dq: DoubleQuiver, layout, m_dims, n_dims) -> tuple:
     R = ``matrices[1][key]`` of ``linear_system``.  The plan is the row and
     column counts and ``(right, negate, key, e0, ec, x0, xc, xr)`` per term
     whose blocks are both nonempty: the offset and width of the equation
-    block, the offset and shape of the unknown block.  ``dq.plans`` keeps it
-    from its second request on and is emptied when it holds ``PLAN_MEMO`` keys.
+    block, the offset and shape of the unknown block.  It depends only on the
+    quiver's vertex count and arrows in order, which is what equal quivers
+    share, so they share plans; ``PLAN_MEMO`` plans are kept in all.
     """
-    key = (layout, m_dims, n_dims)
-    kept = dq.plans.get(key)  # None on a first request, False on a second, then the plan
-    if kept:
-        return kept
     eqs, unknowns, terms = layout(dq, m_dims, n_dims)
     eq_at, n_rows = _layout(eqs)
     var_at, n_cols = _layout(unknowns)
@@ -335,11 +333,7 @@ def system_plan(dq: DoubleQuiver, layout, m_dims, n_dims) -> tuple:
         x0, xr, xc = var_at[var]
         if er and ec and xr and xc:
             live.append((right, sign < 0, block, e0, ec, x0, xc, xr))
-    plan = (n_rows, n_cols, tuple(live))
-    if len(dq.plans) >= PLAN_MEMO:
-        dq.plans.clear()
-    dq.plans[key] = False if kept is None else plan  # a plan read once is not kept
-    return plan
+    return n_rows, n_cols, tuple(live)
 
 
 def linear_system(plan: tuple, matrices: Sequence[Mapping]) -> tuple[list[dict], int]:

@@ -23,7 +23,7 @@ from ppalg.hom import (
     retraction_exists,
 )
 from ppalg.linalg import Matrix, hstack_all
-from ppalg.quiver import Arrow, Quiver, build_double, standard_extended_dynkin
+from ppalg.quiver import Arrow, DoubleQuiver, Quiver, build_double, standard_extended_dynkin
 from ppalg.rep import (
     Representation,
     block_module,
@@ -593,17 +593,12 @@ def test_differentials_on_empty_blocks_match_the_entrywise_builders(tag, field):
         assert_differentials_match_the_reference(m, n)
 
 
-def plan_keys(dq):
-    """The keys of a quiver's plan memo that hold a compiled plan, not only the mark of a first request."""
-    return {key for key, plan in dq.plans.items() if plan}
-
-
 @settings(max_examples=40, deadline=None)
 @given(tag=st.sampled_from([("A", 2), ("D", 4)]), data=st.data())
 def test_plans_on_one_dims_pair_answer_as_the_reference(tag, data):
     # many modules on one dims pair, over GF(2) and GF(4), whose entry codes
-    # coincide, and QQ, on two equal quivers built apart: each keeps its own
-    # plans, and from the third system on every plan is read from the memo
+    # coincide, and QQ, on two equal quivers built apart: they share plans,
+    # so from the second system on every plan is read from the memo
     quivers = [standard_extended_dynkin(*tag)[0] for _ in range(2)]
     m_dims, n_dims = draw_dims(data, quivers[0]), draw_dims(data, quivers[0])
     for _ in range(4):
@@ -619,7 +614,8 @@ def test_plans_on_one_dims_pair_answer_as_the_reference(tag, data):
              for v, (d, t) in enumerate(zip(m.dims, target.dims))},
         ):
             assert retraction_exists(m, target, inj) == reference_retraction_exists(m, target, inj)
-    assert all(len(dq.plans) <= rep_module.PLAN_MEMO for dq in quivers)
+    info = rep_module.system_plan.cache_info()
+    assert info.currsize <= info.maxsize == rep_module.PLAN_MEMO
 
 
 def random_module(dq, field, dims, rng):
@@ -632,9 +628,9 @@ def random_module(dq, field, dims, rng):
     return Representation.build(dq, field, dims, mats)
 
 
-def test_a_dims_pair_compiles_its_plans_on_its_first_two_systems_only(monkeypatch):
-    # the first request for a plan marks its key and the second keeps the
-    # plan, so a third system on the same dims pair compiles nothing
+def test_a_dims_pair_compiles_its_plans_on_its_first_request_only(monkeypatch):
+    # a plan is compiled on its first request, and every later system on the
+    # same dims pair reads it from the memo
     compiled = collections.Counter()
     for module, name in ((rep_module, "_hom_layout"), (hom, "_delta2_layout"), (hom, "_retraction_layout")):
         def counted(dq, m_dims, n_dims, layout=getattr(module, name), name=name):
@@ -642,30 +638,84 @@ def test_a_dims_pair_compiles_its_plans_on_its_first_two_systems_only(monkeypatc
             return layout(dq, m_dims, n_dims)
 
         monkeypatch.setattr(module, name, counted)
+    rep_module.system_plan.cache_clear()
     dq, _ = standard_extended_dynkin("D", 4)
     f, rng = GF(3), random.Random(43)
     dims_m, dims_n = (1, 0, 2, 1, 0), (0, 1, 1, 1, 1)
-    for round_ in range(1, 6):
+    for _ in range(5):
         m, n = random_module(dq, f, dims_m, rng), random_module(dq, f, dims_n, rng)
         hom_dim(m, n)
         _delta2(m, n)
         target = m.direct_sum(n)
         retraction_exists(m, target, {v: Matrix.zero(f, t, d) for v, (d, t) in enumerate(zip(m.dims, target.dims))})
-        calls = min(round_, 2)
         # d1 on (m, n) and on (m + n, m), d2 on (m, n), the retraction block on (m, m + n)
-        assert compiled == {"_hom_layout": 2 * calls, "_delta2_layout": calls, "_retraction_layout": calls}
-    assert len(plan_keys(dq)) == 4
+        assert compiled == {"_hom_layout": 2, "_delta2_layout": 1, "_retraction_layout": 1}
+    assert rep_module.system_plan.cache_info().misses == 4
 
 
-def test_the_plan_memo_of_a_quiver_stays_within_its_bound(monkeypatch):
-    monkeypatch.setattr(rep_module, "PLAN_MEMO", 5)
+def test_the_plan_memo_stays_within_its_bound():
+    assert rep_module.system_plan.cache_info().maxsize == rep_module.PLAN_MEMO
+    rep_module.system_plan.cache_clear()
     dq, _ = standard_extended_dynkin("A", 2)
+    pairs = list(itertools.product(itertools.product(range(3), repeat=3), repeat=2))
+    layouts = (rep_module._hom_layout, hom._delta2_layout)
+    assert len(pairs) * len(layouts) > rep_module.PLAN_MEMO
+    for m_dims, n_dims in pairs:
+        for layout in layouts:
+            rep_module.system_plan(dq, layout, m_dims, n_dims)
+    info = rep_module.system_plan.cache_info()
+    assert (info.misses, info.currsize) == (len(pairs) * len(layouts), rep_module.PLAN_MEMO)
+    # plans dropped by the sweep and compiled again, or read from the memo, answer as the reference
     f, rng = GF(5), random.Random(4)
     for dims in itertools.product(range(3), repeat=3):
         m, n = random_module(dq, f, dims, rng), random_module(dq, f, (1, 2, 1), rng)
         for _ in range(2):
             assert_differentials_match_the_reference(m, n)
-            assert len(dq.plans) <= 5
+            assert rep_module.system_plan.cache_info().currsize <= rep_module.PLAN_MEMO
+
+
+def rebuilt(dq, swap=False, reverse=False):
+    """The double of dq's base arrows, with the first two swapped in order or the first one reversed."""
+    arrows = list(dq.base.arrows)
+    if swap:
+        arrows[:2] = arrows[1::-1]
+    if reverse:
+        arrows[0] = Arrow(arrows[0].aid, arrows[0].dst, arrows[0].src)
+    return build_double(Quiver(dq.vertex_count, arrows))
+
+
+@pytest.mark.parametrize(
+    "tag",
+    [("A", n) for n in range(1, 5)] + [("D", n) for n in range(4, 7)] + [("E", n) for n in range(6, 9)],
+    ids=lambda tag: f"{tag[0]}{tag[1]}",
+)
+def test_equal_quivers_share_plans_and_unequal_ones_compile_their_own(tag):
+    # equality is that of to_json(), and equal quivers hash equal; a copy with
+    # two base arrows swapped in order or one reversed is another quiver
+    dq, delta = standard_extended_dynkin(*tag)
+    quivers = [dq, standard_extended_dynkin(*tag)[0], DoubleQuiver.from_json(dq.to_json()), rebuilt(dq, swap=True), rebuilt(dq, reverse=True)]
+    for p, q in itertools.product(quivers, repeat=2):
+        assert (p == q) == (p.to_json() == q.to_json())
+        assert p != q or hash(p) == hash(q)
+    assert [q == dq for q in quivers] == [True, True, True, False, False]
+    assert quivers[3] != quivers[4]
+    # d1 on (m, n) and on (m + n, m), d2 on (m, n) and the retraction block on
+    # (m, m + n): the three equal quivers compile those four plans once
+    rep_module.system_plan.cache_clear()
+    f, rng = GF(3), random.Random(44)
+    misses = []
+    for q in quivers:
+        m, n = random_module(q, f, delta, rng), random_module(q, f, (1,) * q.vertex_count, rng)
+        assert_differentials_match_the_reference(m, n)
+        target = m.direct_sum(n)
+        for inj in (
+            {v: vstack_all(f, d, (Matrix.identity(f, d), Matrix.zero(f, n.dims[v], d))) for v, d in enumerate(m.dims)},
+            {v: Matrix(f, t, d, [[rng.choice(list(f.elements())) for _ in range(d)] for _ in range(t)])
+             for v, (d, t) in enumerate(zip(m.dims, target.dims))},
+        ):
+            assert retraction_exists(m, target, inj) == reference_retraction_exists(m, target, inj)
+        misses.append(rep_module.system_plan.cache_info().misses)
+    assert misses == [4, 4, 4, 8, 12]
 
 
 def reference_rank(a):
