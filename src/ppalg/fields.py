@@ -243,7 +243,10 @@ class GaloisField(_FiniteField):
     coefficients modulo a fixed irreducible polynomial (the lexicographically
     first one, so the tables are reproducible).  Addition, negation,
     multiplication and inversion are each one table lookup (subtraction is
-    two); the tables are built once in the constructor.
+    two); the tables are built once in the constructor.  The row steps of
+    ``linalg``'s elimination read the tables ``_add``, ``_neg``, ``_mul``
+    and ``_inv`` directly, one row of ``_mul`` per step, rather than
+    calling these methods, so the tables stay lists indexed by code.
     """
 
     kind = "prime-power"

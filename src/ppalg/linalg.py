@@ -17,10 +17,16 @@ There is one elimination, on rows stored as ``{column: coefficient}`` dicts
 of their nonzero entries: the hom and Ext systems of ``rep.linear_system``
 are built that way, and a ``Matrix`` feeds it the nonzero entries of its
 rows.  A row is reduced only by the pivot rows of the columns where it is
-nonzero, at the nonzero columns of each.  Over a finite field it works on
-the int codes; over QQ on integers, every row scaled by the lcm of the
-denominators of its nonzero entries and reduced fraction-free, with the
-``Fraction`` entries built once at the end.  It is two passes:
+nonzero, at the nonzero columns of each.  Its row steps are picked once per
+call by the field's kind and call no ``Field`` method: over GF(p) they work
+on the residues with one ``% p`` per entry, over GF(p^k) they read the
+tables of ``GaloisField``, and over QQ they work on integers, every row
+scaled by the lcm of the denominators of its nonzero entries (its
+numerators, when these are all 1) and reduced fraction-free, with the
+``Fraction`` entries built once at the end.  Empty rows are dropped and the
+rest are eliminated shortest first, which only saves work: the pivot
+columns and the reduced echelon form of a span are unique, so no order of
+its rows can change a key, a tail or a null vector.  It is two passes:
 ``forward_pass`` keeps the normalised pivot rows, keyed by their pivot
 columns, and ``back_substitute`` reduces them, so a caller may hold the
 forward rows and reduce them later, or never: ``rank`` and the callers that
@@ -206,15 +212,20 @@ def forward_pass(field: Field, rows: list[dict], cols: int) -> dict:
     """The normalised pivot rows of a system of sparse rows, keyed by their pivot columns.
 
     Each row is a ``{column: coefficient}`` dict over ``cols`` columns that
-    stores no zero; the rows are consumed.  Row by row, a row is reduced by
-    the pivot row of its leading column until no pivot row leads there, and
-    then it becomes the pivot row of its leading column.  These are the
-    pivots of the reduced echelon form, which is unique.  A pivot row is one
-    at its pivot over a finite field, and over QQ the primitive integer row
-    with a positive entry there.  A system with no rows or no columns does
-    no work.
+    stores no zero; the rows are consumed.  Empty rows are dropped first and
+    the rest are taken shortest first.  Row by row, a row is reduced by the
+    pivot row of its leading column until no pivot row leads there, and then
+    it becomes the pivot row of its leading column.  Whatever the order of
+    the rows, these are the pivots of the reduced echelon form of their span,
+    which is unique, and ``back_substitute`` turns the pivot rows into that
+    form; so the order changes only how much work is done.  A pivot row is
+    one at its pivot over a finite field, and over QQ the primitive integer
+    row with a positive entry there; a row already one at its pivot is kept
+    as it is, since over QQ it is then primitive too.  A system with no
+    nonempty rows does no work.
     """
-    if not rows or not cols:
+    rows = sorted(filter(None, rows), key=len)
+    if not rows:
         return {}
     if field.kind == "rationals":
         rows = [_integer_row(row) for row in rows]
@@ -224,7 +235,7 @@ def forward_pass(field: Field, rows: list[dict], cols: int) -> dict:
         while row and (lead := min(row)) in piv:
             reduce(row, piv[lead], lead)
         if row:
-            piv[lead] = normal(row, lead)
+            piv[lead] = row if row[lead] == 1 else normal(row, lead)
     return piv
 
 
@@ -254,31 +265,59 @@ def _steps(field: Field):
 
 
 def _field_steps(f: Field):
-    """The row steps of the elimination over a finite field, on int codes; zero tests are truth tests."""
-    sub, mul = f.sub, f.mul
+    """The row steps of the elimination over a finite field, on int codes, picked by the field's kind.
 
-    def reduce(row, prow, lead):  # row <- row - c . prow, for c the entry of row at lead and prow[lead] = 1
-        c = row[lead]
-        for j, y in prow.items():
-            x = sub(row.get(j, 0), mul(c, y))
-            if x:
-                row[j] = x
-            else:
-                del row[j]
+    ``reduce(row, prow, lead)`` sets row <- row - c . prow, for c the entry
+    of row at lead and prow[lead] = 1, and ``normal(row, lead)`` is the row
+    scaled to one at lead, where it is not one.  Over GF(p) they work on the
+    residues with one ``% p`` per entry, and invert by Fermat's little
+    theorem; over GF(p^k) they read the addition and multiplication tables
+    of ``GaloisField``, one row of the multiplication table per step.  No
+    step calls a ``Field`` method, so the tables and the residues are the
+    one arithmetic of the elimination.  Zero tests are truth tests.
+    """
+    if f.kind == "prime":
+        p = f.p
 
-    def normal(row, lead):  # the row scaled to one at lead
-        c = row[lead]
-        if c == 1:
-            return row
-        inv = f.inv(c)
-        return {j: mul(inv, x) for j, x in row.items()}
+        def reduce(row, prow, lead):
+            c = p - row[lead]  # -c, as a residue
+            get = row.get
+            for j, y in prow.items():
+                x = (get(j, 0) + c * y) % p
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+
+        def normal(row, lead):
+            inv = pow(row[lead], p - 2, p)
+            return {j: x * inv % p for j, x in row.items()}
+
+    else:
+        add, mul, neg, inverse = f._add, f._mul, f._neg, f._inv
+
+        def reduce(row, prow, lead):
+            times = mul[neg[row[lead]]]  # the products by -c
+            get = row.get
+            for j, y in prow.items():
+                x = add[get(j, 0)][times[y]]
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+
+        def normal(row, lead):
+            times = mul[inverse[row[lead]]]
+            return {j: times[x] for j, x in row.items()}
 
     return reduce, normal
 
 
 def _integer_row(row: dict) -> dict:
-    """A row over QQ scaled by the lcm of the denominators of its nonzero entries."""
+    """A row over QQ scaled by the lcm of the denominators of its nonzero entries: its numerators when that is 1."""
     d = lcm(*[x.denominator for x in row.values()])
+    if d == 1:
+        return {j: x.numerator for j, x in row.items()}
     return {j: x.numerator * (d // x.denominator) for j, x in row.items()}
 
 

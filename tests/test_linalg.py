@@ -193,16 +193,20 @@ def test_rref_kernel_and_solve_match_the_reference(data):
 
 
 @st.composite
-def sparse_systems(draw, field, max_side=24):
+def sparse_systems(draw, field, max_side=24, integral=False):
     """A matrix shaped like a hom system: at least 85% zeros, and over QQ
-    numerators and denominators up to 10^6, so that coefficient growth shows."""
+    numerators and denominators up to 10^6, so that coefficient growth shows
+    (with ``integral``, denominators 1, as in the hom and Ext systems)."""
     rows, cols = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
     cells = [(r, c) for r in range(rows) for c in range(cols)]
     count = draw(st.integers(0, len(cells) * 15 // 100))
+    numerator = st.integers(1, 10**6) | st.integers(-(10**6), -1)
     if field.is_finite:
         value = st.integers(1, field.order - 1)
+    elif integral:
+        value = st.builds(Fraction, numerator)
     else:
-        value = st.builds(Fraction, st.integers(1, 10**6) | st.integers(-(10**6), -1), st.integers(1, 10**6))
+        value = st.builds(Fraction, numerator, st.integers(1, 10**6))
     data = [[field.zero()] * cols for _ in range(rows)]
     for r, c in draw(st.lists(st.sampled_from(cells), min_size=count, max_size=count, unique=True)) if cells else ():
         data[r][c] = draw(value)
@@ -233,13 +237,11 @@ def test_sparse_systems_match_the_reference(field, data):
     assert_decompositions_match_the_reference(data.draw(sparse_systems(field), label="a"))
 
 
-@pytest.mark.parametrize("field", [GF(2), GF(4), GF(5), QQ], ids=repr)
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_forward_pass_then_back_substitution_is_the_reference_rref(field, data):
-    a = data.draw(sparse_systems(field), label="a")
+def assert_forward_then_back_is_the_reference(a: Matrix, rows: list[dict]):
+    """forward_pass of ``rows``, whose span is the row space of a, then back_substitute, against reference_rref(a)."""
+    field = a.field
     ref_R, ref_pivots = reference_rref(a)
-    piv = forward_pass(field, [{j: x for j, x in enumerate(row) if x} for row in a.data], a.cols)
+    piv = forward_pass(field, rows, a.cols)
     assert tuple(sorted(piv)) == ref_pivots
     tails, pivots = back_substitute(field, piv)
     one = field.one()
@@ -247,6 +249,30 @@ def test_forward_pass_then_back_substitution_is_the_reference_rref(field, data):
     assert pivots == ref_pivots
     assert got == [list(row) for row in ref_R.data[: len(ref_pivots)]]
     assert [type(x) for row in got for x in row] == [type(x) for row in ref_R.data[: len(ref_pivots)] for x in row]
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(4), GF(5), GF(9), QQ], ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_forward_pass_then_back_substitution_is_the_reference_rref(field, data):
+    a = data.draw(sparse_systems(field), label="a")
+    assert_forward_then_back_is_the_reference(a, [{j: x for j, x in enumerate(row) if x} for row in a.data])
+
+
+# GF(7) and GF(2^31 - 1): the residue kernel, whose products reach 2^62 before their one % p
+@pytest.mark.parametrize(
+    "field, integral",
+    [(f, False) for f in ORACLE_FIELDS] + [(GF(7), False), (GF(2**31 - 1), False), (QQ, True)],
+    ids=repr,
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_forward_pass_is_blind_to_row_order_and_empty_rows(field, integral, data):
+    # the echelon pivots and the reduced form are unique, so the order forward_pass takes rows in cannot show
+    a = data.draw(sparse_systems(field, integral=integral), label="a")
+    rows = [{j: x for j, x in enumerate(row) if x} for row in a.data]
+    rows += [{} for _ in range(data.draw(st.integers(0, 4), label="empty rows"))]
+    assert_forward_then_back_is_the_reference(a, data.draw(st.permutations(rows), label="rows"))
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS)
